@@ -82,24 +82,27 @@ def load_config(path: str | None, overrides: dict) -> tuple[ModelParams, dict]:
             model[key] = val
         else:
             run[key] = val
-    typed = {}
-    for key, val in model.items():
-        if key in ("Kmax", "Mmax", "Nmax", "h_max", "omega_branch"):
-            typed[key] = int(val)
-        elif key == "extended_precision":
-            typed[key] = str(val).lower() in ("1", "true", "yes")
-        else:
-            typed[key] = float(val)
     try:
+        typed = {}
+        for key, val in model.items():
+            if key in ("Kmax", "Mmax", "Nmax", "h_max", "omega_branch"):
+                typed[key] = int(val)
+            elif key == "extended_precision":
+                typed[key] = str(val).lower() in ("1", "true", "yes")
+            else:
+                typed[key] = float(val)
         params = ModelParams(**typed)
+        for key in ("orders", "grid", "seed", "eps_count", "samples", "jobs"):
+            if key in run:
+                run[key] = int(run[key])
+        for key in ("eps", "eps_lo", "eps_hi", "window"):
+            if key in run:
+                run[key] = float(run[key])
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    for key in ("orders", "grid", "seed", "eps_count", "samples", "jobs"):
-        if key in run:
-            run[key] = int(run[key])
-    for key in ("eps", "eps_lo", "eps_hi", "window"):
-        if key in run:
-            run[key] = float(run[key])
+    for key in ("eps", "eps_lo", "eps_hi"):
+        if key in run and not 0.0 < run[key] < params.eps0:
+            raise ConfigError(f"{key}={run[key]} outside (0, eps0={params.eps0})")
     for key in ("force", "kernel_sign_flip"):
         run[key] = str(run.get(key, "0")).lower() in ("1", "true", "yes")
     run["outdir"] = os.environ.get("LINDBEAM_OUTDIR", run.get("outdir", "out"))
@@ -116,21 +119,14 @@ def cmd_coeffs(params: ModelParams, run: dict) -> int:
     out = _outdir(run)
     eps = run.get("eps", params.eps0 / 2)
     K = run["orders"]
-    try:
-        if params.a == 0.0 and params.b == 0.0:
-            nu = NuTable(eps0=params.eps0, nu_cap=params.nu_cap)
-            lt, q = CountertermTable(), 0.0
-            A = 0.0
-        else:
-            nu, info = solve_nu(params, eps, K)
-            lt, q = info["counterterms"], info["q"]
-            A = amplitude_cubic_coefficient(params, eps, params.Mmax, nu)
-    except SignExcludedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except NonConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOCONV
+    if params.a == 0.0 and params.b == 0.0:
+        nu = NuTable(eps0=params.eps0, nu_cap=params.nu_cap)
+        lt, q = CountertermTable(), 0.0
+        A = 0.0
+    else:
+        nu, info = solve_nu(params, eps, K)
+        lt, q = info["counterterms"], info["q"]
+        A = amplitude_cubic_coefficient(params, eps, params.Mmax, nu)
     table = compute_coeffs(params, eps, nu, lt, K, params.Mmax, q=q)
     save_coeffs_csv(table, out / "coeffs.csv")
     save_counterterms_csv(lt, out / "counterterms.csv")
@@ -144,11 +140,7 @@ def cmd_counterterms(params: ModelParams, run: dict) -> int:
     out = _outdir(run)
     eps = run.get("eps", params.eps0 / 2)
     K = run["orders"]
-    try:
-        nu, info = solve_nu(params, eps, K)
-    except NonConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOCONV
+    nu, info = solve_nu(params, eps, K)
     lt = CountertermTable()
     q = info["q"]
     for k in range(2, K + 1):
@@ -308,7 +300,8 @@ def cmd_residual(params: ModelParams, run: dict) -> int:
             w.writerow([repr(r[0])] + [repr(x) if x != "" else "" for x in r[1:3]]
                        + [r[3]])
     (out / "residual.json").write_text(json.dumps(
-        {"schema_version": 1, "slope": slope, "target": (K + 2) / 2 - 0.3,
+        {"schema_version": 1, "slope": slope if math.isfinite(slope) else None,
+         "target": (K + 2) / 2 - 0.3,
          "accepted": len(pts), "total": len(rows)}, indent=2, sort_keys=True))
     print(f"residual slope {slope:.3f} over {len(pts)} accepted eps (target "
           f">= {(K + 2) / 2 - 0.3:.2f}); wrote {out}/residual.csv")
@@ -337,11 +330,7 @@ def cmd_dioph(params: ModelParams, run: dict, what: str) -> int:
         return EXIT_OK if ok else EXIT_VERIFY
     if what == "melnikov":
         eps = run.get("eps", params.eps0 / 2)
-        try:
-            nu, _ = solve_nu(params, eps, run["orders"])
-        except NonConvergenceError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NOCONV
+        nu, _ = solve_nu(params, eps, run["orders"])
         marg = dioph_mod.melnikov_margins(eps, nu, params)
         (out / "dioph_melnikov.json").write_text(json.dumps(
             {"schema_version": 1, "eps": eps, "first": marg["first"],
@@ -352,11 +341,7 @@ def cmd_dioph(params: ModelParams, run: dict, what: str) -> int:
         return EXIT_OK
     if what == "cantor":
         eps = run.get("eps", params.eps0 / 2)
-        try:
-            nu, _ = solve_nu(params, eps, run["orders"])
-        except NonConvergenceError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NOCONV
+        nu, _ = solve_nu(params, eps, run["orders"])
         ok = dioph_mod.check_cantor(eps, nu, params)
         marg = dioph_mod.cantor_margins(eps, nu, params)
         (out / "dioph_cantor.json").write_text(json.dumps(

@@ -9,6 +9,13 @@ unless m+m1+m2 is odd and otherwise equals
 The kernel used throughout is the Galerkin projection coefficient
 v_{m,m1,m2} = (2/pi) * I.  The closed form is cross-checked against adaptive
 quadrature and an independent complex-exponential sign sum.
+
+Since sin(m1 x) sin(m2 x) = (cos((m1-m2)x) - cos((m1+m2)x)) / 2, the kernel
+factorizes exactly as v_{m,m1,m2} = (1/2)(2/pi) (J[m,|m1-m2|] - J[m,m1+m2]),
+with J[m,k] = int_0^pi sin(mx) cos(kx) dx = 2m/(m^2-k^2) for m+k odd, else 0.
+A quadratic interaction thus costs a convolution and a correlation of the two
+coefficient rows, O(M^2), and one projection matmul (`cosine_projection`);
+the dense O(M^3) `kernel_tensor` is kept as the cross-check of that route.
 """
 from __future__ import annotations
 
@@ -25,6 +32,7 @@ __all__ = [
     "triple_sine_quadrature",
     "kernel_v",
     "kernel_tensor",
+    "cosine_projection",
     "nonlinearity_coefficient",
     "kernel_sum_probe",
     "KernelDisagreementError",
@@ -84,21 +92,39 @@ def kernel_v(m: int, m1: int, m2: int) -> float:
     return C_NORM * triple_sine_closed(m, m1, m2)
 
 
+def _closed_form_grid(m, m1, m2) -> np.ndarray:
+    """v_{m,m1,m2} from the closed form on broadcast float grids.
+
+    Even-parity entries are exactly zero, so the apparent poles of the
+    closed form never evaluate.
+    """
+    odd = (m + m1 + m2) % 2 == 1
+    denom = np.where(odd, (m * m - (m1 - m2) ** 2) * (m * m - (m1 + m2) ** 2), 1.0)
+    return np.where(odd, C_NORM * (-4.0) * m * m1 * m2 / denom, 0.0)
+
+
 def kernel_tensor(m_out: int, m_in: int) -> np.ndarray:
     """Dense table V[m, m1, m2] = v_{m,m1,m2} for m <= m_out, m1,m2 <= m_in.
 
-    Index 0 corresponds to mode 1.  Even-parity entries are exactly zero, so
-    the apparent poles of the closed form never evaluate.
+    Index 0 corresponds to mode 1.
     """
-    m = np.arange(1, m_out + 1)[:, None, None].astype(float)
-    m1 = np.arange(1, m_in + 1)[None, :, None].astype(float)
-    m2 = np.arange(1, m_in + 1)[None, None, :].astype(float)
-    odd = (m + m1 + m2) % 2 == 1
-    d1 = m * m - (m1 - m2) ** 2
-    d2 = m * m - (m1 + m2) ** 2
-    denom = d1 * d2
-    denom[~odd] = 1.0  # parity zeros mask the poles
-    out = np.where(odd, C_NORM * (-4.0) * m * m1 * m2 / denom, 0.0)
+    m = np.arange(1, m_out + 1, dtype=float)[:, None, None]
+    m1 = np.arange(1, m_in + 1, dtype=float)[None, :, None]
+    return _closed_form_grid(m, m1, m1.transpose(0, 2, 1))
+
+
+@lru_cache(maxsize=4)
+def cosine_projection(m_out: int, k_max: int) -> np.ndarray:
+    """Read-only P[m-1, k] = (1/2)(2/pi) J[m, k] for m <= m_out, 0 <= k <= k_max.
+
+    With it v_{m,m1,m2} = P[m-1, |m1-m2|] - P[m-1, m1+m2].  Parity zeros
+    (m+k even) mask the poles m = k.
+    """
+    m = np.arange(1, m_out + 1, dtype=float)[:, None]
+    k = np.arange(0, k_max + 1, dtype=float)[None, :]
+    odd = (m + k) % 2 == 1
+    out = np.where(odd, C_NORM * m / np.where(odd, m * m - k * k, 1.0), 0.0)
+    out.flags.writeable = False
     return out
 
 
@@ -115,23 +141,11 @@ def kernel_sum_probe(m: int, Mmax: int) -> float:
     convergent.
     """
     m1 = np.arange(1, Mmax + 1, dtype=float)[:, None]
-    m2 = np.arange(1, Mmax + 1, dtype=float)[None, :]
-    odd = (m + m1 + m2) % 2 == 1
-    d1 = m * m - (m1 - m2) ** 2
-    d2 = m * m - (m1 + m2) ** 2
-    denom = d1 * d2
-    denom[~odd] = 1.0
-    v = np.where(odd, C_NORM * 4.0 * m * m1 * m2 / np.abs(denom), 0.0)
-    return float(np.sum(v / (m1 ** 3 * m2 ** 3)))
+    return float(np.sum(np.abs(_closed_form_grid(m, m1, m1.T)) / (m1 ** 3 * m1.T ** 3)))
 
 
 def kernel_sum_probe_restricted(m: int, Mmax: int) -> float:
     """S(m) with the larger index limited to m/4; decays like m^-4."""
     cap = max(1, m // 4)
     m1 = np.arange(1, cap + 1, dtype=float)[:, None]
-    m2 = np.arange(1, cap + 1, dtype=float)[None, :]
-    odd = (m + m1 + m2) % 2 == 1
-    denom = (m * m - (m1 - m2) ** 2) * (m * m - (m1 + m2) ** 2)
-    denom[~odd] = 1.0
-    v = np.where(odd, C_NORM * 4.0 * m * m1 * m2 / np.abs(denom), 0.0)
-    return float(np.sum(v / (m1 ** 3 * m2 ** 3)))
+    return float(np.sum(np.abs(_closed_form_grid(m, m1, m1.T)) / (m1 ** 3 * m1.T ** 3)))

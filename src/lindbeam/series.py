@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import kernel_tensor, kernel_v
+from .kernel import cosine_projection, kernel_v
 from .spectrum import ModelParams, NuTable, omega, omega_eff, propagator
 
 __all__ = [
@@ -44,8 +44,6 @@ __all__ = [
 AMPLITUDE_TOL = 1e-12
 NU_TOL = 1e-10
 TAIL_TOL = 1e-3
-
-_V2_CACHE: dict[int, np.ndarray] = {}
 
 
 class SignExcludedError(ValueError):
@@ -158,12 +156,6 @@ class CoeffTable:
                 raise AssertionError(f"primary-mode content at order {k}")
 
 
-def _v2(Mmax: int) -> np.ndarray:
-    if Mmax not in _V2_CACHE:
-        _V2_CACHE[Mmax] = kernel_tensor(2 * Mmax, Mmax)
-    return _V2_CACHE[Mmax]
-
-
 def quad_conv(u1: np.ndarray, u2: np.ndarray, k1: int, k2: int,
               a: float, b: float, Om: float, Mmax: int) -> np.ndarray:
     """Quadratic interaction of two coefficient arrays.
@@ -171,41 +163,42 @@ def quad_conv(u1: np.ndarray, u2: np.ndarray, k1: int, k2: int,
     Returns C[n, m] = sum_{n1+n2=n} (a - b Om^2 n1 n2)
                       sum_{m1,m2} v_{m,m1,m2} u1_{n1,m1} u2_{n2,m2}
     on the extended grid m <= 2*Mmax, |n| <= (k1+1)+(k2+1).
+
+    The kernel factorizes as v_{m,m1,m2} = P[m,|m1-m2|] - P[m,m1+m2]
+    (kernel.cosine_projection): each pair of nonzero rows costs a correlation
+    (m1-m2) and a convolution (m1+m2), O(Mmax^2), summed into G[n, k] with
+    k = 0..2*Mmax; one matmul C = G P^T then projects every output row.
     """
-    V2 = _v2(Mmax)
     noff = (k1 + 1) + (k2 + 1)
-    out = np.zeros((2 * noff + 1, 2 * Mmax))
-    for i1 in range(u1.shape[0]):
-        row1 = u1[i1]
+    lag = np.zeros((2 * noff + 1, 2 * Mmax - 1))   # column m1 - m2 + Mmax - 1
+    G = np.zeros((2 * noff + 1, 2 * Mmax + 1))
+    rows2 = [(i2 - (k2 + 1), row2) for i2, row2 in enumerate(u2) if row2.any()]
+    for i1, row1 in enumerate(u1):
         if not row1.any():
             continue
         n1 = i1 - (k1 + 1)
-        for i2 in range(u2.shape[0]):
-            row2 = u2[i2]
-            if not row2.any():
-                continue
-            n2 = i2 - (k2 + 1)
+        for n2, row2 in rows2:
             coef = a - b * Om * Om * n1 * n2
             if coef == 0.0:
                 continue
-            s = np.tensordot(V2, np.outer(row1, row2), axes=2)
-            out[n1 + n2 + noff, :] += coef * s
-    return out
+            n = n1 + n2 + noff
+            lag[n] += coef * np.correlate(row1, row2, "full")
+            G[n, 2:] -= coef * np.convolve(row1, row2)
+    # fold the signed difference m1 - m2 onto |m1 - m2|
+    G[:, :Mmax] += lag[:, Mmax - 1:]
+    G[:, 1:Mmax] += lag[:, :Mmax - 1][:, ::-1]
+    return G @ cosine_projection(2 * Mmax, 2 * Mmax).T
 
 
-def fhat_order(table: CoeffTable, j: int, params: ModelParams, eps: float) -> np.ndarray:
-    """Order-j coefficient of the quadratic forcing sum_{k1+k2=j} (u^k1 * u^k2)."""
-    Om = omega_eff(params, eps)
-    noff = j + 2
-    out = np.zeros((2 * noff + 1, 2 * table.Mmax))
-    for k1 in range(0, j + 1):
-        k2 = j - k1
-        if k1 > table.K or k2 > table.K:
-            continue
-        c = quad_conv(table.u[k1], table.u[k2], k1, k2, params.a, params.b, Om, table.Mmax)
-        off = noff - ((k1 + 1) + (k2 + 1))
-        out[off:off + c.shape[0], :] += c
-    return out
+def _forcing(us: list[np.ndarray], j: int, params: ModelParams, Om: float,
+             Mmax: int) -> np.ndarray:
+    """sum_{k1+k2=j} (u^k1 * u^k2) on the grid |n| <= j+2, m <= 2*Mmax.
+
+    F^(k) of the recursion is the j = k-1 term; the primary-mode equation
+    reads its order-j coefficient at (n, m) = (1, 1).
+    """
+    return sum(quad_conv(us[k1], us[j - k1], k1, j - k1, params.a, params.b, Om, Mmax)
+               for k1 in range(j + 1))
 
 
 def compute_coeffs(params: ModelParams, eps: float, nu: NuTable | None,
@@ -227,12 +220,7 @@ def compute_coeffs(params: ModelParams, eps: float, nu: NuTable | None,
     table = CoeffTable(K=0, Mmax=Mmax, q=q, u=us, eps=eps)
     tail_flag = 0.0
     for k in range(1, K + 1):
-        F = np.zeros((2 * (k + 1) + 1, 2 * Mmax))
-        for k1 in range(0, k):
-            k2 = k - 1 - k1
-            c = quad_conv(us[k1], us[k2], k1, k2, params.a, params.b, Om, Mmax)
-            off = (k + 1) - ((k1 + 1) + (k2 + 1))
-            F[off:off + c.shape[0], :] += c
+        F = _forcing(us, k - 1, params, Om, Mmax)
         # spectral-tail diagnostic on the extended grid
         inner = np.abs(F[:, :Mmax]).max()
         outer = np.abs(F[:, Mmax:]).max()
@@ -314,9 +302,9 @@ def amplitude_series(params: ModelParams, eps: float, nu: NuTable | None,
     """
     table = compute_coeffs(params, eps, nu, counterterms, K, Mmax, q=1.0)
     out = np.zeros(K + 1)
+    Om = omega_eff(params, eps)
     for j in range(1, K + 1):
-        fj = fhat_order(table, j, params, eps)
-        out[j] = fj[1 + (j + 2), 0]   # row n=1, column m=1
+        out[j] = _forcing(table.u, j, params, Om, Mmax)[1 + (j + 2), 0]   # (n, m) = (1, 1)
     return out[1:]
 
 
@@ -513,10 +501,9 @@ def residual_norm(table: CoeffTable, params: ModelParams, eps: float,
     conv = quad_conv(U, U, K, K, params.a, params.b, Om, table.Mmax)
     noff = 2 * (K + 1)
     R = np.array(conv) * (-eps)     # -[aV^2 + b V_t^2], with V = sqrt(eps) U
-    for n in range(-(K + 1), K + 2):
-        row = U[n + K + 1]
-        lin = (-(Om * n) ** 2 + omega(np.arange(1, table.Mmax + 1), params.mu) ** 2) * row
-        R[n + noff, :table.Mmax] += math.sqrt(eps) * lin
+    ns = np.arange(-(K + 1), K + 2)[:, None]
+    lin = (-(Om * ns) ** 2 + omega(np.arange(1, table.Mmax + 1), params.mu) ** 2) * U
+    R[K + 1:noff + K + 2, :table.Mmax] += eta * lin
     if per_mode:
         return R, noff
     # sup over the resolved window m <= Mmax (the spatial cutoff defines the
@@ -536,27 +523,28 @@ def order_consistency(table: CoeffTable, params: ModelParams, eps: float,
     _check_provenance(table, eps, nu)
     lt = counterterms or CountertermTable()
     Om = omega_eff(params, eps)
+    M = table.Mmax
+    om_sq = omega(np.arange(1, M + 1), params.mu) ** 2
+    # n * nu and n * l^(r) are even in n and live on a few (|n|, m) entries
+    n_nu = [(n, m, n * v) for (n, m), v in (nu.items() if nu else ()) if m <= M]
+    n_l = [(r, n, m, n * v) for (r, n, m, h), v in lt.items() if h == -1 and m <= M]
     worst = 0.0
     for k in range(1, table.K + 1):
-        F = np.zeros((2 * (k + 1) + 1, 2 * table.Mmax))
-        for k1 in range(0, k):
-            k2 = k - 1 - k1
-            c = quad_conv(table.u[k1], table.u[k2], k1, k2,
-                          params.a, params.b, Om, table.Mmax)
-            off = (k + 1) - ((k1 + 1) + (k2 + 1))
-            F[off:off + c.shape[0], :] += c
+        F = _forcing(table.u, k - 1, params, Om, M)
         scale = max(1.0, np.abs(F).max())
-        for n in range(-(k + 1), k + 2):
-            for m in range(1, table.Mmax + 1):
-                if (abs(n), m) == (1, 1):
-                    continue
-                unm = table.value(k, n, m)
-                nnu = nu.n_nu(n, m) if nu else 0.0
-                lhs = (-(Om * n) ** 2 + float(omega(m, params.mu)) ** 2 + nnu) * unm
-                rhs = F[n + k + 1, m - 1]
-                for r in range(2, k):
-                    rhs += n * lt.aggregate(r, n, m) * table.value(k - r, n, m)
-                worst = max(worst, abs(lhs - rhs) / scale)
+        ns = np.arange(-(k + 1), k + 2)
+        lin = -(Om * ns[:, None]) ** 2 + om_sq[None, :]
+        rhs = F[:, :M].copy()
+        for n, m, w in n_nu:
+            if n <= k + 1:
+                lin[[k + 1 - n, k + 1 + n], m - 1] += w
+        for r, n, m, w in n_l:
+            if 2 <= r < k and n <= (k - r) + 1:
+                lower = table.u[k - r][[k - r + 1 - n, k - r + 1 + n], m - 1]
+                rhs[[k + 1 - n, k + 1 + n], m - 1] += w * lower
+        defect = np.abs(lin * table.u[k] - rhs) / scale
+        defect[[k, k + 2], 0] = 0.0   # the primary mode (+-1, 1) has no identity
+        worst = max(worst, float(defect.max()))
     return worst
 
 
@@ -626,14 +614,24 @@ def save_coeffs_csv(table: CoeffTable, path):
 
 
 def load_coeffs_csv(path, K: int, Mmax: int, eps: float = 0.0) -> CoeffTable:
+    """Read a table written by save_coeffs_csv; malformed rows raise ValueError."""
     us = [np.zeros((2 * (k + 1) + 1, Mmax)) for k in range(K + 1)]
     q = 0.0
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            k, n, m, v = int(row["k"]), int(row["n"]), int(row["m"]), float(row["value"])
-            if k == 0:
-                q = v
-            us[k][n + k + 1, m - 1] = v
+        rows = list(csv.reader(fh))
+    if rows[:1] != [["k", "n", "m", "value"]]:
+        raise ValueError(f"{path}: header is not k,n,m,value")
+    for line, row in enumerate(rows[1:], start=2):
+        try:
+            (k, n, m), v = map(int, row[:3]), float(row[3])
+        except (IndexError, ValueError):
+            k = -1   # rejected below
+        if len(row) != 4 or not (0 <= k <= K and abs(n) <= k + 1 and 1 <= m <= Mmax):
+            raise ValueError(f"{path}:{line}: malformed row {row!r} (need "
+                             f"0 <= k <= {K}, |n| <= k+1, 1 <= m <= {Mmax})")
+        if k == 0:
+            q = v
+        us[k][n + k + 1, m - 1] = v
     return CoeffTable(K=K, Mmax=Mmax, q=q, u=us, eps=eps)
 
 

@@ -1,8 +1,13 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import lindbeam
 
 from lindbeam.cli import main
 
@@ -64,6 +69,16 @@ def test_invalid_mu_exit_2(tmp_path):
     assert not (tmp_path / "out" / "coeffs.csv").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["--Mmax", "1.5", "coeffs"],
+    ["--orders", "abc", "coeffs"],
+    ["--eps", "0.5", "coeffs"],
+    ["--eps-lo", "0.5", "residual"],
+])
+def test_malformed_input_exit_2(tmp_path, args):
+    assert main(["--outdir", str(tmp_path / "out")] + args) == 2
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[model]\nfrobnicate = 3\n")
@@ -100,6 +115,19 @@ def test_residual_run(tmp_path):
     assert doc["slope"] >= 1.7
     rows = list(csv.DictReader(open(tmp_path / "out" / "residual.csv")))
     assert len(rows) == 5
+
+
+def test_residual_single_eps_writes_strict_json(tmp_path):
+    cfg = write_cfg(tmp_path)
+    assert main(["--config", cfg, "--eps-lo", "0.005", "--eps-hi", "0.005",
+                 "--eps-count", "1", "residual"]) == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    doc = json.loads((tmp_path / "out" / "residual.json").read_text(),
+                     parse_constant=reject)
+    assert doc["slope"] is None
 
 
 def test_residual_marks_excluded(tmp_path):
@@ -155,3 +183,13 @@ def test_outdir_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("LINDBEAM_OUTDIR", str(target))
     assert main(["--config", cfg, "kernel"]) == 0
     assert (target / "kernel.csv").exists()
+
+
+def test_python_m_lindbeam_help():
+    src = str(Path(lindbeam.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "lindbeam", "--help"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: lindbeam" in proc.stdout

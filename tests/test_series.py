@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lindbeam.kernel import kernel_v
+from lindbeam.kernel import kernel_tensor, kernel_v
 from lindbeam.series import (
     CoeffTable,
     CountertermTable,
@@ -19,6 +19,7 @@ from lindbeam.series import (
     lambda_modes,
     load_coeffs_csv,
     order_consistency,
+    quad_conv,
     residual_norm,
     save_coeffs_csv,
     save_counterterms_csv,
@@ -55,6 +56,25 @@ def test_order1_hand_formula():
         want2 = propagator(2, m, P, EPS) * (P.a - P.b * Om ** 2) \
             * kernel_v(m, 1, 1) * q * q
         assert t.value(1, 2, m) == pytest.approx(want2, rel=1e-14)
+
+
+@pytest.mark.parametrize("M", [1, 2, 9, 64])
+def test_quad_conv_matches_dense_kernel(M):
+    # oracle: explicit contraction with the dense (2M, M, M) kernel tensor
+    rng = np.random.default_rng(M)
+    k1, k2, a, b, Om = 1, 2, 1.0, 0.5, 1.05
+    u1 = rng.standard_normal((2 * (k1 + 1) + 1, M))
+    u2 = rng.standard_normal((2 * (k2 + 1) + 1, M))
+    u1[1] = 0.0
+    got = quad_conv(u1, u2, k1, k2, a, b, Om, M)
+    pairs = np.einsum("abc,ib,jc->ija", kernel_tensor(2 * M, M), u1, u2)
+    want = np.zeros((2 * (k1 + k2 + 2) + 1, 2 * M))
+    for i1 in range(u1.shape[0]):
+        for i2 in range(u2.shape[0]):
+            n1, n2 = i1 - (k1 + 1), i2 - (k2 + 1)
+            want[i1 + i2] += (a - b * Om * Om * n1 * n2) * pairs[i1, i2]
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_support_parity_reality():
@@ -237,6 +257,12 @@ def test_serialization_roundtrip(tmp_path):
     save_nu_csv(nu, tmp_path / "nu.csv")
     doc = summary_json(t, P, EPS, A=1.0)
     assert '"schema_version": 1' in doc
+    # a row outside the table's shape is rejected, never wrapped into it
+    lines = f.read_text().splitlines()
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines[:3] + ["1,-5,3,0.25"] + lines[3:]) + "\n")
+    with pytest.raises(ValueError, match="bad.csv:4"):
+        load_coeffs_csv(bad, 2, 64, eps=EPS)
 
 
 def test_lambda_modes_structure():
