@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .spectrum import ModelParams, NuTable
+import numpy as np
+
+from .spectrum import ModelParams, NuTable, mode_set
 from .trees import (
     Tree,
     _active_candidates,
@@ -142,12 +144,11 @@ def sample_diophantine_points(params: ModelParams, count: int, seed: int = 0,
     from scipy.stats import qmc
 
     from .diophantine import check_melnikov
-    from .series import lambda_modes
 
     Mmax = Mmax or params.Mmax
     Nmax = Nmax or params.Nmax
-    modes = lambda_modes(params, Mmax, Nmax)
-    dim = 1 + len(modes)
+    ms = mode_set(params.mu, params.eps0, Mmax, Nmax)
+    dim = 1 + len(ms)
     eng = qmc.Sobol(d=min(dim, 21201), scramble=True, seed=seed)
     out = []
     draws = 0
@@ -159,11 +160,9 @@ def sample_diophantine_points(params: ModelParams, count: int, seed: int = 0,
             eps = float(row[0]) * params.eps0
             if not 1e-8 < eps < params.eps0:
                 continue
-            nu = NuTable(eps0=params.eps0, nu_cap=params.nu_cap)
-            for (n, m), u in zip(modes, row[1:]):
-                val = (2.0 * float(u) - 1.0) * cap
-                if val != 0.0:
-                    nu.set(n, m, val)
+            vals = np.zeros(len(ms))     # modes beyond the Sobol dimension get 0
+            vals[:row.size - 1] = (2.0 * row[1:] - 1.0) * cap
+            nu = ms.nu_table(vals, params.nu_cap)
             if check_melnikov(eps, nu, params, Nmax=Nmax, Mmax=Mmax):
                 out.append((eps, nu))
                 if len(out) >= count:

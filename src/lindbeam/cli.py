@@ -103,6 +103,12 @@ def load_config(path: str | None, overrides: dict) -> tuple[ModelParams, dict]:
     for key in ("eps", "eps_lo", "eps_hi"):
         if key in run and not 0.0 < run[key] < params.eps0:
             raise ConfigError(f"{key}={run[key]} outside (0, eps0={params.eps0})")
+    for key, least in (("orders", 1), ("grid", 1), ("eps_count", 1), ("samples", 1),
+                       ("jobs", 1), ("seed", 0)):
+        if key in run and run[key] < least:
+            raise ConfigError(f"{key}={run[key]} must be >= {least}")
+    if "window" in run and not 0.0 < run["window"] < math.inf:
+        raise ConfigError(f"window={run['window']} must be positive and finite")
     for key in ("force", "kernel_sign_flip"):
         run[key] = str(run.get(key, "0")).lower() in ("1", "true", "yes")
     run["outdir"] = os.environ.get("LINDBEAM_OUTDIR", run.get("outdir", "out"))
@@ -309,8 +315,10 @@ def cmd_residual(params: ModelParams, run: dict) -> int:
 
 
 def cmd_dioph(params: ModelParams, run: dict, what: str) -> int:
-    out = _outdir(run)
     grid = run["grid"]
+    if what == "mass" and grid < 1000:
+        raise ConfigError(f"grid={grid} must be >= 1000 for the mass scan")
+    out = _outdir(run)
     if what == "mass":
         rows = []
         for gam in (params.gamma, params.gamma / 2, params.gamma / 4):
@@ -511,10 +519,6 @@ def main(argv: list[str] | None = None) -> int:
                               "special", "what") and v is not None}
     try:
         params, run = load_config(args.config, overrides)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
         if args.command == "coeffs":
             return cmd_coeffs(params, run)
         if args.command == "counterterms":
@@ -534,12 +538,10 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_kernel(params, run)
         if args.command == "report":
             return cmd_report(params, run)
-    except SignExcludedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except NonConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOCONV
+    except (ConfigError, SignExcludedError, NonConvergenceError) as exc:
+        kind = "config error" if isinstance(exc, ConfigError) else "error"
+        print(f"{kind}: {exc}", file=sys.stderr)
+        return EXIT_NOCONV if isinstance(exc, NonConvergenceError) else EXIT_INVALID
     return EXIT_INVALID
 
 

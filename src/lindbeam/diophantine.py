@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .spectrum import ModelParams, NuTable, omega, omega_eff
+from .spectrum import MU_MAX, ModelParams, NuTable, mode_set, omega, omega_eff
 
 __all__ = [
     "MU_MAX",
@@ -28,9 +29,6 @@ __all__ = [
     "measure_cantor",
     "find_diophantine_mu",
 ]
-
-MU_MAX = 0.125
-
 
 @dataclass
 class DiophReport:
@@ -62,41 +60,18 @@ def mass_margins(mu, tau0: float, Nmax: int):
     """
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     om1 = np.sqrt(1.0 + mu)
-    best = [np.full(mu.shape, np.inf) for _ in range(3)]
-
-    def consider(idx, target):
+    best = {fam: np.full(mu.shape, np.inf) for fam in ("single", "diff", "sum")}
+    for fam, _, combo in _mass_combos(Nmax):
+        target = combo(mu)
         # only the nearest integers to target / om1 can compete
         base = np.rint(target / om1)
         for dn in (-1.0, 0.0, 1.0):
             n = base + dn
             valid = (n >= 1) & (n <= Nmax)
-            if not valid.any():
-                continue
-            margin = np.where(valid, np.abs(om1 * n - target) * n ** tau0, np.inf)
-            best[idx] = np.minimum(best[idx], margin)
-
-    mstar = _mstar_single(Nmax)
-    for m in range(2, mstar + 1):
-        consider(0, omega(m, mu))
-
-    # difference pairs: m1 > m2 >= 2, m1^2 - m2^2 within reach of omega_1 n
-    bound = (1 + MU_MAX) * Nmax + 3
-    m2 = 2
-    while 2 * m2 + 1 <= bound:
-        m1 = m2 + 1
-        while m1 * m1 - m2 * m2 <= bound:
-            consider(1, omega(m1, mu) - omega(m2, mu))
-            m1 += 1
-        m2 += 1
-
-    # sum pairs: m1^2 + m2^2 within reach
-    for m2 in range(2, mstar + 1):
-        for m1 in range(m2, mstar + 1):
-            if m1 * m1 + m2 * m2 > bound:
-                break
-            consider(2, omega(m1, mu) + omega(m2, mu))
-
-    return best
+            if valid.any():
+                margin = np.where(valid, np.abs(om1 * n - target) * n ** tau0, np.inf)
+                best[fam] = np.minimum(best[fam], margin)
+    return list(best.values())
 
 
 def check_mass(mu: float, gamma: float, tau0: float, Nmax: int,
@@ -106,8 +81,7 @@ def check_mass(mu: float, gamma: float, tau0: float, Nmax: int,
     The spatial range is derived from Nmax internally: near-failures force
     m ~ sqrt(n) for single frequencies and m1 +- m2 ~ n for pairs.
     """
-    s, d, su = mass_margins(np.array([mu]), tau0, Nmax)
-    return bool(min(s[0], d[0], su[0]) >= gamma)
+    return bool(np.minimum.reduce(mass_margins(np.array([mu]), tau0, Nmax))[0] >= gamma)
 
 
 def _mass_tail_bound(gamma: float, tau0: float, Nmax: int) -> float:
@@ -229,8 +203,7 @@ def measure_mass_complement(gamma: float, tau0: float, grid: int, Nmax: int
     if grid < 1000:
         raise ValueError("grid must be >= 1e3")
     mu = (np.arange(grid) + 0.5) / grid * MU_MAX
-    s, d, su = mass_margins(mu, tau0, Nmax)
-    worst = np.minimum(np.minimum(s, d), su)
+    worst = np.minimum.reduce(mass_margins(mu, tau0, Nmax))
     frac = float((worst < gamma).mean())
     ivs = mass_exclusion_intervals(gamma, tau0, Nmax)
     est = _merge_length([(c, w) for (c, w, _) in ivs], 0.0, MU_MAX)
@@ -250,8 +223,7 @@ def find_diophantine_mu(gamma: float, tau0: float, Nmax: int,
                         grid: int = 4000) -> float:
     """A mass value clearing the conditions with maximal margin on a scan."""
     mu = np.linspace(lo, hi, grid, endpoint=False)
-    s, d, su = mass_margins(mu, tau0, Nmax)
-    worst = np.minimum(np.minimum(s, d), su)
+    worst = np.minimum.reduce(mass_margins(mu, tau0, Nmax))
     j = int(np.argmax(worst))
     if worst[j] < gamma:
         raise RuntimeError("no admissible mass found on the scan grid")
@@ -261,74 +233,27 @@ def find_diophantine_mu(gamma: float, tau0: float, Nmax: int,
 # ---------------------------------------------------------------------------
 # shifted-frequency (Melnikov) conditions
 
-def _lambda_windows(params: ModelParams, Mmax: int, Nmax: int) -> dict[int, tuple]:
-    """Near-resonant |n| window per m (inclusive), within the cutoffs."""
-    om1 = float(omega(1, params.mu))
-    out = {}
-    for m in range(1, Mmax + 1):
-        lo = max(1, math.floor((m * m - 1.0) / (om1 + params.eps0)))
-        hi = min(Nmax, math.ceil((m * m + 1.0) / max(om1 - params.eps0, 1e-9)))
-        if lo <= hi:
-            out[m] = (lo, hi)
-    return out
+@lru_cache(maxsize=8)
+def _pair_rows(mu: float, eps0: float, Nmax: int, Mmax: int):
+    """Candidate rows (n1, m1, m2, lo2, hi2) of the pair condition, m1 < m2.
 
-
-_PAIR_CACHE: dict = {}
-
-
-def _pair_rows(params: ModelParams, Nmax: int, Mmax: int):
-    """Flat (n1, m1, m2, lo2, hi2) candidate rows for the pair condition."""
-    key = (round(params.mu, 14), round(params.eps0, 14), Nmax, Mmax)
-    if key in _PAIR_CACHE:
-        return _PAIR_CACHE[key]
-    wins = _lambda_windows(params, Mmax, Nmax)
-    ms = sorted(wins)
-    n1_l, m1_l, m2_l, lo2_l, hi2_l = [], [], [], [], []
-    for i1, m1 in enumerate(ms):
-        lo1, hi1 = wins[m1]
-        n1s = np.arange(lo1, hi1 + 1)
+    n1 runs over +-window(m1); lo2..hi2 is the window of |n2|.  Also kept:
+    m^4 + mu of m1 and m2, the flat position of (|n1|, m1), and off2 with
+    (|n2|, m2) at off2 + |n2| inside the window.
+    """
+    ms = mode_set(mu, eps0, Mmax, Nmax)
+    wins = [m for m in range(1, Mmax + 1) if ms.lo[m] <= ms.hi[m]]
+    blocks = []
+    for i1, m1 in enumerate(wins):
+        n1s = np.arange(ms.lo[m1], ms.hi[m1] + 1)
         n1s = np.concatenate([-n1s[::-1], n1s])
-        for m2 in ms[i1 + 1:]:
-            lo2, hi2 = wins[m2]
-            n1_l.append(n1s)
-            m1_l.append(np.full(n1s.size, m1))
-            m2_l.append(np.full(n1s.size, m2))
-            lo2_l.append(np.full(n1s.size, lo2))
-            hi2_l.append(np.full(n1s.size, hi2))
-    rows = tuple(np.concatenate(x) if x else np.zeros(0, dtype=int)
-                 for x in (n1_l, m1_l, m2_l, lo2_l, hi2_l))
-    _PAIR_CACHE[key] = rows
-    return rows
-
-
-def _nu_dense(params: ModelParams, nu: NuTable | None, Mmax: int, Nmax: int):
-    """Per-m dense arrays of the divisor shift n*nu over the near-resonant window."""
-    wins = _lambda_windows(params, Mmax, Nmax)
-    out = {}
-    for m, (lo, hi) in wins.items():
-        if nu is None:
-            out[m] = (lo, np.zeros(hi - lo + 1))
-        else:
-            out[m] = (lo, np.array([nu.n_nu(n, m) for n in range(lo, hi + 1)]))
-    return out
-
-
-def _omt_vec(params: ModelParams, dense: dict, n_abs: np.ndarray,
-             m_arr: np.ndarray) -> np.ndarray:
-    """sqrt(om_m^2 + n nu) vectorized; nu vanishes outside the windows."""
-    base = (m_arr.astype(float)) ** 4 + params.mu
-    shift = np.zeros(n_abs.shape)
-    for m in np.unique(m_arr):
-        ent = dense.get(int(m))
-        if ent is None:
-            continue   # no near-resonant window: shift identically zero
-        lo, arr = ent
-        sel = m_arr == m
-        idx = n_abs[sel] - lo
-        ok = (idx >= 0) & (idx < arr.size)
-        vals = np.where(ok, arr[np.clip(idx, 0, arr.size - 1)], 0.0)
-        shift[sel] = vals
-    return np.sqrt(base + shift)
+        for m2 in wins[i1 + 1:]:
+            blocks.append((n1s, np.full(n1s.size, m1), np.full(n1s.size, m2)))
+    n1, m1, m2 = ((np.concatenate(x) for x in zip(*blocks)) if blocks
+                  else (np.zeros(0, dtype=int),) * 3)
+    lo2, hi2 = ms.lo[m2], ms.hi[m2]
+    return (n1, m1, m2, lo2, hi2, m1.astype(float) ** 4 + mu, m2.astype(float) ** 4 + mu,
+            ms.index(np.abs(n1), m1), ms.offset[m2] - lo2)
 
 
 def melnikov_margins(eps: float, nu: NuTable | None, params: ModelParams,
@@ -338,49 +263,53 @@ def melnikov_margins(eps: float, nu: NuTable | None, params: ModelParams,
     first:  |Omega n +- sqrt(om_m^2 + n nu)| * |n|^tau over n != 0, m >= 2;
     second: the four sign combinations over pairs of near-resonant modes with
     m1 != m2.  Combinations away from the nearest resonant integer carry
-    margin >= 0.4 >= gamma and are skipped.
+    margin >= 0.4 >= gamma and are skipped.  nu enters only inside the
+    ModeSet windows of (Mmax, Nmax); the first minimum in scan order (m then
+    n; signs, offset, then row) is the one reported.
     """
     Nmax = Nmax or params.Nmax
     Mmax = Mmax or params.Mmax
     Om = omega_eff(params, eps)
-    dense = _nu_dense(params, nu, Mmax, Nmax)
+    ms = mode_set(params.mu, params.eps0, Mmax, Nmax)
+    shift = ms.shift(nu)
     out = {"first": math.inf, "second": math.inf,
            "first_at": None, "second_at": None}
 
     # first condition: only n ~ omt/Om competes
-    for m in range(2, Mmax + 1):
-        om_m = float(omega(m, params.mu))
-        base = int(round(om_m / Om))
-        for n in range(max(1, base - 2), min(Nmax, base + 2) + 1):
-            omt = float(_omt_vec(params, dense, np.array([n]), np.array([m]))[0])
-            margin = abs(Om * n - omt) * n ** params.tau
-            if margin < out["first"]:
-                out["first"] = margin
-                out["first_at"] = (n, m)
+    m = np.arange(2, Mmax + 1)[:, None]
+    n = np.rint(omega(m, params.mu) / Om).astype(int) + np.arange(-2, 3)
+    omt = np.sqrt(m.astype(float) ** 4 + params.mu + shift[ms.index(n, m)])
+    # Python's pow: numpy's can differ from a scalar evaluation in the last bit
+    n_tau = np.array([abs(float(x)) ** params.tau for x in n.flat]).reshape(n.shape)
+    marg = np.abs(Om * n - omt) * n_tau
+    marg[(n < 1) | (n > Nmax) | np.isnan(marg)] = math.inf
+    if marg.size and marg.min() < math.inf:
+        j = int(np.argmin(marg))
+        out["first"] = float(marg.flat[j])
+        out["first_at"] = (int(n.flat[j]), j // 5 + 2)
 
-    n1, m1, m2, lo2, hi2 = _pair_rows(params, Nmax, Mmax)
-    if n1.size:
-        w1 = _omt_vec(params, dense, np.abs(n1), m1)
-        om2_plain = _omt_vec(params, dense, np.zeros_like(m2) + 10 ** 9, m2)
-        for a1 in (1.0, -1.0):
-            for a2 in (1.0, -1.0):
-                d0 = -(a1 * w1 + a2 * om2_plain) / Om
-                for dd in (-1.0, 0.0, 1.0):
-                    delta = (np.rint(d0) + dd).astype(int)
-                    n2 = n1 + delta
-                    sel = (np.abs(n2) >= lo2) & (np.abs(n2) <= hi2) & (delta != 0)
-                    if not sel.any():
-                        continue
-                    n2v = n2[sel]
-                    w2 = _omt_vec(params, dense, np.abs(n2v), m2[sel])
-                    dn = n2v - n1[sel]
-                    marg = np.abs(Om * dn + a1 * w1[sel] + a2 * w2) \
-                        * np.abs(dn).astype(float) ** params.tau
-                    j = int(np.argmin(marg))
-                    if marg[j] < out["second"]:
-                        out["second"] = float(marg[j])
-                        out["second_at"] = (int(n1[sel][j]), int(m1[sel][j]),
-                                            int(n2v[j]), int(m2[sel][j]))
+    n1, m1, m2, lo2, hi2, base1, base2, idx1, off2 = _pair_rows(
+        params.mu, params.eps0, Nmax, Mmax)
+    w1 = np.sqrt(base1 + shift[idx1])
+    om2_plain = np.sqrt(base2)
+    dn_tau = np.arange(2 * Nmax + 1, dtype=float) ** params.tau   # |n2 - n1| <= 2 Nmax
+    # Signs (-a1, -a2) at (-n1, -n2) repeat the margins of (a1, a2) at
+    # (n1, n2) bit for bit, and come later in the scan: a1 = +1 suffices.
+    for a2 in (1.0, -1.0):
+        near = np.rint(-(w1 + a2 * om2_plain) / Om).astype(int)
+        for dd in (-1, 0, 1):
+            dn = near + dd
+            n2 = np.abs(n1 + dn)
+            k = np.flatnonzero((n2 >= lo2) & (n2 <= hi2) & (dn != 0))
+            if not k.size:
+                continue
+            w2 = np.sqrt(base2[k] + shift[off2[k] + n2[k]])
+            marg = np.abs(Om * dn[k] + w1[k] + a2 * w2) * dn_tau[np.abs(dn[k])]
+            j = int(np.argmin(marg))
+            if marg[j] < out["second"]:
+                i = k[j]
+                out["second"] = float(marg[j])
+                out["second_at"] = (int(n1[i]), int(m1[i]), int(n1[i] + dn[i]), int(m2[i]))
     return out
 
 
@@ -421,10 +350,8 @@ def cantor_margins(eps: float, nu_of_eps: NuTable | None, params: ModelParams,
     at nu(eps) (threshold 2 gamma).
     """
     sq, sq_at = square_margins(eps, params, Nmax)
-    mel = melnikov_margins(eps, nu_of_eps, params, Nmax, Mmax)
     return {"square": sq, "square_at": sq_at,
-            "first": mel["first"], "first_at": mel["first_at"],
-            "second": mel["second"], "second_at": mel["second_at"]}
+            **melnikov_margins(eps, nu_of_eps, params, Nmax, Mmax)}
 
 
 def check_cantor(eps: float, nu_of_eps: NuTable | None, params: ModelParams,

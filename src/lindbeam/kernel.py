@@ -146,6 +146,4 @@ def kernel_sum_probe(m: int, Mmax: int) -> float:
 
 def kernel_sum_probe_restricted(m: int, Mmax: int) -> float:
     """S(m) with the larger index limited to m/4; decays like m^-4."""
-    cap = max(1, m // 4)
-    m1 = np.arange(1, cap + 1, dtype=float)[:, None]
-    return float(np.sum(np.abs(_closed_form_grid(m, m1, m1.T)) / (m1 ** 3 * m1.T ** 3)))
+    return kernel_sum_probe(m, max(1, m // 4))

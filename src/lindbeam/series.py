@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernel import cosine_projection, kernel_v
-from .spectrum import ModelParams, NuTable, omega, omega_eff, propagator
+from .spectrum import ModelParams, NuTable, mode_set, omega, omega_eff, propagator_row
 
 __all__ = [
     "CoeffTable",
@@ -94,11 +94,6 @@ class CountertermTable:
 
     def __eq__(self, other):
         return isinstance(other, CountertermTable) and self._d == other._d
-
-    def copy(self) -> "CountertermTable":
-        t = CountertermTable()
-        t._d = dict(self._d)
-        return t
 
 
 @dataclass
@@ -213,6 +208,9 @@ def compute_coeffs(params: ModelParams, eps: float, nu: NuTable | None,
     """
     lt = counterterms or CountertermTable()
     Om = omega_eff(params, eps)
+    ms = mode_set(params.mu, params.eps0, Mmax, params.Nmax)
+    shift = ms.shift(nu)
+    odd = np.arange(1, Mmax + 1, 2)
     u0 = np.zeros((3, Mmax))
     u0[0, 0] = q   # n = -1, m = 1
     u0[2, 0] = q   # n = +1, m = 1
@@ -227,23 +225,19 @@ def compute_coeffs(params: ModelParams, eps: float, nu: NuTable | None,
         if inner > 0:
             tail_flag = max(tail_flag, outer / inner)
         uk = np.zeros((2 * (k + 1) + 1, Mmax))
-        for n in range(0, k + 2):
-            if (n - (k + 1)) % 2 != 0:
-                continue
-            for m in range(1, Mmax + 1, 2):
-                if (abs(n), m) == (1, 1):
-                    continue
-                rhs = F[n + k + 1, m - 1]
-                lsum = 0.0
-                for r in range(2, k):
-                    if abs(n) > (k - r) + 1:
-                        continue   # lower order has no support there
-                    lr = lt.aggregate(r, n, m)
-                    if lr != 0.0:
-                        lsum += lr * us[k - r][n + (k - r) + 1, m - 1]
-                rhs += n * lsum
-                if rhs != 0.0:
-                    uk[n + k + 1, m - 1] = propagator(n, m, params, eps, nu) * rhs
+        for n in range(k + 1, -1, -2):       # parity: n = k+1 (mod 2)
+            rhs = F[n + k + 1, odd - 1]
+            lsum = np.zeros(odd.size)
+            for r in range(2, k):
+                if n <= (k - r) + 1:         # lower order has support there
+                    lr = np.array([lt.aggregate(r, n, m) for m in odd.tolist()])
+                    lsum += lr * us[k - r][n + (k - r) + 1, odd - 1]
+            rhs = rhs + n * lsum
+            if n == 1:
+                rhs[0] = 0.0                 # the primary mode (+-1, 1) is q's
+            j = np.flatnonzero(rhs)
+            g = propagator_row(n, odd[j], params, eps, shift[ms.index(n, odd[j])])
+            uk[n + k + 1, odd[j] - 1] = g * rhs[j]
             uk[-n + k + 1, :] = uk[n + k + 1, :]   # reality: exactly even in n
         us.append(uk)
         table.K = k
@@ -273,23 +267,31 @@ def amplitude_cubic_coefficient(params: ModelParams, eps: float, Mmax: int,
     Assembled from the order-1 coefficients feeding back into the primary
     mode; the m-sum is truncated at Mmax (terms decay like m^-10).
     """
-    Om = omega_eff(params, eps)
-    a, b = params.a, params.b
-    acc = 0.0
-    for m in range(1, Mmax + 1, 2):
-        v = kernel_v(1, 1, m)
-        g0 = propagator(0, m, params, eps, nu)
-        g2 = propagator(2, m, params, eps, nu)
-        acc += 2.0 * v * v * (2 * a * (a + b * Om * Om) * g0
-                              + (a - b * Om * Om) * (a + 2 * b * Om * Om) * g2)
-    beta = _beta(params, eps)
-    A = acc / beta
+    odd = np.arange(1, Mmax + 1, 2)
+    shift2 = np.array([nu.n_nu(2, m) for m in odd.tolist()]) if nu else 0.0
+    A = _cubic_coefficient(params, eps, odd, shift2)
     if not with_tail:
         return A
+    Om = omega_eff(params, eps)
+    a, b = params.a, params.b
     # |v_{1,1,m}| <= 8/(pi m^3) and |g| <= 2/m^4 for large m
     cmax = abs(2 * a * (a + b * Om * Om)) + abs((a - b * Om * Om) * (a + 2 * b * Om * Om))
-    tail = 2.0 * (8.0 / math.pi) ** 2 * cmax * 2.0 / (9.0 * Mmax ** 9) / abs(beta)
+    tail = 2.0 * (8.0 / math.pi) ** 2 * cmax * 2.0 / (9.0 * Mmax ** 9) / abs(_beta(params, eps))
     return A, tail
+
+
+def _cubic_coefficient(params: ModelParams, eps: float, odd: np.ndarray,
+                       shift2) -> float:
+    """A over the odd modes m, with shift2 = 2 nu_{2,m} (array or 0)."""
+    Om = omega_eff(params, eps)
+    a, b = params.a, params.b
+    v = np.array([kernel_v(1, 1, m) for m in odd.tolist()])
+    g0 = propagator_row(0, odd, params, eps)
+    g2 = propagator_row(2, odd, params, eps, shift2)
+    terms = 2.0 * v * v * (2 * a * (a + b * Om * Om) * g0
+                           + (a - b * Om * Om) * (a + 2 * b * Om * Om) * g2)
+    # cumsum adds in m order (np.sum would pair terms): A is the plain scalar sum
+    return float(np.cumsum(terms)[-1]) / _beta(params, eps)
 
 
 def amplitude_series(params: ModelParams, eps: float, nu: NuTable | None,
@@ -361,19 +363,8 @@ def solve_amplitude(params: ModelParams, eps: float, nu: NuTable | None,
 def lambda_modes(params: ModelParams, Mmax: int | None = None,
                  Nmax: int | None = None) -> list[tuple[int, int]]:
     """Near-resonant modes (n >= 1, m odd) within the cutoffs, primary excluded."""
-    Mmax = Mmax or params.Mmax
-    Nmax = Nmax or params.Nmax
-    om1 = float(omega(1, params.mu))
-    out = []
-    for m in range(1, Mmax + 1, 2):
-        lo = (m * m - 1.0) / (om1 + params.eps0)
-        hi = (m * m + 1.0) / max(om1 - params.eps0, 1e-9)
-        for n in range(max(1, math.floor(lo)), min(Nmax, math.ceil(hi)) + 1):
-            if (n, m) == (1, 1):
-                continue
-            if abs(om1 * n - m * m) <= 1.0 + params.eps0 * n:
-                out.append((n, m))
-    return out
+    return mode_set(params.mu, params.eps0, Mmax or params.Mmax,
+                    Nmax or params.Nmax).modes()
 
 
 def solve_nu(params: ModelParams, eps: float, K: int,
@@ -386,8 +377,9 @@ def solve_nu(params: ModelParams, eps: float, K: int,
     current table.  Odd orders vanish, so K = 2, 3 use the closed-form
     order-2 counterterm with the amplitude solved at its cubic order (exact
     for K = 2; at K = 3 the dropped quintic term shifts q, and hence nu, at
-    relative order eps).  use_trees or K > 3 switches to tree enumeration
-    with the fully truncated amplitude equation.
+    relative order eps); their sweeps run on arrays over the ModeSet and the
+    tables are built once, at exit.  use_trees or K > 3 switches to tree
+    enumeration with the fully truncated amplitude equation.
     """
     from .trees import counterterm, counterterm_order2_closed
 
@@ -395,47 +387,43 @@ def solve_nu(params: ModelParams, eps: float, K: int,
     Nmax = Nmax or params.Nmax
     if not 0.0 < eps < params.eps0:
         raise ValueError(f"eps={eps} outside (0, eps0={params.eps0})")
-    modes = lambda_modes(params, Mmax, Nmax)
-    nu = NuTable(eps0=params.eps0, nu_cap=params.nu_cap)
+    ms = mode_set(params.mu, params.eps0, Mmax, Nmax)
+    modes = ms.modes()
+    vals = np.zeros(len(ms))          # nu on the modes
     eta = math.sqrt(eps)
-    info = {"sweeps": 0, "converged": False, "q": 0.0, "modes": len(modes)}
+    info = {"sweeps": 0, "converged": False, "q": 0.0, "modes": len(ms)}
     lt = CountertermTable()
     fast = not use_trees and K <= 3
+    odd = np.arange(1, Mmax + 1, 2)
     for sweep in range(1, max_sweeps + 1):
         if fast:
             # odd amplitude orders vanish, so the K <= 3 equation is the
             # plain cubic: beta q = A1 q^3 with A1 from the closed form
+            shift = ms.scatter(vals)
             if params.a == 0.0 and params.b == 0.0:
                 q = 0.0
             else:
-                A = amplitude_cubic_coefficient(params, eps, Mmax, nu)
+                A = _cubic_coefficient(params, eps, odd, shift[ms.index(2, odd)])
                 if A <= 0.0:
                     raise SignExcludedError(
                         f"cubic coefficient A = {A:.3e} <= 0 on branch "
                         f"{params.omega_branch:+d}")
                 q = math.sqrt(1.0 / A)
+            l2 = counterterm_order2_closed(params, eps, shift, q, ms)
+            new = eta ** 2 * l2 if K >= 2 else np.zeros(len(ms))
         else:
+            nu = ms.nu_table(vals, params.nu_cap)
             q = solve_amplitude(params, eps, nu, lt, K, Mmax)
-        lt = CountertermTable()
-        if fast:
-            l2 = counterterm_order2_closed(params, eps, nu, q, modes, Mmax)
-            for (n, m), val in zip(modes, l2):
-                if val != 0.0:
-                    lt.set(2, n, m, -1, val)
-        else:
+            lt = CountertermTable()
             for k in range(2, K + 1):
                 for (n, m) in modes:
                     val = counterterm(k, n, m, -1, params, eps, nu, q, lt, Mmax)
                     if val != 0.0:
                         lt.set(k, n, m, -1, val)
-        new = NuTable(eps0=params.eps0, nu_cap=params.nu_cap)
-        delta = 0.0
-        for (n, m) in modes:
-            v = sum(eta ** k * lt.aggregate(k, n, m) for k in range(2, K + 1))
-            if v != 0.0:
-                new.set(n, m, v)
-            delta = max(delta, abs(v - nu.get(n, m)))
-        nu = new
+            new = sum(eta ** k * np.array([lt.aggregate(k, n, m) for (n, m) in modes])
+                      for k in range(2, K + 1))
+        delta = float(np.max(np.abs(new - vals), initial=0.0))
+        vals = new
         info["sweeps"] = sweep
         info["q"] = q
         if delta < tol:
@@ -444,9 +432,13 @@ def solve_nu(params: ModelParams, eps: float, K: int,
     if not info["converged"]:
         raise NonConvergenceError(
             f"nu fixed point did not converge in {max_sweeps} sweeps (last update {delta:.2e})")
+    nu = ms.nu_table(vals, params.nu_cap)
     if nu.sup_norm() >= params.nu_cap * params.eps0:
         raise NonConvergenceError("nu left the admissible box; eps too large")
     nu.check_invariants(params.mu)
+    if fast:
+        lt = CountertermTable()
+        lt._d = {(2, n, m, -1): v for (n, m), v in zip(modes, l2.tolist()) if v != 0.0}
     info["counterterms"] = lt
     return nu, info
 
@@ -600,17 +592,13 @@ def decay_check(table: CoeffTable, params: ModelParams, m_floor: float = 3.0
 # serialization
 
 def save_coeffs_csv(table: CoeffTable, path):
+    rows = [["k", "n", "m", "value"], [0, 1, 1, repr(table.q)], [0, -1, 1, repr(table.q)]]
+    for k in range(1, table.K + 1):
+        i, j = np.nonzero(table.u[k])     # row-major: n, then m
+        rows.extend(zip([k] * i.size, (i - (k + 1)).tolist(), (j + 1).tolist(),
+                        map(repr, table.u[k][i, j].tolist())))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "n", "m", "value"])
-        w.writerow([0, 1, 1, repr(table.q)])
-        w.writerow([0, -1, 1, repr(table.q)])
-        for k in range(1, table.K + 1):
-            arr = table.u[k]
-            for i in range(arr.shape[0]):
-                for j in range(arr.shape[1]):
-                    if arr[i, j] != 0.0:
-                        w.writerow([k, i - (k + 1), j + 1, repr(float(arr[i, j]))])
+        csv.writer(fh).writerows(rows)
 
 
 def load_coeffs_csv(path, K: int, Mmax: int, eps: float = 0.0) -> CoeffTable:

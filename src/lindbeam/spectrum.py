@@ -7,17 +7,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
+
+from .kernel import kernel_v
 
 __all__ = [
     "ModelParams",
     "NuTable",
+    "ModeSet",
+    "mode_set",
     "omega",
     "big_omega",
     "omega_eff",
     "x_divisor",
     "propagator",
+    "propagator_row",
     "chi",
     "chi_h",
     "chi_support",
@@ -152,20 +158,19 @@ class NuTable:
         return self._d.items()
 
     def sup_norm(self) -> float:
-        return max((abs(v) for v in self._d.values()), default=0.0)
-
-    def copy(self) -> "NuTable":
-        t = NuTable(eps0=self.eps0, nu_cap=self.nu_cap)
-        t._d = dict(self._d)
-        return t
+        return max(map(abs, self._d.values()), default=0.0)
 
     def check_invariants(self, mu: float):
-        om1 = float(omega(1, mu))
-        for (n, m), v in self._d.items():
-            if abs(om1 * n - m * m) >= 1.0 + self.eps0 * n and v != 0.0:
+        nm = np.array(list(self._d), dtype=int).reshape(-1, 2)
+        v = np.abs(np.fromiter(self._d.values(), float, len(self)))
+        outside = (v != 0.0) & ~_near_resonant(math.sqrt(1.0 + mu), self.eps0, nm[:, 0], nm[:, 1])
+        big = v >= self.nu_cap * self.eps0
+        if (outside | big).any():
+            i = int(np.argmax(outside | big))
+            n, m = nm[i].tolist()
+            if outside[i]:
                 raise ValueError(f"nu supported outside the near-resonant set at {(n, m)}")
-            if abs(v) >= self.nu_cap * self.eps0:
-                raise ValueError(f"|nu_{(n,m)}| = {abs(v)} exceeds {self.nu_cap}*eps0")
+            raise ValueError(f"|nu_{(n,m)}| = {v[i]} exceeds {self.nu_cap}*eps0")
 
     def __eq__(self, other):
         return isinstance(other, NuTable) and self._d == other._d
@@ -209,6 +214,18 @@ def propagator(n: int, m: int, params: ModelParams, eps: float,
     denom = -(Om * n) ** 2 + _radicand(n, m, params.mu, nu)
     if denom == 0.0:
         raise ResonantDivisorError(f"exact resonance at mode {(n, m)}")
+    return 1.0 / denom
+
+
+def propagator_row(n: int, m: np.ndarray, params: ModelParams, eps: float,
+                   n_nu=0.0) -> np.ndarray:
+    """propagator(n, m_j) over an int array m off the primary mode (+-1, 1).
+
+    n_nu is n*nu at (n, m_j), an array or 0.
+    """
+    denom = -(omega_eff(params, eps) * n) ** 2 + (m ** 4 + params.mu + n_nu)
+    if (denom == 0.0).any():
+        raise ResonantDivisorError(f"exact resonance at mode {(n, int(m[denom == 0.0][0]))}")
     return 1.0 / denom
 
 
@@ -290,7 +307,106 @@ def scaled_propagator(n: int, m: int, h: int, params: ModelParams, eps: float,
     return val if kind == "a" else n * val
 
 
+def _near_resonant(om1, eps0, n, m):
+    """The near-resonant zone: |omega_1 n - m^2| <= 1 + eps0 n, for n >= 0.
+
+    The one definition of the set Lambda.  Python scalars stay pure Python
+    (the tree code asks per line); numpy arrays broadcast.
+    """
+    return abs(om1 * n - m * m) <= 1.0 + eps0 * n
+
+
 def in_lambda(n: int, m: int, params: ModelParams) -> bool:
     """Whether (n, m) lies in the zone where divisors can be small."""
-    om1 = float(omega(1, params.mu))
-    return abs(om1 * abs(n) - m * m) <= 1.0 + params.eps0 * abs(n)
+    return _near_resonant(math.sqrt(1.0 + params.mu), params.eps0, abs(n), m)
+
+
+class ModeSet:
+    """The near-resonant set Lambda within the cutoffs m <= Mmax, n <= Nmax.
+
+    lo[m]..hi[m] is the |n| window of each m that holds every near-resonant
+    n (empty when lo > hi).  Laid end to end at offset[m], the windows form
+    a flat layout: a float array of length size + 1 holds n*nu there, and
+    its last entry is a zero that every position outside the windows reads,
+    so one gather returns the divisor shift.  n, m are the modes carrying
+    the shift fixed point (odd m, n >= 1, the primary mode (1, 1) excluded),
+    ordered by m then n; pos are their flat positions.
+    """
+
+    def __init__(self, mu: float, eps0: float, Mmax: int, Nmax: int):
+        self.mu, self.eps0, self.Mmax, self.Nmax = mu, eps0, Mmax, Nmax
+        om1 = math.sqrt(1.0 + mu)
+        ms = np.arange(Mmax + 1)
+        lo = np.maximum(1, np.floor((ms * ms - 1.0) / (om1 + eps0)))
+        hi = np.minimum(Nmax, np.ceil((ms * ms + 1.0) / max(om1 - eps0, 1e-9)))
+        lo[0], hi[0] = 1, 0        # no mode m = 0
+        self.lo, self.hi = lo.astype(int), hi.astype(int)
+        width = np.maximum(self.hi - self.lo + 1, 0)
+        self.offset = np.cumsum(width) - width
+        self.size = int(width.sum())
+        m_flat = np.repeat(ms, width)
+        n_flat = np.arange(self.size) - self.offset[m_flat] + self.lo[m_flat]
+        keep = ((m_flat % 2 == 1) & ~((n_flat == 1) & (m_flat == 1))
+                & _near_resonant(om1, eps0, n_flat, m_flat))
+        self.pos = np.flatnonzero(keep)
+        self.n, self.m = n_flat[keep], m_flat[keep]
+        for arr in (self.lo, self.hi, self.offset, self.pos, self.n, self.m):
+            arr.flags.writeable = False     # shared by every caller of mode_set
+
+    def __len__(self):
+        return self.n.size
+
+    def modes(self) -> list[tuple[int, int]]:
+        return list(zip(self.n.tolist(), self.m.tolist()))
+
+    def index(self, n, m) -> np.ndarray:
+        """Flat positions of (n >= 0, m), broadcast; size outside the windows."""
+        m = np.where((m >= 1) & (m <= self.Mmax), m, 0)
+        lo = self.lo[m]
+        return np.where((n >= lo) & (n <= self.hi[m]), self.offset[m] + n - lo, self.size)
+
+    def shift(self, nu: NuTable | None) -> np.ndarray:
+        """Flat n*nu of a table; entries outside the windows are dropped."""
+        out = np.zeros(self.size + 1)
+        if nu:
+            nm = np.array(list(nu._d), dtype=int)
+            vals = np.fromiter(nu._d.values(), float, len(nu))
+            out[self.index(nm[:, 0], nm[:, 1])] = nm[:, 0] * vals
+            out[-1] = 0.0
+        return out
+
+    def scatter(self, vals: np.ndarray) -> np.ndarray:
+        """Flat n*nu from the values of nu on the modes n, m."""
+        out = np.zeros(self.size + 1)
+        out[self.pos] = self.n * vals
+        return out
+
+    def nu_table(self, vals: np.ndarray, nu_cap: float) -> NuTable:
+        """The NuTable holding the nonzero values of nu on the modes."""
+        t = NuTable(eps0=self.eps0, nu_cap=nu_cap)
+        nz = vals != 0.0
+        t._d = dict(zip(zip(self.n[nz].tolist(), self.m[nz].tolist()), vals[nz].tolist()))
+        return t
+
+    @cached_property
+    def closed_rows(self) -> tuple:
+        """The parts of the closed-form order-2 counterterm fixed by the ModeSet.
+
+        Over the odd inner labels m' <= Mmax: om_m'^2 and, per mode, the
+        side-chain sum_m' v_{m,m,m'} v_{m',1,1} / om_m'^2, v_{m,1,m'}^2 and
+        the flat positions of the inner lines (|n + 1|, m'), (|n - 1|, m').
+        """
+        mp = np.arange(1, self.Mmax + 1, 2)
+        om_mp2 = mp.astype(float) ** 4 + self.mu
+        v_mp11 = np.array([kernel_v(x, 1, 1) for x in mp.tolist()])
+        rows = {m: ([kernel_v(m, m, x) for x in mp.tolist()],
+                    [kernel_v(m, 1, x) for x in mp.tolist()]) for m in set(self.m.tolist())}
+        mode_m = self.m.tolist()
+        v_mm = np.array([rows[m][0] for m in mode_m]).reshape(len(self), mp.size)
+        v_m1 = np.array([rows[m][1] for m in mode_m]).reshape(len(self), mp.size)
+        side = (v_mm * (v_mp11 / om_mp2)[None, :]).sum(axis=1)
+        inner = [self.index(np.abs(self.n + sig)[:, None], mp[None, :]) for sig in (1, -1)]
+        return om_mp2, side, v_m1 ** 2, inner
+
+
+mode_set = lru_cache(maxsize=8)(ModeSet)   # mode_set(mu, eps0, Mmax, Nmax), built once

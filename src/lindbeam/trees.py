@@ -19,6 +19,7 @@ import numpy as np
 from .kernel import kernel_v
 from .spectrum import (
     ModelParams,
+    ModeSet,
     NuTable,
     admissible_h_for,
     chi_h,
@@ -85,9 +86,6 @@ class TNode:
     n: int                    # temporal momentum of the exiting line
     m: int                    # spatial label of the exiting line
     children: tuple = ()
-
-    def is_primary_line(self) -> bool:
-        return (abs(self.n), self.m) == (1, 1) and self.kind == "end"
 
 
 @dataclass
@@ -711,65 +709,37 @@ def counterterm(k: int, n: int, m: int, h: int, params: ModelParams, eps: float,
     return -(m ** 3 / n) * total
 
 
-def counterterm_order2_closed(params: ModelParams, eps: float, nu: NuTable | None,
-                              q: float, modes: list[tuple[int, int]],
-                              Mmax: int | None = None) -> np.ndarray:
-    """Hand-expanded order-2 shift coefficients on a list of (n >= 1, m) modes.
+def counterterm_order2_closed(params: ModelParams, eps: float, shift: np.ndarray,
+                              q: float, modes: ModeSet) -> np.ndarray:
+    """Hand-expanded order-2 shift coefficients on the modes of a ModeSet.
 
     Two skeleton shapes contribute: the side-chain shape (zero-momentum inner
     line, only type-a outer node survives) and the ladder shape (shifted inner
-    line evaluated on shell).  Vectorized over the inner spatial label.
+    line evaluated on shell).  Vectorized over the modes and the inner
+    spatial label m' <= modes.Mmax; shift is the flat n*nu of the ModeSet
+    (ModeSet.shift of a NuTable, or ModeSet.scatter of values on the modes).
     """
-    Mmax = Mmax or params.Mmax
     a, b = params.a, params.b
     Om = omega_eff(params, eps)
-    mu = params.mu
-    mp = np.arange(1, Mmax + 1, 2, dtype=float)     # inner odd labels
-    om_mp2 = mp ** 4 + mu
-    v_mp11 = np.array([kernel_v(int(x), 1, 1) for x in mp])
-
-    narr = np.array([n for (n, _) in modes], dtype=float)
-    marr = np.array([m for (_, m) in modes], dtype=int)
-
-    # dense gather table for the divisor shifts n*nu (odd extension is even)
-    n_cap = int(narr.max()) + 2 if len(modes) else 2
-    NU = np.zeros((Mmax + 2, n_cap + 1))
-    if nu is not None:
-        for (nn, mm), v in nu.items():
-            if mm <= Mmax + 1 and nn <= n_cap:
-                NU[mm, nn] = nn * v
-    nnu = NU[marr, narr.astype(int)]
-    ombar = np.sqrt(marr.astype(float) ** 4 + mu + nnu)   # on-shell frequency
-
-    mp_int = mp.astype(int)
-    rows_mm = {m: np.array([kernel_v(m, m, int(x)) for x in mp_int])
-               for m in np.unique(marr)}
-    rows_m1 = {m: np.array([kernel_v(m, 1, int(x)) for x in mp_int])
-               for m in np.unique(marr)}
-    v_mm = np.stack([rows_mm[m] for m in marr]) if len(modes) else np.zeros((0, mp.size))
-    v_m1 = np.stack([rows_m1[m] for m in marr]) if len(modes) else np.zeros((0, mp.size))
+    om_mp2, side, v_m1_sq, inner = modes.closed_rows
+    narr = modes.n.astype(float)
+    ombar = np.sqrt(modes.m.astype(float) ** 4 + params.mu + shift[modes.pos])   # on-shell
 
     # side-chain shape: inner line (0, m'), b-type outer node vanishes
-    s = a * (a + b * Om * Om) * (v_mm * (v_mp11 / om_mp2)[None, :]).sum(axis=1)
+    s = a * (a + b * Om * Om) * side
 
     # ladder shape: inner line (n + sigma, m') at on-shell frequency
-    for sig in (1.0, -1.0):
+    for sig, idx in zip((1.0, -1.0), inner):
         n1 = narr + sig
-        n1a = np.abs(n1).astype(int)
-        nnu1 = NU[mp_int[None, :], np.clip(n1a, 0, n_cap)[:, None]]
-        denom = -(Om * sig + ombar[:, None]) ** 2 + (mp ** 4 + mu)[None, :] + nnu1
+        denom = -(Om * sig + ombar[:, None]) ** 2 + om_mp2[None, :] + shift[idx]
         f0 = a + b * Om * Om * sig * n1             # outer node, both types
         f1 = a - b * Om * Om * sig * narr           # inner node, both types
-        term = v_m1 ** 2 / denom
+        term = v_m1_sq / denom
         # a line exiting an internal node may not carry the primary mode
-        if np.any(n1a == 1):
-            term = term.copy()
-            term[n1a == 1, 0] = 0.0
+        term[np.abs(n1) == 1.0, 0] = 0.0
         s = s + f0 * f1 * term.sum(axis=1)
 
-    out = -(4.0 * q * q / narr) * s
-    out[(narr == 1.0) & (marr == 1)] = 0.0
-    return out
+    return -(4.0 * q * q / narr) * s
 
 
 # ---------------------------------------------------------------------------

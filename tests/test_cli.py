@@ -1,15 +1,18 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lindbeam
 
-from lindbeam.cli import main
+from lindbeam.cli import ConfigError, load_config, main
 
 CFG = """
 [model]
@@ -74,9 +77,33 @@ def test_invalid_mu_exit_2(tmp_path):
     ["--orders", "abc", "coeffs"],
     ["--eps", "0.5", "coeffs"],
     ["--eps-lo", "0.5", "residual"],
+    ["--eps-count", "-1", "residual"],
+    ["--grid", "0", "dioph", "mass"],
+    ["--grid", "999", "dioph", "mass"],
 ])
 def test_malformed_input_exit_2(tmp_path, args):
     assert main(["--outdir", str(tmp_path / "out")] + args) == 2
+    assert not (tmp_path / "out").exists()
+
+
+_INT_KEYS = ("orders", "grid", "eps_count", "samples", "jobs", "seed")
+_EPS_KEYS = ("eps", "eps_lo", "eps_hi")
+_values = st.one_of(st.integers(-2, 2).map(str), st.integers(-10 ** 6, 10 ** 6).map(str),
+                    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                    st.text(max_size=12))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(_INT_KEYS + _EPS_KEYS + ("window",)), _values)
+def test_load_config_run_keys_fuzz(key, value):
+    try:
+        params, run = load_config(None, {key: value})
+    except ConfigError:
+        return
+    if key in _INT_KEYS:
+        assert isinstance(run[key], int) and run[key] >= (0 if key == "seed" else 1)
+    else:
+        assert 0.0 < run[key] < (params.eps0 if key in _EPS_KEYS else math.inf)
 
 
 def test_unknown_config_key_rejected(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lindbeam import diophantine
 from lindbeam.diophantine import (
     MU_MAX,
     cantor_margins,
@@ -18,7 +19,7 @@ from lindbeam.diophantine import (
     square_margins,
 )
 from lindbeam.series import solve_nu
-from lindbeam.spectrum import ModelParams, NuTable, omega
+from lindbeam.spectrum import ModelParams, NuTable, mode_set, omega, omega_eff
 
 G = 2.0 ** -6
 P = ModelParams(a=1.0, b=0.5, mu=0.1, eps0=0.02, omega_branch=-1, Mmax=64, Nmax=300)
@@ -160,3 +161,111 @@ def test_cantor_acceptance_implies_melnikov():
         nu, _ = solve_nu(P, eps, 2)
         if check_cantor(eps, nu, P):
             assert check_melnikov(eps, nu, P)
+
+
+# ---------------------------------------------------------------------------
+# the array route of the shifted-frequency margins against the scalar scan
+
+
+def _windows(params, Mmax, Nmax):
+    om1 = float(omega(1, params.mu))
+    out = {}
+    for m in range(1, Mmax + 1):
+        lo = max(1, math.floor((m * m - 1.0) / (om1 + params.eps0)))
+        hi = min(Nmax, math.ceil((m * m + 1.0) / max(om1 - params.eps0, 1e-9)))
+        if lo <= hi:
+            out[m] = (lo, hi)
+    return out
+
+
+def _melnikov_oracle(eps, nu, params, Nmax, Mmax):
+    """Per-m scan with a per-window dense n*nu, as melnikov_margins had it."""
+    Om = omega_eff(params, eps)
+    wins = _windows(params, Mmax, Nmax)
+    dense = {m: (lo, np.array([nu.n_nu(n, m) if nu else 0.0 for n in range(lo, hi + 1)]))
+             for m, (lo, hi) in wins.items()}
+
+    def omt(n_abs, m_arr):
+        base = m_arr.astype(float) ** 4 + params.mu
+        shift = np.zeros(n_abs.shape)
+        for m in np.unique(m_arr):
+            if int(m) not in dense:
+                continue
+            lo, arr = dense[int(m)]
+            sel = m_arr == m
+            idx = n_abs[sel] - lo
+            ok = (idx >= 0) & (idx < arr.size)
+            shift[sel] = np.where(ok, arr[np.clip(idx, 0, arr.size - 1)], 0.0)
+        return np.sqrt(base + shift)
+
+    out = {"first": math.inf, "second": math.inf, "first_at": None, "second_at": None}
+    for m in range(2, Mmax + 1):
+        base = int(round(float(omega(m, params.mu)) / Om))
+        for n in range(max(1, base - 2), min(Nmax, base + 2) + 1):
+            w = float(omt(np.array([n]), np.array([m]))[0])
+            margin = abs(Om * n - w) * n ** params.tau
+            if margin < out["first"]:
+                out["first"], out["first_at"] = margin, (n, m)
+    ms = sorted(wins)
+    for i1, m1 in enumerate(ms):
+        n1s = np.arange(wins[m1][0], wins[m1][1] + 1)
+        n1s = np.concatenate([-n1s[::-1], n1s])
+        for m2 in ms[i1 + 1:]:
+            lo2, hi2 = wins[m2]
+            w1 = omt(np.abs(n1s), np.full(n1s.size, m1))
+            om2 = float(omega(m2, params.mu))
+            for a1 in (1.0, -1.0):
+                for a2 in (1.0, -1.0):
+                    d0 = -(a1 * w1 + a2 * om2) / Om
+                    for dd in (-1.0, 0.0, 1.0):
+                        delta = (np.rint(d0) + dd).astype(int)
+                        n2 = n1s + delta
+                        sel = (np.abs(n2) >= lo2) & (np.abs(n2) <= hi2) & (delta != 0)
+                        if not sel.any():
+                            continue
+                        w2 = omt(np.abs(n2[sel]), np.full(sel.sum(), m2))
+                        dn = delta[sel]
+                        marg = np.abs(Om * dn + a1 * w1[sel] + a2 * w2) \
+                            * np.abs(dn).astype(float) ** params.tau
+                        j = int(np.argmin(marg))
+                        if marg[j] < out["second"]:
+                            out["second"] = float(marg[j])
+                            out["second_at"] = (int(n1s[sel][j]), m1, int(n2[sel][j]), m2)
+    return out
+
+
+def _sampled_nu(params, seed, scale):
+    """A random table on the near-resonant modes of the params' own cutoffs."""
+    rng = np.random.default_rng(seed)
+    ms = mode_set(params.mu, params.eps0, params.Mmax, params.Nmax)
+    vals = rng.uniform(-scale, scale, len(ms)) * (rng.random(len(ms)) < 0.5)
+    return ms.nu_table(vals, params.nu_cap)
+
+
+@pytest.mark.parametrize("case", ["none", "solved", "sampled", "smaller cutoffs"])
+def test_melnikov_margins_match_scalar_oracle(case):
+    pp = P.with_(Mmax=24, Nmax=120)
+    eps = 7.3e-3
+    nu, Nmax, Mmax = None, None, None
+    if case == "solved":
+        nu, _ = solve_nu(pp, eps, 2)
+    elif case == "sampled":
+        nu = _sampled_nu(pp, 5, 0.2 * pp.eps0)
+    elif case == "smaller cutoffs":
+        # the table reaches beyond (Nmax, Mmax): the windows cut it off
+        nu, Nmax, Mmax = _sampled_nu(pp, 6, 0.2 * pp.eps0), 50, 12
+    got = melnikov_margins(eps, nu, pp, Nmax, Mmax)
+    want = _melnikov_oracle(eps, nu, pp, Nmax or pp.Nmax, Mmax or pp.Mmax)
+    assert got == want
+
+
+def test_melnikov_margins_match_scalar_oracle_wide_window():
+    pw = P.with_(eps0=0.35, nu_cap=0.45, Nmax=200, Mmax=20)
+    for seed, eps in ((1, 0.013), (2, 0.061)):
+        nu = _sampled_nu(pw, seed, 0.3 * pw.eps0)
+        assert melnikov_margins(eps, nu, pw) == _melnikov_oracle(eps, nu, pw, 200, 20)
+
+
+def test_mode_and_pair_caches_are_bounded():
+    assert mode_set.cache_info().maxsize == 8
+    assert diophantine._pair_rows.cache_info().maxsize == 8

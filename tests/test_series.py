@@ -6,6 +6,7 @@ import pytest
 
 from lindbeam.kernel import kernel_tensor, kernel_v
 from lindbeam.series import (
+    _forcing,
     CoeffTable,
     CountertermTable,
     InconsistentInputsError,
@@ -28,7 +29,15 @@ from lindbeam.series import (
     solve_nu,
     summary_json,
 )
-from lindbeam.spectrum import ModelParams, NuTable, omega_eff, propagator, scaled_propagator
+from lindbeam.spectrum import (
+    ModelParams,
+    NuTable,
+    mode_set,
+    omega_eff,
+    propagator,
+    scaled_propagator,
+)
+from lindbeam.trees import counterterm_order2_closed
 
 P = ModelParams(a=1.0, b=0.5, mu=0.1, eps0=0.02, omega_branch=-1, Mmax=64, Nmax=300)
 EPS = 5e-3
@@ -271,3 +280,105 @@ def test_lambda_modes_structure():
     assert all(m % 2 == 1 for _, m in modes)
     assert all(n >= 1 for n, _ in modes)
     assert (9, 3) in modes
+
+
+# ---------------------------------------------------------------------------
+# array routes against the per-mode loops they replaced
+
+WIDE = P.with_(eps0=0.3, nu_cap=0.45, Mmax=24, Nmax=120)
+
+
+def _coeffs_scalar_loop(params, eps, nu, lt, K, Mmax, q):
+    """u^(k) filled mode by mode with one scalar propagator call each."""
+    Om = omega_eff(params, eps)
+    u0 = np.zeros((3, Mmax))
+    u0[0, 0] = u0[2, 0] = q
+    us = [u0]
+    for k in range(1, K + 1):
+        F = _forcing(us, k - 1, params, Om, Mmax)
+        uk = np.zeros((2 * (k + 1) + 1, Mmax))
+        for n in range(0, k + 2):
+            if (n - (k + 1)) % 2 != 0:
+                continue
+            for m in range(1, Mmax + 1, 2):
+                if (n, m) == (1, 1):
+                    continue
+                rhs = F[n + k + 1, m - 1]
+                lsum = 0.0
+                for r in range(2, k):
+                    if n <= (k - r) + 1 and lt.aggregate(r, n, m) != 0.0:
+                        lsum += lt.aggregate(r, n, m) * us[k - r][n + (k - r) + 1, m - 1]
+                rhs += n * lsum
+                if rhs != 0.0:
+                    uk[n + k + 1, m - 1] = propagator(n, m, params, eps, nu) * rhs
+            uk[-n + k + 1, :] = uk[n + k + 1, :]
+        us.append(uk)
+    return us
+
+
+def test_compute_coeffs_matches_scalar_propagator_loop():
+    eps = 0.05
+    nu, info = solve_nu(WIDE, eps, 2)
+    assert nu.get(2, 1) != 0.0 and nu.get(6, 3) != 0.0   # shifts on rows n <= K+1
+    lt = info["counterterms"]
+    rng = np.random.default_rng(11)
+    for r in (3, 4):
+        for n in range(1, 5):
+            for m in (1, 3, 5, 7):
+                if (n, m) != (1, 1):
+                    lt.set(r, n, m, -1, float(rng.normal(0.0, 1e-2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        table = compute_coeffs(WIDE, eps, nu, lt, 5, 24, q=info["q"])
+        want = _coeffs_scalar_loop(WIDE, eps, nu, lt, 5, 24, info["q"])
+    assert all(np.array_equal(u, w) for u, w in zip(table.u, want))
+
+
+def _save_coeffs_cell_loop(table, path):
+    import csv
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["k", "n", "m", "value"])
+        w.writerow([0, 1, 1, repr(table.q)])
+        w.writerow([0, -1, 1, repr(table.q)])
+        for k in range(1, table.K + 1):
+            arr = table.u[k]
+            for i in range(arr.shape[0]):
+                for j in range(arr.shape[1]):
+                    if arr[i, j] != 0.0:
+                        w.writerow([k, i - (k + 1), j + 1, repr(float(arr[i, j]))])
+
+
+def test_save_coeffs_csv_matches_cell_loop(tmp_path):
+    nu, info = solve_nu(P, EPS, 3)
+    t = compute_coeffs(P, EPS, nu, info["counterterms"], 3, 64, q=info["q"])
+    save_coeffs_csv(t, tmp_path / "new.csv")
+    _save_coeffs_cell_loop(t, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    back = load_coeffs_csv(tmp_path / "new.csv", 3, 64, eps=EPS)
+    assert back.q == t.q and all(np.array_equal(a, b) for a, b in zip(back.u, t.u))
+
+
+def test_solve_nu_matches_table_sweeps():
+    # the closed-form route swept on NuTable/CountertermTable, one mode at a time
+    pp, eps = P.with_(Mmax=24, Nmax=120), 7e-3
+    ms = mode_set(pp.mu, pp.eps0, 24, 120)
+    eta = math.sqrt(eps)
+    nu = NuTable(eps0=pp.eps0, nu_cap=pp.nu_cap)
+    for sweep in range(1, 41):
+        q = math.sqrt(1.0 / amplitude_cubic_coefficient(pp, eps, 24, nu))
+        l2 = counterterm_order2_closed(pp, eps, ms.shift(nu), q, ms)
+        lt, new, delta = CountertermTable(), NuTable(eps0=pp.eps0, nu_cap=pp.nu_cap), 0.0
+        for (n, m), val in zip(ms.modes(), l2.tolist()):
+            if val != 0.0:
+                lt.set(2, n, m, -1, val)
+            v = eta ** 2 * lt.aggregate(2, n, m)
+            if v != 0.0:
+                new.set(n, m, v)
+            delta = max(delta, abs(v - nu.get(n, m)))
+        nu = new
+        if delta < 1e-10:
+            break
+    got, info = solve_nu(pp, eps, 2, 24, 120)
+    assert info["sweeps"] == sweep and info["q"] == q
+    assert got == nu and info["counterterms"] == lt

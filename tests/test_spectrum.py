@@ -14,6 +14,7 @@ from lindbeam.spectrum import (
     chi_h,
     chi_support,
     in_lambda,
+    mode_set,
     omega,
     omega_eff,
     propagator,
@@ -226,3 +227,69 @@ def test_nu_table():
     big = NuTable({(2, 1): 0.1}, eps0=0.05)
     with pytest.raises(ValueError):
         big.check_invariants(0.1)
+
+
+# ---------------------------------------------------------------------------
+# the ModeSet index of the near-resonant set
+
+TREE_P = ModelParams(a=1.0, b=0.5, mu=0.01, eps0=0.02, omega_branch=1, Mmax=9, Nmax=60)
+RES_P = ModelParams(a=1.0, b=0.5, mu=0.1, eps0=0.02, omega_branch=-1, Mmax=64, Nmax=300)
+WIDE_P = RES_P.with_(eps0=0.35, nu_cap=0.45, Nmax=500)
+
+
+def _lambda_modes_loop(params, Mmax, Nmax):
+    """The per-(n, m) scan that listed the near-resonant modes before ModeSet."""
+    om1 = float(omega(1, params.mu))
+    out = []
+    for m in range(1, Mmax + 1, 2):
+        lo = (m * m - 1.0) / (om1 + params.eps0)
+        hi = (m * m + 1.0) / max(om1 - params.eps0, 1e-9)
+        for n in range(max(1, math.floor(lo)), min(Nmax, math.ceil(hi)) + 1):
+            if (n, m) == (1, 1):
+                continue
+            if abs(om1 * n - m * m) <= 1.0 + params.eps0 * n:
+                out.append((n, m))
+    return out
+
+
+@pytest.mark.parametrize("params", [ModelParams(), TREE_P, RES_P, WIDE_P],
+                         ids=["default", "tree", "res", "wide"])
+def test_mode_set_lists_the_scanned_modes(params):
+    ms = mode_set(params.mu, params.eps0, params.Mmax, params.Nmax)
+    want = _lambda_modes_loop(params, params.Mmax, params.Nmax)
+    assert ms.modes() == want
+    if params is WIDE_P:
+        assert len(ms) == 1317
+    # the flat layout is sized by the windows and round-trips every mode
+    width = np.maximum(ms.hi - ms.lo + 1, 0)
+    assert ms.size == width.sum() < params.Mmax * params.Nmax
+    assert np.array_equal(ms.index(ms.n, ms.m), ms.pos)
+    assert np.array_equal(ms.scatter(np.ones(len(ms)))[ms.pos], ms.n.astype(float))
+
+
+@pytest.mark.parametrize("params", [TREE_P, RES_P, WIDE_P], ids=["tree", "res", "wide"])
+def test_in_lambda_agrees_with_mode_set(params):
+    ms = mode_set(params.mu, params.eps0, params.Mmax, params.Nmax)
+    members = set(ms.modes())
+    for m in range(1, params.Mmax + 1):
+        for n in range(1, params.Nmax + 1):
+            inside = in_lambda(n, m, params)
+            assert inside == in_lambda(-n, m, params)
+            if m % 2 == 1 and (n, m) != (1, 1):
+                assert inside == ((n, m) in members), (n, m)
+            if inside:   # every near-resonant n lies in its window
+                assert ms.lo[m] <= n <= ms.hi[m]
+
+
+def test_mode_set_shift_windows_a_table():
+    ms = mode_set(TREE_P.mu, TREE_P.eps0, TREE_P.Mmax, TREE_P.Nmax)
+    nu = NuTable(eps0=TREE_P.eps0)
+    nu.set(9, 3, 2e-4)       # inside the window of m = 3
+    nu.set(40, 3, 5e-4)      # beyond it: dropped
+    nu.set(80, 9, 1e-4)      # beyond Nmax
+    nu.set(5, 11, 1e-4)      # beyond Mmax
+    shift = ms.shift(nu)
+    assert shift[ms.index(9, 3)] == 9 * 2e-4
+    assert np.count_nonzero(shift) == 1 and shift[-1] == 0.0
+    assert ms.index(40, 3) == ms.index(5, 11) == ms.size
+    assert not ms.shift(None).any() and not ms.shift(NuTable()).any()

@@ -1,10 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from lindbeam.kernel import kernel_v
 from lindbeam.series import CountertermTable, compute_coeffs, lambda_modes
-from lindbeam.spectrum import ModelParams, NuTable, omega_eff, scaled_propagator
+from lindbeam.spectrum import ModelParams, NuTable, mode_set, omega_eff, scaled_propagator
 from lindbeam.trees import (
     MissingCountertermError,
     TNode,
@@ -189,12 +190,16 @@ def test_r_tree_enumeration():
 
 
 def test_counterterm_enum_matches_closed_form():
-    nu, q = make_nu(), 0.8
-    modes = lambda_modes(P, MM, 60)
-    closed = counterterm_order2_closed(P, EPS, nu, q, modes, MM)
-    for (n, m), want in zip(modes, closed):
-        got = counterterm(2, n, m, -1, P, EPS, nu, q, CountertermTable(), MM)
-        assert got == pytest.approx(float(want), rel=1e-12, abs=1e-18)
+    q = 0.8
+    ms = mode_set(P.mu, P.eps0, MM, 60)
+    # a shift on every mode also reaches the inner lines (|n +- 1|, m')
+    rng = np.random.default_rng(4)
+    sampled = ms.nu_table(rng.uniform(-0.2, 0.2, len(ms)) * P.eps0, P.nu_cap)
+    for nu in (make_nu(), sampled):
+        closed = counterterm_order2_closed(P, EPS, ms.shift(nu), q, ms)
+        for (n, m), want in zip(ms.modes(), closed):
+            got = counterterm(2, n, m, -1, P, EPS, nu, q, CountertermTable(), MM)
+            assert got == pytest.approx(float(want), rel=1e-12, abs=1e-18)
 
 
 def test_counterterm_profile():
