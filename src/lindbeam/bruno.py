@@ -18,12 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectrum import ModelParams, NuTable, mode_set
-from .trees import (
-    Tree,
-    _active_candidates,
-    admissible_assignments,
-    dump_tree,
-)
+from .trees import Tree, _active, admissible_assignments, dump_tree
 
 __all__ = [
     "ScaleProfile",
@@ -66,26 +61,24 @@ def profile(tree: Tree, asg: dict) -> ScaleProfile:
     """Exact scale counts of one assignment.
 
     Resonant lines are the exit lines of active resonance blocks and of unary
-    nodes; K counts the remaining propagator lines.
+    nodes; K counts the remaining propagator lines.  Reads the tree's rows.
     """
-    prop = tree.prop_line_nodes()
+    f, t = tree._compiled()
+    h = tree._scales(asg)
+    prop = f.lines(t)
     shell: dict[int, int] = {}
-    for nd in prop:
-        h = asg.get(nd.nid, -1)
-        shell[h] = shell.get(h, 0) + 1
+    for i in prop:
+        shell[h[i]] = shell.get(h[i], 0) + 1
     resonant_ids = set()
     S: dict[int, int] = {}
-    for (o, i) in _active_candidates(tree, asg):
-        resonant_ids.add(o.nid)
-        h = asg.get(o.nid, -1)
-        S[h] = S.get(h, 0) + 1
+    for (o, _i) in _active(f, t, h):
+        resonant_ids.add(o)
+        S[h[o]] = S.get(h[o], 0) + 1
     M: dict[int, int] = {}
-    for nd in tree.nodes:
-        if nd.sv == 1:
-            resonant_ids.add(nd.nid)
-            h = asg.get(nd.nid, -1)
-            M[h] = M.get(h, 0) + 1
-    K = sum(1 for nd in prop if nd.nid not in resonant_ids)
+    for i in f.unary(t):
+        resonant_ids.add(i)
+        M[h[i]] = M.get(h[i], 0) + 1
+    K = sum(1 for i in prop if i not in resonant_ids)
     p = ScaleProfile(S=S, M=M, K=K, n_lines=len(prop),
                      h_max=max(shell, default=-1), shell=shell)
     p.N = {h: sum(c for hh, c in shell.items() if hh >= h)
@@ -96,6 +89,8 @@ def profile(tree: Tree, asg: dict) -> ScaleProfile:
 def check_bruno(tree: Tree, asg: dict, params: ModelParams,
                 raise_on_fail: bool = True) -> bool:
     """Counting inequality for ordinary trees at one assignment."""
+    if max(asg.values(), default=-1) < 0:
+        return True     # no line at a scale h >= 0: nothing to count
     p = profile(tree, asg)
     tau = params.tau
     for h in range(0, p.h_max + 1):
@@ -119,6 +114,8 @@ def check_bruno_r(tree: Tree, asg: dict, params: ModelParams,
     """
     if not tree.is_rtree:
         raise ValueError("check_bruno_r expects a special-end tree")
+    if max(asg.values(), default=-1) < 0:
+        return True     # no line at a scale h >= 0: nothing to count
     p = profile(tree, asg)
     tau = params.tau
     for h in range(0, p.h_max + 1):

@@ -37,6 +37,7 @@ __all__ = [
 MU_MAX = 0.125          # admissible mass window [0, 1/8]
 GAMMA_MAX = 2.0 ** -6   # largest allowed Diophantine constant
 H_MAX_DEFAULT = 40      # scales below 2^-H_max * gamma treated as resonant
+H_MAX_LIMIT = 1000      # keeps the 2^-(h_max+1) * gamma floor above zero
 
 
 class DegenerateRadicandError(ValueError):
@@ -85,20 +86,29 @@ class ModelParams:
         self.validate()
 
     def validate(self):
+        for name in ("a", "b"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}={getattr(self, name)} is not finite")
         if not 0.0 <= self.mu <= MU_MAX:
             raise ValueError(f"mu={self.mu} outside [0, {MU_MAX}]")
         if not 0.0 < self.gamma <= GAMMA_MAX:
             raise ValueError(f"gamma={self.gamma} outside (0, {GAMMA_MAX}]")
-        if self.tau0 < 4.0:
-            raise ValueError(f"tau0={self.tau0} must be >= 4")
+        if not 4.0 <= self.tau0 < math.inf:
+            raise ValueError(f"tau0={self.tau0} must be finite and >= 4")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError(f"tau={self.tau} must be finite and positive")
         if not 0.0 < self.eps0 < 1.0:
             raise ValueError(f"eps0={self.eps0} outside (0, 1)")
-        if self.sigma <= 0.0:
-            raise ValueError("sigma must be positive")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma={self.sigma} must be finite and positive")
+        if not 0.0 < self.nu_cap < math.inf:
+            raise ValueError(f"nu_cap={self.nu_cap} must be finite and positive")
         if self.omega_branch not in (1, -1):
             raise ValueError("omega_branch must be +1 or -1")
         if min(self.Kmax, self.Mmax, self.Nmax) < 1:
             raise ValueError("cutoffs must be positive")
+        if not 0 <= self.h_max <= H_MAX_LIMIT:
+            raise ValueError(f"h_max={self.h_max} outside [0, {H_MAX_LIMIT}]")
 
     def with_(self, **kw) -> "ModelParams":
         return replace(self, **kw)
@@ -230,7 +240,21 @@ def propagator_row(n: int, m: np.ndarray, params: ModelParams, eps: float,
 
 
 def _smoothstep(t):
-    """C-infinity step: 0 for t<=0, 1 for t>=1, built from exp(-1/t)."""
+    """C-infinity step: 0 for t<=0, 1 for t>=1, built from exp(-1/t).
+
+    Python and numpy float scalars skip the array machinery.  Their
+    exponentials still come from numpy: math.exp differs from numpy's exp in
+    the last bit for some arguments, and a scalar must get the value its
+    array entry gets.
+    """
+    if isinstance(t, (float, int)):
+        if t <= 0.0:
+            return 0.0
+        if t >= 1.0:
+            return 1.0
+        f = float(np.exp(-1.0 / t))
+        g = float(np.exp(-1.0 / (1.0 - t)))
+        return f / (f + g)
     t = np.asarray(t, dtype=float)
     lo = t <= 0.0
     hi = t >= 1.0
@@ -247,6 +271,8 @@ def _smoothstep(t):
 
 def chi(x, gamma: float):
     """Smooth even cutoff: 0 for |x| <= gamma, 1 for |x| >= 2 gamma."""
+    if isinstance(x, (float, int)):
+        return _smoothstep((abs(x) - gamma) / gamma)
     return _smoothstep((np.abs(x) - gamma) / gamma)
 
 
@@ -261,6 +287,11 @@ def chi_h(x, h: int, gamma: float):
         raise ValueError("scale index must be >= -1")
     if h == -1:
         return chi(x, gamma)
+    if isinstance(x, (float, int)):
+        try:
+            return chi(math.ldexp(x, h + 1), gamma) - chi(math.ldexp(x, h), gamma)
+        except OverflowError:
+            pass    # math.ldexp raises where numpy's saturates to inf
     x = np.asarray(x, dtype=float)
     # chibar = 1 - chi is the small-divisor cutoff; telescoping differences
     return chi(np.ldexp(x, h + 1), gamma) - chi(np.ldexp(x, h), gamma)

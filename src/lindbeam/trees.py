@@ -7,11 +7,20 @@ over all admissible dyadic scale labels reproduces the recursion exactly;
 renormalizing (subtracting the on-shell part of every resonance and feeding
 it back through the shift coefficients) reproduces it again, which is the
 central correctness test of the package.
+
+Storage: each (k, n, m, Mmax) family, and each special-end family, is
+enumerated once into flat read-only integer rows (`_Family`), kept in a
+bounded cache.  A `Tree` is a view of one tree's rows; it builds `TNode`
+objects only when asked for them.  Evaluation reads the rows together with
+per-point mode tables (`_Point`): the scale labels each mode's divisor
+admits and its cutoff propagator, computed once per (params, eps, nu).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as iproduct
 
 import numpy as np
@@ -24,7 +33,6 @@ from .spectrum import (
     admissible_h_for,
     chi_h,
     in_lambda,
-    omega,
     omega_eff,
 )
 
@@ -51,6 +59,15 @@ __all__ = [
 ]
 
 TREE_BUDGET = 2_000_000
+# Compiled families kept: the counting-inequality grid (criterion 6) uses 99
+# families and one special-end family per near-resonant mode.
+FAMILY_CACHE_SIZE = 256
+
+# node kinds and types as they are stored in the rows
+END, SPECIAL, NODE = 0, 1, 2
+A, B = 1, 2
+_KINDS = ("end", "special", "node")
+_TTYPES = ("", "a", "b")
 
 
 class TreeBudgetError(RuntimeError):
@@ -59,21 +76,6 @@ class TreeBudgetError(RuntimeError):
 
 class MissingCountertermError(KeyError):
     pass
-
-
-class _EmptyTable:
-    """Zero shift-coefficient table (duck-typed stand-in)."""
-
-    @staticmethod
-    def get(k, n, m, h):
-        return 0.0
-
-    @staticmethod
-    def aggregate(k, n, m):
-        return 0.0
-
-
-EMPTY_TABLE = _EmptyTable()
 
 
 @dataclass
@@ -88,87 +90,26 @@ class TNode:
     children: tuple = ()
 
 
-@dataclass
-class Tree:
-    root: TNode
-    k: int
-    n: int
-    m: int
-    mult: int = 1
-    is_rtree: bool = False
-    # filled on instantiation
-    nodes: list = field(default_factory=list)
-    parent: dict = field(default_factory=dict)
-    special: TNode | None = None
-
-    def finalize(self):
-        self.nodes = []
-        self.parent = {}
-        self.special = None
-        stack = [(self.root, None)]
-        nid = 0
-        while stack:
-            nd, par = stack.pop()
-            nd.nid = nid
-            nid += 1
-            self.nodes.append(nd)
-            self.parent[nd.nid] = par
-            if nd.kind == "special":
-                self.special = nd
-            for ch in nd.children:
-                stack.append((ch, nd))
-        return self
-
-    def prop_line_nodes(self) -> list:
-        """Nodes whose exiting line carries a genuine cutoff propagator."""
-        out = []
-        for nd in self.nodes:
-            if nd.kind == "end" or nd.kind == "special":
-                continue
-            if self.is_rtree and self.parent[nd.nid] is None:
-                continue  # root line of a special-end tree has unit factor
-            out.append(nd)
-        return out
-
-    def path_to_root(self, nd: TNode) -> list:
-        out = []
-        cur = self.parent[nd.nid]
-        while cur is not None:
-            out.append(cur)
-            cur = self.parent[cur.nid]
-        return out
-
-
-def _clone(nd: TNode) -> TNode:
-    return TNode(0, nd.kind, nd.ttype, nd.sv, nd.kv, nd.n, nd.m,
-                 tuple(_clone(c) for c in nd.children))
-
-
 def _key(nd: TNode):
     return (nd.kind, nd.ttype, nd.sv, nd.kv, nd.n, nd.m,
             tuple(_key(c) for c in nd.children))
 
 
-def _count_nodes(nd: TNode) -> int:
-    return 1 + sum(_count_nodes(c) for c in nd.children)
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 
-_ENUM_CACHE: dict = {}
-
-
-def _gen(k: int, n: int, m: int, Mmax: int, with_e: bool, e_mode: tuple | None):
+def _gen(k: int, n: int, m: int, Mmax: int, with_e: bool, e_mode: tuple | None,
+         memo: dict):
     """Skeletons of order k whose root line carries (n, m).
 
     Returns a list of (TNode, multiplicity); multiplicity counts the distinct
     ordered arrangements collapsed into one representative.  with_e marks the
-    branch that must contain the special end node (mode e_mode).
+    branch that must contain the special end node (mode e_mode).  memo holds
+    the sub-skeletons of one family while it is compiled.
     """
-    key = (k, n, m, Mmax, with_e, e_mode)
-    if key in _ENUM_CACHE:
-        return _ENUM_CACHE[key]
+    key = (k, n, m, with_e)
+    if key in memo:
+        return memo[key]
     out: dict = {}
 
     def add(node: TNode, mult: int):
@@ -185,17 +126,12 @@ def _gen(k: int, n: int, m: int, Mmax: int, with_e: bool, e_mode: tuple | None):
                 add(TNode(0, "special", "", 0, 0, n, m), 1)
         elif (abs(n), m) == (1, 1):
             add(TNode(0, "end", "", 0, 0, n, m), 1)
-        res = list(out.values())
-        _ENUM_CACHE[key] = res
+        res = memo[key] = list(out.values())
         return res
 
-    if (abs(n), m) == (1, 1):
+    if (abs(n), m) == (1, 1) or m % 2 == 0 or m > Mmax:
         # only end lines may carry the primary mode
-        _ENUM_CACHE[key] = []
-        return []
-
-    if m % 2 == 0 or m > Mmax:
-        _ENUM_CACHE[key] = []
+        memo[key] = []
         return []
 
     # binary root: orders k1 + k2 = k - 1, momenta n1 + n2 = n
@@ -220,10 +156,10 @@ def _gen(k: int, n: int, m: int, Mmax: int, with_e: bool, e_mode: tuple | None):
                     for m2 in range(1, Mmax + 1, 2):
                         if kernel_v(m, m1, m2) == 0.0:
                             continue
-                        subs1 = _gen(k1, n1, m1, Mmax, le, e_mode)
+                        subs1 = _gen(k1, n1, m1, Mmax, le, e_mode, memo)
                         if not subs1:
                             continue
-                        subs2 = _gen(k2, n2, m2, Mmax, re, e_mode)
+                        subs2 = _gen(k2, n2, m2, Mmax, re, e_mode, memo)
                         if not subs2:
                             continue
                         for (c1, mu1) in subs1:
@@ -236,14 +172,13 @@ def _gen(k: int, n: int, m: int, Mmax: int, with_e: bool, e_mode: tuple | None):
 
     # unary root: shift insertion of order r, same mode below
     for r in range(2, k):
-        subs = _gen(k - r, n, m, Mmax, with_e, e_mode)
+        subs = _gen(k - r, n, m, Mmax, with_e, e_mode, memo)
         for (c, mu) in subs:
             if with_e and c.kind == "special":
                 continue  # the corresponding resonance would have one node only
             add(TNode(0, "node", "a", 1, r, n, m, (c,)), mu)
 
-    res = list(out.values())
-    _ENUM_CACHE[key] = res
+    res = memo[key] = list(out.values())
     return res
 
 
@@ -259,22 +194,254 @@ def _ordered_multiplicity(nd: TNode) -> int:
     return mult
 
 
+def _preorder(root: TNode) -> tuple[list, list]:
+    """Nodes in node-id order (depth first, last child first) and the id of
+    each node's parent (-1 at the root)."""
+    nodes, par = [], []
+    stack = [(root, -1)]
+    while stack:
+        nd, p = stack.pop()
+        par.append(p)
+        stack.extend((ch, len(nodes)) for ch in nd.children)
+        nodes.append(nd)
+    return nodes, par
+
+
+def _frozen(code: str, values) -> memoryview:
+    """A read-only typed array of ints."""
+    return memoryview(array(code, values).tobytes()).cast(code)
+
+
+class _Family:
+    """The trees of one family as flat, read-only integer rows.
+
+    Node rows run tree after tree, each tree in node-id order, so the node
+    with id i of tree t is row start[t] + i and its subtree is the id range
+    [i, i + size[row]).  Per row: par (parent id, -1 at the root), size,
+    kind, ttype, sv, kv, n, m (the TNode labels) and mode, an index into the
+    family's distinct (n, m) labels `modes`.  Per tree: mult, special (id of
+    the special end node, or -1) and, as id lists sliced by *_start: the
+    propagator lines, the line pairs with equal modes (positions in the line
+    list) and the structural resonance candidates (out, in).
+    """
+
+    def __init__(self, roots, mults, k, n, m, is_rtree):
+        self.label, self.is_rtree, self.count = (k, n, m), is_rtree, len(roots)
+        cols = {c: [] for c in ("par", "size", "kind", "ttype", "sv", "kv", "n", "m", "mode")}
+        start, special = [0], []
+        lists = {c: ([0], []) for c in ("line", "pair", "cand")}
+        modes: dict = {}
+        for root in roots:
+            nodes, par = _preorder(root)
+            size = [1] * len(nodes)
+            for i in range(len(nodes) - 1, 0, -1):
+                size[par[i]] += size[i]
+            keys = [(nd.n, nd.m) for nd in nodes]
+            lines = [i for i, nd in enumerate(nodes)
+                     if nd.kind == "node" and not (is_rtree and i == 0)]
+            pairs = [p for a, la in enumerate(lines) for b in range(a + 1, len(lines))
+                     if keys[la] == keys[lines[b]] for p in (a, b)]
+            cands = []
+            for i, nd in enumerate(nodes):
+                # zero-momentum lines are never small, so their exit scale is
+                # pinned at -1 and such blocks can never activate
+                if nd.kind == "end" or (abs(nd.n), nd.m) == (1, 1) or nd.n == 0:
+                    continue
+                anc = par[i]
+                while anc >= 0:
+                    # closing at the unit root line of a special-end tree is
+                    # the tree itself; a block holds more than one node
+                    if (keys[anc] == keys[i] and not (is_rtree and anc == 0)
+                            and size[anc] - size[i] > 1):
+                        cands += (anc, i)
+                    anc = par[anc]
+            special.append(max((i for i, nd in enumerate(nodes) if nd.kind == "special"),
+                               default=-1))
+            for c, vals in (("line", lines), ("pair", pairs), ("cand", cands)):
+                lists[c][1].extend(vals)
+                lists[c][0].append(len(lists[c][1]))
+            cols["par"] += par
+            cols["size"] += size
+            cols["kind"] += [_KINDS.index(nd.kind) for nd in nodes]
+            cols["ttype"] += [_TTYPES.index(nd.ttype) for nd in nodes]
+            cols["sv"] += [nd.sv for nd in nodes]
+            cols["kv"] += [nd.kv for nd in nodes]
+            cols["n"] += [nd.n for nd in nodes]
+            cols["m"] += [nd.m for nd in nodes]
+            cols["mode"] += [modes.setdefault(key, len(modes)) for key in keys]
+            start.append(len(cols["par"]))
+        for c, vals in cols.items():
+            setattr(self, c, _frozen("b" if c in ("kind", "ttype", "sv", "kv") else "h", vals))
+        self.start, self.mult, self.special = (_frozen("i", start), _frozen("q", mults),
+                                               _frozen("h", special))
+        for c, (offsets, vals) in lists.items():
+            setattr(self, c + "_start", _frozen("i", offsets))
+            setattr(self, c + "_row", _frozen("h", vals))
+        self.modes = tuple(modes)
+
+    def lines(self, t: int) -> memoryview:
+        return self.line_row[self.line_start[t]:self.line_start[t + 1]]
+
+    def pairs(self, t: int) -> list[tuple[int, int]]:
+        p = self.pair_row[self.pair_start[t]:self.pair_start[t + 1]]
+        return list(zip(p[0::2], p[1::2]))
+
+    def cands(self, t: int) -> list[tuple[int, int]]:
+        c = self.cand_row[self.cand_start[t]:self.cand_start[t + 1]]
+        return list(zip(c[0::2], c[1::2]))
+
+    def unary(self, t: int) -> list[int]:
+        s = self.start[t]
+        return [i for i, v in enumerate(self.sv[s:self.start[t + 1]]) if v == 1]
+
+    def kids(self, s: int, i: int) -> list[int]:
+        """Child ids of node i (tree rows from s) in the TNode children order."""
+        out, c, stop = [], i + 1, i + self.size[s + i]
+        while c < stop:
+            out.append(c)
+            c += self.size[s + c]
+        out.reverse()
+        return out
+
+    def block(self, s: int, o: int, i: int) -> list[int]:
+        """Ids of the resonance block: subtree(o) without subtree(i)."""
+        stop = i + self.size[s + i]
+        return [j for j in range(o, o + self.size[s + o]) if not i <= j < stop]
+
+    def scales(self, t: int, lines, hs) -> list[int]:
+        """Scale of each node's exiting line: hs on the given ids, else -1."""
+        h = [-1] * (self.start[t + 1] - self.start[t])
+        for i, v in zip(lines, hs):
+            if 0 <= i < len(h):
+                h[i] = v
+        return h
+
+    def trees(self) -> list["Tree"]:
+        return [Tree._view(self, t) for t in range(self.count)]
+
+
+@lru_cache(maxsize=FAMILY_CACHE_SIZE)
+def _family(k: int, n: int, m: int, Mmax: int, is_rtree: bool) -> _Family:
+    """Enumerate and compile one family (the skeleton memo lives only here)."""
+    if is_rtree:
+        pairs = _gen(k, n, m, Mmax, True, (n, m), {})
+    else:
+        pairs = _gen(k, n, m, Mmax, False, None, {})
+    roots = [node for node, _mult in pairs]
+    fam = _Family(roots, [_ordered_multiplicity(r) for r in roots], k, n, m, is_rtree)
+    if not is_rtree and fam.start[fam.count] > TREE_BUDGET:
+        raise TreeBudgetError(f"enumeration of ({k},{n},{m}) exceeds budget")
+    return fam
+
+
+class Tree:
+    """One labeled tree: a view of a compiled family's rows.
+
+    TNodes are built only when root, nodes, parent or special is read.
+    Tree(root=...) wraps a hand-built TNode tree; finalize() numbers its
+    nodes (node ids as in a compiled family) and compiles it into a
+    one-tree family.
+    """
+
+    __slots__ = ("k", "n", "m", "mult", "is_rtree", "_fam", "_t", "_nodes", "_root",
+                 "_parent")
+
+    def __init__(self, root: TNode, k: int, n: int, m: int, mult: int = 1,
+                 is_rtree: bool = False):
+        self.k, self.n, self.m, self.mult, self.is_rtree = k, n, m, mult, is_rtree
+        self._fam, self._t, self._nodes, self._root, self._parent = None, 0, None, root, None
+
+    @classmethod
+    def _view(cls, fam: _Family, t: int) -> "Tree":
+        tree = cls.__new__(cls)
+        (tree.k, tree.n, tree.m), tree.mult, tree.is_rtree = fam.label, fam.mult[t], fam.is_rtree
+        tree._fam, tree._t, tree._nodes, tree._root, tree._parent = fam, t, None, None, None
+        return tree
+
+    def __repr__(self):
+        return (f"Tree(k={self.k}, n={self.n}, m={self.m}, mult={self.mult}, "
+                f"is_rtree={self.is_rtree})")
+
+    def finalize(self) -> "Tree":
+        nodes, _par = _preorder(self._root)
+        for i, nd in enumerate(nodes):
+            nd.nid = i
+        self._fam = _Family([self._root], [self.mult], self.k, self.n, self.m, self.is_rtree)
+        self._t, self._nodes, self._parent = 0, nodes, None
+        return self
+
+    def _compiled(self) -> tuple[_Family, int]:
+        if self._fam is None:
+            self.finalize()
+        return self._fam, self._t
+
+    def _scales(self, asg: dict) -> list[int]:
+        f, t = self._compiled()
+        return f.scales(t, asg.keys(), asg.values())
+
+    @property
+    def nodes(self) -> list[TNode]:
+        if self._nodes is None:
+            f, t = self._compiled()
+            s, e = f.start[t], f.start[t + 1]
+            nodes = [TNode(i, _KINDS[f.kind[r]], _TTYPES[f.ttype[r]], f.sv[r], f.kv[r],
+                           f.n[r], f.m[r]) for i, r in enumerate(range(s, e))]
+            for i, nd in enumerate(nodes):
+                nd.children = tuple(nodes[c] for c in f.kids(s, i))
+            self._nodes = nodes
+        return self._nodes
+
+    @property
+    def root(self) -> TNode:
+        return self._root if self._root is not None else self.nodes[0]
+
+    @property
+    def parent(self) -> dict:
+        if self._parent is None:
+            f, t = self._compiled()
+            nodes = self.nodes
+            self._parent = {i: (nodes[p] if p >= 0 else None)
+                            for i, p in enumerate(f.par[f.start[t]:f.start[t + 1]])}
+        return self._parent
+
+    @property
+    def special(self) -> TNode | None:
+        f, t = self._compiled()
+        e = f.special[t]
+        return self.nodes[e] if e >= 0 else None
+
+    def prop_line_nodes(self) -> list:
+        """Nodes whose exiting line carries a genuine cutoff propagator."""
+        f, t = self._compiled()
+        return [self.nodes[i] for i in f.lines(t)]
+
+    def path_to_root(self, nd: TNode) -> list:
+        out = []
+        cur = self.parent[nd.nid]
+        while cur is not None:
+            out.append(cur)
+            cur = self.parent[cur.nid]
+        return out
+
+
+def _tree_family(k: int, n: int, m: int, params: ModelParams, Mmax: int | None) -> _Family:
+    if k < 1:
+        raise ValueError("order must be >= 1")
+    return _family(k, n, m, Mmax or params.Mmax, False)
+
+
 def enumerate_trees(k: int, n: int, m: int, params: ModelParams,
                     Mmax: int | None = None) -> list[Tree]:
     """All inequivalent labeled skeletons of order k with root mode (n, m)."""
-    if k < 1:
-        raise ValueError("order must be >= 1")
-    Mmax = Mmax or params.Mmax
-    pairs = _gen(k, n, m, Mmax, False, None)
-    trees = []
-    for (node, _mult) in pairs:
-        fresh = _clone(node)
-        t = Tree(root=fresh, k=k, n=n, m=m,
-                 mult=_ordered_multiplicity(fresh)).finalize()
-        trees.append(t)
-    if sum(_count_nodes(t.root) for t in trees) > TREE_BUDGET:
-        raise TreeBudgetError(f"enumeration of ({k},{n},{m}) exceeds budget")
-    return trees
+    return _tree_family(k, n, m, params, Mmax).trees()
+
+
+def _r_family(k: int, n: int, m: int, params: ModelParams, Mmax: int | None) -> _Family:
+    if (abs(n), m) == (1, 1):
+        raise ValueError("no special-end trees at the primary mode")
+    if n == 0:
+        raise ValueError("special-end trees need nonzero momentum")
+    return _family(k, n, m, Mmax or params.Mmax, True)
 
 
 def enumerate_r_trees(k: int, n: int, m: int, params: ModelParams,
@@ -285,23 +452,90 @@ def enumerate_r_trees(k: int, n: int, m: int, params: ModelParams,
     line has unit propagator.  The scale class h, when given, is recorded by
     the caller's assignment filter (skeletons do not constrain scales).
     """
-    if (abs(n), m) == (1, 1):
-        raise ValueError("no special-end trees at the primary mode")
-    if n == 0:
-        raise ValueError("special-end trees need nonzero momentum")
-    Mmax = Mmax or params.Mmax
-    pairs = _gen(k, n, m, Mmax, True, (n, m))
-    trees = []
-    for (node, _mult) in pairs:
-        fresh = _clone(node)
-        t = Tree(root=fresh, k=k, n=n, m=m, is_rtree=True,
-                 mult=_ordered_multiplicity(fresh)).finalize()
-        trees.append(t)
-    return trees
+    return _r_family(k, n, m, params, Mmax).trees()
 
 
 # ---------------------------------------------------------------------------
 # evaluation
+
+class _Mode:
+    """Divisor data of one mode (n, m) at one point; root and bar are None
+    when omega_m^2 + n nu <= 0."""
+
+    __slots__ = ("n", "m", "omt2", "root", "hs", "lam", "bar", "prop")
+
+
+class _Point:
+    """Mode tables of one point (params, eps, nu), filled on first use.
+
+    Per mode: omega~^2 = omega_m^2 + n nu, its root, the scale labels
+    admitted by the plain divisor |Omega n| - omega~, membership of the
+    near-resonant zone, the on-shell frequency omega_bar and the cutoff
+    propagator at the natural frequency Omega n per scale label.  Per
+    (line mode, anchor mode): the labels admitted by the shifted divisor.
+    """
+
+    def __init__(self, params: ModelParams, eps: float, nu_items):
+        self.params = params
+        self.Om = omega_eff(params, eps)
+        self._nu = dict(nu_items or ())
+        self._modes: dict = {}
+        self._shifted: dict = {}
+        self._families: dict = {}
+
+    def mode(self, n: int, m: int) -> _Mode:
+        md = self._modes.get((n, m))
+        if md is None:
+            p = self.params
+            md = self._modes[(n, m)] = _Mode()
+            md.n, md.m, md.prop = n, m, {}
+            md.omt2 = math.sqrt(m ** 4 + p.mu) ** 2 + abs(n) * self._nu.get((abs(n), m), 0.0)
+            md.lam = in_lambda(n, m, p)
+            if md.omt2 > 0:
+                md.root = math.sqrt(md.omt2)
+                md.hs = admissible_h_for(abs(self.Om * n) - md.root, p.gamma, p.h_max)
+                md.bar = math.copysign(md.root, n)
+            else:
+                md.root = md.bar = None
+                md.hs = []
+        return md
+
+    def modes_of(self, fam: _Family) -> list[_Mode]:
+        """The tables of a family's modes, indexed like its mode rows."""
+        out = self._families.get(fam)
+        if out is None:
+            out = self._families[fam] = [self.mode(n, m) for (n, m) in fam.modes]
+        return out
+
+    def shifted(self, line: _Mode, anchor: _Mode) -> list[int]:
+        """Labels of a line on the path of a block localized at anchor."""
+        hs = self._shifted.get((line, anchor))
+        if hs is None:
+            f = self.Om * (line.n - anchor.n) + anchor.bar
+            hs = self._shifted[(line, anchor)] = admissible_h_for(
+                abs(f) - line.root, self.params.gamma, self.params.h_max)
+        return hs
+
+    def propagator(self, md: _Mode, h: int, freq: float | None = None) -> float:
+        """Cutoff propagator chi_h(|freq| - omega~) / (omega~^2 - freq^2) of
+        mode md; freq None is the natural frequency Omega n (tabulated)."""
+        if freq is None:
+            val = md.prop.get(h)
+            if val is None:
+                val = md.prop[h] = self.propagator(md, h, self.Om * md.n)
+            return val
+        denom = -freq * freq + md.omt2
+        if denom == 0.0:
+            raise ZeroDivisionError(f"resonant line at mode {(md.n, md.m)}")
+        return float(chi_h(abs(freq) - math.sqrt(md.omt2), h, self.params.gamma)) / denom
+
+
+_point_tables = lru_cache(maxsize=4)(_Point)
+
+
+def _point(params: ModelParams, eps: float, nu: NuTable | None) -> _Point:
+    return _point_tables(params, eps, None if nu is None else tuple(nu.items()))
+
 
 @dataclass
 class EvalCtx:
@@ -314,23 +548,19 @@ class EvalCtx:
     renormalize: bool = False
 
     def __post_init__(self):
-        self._om = omega_eff(self.params, self.eps)
-        self._line_cache: dict = {}
+        self.point = _point(self.params, self.eps, self.nu)
 
     def omega_big(self) -> float:
-        return self._om
-
-    def n_nu(self, n: int, m: int) -> float:
-        return self.nu.n_nu(n, m) if self.nu is not None else 0.0
+        return self.point.Om
 
     def omt2(self, n: int, m: int) -> float:
-        return float(omega(m, self.params.mu)) ** 2 + self.n_nu(n, m)
+        return self.point.mode(n, m).omt2
 
     def omega_bar(self, n: int, m: int) -> float:
-        rad = self.omt2(n, m)
-        if rad <= 0:
+        bar = self.point.mode(n, m).bar
+        if bar is None:
             raise ValueError("degenerate radicand in localization point")
-        return math.copysign(math.sqrt(rad), n)
+        return bar
 
     def l_value(self, kv: int, n: int, m: int, h: int) -> float:
         if self.lt is None:
@@ -340,45 +570,66 @@ class EvalCtx:
         return self.lt.aggregate(kv, n, m)
 
 
-def _candidates(tree: Tree) -> list[tuple]:
-    """Structural resonance candidates (out_node, in_node).
+def _shifted_supports(f: _Family, t: int, pt: _Point, modes: list) -> dict:
+    """Labels of the lines of tree t whose support is not the plain one.
 
-    in_node's exiting line enters the block; out_node's exiting line leaves
-    it with the same mode label.  The block must contain more than one node.
+    Under localization a block's path lines are also evaluated at the
+    on-shell frequency of its entering line, so the supports of those
+    frequencies are unioned in.  A special-end tree is only ever evaluated
+    on shell, so its path lines never see the plain divisor at all.
     """
-    cached = getattr(tree, "_cand_cache", None)
-    if cached is not None:
-        return cached
-    out = []
-    for nd in tree.nodes:
-        if nd.kind == "end":
+    s, mode, par = f.start[t], f.mode, f.par
+    cands = f.cands(t)
+    e_path = set()
+    e = f.special[t]
+    if f.is_rtree and e >= 0:
+        cands.append((0, e))
+        cur = par[s + e]
+        while cur >= 0:
+            e_path.add(cur)
+            cur = par[s + cur]
+    anchors: dict = {}
+    for (o, i) in cands:
+        mi = modes[mode[s + i]]
+        if not mi.lam or mi.bar is None:
             continue
-        if (abs(nd.n), nd.m) == (1, 1) or nd.n == 0:
-            # zero-momentum lines are never small, so their exit scale is
-            # pinned at -1 and such blocks can never activate
-            continue
-        for anc in tree.path_to_root(nd):
-            if anc.n == nd.n and anc.m == nd.m:
-                if tree.is_rtree and tree.parent[anc.nid] is None:
-                    continue  # closing at the unit root line is the tree itself
-                if _count_nodes(anc) - _count_nodes(nd) > 1:
-                    out.append((anc, nd))
-    tree._cand_cache = out
+        cur = par[s + i]
+        while cur >= 0 and cur != o:
+            anchors.setdefault(cur, []).append(mi)
+            cur = par[s + cur]
+    out = {}
+    for l in e_path | anchors.keys():
+        ml = modes[mode[s + l]]
+        if ml.root is None:
+            continue    # the line rejects the point anyway
+        hs = set() if l in e_path else set(ml.hs)
+        for a in anchors.get(l, ()):
+            hs.update(pt.shifted(ml, a))
+        out[l] = sorted(hs)
     return out
 
 
-def _block_nodes(tree: Tree, out_node: TNode, in_node: TNode) -> list:
-    inside = set()
-
-    def walk(w):
-        if w is in_node:
-            return
-        inside.add(w.nid)
-        for c in w.children:
-            walk(c)
-
-    walk(out_node)
-    return [nd for nd in tree.nodes if nd.nid in inside]
+def _assignments(f: _Family, t: int, pt: _Point, renormalize: bool) -> list[tuple]:
+    """Scale labels of tree t's propagator lines, one tuple per admissible
+    assignment (see admissible_assignments)."""
+    s, mode, modes = f.start[t], f.mode, pt.modes_of(f)
+    shifted = _shifted_supports(f, t, pt, modes) if renormalize or f.is_rtree else {}
+    options = []
+    single = True
+    for l in f.lines(t):
+        ml = modes[mode[s + l]]
+        if ml.root is None:
+            return []
+        hs = shifted[l] if l in shifted else ml.hs
+        if not hs:
+            return []   # below the scale floor: reject the parameter point
+        single = single and len(hs) == 1
+        options.append(hs)
+    combos = [tuple([o[0] for o in options])] if single else list(iproduct(*options))
+    if f.pair_start[t] != f.pair_start[t + 1]:
+        pairs = f.pairs(t)
+        combos = [c for c in combos if all(abs(c[a] - c[b]) <= 1 for a, b in pairs)]
+    return combos
 
 
 def admissible_assignments(tree: Tree, params: ModelParams, eps: float,
@@ -392,178 +643,167 @@ def admissible_assignments(tree: Tree, params: ModelParams, eps: float,
     within one scale of each other.  Empty when a divisor falls below the
     2^-h_max floor (effectively resonant point).
     """
-    ctx = EvalCtx(params, eps, nu, 1.0)
-    Om = ctx.omega_big()
-    lines = tree.prop_line_nodes()
-    options: list[list[int]] = []
-    shift_anchors: dict[int, list[tuple[float, int]]] = {nd.nid: [] for nd in lines}
-    e_path_ids: set[int] = set()
-    if renormalize or tree.is_rtree:
-        cands = _candidates(tree)
-        if tree.is_rtree and tree.special is not None:
-            cands = cands + [(tree.root, tree.special)]
-            # a special-end tree is only ever evaluated on shell, so its
-            # path lines never see the plain divisor at all
-            e_path_ids = {a.nid for a in tree.path_to_root(tree.special)}
-        for (out_nd, in_nd) in cands:
-            if not in_lambda(in_nd.n, in_nd.m, params):
-                continue
-            try:
-                xloc = ctx.omega_bar(in_nd.n, in_nd.m)
-            except ValueError:
-                continue
-            cur = tree.parent[in_nd.nid]
-            while cur is not None and cur is not out_nd:
-                shift_anchors[cur.nid].append((xloc, in_nd.n))
-                cur = tree.parent[cur.nid]
-    for nd in lines:
-        rad = ctx.omt2(nd.n, nd.m)
-        if rad <= 0:
-            return []
-        hs: set[int] = set()
-        if nd.nid not in e_path_ids:
-            x_plain = abs(Om * nd.n) - math.sqrt(rad)
-            hs.update(admissible_h_for(x_plain, params.gamma, params.h_max))
-        for (xloc, n_anchor) in shift_anchors[nd.nid]:
-            f = Om * (nd.n - n_anchor) + xloc
-            x_shift = abs(f) - math.sqrt(rad)
-            hs.update(admissible_h_for(x_shift, params.gamma, params.h_max))
-        if not hs:
-            return []   # below the scale floor: reject the parameter point
-        options.append(sorted(hs))
-    if not lines:
-        return [{}]
-    out = []
-    for combo in iproduct(*options):
-        asg = {nd.nid: h for nd, h in zip(lines, combo)}
-        ok = True
-        for i, nd1 in enumerate(lines):
-            for nd2 in lines[i + 1:]:
-                if (nd1.n, nd1.m) == (nd2.n, nd2.m) and abs(asg[nd1.nid] - asg[nd2.nid]) > 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(asg)
-    return out
+    f, t = tree._compiled()
+    lines = f.lines(t).tolist()
+    return [dict(zip(lines, combo))
+            for combo in _assignments(f, t, _point(params, eps, nu), renormalize)]
 
 
-def _line_factor(nd: TNode, tree: Tree, h: int, freq: float, ctx: EvalCtx) -> float:
-    """Factor carried by the line exiting nd, evaluated at frequency freq."""
-    parent = tree.parent[nd.nid]
-    enters_b = parent is not None and parent.ttype == "b"
-    if nd.kind == "special":
-        return float(nd.n) if enters_b else 1.0
-    if (abs(nd.n), nd.m) == (1, 1) and nd.kind == "end":
-        return float(nd.n) if enters_b else 1.0
-    if tree.is_rtree and parent is None:
-        return 1.0
-    key = (nd.n, nd.m, h, freq)
-    val = ctx._line_cache.get(key)
-    if val is None:
-        rad = ctx.omt2(nd.n, nd.m)
-        denom = -freq * freq + rad
-        if denom == 0.0:
-            raise ZeroDivisionError(f"resonant line at mode {(nd.n, nd.m)}")
-        val = float(chi_h(abs(freq) - math.sqrt(rad), h, ctx.params.gamma)) / denom
-        ctx._line_cache[key] = val
-    return nd.n * val if enters_b else val
+def _line_weights(f: _Family, ctx: EvalCtx):
+    """line(r, h, freq, enters_b): the factor carried by the line exiting row
+    r at scale h and frequency freq (None: the natural Omega n), enters_b
+    when it enters a b-type node."""
+    kind, n, m, par, mode, rtree = f.kind, f.n, f.m, f.par, f.mode, f.is_rtree
+    modes, propagator = ctx.point.modes_of(f), ctx.point.propagator
+
+    def line(r: int, h: int, freq: float | None, enters_b: bool) -> float:
+        k, nc = kind[r], n[r]
+        if k == SPECIAL or (k == END and abs(nc) == 1 and m[r] == 1):
+            return float(nc) if enters_b else 1.0
+        if rtree and par[r] < 0:
+            return 1.0      # unit root line of a special-end tree
+        md = modes[mode[r]]
+        val = md.prop.get(h) if freq is None else None
+        if val is None:
+            val = propagator(md, h, freq)
+        return nc * val if enters_b else val
+
+    return line
 
 
-def _node_factor(nd: TNode, tree: Tree, asg: dict, ctx: EvalCtx) -> float:
-    if nd.kind == "end":
+def _node_factor(f: _Family, s: int, i: int, h: list, ctx: EvalCtx) -> float:
+    r = s + i
+    kind = f.kind[r]
+    if kind == END:
         return ctx.q
-    if nd.kind == "special":
-        return 1.0 / nd.m ** 3
-    if nd.sv == 1:
-        parent = tree.parent[nd.nid]
-        if parent is None and tree.is_rtree:
-            h = asg.get(nd.children[0].nid, -1)   # unit root line: use entering scale
-        else:
-            h = asg.get(nd.nid, -1)
-        lval = ctx.l_value(nd.kv, nd.n, nd.m, h)
-        return nd.n * lval
+    if kind == SPECIAL:
+        return 1.0 / f.m[r] ** 3
+    if f.sv[r] == 1:
+        # the unit root line of a special-end tree: use the entering scale
+        hh = h[i + 1] if f.is_rtree and i == 0 else h[i]
+        return f.n[r] * ctx.l_value(f.kv[r], f.n[r], f.m[r], hh)
     # binary interaction node
-    c1, c2 = nd.children
-    v = kernel_v(nd.m, c1.m, c2.m)
-    if nd.ttype == "a":
+    c1, c2 = f.kids(s, i)
+    v = kernel_v(f.m[r], f.m[s + c1], f.m[s + c2])
+    if f.ttype[r] == A:
         return ctx.params.a * v
     return -ctx.params.b * ctx.omega_big() ** 2 * v
 
 
-def _aline_factor(nd: TNode, h: int, freq: float, ctx: EvalCtx) -> float:
-    """Cutoff propagator of nd's exiting line with no b-weight attached."""
-    rad = ctx.omt2(nd.n, nd.m)
-    denom = -freq * freq + rad
-    if denom == 0.0:
-        raise ZeroDivisionError(f"resonant line at mode {(nd.n, nd.m)}")
-    return float(chi_h(abs(freq) - math.sqrt(rad), h, ctx.params.gamma)) / denom
+def _plain_values(f: _Family, ctx: EvalCtx):
+    """value(t, h): the value of tree t with no active block.
+
+    Node weights times natural-frequency line factors, children first, with
+    the same products in the same order as _region.
+    """
+    start, kind, ttype, sv, kv, size, n, m = (f.start, f.kind, f.ttype, f.sv, f.kv,
+                                              f.size, f.n, f.m)
+    line = _line_weights(f, ctx)
+    q, a, bw = ctx.q, ctx.params.a, -ctx.params.b * ctx.omega_big() ** 2
+    l_value, rtree = ctx.l_value, f.is_rtree
+
+    def value(t: int, h: list) -> float:
+        s = start[t]
+        val = [0.0] * (start[t + 1] - s)
+        for i in range(len(val) - 1, -1, -1):
+            r = s + i
+            if kind[r] == END:
+                val[i] = q or 0.0
+                continue
+            if kind[r] == SPECIAL:
+                val[i] = 1.0 / m[r] ** 3
+                continue
+            if sv[r] == 1:
+                # the unit root line of a special-end tree: use the entering scale
+                v = n[r] * l_value(kv[r], n[r], m[r], h[i + 1] if rtree and i == 0 else h[i])
+                kids = (i + 1,)
+            else:
+                kids = (i + 1 + size[r + 1], i + 1)
+                v = kernel_v(m[r], m[s + kids[0]], m[r + 1])
+                v = a * v if ttype[r] == A else bw * v
+            enters_b = ttype[r] == B
+            for c in kids:
+                if v == 0.0:
+                    break
+                lf = line(s + c, h[c], None, enters_b)
+                v = 0.0 if lf == 0.0 else v * (lf * val[c])
+            val[i] = v or 0.0      # a vanishing subtree is +0.0, as in _region
+        rootf = line(s, h[0], None, False)
+        return 0.0 if rootf == 0.0 else rootf * val[0]
+
+    return value
 
 
-def _region_value(tree: Tree, top: TNode, excl: TNode | None, f_in: float | None,
-                  asg: dict, ctx: EvalCtx, active: list) -> float:
+def _region(f: _Family, s: int, top: int, excl: int, f_in: float | None, h: list,
+            ctx: EvalCtx, active: list) -> float:
     """Value of subtree(top) minus subtree(excl), excluding top's own line.
 
     Lines on the path excl -> top are evaluated at frequency
     Om*(n_l - n_in) + f_in; every other line at its natural frequency.  The
     entering line's integer b-weight is kept with the block; its propagator
     belongs to the subtree below and is attached by the caller.  Active
-    resonance blocks strictly inside get the on-shell subtraction.
+    resonance blocks strictly inside get the on-shell subtraction.  Node ids
+    are those of the tree whose rows start at s; excl = -1 for no region.
     """
     Om = ctx.omega_big()
-    n_in = excl.n if excl is not None else 0
+    line = _line_weights(f, ctx)
+    n_in = f.n[s + excl] if excl >= 0 else 0
     path_ids = set()
-    if excl is not None:
-        cur = tree.parent[excl.nid]
-        while cur is not None and cur is not top:
-            path_ids.add(cur.nid)
-            cur = tree.parent[cur.nid]
-        path_ids.add(top.nid)
+    if excl >= 0:
+        cur = f.par[s + excl]
+        while cur >= 0 and cur != top:
+            path_ids.add(cur)
+            cur = f.par[s + cur]
+        path_ids.add(top)
 
-    def freq_of(nd: TNode) -> float:
-        if excl is not None and (nd.nid in path_ids or nd is excl):
-            return Om * (nd.n - n_in) + f_in
-        return Om * nd.n
+    def freq_of(i: int) -> float:
+        if excl >= 0 and (i in path_ids or i == excl):
+            return Om * (f.n[s + i] - n_in) + f_in
+        return Om * f.n[s + i]
 
-    def eval_from(w: TNode) -> float:
+    def contains(a: int, b: int) -> bool:
+        return a <= b < a + f.size[s + a]
+
+    def eval_from(w: int) -> float:
         """Value hanging at node w (without w's exiting-line propagator),
         renormalizing the deepest active block that exits through w's line."""
         cand = None
         for (o, i) in active:
-            if o is not w:
+            if o != w:
                 continue
-            if excl is not None and _contains(tree, o, excl):
+            if excl >= 0 and contains(o, excl):
                 continue  # block would straddle the current region boundary
-            if cand is None or _contains(tree, cand[1], i):
+            if cand is None or contains(cand[1], i):
                 cand = (o, i)   # deepest entering line = biggest block
         if cand is None:
             return eval_plain(w)
         o, i = cand
         rest = [c for c in active if c != cand]
-        block_x = _region_value(tree, o, i, freq_of(i), asg, ctx, rest)
+        block_x = _region(f, s, o, i, freq_of(i), h, ctx, rest)
         sub = 0.0
-        if _l_conditions(tree, o, i, ctx):
-            sub = _region_value(tree, o, i, ctx.omega_bar(i.n, i.m), asg, ctx, rest)
-        if i.kind == "special":
+        if _l_conditions(f, s, o, i, ctx):
+            sub = _region(f, s, o, i, ctx.omega_bar(f.n[s + i], f.m[s + i]), h, ctx, rest)
+        if f.kind[s + i] == SPECIAL:
             entering = 1.0
         else:
-            entering = _aline_factor(i, asg.get(i.nid, -1), freq_of(i), ctx)
+            md = ctx.point.modes_of(f)[f.mode[s + i]]
+            entering = ctx.point.propagator(md, h[i], freq_of(i))
         if entering == 0.0 or block_x == sub:
             return 0.0
         return (block_x - sub) * entering * eval_from(i)
 
-    def eval_plain(w: TNode) -> float:
-        val = _node_factor(w, tree, asg, ctx)
+    def eval_plain(w: int) -> float:
+        val = _node_factor(f, s, w, h, ctx)
         if val == 0.0:
             return 0.0
-        for c in w.children:
-            if c is excl:
+        enters_b = f.ttype[s + w] == B
+        for c in f.kids(s, w):
+            if c == excl:
                 # entering line of the region: only its integer weight stays
-                if w.ttype == "b":
-                    val *= c.n
+                if enters_b:
+                    val *= f.n[s + c]
                 continue
-            lf = _line_factor(c, tree, asg.get(c.nid, -1), freq_of(c), ctx)
+            lf = line(s + c, h[c], freq_of(c), enters_b)
             if lf == 0.0:
                 return 0.0
             val *= lf * eval_from(c)
@@ -574,43 +814,40 @@ def _region_value(tree: Tree, top: TNode, excl: TNode | None, f_in: float | None
     return eval_from(top)
 
 
-def _contains(tree: Tree, anc: TNode, nd: TNode) -> bool:
-    cur = nd
-    while cur is not None:
-        if cur is anc:
-            return True
-        cur = tree.parent[cur.nid]
-    return False
-
-
-def _l_conditions(tree: Tree, out_nd: TNode, in_nd: TNode, ctx: EvalCtx) -> bool:
+def _l_conditions(f: _Family, s: int, o: int, i: int, ctx: EvalCtx) -> bool:
     """On-shell subtraction applies only in the near-resonant zone and when
     no block line repeats the external mode label."""
-    if not in_lambda(in_nd.n, in_nd.m, ctx.params):
+    if not ctx.point.modes_of(f)[f.mode[s + i]].lam:
         return False
-    for nd in _block_nodes(tree, out_nd, in_nd):
-        if nd is out_nd:
-            continue
-        if (nd.n, nd.m) == (in_nd.n, in_nd.m):
-            return False
-    return True
+    mi = f.mode[s + i]
+    return all(f.mode[s + j] != mi for j in f.block(s, o, i) if j != o)
 
 
-def _active_candidates(tree: Tree, asg: dict) -> list[tuple]:
+def _active(f: _Family, t: int, h: list) -> list[tuple[int, int]]:
     """Candidates whose internal scales all sit below the exit-line scale."""
+    s = f.start[t]
     out = []
-    for (o, i) in _candidates(tree):
-        h_out = asg.get(o.nid, -1)
-        h_int = -1
-        for nd in _block_nodes(tree, o, i):
-            if nd is o:
-                continue
-            if nd.kind in ("end", "special"):
-                continue
-            h_int = max(h_int, asg.get(nd.nid, -1))
-        if h_int < h_out:
+    for (o, i) in f.cands(t):
+        if h[o] < 0:
+            continue   # no internal scale sits below -1
+        h_int = max((h[j] for j in f.block(s, o, i) if j != o and f.kind[s + j] == NODE),
+                    default=-1)
+        if h_int < h[o]:
             out.append((o, i))
     return out
+
+
+def _renormalized_value(f: _Family, t: int, h: list, ctx: EvalCtx, plain) -> float:
+    """Value of tree t with every active block renormalized; plain is the
+    family's _plain_values."""
+    active = _active(f, t, h)
+    if not active:
+        return plain(t, h)
+    s = f.start[t]
+    rootf = _line_weights(f, ctx)(s, h[0], None, False)
+    if rootf == 0.0:
+        return 0.0
+    return rootf * _region(f, s, 0, -1, None, h, ctx, active)
 
 
 def tree_value(tree: Tree, asg: dict, params: ModelParams, eps: float,
@@ -623,47 +860,42 @@ def tree_value(tree: Tree, asg: dict, params: ModelParams, eps: float,
     recognized resonance is replaced by its on-shell-subtracted value and
     unary nodes read scale-resolved shift coefficients.
     """
-    if any(nd.sv == 1 for nd in tree.nodes) and counterterms is None \
-            and (_ctx is None or _ctx.lt is None):
+    f, t = tree._compiled()
+    if counterterms is None and (_ctx is None or _ctx.lt is None) and f.unary(t):
         raise MissingCountertermError("tree contains shift nodes but no table given")
     ctx = _ctx or EvalCtx(params, eps, nu, q, counterterms, l_by_scale, renormalize)
-    active = _active_candidates(tree, asg) if renormalize else []
-    root = tree.root
-    rootf = _line_factor(root, tree, asg.get(root.nid, -1),
-                         ctx.omega_big() * root.n, ctx)
-    if rootf == 0.0:
-        return 0.0
-    return rootf * _region_value(tree, root, None, None, asg, ctx, active)
+    plain, h = _plain_values(f, ctx), tree._scales(asg)
+    return _renormalized_value(f, t, h, ctx, plain) if renormalize else plain(t, h)
 
 
-def _lval_rtree(tree: Tree, asg: dict, ctx: EvalCtx) -> float:
+def _lval_rtree(f: _Family, t: int, h: list, ctx: EvalCtx) -> float:
     """Localized value of a special-end tree: path frequencies anchored on-shell.
 
     The entering b-weight (the special line's integer factor) is attached by
     the region evaluation; the unit root line contributes nothing.
     """
-    root = tree.root
-    e = tree.special
-    if not _l_conditions(tree, root, e, ctx):
+    s, e = f.start[t], f.special[t]
+    if not _l_conditions(f, s, 0, e, ctx):
         return 0.0
-    xbar = ctx.omega_bar(e.n, e.m)
-    active = _active_candidates(tree, asg) if ctx.renormalize else []
-    active = [c for c in active if c[1] is not e and c[0] is not root]
-    block = _region_value(tree, root, e, xbar, asg, ctx, active)
-    return block * _node_factor(e, tree, asg, ctx)
+    xbar = ctx.omega_bar(f.n[s + e], f.m[s + e])
+    active = _active(f, t, h) if ctx.renormalize else []
+    active = [c for c in active if c[1] != e and c[0] != 0]
+    block = _region(f, s, 0, e, xbar, h, ctx, active)
+    return block * _node_factor(f, s, e, h, ctx)
 
 
 def sum_trees(k: int, n: int, m: int, params: ModelParams, eps: float,
               nu: NuTable | None, q: float, counterterms=None,
               Mmax: int | None = None) -> float:
     """Plain tree expansion of u^(k)_{n,m}: equals the recursion output."""
-    lt = counterterms if counterterms is not None else EMPTY_TABLE
-    ctx = EvalCtx(params, eps, nu, q, lt, l_by_scale=False)
+    f = _tree_family(k, n, m, params, Mmax)
+    ctx = EvalCtx(params, eps, nu, q, counterterms, l_by_scale=False)
+    value = _plain_values(f, ctx)
     total = 0.0
-    for tree in enumerate_trees(k, n, m, params, Mmax):
-        for asg in admissible_assignments(tree, params, eps, nu):
-            total += tree.mult * tree_value(tree, asg, params, eps, nu, q,
-                                            lt, l_by_scale=False, _ctx=ctx)
+    for t in range(f.count):
+        lines = f.lines(t)
+        for combo in _assignments(f, t, ctx.point, False):
+            total += f.mult[t] * value(t, f.scales(t, lines, combo))
     return total
 
 
@@ -672,14 +904,18 @@ def renormalized_sum(k: int, n: int, m: int, params: ModelParams, eps: float,
                      Mmax: int | None = None) -> float:
     """Renormalized tree expansion: resonances subtracted on shell, unary
     nodes reading the scale-resolved shift table built by `counterterm`."""
-    ctx = EvalCtx(params, eps, nu, q, counterterms, l_by_scale=True,
-                  renormalize=True)
+    f = _tree_family(k, n, m, params, Mmax)
+    ctx = EvalCtx(params, eps, nu, q, counterterms, l_by_scale=True, renormalize=True)
+    plain = _plain_values(f, ctx)
     total = 0.0
-    for tree in enumerate_trees(k, n, m, params, Mmax):
-        for asg in admissible_assignments(tree, params, eps, nu, renormalize=True):
-            total += tree.mult * tree_value(tree, asg, params, eps, nu, q,
-                                            counterterms, l_by_scale=True,
-                                            renormalize=True, _ctx=ctx)
+    for t in range(f.count):
+        lines = f.lines(t)
+        combos = _assignments(f, t, ctx.point, True)
+        if combos and counterterms is None and f.unary(t):
+            raise MissingCountertermError("tree contains shift nodes but no table given")
+        for combo in combos:
+            total += f.mult[t] * _renormalized_value(f, t, f.scales(t, lines, combo), ctx,
+                                                     plain)
     return total
 
 
@@ -698,14 +934,15 @@ def counterterm(k: int, n: int, m: int, h: int, params: ModelParams, eps: float,
         return 0.0
     if n < 0:
         return -counterterm(k, -n, m, h, params, eps, nu, q, lower, Mmax)
-    total = 0.0
+    f = _r_family(k, n, m, params, Mmax)
     ctx = EvalCtx(params, eps, nu, q, lower, l_by_scale=True, renormalize=True)
-    for tree in enumerate_r_trees(k, n, m, params, Mmax):
-        for asg in admissible_assignments(tree, params, eps, nu, renormalize=True):
-            h1 = max((asg[nd.nid] for nd in tree.prop_line_nodes()), default=-1)
-            if h1 < h:
+    total = 0.0
+    for t in range(f.count):
+        lines = f.lines(t)
+        for combo in _assignments(f, t, ctx.point, True):
+            if max(combo, default=-1) < h:
                 continue
-            total += tree.mult * _lval_rtree(tree, asg, ctx)
+            total += f.mult[t] * _lval_rtree(f, t, f.scales(t, lines, combo), ctx)
     return -(m ** 3 / n) * total
 
 
@@ -752,6 +989,16 @@ class Cluster:
     entering: list          # nodes whose exiting line enters the cluster
     exiting: TNode | None   # node whose exiting line leaves the cluster
     resonant: bool = False
+
+
+def _candidates(tree: Tree) -> list[tuple]:
+    """Structural resonance candidates (out_node, in_node) as TNodes.
+
+    in_node's exiting line enters the block; out_node's exiting line leaves
+    it with the same mode label.  The block must contain more than one node.
+    """
+    f, t = tree._compiled()
+    return [(tree.nodes[o], tree.nodes[i]) for (o, i) in f.cands(t)]
 
 
 def detect_clusters(tree: Tree, asg: dict) -> list[Cluster]:
@@ -828,14 +1075,14 @@ def localize_split(tree: Tree, out_nd: TNode, in_nd: TNode, asg: dict,
     on-shell part is zero when the localization conditions fail.
     """
     ctx = EvalCtx(params, eps, nu, q, counterterms, l_by_scale=True)
-    Om = ctx.omega_big()
+    f, t = tree._compiled()
+    s, h, o, i = f.start[t], tree._scales(asg), out_nd.nid, in_nd.nid
     if x is None:
-        x = Om * in_nd.n
-    full = _region_value(tree, out_nd, in_nd, x, asg, ctx, [])
-    if not _l_conditions(tree, out_nd, in_nd, ctx):
+        x = ctx.omega_big() * in_nd.n
+    full = _region(f, s, o, i, x, h, ctx, [])
+    if not _l_conditions(f, s, o, i, ctx):
         return 0.0, full
-    loc = _region_value(tree, out_nd, in_nd, ctx.omega_bar(in_nd.n, in_nd.m),
-                        asg, ctx, [])
+    loc = _region(f, s, o, i, ctx.omega_bar(in_nd.n, in_nd.m), h, ctx, [])
     return loc, full - loc
 
 
@@ -849,7 +1096,9 @@ def resonance_to_rtree(tree: Tree, out_nd: TNode, in_nd: TNode) -> Tree:
                      tuple(rebuild(c) for c in w.children))
 
     root = rebuild(out_nd)
-    k = sum(nd.kv for nd in _block_nodes(tree, out_nd, in_nd))
+    f, t = tree._compiled()
+    s = f.start[t]
+    k = sum(f.kv[s + j] for j in f.block(s, out_nd.nid, in_nd.nid))
     return Tree(root=root, k=k, n=in_nd.n, m=in_nd.m, is_rtree=True).finalize()
 
 
@@ -871,7 +1120,8 @@ def extended_value(tree: Tree, asg: dict, params: ModelParams, eps: float,
     ctx = EvalCtx(params, eps, nu, q, counterterms, l_by_scale=tree.is_rtree)
     Om = ctx.omega_big()
     if tree.is_rtree:
-        base = _lval_rtree(tree, asg, ctx)
+        f, t = tree._compiled()
+        base = _lval_rtree(f, t, tree._scales(asg), ctx)
         path_ids = {nd.nid for nd in tree.path_to_root(tree.special)}
         path_ids.add(tree.special.nid)
     else:

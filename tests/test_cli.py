@@ -106,6 +106,46 @@ def test_load_config_run_keys_fuzz(key, value):
         assert 0.0 < run[key] < (params.eps0 if key in _EPS_KEYS else math.inf)
 
 
+def _finite(v):
+    return math.isfinite(v)
+
+
+def _positive(v):
+    return 0.0 < v < math.inf
+
+
+def _cutoff(v):
+    return isinstance(v, int) and v >= 1
+
+
+_MODEL_RANGES = {
+    "a": _finite, "b": _finite,
+    "mu": lambda v: 0.0 <= v <= 0.125,
+    "eps0": lambda v: 0.0 < v < 1.0,
+    "gamma": lambda v: 0.0 < v <= 2.0 ** -6,
+    "tau0": lambda v: 4.0 <= v < math.inf,
+    "tau": _positive, "sigma": _positive, "nu_cap": _positive,
+    "omega_branch": lambda v: v in (1, -1),
+    "Kmax": _cutoff, "Mmax": _cutoff, "Nmax": _cutoff,
+    "h_max": lambda v: isinstance(v, int) and 0 <= v <= 1000,
+    "extended_precision": lambda v: isinstance(v, bool),
+}
+
+
+def test_model_ranges_cover_every_model_key():
+    assert set(_MODEL_RANGES) == {f.name for f in lindbeam.ModelParams.__dataclass_fields__.values()}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(_MODEL_RANGES)), _values)
+def test_load_config_model_keys_fuzz(key, value):
+    try:
+        params, _run = load_config(None, {key: value})
+    except ConfigError:
+        return
+    assert _MODEL_RANGES[key](getattr(params, key)), (key, value, getattr(params, key))
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[model]\nfrobnicate = 3\n")

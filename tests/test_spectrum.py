@@ -151,6 +151,48 @@ def test_admissible_h_matches_chi():
     assert admissible_h_for(g * 2 ** -45, g) == []
 
 
+def _grid_points(g, h_max):
+    """Criterion 7's log grid plus the shell edges and the scale floor, both signs."""
+    exact = [0.0, g, 2 * g, 2.0 ** -(h_max + 1) * g]
+    exact += [2.0 ** -h * g for h in range(-1, h_max + 1)]
+    return np.concatenate([np.geomspace(g * 2 ** -24, 100.0, 10_000), exact, -np.array(exact)])
+
+
+def test_chi_scalar_path_matches_array_path():
+    # measured: the two paths agree bit for bit (maximum relative deviation 0)
+    g, h_max = P.gamma, P.h_max      # criterion 7's gamma
+    xs = _grid_points(g, h_max)
+    worst = 0.0
+    for h in range(-1, h_max + 1):
+        arr = np.asarray(chi_h(xs, h, g))
+        scalar = np.array([chi_h(float(x), h, g) for x in xs])
+        assert np.array_equal(arr == 0.0, scalar == 0.0), h
+        nz = arr != 0.0
+        worst = max(worst, float(np.max(np.abs(scalar[nz] - arr[nz]) / np.abs(arr[nz]),
+                                        initial=0.0)))
+    assert worst <= 1e-15
+    assert all(type(chi_h(x, 3, g)) is float for x in (0.01, np.float64(0.01), 1))
+
+
+def _admissible_h_array_path(x, gamma, h_max):
+    """admissible_h_for with every cutoff evaluated through numpy arrays."""
+    ax = abs(x)
+    if ax < 2.0 ** (-h_max - 1) * gamma:
+        return []
+    out = [-1] if chi(np.array([ax]), gamma)[0] != 0.0 else []
+    if ax < 2.0 * gamma:
+        hc = int(math.floor(-math.log2(ax / gamma)))
+        out += [h for h in (hc - 1, hc, hc + 1)
+                if 0 <= h <= h_max and chi_h(np.array([ax]), h, gamma)[0] != 0.0]
+    return out
+
+
+def test_admissible_h_for_matches_array_path():
+    g, h_max = P.gamma, P.h_max      # criterion 7's gamma
+    for x in _grid_points(g, h_max).tolist():
+        assert admissible_h_for(x, g, h_max) == _admissible_h_array_path(x, g, h_max), x
+
+
 def test_scaled_propagator():
     g = P.gamma
     pp = ModelParams(mu=0.1, eps0=0.05)

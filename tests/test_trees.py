@@ -25,6 +25,7 @@ from lindbeam.trees import (
     sum_trees,
     tree_value,
     _candidates,
+    _key,
     _ordered_multiplicity,
 )
 
@@ -386,3 +387,272 @@ def test_dump_format():
     assert len(lines) == 3
     assert "mode=(2,3)" in lines[0] and "h=-1" in lines[0]
     assert lines[1].startswith("  ")
+
+
+# ---------------------------------------------------------------------------
+# compiled families against the object route they replace
+
+TREE_P = ModelParams(a=1.0, b=0.5, mu=0.01, eps0=0.02, omega_branch=1, Mmax=9, Nmax=60)
+GRID6 = [(k, n, m) for k in (1, 2, 3) for n in range(-4, 5) if abs(n) <= k + 1
+         for m in (1, 3, 5, 7, 9) if (abs(n), m) != (1, 1)]
+
+
+def _obj_gen(k, n, m, Mmax, with_e, e_mode, memo):
+    """Skeleton enumeration of the object route (one TNode per node)."""
+    key = (k, n, m, with_e)
+    if key in memo:
+        return memo[key]
+    out = {}
+
+    def add(node, mult):
+        kk = _key(node)
+        out[kk] = (out[kk][0], out[kk][1] + mult) if kk in out else (node, mult)
+
+    if k == 0:
+        if with_e and (n, m) == e_mode and (abs(n), m) != (1, 1):
+            add(TNode(0, "special", "", 0, 0, n, m), 1)
+        elif not with_e and (abs(n), m) == (1, 1):
+            add(TNode(0, "end", "", 0, 0, n, m), 1)
+    elif (abs(n), m) != (1, 1) and m % 2 == 1 and m <= Mmax:
+        for k1 in range(k):
+            k2 = k - 1 - k1
+            for e_left in ((True, False) if with_e else (False,)):
+                le, re = (e_left, not e_left) if with_e else (False, False)
+                lo1, hi1 = ((e_mode[0] - k1, e_mode[0] + k1) if le else (-(k1 + 1), k1 + 1))
+                for n1 in range(lo1, hi1 + 1):
+                    n2 = n - n1
+                    if (abs(n2 - e_mode[0]) > k2) if re else (abs(n2) > k2 + 1):
+                        continue
+                    for m1 in range(1, Mmax + 1, 2):
+                        for m2 in range(1, Mmax + 1, 2):
+                            if kernel_v(m, m1, m2) == 0.0:
+                                continue
+                            subs1 = _obj_gen(k1, n1, m1, Mmax, le, e_mode, memo)
+                            subs2 = _obj_gen(k2, n2, m2, Mmax, re, e_mode, memo) if subs1 else []
+                            for (c1, mu1) in subs1:
+                                for (c2, mu2) in subs2:
+                                    kids = (c1, c2) if _key(c1) <= _key(c2) else (c2, c1)
+                                    for t in ("a", "b"):
+                                        add(TNode(0, "node", t, 2, 1, n, m, kids), mu1 * mu2)
+        for r in range(2, k):
+            for (c, mu) in _obj_gen(k - r, n, m, Mmax, with_e, e_mode, memo):
+                if not (with_e and c.kind == "special"):
+                    add(TNode(0, "node", "a", 1, r, n, m, (c,)), mu)
+    memo[key] = list(out.values())
+    return memo[key]
+
+
+def _obj_clone(nd):
+    return TNode(0, nd.kind, nd.ttype, nd.sv, nd.kv, nd.n, nd.m,
+                 tuple(_obj_clone(c) for c in nd.children))
+
+
+def _obj_finalize(root):
+    """Node ids in stack order, as the object route numbered them."""
+    nodes, stack = [], [root]
+    while stack:
+        nd = stack.pop()
+        nd.nid = len(nodes)
+        nodes.append(nd)
+        stack.extend(nd.children)
+    return nodes
+
+
+def _obj_mult(nd):
+    mult = 1
+    for c in nd.children:
+        mult *= _obj_mult(c)
+    if nd.sv == 2 and _key(nd.children[0]) != _key(nd.children[1]):
+        mult *= 2
+    return mult
+
+
+def _obj_dump(root):
+    lines = []
+
+    def walk(nd, depth):
+        lines.append(f"{'  ' * depth}[{nd.nid}] {nd.kind} t={nd.ttype or '-'} k={nd.kv} "
+                     f"mode=({nd.n},{nd.m})")
+        for c in nd.children:
+            walk(c, depth + 1)
+
+    walk(root, 0)
+    return "\n".join(lines)
+
+
+def _obj_family(k, n, m, Mmax, rtree, memo):
+    pairs = _obj_gen(k, n, m, Mmax, rtree, (n, m) if rtree else None, memo)
+    roots = [_obj_clone(node) for node, _ in pairs]
+    for r in roots:
+        _obj_finalize(r)
+    return roots
+
+
+def _families():
+    fams = [(k, n, m, False) for (k, n, m) in GRID6]
+    return fams + [(2, n, m, True) for (n, m) in lambda_modes(TREE_P, MM, 60)]
+
+
+def test_compiled_families_match_object_enumeration():
+    from collections import Counter
+    memos = {}
+    for (k, n, m, rtree) in _families():
+        memo = memos.setdefault((rtree, (n, m) if rtree else None), {})
+        want = _obj_family(k, n, m, MM, rtree, memo)
+        got = (enumerate_r_trees if rtree else enumerate_trees)(k, n, m, TREE_P, MM)
+        assert len(got) == len(want), (k, n, m, rtree)
+        assert Counter((_key(t.root), t.mult) for t in got) == \
+            Counter((_key(r), _obj_mult(r)) for r in want)
+        if want:
+            assert dump_tree(got[0]) == _obj_dump(want[0])
+            assert [nd.nid for nd in got[0].nodes] == list(range(len(got[0].nodes)))
+
+
+def _obj_path(tree, nd):
+    parent = {c.nid: w for w in tree.nodes for c in w.children}
+    out, cur = [], parent.get(nd.nid)
+    while cur is not None:
+        out.append(cur)
+        cur = parent.get(cur.nid)
+    return out
+
+
+def _obj_candidates(tree):
+    """Structural resonance candidates (out, in) of the object route."""
+
+    def count(nd):
+        return 1 + sum(count(c) for c in nd.children)
+
+    root, cands = tree.nodes[0], []
+    for nd in tree.nodes:
+        if nd.kind == "end" or (abs(nd.n), nd.m) == (1, 1) or nd.n == 0:
+            continue
+        for anc in _obj_path(tree, nd):
+            if (anc.n, anc.m) == (nd.n, nd.m) and not (tree.is_rtree and anc is root) \
+                    and count(anc) - count(nd) > 1:
+                cands.append((anc, nd))
+    return cands
+
+
+def _obj_assignments(tree, params, eps, nu, renormalize):
+    """The per-line loop of the object route, on TNodes and numpy frequencies."""
+    from lindbeam.spectrum import admissible_h_for, in_lambda, omega
+    from itertools import product
+
+    nodes = tree.nodes
+    parent = {c.nid: nd for nd in nodes for c in nd.children}
+    root = nodes[0]
+
+    def omt2(n, m):
+        return float(omega(m, params.mu)) ** 2 + (nu.n_nu(n, m) if nu is not None else 0.0)
+
+    Om = omega_eff(params, eps)
+    lines = [nd for nd in nodes if nd.kind == "node" and not (tree.is_rtree and nd is root)]
+    anchors = {nd.nid: [] for nd in lines}
+    e_path = set()
+    if renormalize or tree.is_rtree:
+        cands = _obj_candidates(tree)
+        special = [nd for nd in nodes if nd.kind == "special"]
+        if tree.is_rtree and special:
+            cands.append((root, special[-1]))
+            e_path = {a.nid for a in _obj_path(tree, special[-1])}
+        for (o, i) in cands:
+            rad = omt2(i.n, i.m)
+            if not in_lambda(i.n, i.m, params) or rad <= 0:
+                continue
+            xloc = math.copysign(math.sqrt(rad), i.n)
+            cur = parent.get(i.nid)
+            while cur is not None and cur is not o:
+                anchors[cur.nid].append((xloc, i.n))
+                cur = parent.get(cur.nid)
+    options = []
+    for nd in lines:
+        rad = omt2(nd.n, nd.m)
+        if rad <= 0:
+            return []
+        hs = set()
+        if nd.nid not in e_path:
+            hs.update(admissible_h_for(abs(Om * nd.n) - math.sqrt(rad), params.gamma, params.h_max))
+        for (xloc, na) in anchors[nd.nid]:
+            f = Om * (nd.n - na) + xloc
+            hs.update(admissible_h_for(abs(f) - math.sqrt(rad), params.gamma, params.h_max))
+        if not hs:
+            return []
+        options.append(sorted(hs))
+    out = []
+    for combo in product(*options):
+        if all(abs(h1 - h2) <= 1 for a, (l1, h1) in enumerate(zip(lines, combo))
+               for (l2, h2) in list(zip(lines, combo))[a + 1:] if (l1.n, l1.m) == (l2.n, l2.m)):
+            out.append({nd.nid: h for nd, h in zip(lines, combo)})
+    return out
+
+
+def test_admissible_assignments_match_object_route():
+    from lindbeam.bruno import sample_diophantine_points
+    fams = [f for f in _families() if f[0] <= 2]
+    checked = 0
+    for eps, nu in sample_diophantine_points(TREE_P, 2, seed=7):
+        for (k, n, m, rtree) in fams:
+            for t in (enumerate_r_trees if rtree else enumerate_trees)(k, n, m, TREE_P, MM):
+                for renorm in (False, True):
+                    want = _obj_assignments(t, TREE_P, eps, nu, renorm or rtree)
+                    assert admissible_assignments(t, TREE_P, eps, nu, renorm) == want
+                    checked += 1
+                assert _candidates(t) == _obj_candidates(t)
+    assert checked > 1000
+
+
+def _random_tree(rng, depth, modes):
+    """A hand-built tree over the given internal mode labels."""
+    r = rng.random()
+    if depth == 0 or r < 0.25:
+        return TNode(0, "end", "", 0, 0, rng.choice((1, -1)), 1)
+    n, m = rng.choice(modes)
+    if r < 0.35:
+        return TNode(0, "node", "a", 1, 2, n, m, (_random_tree(rng, depth - 1, modes),))
+    return TNode(0, "node", rng.choice("ab"), 2, 1, n, m,
+                 (_random_tree(rng, depth - 1, modes), _random_tree(rng, depth - 1, modes)))
+
+
+def test_admissible_assignments_match_object_route_near_resonance():
+    # (4,2) sits in the chi_{-1}/chi_0 overlap at eps = 0 (see test_bruno), so
+    # these trees have lines with two labels, shifted supports that differ
+    # from the plain ones, and special-end trees from their resonances
+    import random
+
+    rng = random.Random(5)
+    modes = [(4, 2), (4, 2), (2, 3), (3, 3), (2, 1), (-4, 2), (0, 3)]
+    nu = make_nu()
+    multi = 0
+    for _ in range(150):
+        root = _random_tree(rng, 4, modes)
+        if root.kind == "end":
+            continue
+        t = Tree(root=root, k=3, n=root.n, m=root.m).finalize()
+        rts = [resonance_to_rtree(t, o, i) for (o, i) in _candidates(t)]
+        assert _candidates(t) == _obj_candidates(t)
+        for tree in [t] + rts:
+            for eps in (0.0, 2e-4):
+                for renorm in (False, True):
+                    want = _obj_assignments(tree, P, eps, nu, renorm or tree.is_rtree)
+                    assert admissible_assignments(tree, P, eps, nu, renorm) == want
+                    multi += len(want) > 1
+    assert multi > 100
+
+
+def test_tree_family_cache_is_bounded():
+    from lindbeam import trees
+
+    info = trees._family.cache_info()
+    assert info.maxsize is not None
+    assert info.maxsize >= len(GRID6) + len(lambda_modes(TREE_P, MM, 60))
+    assert trees._point_tables.cache_info().maxsize is not None
+
+    def module_dicts():
+        return {name: len(v) for name, v in vars(trees).items() if isinstance(v, dict)}
+
+    before = module_dicts()
+    for k in (1, 2):
+        for m in (1, 3, 5, 7):
+            enumerate_trees(k, 0, m, P, 7)      # families not compiled before
+    assert module_dicts() == before
