@@ -8,9 +8,9 @@ precision, first with plain values and then with every resonance block
 renormalized (on-shell part subtracted and fed back through the shift table).
 """
 from lindbeam import ModelParams, NuTable
-from lindbeam.series import CountertermTable, compute_coeffs, lambda_modes
+from lindbeam.series import compute_coeffs, lambda_modes
 from lindbeam.trees import (
-    counterterm,
+    counterterm_table,
     dump_tree,
     enumerate_r_trees,
     enumerate_trees,
@@ -37,12 +37,9 @@ for t in rts[:2]:
     print(dump_tree(t))
 
 print("\n== shift coefficients from the special-end family ==")
-lt = CountertermTable()
-for (n, m) in lambda_modes(params, 9, 60):
-    v = counterterm(2, n, m, -1, params, eps, nu, q, CountertermTable(), 9)
-    if v != 0.0:
-        lt.set(2, n, m, -1, v)
-        print(f"  l2({n},{m}) = {v:+.8f}")
+lt = counterterm_table(params, eps, nu, q, (2,), lambda_modes(params, 9, 60), 9)
+for (_k, n, m, _h), v in lt.items():
+    print(f"  l2({n},{m}) = {v:+.8f}")
 
 print("\n== expansion equals recursion, order 3, all modes ==")
 table = compute_coeffs(params, eps, nu, lt, 3, 9, q=q)

@@ -86,23 +86,26 @@ def profile(tree: Tree, asg: dict) -> ScaleProfile:
     return p
 
 
-def check_bruno(tree: Tree, asg: dict, params: ModelParams,
-                raise_on_fail: bool = True) -> bool:
-    """Counting inequality for ordinary trees at one assignment."""
+def _count(tree: Tree, asg: dict, params: ModelParams, raise_on_fail: bool, bound) -> bool:
+    """Check N_h <= bound(K, 2^((2-h)/tau)) + S_h + M_h at every scale h."""
     if max(asg.values(), default=-1) < 0:
         return True     # no line at a scale h >= 0: nothing to count
     p = profile(tree, asg)
-    tau = params.tau
     for h in range(0, p.h_max + 1):
         lhs = p.N.get(h, 0)
-        rhs = max(0.0, 2 * p.K * 2 ** ((2 - h) / tau) - 1) \
-            + p.S.get(h, 0) + p.M.get(h, 0)
+        rhs = bound(p.K, 2 ** ((2 - h) / params.tau)) + p.S.get(h, 0) + p.M.get(h, 0)
         if lhs > rhs + 1e-12:
             if raise_on_fail:
                 raise BrunoViolation(
                     f"N_{h} = {lhs} > {rhs:.3f} (K={p.K})\n" + dump_tree(tree, asg))
             return False
     return True
+
+
+def check_bruno(tree: Tree, asg: dict, params: ModelParams,
+                raise_on_fail: bool = True) -> bool:
+    """Counting inequality for ordinary trees at one assignment."""
+    return _count(tree, asg, params, raise_on_fail, lambda K, s: max(0.0, 2 * K * s - 1))
 
 
 def check_bruno_r(tree: Tree, asg: dict, params: ModelParams,
@@ -114,20 +117,7 @@ def check_bruno_r(tree: Tree, asg: dict, params: ModelParams,
     """
     if not tree.is_rtree:
         raise ValueError("check_bruno_r expects a special-end tree")
-    if max(asg.values(), default=-1) < 0:
-        return True     # no line at a scale h >= 0: nothing to count
-    p = profile(tree, asg)
-    tau = params.tau
-    for h in range(0, p.h_max + 1):
-        lhs = p.N.get(h, 0)
-        rhs = 2 * max(p.K - 1, 0) * 2 ** ((2 - h) / tau) \
-            + p.S.get(h, 0) + p.M.get(h, 0)
-        if lhs > rhs + 1e-12:
-            if raise_on_fail:
-                raise BrunoViolation(
-                    f"N_{h} = {lhs} > {rhs:.3f} (K={p.K})\n" + dump_tree(tree, asg))
-            return False
-    return True
+    return _count(tree, asg, params, raise_on_fail, lambda K, s: 2 * max(K - 1, 0) * s)
 
 
 def sample_diophantine_points(params: ModelParams, count: int, seed: int = 0,

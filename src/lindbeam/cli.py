@@ -15,13 +15,15 @@ import math
 import os
 import sys
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import bruno as bruno_mod
+from . import checks
 from . import diophantine as dioph_mod
-from .kernel import kernel_v, triple_sine_integral, triple_sine_quadrature
+from .kernel import kernel_v
 from .series import (
     CountertermTable,
     NonConvergenceError,
@@ -38,8 +40,8 @@ from .series import (
     solve_nu,
     summary_json,
 )
-from .spectrum import ModelParams, NuTable, chi_h
-from .trees import counterterm, dump_tree, enumerate_r_trees, enumerate_trees, sum_trees
+from .spectrum import ModelParams, NuTable
+from .trees import counterterm_table, dump_tree, enumerate_r_trees, enumerate_trees, sum_trees
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -48,7 +50,7 @@ EXIT_NOCONV = 3
 
 _MODEL_KEYS = {f.name for f in fields(ModelParams)}
 _RUN_KEYS = {"eps", "eps_lo", "eps_hi", "eps_count", "orders", "grid", "seed",
-             "outdir", "force", "samples", "window", "jobs", "kernel_sign_flip"}
+             "outdir", "force", "samples", "window", "jobs"}
 
 
 class ConfigError(ValueError):
@@ -58,7 +60,7 @@ class ConfigError(ValueError):
 def load_config(path: str | None, overrides: dict) -> tuple[ModelParams, dict]:
     model: dict = {}
     run: dict = {"orders": 2, "grid": 1000, "seed": 0, "outdir": "out",
-                 "jobs": 1, "force": False, "kernel_sign_flip": False}
+                 "jobs": 1, "force": False}
     if path:
         cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
         cp.optionxform = str   # keys are case-sensitive (Mmax vs mmax)
@@ -109,8 +111,7 @@ def load_config(path: str | None, overrides: dict) -> tuple[ModelParams, dict]:
             raise ConfigError(f"{key}={run[key]} must be >= {least}")
     if "window" in run and not 0.0 < run["window"] < math.inf:
         raise ConfigError(f"window={run['window']} must be positive and finite")
-    for key in ("force", "kernel_sign_flip"):
-        run[key] = str(run.get(key, "0")).lower() in ("1", "true", "yes")
+    run["force"] = str(run["force"]).lower() in ("1", "true", "yes")
     run["outdir"] = os.environ.get("LINDBEAM_OUTDIR", run.get("outdir", "out"))
     return params, run
 
@@ -147,15 +148,8 @@ def cmd_counterterms(params: ModelParams, run: dict) -> int:
     eps = run.get("eps", params.eps0 / 2)
     K = run["orders"]
     nu, info = solve_nu(params, eps, K)
-    lt = CountertermTable()
-    q = info["q"]
-    for k in range(2, K + 1):
-        for (n, m) in lambda_modes(params):
-            for h in (-1, 0, 1):
-                val = counterterm(k, n, m, h, params, eps, nu, q,
-                                  lt, min(params.Mmax, 33))
-                if val != 0.0:
-                    lt.set(k, n, m, h, val)
+    lt = counterterm_table(params, eps, nu, info["q"], range(2, K + 1),
+                           lambda_modes(params), min(params.Mmax, 33), scales=(-1, 0, 1))
     save_counterterms_csv(lt, out / "counterterms.csv")
     print(f"wrote scale-resolved counterterms to {out}")
     return EXIT_OK
@@ -179,96 +173,41 @@ def cmd_trees(params: ModelParams, run: dict, order: int, n: int, m: int,
 
 
 def cmd_verify(params: ModelParams, run: dict) -> int:
-    """Property suite: kernel oracle, cutoff partition, expansion equivalences,
-    counting inequalities.  Exit 1 on the first failing check."""
+    """Property suite of `lindbeam.checks`: kernel oracle, cutoff partition,
+    expansion equivalence, counting inequalities.  Exit 1 if any fails."""
     out = _outdir(run)
-    K_cap = min(run["orders"], 4)
     report: dict = {"schema_version": 1, "checks": {}, "skipped": []}
-    ok_all = True
 
     def record(name, ok, detail):
-        nonlocal ok_all
         report["checks"][name] = {"ok": bool(ok), "detail": detail}
-        ok_all = ok_all and ok
         print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
 
-    flip = -1.0 if run.get("kernel_sign_flip") else 1.0
-
-    # kernel oracle
-    worst = 0.0
-    for mm in range(1, 13):
-        for m1 in range(1, 13):
-            for m2 in range(1, 13):
-                want = triple_sine_quadrature(mm, m1, m2)
-                got = flip * triple_sine_integral(mm, m1, m2)
-                worst = max(worst, abs(want - got))
-    record("kernel_oracle", worst < 1e-10, f"max deviation {worst:.2e}")
-
-    # partition of unity
+    worst, parity = checks.kernel_oracle(12)
+    record("kernel_oracle", worst < 1e-10 and parity == 0, f"max deviation {worst:.2e}"
+           + (f", {parity} even-parity entries not zero" if parity else ""))
     xs = np.geomspace(params.gamma * 2 ** -16, 40.0, 2000)
-    H = 20
-    tot = chi_h(xs, -1, params.gamma) + sum(chi_h(xs, h, params.gamma)
-                                            for h in range(0, H + 1))
-    dev = float(np.max(np.abs(tot[xs > 2.0 ** -H * params.gamma] - 1.0)))
+    dev = checks.partition_of_unity(params.gamma, xs, 20)
     record("partition_of_unity", dev < 1e-12, f"max deviation {dev:.2e}")
 
-    # expansion equivalence on a small grid (the coarse cutoff is intentional:
-    # the identity is exact at any truncation, so the tail warning is muted)
-    import warnings as _w
+    # a small grid at a coarse cutoff: the identity is exact at any truncation
     Mm = 9
-    pts = bruno_mod.sample_diophantine_points(
-        params.with_(Mmax=Mm, Nmax=60), 3, seed=run["seed"], Mmax=Mm, Nmax=60)
-    worst_rel = 0.0
-    kcap = min(K_cap, 3)
-    if kcap >= 1:
-        _w.filterwarnings("ignore", message="convolution mass beyond")
-        for eps, nu in pts:
-            q = 0.8
-            lt = CountertermTable()
-            for (nn, mm) in lambda_modes(params, Mm, 60):
-                v = counterterm(2, nn, mm, -1, params, eps, nu, q,
-                                CountertermTable(), Mm)
-                if v != 0.0:
-                    lt.set(2, nn, mm, -1, v)
-            table = compute_coeffs(params, eps, nu, lt, kcap, Mm, q=q)
-            for k in range(1, kcap + 1):
-                for nn in range(-(k + 1), k + 2):
-                    for mm in (1, 3, 5, 7, 9):
-                        if (abs(nn), mm) == (1, 1):
-                            continue
-                        want = table.value(k, nn, mm)
-                        got = flip ** k * sum_trees(k, nn, mm, params, eps, nu,
-                                                    q, lt, Mm)
-                        worst_rel = max(worst_rel,
-                                        abs(want - got) / max(1.0, abs(want)))
-        record("tree_recursion_equivalence", worst_rel < 1e-10,
-               f"worst relative deviation {worst_rel:.2e}")
-    else:
-        report["skipped"].append("tree_recursion_equivalence")
+    pts = bruno_mod.sample_diophantine_points(params.with_(Mmax=Mm, Nmax=60), 3, seed=run["seed"])
+    K = min(run["orders"], 3)
+    cases = checks.recursion_cases(params, pts, K, Mm, 60)
+    worst_rel = checks.tree_identity(
+        sum_trees, params, cases, checks.family_grid(range(1, K + 1), (1, 3, 5, 7, 9)), Mm)
+    record("tree_recursion_equivalence", worst_rel < 1e-10,
+           f"worst relative deviation {worst_rel:.2e}")
 
-    # counting inequality
-    bad = 0
-    total = 0
-    for eps, nu in pts:
-        for k in (1, 2):
-            for nn in range(-(k + 1), k + 2):
-                for mm in (1, 3, 5):
-                    if (abs(nn), mm) == (1, 1):
-                        continue
-                    for tree in enumerate_trees(k, nn, mm, params, Mm):
-                        for asg in bruno_mod.admissible_scales(tree, params, eps, nu):
-                            total += 1
-                            if not bruno_mod.check_bruno(tree, asg, params,
-                                                         raise_on_fail=False):
-                                bad += 1
+    tallies = checks.counting_inequalities(params, pts, checks.family_grid((1, 2), (1, 3, 5)), Mm)
+    total, bad = map(sum, zip(*tallies.values()))
     record("counting_inequality", bad == 0, f"{total} assignments, {bad} violations")
 
     (out / "verify.json").write_text(json.dumps(report, indent=2, sort_keys=True))
-    if not ok_all:
-        first = next(n for n, c in report["checks"].items() if not c["ok"])
-        print(f"verification failed at: {first}", file=sys.stderr)
-        return EXIT_VERIFY
-    return EXIT_OK
+    failed = [n for n, c in report["checks"].items() if not c["ok"]]
+    if failed:
+        print(f"verification failed at: {failed[0]}", file=sys.stderr)
+    return EXIT_VERIFY if failed else EXIT_OK
 
 
 def cmd_residual(params: ModelParams, run: dict) -> int:
@@ -380,51 +319,25 @@ def cmd_dioph(params: ModelParams, run: dict, what: str) -> int:
     return EXIT_INVALID
 
 
-def _bruno_point(args) -> list[tuple[int, int, int]]:
-    """Counting-inequality tallies for one sampled point (pool worker)."""
-    params, Mm, eps, nu_items = args
-    nu = NuTable(dict(nu_items), eps0=params.eps0, nu_cap=params.nu_cap)
-    rows = []
-    for k in (1, 2, 3):
-        total = bad = 0
-        for nn in range(-(k + 1), k + 2):
-            for mm in (1, 3, 5):
-                if (abs(nn), mm) == (1, 1):
-                    continue
-                for tree in enumerate_trees(k, nn, mm, params, Mm):
-                    for asg in bruno_mod.admissible_scales(tree, params, eps, nu):
-                        total += 1
-                        if not bruno_mod.check_bruno(tree, asg, params,
-                                                     raise_on_fail=False):
-                            bad += 1
-        rows.append((k, total, bad))
-    return rows
-
-
 def cmd_bruno(params: ModelParams, run: dict) -> int:
     out = _outdir(run)
     Mm = 9
-    pts = bruno_mod.sample_diophantine_points(
-        params.with_(Mmax=Mm, Nmax=60), run.get("samples", 20),
-        seed=run["seed"], Mmax=Mm, Nmax=60)
-    work = [(params, Mm, eps, tuple(sorted(nu.items()))) for eps, nu in pts]
-    if run.get("jobs", 1) > 1:
+    pts = bruno_mod.sample_diophantine_points(params.with_(Mmax=Mm, Nmax=60),
+                                              run.get("samples", 20), seed=run["seed"])
+    count = partial(checks.counting_inequalities, params,
+                    grid=checks.family_grid((1, 2, 3), (1, 3, 5)), Mmax=Mm)
+    if run["jobs"] > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=run["jobs"]) as pool:
-            results = list(pool.map(_bruno_point, work))
+            results = list(pool.map(count, [[pt] for pt in pts]))
     else:
-        results = [_bruno_point(w) for w in work]
-    tallies = {k: [0, 0] for k in (1, 2, 3)}
-    for res in results:
-        for k, total, bad in res:
-            tallies[k][0] += total
-            tallies[k][1] += bad
-    rows = [(k, t, b) for k, (t, b) in sorted(tallies.items())]
+        results = [count(pts)]
+    rows = [(k, sum(r[k][0] for r in results), sum(r[k][1] for r in results))
+            for k in (1, 2, 3)]
     with open(out / "bruno.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["order", "assignments", "violations"])
-        for r in rows:
-            w.writerow(list(r))
+        w.writerows(rows)
     ok = all(b == 0 for _, _, b in rows)
     print("\n".join(f"order {k}: {t} assignments, {b} violations"
                     for k, t, b in rows))
@@ -488,9 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--eps-lo", dest="eps_lo")
     ap.add_argument("--eps-hi", dest="eps_hi")
     ap.add_argument("--eps-count", dest="eps_count")
-    ap.add_argument("--kernel-sign-flip", action="store_const", const="1",
-                    dest="kernel_sign_flip",
-                    help="test hook: negate the kernel in verification checks")
     sub = ap.add_subparsers(dest="command", required=True)
     sub.add_parser("coeffs")
     sub.add_parser("counterterms")

@@ -381,7 +381,7 @@ def solve_nu(params: ModelParams, eps: float, K: int,
     tables are built once, at exit.  use_trees or K > 3 switches to tree
     enumeration with the fully truncated amplitude equation.
     """
-    from .trees import counterterm, counterterm_order2_closed
+    from .trees import counterterm_order2_closed, counterterm_table
 
     Mmax = Mmax or params.Mmax
     Nmax = Nmax or params.Nmax
@@ -414,12 +414,7 @@ def solve_nu(params: ModelParams, eps: float, K: int,
         else:
             nu = ms.nu_table(vals, params.nu_cap)
             q = solve_amplitude(params, eps, nu, lt, K, Mmax)
-            lt = CountertermTable()
-            for k in range(2, K + 1):
-                for (n, m) in modes:
-                    val = counterterm(k, n, m, -1, params, eps, nu, q, lt, Mmax)
-                    if val != 0.0:
-                        lt.set(k, n, m, -1, val)
+            lt = counterterm_table(params, eps, nu, q, range(2, K + 1), modes, Mmax)
             new = sum(eta ** k * np.array([lt.aggregate(k, n, m) for (n, m) in modes])
                       for k in range(2, K + 1))
         delta = float(np.max(np.abs(new - vals), initial=0.0))

@@ -26,6 +26,7 @@ from itertools import product as iproduct
 import numpy as np
 
 from .kernel import kernel_v
+from .series import CountertermTable
 from .spectrum import (
     ModelParams,
     ModeSet,
@@ -47,6 +48,7 @@ __all__ = [
     "sum_trees",
     "renormalized_sum",
     "counterterm",
+    "counterterm_table",
     "counterterm_order2_closed",
     "detect_clusters",
     "detect_resonances",
@@ -102,30 +104,24 @@ def _gen(k: int, n: int, m: int, Mmax: int, with_e: bool, e_mode: tuple | None,
          memo: dict):
     """Skeletons of order k whose root line carries (n, m).
 
-    Returns a list of (TNode, multiplicity); multiplicity counts the distinct
-    ordered arrangements collapsed into one representative.  with_e marks the
-    branch that must contain the special end node (mode e_mode).  memo holds
-    the sub-skeletons of one family while it is compiled.
+    Returns one canonical TNode per skeleton.  with_e marks the branch that
+    must contain the special end node (mode e_mode).  memo holds the
+    sub-skeletons of one family while it is compiled.
     """
     key = (k, n, m, with_e)
     if key in memo:
         return memo[key]
     out: dict = {}
 
-    def add(node: TNode, mult: int):
-        kk = _key(node)
-        if kk in out:
-            prev = out[kk]
-            out[kk] = (prev[0], prev[1] + mult)
-        else:
-            out[kk] = (node, mult)
+    def add(node: TNode):
+        out.setdefault(_key(node), node)
 
     if k == 0:
         if with_e:
             if (n, m) == e_mode and (abs(n), m) != (1, 1):
-                add(TNode(0, "special", "", 0, 0, n, m), 1)
+                add(TNode(0, "special", "", 0, 0, n, m))
         elif (abs(n), m) == (1, 1):
-            add(TNode(0, "end", "", 0, 0, n, m), 1)
+            add(TNode(0, "end", "", 0, 0, n, m))
         res = memo[key] = list(out.values())
         return res
 
@@ -162,21 +158,20 @@ def _gen(k: int, n: int, m: int, Mmax: int, with_e: bool, e_mode: tuple | None,
                         subs2 = _gen(k2, n2, m2, Mmax, re, e_mode, memo)
                         if not subs2:
                             continue
-                        for (c1, mu1) in subs1:
-                            for (c2, mu2) in subs2:
+                        for c1 in subs1:
+                            for c2 in subs2:
                                 kids = ((c1, c2) if _key(c1) <= _key(c2)
                                         else (c2, c1))
                                 for t in ("a", "b"):
-                                    add(TNode(0, "node", t, 2, 1, n, m, kids),
-                                        mu1 * mu2)
+                                    add(TNode(0, "node", t, 2, 1, n, m, kids))
 
     # unary root: shift insertion of order r, same mode below
     for r in range(2, k):
         subs = _gen(k - r, n, m, Mmax, with_e, e_mode, memo)
-        for (c, mu) in subs:
+        for c in subs:
             if with_e and c.kind == "special":
                 continue  # the corresponding resonance would have one node only
-            add(TNode(0, "node", "a", 1, r, n, m, (c,)), mu)
+            add(TNode(0, "node", "a", 1, r, n, m, (c,)))
 
     res = memo[key] = list(out.values())
     return res
@@ -323,11 +318,7 @@ class _Family:
 @lru_cache(maxsize=FAMILY_CACHE_SIZE)
 def _family(k: int, n: int, m: int, Mmax: int, is_rtree: bool) -> _Family:
     """Enumerate and compile one family (the skeleton memo lives only here)."""
-    if is_rtree:
-        pairs = _gen(k, n, m, Mmax, True, (n, m), {})
-    else:
-        pairs = _gen(k, n, m, Mmax, False, None, {})
-    roots = [node for node, _mult in pairs]
+    roots = _gen(k, n, m, Mmax, is_rtree, (n, m) if is_rtree else None, {})
     fam = _Family(roots, [_ordered_multiplicity(r) for r in roots], k, n, m, is_rtree)
     if not is_rtree and fam.start[fam.count] > TREE_BUDGET:
         raise TreeBudgetError(f"enumeration of ({k},{n},{m}) exceeds budget")
@@ -944,6 +935,20 @@ def counterterm(k: int, n: int, m: int, h: int, params: ModelParams, eps: float,
                 continue
             total += f.mult[t] * _lval_rtree(f, t, f.scales(t, lines, combo), ctx)
     return -(m ** 3 / n) * total
+
+
+def counterterm_table(params: ModelParams, eps: float, nu: NuTable | None, q: float,
+                      orders, modes, Mmax: int, scales=(-1,)) -> CountertermTable:
+    """`counterterm` on the given orders, modes (n >= 1) and scales (-1: the
+    aggregate), filled order by order: each order reads the lower ones."""
+    lt = CountertermTable()
+    for k in orders:
+        for (n, m) in modes:
+            for h in scales:
+                val = counterterm(k, n, m, h, params, eps, nu, q, lt, Mmax)
+                if val != 0.0:
+                    lt.set(k, n, m, h, val)
+    return lt
 
 
 def counterterm_order2_closed(params: ModelParams, eps: float, shift: np.ndarray,

@@ -11,17 +11,18 @@ import warnings
 import numpy as np
 import pytest
 
-from lindbeam.bruno import admissible_scales, check_bruno, check_bruno_r, \
-    sample_diophantine_points
-from lindbeam.diophantine import measure_cantor, measure_mass_complement
-from lindbeam.kernel import (
-    kernel_sum_probe,
-    kernel_v,
-    triple_sine_closed,
-    triple_sine_quadrature,
+from lindbeam.bruno import sample_diophantine_points
+from lindbeam.checks import (
+    counting_inequalities,
+    family_grid,
+    kernel_oracle,
+    partition_of_unity,
+    recursion_cases,
+    tree_identity,
 )
+from lindbeam.diophantine import measure_cantor, measure_mass_complement
+from lindbeam.kernel import kernel_sum_probe
 from lindbeam.series import (
-    CountertermTable,
     compute_coeffs,
     lambda_modes,
     order_consistency,
@@ -29,13 +30,7 @@ from lindbeam.series import (
     solve_nu,
 )
 from lindbeam.spectrum import ModelParams, chi_h
-from lindbeam.trees import (
-    counterterm,
-    enumerate_r_trees,
-    enumerate_trees,
-    renormalized_sum,
-    sum_trees,
-)
+from lindbeam.trees import renormalized_sum, sum_trees
 from lindbeam.diophantine import check_cantor
 
 TREE_P = ModelParams(a=1.0, b=0.5, mu=0.01, eps0=0.02, omega_branch=1,
@@ -43,8 +38,7 @@ TREE_P = ModelParams(a=1.0, b=0.5, mu=0.01, eps0=0.02, omega_branch=1,
 RES_P = ModelParams(a=1.0, b=0.5, mu=0.1, eps0=0.02, omega_branch=-1,
                     Mmax=64, Nmax=300)
 MM = 9
-GRID_N = range(-4, 5)
-GRID_M = (1, 3, 5, 7, 9)
+GRID = family_grid((1, 2, 3), (1, 3, 5, 7, 9))    # |n| <= k + 1 <= 4
 
 warnings.filterwarnings("ignore", message="convolution mass beyond")
 
@@ -62,50 +56,17 @@ def tree_points():
 @pytest.fixture(scope="module")
 def tables(tree_points):
     """Per-point shift tables and recursion tables shared by criteria 1-3."""
-    out = []
-    for eps, nu in tree_points:
-        q = 0.8
-        lt = CountertermTable()
-        for (n, m) in lambda_modes(TREE_P, MM, 60):
-            v = counterterm(2, n, m, -1, TREE_P, eps, nu, q,
-                            CountertermTable(), MM)
-            if v != 0.0:
-                lt.set(2, n, m, -1, v)
-        table = compute_coeffs(TREE_P, eps, nu, lt, 3, MM, q=q)
-        out.append((eps, nu, q, lt, table))
-    return out
+    return recursion_cases(TREE_P, tree_points, 3, MM, 60)
 
 
 def test_criterion_01_tree_recursion_equivalence(tables):
-    worst = 0.0
-    for eps, nu, q, lt, table in tables:
-        for k in (1, 2, 3):
-            for n in GRID_N:
-                if abs(n) > k + 1:
-                    continue
-                for m in GRID_M:
-                    if (abs(n), m) == (1, 1):
-                        continue
-                    want = table.value(k, n, m)
-                    got = sum_trees(k, n, m, TREE_P, eps, nu, q, lt, MM)
-                    worst = max(worst, abs(want - got) / max(1.0, abs(want)))
+    worst = tree_identity(sum_trees, TREE_P, tables, GRID, MM)
     _report("1 tree/recursion equivalence", worst <= 1e-10,
             f"worst relative deviation {worst:.2e} over 20 points")
 
 
 def test_criterion_02_renormalized_equivalence(tables):
-    worst = 0.0
-    for eps, nu, q, lt, table in tables:
-        for k in (1, 2, 3):
-            for n in GRID_N:
-                if abs(n) > k + 1:
-                    continue
-                for m in GRID_M:
-                    if (abs(n), m) == (1, 1):
-                        continue
-                    want = table.value(k, n, m)
-                    got = renormalized_sum(k, n, m, TREE_P, eps, nu, q, lt, MM)
-                    worst = max(worst, abs(want - got) / max(1.0, abs(want)))
+    worst = tree_identity(renormalized_sum, TREE_P, tables, GRID, MM)
     _report("2 renormalized equivalence", worst <= 1e-10,
             f"worst relative deviation {worst:.2e} over 20 points")
 
@@ -134,17 +95,8 @@ def test_criterion_03_support_reality_invariants(tables):
 
 
 def test_criterion_04_kernel_oracle():
-    worst = 0.0
-    parity_exact = True
-    for m in range(1, 31):
-        for m1 in range(1, 31):
-            for m2 in range(m1, 31):
-                c = triple_sine_closed(m, m1, m2)
-                qv = triple_sine_quadrature(m, m1, m2)
-                worst = max(worst, abs(qv - c))
-                if (m + m1 + m2) % 2 == 0 and kernel_v(m, m1, m2) != 0.0:
-                    parity_exact = False
-    _report("4 kernel oracle", worst <= 1e-10 and parity_exact,
+    worst, parity = kernel_oracle(30, symmetric=True)
+    _report("4 kernel oracle", worst <= 1e-10 and parity == 0,
             f"max quadrature deviation {worst:.2e}, parity zeros exact")
 
 
@@ -160,32 +112,9 @@ def test_criterion_05_kernel_sum_bound():
 
 def test_criterion_06_counting_inequalities():
     pts = sample_diophantine_points(TREE_P, 100, seed=7)
-    total = violations = 0
-    trees_by_mode = {}
-    for k in (1, 2, 3):
-        for n in GRID_N:
-            if abs(n) > k + 1:
-                continue
-            for m in GRID_M:
-                if (abs(n), m) == (1, 1):
-                    continue
-                trees_by_mode[(k, n, m)] = enumerate_trees(k, n, m, TREE_P, MM)
-    rtrees = {}
-    for (n, m) in lambda_modes(TREE_P, MM, 60):
-        rtrees[(n, m)] = enumerate_r_trees(2, n, m, TREE_P, MM)
-    for eps, nu in pts:
-        for ts in trees_by_mode.values():
-            for tree in ts:
-                for asg in admissible_scales(tree, TREE_P, eps, nu):
-                    total += 1
-                    if not check_bruno(tree, asg, TREE_P, raise_on_fail=False):
-                        violations += 1
-        for ts in rtrees.values():
-            for tree in ts:
-                for asg in admissible_scales(tree, TREE_P, eps, nu):
-                    total += 1
-                    if not check_bruno_r(tree, asg, TREE_P, raise_on_fail=False):
-                        violations += 1
+    tallies = counting_inequalities(TREE_P, pts, GRID, MM,
+                                    special_modes=lambda_modes(TREE_P, MM, 60))
+    total, violations = map(sum, zip(*tallies.values()))
     _report("6 counting inequalities", violations == 0,
             f"{total} (tree, assignment, sample) checks, {violations} violations")
 
@@ -193,10 +122,7 @@ def test_criterion_06_counting_inequalities():
 def test_criterion_07_partition_of_unity():
     g = RES_P.gamma
     xs = np.geomspace(g * 2 ** -24, 100.0, 10_000)
-    H = 28
-    total = chi_h(xs, -1, g) + sum(chi_h(xs, h, g) for h in range(0, H + 1))
-    mask = xs > 2.0 ** -H * g
-    dev = float(np.max(np.abs(total[mask] - 1.0)))
+    dev = partition_of_unity(g, xs, 28)
     # scale supports, exhaustively over the same grid
     support_ok = True
     for h in range(0, 12):

@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lindbeam
+import lindbeam.checks
 
 from lindbeam.cli import ConfigError, load_config, main
 
@@ -146,6 +149,19 @@ def test_load_config_model_keys_fuzz(key, value):
     assert _MODEL_RANGES[key](getattr(params, key)), (key, value, getattr(params, key))
 
 
+_FLAGS = ("--a", "--mu", "--eps0", "--gamma", "--tau", "--Mmax", "--Nmax", "--h-max",
+          "--omega-branch", "--extended-precision", "--eps", "--orders", "--seed",
+          "--window", "--jobs")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_FLAGS), _values)
+def test_main_kernel_flag_fuzz(flag, value):
+    """One random value for one flag: the run succeeds or exits 2, never raises."""
+    with tempfile.TemporaryDirectory() as d:
+        assert main(["--outdir", d, f"{flag}={value}", "kernel"]) in (0, 2)
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[model]\nfrobnicate = 3\n")
@@ -166,12 +182,25 @@ def test_trees_dump(tmp_path, capsys):
     assert "special" in capsys.readouterr().out
 
 
-def test_verify_pass_and_mutation_hook(tmp_path):
+def test_verify_pass_and_mutation_hook(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path)
     assert main(["--config", cfg, "verify"]) == 0
     rep = json.loads((tmp_path / "out" / "verify.json").read_text())
     assert all(c["ok"] for c in rep["checks"].values())
-    assert main(["--config", cfg, "--kernel-sign-flip", "verify"]) == 1
+    # a sign error in the kernel must fail the oracle
+    integral = lindbeam.checks.triple_sine_integral
+    monkeypatch.setattr(lindbeam.checks, "triple_sine_integral",
+                        lambda m, m1, m2: -integral(m, m1, m2))
+    assert main(["--config", cfg, "verify"]) == 1
+    rep = json.loads((tmp_path / "out" / "verify.json").read_text())
+    assert rep["checks"]["kernel_oracle"]["ok"] is False
+
+
+def test_verify_leaves_warning_filters_alone(tmp_path):
+    cfg = write_cfg(tmp_path)
+    before = list(warnings.filters)
+    assert main(["--config", cfg, "verify"]) == 0
+    assert warnings.filters == before
 
 
 def test_residual_run(tmp_path):

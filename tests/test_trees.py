@@ -13,6 +13,7 @@ from lindbeam.trees import (
     admissible_assignments,
     counterterm,
     counterterm_order2_closed,
+    counterterm_table,
     detect_clusters,
     detect_resonances,
     dump_tree,
@@ -41,12 +42,7 @@ def make_nu():
 
 
 def build_l2(nu, q):
-    lt = CountertermTable()
-    for (n, m) in lambda_modes(P, MM, 6):
-        v = counterterm(2, n, m, -1, P, EPS, nu, q, CountertermTable(), MM)
-        if v != 0.0:
-            lt.set(2, n, m, -1, v)
-    return lt
+    return counterterm_table(P, EPS, nu, q, (2,), lambda_modes(P, MM, 6), MM)
 
 
 # ---------------------------------------------------------------------------
