@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 
 from .bruno import admissible_scales, check_bruno, check_bruno_r
-from .kernel import kernel_v, triple_sine_integral, triple_sine_quadrature
+from .kernel import kernel_v, triple_sine_closed, triple_sine_quadrature
 from .series import compute_coeffs, lambda_modes
 from .spectrum import ModelParams, chi_h
 from .trees import counterterm_table, enumerate_r_trees, enumerate_trees
@@ -31,15 +31,15 @@ def family_grid(orders, ms) -> list[tuple[int, int, int]]:
 
 
 def kernel_oracle(M: int, symmetric: bool = False) -> tuple[float, int]:
-    """Max |quadrature - triple_sine_integral| over m, m1, m2 <= M (m1 <= m2
-    only when symmetric), and the number of even-parity triples on which the
-    kernel is not exactly zero."""
+    """Max |quadrature - closed form| of the triple sine integral over
+    m, m1, m2 <= M (m1 <= m2 only when symmetric), and the number of
+    even-parity triples on which the kernel is not exactly zero."""
     worst, parity = 0.0, 0
     for m in range(1, M + 1):
         for m1 in range(1, M + 1):
             for m2 in range(m1 if symmetric else 1, M + 1):
                 worst = max(worst, abs(triple_sine_quadrature(m, m1, m2)
-                                       - triple_sine_integral(m, m1, m2)))
+                                       - triple_sine_closed(m, m1, m2)))
                 if (m + m1 + m2) % 2 == 0 and kernel_v(m, m1, m2) != 0.0:
                     parity += 1
     return worst, parity

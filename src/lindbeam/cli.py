@@ -226,9 +226,11 @@ def cmd_residual(params: ModelParams, run: dict) -> int:
         except (NonConvergenceError, SignExcludedError) as exc:
             rows.append((eps, "", "", f"excluded: {exc}"))
             continue
-        accepted = dioph_mod.check_cantor(eps, nu, params)
-        if not accepted and not run["force"]:
-            rows.append((eps, "", "", "excluded: amplitude conditions"))
+        marg = {}
+        if not dioph_mod.check_cantor(eps, nu, params, margins=marg) and not run["force"]:
+            fam, at, value, thr = dioph_mod.cantor_failure(marg, params.gamma)
+            rows.append((eps, "", "", f"excluded: {fam} condition at {at}, "
+                                      f"margin {value:.3e} against threshold {thr:.3e}"))
             continue
         table = compute_coeffs(params, eps, nu, info["counterterms"], K,
                                params.Mmax, q=info["q"])
@@ -280,21 +282,19 @@ def cmd_dioph(params: ModelParams, run: dict, what: str) -> int:
         nu, _ = solve_nu(params, eps, run["orders"])
         marg = dioph_mod.melnikov_margins(eps, nu, params)
         (out / "dioph_melnikov.json").write_text(json.dumps(
-            {"schema_version": 1, "eps": eps, "first": marg["first"],
-             "second": marg["second"], "gamma": params.gamma,
-             "ok": marg["first"] >= params.gamma and marg["second"] >= params.gamma},
+            {"schema_version": 1, "eps": eps, "gamma": params.gamma,
+             "ok": marg["first"] >= params.gamma and marg["second"] >= params.gamma, **marg},
             indent=2, sort_keys=True))
         print(f"melnikov margins: first {marg['first']:.3e}, second {marg['second']:.3e}")
         return EXIT_OK
     if what == "cantor":
         eps = run.get("eps", params.eps0 / 2)
         nu, _ = solve_nu(params, eps, run["orders"])
-        ok = dioph_mod.check_cantor(eps, nu, params)
         marg = dioph_mod.cantor_margins(eps, nu, params)
+        ok = dioph_mod.cantor_failure(marg, params.gamma) is None
         (out / "dioph_cantor.json").write_text(json.dumps(
-            {"schema_version": 1, "eps": eps, "accepted": bool(ok),
-             "square": marg["square"], "first": marg["first"],
-             "second": marg["second"]}, indent=2, sort_keys=True, default=str))
+            {"schema_version": 1, "eps": eps, "accepted": ok, **marg},
+            indent=2, sort_keys=True, default=str))
         print(f"eps={eps}: {'accepted' if ok else 'excluded'}")
         return EXIT_OK
     if what == "measure":

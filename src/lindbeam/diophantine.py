@@ -25,6 +25,7 @@ __all__ = [
     "melnikov_margins",
     "check_melnikov",
     "cantor_margins",
+    "cantor_failure",
     "check_cantor",
     "measure_cantor",
     "find_diophantine_mu",
@@ -238,8 +239,8 @@ def _pair_rows(mu: float, eps0: float, Nmax: int, Mmax: int):
     """Candidate rows (n1, m1, m2, lo2, hi2) of the pair condition, m1 < m2.
 
     n1 runs over +-window(m1); lo2..hi2 is the window of |n2|.  Also kept:
-    m^4 + mu of m1 and m2, the flat position of (|n1|, m1), and off2 with
-    (|n2|, m2) at off2 + |n2| inside the window.
+    omega_m2, the flat position of (|n1|, m1), and off2 with (|n2|, m2) at
+    off2 + |n2| inside the window.
     """
     ms = mode_set(mu, eps0, Mmax, Nmax)
     wins = [m for m in range(1, Mmax + 1) if ms.lo[m] <= ms.hi[m]]
@@ -252,12 +253,13 @@ def _pair_rows(mu: float, eps0: float, Nmax: int, Mmax: int):
     n1, m1, m2 = ((np.concatenate(x) for x in zip(*blocks)) if blocks
                   else (np.zeros(0, dtype=int),) * 3)
     lo2, hi2 = ms.lo[m2], ms.hi[m2]
-    return (n1, m1, m2, lo2, hi2, m1.astype(float) ** 4 + mu, m2.astype(float) ** 4 + mu,
+    return (n1, m1, m2, lo2, hi2, np.sqrt(m2.astype(float) ** 4 + mu),
             ms.index(np.abs(n1), m1), ms.offset[m2] - lo2)
 
 
 def melnikov_margins(eps: float, nu: NuTable | None, params: ModelParams,
-                     Nmax: int | None = None, Mmax: int | None = None) -> dict:
+                     Nmax: int | None = None, Mmax: int | None = None,
+                     below: float = math.inf) -> dict:
     """Worst normalized margins of the two shifted-frequency families.
 
     first:  |Omega n +- sqrt(om_m^2 + n nu)| * |n|^tau over n != 0, m >= 2;
@@ -266,6 +268,15 @@ def melnikov_margins(eps: float, nu: NuTable | None, params: ModelParams,
     margin >= 0.4 >= gamma and are skipped.  nu enters only inside the
     ModeSet windows of (Mmax, Nmax); the first minimum in scan order (m then
     n; signs, offset, then row) is the one reported.
+
+    below: a family whose minimum is below it reports the full scan's (below
+    = inf) value and location, one that clears it inf and None.  A pair row
+    is then evaluated only if its margin can fall below: the shift moves
+    omega~_m2 by at most D(m2) over m2's window, so the margin is at least
+    (|Om dn + w1 + a2 omega_m2| - D(m2) - delta) |dn|^tau, delta a rounding
+    slack.  Off the nearest integer (dd = +-1) the plain combination is
+    >= Om/2 and |dn|^tau >= 1, so both passes are skipped when
+    Om/2 - max D - delta clears below.
     """
     Nmax = Nmax or params.Nmax
     Mmax = Mmax or params.Mmax
@@ -283,33 +294,55 @@ def melnikov_margins(eps: float, nu: NuTable | None, params: ModelParams,
     n_tau = np.array([abs(float(x)) ** params.tau for x in n.flat]).reshape(n.shape)
     marg = np.abs(Om * n - omt) * n_tau
     marg[(n < 1) | (n > Nmax) | np.isnan(marg)] = math.inf
-    if marg.size and marg.min() < math.inf:
+    if marg.size and marg.min() < below:
         j = int(np.argmin(marg))
         out["first"] = float(marg.flat[j])
         out["first_at"] = (int(n.flat[j]), j // 5 + 2)
 
-    n1, m1, m2, lo2, hi2, base1, base2, idx1, off2 = _pair_rows(
-        params.mu, params.eps0, Nmax, Mmax)
-    w1 = np.sqrt(base1 + shift[idx1])
-    om2_plain = np.sqrt(base2)
+    n1, m1, m2, lo2, hi2, om2, idx1, off2 = _pair_rows(params.mu, params.eps0, Nmax, Mmax)
+    base = ms.flat_m.astype(float) ** 4 + params.mu
+    w, om = np.sqrt(base + shift[:-1]), np.sqrt(base)     # omega~, omega over the flat layout
     dn_tau = np.arange(2 * Nmax + 1, dtype=float) ** params.tau   # |n2 - n1| <= 2 Nmax
+    D = np.zeros(Mmax + 1)
+    np.maximum.at(D, ms.flat_m, np.abs(w - om))     # D(m) = max |omega~ - omega| over m's window
+    D_max = float(D.max())
+    prune = below < math.inf and math.isfinite(D_max)
+    # margin terms are <= 2 Nmax Om or <= max omega + D_max: the few roundings
+    # between bound and margin stay far below 2^-40 of their sum
+    delta = 2.0 ** -40 * (2 * Nmax * Om + 2 * (float(om.max(initial=0.0)) + D_max))
+    skip_off = prune and Om / 2 - D_max - delta >= below      # the dd = +-1 passes
+    w1, s, near, c = np.take(w, idx1), np.empty(n1.size), np.empty(n1.size), np.empty(n1.size)
     # Signs (-a1, -a2) at (-n1, -n2) repeat the margins of (a1, a2) at
     # (n1, n2) bit for bit, and come later in the scan: a1 = +1 suffices.
     for a2 in (1.0, -1.0):
-        near = np.rint(-(w1 + a2 * om2_plain) / Om).astype(int)
+        (np.add if a2 > 0 else np.subtract)(w1, om2, out=s)      # s = w1 + a2 omega_m2
+        np.rint(np.divide(s, -Om, out=near), out=near)
         for dd in (-1, 0, 1):
-            dn = near + dd
-            n2 = np.abs(n1 + dn)
-            k = np.flatnonzero((n2 >= lo2) & (n2 <= hi2) & (dn != 0))
+            if dd and skip_off:
+                continue
+            r = slice(None)
+            if prune:       # c = |Om dn + w1 + a2 omega_m2|, in place
+                np.add(near, dd, out=c)
+                c *= Om
+                c += s
+                r = np.flatnonzero(np.abs(c, out=c) < below + D_max + delta)
+            dn = (near[r] + dd).astype(int)
+            n2 = np.abs(n1[r] + dn)
+            ok = (n2 >= lo2[r]) & (n2 <= hi2[r]) & (dn != 0)
+            k, dn, n2 = r[ok] if prune else np.flatnonzero(ok), dn[ok], n2[ok]
+            if prune:
+                ok = (c[k] - D[m2[k]] - delta) * dn_tau[np.abs(dn)] < below
+                k, dn, n2 = k[ok], dn[ok], n2[ok]
             if not k.size:
                 continue
-            w2 = np.sqrt(base2[k] + shift[off2[k] + n2[k]])
-            marg = np.abs(Om * dn[k] + w1[k] + a2 * w2) * dn_tau[np.abs(dn[k])]
+            marg = np.abs(Om * dn + w1[k] + a2 * w[off2[k] + n2]) * dn_tau[np.abs(dn)]
             j = int(np.argmin(marg))
             if marg[j] < out["second"]:
                 i = k[j]
                 out["second"] = float(marg[j])
-                out["second_at"] = (int(n1[i]), int(m1[i]), int(n1[i] + dn[i]), int(m2[i]))
+                out["second_at"] = (int(n1[i]), int(m1[i]), int(n1[i] + dn[j]), int(m2[i]))
+    if out["second"] >= below:
+        out["second"], out["second_at"] = math.inf, None
     return out
 
 
@@ -317,7 +350,7 @@ def check_melnikov(eps: float, nu: NuTable | None, params: ModelParams,
                    gamma: float | None = None, Nmax: int | None = None,
                    Mmax: int | None = None) -> bool:
     gamma = gamma if gamma is not None else params.gamma
-    marg = melnikov_margins(eps, nu, params, Nmax, Mmax)
+    marg = melnikov_margins(eps, nu, params, Nmax, Mmax, below=gamma)
     return marg["first"] >= gamma and marg["second"] >= gamma
 
 
@@ -342,34 +375,50 @@ def square_margins(eps: float, params: ModelParams, Nmax: int | None = None
 
 
 def cantor_margins(eps: float, nu_of_eps: NuTable | None, params: ModelParams,
-                   Nmax: int | None = None, Mmax: int | None = None) -> dict:
+                   Nmax: int | None = None, Mmax: int | None = None,
+                   below: float = math.inf) -> dict:
     """Margins of the accepted-amplitude conditions at one eps.
 
     square: |Omega n - m^2| |n|^tau0 (threshold 4 gamma, primary mode and
     m = 1 excluded); first/second: the shifted-frequency families evaluated
-    at nu(eps) (threshold 2 gamma).
+    at nu(eps) (threshold 2 gamma), pruned at below as in melnikov_margins.
     """
     sq, sq_at = square_margins(eps, params, Nmax)
     return {"square": sq, "square_at": sq_at,
-            **melnikov_margins(eps, nu_of_eps, params, Nmax, Mmax)}
+            **melnikov_margins(eps, nu_of_eps, params, Nmax, Mmax, below)}
+
+
+def cantor_failure(margins: dict, gamma: float) -> tuple | None:
+    """(family, location, margin, threshold) of the first accepted-amplitude
+    condition that the margins fail, in the order square, first, second;
+    None when all hold."""
+    for fam, thr in (("square", 4 * gamma), ("first", 2 * gamma), ("second", 2 * gamma)):
+        if not (margins[fam] > thr if fam == "square" else margins[fam] >= thr):
+            return fam, margins[f"{fam}_at"], margins[fam], thr
+    return None
 
 
 def check_cantor(eps: float, nu_of_eps: NuTable | None, params: ModelParams,
                  gamma: float | None = None, Nmax: int | None = None,
-                 Mmax: int | None = None) -> bool:
+                 Mmax: int | None = None, margins: dict | None = None) -> bool:
+    """Whether eps passes the accepted-amplitude conditions at nu(eps); a dict
+    passed as margins receives the margins (pruned at 2 gamma) it decided on."""
     gamma = gamma if gamma is not None else params.gamma
-    m = cantor_margins(eps, nu_of_eps, params, Nmax, Mmax)
-    return (m["square"] > 4 * gamma and m["first"] >= 2 * gamma
-            and m["second"] >= 2 * gamma)
+    m = cantor_margins(eps, nu_of_eps, params, Nmax, Mmax, below=2 * gamma)
+    if margins is not None:
+        margins.update(m)
+    return cantor_failure(m, gamma) is None
 
 
-def _cantor_exclusion_widths(params: ModelParams, window: float,
-                             Nmax: int) -> list[tuple[float, float, str]]:
-    """Near-resonance locations and interval widths inside (0, window).
+@lru_cache(maxsize=8)
+def _cantor_rows(params: ModelParams, Nmax: int) -> tuple:
+    """The window-independent parts of the amplitude measure estimate.
 
-    Square-type exclusions dominate (exponent tau0); the shifted families
-    carry exponent tau and are included with the nu = 0 approximation of the
-    resonant location.
+    Every near-resonance (location, width, label) at a location > 0, in scan
+    order, and for the tail n = Nmax + 1 .. 10 Nmax - 1 the factors
+    sqrt(om1 n) and n^(tau0 + 1).  Square-type exclusions dominate (exponent
+    tau0); the shifted families carry exponent tau and are included with the
+    nu = 0 approximation of the resonant location.
     """
     om1 = float(omega(1, params.mu))
     br = params.omega_branch
@@ -382,17 +431,25 @@ def _cantor_exclusion_widths(params: ModelParams, window: float,
             if mm < 2:
                 continue
             est = br * (mm * mm - om1 * n) / n
-            if 0.0 < est < window:
+            if 0.0 < est:
                 width = 2 * 4 * g * n ** (-params.tau0) / n
                 out.append((est, width, f"square n={n} m={mm}"))
         # first shifted family: Omega n = om_m  =>  m ~ sqrt(Om n)
         if m >= 2:
             om_m = float(omega(m, params.mu))
             est = br * (om_m - om1 * n) / n
-            if 0.0 < est < window:
+            if 0.0 < est:
                 width = 2 * 2 * g * n ** (-params.tau) / (n / 2)
                 out.append((est, width, f"first n={n} m={m}"))
-    return out
+    ns = range(Nmax + 1, 10 * Nmax)
+    return (tuple(out), np.sqrt(om1 * np.array(ns, dtype=float)),
+            np.array([n ** (params.tau0 + 1) for n in ns]))
+
+
+def _cantor_exclusion_widths(params: ModelParams, window: float,
+                             Nmax: int) -> list[tuple[float, float, str]]:
+    """Near-resonance locations and interval widths inside (0, window)."""
+    return [r for r in _cantor_rows(params, Nmax)[0] if r[0] < window]
 
 
 def measure_cantor(params: ModelParams, window: float, grid: int,
@@ -403,7 +460,8 @@ def measure_cantor(params: ModelParams, window: float, grid: int,
     Reports the grid-rejection fraction and, as the headline estimate, the
     summed widths of the analytically located near-resonance intervals plus
     the explicit n > Nmax tail (a 10^3 grid cannot resolve widths that reach
-    down to gamma Nmax^-tau0-1).
+    down to gamma Nmax^-tau0-1).  worst["rejected"] lists each grid eps that
+    check_cantor rejects as (eps, family, location, margin, threshold).
     """
     from .series import NonConvergenceError, solve_nu
 
@@ -411,29 +469,31 @@ def measure_cantor(params: ModelParams, window: float, grid: int,
     Mmax = Mmax or params.Mmax
     pw = params if params.eps0 >= window else params.with_(eps0=min(2 * window, 0.9))
     eps_grid = (np.arange(grid) + 0.5) / grid * window
-    fails = 0
+    rejected = []
     nonconv = 0
-    for e in eps_grid:
+    for e in eps_grid.tolist():
         try:
-            nu, _ = solve_nu(pw, float(e), K, Mmax, Nmax)
+            nu, _ = solve_nu(pw, e, K, Mmax, Nmax)
         except NonConvergenceError:
             nonconv += 1
             continue
-        if not check_cantor(float(e), nu, pw, Nmax=Nmax, Mmax=Mmax):
-            fails += 1
+        marg = {}
+        if not check_cantor(e, nu, pw, Nmax=Nmax, Mmax=Mmax, margins=marg):
+            rejected.append((e, *cantor_failure(marg, pw.gamma)))
     widths = _cantor_exclusion_widths(pw, window, Nmax)
     excluded = sum(min(w, window) for (_, w, _) in widths)
-    # tail: conditions with n > Nmax; counts ~ window sqrt(om1 n)/2 per n
+    # tail: conditions with n > Nmax; counts ~ window sqrt(om1 n)/2 per n,
+    # summed in n order (cumsum adds sequentially)
+    _, sq, pw_n = _cantor_rows(pw, Nmax)
+    tail = float(np.cumsum((window * sq / 2 + 1) * 8 * pw.gamma / pw_n)[-1])
     om1 = float(omega(1, pw.mu))
-    tail = 0.0
-    for n in range(Nmax + 1, 10 * Nmax):
-        tail += (window * math.sqrt(om1 * n) / 2 + 1) * 8 * pw.gamma / n ** (pw.tau0 + 1)
     tail += (window * math.sqrt(om1) / 2 + 1) * 8 * pw.gamma \
         * (10 * Nmax) ** (-pw.tau0 + 0.5) / (pw.tau0 - 0.5)
     return DiophReport(
         condition="cantor", Nmax=Nmax, Mmax=Mmax, grid=grid,
-        fail_fraction=(fails + nonconv) / grid,
+        fail_fraction=(len(rejected) + nonconv) / grid,
         excluded_measure=excluded, tail_bound=tail,
         worst={"intervals": len(widths), "nonconverged": nonconv,
-               "relative_excluded": (excluded + tail) / window},
+               "relative_excluded": (excluded + tail) / window,
+               "rejected": rejected},
     )

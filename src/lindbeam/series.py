@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernel import cosine_projection, kernel_v
-from .spectrum import ModelParams, NuTable, mode_set, omega, omega_eff, propagator_row
+from .spectrum import (ModelParams, NuTable, check_nu_values, mode_set, omega, omega_eff,
+                       propagator_row)
 
 __all__ = [
     "CoeffTable",
@@ -269,7 +270,7 @@ def amplitude_cubic_coefficient(params: ModelParams, eps: float, Mmax: int,
     """
     odd = np.arange(1, Mmax + 1, 2)
     shift2 = np.array([nu.n_nu(2, m) for m in odd.tolist()]) if nu else 0.0
-    A = _cubic_coefficient(params, eps, odd, shift2)
+    A = _cubic_coefficient(params, eps, odd, shift2, _cubic_rows(params, eps, odd))
     if not with_tail:
         return A
     Om = omega_eff(params, eps)
@@ -280,13 +281,18 @@ def amplitude_cubic_coefficient(params: ModelParams, eps: float, Mmax: int,
     return A, tail
 
 
+def _cubic_rows(params: ModelParams, eps: float, odd: np.ndarray) -> tuple:
+    """v_{1,1,m} and g_{0,m} over the odd modes m: the parts of A no shift moves."""
+    return np.array([kernel_v(1, 1, m) for m in odd.tolist()]), propagator_row(0, odd, params, eps)
+
+
 def _cubic_coefficient(params: ModelParams, eps: float, odd: np.ndarray,
-                       shift2) -> float:
-    """A over the odd modes m, with shift2 = 2 nu_{2,m} (array or 0)."""
+                       shift2, rows: tuple) -> float:
+    """A over the odd modes m, with shift2 = 2 nu_{2,m} (array or 0) and
+    rows = _cubic_rows(params, eps, odd)."""
     Om = omega_eff(params, eps)
     a, b = params.a, params.b
-    v = np.array([kernel_v(1, 1, m) for m in odd.tolist()])
-    g0 = propagator_row(0, odd, params, eps)
+    v, g0 = rows
     g2 = propagator_row(2, odd, params, eps, shift2)
     terms = 2.0 * v * v * (2 * a * (a + b * Om * Om) * g0
                            + (a - b * Om * Om) * (a + 2 * b * Om * Om) * g2)
@@ -388,13 +394,13 @@ def solve_nu(params: ModelParams, eps: float, K: int,
     if not 0.0 < eps < params.eps0:
         raise ValueError(f"eps={eps} outside (0, eps0={params.eps0})")
     ms = mode_set(params.mu, params.eps0, Mmax, Nmax)
-    modes = ms.modes()
     vals = np.zeros(len(ms))          # nu on the modes
     eta = math.sqrt(eps)
     info = {"sweeps": 0, "converged": False, "q": 0.0, "modes": len(ms)}
     lt = CountertermTable()
     fast = not use_trees and K <= 3
     odd = np.arange(1, Mmax + 1, 2)
+    rows, idx2 = _cubic_rows(params, eps, odd), ms.index(2, odd)
     for sweep in range(1, max_sweeps + 1):
         if fast:
             # odd amplitude orders vanish, so the K <= 3 equation is the
@@ -403,7 +409,7 @@ def solve_nu(params: ModelParams, eps: float, K: int,
             if params.a == 0.0 and params.b == 0.0:
                 q = 0.0
             else:
-                A = _cubic_coefficient(params, eps, odd, shift[ms.index(2, odd)])
+                A = _cubic_coefficient(params, eps, odd, shift[idx2], rows)
                 if A <= 0.0:
                     raise SignExcludedError(
                         f"cubic coefficient A = {A:.3e} <= 0 on branch "
@@ -414,6 +420,7 @@ def solve_nu(params: ModelParams, eps: float, K: int,
         else:
             nu = ms.nu_table(vals, params.nu_cap)
             q = solve_amplitude(params, eps, nu, lt, K, Mmax)
+            modes = ms.modes()
             lt = counterterm_table(params, eps, nu, q, range(2, K + 1), modes, Mmax)
             new = sum(eta ** k * np.array([lt.aggregate(k, n, m) for (n, m) in modes])
                       for k in range(2, K + 1))
@@ -427,13 +434,13 @@ def solve_nu(params: ModelParams, eps: float, K: int,
     if not info["converged"]:
         raise NonConvergenceError(
             f"nu fixed point did not converge in {max_sweeps} sweeps (last update {delta:.2e})")
-    nu = ms.nu_table(vals, params.nu_cap)
-    if nu.sup_norm() >= params.nu_cap * params.eps0:
+    if np.max(np.abs(vals), initial=0.0) >= params.nu_cap * params.eps0:
         raise NonConvergenceError("nu left the admissible box; eps too large")
-    nu.check_invariants(params.mu)
+    check_nu_values(ms.n, ms.m, vals, params.mu, params.eps0, params.nu_cap)
+    nu = ms.nu_table(vals, params.nu_cap)
     if fast:
         lt = CountertermTable()
-        lt._d = {(2, n, m, -1): v for (n, m), v in zip(modes, l2.tolist()) if v != 0.0}
+        lt._d = {(2, n, m, -1): v for (n, m), v in zip(ms.modes(), l2.tolist()) if v != 0.0}
     info["counterterms"] = lt
     return nu, info
 

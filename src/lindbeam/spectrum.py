@@ -6,7 +6,7 @@ is built on top of these primitives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -113,6 +113,11 @@ class ModelParams:
     def with_(self, **kw) -> "ModelParams":
         return replace(self, **kw)
 
+    def __hash__(self):     # hashed once: tree point tables are keyed on it per call
+        return self._hash
+
+    _hash = cached_property(lambda self: hash(tuple(getattr(self, f.name) for f in fields(self))))
+
 
 def omega(m, mu: float):
     """Linear frequency sqrt(m^4 + mu) of the m-th sine mode."""
@@ -142,6 +147,8 @@ class NuTable:
         self.eps0 = eps0
         self.nu_cap = nu_cap
         self._d: dict[tuple[int, int], float] = {}
+        self._flat = None   # (ModeSet, its flat n*nu) of a ModeSet.nu_table table
+        self._key = None    # the trees point-table key, built on first use
         if entries:
             for (n, m), v in dict(entries).items():
                 self.set(n, m, v)
@@ -153,6 +160,7 @@ class NuTable:
             raise ValueError("no frequency shift at the primary mode (+-1, 1)")
         key = (abs(n), m)
         self._d[key] = float(value) * (1 if n > 0 else -1)
+        self._flat = self._key = None
 
     def get(self, n: int, m: int) -> float:
         if n == 0:
@@ -172,21 +180,29 @@ class NuTable:
 
     def check_invariants(self, mu: float):
         nm = np.array(list(self._d), dtype=int).reshape(-1, 2)
-        v = np.abs(np.fromiter(self._d.values(), float, len(self)))
-        outside = (v != 0.0) & ~_near_resonant(math.sqrt(1.0 + mu), self.eps0, nm[:, 0], nm[:, 1])
-        big = v >= self.nu_cap * self.eps0
-        if (outside | big).any():
-            i = int(np.argmax(outside | big))
-            n, m = nm[i].tolist()
-            if outside[i]:
-                raise ValueError(f"nu supported outside the near-resonant set at {(n, m)}")
-            raise ValueError(f"|nu_{(n,m)}| = {v[i]} exceeds {self.nu_cap}*eps0")
+        check_nu_values(nm[:, 0], nm[:, 1], np.fromiter(self._d.values(), float, len(self)),
+                        mu, self.eps0, self.nu_cap)
 
     def __eq__(self, other):
         return isinstance(other, NuTable) and self._d == other._d
 
     def __len__(self):
         return len(self._d)
+
+
+def check_nu_values(n: np.ndarray, m: np.ndarray, v: np.ndarray, mu: float,
+                    eps0: float, nu_cap: float):
+    """Raise ValueError at the first mode (n, m) where the value v of nu lies
+    outside the near-resonant set or outside the box |nu| < nu_cap * eps0."""
+    v = np.abs(v)
+    outside = (v != 0.0) & ~_near_resonant(math.sqrt(1.0 + mu), eps0, n, m)
+    big = v >= nu_cap * eps0
+    if (outside | big).any():
+        i = int(np.argmax(outside | big))
+        n, m = int(n[i]), int(m[i])
+        if outside[i]:
+            raise ValueError(f"nu supported outside the near-resonant set at {(n, m)}")
+        raise ValueError(f"|nu_{(n,m)}| = {v[i]} exceeds {nu_cap}*eps0")
 
 
 def _radicand(n: int, m: int, mu: float, nu: NuTable | None) -> float:
@@ -361,7 +377,8 @@ class ModeSet:
     its last entry is a zero that every position outside the windows reads,
     so one gather returns the divisor shift.  n, m are the modes carrying
     the shift fixed point (odd m, n >= 1, the primary mode (1, 1) excluded),
-    ordered by m then n; pos are their flat positions.
+    ordered by m then n; pos are their flat positions, flat_m the m of
+    every flat position.
     """
 
     def __init__(self, mu: float, eps0: float, Mmax: int, Nmax: int):
@@ -379,16 +396,18 @@ class ModeSet:
         n_flat = np.arange(self.size) - self.offset[m_flat] + self.lo[m_flat]
         keep = ((m_flat % 2 == 1) & ~((n_flat == 1) & (m_flat == 1))
                 & _near_resonant(om1, eps0, n_flat, m_flat))
-        self.pos = np.flatnonzero(keep)
+        self.pos, self.flat_m = np.flatnonzero(keep), m_flat
         self.n, self.m = n_flat[keep], m_flat[keep]
-        for arr in (self.lo, self.hi, self.offset, self.pos, self.n, self.m):
+        for arr in (self.lo, self.hi, self.offset, self.pos, self.flat_m, self.n, self.m):
             arr.flags.writeable = False     # shared by every caller of mode_set
 
     def __len__(self):
         return self.n.size
 
     def modes(self) -> list[tuple[int, int]]:
-        return list(zip(self.n.tolist(), self.m.tolist()))
+        return list(self._modes)
+
+    _modes = cached_property(lambda self: tuple(zip(self.n.tolist(), self.m.tolist())))
 
     def index(self, n, m) -> np.ndarray:
         """Flat positions of (n >= 0, m), broadcast; size outside the windows."""
@@ -397,7 +416,10 @@ class ModeSet:
         return np.where((n >= lo) & (n <= self.hi[m]), self.offset[m] + n - lo, self.size)
 
     def shift(self, nu: NuTable | None) -> np.ndarray:
-        """Flat n*nu of a table; entries outside the windows are dropped."""
+        """Flat n*nu of a table; entries outside the windows are dropped.  A
+        table from this ModeSet's nu_table returns its kept (read-only) array."""
+        if nu is not None and nu._flat is not None and nu._flat[0] is self:
+            return nu._flat[1]
         out = np.zeros(self.size + 1)
         if nu:
             nm = np.array(list(nu._d), dtype=int)
@@ -413,10 +435,13 @@ class ModeSet:
         return out
 
     def nu_table(self, vals: np.ndarray, nu_cap: float) -> NuTable:
-        """The NuTable holding the nonzero values of nu on the modes."""
+        """The NuTable holding the nonzero values of nu on the modes; it keeps
+        its flat n*nu for `shift`."""
         t = NuTable(eps0=self.eps0, nu_cap=nu_cap)
         nz = vals != 0.0
         t._d = dict(zip(zip(self.n[nz].tolist(), self.m[nz].tolist()), vals[nz].tolist()))
+        t._flat = (self, self.scatter(np.where(nz, vals, 0.0)))
+        t._flat[1].flags.writeable = False
         return t
 
     @cached_property
@@ -424,8 +449,10 @@ class ModeSet:
         """The parts of the closed-form order-2 counterterm fixed by the ModeSet.
 
         Over the odd inner labels m' <= Mmax: om_m'^2 and, per mode, the
-        side-chain sum_m' v_{m,m,m'} v_{m',1,1} / om_m'^2, v_{m,1,m'}^2 and
-        the flat positions of the inner lines (|n + 1|, m'), (|n - 1|, m').
+        side-chain sum_m' v_{m,m,m'} v_{m',1,1} / om_m'^2, v_{m,1,m'}^2 and,
+        for each inner line (|n + 1|, m') and (|n - 1|, m'): the entries of
+        the (mode, m') block inside the windows, their flat positions, and
+        the modes whose line n +- 1 is the primary +-1.
         """
         mp = np.arange(1, self.Mmax + 1, 2)
         om_mp2 = mp.astype(float) ** 4 + self.mu
@@ -436,7 +463,11 @@ class ModeSet:
         v_mm = np.array([rows[m][0] for m in mode_m]).reshape(len(self), mp.size)
         v_m1 = np.array([rows[m][1] for m in mode_m]).reshape(len(self), mp.size)
         side = (v_mm * (v_mp11 / om_mp2)[None, :]).sum(axis=1)
-        inner = [self.index(np.abs(self.n + sig)[:, None], mp[None, :]) for sig in (1, -1)]
+        inner = []
+        for sig in (1, -1):
+            idx = self.index(np.abs(self.n + sig)[:, None], mp[None, :])
+            at = np.flatnonzero(idx < self.size)
+            inner.append((at, idx.flat[at], np.flatnonzero(np.abs(self.n + sig) == 1)))
         return om_mp2, side, v_m1 ** 2, inner
 
 

@@ -525,7 +525,11 @@ _point_tables = lru_cache(maxsize=4)(_Point)
 
 
 def _point(params: ModelParams, eps: float, nu: NuTable | None) -> _Point:
-    return _point_tables(params, eps, None if nu is None else tuple(nu.items()))
+    if nu is None:
+        return _point_tables(params, eps, None)
+    if nu._key is None or nu._key[0] is not params or nu._key[1] != eps:
+        nu._key = (params, eps, tuple(nu.items()))     # NuTable.set drops it
+    return _point_tables(*nu._key)
 
 
 @dataclass
@@ -970,15 +974,19 @@ def counterterm_order2_closed(params: ModelParams, eps: float, shift: np.ndarray
     # side-chain shape: inner line (0, m'), b-type outer node vanishes
     s = a * (a + b * Om * Om) * side
 
-    # ladder shape: inner line (n + sigma, m') at on-shell frequency
-    for sig, idx in zip((1.0, -1.0), inner):
+    # ladder shape: inner line (n + sigma, m') at on-shell frequency, built in
+    # one buffer; the shift is zero outside the windows, so only the entries
+    # inside them add it
+    term = np.empty(v_m1_sq.shape)
+    for sig, (at, pos, primary) in zip((1.0, -1.0), inner):
         n1 = narr + sig
-        denom = -(Om * sig + ombar[:, None]) ** 2 + om_mp2[None, :] + shift[idx]
+        np.add(-(Om * sig + ombar[:, None]) ** 2, om_mp2[None, :], out=term)
+        term.reshape(-1)[at] += shift[pos]          # the denominator
         f0 = a + b * Om * Om * sig * n1             # outer node, both types
         f1 = a - b * Om * Om * sig * narr           # inner node, both types
-        term = v_m1_sq / denom
+        np.divide(v_m1_sq, term, out=term)
         # a line exiting an internal node may not carry the primary mode
-        term[np.abs(n1) == 1.0, 0] = 0.0
+        term[primary, 0] = 0.0
         s = s + f0 * f1 * term.sum(axis=1)
 
     return -(4.0 * q * q / narr) * s

@@ -20,7 +20,11 @@ from lindbeam.checks import (
     recursion_cases,
     tree_identity,
 )
-from lindbeam.diophantine import measure_cantor, measure_mass_complement
+from lindbeam.diophantine import (
+    _cantor_exclusion_widths,
+    measure_cantor,
+    measure_mass_complement,
+)
 from lindbeam.kernel import kernel_sum_probe
 from lindbeam.series import (
     compute_coeffs,
@@ -150,15 +154,37 @@ def test_criterion_08_mass_measure():
             f"all within 6*gamma, spread {max(ratios)/min(ratios):.3f}")
 
 
-def test_criterion_09_cantor_trend():
-    pw = RES_P.with_(eps0=0.35, nu_cap=0.45, Nmax=500)
+CANTOR_P = RES_P.with_(eps0=0.35, nu_cap=0.45, Nmax=500)
+
+
+@pytest.fixture(scope="module")
+def cantor_scans():
+    """Criterion 9's measure_cantor reports, one per window."""
+    return [(w, measure_cantor(CANTOR_P, w, 1000, K=2)) for w in (0.08, 0.02, 0.005)]
+
+
+def test_criterion_09_cantor_trend(cantor_scans):
     rels = []
-    for w in (0.08, 0.02, 0.005):
-        rep = measure_cantor(pw, w, 1000, K=2)
+    for w, rep in cantor_scans:
         rels.append(rep.excluded_with_tail / w)
     ok = rels[0] > rels[1] > rels[2]
     _report("9 accepted-amplitude trend", ok,
             "relative excluded " + " > ".join(f"{r:.3e}" for r in rels))
+
+
+def test_cantor_scan_rejections_lie_in_analytic_intervals(cantor_scans):
+    # each grid-rejected eps must sit inside an analytic exclusion interval of
+    # the family and mode that rejected it
+    rejected = 0
+    for w, rep in cantor_scans:
+        intervals = _cantor_exclusion_widths(CANTOR_P, w, CANTOR_P.Nmax)
+        for eps, fam, at, margin, threshold in rep.worst["rejected"]:
+            rejected += 1
+            label = f"{fam} n={at[0]} m={at[1]}"
+            assert any(tag == label and abs(eps - c) <= wd / 2 for c, wd, tag in intervals), \
+                f"eps={eps!r} rejected by {fam} at {at} (margin {margin:.3e} against " \
+                f"{threshold:.3e}) lies in no interval {label!r}"
+    assert rejected >= 1
 
 
 @pytest.fixture(scope="module")

@@ -188,9 +188,9 @@ def test_verify_pass_and_mutation_hook(tmp_path, monkeypatch):
     rep = json.loads((tmp_path / "out" / "verify.json").read_text())
     assert all(c["ok"] for c in rep["checks"].values())
     # a sign error in the kernel must fail the oracle
-    integral = lindbeam.checks.triple_sine_integral
-    monkeypatch.setattr(lindbeam.checks, "triple_sine_integral",
-                        lambda m, m1, m2: -integral(m, m1, m2))
+    closed = lindbeam.checks.triple_sine_closed
+    monkeypatch.setattr(lindbeam.checks, "triple_sine_closed",
+                        lambda m, m1, m2: -closed(m, m1, m2))
     assert main(["--config", cfg, "verify"]) == 1
     rep = json.loads((tmp_path / "out" / "verify.json").read_text())
     assert rep["checks"]["kernel_oracle"]["ok"] is False
@@ -236,6 +236,14 @@ def test_residual_marks_excluded(tmp_path):
     assert rc == 0
     rows = list(csv.DictReader(open(tmp_path / "out" / "residual.csv")))
     assert rows[0]["status"].startswith("excluded")
+    # at eps0 = 0.08 the shift leaves its box first; at 0.35 the shift
+    # converges and the status names the failed family, mode and margin
+    rc = main(["--config", cfg, "--eps0", "0.35", "--eps-lo", repr(eps_bad),
+               "--eps-hi", repr(eps_bad), "--eps-count", "1", "residual"])
+    assert rc == 0
+    rows = list(csv.DictReader(open(tmp_path / "out" / "residual.csv")))
+    assert rows[0]["status"] == ("excluded: square condition at (4, 2), "
+                                 "margin 0.000e+00 against threshold 6.250e-02")
 
 
 def test_dioph_mass(tmp_path):
@@ -253,9 +261,13 @@ def test_dioph_mass(tmp_path):
 def test_dioph_cantor_and_melnikov(tmp_path):
     cfg = write_cfg(tmp_path)
     assert main(["--config", cfg, "dioph", "melnikov"]) == 0
+    doc = json.loads((tmp_path / "out" / "dioph_melnikov.json").read_text())
+    assert len(doc["first_at"]) == 2 and len(doc["second_at"]) == 4
     assert main(["--config", cfg, "dioph", "cantor"]) == 0
     doc = json.loads((tmp_path / "out" / "dioph_cantor.json").read_text())
     assert doc["accepted"] is True
+    assert len(doc["square_at"]) == 2 and len(doc["first_at"]) == 2
+    assert len(doc["second_at"]) == 4
 
 
 def test_bruno_subcommand(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from lindbeam import diophantine
 from lindbeam.diophantine import (
     MU_MAX,
+    cantor_failure,
     cantor_margins,
     check_cantor,
     check_mass,
@@ -234,6 +235,19 @@ def _melnikov_oracle(eps, nu, params, Nmax, Mmax):
     return out
 
 
+BELOW = (math.inf, G, 2 * G, 0.3, 5.0)
+
+
+def _cleared(margins, below):
+    """The margins that melnikov_margins reports at below: a family that
+    clears below reads inf at None."""
+    out = dict(margins)
+    for fam in ("first", "second"):
+        if out[fam] >= below:
+            out[fam], out[f"{fam}_at"] = math.inf, None
+    return out
+
+
 def _sampled_nu(params, seed, scale):
     """A random table on the near-resonant modes of the params' own cutoffs."""
     rng = np.random.default_rng(seed)
@@ -254,16 +268,43 @@ def test_melnikov_margins_match_scalar_oracle(case):
     elif case == "smaller cutoffs":
         # the table reaches beyond (Nmax, Mmax): the windows cut it off
         nu, Nmax, Mmax = _sampled_nu(pp, 6, 0.2 * pp.eps0), 50, 12
-    got = melnikov_margins(eps, nu, pp, Nmax, Mmax)
     want = _melnikov_oracle(eps, nu, pp, Nmax or pp.Nmax, Mmax or pp.Mmax)
-    assert got == want
+    for below in BELOW:
+        got = melnikov_margins(eps, nu, pp, Nmax, Mmax, below=below)
+        assert got == _cleared(want, below)
 
 
 def test_melnikov_margins_match_scalar_oracle_wide_window():
     pw = P.with_(eps0=0.35, nu_cap=0.45, Nmax=200, Mmax=20)
     for seed, eps in ((1, 0.013), (2, 0.061)):
         nu = _sampled_nu(pw, seed, 0.3 * pw.eps0)
-        assert melnikov_margins(eps, nu, pw) == _melnikov_oracle(eps, nu, pw, 200, 20)
+        want = _melnikov_oracle(eps, nu, pw, 200, 20)
+        for below in BELOW:
+            assert melnikov_margins(eps, nu, pw, below=below) == _cleared(want, below)
+
+
+def test_pruned_pair_scan_keeps_a_resonance_made_by_the_shift():
+    # (a1, a2) = (+1, -1) at (n1, m1) = (8, 3) and (n2, m2) = (24, 5): Omega
+    # and a shift on (24, 5) make Omega 16 + om_3 - omega~_5 vanish while
+    # omega~_5 sits 0.75 Omega below om_5.  Without the shift the nearest
+    # integer is 17, so the row lies in the dd = -1 pass, and only a bound
+    # that subtracts D(5) keeps it.
+    pp = P.with_(eps0=0.35, nu_cap=0.45, Mmax=24, Nmax=120)
+    om3, om5 = (float(omega(m, pp.mu)) for m in (3, 5))
+    eps = math.sqrt(1 + pp.mu) - (om5 - om3) / 16.75
+    w2 = omega_eff(pp, eps) * 16 + om3
+    nu = NuTable(eps0=pp.eps0, nu_cap=pp.nu_cap)
+    nu.set(24, 5, (w2 ** 2 - (5.0 ** 4 + pp.mu)) / 24)
+    full = melnikov_margins(eps, nu, pp)
+    assert full == _melnikov_oracle(eps, nu, pp, 120, 24)
+    assert full["second"] < pp.gamma and full["second_at"] == (8, 3, 24, 5)
+    assert melnikov_margins(eps, None, pp)["second"] > 1.0
+    for below in BELOW:
+        assert melnikov_margins(eps, nu, pp, below=below) == _cleared(full, below)
+    assert not check_melnikov(eps, nu, pp)
+    marg = {}
+    assert not check_cantor(eps, nu, pp, margins=marg)
+    assert cantor_failure(marg, pp.gamma)[:2] == ("second", (8, 3, 24, 5))
 
 
 def test_mode_and_pair_caches_are_bounded():

@@ -186,6 +186,25 @@ def test_r_tree_enumeration():
     assert enumerate_r_trees(3, 9, 3, P, MM) == []
 
 
+def _closed_dense(params, eps, shift, q, ms):
+    """counterterm_order2_closed over the full (mode, m') block, reading the
+    shift of every inner line, zero or not."""
+    a, b = params.a, params.b
+    Om = omega_eff(params, eps)
+    mp = np.arange(1, ms.Mmax + 1, 2)
+    om_mp2, side, v_m1_sq, _ = ms.closed_rows
+    narr = ms.n.astype(float)
+    ombar = np.sqrt(ms.m.astype(float) ** 4 + params.mu + shift[ms.pos])
+    s = a * (a + b * Om * Om) * side
+    for sig in (1.0, -1.0):
+        n1 = narr + sig
+        idx = ms.index(np.abs(ms.n + int(sig))[:, None], mp[None, :])
+        term = v_m1_sq / (-(Om * sig + ombar[:, None]) ** 2 + om_mp2[None, :] + shift[idx])
+        term[np.abs(n1) == 1.0, 0] = 0.0
+        s = s + (a + b * Om * Om * sig * n1) * (a - b * Om * Om * sig * narr) * term.sum(axis=1)
+    return -(4.0 * q * q / narr) * s
+
+
 def test_counterterm_enum_matches_closed_form():
     q = 0.8
     ms = mode_set(P.mu, P.eps0, MM, 60)
@@ -194,6 +213,7 @@ def test_counterterm_enum_matches_closed_form():
     sampled = ms.nu_table(rng.uniform(-0.2, 0.2, len(ms)) * P.eps0, P.nu_cap)
     for nu in (make_nu(), sampled):
         closed = counterterm_order2_closed(P, EPS, ms.shift(nu), q, ms)
+        assert np.array_equal(closed, _closed_dense(P, EPS, ms.shift(nu), q, ms))
         for (n, m), want in zip(ms.modes(), closed):
             got = counterterm(2, n, m, -1, P, EPS, nu, q, CountertermTable(), MM)
             assert got == pytest.approx(float(want), rel=1e-12, abs=1e-18)
