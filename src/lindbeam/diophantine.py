@@ -14,7 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectrum import MU_MAX, ModelParams, NuTable, mode_set, omega, omega_eff
+from .spectrum import (MU_MAX, DegenerateRadicandError, ModelParams, NuTable, mode_set, omega,
+                       omega_eff)
 
 __all__ = [
     "MU_MAX",
@@ -267,7 +268,8 @@ def melnikov_margins(eps: float, nu: NuTable | None, params: ModelParams,
     m1 != m2.  Combinations away from the nearest resonant integer carry
     margin >= 0.4 >= gamma and are skipped.  nu enters only inside the
     ModeSet windows of (Mmax, Nmax); the first minimum in scan order (m then
-    n; signs, offset, then row) is the one reported.
+    n; signs, offset, then row) is the one reported.  A window mode with
+    omega_m^2 + n nu_{n,m} <= 0 raises DegenerateRadicandError, whatever below.
 
     below: a family whose minimum is below it reports the full scan's (below
     = inf) value and location, one that clears it inf and None.  A pair row
@@ -283,6 +285,13 @@ def melnikov_margins(eps: float, nu: NuTable | None, params: ModelParams,
     Om = omega_eff(params, eps)
     ms = mode_set(params.mu, params.eps0, Mmax, Nmax)
     shift = ms.shift(nu)
+    base = ms.flat_m.astype(float) ** 4 + params.mu
+    rad = base + shift[:-1]          # omega~^2 over the flat layout
+    bad = np.flatnonzero(rad <= 0.0)
+    if bad.size:
+        j, m = int(bad[0]), int(ms.flat_m[bad[0]])
+        raise DegenerateRadicandError(
+            f"radicand {rad[j]} <= 0 at mode {(j - int(ms.offset[m]) + int(ms.lo[m]), m)}")
     out = {"first": math.inf, "second": math.inf,
            "first_at": None, "second_at": None}
 
@@ -293,15 +302,14 @@ def melnikov_margins(eps: float, nu: NuTable | None, params: ModelParams,
     # Python's pow: numpy's can differ from a scalar evaluation in the last bit
     n_tau = np.array([abs(float(x)) ** params.tau for x in n.flat]).reshape(n.shape)
     marg = np.abs(Om * n - omt) * n_tau
-    marg[(n < 1) | (n > Nmax) | np.isnan(marg)] = math.inf
+    marg[(n < 1) | (n > Nmax)] = math.inf
     if marg.size and marg.min() < below:
         j = int(np.argmin(marg))
         out["first"] = float(marg.flat[j])
         out["first_at"] = (int(n.flat[j]), j // 5 + 2)
 
     n1, m1, m2, lo2, hi2, om2, idx1, off2 = _pair_rows(params.mu, params.eps0, Nmax, Mmax)
-    base = ms.flat_m.astype(float) ** 4 + params.mu
-    w, om = np.sqrt(base + shift[:-1]), np.sqrt(base)     # omega~, omega over the flat layout
+    w, om = np.sqrt(rad), np.sqrt(base)     # omega~, omega over the flat layout
     dn_tau = np.arange(2 * Nmax + 1, dtype=float) ** params.tau   # |n2 - n1| <= 2 Nmax
     D = np.zeros(Mmax + 1)
     np.maximum.at(D, ms.flat_m, np.abs(w - om))     # D(m) = max |omega~ - omega| over m's window

@@ -113,17 +113,17 @@ def kernel_tensor(m_out: int, m_in: int) -> np.ndarray:
     return _closed_form_grid(m, m1, m1.transpose(0, 2, 1))
 
 
-@lru_cache(maxsize=4)
-def cosine_projection(m_out: int, k_max: int) -> np.ndarray:
-    """Read-only P[m-1, k] = (1/2)(2/pi) J[m, k] for m <= m_out, 0 <= k <= k_max.
+@lru_cache(maxsize=8)
+def cosine_projection(M: int, parity: int) -> np.ndarray:
+    """Read-only half of P[m-1, k] = (1/2)(2/pi) J[m, k], transposed.
 
-    With it v_{m,m1,m2} = P[m-1, |m1-m2|] - P[m-1, m1+m2].  Parity zeros
-    (m+k even) mask the poles m = k.
+    Row i holds k = 2i + parity <= 2M and column j holds m = 2j + 1 + parity
+    <= 2M: the entries with m + k odd, the only nonzero ones, so no pole m = k
+    is met.  With P, v_{m,m1,m2} = P[m-1, |m1-m2|] - P[m-1, m1+m2].
     """
-    m = np.arange(1, m_out + 1, dtype=float)[:, None]
-    k = np.arange(0, k_max + 1, dtype=float)[None, :]
-    odd = (m + k) % 2 == 1
-    out = np.where(odd, C_NORM * m / np.where(odd, m * m - k * k, 1.0), 0.0)
+    k = np.arange(parity, 2 * M + 1, 2, dtype=float)[:, None]
+    m = np.arange(1 + parity, 2 * M + 1, 2, dtype=float)[None, :]
+    out = C_NORM * m / (m * m - k * k)
     out.flags.writeable = False
     return out
 
@@ -136,12 +136,13 @@ def nonlinearity_coefficient(a: float, b: float, Omega: float, n1: int, n2: int)
 def kernel_sum_probe(m: int, Mmax: int) -> float:
     """Weighted kernel sum S(m) = sum* |v_{m,m1,m2}| / (m1^3 m2^3).
 
-    The sum runs over parity-admissible m1, m2 <= Mmax; m^3 * S(m) staying
-    bounded in m is the summability mechanism that keeps the mode expansion
-    convergent.
+    The sum runs over parity-admissible m1, m2 <= Mmax (the half-grids with
+    m + m1 + m2 odd); m^3 * S(m) staying bounded in m is the summability
+    mechanism that keeps the mode expansion convergent.
     """
-    m1 = np.arange(1, Mmax + 1, dtype=float)[:, None]
-    return float(np.sum(np.abs(_closed_form_grid(m, m1, m1.T)) / (m1 ** 3 * m1.T ** 3)))
+    half = [np.arange(p, Mmax + 1, 2, dtype=float)[:, None] for p in (1, 2)]
+    return sum(float(np.sum(np.abs(_closed_form_grid(m, x, y.T)) / (x ** 3 * y.T ** 3)))
+               for x, y in zip(half, half if m % 2 else half[::-1]))
 
 
 def kernel_sum_probe_restricted(m: int, Mmax: int) -> float:

@@ -159,31 +159,51 @@ def quad_conv(u1: np.ndarray, u2: np.ndarray, k1: int, k2: int,
     Returns C[n, m] = sum_{n1+n2=n} (a - b Om^2 n1 n2)
                       sum_{m1,m2} v_{m,m1,m2} u1_{n1,m1} u2_{n2,m2}
     on the extended grid m <= 2*Mmax, |n| <= (k1+1)+(k2+1).
-
-    The kernel factorizes as v_{m,m1,m2} = P[m,|m1-m2|] - P[m,m1+m2]
-    (kernel.cosine_projection): each pair of nonzero rows costs a correlation
-    (m1-m2) and a convolution (m1+m2), O(Mmax^2), summed into G[n, k] with
-    k = 0..2*Mmax; one matmul C = G P^T then projects every output row.
     """
-    noff = (k1 + 1) + (k2 + 1)
-    lag = np.zeros((2 * noff + 1, 2 * Mmax - 1))   # column m1 - m2 + Mmax - 1
-    G = np.zeros((2 * noff + 1, 2 * Mmax + 1))
-    rows2 = [(i2 - (k2 + 1), row2) for i2, row2 in enumerate(u2) if row2.any()]
-    for i1, row1 in enumerate(u1):
-        if not row1.any():
-            continue
-        n1 = i1 - (k1 + 1)
-        for n2, row2 in rows2:
-            coef = a - b * Om * Om * n1 * n2
-            if coef == 0.0:
-                continue
-            n = n1 + n2 + noff
-            lag[n] += coef * np.correlate(row1, row2, "full")
-            G[n, 2:] -= coef * np.convolve(row1, row2)
+    return _contract([(1.0, u1, k1, u2, k2)], (k1 + 1) + (k2 + 1), a, b, Om, Mmax)
+
+
+def _half_rows(u: np.ndarray, k: int) -> list:
+    """(n, p, u[n + k + 1, p-1::2]) per nonzero half-row; it holds m = 2i + p."""
+    return [(i - (k + 1), p, u[i, p - 1::2]) for p in (1, 2)
+            for i in np.flatnonzero(u[:, p - 1::2].any(axis=1)).tolist()]
+
+
+def _contract(terms, noff: int, a: float, b: float, Om: float, M: int) -> np.ndarray:
+    """sum of w * quad_conv(u1, u2, k1, k2) over terms (w, u1, k1, u2, k2),
+    on the grid |n| <= noff, m <= 2*M, projected once.
+
+    With v_{m,m1,m2} = P[m,|m1-m2|] - P[m,m1+m2] (kernel.cosine_projection),
+    a pair of half-rows (odd or even m) costs a correlation and a convolution
+    into G[n, k]: same-parity pairs fill even k (projected onto odd m), mixed
+    pairs odd k (even m).  All-zero halves are skipped; when u1 is u2 each
+    unordered pair is taken once, weighted 2 off the diagonal.
+    """
+    lag = np.zeros((2 * noff + 1, 2 * M - 1))   # column m1 - m2 + M - 1
+    G = np.zeros((2 * noff + 1, 2 * M + 1))
+    om2b = b * Om * Om
+    for w, u1, k1, u2, k2 in terms:
+        sym = u1 is u2
+        rows1 = _half_rows(u1, k1)
+        rows2 = rows1 if sym else _half_rows(u2, k2)
+        for j1, (n1, p1, x) in enumerate(rows1):
+            for j2 in range(j1 if sym else 0, len(rows2)):
+                n2, p2, y = rows2[j2]
+                coef = (2 * w if sym and j2 > j1 else w) * (a - om2b * n1 * n2)
+                if coef == 0.0:
+                    continue
+                xc, n = coef * x, n1 + n2 + noff
+                lo, width = M + 1 - 2 * y.size + p1 - p2, 2 * (x.size + y.size) - 3
+                lag[n, lo:lo + width:2] += np.correlate(xc, y, "full")
+                G[n, p1 + p2:p1 + p2 + width:2] -= np.correlate(xc, y[::-1], "full")
     # fold the signed difference m1 - m2 onto |m1 - m2|
-    G[:, :Mmax] += lag[:, Mmax - 1:]
-    G[:, 1:Mmax] += lag[:, :Mmax - 1][:, ::-1]
-    return G @ cosine_projection(2 * Mmax, 2 * Mmax).T
+    G[:, :M] += lag[:, M - 1:]
+    G[:, 1:M] += lag[:, :M - 1][:, ::-1]
+    C = np.zeros((2 * noff + 1, 2 * M))
+    for par in (0, 1):      # even k -> odd m, odd k -> even m; zero rows skipped
+        r = np.flatnonzero(G[:, par::2].any(axis=1))
+        C[r, par::2] = G[r, par::2] @ cosine_projection(M, par)
+    return C
 
 
 def _forcing(us: list[np.ndarray], j: int, params: ModelParams, Om: float,
@@ -193,8 +213,9 @@ def _forcing(us: list[np.ndarray], j: int, params: ModelParams, Om: float,
     F^(k) of the recursion is the j = k-1 term; the primary-mode equation
     reads its order-j coefficient at (n, m) = (1, 1).
     """
-    return sum(quad_conv(us[k1], us[j - k1], k1, j - k1, params.a, params.b, Om, Mmax)
-               for k1 in range(j + 1))
+    terms = [(1.0 if 2 * k1 == j else 2.0, us[k1], k1, us[j - k1], j - k1)   # k1 <= k2
+             for k1 in range(j // 2 + 1)]
+    return _contract(terms, j + 2, params.a, params.b, Om, Mmax)
 
 
 def compute_coeffs(params: ModelParams, eps: float, nu: NuTable | None,
@@ -594,13 +615,13 @@ def decay_check(table: CoeffTable, params: ModelParams, m_floor: float = 3.0
 # serialization
 
 def save_coeffs_csv(table: CoeffTable, path):
-    rows = [["k", "n", "m", "value"], [0, 1, 1, repr(table.q)], [0, -1, 1, repr(table.q)]]
+    lines = ["k,n,m,value\r\n", f"0,1,1,{table.q!r}\r\n", f"0,-1,1,{table.q!r}\r\n"]
     for k in range(1, table.K + 1):
         i, j = np.nonzero(table.u[k])     # row-major: n, then m
-        rows.extend(zip([k] * i.size, (i - (k + 1)).tolist(), (j + 1).tolist(),
-                        map(repr, table.u[k][i, j].tolist())))
+        lines.extend(f"{k},{n},{m},{v!r}\r\n" for n, m, v in
+                     zip((i - (k + 1)).tolist(), (j + 1).tolist(), table.u[k][i, j].tolist()))
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+        fh.write("".join(lines))
 
 
 def load_coeffs_csv(path, K: int, Mmax: int, eps: float = 0.0) -> CoeffTable:

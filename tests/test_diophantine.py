@@ -20,7 +20,14 @@ from lindbeam.diophantine import (
     square_margins,
 )
 from lindbeam.series import solve_nu
-from lindbeam.spectrum import ModelParams, NuTable, mode_set, omega, omega_eff
+from lindbeam.spectrum import (
+    DegenerateRadicandError,
+    ModelParams,
+    NuTable,
+    mode_set,
+    omega,
+    omega_eff,
+)
 
 G = 2.0 ** -6
 P = ModelParams(a=1.0, b=0.5, mu=0.1, eps0=0.02, omega_branch=-1, Mmax=64, Nmax=300)
@@ -283,18 +290,25 @@ def test_melnikov_margins_match_scalar_oracle_wide_window():
             assert melnikov_margins(eps, nu, pw, below=below) == _cleared(want, below)
 
 
-def test_pruned_pair_scan_keeps_a_resonance_made_by_the_shift():
-    # (a1, a2) = (+1, -1) at (n1, m1) = (8, 3) and (n2, m2) = (24, 5): Omega
-    # and a shift on (24, 5) make Omega 16 + om_3 - omega~_5 vanish while
-    # omega~_5 sits 0.75 Omega below om_5.  Without the shift the nearest
-    # integer is 17, so the row lies in the dd = -1 pass, and only a bound
-    # that subtracts D(5) keeps it.
+def _shift_resonance():
+    """(params, eps, nu) with a pair resonance that the shift on (24, 5) makes.
+
+    (a1, a2) = (+1, -1) at (n1, m1) = (8, 3) and (n2, m2) = (24, 5): Omega
+    and the shift make Omega 16 + om_3 - omega~_5 vanish while omega~_5 sits
+    0.75 Omega below om_5.  Without the shift the nearest integer is 17, so
+    the row lies in the dd = -1 pass, and only a bound that subtracts D(5)
+    keeps it."""
     pp = P.with_(eps0=0.35, nu_cap=0.45, Mmax=24, Nmax=120)
     om3, om5 = (float(omega(m, pp.mu)) for m in (3, 5))
     eps = math.sqrt(1 + pp.mu) - (om5 - om3) / 16.75
     w2 = omega_eff(pp, eps) * 16 + om3
     nu = NuTable(eps0=pp.eps0, nu_cap=pp.nu_cap)
     nu.set(24, 5, (w2 ** 2 - (5.0 ** 4 + pp.mu)) / 24)
+    return pp, eps, nu
+
+
+def test_pruned_pair_scan_keeps_a_resonance_made_by_the_shift():
+    pp, eps, nu = _shift_resonance()
     full = melnikov_margins(eps, nu, pp)
     assert full == _melnikov_oracle(eps, nu, pp, 120, 24)
     assert full["second"] < pp.gamma and full["second_at"] == (8, 3, 24, 5)
@@ -305,6 +319,20 @@ def test_pruned_pair_scan_keeps_a_resonance_made_by_the_shift():
     marg = {}
     assert not check_cantor(eps, nu, pp, margins=marg)
     assert cantor_failure(marg, pp.gamma)[:2] == ("second", (8, 3, 24, 5))
+
+
+@pytest.mark.parametrize("n", [6, 9])
+def test_melnikov_margins_raise_on_a_degenerate_radicand(n):
+    # 3^4 + mu - 20 n < 0.  Only pair rows read (6, 3); the first family's
+    # n ~ om_3 / Omega reads (9, 3) too.  A NaN margin in a pair pass would
+    # hide its real minimum (second = 6.74e6 at (-2, 1, -8, 2) for n = 6).
+    pp, eps, nu = _shift_resonance()
+    nu.set(n, 3, -20.0)
+    for below in BELOW:
+        with pytest.raises(DegenerateRadicandError, match=rf"at mode \({n}, 3\)"):
+            melnikov_margins(eps, nu, pp, below=below)
+    with pytest.raises(DegenerateRadicandError):
+        check_cantor(eps, nu, pp)
 
 
 def test_mode_and_pair_caches_are_bounded():

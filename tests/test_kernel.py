@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from lindbeam.kernel import (
     C_NORM,
     KernelDisagreementError,
+    _closed_form_grid,
     _triple_sine_signsum,
     kernel_sum_probe,
     kernel_sum_probe_restricted,
@@ -93,6 +94,15 @@ def test_kernel_sum_probe_bounded_smoke():
     # S(m) decreasing from m = 3 on
     s = [kernel_sum_probe(m, 400) for m in range(3, 32, 2)]
     assert all(s[i + 1] < s[i] for i in range(len(s) - 1))
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 10, 101])
+def test_kernel_sum_probe_matches_full_grid(m):
+    # the probe sums only the parity-admissible (m1, m2) classes
+    for Mmax in (1, 2, 9, 400):
+        m1 = np.arange(1, Mmax + 1, dtype=float)[:, None]
+        full = float(np.sum(np.abs(_closed_form_grid(m, m1, m1.T)) / (m1 ** 3 * m1.T ** 3)))
+        assert kernel_sum_probe(m, Mmax) == pytest.approx(full, rel=1e-13, abs=0.0)
 
 
 def test_kernel_sum_probe_restricted_decay():

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lindbeam.kernel import kernel_tensor, kernel_v
+from lindbeam.kernel import C_NORM, kernel_tensor, kernel_v
 from lindbeam.series import (
     _forcing,
     CoeffTable,
@@ -67,6 +67,17 @@ def test_order1_hand_formula():
         assert t.value(1, 2, m) == pytest.approx(want2, rel=1e-14)
 
 
+def _dense_quad_conv(u1, u2, k1, k2, a, b, Om, M):
+    """Explicit contraction with the dense (2M, M, M) kernel tensor."""
+    pairs = np.einsum("abc,ib,jc->ija", kernel_tensor(2 * M, M), u1, u2)
+    want = np.zeros((2 * (k1 + k2 + 2) + 1, 2 * M))
+    for i1 in range(u1.shape[0]):
+        for i2 in range(u2.shape[0]):
+            n1, n2 = i1 - (k1 + 1), i2 - (k2 + 1)
+            want[i1 + i2] += (a - b * Om * Om * n1 * n2) * pairs[i1, i2]
+    return want
+
+
 @pytest.mark.parametrize("M", [1, 2, 9, 64])
 def test_quad_conv_matches_dense_kernel(M):
     # oracle: explicit contraction with the dense (2M, M, M) kernel tensor
@@ -76,14 +87,67 @@ def test_quad_conv_matches_dense_kernel(M):
     u2 = rng.standard_normal((2 * (k2 + 1) + 1, M))
     u1[1] = 0.0
     got = quad_conv(u1, u2, k1, k2, a, b, Om, M)
-    pairs = np.einsum("abc,ib,jc->ija", kernel_tensor(2 * M, M), u1, u2)
-    want = np.zeros((2 * (k1 + k2 + 2) + 1, 2 * M))
-    for i1 in range(u1.shape[0]):
-        for i2 in range(u2.shape[0]):
-            n1, n2 = i1 - (k1 + 1), i2 - (k2 + 1)
-            want[i1 + i2] += (a - b * Om * Om * n1 * n2) * pairs[i1, i2]
+    want = _dense_quad_conv(u1, u2, k1, k2, a, b, Om, M)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("M", [11, 64])
+@pytest.mark.parametrize("case", ["odd_only", "u2_without_odd_m", "same_array"])
+def test_quad_conv_parity_classes_match_dense_kernel(case, M):
+    # the half-lattice contraction: odd-only rows (the tables' own form), an
+    # operand with one parity class empty, and the symmetric u1 is u2 route
+    rng = np.random.default_rng(M + 1)
+    k1, k2, a, b, Om = 1, 2, 1.0, 0.5, 1.05
+    u1 = rng.standard_normal((2 * (k1 + 1) + 1, M))
+    u2 = rng.standard_normal((2 * (k2 + 1) + 1, M))
+    u1[1] = 0.0
+    if case == "odd_only":
+        u1[:, 1::2] = u2[:, 1::2] = 0.0
+    elif case == "u2_without_odd_m":
+        u2[:, 0::2] = 0.0
+    else:
+        u2, k2 = u1, k1
+    got = quad_conv(u1, u2, k1, k2, a, b, Om, M)
+    want = _dense_quad_conv(u1, u2, k1, k2, a, b, Om, M)
+    assert got.shape == want.shape
+    assert np.array_equal(got == 0.0, want == 0.0)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _quad_conv_full_rows(u1, u2, k1, k2, a, b, Om, M):
+    """quad_conv on whole rows with the whole projection matrix."""
+    noff = (k1 + 1) + (k2 + 1)
+    lag = np.zeros((2 * noff + 1, 2 * M - 1))
+    G = np.zeros((2 * noff + 1, 2 * M + 1))
+    for i1, row1 in enumerate(u1):
+        for i2, row2 in enumerate(u2):
+            coef = a - b * Om * Om * (i1 - (k1 + 1)) * (i2 - (k2 + 1))
+            lag[i1 + i2] += coef * np.correlate(row1, row2, "full")
+            G[i1 + i2, 2:] -= coef * np.convolve(row1, row2)
+    G[:, :M] += lag[:, M - 1:]
+    G[:, 1:M] += lag[:, :M - 1][:, ::-1]
+    m = np.arange(1, 2 * M + 1, dtype=float)[:, None]
+    k = np.arange(0, 2 * M + 1, dtype=float)[None, :]
+    odd = (m + k) % 2 == 1
+    return G @ np.where(odd, C_NORM * m / np.where(odd, m * m - k * k, 1.0), 0.0).T
+
+
+@pytest.mark.parametrize("Mmax", [9, 192])
+def test_forcing_matches_pairwise_quad_conv(Mmax):
+    # one projection of the symmetric sum == the sum of every ordered pair
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        nu, info = solve_nu(P, EPS, 3, Mmax=Mmax)
+        us = compute_coeffs(P, EPS, nu, info["counterterms"], 3, Mmax, q=info["q"]).u
+    Om = omega_eff(P, EPS)
+    for j in range(4):
+        got = _forcing(us, j, P, Om, Mmax)
+        want = sum(_quad_conv_full_rows(us[k1], us[j - k1], k1, j - k1, P.a, P.b, Om, Mmax)
+                   for k1 in range(j + 1))
+        assert got.shape == want.shape
+        assert np.array_equal(got == 0.0, want == 0.0)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_support_parity_reality():
