@@ -8,11 +8,11 @@ import warnings
 
 import numpy as np
 
-from .bruno import admissible_scales, check_bruno, check_bruno_r
+from .bruno import check_bruno, check_bruno_r
 from .kernel import kernel_v, triple_sine_closed, triple_sine_quadrature
 from .series import compute_coeffs, lambda_modes
 from .spectrum import ModelParams, chi_h
-from .trees import counterterm_table, enumerate_r_trees, enumerate_trees
+from .trees import counterterm_table, family_assignments
 
 __all__ = [
     "family_grid",
@@ -82,18 +82,19 @@ def tree_identity(expansion, params: ModelParams, cases, grid, Mmax: int) -> flo
 
 def counting_inequalities(params: ModelParams, points, grid, Mmax: int,
                           special_modes=()) -> dict:
-    """[assignments, violations] of the counting inequalities over the sample
-    points: per order k over the families of grid, and under "special" over
-    the order-2 special-end families at special_modes."""
-    families = [(k, enumerate_trees(k, n, m, params, Mmax), check_bruno)
-                for (k, n, m) in grid]
-    families += [("special", enumerate_r_trees(2, n, m, params, Mmax), check_bruno_r)
-                 for (n, m) in special_modes]
-    tallies = {key: [0, 0] for key, _, _ in families}
+    """[assignments, violations, assignments with a line at h >= 0] of the
+    counting inequalities over the sample points: per order k over the
+    families of grid, and under "special" over the order-2 special-end
+    families at special_modes.  An assignment with every line at h = -1 has
+    no line to count, so it holds at once; the others are checked."""
+    families = [(k, (k, n, m, False), check_bruno) for (k, n, m) in grid]
+    families += [("special", (2, n, m, True), check_bruno_r) for (n, m) in special_modes]
+    tallies = {key: [0, 0, 0] for key, _, _ in families}
     for eps, nu in points:
-        for key, trees, check in families:
-            for tree in trees:
-                for asg in admissible_scales(tree, params, eps, nu):
-                    tallies[key][0] += 1
-                    tallies[key][1] += not check(tree, asg, params, raise_on_fail=False)
+        for key, (k, n, m, special), check in families:
+            count, deep = family_assignments(k, n, m, params, eps, nu, Mmax, special)
+            tallies[key][0] += count
+            tallies[key][1] += sum(not check(tree, asg, params, raise_on_fail=False)
+                                   for tree, asg in deep)
+            tallies[key][2] += len(deep)
     return tallies

@@ -200,8 +200,9 @@ def cmd_verify(params: ModelParams, run: dict) -> int:
            f"worst relative deviation {worst_rel:.2e}")
 
     tallies = checks.counting_inequalities(params, pts, checks.family_grid((1, 2), (1, 3, 5)), Mm)
-    total, bad = map(sum, zip(*tallies.values()))
-    record("counting_inequality", bad == 0, f"{total} assignments, {bad} violations")
+    total, bad, deep = map(sum, zip(*tallies.values()))
+    record("counting_inequality", bad == 0,
+           f"{total} assignments, {bad} violations, {deep} with a line at h >= 0")
 
     (out / "verify.json").write_text(json.dumps(report, indent=2, sort_keys=True))
     failed = [n for n, c in report["checks"].items() if not c["ok"]]
@@ -332,15 +333,14 @@ def cmd_bruno(params: ModelParams, run: dict) -> int:
             results = list(pool.map(count, [[pt] for pt in pts]))
     else:
         results = [count(pts)]
-    rows = [(k, sum(r[k][0] for r in results), sum(r[k][1] for r in results))
-            for k in (1, 2, 3)]
+    rows = [(k, *(sum(r[k][j] for r in results) for j in range(3))) for k in (1, 2, 3)]
     with open(out / "bruno.csv", "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["order", "assignments", "violations"])
+        w.writerow(["order", "assignments", "violations", "at_h_ge_0"])
         w.writerows(rows)
-    ok = all(b == 0 for _, _, b in rows)
-    print("\n".join(f"order {k}: {t} assignments, {b} violations"
-                    for k, t, b in rows))
+    ok = all(b == 0 for _, _, b, _ in rows)
+    print("\n".join(f"order {k}: {t} assignments, {b} violations, {d} with a line at h >= 0"
+                    for k, t, b, d in rows))
     return EXIT_OK if ok else EXIT_VERIFY
 
 

@@ -14,6 +14,19 @@ bounded cache.  A `Tree` is a view of one tree's rows; it builds `TNode`
 objects only when asked for them.  Evaluation reads the rows together with
 per-point mode tables (`_Point`): the scale labels each mode's divisor
 admits and its cutoff propagator, computed once per (params, eps, nu).
+
+Evaluation works on a whole family at once.  A point's assignment table
+(`_Table`, one per family and support rule, cached on the `_Point`) holds
+every admissible scale assignment of every tree, one row each, in tree
+order and, within a tree, in `itertools.product` order of its lines'
+labels.  `_row_values` evaluates all rows together, level by level from the
+leaves up (a node's level is its height), doing at each node the
+multiplications of the per-tree recursion in the same order: node weight,
+then line factor times child value for each child in `TNode` children
+order, with the same zero short-circuits.  The row values and the
+sequential sum over rows are therefore bitwise equal to evaluating the
+trees one at a time.  Rows with an active resonance block are evaluated by
+the recursive `_region`.
 """
 from __future__ import annotations
 
@@ -21,7 +34,6 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as iproduct
 
 import numpy as np
 
@@ -44,6 +56,7 @@ __all__ = [
     "enumerate_trees",
     "enumerate_r_trees",
     "admissible_assignments",
+    "family_assignments",
     "tree_value",
     "sum_trees",
     "renormalized_sum",
@@ -273,13 +286,16 @@ class _Family:
             setattr(self, c + "_start", _frozen("i", offsets))
             setattr(self, c + "_row", _frozen("h", vals))
         self.modes = tuple(modes)
+        self._cols = None
+
+    def columns(self) -> "_Columns":
+        """The rows as numpy arrays, built on first use."""
+        if self._cols is None:
+            self._cols = _Columns(self)
+        return self._cols
 
     def lines(self, t: int) -> memoryview:
         return self.line_row[self.line_start[t]:self.line_start[t + 1]]
-
-    def pairs(self, t: int) -> list[tuple[int, int]]:
-        p = self.pair_row[self.pair_start[t]:self.pair_start[t + 1]]
-        return list(zip(p[0::2], p[1::2]))
 
     def cands(self, t: int) -> list[tuple[int, int]]:
         c = self.cand_row[self.cand_start[t]:self.cand_start[t + 1]]
@@ -313,6 +329,40 @@ class _Family:
 
     def trees(self) -> list["Tree"]:
         return [Tree._view(self, t) for t in range(self.count)]
+
+
+class _Columns:
+    """A family's rows as numpy arrays, zero-copy views of its typed rows,
+    and each node row's height `level` (ends 0)."""
+
+    def __init__(self, f: _Family):
+        for c, dt in (("kind", np.int8), ("ttype", np.int8), ("sv", np.int8),
+                      ("kv", np.int8), ("n", np.int16), ("m", np.int16), ("mode", np.int16),
+                      ("size", np.int16), ("start", np.int32), ("mult", np.int64),
+                      ("line_start", np.int32), ("line_row", np.int16),
+                      ("pair_start", np.int32), ("pair_row", np.int16),
+                      ("cand_start", np.int32), ("cand_row", np.int16),
+                      ("special", np.int16)):
+            setattr(self, c, np.frombuffer(getattr(f, c).obj, dtype=dt))
+        inner = np.flatnonzero(self.sv > 0)
+        kid = np.where(self.sv[inner] == 2, self.second(inner), inner + 1)
+        self.level = np.zeros(len(self.sv), np.int8)
+        while True:     # one pass per level: a node sits one above its higher child
+            up = np.maximum(self.level[inner + 1], self.level[kid]) + 1
+            if np.array_equal(up, self.level[inner]):
+                break
+            self.level[inner] = up
+
+    def second(self, rows: np.ndarray) -> np.ndarray:
+        """Row of the second subtree of each of the given binary node rows,
+        the child that comes first in TNode children order."""
+        return rows + 1 + self.size[rows + 1]
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges [start, start + length), one after another."""
+    ends = np.cumsum(lengths, dtype=np.int64)
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1] if len(ends) else 0)
 
 
 @lru_cache(maxsize=FAMILY_CACHE_SIZE)
@@ -464,6 +514,7 @@ class _Point:
     near-resonant zone, the on-shell frequency omega_bar and the cutoff
     propagator at the natural frequency Omega n per scale label.  Per
     (line mode, anchor mode): the labels admitted by the shifted divisor.
+    Per family: its assignment tables (`_Table`), which go with the point.
     """
 
     def __init__(self, params: ModelParams, eps: float, nu_items):
@@ -473,6 +524,7 @@ class _Point:
         self._modes: dict = {}
         self._shifted: dict = {}
         self._families: dict = {}
+        self._tables: dict = {}
 
     def mode(self, n: int, m: int) -> _Mode:
         md = self._modes.get((n, m))
@@ -497,6 +549,20 @@ class _Point:
         if out is None:
             out = self._families[fam] = [self.mode(n, m) for (n, m) in fam.modes]
         return out
+
+    def table(self, fam: _Family, renormalize: bool) -> "_Table":
+        """The family's assignment table; special-end trees always use the
+        renormalized supports."""
+        key = (fam, renormalize or fam.is_rtree)
+        tab = self._tables.get(key)
+        if tab is None:
+            supports = _shifted_lines(fam, self) if key[1] else {}
+            if supports or fam.is_rtree or not key[1]:
+                tab = _Table(fam, self, supports)
+            else:
+                tab = self.table(fam, False)    # no support differs: share the rows
+            self._tables[key] = tab
+        return tab
 
     def shifted(self, line: _Mode, anchor: _Mode) -> list[int]:
         """Labels of a line on the path of a block localized at anchor."""
@@ -528,7 +594,7 @@ def _point(params: ModelParams, eps: float, nu: NuTable | None) -> _Point:
     if nu is None:
         return _point_tables(params, eps, None)
     if nu._key is None or nu._key[0] is not params or nu._key[1] != eps:
-        nu._key = (params, eps, tuple(nu.items()))     # NuTable.set drops it
+        nu._key = (params, eps, frozenset(nu.items()))     # NuTable.set drops it
     return _point_tables(*nu._key)
 
 
@@ -604,27 +670,97 @@ def _shifted_supports(f: _Family, t: int, pt: _Point, modes: list) -> dict:
     return out
 
 
-def _assignments(f: _Family, t: int, pt: _Point, renormalize: bool) -> list[tuple]:
-    """Scale labels of tree t's propagator lines, one tuple per admissible
-    assignment (see admissible_assignments)."""
-    s, mode, modes = f.start[t], f.mode, pt.modes_of(f)
-    shifted = _shifted_supports(f, t, pt, modes) if renormalize or f.is_rtree else {}
-    options = []
-    single = True
-    for l in f.lines(t):
-        ml = modes[mode[s + l]]
-        if ml.root is None:
-            return []
-        hs = shifted[l] if l in shifted else ml.hs
-        if not hs:
-            return []   # below the scale floor: reject the parameter point
-        single = single and len(hs) == 1
-        options.append(hs)
-    combos = [tuple([o[0] for o in options])] if single else list(iproduct(*options))
-    if f.pair_start[t] != f.pair_start[t + 1]:
-        pairs = f.pairs(t)
-        combos = [c for c in combos if all(abs(c[a] - c[b]) <= 1 for a, b in pairs)]
-    return combos
+class _Table:
+    """Admissible scale assignments of every tree of a family at one point.
+
+    One row per assignment, tree after tree (tree t has the rows from
+    row_start[t] to row_start[t + 1]); labels[r, p] is the label of line p
+    of the row's tree, in the tree's line order.  A line's labels are those
+    of its mode's plain divisor unless `supports` gives others; a tree's
+    rows run through the product of its lines' labels in itertools.product
+    order, without the rows that put two lines of equal mode more than one
+    scale apart.  A tree with a line below the scale floor has no rows.
+    """
+
+    __slots__ = ("f", "row_start", "labels", "__weakref__")
+
+    def __init__(self, f: _Family, pt: _Point, supports: dict):
+        """supports: the labels of the lines (by index in the family's line
+        list) that differ from their mode's plain ones."""
+        c, modes, T = f.columns(), pt.modes_of(f), f.count
+        nl = np.diff(c.line_start)
+        line_tree = np.repeat(np.arange(T), nl)
+        width = max([2] + [len(hs) for hs in supports.values()])
+        lm = c.mode[np.repeat(c.start[:-1], nl) + c.line_row]     # mode of each line
+        opts = np.array([md.hs + [0] * (width - len(md.hs)) for md in modes],
+                        np.int16).reshape(-1, width)[lm]
+        cnt = np.array([len(md.hs) for md in modes], np.int64)[lm]
+        for g, hs in supports.items():
+            opts[g, :len(hs)], cnt[g] = hs, len(hs)
+        # mixed radix over each tree's lines, the last line fastest
+        pos = np.arange(len(lm)) - c.line_start[line_tree]
+        radix = np.ones((T, int(nl.max(initial=0)) + 1), np.int64)
+        radix[line_tree, pos] = cnt
+        tail = np.cumprod(radix[:, ::-1], axis=1)[:, ::-1]   # combinations of lines p.. of t
+        combos, stride = tail[:, 0], tail[line_tree, pos + 1]
+        row_tree = np.repeat(np.arange(T), combos)
+        index = np.arange(len(row_tree)) - np.repeat(np.cumsum(combos) - combos, combos)
+        row, p, g = _line_slots(c, row_tree)
+        # the smallest types that hold the labels and the row count: a
+        # point's tables stay in memory as long as the point does
+        labels = np.full((len(row_tree), radix.shape[1] - 1), -1,
+                         np.int8 if opts.max(initial=0) < 128 else np.int16)
+        labels[row, p] = opts[g, index[row] // stride[g] % cnt[g]]
+        if len(c.pair_row):
+            # equal-mode line pairs stay within one scale of each other
+            pair_tree = np.repeat(np.arange(T), np.diff(c.pair_start) // 2)
+            per = combos[pair_tree]
+            rows = _ranges((np.cumsum(combos) - combos)[pair_tree], per)
+            a, b = (np.repeat(c.pair_row[i::2], per) for i in (0, 1))
+            drop = rows[np.abs(labels[rows, a] - labels[rows, b]) > 1]
+            labels, row_tree = np.delete(labels, drop, axis=0), np.delete(row_tree, drop)
+        self.f, self.labels = f, labels
+        self.row_start = np.searchsorted(row_tree, np.arange(T + 1)).astype(
+            np.int16 if len(row_tree) < 2 ** 15 else np.int32)
+
+    def combos(self, t: int) -> list[list[int]]:
+        """Labels of tree t's lines, one list per admissible assignment,
+        padded with -1 past the tree's lines."""
+        return self.labels[self.row_start[t]:self.row_start[t + 1]].tolist()
+
+    def rows(self) -> tuple:
+        """(row_tree, node_row, first, h): each row's tree; then per node of
+        the rows' trees, laid row after row, its family row and the scale of
+        its exiting line (-1 off the propagator lines); each row's first node."""
+        c = self.f.columns()
+        row_tree = np.repeat(np.arange(self.f.count), np.diff(self.row_start))
+        node_row, first = _node_rows(self.f, row_tree)
+        row, p, g = _line_slots(c, row_tree)
+        h = np.full(len(node_row), -1, np.int16)
+        h[first[row] + c.line_row[g]] = self.labels[row, p]
+        return row_tree, node_row, first, h
+
+
+def _line_slots(c: _Columns, row_tree: np.ndarray) -> tuple:
+    """(row, p, g) per line of each row's tree, row after row: the row, the
+    line's position in its tree's line order and its index in the family's."""
+    nl = c.line_start[row_tree + 1] - c.line_start[row_tree]
+    row = np.repeat(np.arange(len(row_tree)), nl)
+    g = _ranges(c.line_start[row_tree], nl)
+    return row, g - c.line_start[row_tree[row]], g
+
+
+def _shifted_lines(f: _Family, pt: _Point) -> dict:
+    """Labels of the family's lines (by index in its line list) whose
+    renormalized support differs from their mode's plain labels."""
+    c, modes, out = f.columns(), pt.modes_of(f), {}
+    own = (np.diff(c.cand_start) > 0) | (f.is_rtree & (c.special >= 0))
+    for t in np.flatnonzero(own).tolist():
+        sup, s = _shifted_supports(f, t, pt, modes), f.start[t]
+        for p, l in enumerate(f.lines(t).tolist()):
+            if l in sup and sup[l] != modes[f.mode[s + l]].hs:
+                out[f.line_start[t] + p] = sup[l]
+    return out
 
 
 def admissible_assignments(tree: Tree, params: ModelParams, eps: float,
@@ -636,12 +772,29 @@ def admissible_assignments(tree: Tree, params: ModelParams, eps: float,
     under renormalization the localized evaluation shifts path-line divisors,
     so their supports are unioned in.  Lines with equal mode labels are kept
     within one scale of each other.  Empty when a divisor falls below the
-    2^-h_max floor (effectively resonant point).
+    2^-h_max floor (effectively resonant point).  Read off the point's
+    assignment table of the tree's family.
     """
     f, t = tree._compiled()
     lines = f.lines(t).tolist()
     return [dict(zip(lines, combo))
-            for combo in _assignments(f, t, _point(params, eps, nu), renormalize)]
+            for combo in _point(params, eps, nu).table(f, renormalize).combos(t)]
+
+
+def family_assignments(k: int, n: int, m: int, params: ModelParams, eps: float,
+                       nu: NuTable | None, Mmax: int | None = None, special: bool = False
+                       ) -> tuple[int, list[tuple[Tree, dict]]]:
+    """The admissible assignments of a whole family under the renormalized
+    supports, as `admissible_assignments` gives them tree by tree: their
+    number, and the (tree, assignment) pairs that put a line at a scale
+    h >= 0.  special selects the special-end family of mode (n, m)."""
+    f = (_r_family if special else _tree_family)(k, n, m, params, Mmax)
+    tab = _point(params, eps, nu).table(f, True)
+    deep = np.flatnonzero(tab.labels.max(axis=1, initial=-1) >= 0)
+    out = []
+    for r, t in zip(deep.tolist(), (np.searchsorted(tab.row_start, deep, "right") - 1).tolist()):
+        out.append((Tree._view(f, t), dict(zip(f.lines(t).tolist(), tab.labels[r].tolist()))))
+    return len(tab.labels), out
 
 
 def _line_weights(f: _Family, ctx: EvalCtx):
@@ -685,48 +838,101 @@ def _node_factor(f: _Family, s: int, i: int, h: list, ctx: EvalCtx) -> float:
     return -ctx.params.b * ctx.omega_big() ** 2 * v
 
 
-def _plain_values(f: _Family, ctx: EvalCtx):
-    """value(t, h): the value of tree t with no active block.
+def _node_rows(f: _Family, row_tree: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Family row of every node of the given trees laid one after another,
+    and the position of each tree's first node."""
+    c = f.columns()
+    size = c.start[row_tree + 1] - c.start[row_tree]
+    return _ranges(c.start[row_tree], size), np.cumsum(size) - size
 
-    Node weights times natural-frequency line factors, children first, with
-    the same products in the same order as _region.
+
+def _tabulated(keys: np.ndarray, fn) -> np.ndarray:
+    """fn(key) for each of the nonnegative integer keys, called once per
+    distinct key."""
+    seen = np.zeros(int(keys.max(initial=-1)) + 1, bool)
+    seen[keys] = True
+    distinct = np.flatnonzero(seen)
+    table = np.zeros(len(seen))
+    table[distinct] = [fn(k) for k in distinct.tolist()]
+    return table[keys]
+
+
+def _row_values(f: _Family, rows: tuple, ctx: EvalCtx) -> np.ndarray:
+    """Value of each row (see _Table.rows) with no active block.
+
+    Level by level from the ends up, each node gets its weight times, per
+    child in children order, the child's line factor times its value; a
+    zero factor or a vanishing product gives +0.0, and the root line factor
+    comes last, as in evaluating one tree at a time.
     """
-    start, kind, ttype, sv, kv, size, n, m = (f.start, f.kind, f.ttype, f.sv, f.kv,
-                                              f.size, f.n, f.m)
-    line = _line_weights(f, ctx)
-    q, a, bw = ctx.q, ctx.params.a, -ctx.params.b * ctx.omega_big() ** 2
-    l_value, rtree = ctx.l_value, f.is_rtree
+    row_tree, node, first, h = rows
+    c, pt = f.columns(), ctx.point
+    kind, sv, n, m, level = c.kind[node], c.sv[node], c.n[node], c.m[node], c.level[node]
+    enters_b = c.ttype[node] == B
 
-    def value(t: int, h: list) -> float:
-        s = start[t]
-        val = [0.0] * (start[t + 1] - s)
-        for i in range(len(val) - 1, -1, -1):
-            r = s + i
-            if kind[r] == END:
-                val[i] = q or 0.0
-                continue
-            if kind[r] == SPECIAL:
-                val[i] = 1.0 / m[r] ** 3
-                continue
-            if sv[r] == 1:
-                # the unit root line of a special-end tree: use the entering scale
-                v = n[r] * l_value(kv[r], n[r], m[r], h[i + 1] if rtree and i == 0 else h[i])
-                kids = (i + 1,)
-            else:
-                kids = (i + 1 + size[r + 1], i + 1)
-                v = kernel_v(m[r], m[s + kids[0]], m[r + 1])
-                v = a * v if ttype[r] == A else bw * v
-            enters_b = ttype[r] == B
-            for c in kids:
-                if v == 0.0:
-                    break
-                lf = line(s + c, h[c], None, enters_b)
-                v = 0.0 if lf == 0.0 else v * (lf * val[c])
-            val[i] = v or 0.0      # a vanishing subtree is +0.0, as in _region
-        rootf = line(s, h[0], None, False)
-        return 0.0 if rootf == 0.0 else rootf * val[0]
+    # cutoff propagator of each exiting line at its natural frequency: 1 on
+    # the lines of the primary mode and of special ends, and on the unit
+    # root line of a special-end tree
+    line = np.ones(len(node))
+    prop = (kind == NODE) | ((kind == END) & ((np.abs(n) != 1) | (m != 1)))
+    if f.is_rtree:
+        prop[first] = False
+    hs, modes = int(h.max(initial=-1)) + 2, pt.modes_of(f)     # h + 1 in range(hs)
+    line[prop] = _tabulated(c.mode[node[prop]].astype(np.int64) * hs + h[prop] + 1,
+                            lambda k: pt.propagator(modes[k // hs], k % hs - 1))
 
-    return value
+    # node weights: q at ends, 1/m^3 at special ends, a v or -b Om^2 v at
+    # binary nodes (v the kernel), n l(h) at unary nodes
+    w = np.zeros(len(node))
+    w[kind == END] = ctx.q or 0.0
+    special = kind == SPECIAL
+    w[special] = [1.0 / mm ** 3 for mm in m[special].tolist()]
+    two = sv == 2
+    b = node[two]
+    other, ms = c.second(b), int(m.max(initial=0)) + 1
+    kern = _tabulated((m[two].astype(np.int64) * ms + c.m[other]) * ms + c.m[b + 1],
+                      lambda k: kernel_v(k // ms // ms, k // ms % ms, k % ms))
+    w[two] = np.where(c.ttype[b] == A, ctx.params.a * kern,
+                      -ctx.params.b * ctx.omega_big() ** 2 * kern)
+    unary = np.flatnonzero(sv == 1)
+    hu = h[unary]
+    if f.is_rtree:      # the unit root line: use the entering scale
+        root = np.isin(unary, first)
+        hu[root] = h[unary[root] + 1]
+    u, ks = node[unary], int(c.kv.max(initial=0)) + 1
+
+    def shift_weight(k):
+        md = modes[k // hs // ks]
+        return md.n * ctx.l_value(k // hs % ks, md.n, md.m, k % hs - 1)
+
+    w[unary] = _tabulated((c.mode[u].astype(np.int64) * ks + c.kv[u]) * hs + hu + 1,
+                          shift_weight)
+
+    # per child: its line factor into an a-type and into a b-type parent (b
+    # carries the child's momentum) and its value; the extra last entry,
+    # 1 * 1, stands in for the second child a unary node does not have
+    into_a, into_b = np.append(line, 1.0), np.append(n * line, 1.0)
+    val = np.zeros(len(node) + 1)
+    val[-1] = 1.0
+    kid2 = np.full(len(node), len(node))
+    kid2[two] = np.flatnonzero(two) + other - b
+    leaves = level == 0
+    val[:-1][leaves] = w[leaves]
+    for lv in range(1, int(level.max(initial=0)) + 1):
+        e = np.flatnonzero(level == lv)
+        v, to_b = w[e], enters_b[e]
+        for kid in (kid2[e], e + 1):      # TNode children order: second subtree first
+            lf = np.where(to_b, into_b[kid], into_a[kid])
+            v = np.where((v == 0.0) | (lf == 0.0), 0.0, v * (lf * val[kid]))
+        val[e] = np.where(v == 0.0, 0.0, v)
+    rootf = line[first]
+    return np.where(rootf == 0.0, 0.0, rootf * val[first])
+
+
+def _total(f: _Family, row_tree: np.ndarray, values: np.ndarray) -> float:
+    """Sum of multiplicity times value over the rows, added in row order."""
+    terms = f.columns().mult[row_tree] * values
+    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
 
 def _region(f: _Family, s: int, top: int, excl: int, f_in: float | None, h: list,
@@ -832,12 +1038,8 @@ def _active(f: _Family, t: int, h: list) -> list[tuple[int, int]]:
     return out
 
 
-def _renormalized_value(f: _Family, t: int, h: list, ctx: EvalCtx, plain) -> float:
-    """Value of tree t with every active block renormalized; plain is the
-    family's _plain_values."""
-    active = _active(f, t, h)
-    if not active:
-        return plain(t, h)
+def _renormalized_value(f: _Family, t: int, h: list, ctx: EvalCtx, active: list) -> float:
+    """Value of tree t with its active blocks renormalized (active nonempty)."""
     s = f.start[t]
     rootf = _line_weights(f, ctx)(s, h[0], None, False)
     if rootf == 0.0:
@@ -847,8 +1049,7 @@ def _renormalized_value(f: _Family, t: int, h: list, ctx: EvalCtx, plain) -> flo
 
 def tree_value(tree: Tree, asg: dict, params: ModelParams, eps: float,
                nu: NuTable | None, q: float, counterterms=None,
-               l_by_scale: bool = False, renormalize: bool = False,
-               _ctx: EvalCtx | None = None) -> float:
+               l_by_scale: bool = False, renormalize: bool = False) -> float:
     """Value of one labeled tree at one scale assignment.
 
     Propagator product times node weights; with renormalize=True every
@@ -856,11 +1057,16 @@ def tree_value(tree: Tree, asg: dict, params: ModelParams, eps: float,
     unary nodes read scale-resolved shift coefficients.
     """
     f, t = tree._compiled()
-    if counterterms is None and (_ctx is None or _ctx.lt is None) and f.unary(t):
+    if counterterms is None and f.unary(t):
         raise MissingCountertermError("tree contains shift nodes but no table given")
-    ctx = _ctx or EvalCtx(params, eps, nu, q, counterterms, l_by_scale, renormalize)
-    plain, h = _plain_values(f, ctx), tree._scales(asg)
-    return _renormalized_value(f, t, h, ctx, plain) if renormalize else plain(t, h)
+    ctx = EvalCtx(params, eps, nu, q, counterterms, l_by_scale, renormalize)
+    h = tree._scales(asg)
+    active = _active(f, t, h) if renormalize else []
+    if active:
+        return _renormalized_value(f, t, h, ctx, active)
+    row_tree = np.array([t])
+    rows = (row_tree, *_node_rows(f, row_tree), np.array(h, np.int16))
+    return float(_row_values(f, rows, ctx)[0])
 
 
 def _lval_rtree(f: _Family, t: int, h: list, ctx: EvalCtx) -> float:
@@ -885,13 +1091,8 @@ def sum_trees(k: int, n: int, m: int, params: ModelParams, eps: float,
     """Plain tree expansion of u^(k)_{n,m}: equals the recursion output."""
     f = _tree_family(k, n, m, params, Mmax)
     ctx = EvalCtx(params, eps, nu, q, counterterms, l_by_scale=False)
-    value = _plain_values(f, ctx)
-    total = 0.0
-    for t in range(f.count):
-        lines = f.lines(t)
-        for combo in _assignments(f, t, ctx.point, False):
-            total += f.mult[t] * value(t, f.scales(t, lines, combo))
-    return total
+    rows = ctx.point.table(f, False).rows()
+    return _total(f, rows[0], _row_values(f, rows, ctx))
 
 
 def renormalized_sum(k: int, n: int, m: int, params: ModelParams, eps: float,
@@ -901,17 +1102,25 @@ def renormalized_sum(k: int, n: int, m: int, params: ModelParams, eps: float,
     nodes reading the scale-resolved shift table built by `counterterm`."""
     f = _tree_family(k, n, m, params, Mmax)
     ctx = EvalCtx(params, eps, nu, q, counterterms, l_by_scale=True, renormalize=True)
-    plain = _plain_values(f, ctx)
-    total = 0.0
-    for t in range(f.count):
-        lines = f.lines(t)
-        combos = _assignments(f, t, ctx.point, True)
-        if combos and counterterms is None and f.unary(t):
-            raise MissingCountertermError("tree contains shift nodes but no table given")
-        for combo in combos:
-            total += f.mult[t] * _renormalized_value(f, t, f.scales(t, lines, combo), ctx,
-                                                     plain)
-    return total
+    tab = ctx.point.table(f, True)
+    rows = tab.rows()
+    row_tree, node, first, h = rows
+    c = f.columns()
+    if counterterms is None and (c.sv[node] == 1).any():
+        raise MissingCountertermError("tree contains shift nodes but no table given")
+    values = _row_values(f, rows, ctx)
+    # a block can be active only where its exit line sits at a scale >= 0
+    cand_tree = np.repeat(np.arange(f.count), np.diff(c.cand_start) // 2)
+    per = np.diff(tab.row_start)[cand_tree]
+    cand_rows = _ranges(tab.row_start[cand_tree], per)
+    exit_h = h[first[cand_rows] + np.repeat(c.cand_row[0::2], per)]
+    for r in np.unique(cand_rows[exit_h >= 0]).tolist():
+        t = int(row_tree[r])
+        hr = h[first[r]:first[r] + f.start[t + 1] - f.start[t]].tolist()
+        active = _active(f, t, hr)
+        if active:
+            values[r] = _renormalized_value(f, t, hr, ctx, active)
+    return _total(f, row_tree, values)
 
 
 def counterterm(k: int, n: int, m: int, h: int, params: ModelParams, eps: float,
@@ -931,10 +1140,11 @@ def counterterm(k: int, n: int, m: int, h: int, params: ModelParams, eps: float,
         return -counterterm(k, -n, m, h, params, eps, nu, q, lower, Mmax)
     f = _r_family(k, n, m, params, Mmax)
     ctx = EvalCtx(params, eps, nu, q, lower, l_by_scale=True, renormalize=True)
+    tab = ctx.point.table(f, True)
     total = 0.0
     for t in range(f.count):
         lines = f.lines(t)
-        for combo in _assignments(f, t, ctx.point, True):
+        for combo in tab.combos(t):
             if max(combo, default=-1) < h:
                 continue
             total += f.mult[t] * _lval_rtree(f, t, f.scales(t, lines, combo), ctx)

@@ -118,9 +118,10 @@ def test_criterion_06_counting_inequalities():
     pts = sample_diophantine_points(TREE_P, 100, seed=7)
     tallies = counting_inequalities(TREE_P, pts, GRID, MM,
                                     special_modes=lambda_modes(TREE_P, MM, 60))
-    total, violations = map(sum, zip(*tallies.values()))
+    total, violations, deep = map(sum, zip(*tallies.values()))
     _report("6 counting inequalities", violations == 0,
-            f"{total} (tree, assignment, sample) checks, {violations} violations")
+            f"{total} (tree, assignment, sample) checks, {violations} violations, "
+            f"{deep} with a line at h >= 0")
 
 
 def test_criterion_07_partition_of_unity():

@@ -1,6 +1,7 @@
-"""The traced bench run binds lindbeam functions by name: every function
-that bench/layers.py wraps must exist, and quad_conv's counter must still
-find the arguments it reads."""
+"""The bench binds lindbeam functions by name: every function that
+bench/layers.py wraps must exist, quad_conv's counter must still find the
+arguments it reads, and the functions bench/worker.py calls with positional
+arguments must still take them in the same order."""
 import importlib
 import importlib.util
 import inspect
@@ -12,6 +13,19 @@ import numpy as np
 from lindbeam import series
 
 LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+
+# The parameters bench/worker.py passes by position, in its order.
+WORKER_CALLS = {
+    "trees.sum_trees": ("k", "n", "m", "params", "eps", "nu", "q", "counterterms", "Mmax"),
+    "trees.renormalized_sum": ("k", "n", "m", "params", "eps", "nu", "q", "counterterms",
+                               "Mmax"),
+    "trees.counterterm": ("k", "n", "m", "h", "params", "eps", "nu", "q", "lower", "Mmax"),
+    "trees.enumerate_trees": ("k", "n", "m", "params", "Mmax"),
+    "trees.enumerate_r_trees": ("k", "n", "m", "params", "Mmax"),
+    "bruno.admissible_scales": ("tree", "params", "eps", "nu"),
+    "bruno.check_bruno": ("tree", "asg", "params"),
+    "bruno.check_bruno_r": ("tree", "asg", "params"),
+}
 
 
 def _layers():
@@ -41,3 +55,17 @@ def test_quad_conv_counter_binds_its_arguments():
     layers._quad_conv_counter(series.quad_conv)(Tracer, args, {}, None, None)
     assert Tracer.counters["series.quad_conv.pairs"] == 15
     assert Tracer.counters["series.quad_conv.flops_computed"] > 0
+
+
+def test_worker_positional_calls_bind():
+    positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    for name, passed in WORKER_CALLS.items():
+        mod, fn = name.split(".")
+        sig = inspect.signature(getattr(importlib.import_module(f"lindbeam.{mod}"), fn))
+        params = list(sig.parameters.values())
+        assert tuple(p.name for p in params[:len(passed)]) == passed, name
+        assert all(p.kind in positional for p in params[:len(passed)]), name
+        assert all(p.default is not p.empty for p in params[len(passed):]), name
+    for fn in ("check_bruno", "check_bruno_r"):
+        sig = inspect.signature(getattr(importlib.import_module("lindbeam.bruno"), fn))
+        assert sig.parameters["raise_on_fail"].default is True

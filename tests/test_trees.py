@@ -1,12 +1,15 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
+from lindbeam import trees
 from lindbeam.kernel import kernel_v
 from lindbeam.series import CountertermTable, compute_coeffs, lambda_modes
 from lindbeam.spectrum import ModelParams, NuTable, mode_set, omega_eff, scaled_propagator
 from lindbeam.trees import (
+    EvalCtx,
     MissingCountertermError,
     TNode,
     Tree,
@@ -28,6 +31,7 @@ from lindbeam.trees import (
     _candidates,
     _key,
     _ordered_multiplicity,
+    _point,
 )
 
 P = ModelParams(a=1.0, b=0.5, mu=0.01, eps0=0.05, omega_branch=1, Mmax=9, Nmax=60)
@@ -656,9 +660,209 @@ def test_admissible_assignments_match_object_route_near_resonance():
     assert multi > 100
 
 
-def test_tree_family_cache_is_bounded():
-    from lindbeam import trees
+# ---------------------------------------------------------------------------
+# array evaluation against the tree-at-a-time loops it replaces
 
+def _loop_assignments(f, t, pt, renormalize):
+    """Label tuples of tree t's lines, tree by tree (the per-tree loop)."""
+    s, mode, modes = f.start[t], f.mode, pt.modes_of(f)
+    shifted = trees._shifted_supports(f, t, pt, modes) if renormalize or f.is_rtree else {}
+    options = []
+    for l in f.lines(t):
+        ml = modes[mode[s + l]]
+        if ml.root is None:
+            return []
+        hs = shifted[l] if l in shifted else ml.hs
+        if not hs:
+            return []   # below the scale floor
+        options.append(hs)
+    p = f.pair_row[f.pair_start[t]:f.pair_start[t + 1]]
+    return [c for c in product(*options)
+            if all(abs(c[a] - c[b]) <= 1 for a, b in zip(p[0::2], p[1::2]))]
+
+
+def _loop_plain_values(f, ctx):
+    """value(t, h): plain value of tree t, node by node from the last id."""
+    start, kind, ttype, sv, kv, size, n, m = (f.start, f.kind, f.ttype, f.sv, f.kv,
+                                              f.size, f.n, f.m)
+    line = trees._line_weights(f, ctx)
+    q, a, bw = ctx.q, ctx.params.a, -ctx.params.b * ctx.omega_big() ** 2
+
+    def value(t, h):
+        s = start[t]
+        val = [0.0] * (start[t + 1] - s)
+        for i in range(len(val) - 1, -1, -1):
+            r = s + i
+            if kind[r] == trees.END:
+                val[i] = q or 0.0
+                continue
+            if kind[r] == trees.SPECIAL:
+                val[i] = 1.0 / m[r] ** 3
+                continue
+            if sv[r] == 1:
+                hh = h[i + 1] if f.is_rtree and i == 0 else h[i]
+                v = n[r] * ctx.l_value(kv[r], n[r], m[r], hh)
+                kids = (i + 1,)
+            else:
+                kids = (i + 1 + size[r + 1], i + 1)
+                v = kernel_v(m[r], m[s + kids[0]], m[r + 1])
+                v = a * v if ttype[r] == trees.A else bw * v
+            for c in kids:
+                if v == 0.0:
+                    break
+                lf = line(s + c, h[c], None, ttype[r] == trees.B)
+                v = 0.0 if lf == 0.0 else v * (lf * val[c])
+            val[i] = v or 0.0
+        rootf = line(s, h[0], None, False)
+        return 0.0 if rootf == 0.0 else rootf * val[0]
+
+    return value
+
+
+def _loop_value(f, t, h, ctx, plain):
+    active = trees._active(f, t, h) if ctx.renormalize else []
+    return trees._renormalized_value(f, t, h, ctx, active) if active else plain(t, h)
+
+
+def _loop_sum(f, ctx):
+    plain, total = _loop_plain_values(f, ctx), 0.0
+    for t in range(f.count):
+        for combo in _loop_assignments(f, t, ctx.point, ctx.renormalize):
+            total += f.mult[t] * _loop_value(f, t, f.scales(t, f.lines(t), combo), ctx, plain)
+    return total
+
+
+def _loop_counterterm(f, h, ctx):
+    n, m = f.label[1:]
+    total = 0.0
+    for t in range(f.count):
+        for combo in _loop_assignments(f, t, ctx.point, True):
+            if max(combo, default=-1) >= h:
+                total += f.mult[t] * trees._lval_rtree(f, t, f.scales(t, f.lines(t), combo), ctx)
+    return -(m ** 3 / n) * total
+
+
+def _same_assignments(tree, params, eps, nu, renorm):
+    f, t = tree._compiled()
+    want = [dict(zip(f.lines(t).tolist(), c))
+            for c in _loop_assignments(f, t, _point(params, eps, nu), renorm)]
+    assert admissible_assignments(tree, params, eps, nu, renorm) == want
+    return want
+
+
+def test_array_sums_equal_tree_loops_bitwise():
+    from lindbeam.bruno import sample_diophantine_points
+    from lindbeam.checks import recursion_cases
+
+    pts = sample_diophantine_points(TREE_P, 2, seed=7)
+    for eps, nu, q, lt, _ in recursion_cases(TREE_P, pts, 3, MM, 60):
+        plain = EvalCtx(TREE_P, eps, nu, q, lt)
+        renorm = EvalCtx(TREE_P, eps, nu, q, lt, l_by_scale=True, renormalize=True)
+        for (k, n, m) in GRID6:
+            f = trees._family(k, n, m, MM, False)
+            assert repr(sum_trees(k, n, m, TREE_P, eps, nu, q, lt, MM)) == \
+                repr(_loop_sum(f, plain)), (k, n, m)
+            assert repr(renormalized_sum(k, n, m, TREE_P, eps, nu, q, lt, MM)) == \
+                repr(_loop_sum(f, renorm)), (k, n, m)
+            for tree in f.trees():
+                for r in (False, True):
+                    _same_assignments(tree, TREE_P, eps, nu, r)
+        for (n, m) in lambda_modes(TREE_P, MM, 60):
+            f = trees._family(2, n, m, MM, True)
+            for tree in f.trees():
+                _same_assignments(tree, TREE_P, eps, nu, False)
+            for h in (-1, 0):
+                assert repr(counterterm(2, n, m, h, TREE_P, eps, nu, q, lt, MM)) == \
+                    repr(_loop_counterterm(f, h, renorm))
+        # an empty family sums to +0.0
+        assert enumerate_trees(1, 3, 3, TREE_P, MM) == []
+        assert repr(sum_trees(1, 3, 3, TREE_P, eps, nu, q, lt, MM)) == "0.0"
+        assert repr(renormalized_sum(1, 3, 3, TREE_P, eps, nu, q, lt, MM)) == "0.0"
+
+
+def test_tree_value_equals_tree_loop_bitwise_near_resonance():
+    # the trees of test_admissible_assignments_match_object_route_near_resonance:
+    # lines with two labels expand into several rows per tree, and some trees
+    # are rejected below the scale floor
+    import random
+
+    rng = random.Random(5)
+    modes = [(4, 2), (4, 2), (2, 3), (3, 3), (2, 1), (-4, 2), (0, 3)]
+    nu, q = make_nu(), 0.8
+    lt = CountertermTable()
+    lt.set(2, 4, 2, -1, 0.37)
+    lt.set(2, 4, 2, 0, -0.11)
+    lt.set(2, 2, 3, -1, 0.23)
+    multi = rejected = 0
+    for _ in range(150):
+        root = _random_tree(rng, 4, modes)
+        if root.kind == "end":
+            continue
+        t = Tree(root=root, k=3, n=root.n, m=root.m).finalize()
+        for tree in [t] + [resonance_to_rtree(t, o, i) for (o, i) in _candidates(t)]:
+            f, i = tree._compiled()
+            for eps in (0.0, 2e-4):
+                for renorm in (False, True):
+                    ctx = EvalCtx(P, eps, nu, q, lt, renorm, renorm)
+                    asgs = _same_assignments(tree, P, eps, nu, renorm)
+                    multi += len(asgs) > 1
+                    rejected += not asgs
+                    if not asgs:
+                        continue
+                    # every row of the table at once, then one row by tree_value
+                    plain = _loop_plain_values(f, ctx)
+                    rows = _point(P, eps, nu).table(f, renorm).rows()
+                    got = trees._row_values(f, rows, ctx)
+                    assert [repr(v) for v in got.tolist()] == \
+                        [repr(plain(i, tree._scales(asg))) for asg in asgs]
+                    asg = asgs[len(asgs) // 2]
+                    assert repr(tree_value(tree, asg, P, eps, nu, q, lt, renorm, renorm)) == \
+                        repr(_loop_value(f, i, tree._scales(asg), ctx, plain))
+    assert multi > 100 and rejected > 0
+
+
+def test_equal_mode_lines_stay_within_one_scale():
+    # (0,1) and (2,1) at eps = 5e-4: the plain divisor of (0,1) admits only
+    # h = -1, but on the path of a (2,1) resonance its shifted divisor admits
+    # only 3 and 4.  The path line and the equal-mode line outside the path
+    # would sit four scales apart, so those combinations are no assignments.
+    eps = 5e-4
+    end = lambda n: TNode(0, "end", "", 0, 0, n, 1)       # noqa: E731
+    inner = TNode(0, "node", "a", 2, 1, 2, 1, (end(1), end(1)))
+    path = TNode(0, "node", "a", 2, 1, 0, 1, (inner, end(-1)))
+    side = TNode(0, "node", "b", 2, 1, 0, 1, (end(1), end(-1)))
+    t = Tree(root=TNode(0, "node", "a", 2, 1, 2, 1, (path, side)), k=4, n=2, m=1).finalize()
+    (o, i), = _candidates(t)
+    pt = _point(P, eps, None)
+    zero_one, two_one = pt.mode(0, 1), pt.mode(2, 1)
+    assert zero_one.hs == [-1] and pt.shifted(zero_one, two_one) == [3, 4]
+    p, s = (nd.nid for nd in t.nodes if (nd.n, nd.m) == (0, 1) and nd.kind == "node")
+
+    # in the plain supports every line has one label
+    assert admissible_assignments(t, P, eps, None) == [{nd.nid: -1 for nd in t.prop_line_nodes()}]
+    # renormalized: the path line also admits 3 and 4, and only -1 survives
+    asgs = admissible_assignments(t, P, eps, None, renormalize=True)
+    assert asgs == [{nd.nid: -1 for nd in t.prop_line_nodes()}]
+    f, _ = t._compiled()
+    assert [len(hs) for hs in trees._shifted_supports(f, 0, pt, pt.modes_of(f)).values()] == [3]
+    row_tree, _, first, h = pt.table(f, True).rows()
+    assert len(row_tree) == 1 and h[first[0] + p] == h[first[0] + s] == -1
+
+    # the special-end tree of the resonance sees only the shifted divisor on
+    # its path, so every combination is two scales or more apart from the
+    # side line: no assignment, and the localized sum over it is zero
+    rt = resonance_to_rtree(t, o, i)
+    f, _ = rt._compiled()
+    assert admissible_assignments(rt, P, eps, None) == []
+    assert len(pt.table(f, True).rows()[0]) == 0
+    on_path = {nd.nid for nd in rt.path_to_root(rt.special)}
+    p, s = sorted((nd.nid for nd in rt.prop_line_nodes()), key=lambda j: j not in on_path)
+    ctx = EvalCtx(P, eps, None, 0.8, CountertermTable(), l_by_scale=True, renormalize=True)
+    dropped = [trees._lval_rtree(f, 0, rt._scales({p: hp, s: -1}), ctx) for hp in (3, 4)]
+    assert all(v != 0.0 for v in dropped)
+
+
+def test_tree_family_cache_is_bounded():
     info = trees._family.cache_info()
     assert info.maxsize is not None
     assert info.maxsize >= len(GRID6) + len(lambda_modes(TREE_P, MM, 60))
@@ -671,4 +875,19 @@ def test_tree_family_cache_is_bounded():
     for k in (1, 2):
         for m in (1, 3, 5, 7):
             enumerate_trees(k, 0, m, P, 7)      # families not compiled before
+            for eps in (0.0111, 0.0112):        # evaluated at points not seen before
+                sum_trees(k, 0, m, P, eps, None, 0.8, None, 7)
+                renormalized_sum(k, 0, m, P, eps, None, 0.8, CountertermTable(), 7)
     assert module_dicts() == before
+
+    # a point's assignment tables go when the point leaves the point cache
+    import gc
+    import weakref
+
+    f = trees._family(2, 0, 3, 7, False)
+    table = weakref.ref(_point(P, 0.0113, None).table(f, True))
+    assert table() is not None
+    for eps in (0.0114, 0.0115, 0.0116, 0.0117):
+        sum_trees(2, 0, 3, P, eps, None, 0.8, None, 7)
+    gc.collect()
+    assert table() is None
