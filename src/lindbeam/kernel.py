@@ -7,8 +7,11 @@ unless m+m1+m2 is odd and otherwise equals
     I = -4 m m1 m2 / ((m^2-(m1-m2)^2)(m^2-(m1+m2)^2)).
 
 The kernel used throughout is the Galerkin projection coefficient
-v_{m,m1,m2} = (2/pi) * I.  The closed form is cross-checked against adaptive
-quadrature and an independent complex-exponential sign sum.
+v_{m,m1,m2} = (2/pi) * I.  The closed form is exact; adaptive quadrature
+(`triple_sine_quadrature`, scipy's `quad`) and an independent
+complex-exponential sign sum only cross-check it.  The quadrature is an
+oracle: scipy is imported on its first call, so importing the package and
+running the construction load numpy alone.
 
 Since sin(m1 x) sin(m2 x) = (cos((m1-m2)x) - cos((m1+m2)x)) / 2, the kernel
 factorizes exactly as v_{m,m1,m2} = (1/2)(2/pi) (J[m,|m1-m2|] - J[m,m1+m2]),
@@ -23,7 +26,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "C_NORM",
@@ -42,6 +44,10 @@ C_NORM = 2.0 / math.pi
 
 ORACLE_TOL = 1e-10
 
+# Entries kept by the kernel_v and triple_sine_integral caches; the working
+# sets of the construction and the checks are a few thousand triples at most.
+CACHE_SIZE = 2 ** 14
+
 
 class KernelDisagreementError(ArithmeticError):
     """Quadrature and closed-form evaluations differ beyond tolerance."""
@@ -55,6 +61,9 @@ def triple_sine_closed(m: int, m1: int, m2: int) -> float:
 
 
 def triple_sine_quadrature(m: int, m1: int, m2: int) -> float:
+    """Adaptive quadrature of the triple sine integral (the oracle route)."""
+    from scipy.integrate import quad
+
     val, _ = quad(lambda x: math.sin(m * x) * math.sin(m1 * x) * math.sin(m2 * x),
                   0.0, math.pi, limit=60 + 12 * max(m, m1, m2))
     return val
@@ -75,7 +84,7 @@ def _triple_sine_signsum(m: int, m1: int, m2: int) -> float:
     return (tot / (-8j)).real
 
 
-@lru_cache(maxsize=200_000)
+@lru_cache(maxsize=CACHE_SIZE)
 def triple_sine_integral(m: int, m1: int, m2: int) -> float:
     """Dual-route evaluation of the integral; raises if the routes disagree."""
     q = triple_sine_quadrature(m, m1, m2)
@@ -86,7 +95,7 @@ def triple_sine_integral(m: int, m1: int, m2: int) -> float:
     return c
 
 
-@lru_cache(maxsize=400_000)
+@lru_cache(maxsize=CACHE_SIZE)
 def kernel_v(m: int, m1: int, m2: int) -> float:
     """Projection coefficient of sin(m1 x) sin(m2 x) onto sin(m x)."""
     return C_NORM * triple_sine_closed(m, m1, m2)

@@ -13,6 +13,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -68,7 +69,23 @@ class CountertermTable:
     """
 
     def __init__(self):
-        self._d: dict[tuple[int, int, int, int], float] = {}
+        self._src = None    # (modes, values) of an `_order2` table, read into _d
+
+    @cached_property
+    def _d(self) -> dict[tuple[int, int, int, int], float]:
+        """The entries l^(k)_{n,m,h}, n >= 1; an `_order2` table builds them
+        from its mode values on first read."""
+        if self._src is None:
+            return {}
+        (modes, vals), self._src = self._src, None
+        return {(2, n, m, -1): v for (n, m), v in zip(modes, vals.tolist()) if v != 0.0}
+
+    @classmethod
+    def _order2(cls, modes, vals: np.ndarray) -> CountertermTable:
+        """The table holding only l^(2)_{n,m} = vals (h = -1) on the modes."""
+        t = cls()
+        t._src = (modes, vals)
+        return t
 
     def set(self, k: int, n: int, m: int, h: int, value: float):
         if n == 0 or (abs(n), m) == (1, 1):
@@ -460,8 +477,7 @@ def solve_nu(params: ModelParams, eps: float, K: int,
     check_nu_values(ms.n, ms.m, vals, params.mu, params.eps0, params.nu_cap)
     nu = ms.nu_table(vals, params.nu_cap)
     if fast:
-        lt = CountertermTable()
-        lt._d = {(2, n, m, -1): v for (n, m), v in zip(ms.modes(), l2.tolist()) if v != 0.0}
+        lt = CountertermTable._order2(ms.modes(), l2)
     info["counterterms"] = lt
     return nu, info
 

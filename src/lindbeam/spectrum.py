@@ -146,12 +146,22 @@ class NuTable:
     def __init__(self, entries=None, eps0: float = 0.01, nu_cap: float = 0.25):
         self.eps0 = eps0
         self.nu_cap = nu_cap
-        self._d: dict[tuple[int, int], float] = {}
         self._flat = None   # (ModeSet, its flat n*nu) of a ModeSet.nu_table table
         self._key = None    # the trees point-table key, built on first use
+        self._src = None    # (ModeSet, values on its modes) that _d is built from
         if entries:
             for (n, m), v in dict(entries).items():
                 self.set(n, m, v)
+
+    @cached_property
+    def _d(self) -> dict[tuple[int, int], float]:
+        """The entries nu_{n,m}, n >= 1; a ModeSet.nu_table table builds them
+        from its mode values on first read."""
+        if self._src is None:
+            return {}
+        (ms, vals), self._src = self._src, None
+        nz = vals != 0.0
+        return dict(zip(zip(ms.n[nz].tolist(), ms.m[nz].tolist()), vals[nz].tolist()))
 
     def set(self, n: int, m: int, value: float):
         if n == 0:
@@ -436,11 +446,11 @@ class ModeSet:
 
     def nu_table(self, vals: np.ndarray, nu_cap: float) -> NuTable:
         """The NuTable holding the nonzero values of nu on the modes; it keeps
-        its flat n*nu for `shift`."""
+        its flat n*nu for `shift` and builds its entries on first read."""
         t = NuTable(eps0=self.eps0, nu_cap=nu_cap)
-        nz = vals != 0.0
-        t._d = dict(zip(zip(self.n[nz].tolist(), self.m[nz].tolist()), vals[nz].tolist()))
-        t._flat = (self, self.scatter(np.where(nz, vals, 0.0)))
+        vals = np.where(vals != 0.0, vals, 0.0)     # a copy, with -0.0 read as 0.0
+        t._src = (self, vals)
+        t._flat = (self, self.scatter(vals))
         t._flat[1].flags.writeable = False
         return t
 

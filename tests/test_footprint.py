@@ -1,0 +1,66 @@
+"""Import footprint: the construction runs on numpy alone; scipy loads only
+on the paths that call it (the kernel quadrature oracle, point sampling)."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import lindbeam
+
+SRC = str(Path(lindbeam.__file__).resolve().parents[1])
+
+CFG = """
+[model]
+a = 1.0
+b = 0.5
+mu = 0.1
+eps0 = 0.02
+omega_branch = -1
+Mmax = 32
+Nmax = 120
+
+[run]
+eps = 0.005
+eps_count = 3
+orders = 2
+grid = 4
+outdir = {out}
+"""
+
+CONSTRUCT = """
+import sys
+import lindbeam, lindbeam.cli
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, f"import lindbeam loaded {loaded[:5]}"
+cfg = sys.argv[1]
+for argv in (["residual"], ["coeffs"], ["kernel"], ["dioph", "cantor"], ["dioph", "measure"]):
+    assert lindbeam.cli.main(["--config", cfg, *argv]) == 0, argv
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, f"the construction loaded {loaded[:5]}"
+"""
+
+ORACLE = """
+import sys
+from lindbeam.kernel import triple_sine_closed, triple_sine_quadrature
+assert "scipy" not in sys.modules
+for trip in [(1, 1, 1), (3, 1, 1), (7, 5, 3), (2, 2, 1), (12, 7, 2)]:
+    q, c = triple_sine_quadrature(*trip), triple_sine_closed(*trip)
+    assert abs(q - c) <= 1e-11, (trip, q, c)
+assert "scipy.integrate" in sys.modules
+"""
+
+
+def test_construction_never_loads_scipy(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CFG.format(out=tmp_path / "out"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    env.pop("LINDBEAM_OUTDIR", None)
+    # both cold interpreters run side by side
+    procs = [subprocess.Popen([sys.executable, "-c", code, str(cfg)], env=env, cwd=tmp_path,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+             for code in (CONSTRUCT, ORACLE)]
+    for proc in procs:
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+    assert (tmp_path / "out" / "residual.csv").exists()

@@ -112,3 +112,9 @@ def test_kernel_sum_probe_restricted_decay():
     r = np.array([kernel_sum_probe_restricted(int(m), 400) for m in ms])
     scaled = r * ms.astype(float) ** 3
     assert scaled.max() / scaled.min() < 1.5
+
+
+def test_kernel_caches_are_bounded():
+    from lindbeam import kernel
+    for cached in (kernel.kernel_v, kernel.triple_sine_integral):
+        assert cached.cache_info().maxsize == kernel.CACHE_SIZE == 2 ** 14

@@ -446,3 +446,76 @@ def test_solve_nu_matches_table_sweeps():
     got, info = solve_nu(pp, eps, 2, 24, 120)
     assert info["sweeps"] == sweep and info["q"] == q
     assert got == nu and info["counterterms"] == lt
+
+
+CANTOR_P = P.with_(eps0=0.35, nu_cap=0.45, Nmax=500)
+# criterion 11's decade; every 125th grid eps of criterion 9's three
+# 1000-point windows, with the two it rejects at w = 0.08
+LAZY_CASES = ([(P, float(e)) for e in np.geomspace(4e-4, 4e-3, 9)]
+              + [(CANTOR_P, (i + 0.5) / 1000 * w) for w in (0.08, 0.02, 0.005)
+                 for i in range(0, 1000, 125)]
+              + [(CANTOR_P, (i + 0.5) / 1000 * 0.08) for i in (609, 610)])
+
+
+def _bits(items):
+    return [(key, np.float64(v).tobytes()) for key, v in items]
+
+
+@pytest.mark.parametrize("params, eps", LAZY_CASES)
+def test_solve_nu_tables_are_lazy_and_bitwise_eager(params, eps):
+    nu, info = solve_nu(params, eps, 2)
+    lt = info["counterterms"]
+    # nothing is built until a table is read
+    assert "_d" not in vars(nu) and "_d" not in vars(lt)
+    ms, vals = nu._src
+    modes, l2 = lt._src
+    eager_nu = NuTable(eps0=params.eps0, nu_cap=params.nu_cap)
+    for n, m, v in zip(ms.n.tolist(), ms.m.tolist(), vals.tolist()):
+        if v != 0.0:
+            eager_nu.set(n, m, v)
+    eager_lt = CountertermTable()
+    for (n, m), v in zip(modes, l2.tolist()):
+        if v != 0.0:
+            eager_lt.set(2, n, m, -1, v)
+    assert len(nu) == len(eager_nu) > 0 and nu == eager_nu
+    assert _bits(nu.items()) == _bits(eager_nu.items())
+    assert len(lt) == len(eager_lt) > 0 and lt == eager_lt and lt.orders() == [2]
+    assert _bits(lt.items()) == _bits(eager_lt.items())
+    for (n, m), _ in list(eager_nu.items())[::50]:
+        assert nu.get(-n, m) == eager_nu.get(-n, m) and nu.n_nu(n, m) == eager_nu.n_nu(n, m)
+        assert lt.get(2, -n, m, -1) == eager_lt.get(2, -n, m, -1)
+    # set on a lazily built table updates its entries and its flat shift
+    (n, m), _ = next(iter(eager_nu.items()))
+    assert ms.shift(nu)[ms.index(n, m)] != 0.0
+    nu.set(n, m, 0.0)
+    assert nu.get(n, m) == 0.0 and len(nu) == len(eager_nu)
+    assert ms.shift(nu)[ms.index(n, m)] == 0.0
+
+
+def test_lazy_nu_table_keeps_its_values():
+    ms = mode_set(P.mu, P.eps0, P.Mmax, P.Nmax)
+    vals = np.linspace(1e-5, 1e-4, len(ms))
+    vals[::3] = 0.0
+    vals[1] = -0.0
+    want = {nm: v for nm, v in zip(ms.modes(), vals.tolist()) if v != 0.0}
+    nu = ms.nu_table(vals, P.nu_cap)
+    vals[:] = 1.0                   # the caller's array is not the table's
+    assert dict(nu.items()) == want and list(nu.items()) == list(want.items())
+
+
+def test_measure_cantor_reports_unchanged_by_lazy_tables():
+    from lindbeam.diophantine import DiophReport, measure_cantor
+
+    # recorded with the tables built eagerly in solve_nu; the first scan
+    # rejects eps = 0.0488125 inside the square (4, 2) interval
+    want = [
+        DiophReport("cantor", 500, 64, 8, 0.125, 0.00012446133652861707, 9.6491080700579e-13,
+                    {"intervals": 475, "nonconverged": 0,
+                     "relative_excluded": 0.0017529765844158855,
+                     "rejected": [(0.048812499999999995, "square", (4, 2),
+                                   0.0037394737647673537, 0.0625)]}),
+        DiophReport("cantor", 500, 64, 8, 0.0, 1.647753037199124e-08, 6.323930456135013e-13,
+                    {"intervals": 132, "nonconverged": 0,
+                     "relative_excluded": 8.239081382518427e-07, "rejected": []}),
+    ]
+    assert [measure_cantor(CANTOR_P, w, 8, K=2) for w in (0.071, 0.02)] == want
