@@ -1,7 +1,8 @@
 """The verification checks, each defined once: a function of its grid and
 sample points returning the numbers compared with a threshold.  `lindbeam
-verify`, `lindbeam bruno check` and the acceptance suite call the same
-functions, each with its own grid and threshold."""
+verify`, `lindbeam bruno check`, `lindbeam dioph mass`/`measure` and the
+acceptance suite call the same functions, each with its own grid and
+threshold."""
 from __future__ import annotations
 
 import warnings
@@ -9,6 +10,7 @@ import warnings
 import numpy as np
 
 from .bruno import check_bruno, check_bruno_r
+from .diophantine import DiophReport, measure_cantor, measure_mass_complement
 from .kernel import kernel_v, triple_sine_closed, triple_sine_quadrature
 from .series import compute_coeffs, lambda_modes
 from .spectrum import ModelParams, chi_h
@@ -21,6 +23,8 @@ __all__ = [
     "recursion_cases",
     "tree_identity",
     "counting_inequalities",
+    "mass_measure",
+    "cantor_scans",
 ]
 
 
@@ -98,3 +102,19 @@ def counting_inequalities(params: ModelParams, points, grid, Mmax: int,
                                    for tree, asg in deep)
             tallies[key][2] += len(deep)
     return tallies
+
+
+def mass_measure(gamma: float, tau0: float, grid: int, Nmax: int
+                 ) -> list[tuple[float, DiophReport]]:
+    """(gamma', excluded mass measure) at gamma' = gamma, gamma/2, gamma/4:
+    the estimates should stay within 6 gamma' and scale linearly in it."""
+    return [(g, measure_mass_complement(g, tau0, grid, Nmax))
+            for g in (gamma, gamma / 2, gamma / 4)]
+
+
+def cantor_scans(params: ModelParams, window: float, grid: int, K: int
+                 ) -> list[tuple[float, DiophReport]]:
+    """(w, accepted-amplitude scan of (0, w)) at w = window, window/4,
+    window/16: the relative excluded measure should shrink with w."""
+    return [(w, measure_cantor(params, w, grid, K=K))
+            for w in (window, window / 4, window / 16)]

@@ -14,8 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields
-from functools import partial
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -40,17 +39,53 @@ from .series import (
     solve_nu,
     summary_json,
 )
-from .spectrum import ModelParams, NuTable
-from .trees import counterterm_table, dump_tree, enumerate_r_trees, enumerate_trees, sum_trees
+from .spectrum import ModelParams, NuTable, ResonantDivisorError
+from .trees import (
+    TreeBudgetError,
+    counterterm_table,
+    dump_tree,
+    enumerate_r_trees,
+    enumerate_trees,
+    sum_trees,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INVALID = 2
 EXIT_NOCONV = 3
 
-_MODEL_KEYS = {f.name for f in fields(ModelParams)}
-_RUN_KEYS = {"eps", "eps_lo", "eps_hi", "eps_count", "orders", "grid", "seed",
-             "outdir", "force", "samples", "window", "jobs"}
+# exit code per exception a command or load_config may raise; ValueError
+# covers ConfigError, SignExcludedError, DegenerateRadicandError and
+# InconsistentInputsError.  Anything else is a fault and propagates.
+_EXIT_CODES = {
+    ValueError: EXIT_INVALID,
+    OSError: EXIT_INVALID,
+    TreeBudgetError: EXIT_INVALID,
+    ResonantDivisorError: EXIT_INVALID,
+    NonConvergenceError: EXIT_NOCONV,
+}
+
+
+def _yes(val) -> bool:
+    return str(val).lower() in ("1", "true", "yes")
+
+
+# model keys: the ModelParams field and its type; checked by ModelParams
+_MODEL_KEYS = typing.get_type_hints(ModelParams)
+# run keys: name -> (type, default, least value); None: no default or no bound
+_RUN_KEYS = {
+    "eps": (float, None, None),
+    "eps_lo": (float, None, None),
+    "eps_hi": (float, None, None),
+    "eps_count": (int, None, 1),
+    "orders": (int, 2, 1),
+    "grid": (int, 1000, 1),
+    "samples": (int, None, 1),
+    "seed": (int, 0, 0),
+    "window": (float, None, None),
+    "outdir": (str, "out", None),
+    "force": (_yes, False, None),
+}
 
 
 class ConfigError(ValueError):
@@ -59,8 +94,8 @@ class ConfigError(ValueError):
 
 def load_config(path: str | None, overrides: dict) -> tuple[ModelParams, dict]:
     model: dict = {}
-    run: dict = {"orders": 2, "grid": 1000, "seed": 0, "outdir": "out",
-                 "jobs": 1, "force": False}
+    run: dict = {key: default for key, (_, default, _) in _RUN_KEYS.items()
+                 if default is not None}
     if path:
         cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
         cp.optionxform = str   # keys are case-sensitive (Mmax vs mmax)
@@ -78,41 +113,22 @@ def load_config(path: str | None, overrides: dict) -> tuple[ModelParams, dict]:
                 raise ConfigError(f"unknown run key {key!r}")
             run[key] = val
     for key, val in overrides.items():
-        if val is None:
-            continue
-        if key in _MODEL_KEYS:
-            model[key] = val
-        else:
-            run[key] = val
+        if val is not None:
+            (model if key in _MODEL_KEYS else run)[key] = val
     try:
-        typed = {}
-        for key, val in model.items():
-            if key in ("Kmax", "Mmax", "Nmax", "h_max", "omega_branch"):
-                typed[key] = int(val)
-            elif key == "extended_precision":
-                typed[key] = str(val).lower() in ("1", "true", "yes")
-            else:
-                typed[key] = float(val)
-        params = ModelParams(**typed)
-        for key in ("orders", "grid", "seed", "eps_count", "samples", "jobs"):
-            if key in run:
-                run[key] = int(run[key])
-        for key in ("eps", "eps_lo", "eps_hi", "window"):
-            if key in run:
-                run[key] = float(run[key])
+        params = ModelParams(**{key: _MODEL_KEYS[key](val) for key, val in model.items()})
+        run = {key: _RUN_KEYS[key][0](val) for key, val in run.items()}
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     for key in ("eps", "eps_lo", "eps_hi"):
         if key in run and not 0.0 < run[key] < params.eps0:
             raise ConfigError(f"{key}={run[key]} outside (0, eps0={params.eps0})")
-    for key, least in (("orders", 1), ("grid", 1), ("eps_count", 1), ("samples", 1),
-                       ("jobs", 1), ("seed", 0)):
-        if key in run and run[key] < least:
+    for key, (_, _, least) in _RUN_KEYS.items():
+        if least is not None and key in run and run[key] < least:
             raise ConfigError(f"{key}={run[key]} must be >= {least}")
     if "window" in run and not 0.0 < run["window"] < math.inf:
         raise ConfigError(f"window={run['window']} must be positive and finite")
-    run["force"] = str(run["force"]).lower() in ("1", "true", "yes")
-    run["outdir"] = os.environ.get("LINDBEAM_OUTDIR", run.get("outdir", "out"))
+    run["outdir"] = os.environ.get("LINDBEAM_OUTDIR", run["outdir"])
     return params, run
 
 
@@ -157,14 +173,8 @@ def cmd_counterterms(params: ModelParams, run: dict) -> int:
 
 def cmd_trees(params: ModelParams, run: dict, order: int, n: int, m: int,
               special: bool) -> int:
-    try:
-        if special:
-            ts = enumerate_r_trees(order, n, m, params, min(params.Mmax, 15))
-        else:
-            ts = enumerate_trees(order, n, m, params, min(params.Mmax, 15))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    enumerate_ = enumerate_r_trees if special else enumerate_trees
+    ts = enumerate_(order, n, m, params, min(params.Mmax, 15))
     print(f"# {len(ts)} skeletons of order {order} at mode ({n},{m})")
     for t in ts:
         print(f"# multiplicity {t.mult}")
@@ -227,17 +237,19 @@ def cmd_residual(params: ModelParams, run: dict) -> int:
         except (NonConvergenceError, SignExcludedError) as exc:
             rows.append((eps, "", "", f"excluded: {exc}"))
             continue
-        marg = {}
-        if not dioph_mod.check_cantor(eps, nu, params, margins=marg) and not run["force"]:
+        marg, status = {}, "ok"
+        if not dioph_mod.check_cantor(eps, nu, params, margins=marg):
             fam, at, value, thr = dioph_mod.cantor_failure(marg, params.gamma)
-            rows.append((eps, "", "", f"excluded: {fam} condition at {at}, "
-                                      f"margin {value:.3e} against threshold {thr:.3e}"))
-            continue
+            reason = f"{fam} condition at {at}, margin {value:.3e} against threshold {thr:.3e}"
+            if not run["force"]:
+                rows.append((eps, "", "", f"excluded: {reason}"))
+                continue
+            status = f"forced: {reason}"
         table = compute_coeffs(params, eps, nu, info["counterterms"], K,
                                params.Mmax, q=info["q"])
         R = residual_norm(table, params, eps, nu)
         oc = order_consistency(table, params, eps, nu, info["counterterms"])
-        rows.append((eps, R, oc, "ok"))
+        rows.append((eps, R, oc, status))
         pts.append((math.log(eps), math.log(R)))
     slope = float(np.polyfit([p[0] for p in pts], [p[1] for p in pts], 1)[0]) \
         if len(pts) >= 2 else float("nan")
@@ -256,68 +268,67 @@ def cmd_residual(params: ModelParams, run: dict) -> int:
     return EXIT_OK
 
 
-def cmd_dioph(params: ModelParams, run: dict, what: str) -> int:
+def cmd_dioph_mass(params: ModelParams, run: dict) -> int:
     grid = run["grid"]
-    if what == "mass" and grid < 1000:
+    if grid < 1000:
         raise ConfigError(f"grid={grid} must be >= 1000 for the mass scan")
     out = _outdir(run)
-    if what == "mass":
-        rows = []
-        for gam in (params.gamma, params.gamma / 2, params.gamma / 4):
-            rep = dioph_mod.measure_mass_complement(gam, params.tau0, grid,
-                                                    params.Nmax)
-            rows.append((gam, rep))
-        with open(out / "dioph_mass.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["gamma", "fail_fraction", "excluded_measure",
-                        "tail_bound", "six_gamma"])
-            for gam, rep in rows:
-                w.writerow([repr(gam), repr(rep.fail_fraction),
-                            repr(rep.excluded_measure), repr(rep.tail_bound),
-                            repr(6 * gam)])
-        ok = all(rep.excluded_with_tail <= 6 * gam for gam, rep in rows)
-        print(f"mass measure: estimates {'within' if ok else 'EXCEED'} 6*gamma")
-        return EXIT_OK if ok else EXIT_VERIFY
-    if what == "melnikov":
-        eps = run.get("eps", params.eps0 / 2)
-        nu, _ = solve_nu(params, eps, run["orders"])
-        marg = dioph_mod.melnikov_margins(eps, nu, params)
-        (out / "dioph_melnikov.json").write_text(json.dumps(
-            {"schema_version": 1, "eps": eps, "gamma": params.gamma,
-             "ok": marg["first"] >= params.gamma and marg["second"] >= params.gamma, **marg},
-            indent=2, sort_keys=True))
-        print(f"melnikov margins: first {marg['first']:.3e}, second {marg['second']:.3e}")
-        return EXIT_OK
-    if what == "cantor":
-        eps = run.get("eps", params.eps0 / 2)
-        nu, _ = solve_nu(params, eps, run["orders"])
-        marg = dioph_mod.cantor_margins(eps, nu, params)
-        ok = dioph_mod.cantor_failure(marg, params.gamma) is None
-        (out / "dioph_cantor.json").write_text(json.dumps(
-            {"schema_version": 1, "eps": eps, "accepted": ok, **marg},
-            indent=2, sort_keys=True, default=str))
-        print(f"eps={eps}: {'accepted' if ok else 'excluded'}")
-        return EXIT_OK
-    if what == "measure":
-        window = run.get("window", params.eps0 / 2)
-        rows = []
-        for w_ in (window, window / 4, window / 16):
-            rep = dioph_mod.measure_cantor(params, w_, grid, K=run["orders"])
-            rows.append((w_, rep))
-        with open(out / "dioph_measure.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["window", "grid_fail_fraction", "excluded_measure",
-                        "tail_bound", "relative_excluded"])
-            for w_, rep in rows:
-                w.writerow([repr(w_), repr(rep.fail_fraction),
-                            repr(rep.excluded_measure), repr(rep.tail_bound),
-                            repr(rep.excluded_with_tail / w_)])
-        rels = [rep.excluded_with_tail / w_ for w_, rep in rows]
-        print("relative excluded:", " > ".join(f"{r:.3e}" for r in rels),
-              "monotone" if rels[0] > rels[1] > rels[2] else "NOT monotone")
-        return EXIT_OK
-    print(f"unknown dioph target {what!r}", file=sys.stderr)
-    return EXIT_INVALID
+    rows = checks.mass_measure(params.gamma, params.tau0, grid, params.Nmax)
+    with open(out / "dioph_mass.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["gamma", "fail_fraction", "excluded_measure",
+                    "tail_bound", "six_gamma"])
+        for gam, rep in rows:
+            w.writerow([repr(gam), repr(rep.fail_fraction),
+                        repr(rep.excluded_measure), repr(rep.tail_bound),
+                        repr(6 * gam)])
+    ok = all(rep.excluded_with_tail <= 6 * gam for gam, rep in rows)
+    print(f"mass measure: estimates {'within' if ok else 'EXCEED'} 6*gamma")
+    return EXIT_OK if ok else EXIT_VERIFY
+
+
+def cmd_dioph_melnikov(params: ModelParams, run: dict) -> int:
+    out = _outdir(run)
+    eps = run.get("eps", params.eps0 / 2)
+    nu, _ = solve_nu(params, eps, run["orders"])
+    marg = dioph_mod.melnikov_margins(eps, nu, params)
+    (out / "dioph_melnikov.json").write_text(json.dumps(
+        {"schema_version": 1, "eps": eps, "gamma": params.gamma,
+         "ok": marg["first"] >= params.gamma and marg["second"] >= params.gamma, **marg},
+        indent=2, sort_keys=True))
+    print(f"melnikov margins: first {marg['first']:.3e}, second {marg['second']:.3e}")
+    return EXIT_OK
+
+
+def cmd_dioph_cantor(params: ModelParams, run: dict) -> int:
+    out = _outdir(run)
+    eps = run.get("eps", params.eps0 / 2)
+    nu, _ = solve_nu(params, eps, run["orders"])
+    marg = dioph_mod.cantor_margins(eps, nu, params)
+    ok = dioph_mod.cantor_failure(marg, params.gamma) is None
+    (out / "dioph_cantor.json").write_text(json.dumps(
+        {"schema_version": 1, "eps": eps, "accepted": ok, **marg},
+        indent=2, sort_keys=True, default=str))
+    print(f"eps={eps}: {'accepted' if ok else 'excluded'}")
+    return EXIT_OK
+
+
+def cmd_dioph_measure(params: ModelParams, run: dict) -> int:
+    out = _outdir(run)
+    window = run.get("window", params.eps0 / 2)
+    rows = checks.cantor_scans(params, window, run["grid"], run["orders"])
+    with open(out / "dioph_measure.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["window", "grid_fail_fraction", "excluded_measure",
+                    "tail_bound", "relative_excluded"])
+        for w_, rep in rows:
+            w.writerow([repr(w_), repr(rep.fail_fraction),
+                        repr(rep.excluded_measure), repr(rep.tail_bound),
+                        repr(rep.excluded_with_tail / w_)])
+    rels = [rep.excluded_with_tail / w_ for w_, rep in rows]
+    print("relative excluded:", " > ".join(f"{r:.3e}" for r in rels),
+          "monotone" if rels[0] > rels[1] > rels[2] else "NOT monotone")
+    return EXIT_OK
 
 
 def cmd_bruno(params: ModelParams, run: dict) -> int:
@@ -325,15 +336,9 @@ def cmd_bruno(params: ModelParams, run: dict) -> int:
     Mm = 9
     pts = bruno_mod.sample_diophantine_points(params.with_(Mmax=Mm, Nmax=60),
                                               run.get("samples", 20), seed=run["seed"])
-    count = partial(checks.counting_inequalities, params,
-                    grid=checks.family_grid((1, 2, 3), (1, 3, 5)), Mmax=Mm)
-    if run["jobs"] > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=run["jobs"]) as pool:
-            results = list(pool.map(count, [[pt] for pt in pts]))
-    else:
-        results = [count(pts)]
-    rows = [(k, *(sum(r[k][j] for r in results) for j in range(3))) for k in (1, 2, 3)]
+    grid = checks.family_grid((1, 2, 3), (1, 3, 5))
+    tallies = checks.counting_inequalities(params, pts, grid, Mm)
+    rows = [(k, *tallies[k]) for k in (1, 2, 3)]
     with open(out / "bruno.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["order", "assignments", "violations", "at_h_ge_0"])
@@ -387,72 +392,49 @@ def build_parser() -> argparse.ArgumentParser:
         description="Periodic solutions of the quadratic beam equation and "
                     "verification of the machinery behind them.")
     ap.add_argument("--config", help="INI config file ([model]/[run] sections)")
-    for f in fields(ModelParams):
-        ap.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name)
-    ap.add_argument("--eps", dest="eps")
-    ap.add_argument("--orders", dest="orders")
-    ap.add_argument("--grid", dest="grid")
-    ap.add_argument("--seed", dest="seed")
-    ap.add_argument("--samples", dest="samples")
-    ap.add_argument("--window", dest="window")
-    ap.add_argument("--outdir", dest="outdir")
-    ap.add_argument("--jobs", dest="jobs")
-    ap.add_argument("--force", action="store_const", const="1", dest="force")
-    ap.add_argument("--eps-lo", dest="eps_lo")
-    ap.add_argument("--eps-hi", dest="eps_hi")
-    ap.add_argument("--eps-count", dest="eps_count")
+    for key in (*_MODEL_KEYS, *_RUN_KEYS):
+        flag = f"--{key.replace('_', '-')}"
+        if key in _RUN_KEYS and _RUN_KEYS[key][0] is _yes:
+            ap.add_argument(flag, action="store_const", const="1", dest=key)
+        else:
+            ap.add_argument(flag, dest=key)
     sub = ap.add_subparsers(dest="command", required=True)
-    sub.add_parser("coeffs")
-    sub.add_parser("counterterms")
+    sub.add_parser("coeffs").set_defaults(func=cmd_coeffs)
+    sub.add_parser("counterterms").set_defaults(func=cmd_counterterms)
     tp = sub.add_parser("trees")
     tp.add_argument("order", type=int)
     tp.add_argument("n", type=int)
     tp.add_argument("m", type=int)
     tp.add_argument("--special", action="store_true",
                     help="special-end-node family")
-    sub.add_parser("verify")
-    sub.add_parser("residual")
-    dp = sub.add_parser("dioph")
-    dp.add_argument("what", choices=["mass", "melnikov", "cantor", "measure"])
-    bp = sub.add_parser("bruno")
-    bp.add_argument("what", choices=["check"])
-    sub.add_parser("kernel")
-    sub.add_parser("report")
+    tp.set_defaults(func=cmd_trees)
+    sub.add_parser("verify").set_defaults(func=cmd_verify)
+    sub.add_parser("residual").set_defaults(func=cmd_residual)
+    dp = sub.add_parser("dioph").add_subparsers(dest="what", required=True)
+    dp.add_parser("mass").set_defaults(func=cmd_dioph_mass)
+    dp.add_parser("melnikov").set_defaults(func=cmd_dioph_melnikov)
+    dp.add_parser("cantor").set_defaults(func=cmd_dioph_cantor)
+    dp.add_parser("measure").set_defaults(func=cmd_dioph_measure)
+    bp = sub.add_parser("bruno").add_subparsers(dest="what", required=True)
+    bp.add_parser("check").set_defaults(func=cmd_bruno)
+    sub.add_parser("kernel").set_defaults(func=cmd_kernel)
+    sub.add_parser("report").set_defaults(func=cmd_report)
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    overrides = {k: v for k, v in vars(args).items()
-                 if k not in ("config", "command", "order", "n", "m",
-                              "special", "what") and v is not None}
+    args = vars(build_parser().parse_args(argv))
+    config, command = args.pop("config"), args.pop("func")
+    overrides = {key: args.pop(key) for key in (*_MODEL_KEYS, *_RUN_KEYS)}
+    # what is left, less the subcommand names, are the command's own arguments
+    own = {k: v for k, v in args.items() if k not in ("command", "what")}
     try:
-        params, run = load_config(args.config, overrides)
-        if args.command == "coeffs":
-            return cmd_coeffs(params, run)
-        if args.command == "counterterms":
-            return cmd_counterterms(params, run)
-        if args.command == "trees":
-            return cmd_trees(params, run, args.order, args.n, args.m,
-                             args.special)
-        if args.command == "verify":
-            return cmd_verify(params, run)
-        if args.command == "residual":
-            return cmd_residual(params, run)
-        if args.command == "dioph":
-            return cmd_dioph(params, run, args.what)
-        if args.command == "bruno":
-            return cmd_bruno(params, run)
-        if args.command == "kernel":
-            return cmd_kernel(params, run)
-        if args.command == "report":
-            return cmd_report(params, run)
-    except (ConfigError, SignExcludedError, NonConvergenceError) as exc:
+        params, run = load_config(config, overrides)
+        return command(params, run, **own)
+    except tuple(_EXIT_CODES) as exc:
         kind = "config error" if isinstance(exc, ConfigError) else "error"
         print(f"{kind}: {exc}", file=sys.stderr)
-        return EXIT_NOCONV if isinstance(exc, NonConvergenceError) else EXIT_INVALID
-    return EXIT_INVALID
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

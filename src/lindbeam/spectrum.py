@@ -58,10 +58,13 @@ class ModelParams:
     gamma          Diophantine constant, 0 < gamma <= 2^-6
     tau0           exponent of the mass conditions, >= 4
     tau            exponent of the shifted-frequency conditions, > tau0 + 5 by default
-    sigma          target exponential decay rate in the time index
     nu_cap         c in the counterterm box |nu| < c*eps0
     omega_branch   +1 for Omega = omega_1 + eps, -1 for Omega = omega_1 - eps
-    Kmax/Mmax/Nmax truncation order, spatial cutoff, temporal scan cutoff
+    Mmax/Nmax      spatial cutoff, temporal scan cutoff
+    h_max          scales below 2^-h_max * gamma are treated as resonant
+
+    The truncation order is not a model parameter: each command takes it
+    from the run options (`orders`).
     """
 
     a: float = 1.0
@@ -71,14 +74,11 @@ class ModelParams:
     gamma: float = 2.0 ** -6
     tau0: float = 4.0
     tau: float = field(default=-1.0)
-    sigma: float = 0.5
     nu_cap: float = 0.25
     omega_branch: int = 1
-    Kmax: int = 2
     Mmax: int = 64
     Nmax: int = 500
     h_max: int = H_MAX_DEFAULT
-    extended_precision: bool = False
 
     def __post_init__(self):
         if self.tau < 0:
@@ -99,13 +99,11 @@ class ModelParams:
             raise ValueError(f"tau={self.tau} must be finite and positive")
         if not 0.0 < self.eps0 < 1.0:
             raise ValueError(f"eps0={self.eps0} outside (0, 1)")
-        if not 0.0 < self.sigma < math.inf:
-            raise ValueError(f"sigma={self.sigma} must be finite and positive")
         if not 0.0 < self.nu_cap < math.inf:
             raise ValueError(f"nu_cap={self.nu_cap} must be finite and positive")
         if self.omega_branch not in (1, -1):
             raise ValueError("omega_branch must be +1 or -1")
-        if min(self.Kmax, self.Mmax, self.Nmax) < 1:
+        if min(self.Mmax, self.Nmax) < 1:
             raise ValueError("cutoffs must be positive")
         if not 0 <= self.h_max <= H_MAX_LIMIT:
             raise ValueError(f"h_max={self.h_max} outside [0, {H_MAX_LIMIT}]")
@@ -228,17 +226,7 @@ def x_divisor(n: int, m: int, params: ModelParams, eps: float,
     rad = _radicand(n, m, params.mu, nu)
     if rad <= 0.0:
         raise DegenerateRadicandError(f"radicand {rad} <= 0 at mode {(n, m)}")
-    Om = omega_eff(params, eps)
-    if params.extended_precision:
-        import mpmath as mp
-        with mp.workdps(40):
-            om1 = mp.sqrt(1 + mp.mpf(params.mu))
-            Omq = om1 + params.omega_branch * mp.mpf(eps)
-            radq = mp.mpf(m) ** 4 + mp.mpf(params.mu)
-            if nu is not None:
-                radq += mp.mpf(nu.n_nu(n, m))
-            return float(abs(Omq * abs(n)) - mp.sqrt(radq))
-    return abs(Om * n) - math.sqrt(rad)
+    return abs(omega_eff(params, eps) * n) - math.sqrt(rad)
 
 
 def propagator(n: int, m: int, params: ModelParams, eps: float,

@@ -13,18 +13,16 @@ import pytest
 
 from lindbeam.bruno import sample_diophantine_points
 from lindbeam.checks import (
+    cantor_scans as cantor_scan_ladder,
     counting_inequalities,
     family_grid,
     kernel_oracle,
+    mass_measure,
     partition_of_unity,
     recursion_cases,
     tree_identity,
 )
-from lindbeam.diophantine import (
-    _cantor_exclusion_widths,
-    measure_cantor,
-    measure_mass_complement,
-)
+from lindbeam.diophantine import _cantor_exclusion_widths
 from lindbeam.kernel import kernel_sum_probe
 from lindbeam.series import (
     compute_coeffs,
@@ -142,8 +140,7 @@ def test_criterion_07_partition_of_unity():
 
 def test_criterion_08_mass_measure():
     reps = {}
-    for gam in (2.0 ** -6, 2.0 ** -7, 2.0 ** -8):
-        rep = measure_mass_complement(gam, 4.0, 10_000, 500)
+    for gam, rep in mass_measure(2.0 ** -6, 4.0, 10_000, 500):
         reps[gam] = rep
         if rep.excluded_with_tail > 6 * gam:
             _report("8 mass-set measure", False,
@@ -161,7 +158,7 @@ CANTOR_P = RES_P.with_(eps0=0.35, nu_cap=0.45, Nmax=500)
 @pytest.fixture(scope="module")
 def cantor_scans():
     """Criterion 9's measure_cantor reports, one per window."""
-    return [(w, measure_cantor(CANTOR_P, w, 1000, K=2)) for w in (0.08, 0.02, 0.005)]
+    return cantor_scan_ladder(CANTOR_P, 0.08, 1000, K=2)
 
 
 def test_criterion_09_cantor_trend(cantor_scans):

@@ -15,7 +15,15 @@ from hypothesis import strategies as st
 import lindbeam
 import lindbeam.checks
 
-from lindbeam.cli import ConfigError, load_config, main
+import lindbeam.cli
+from lindbeam.cli import ConfigError, build_parser, load_config, main
+from lindbeam.series import (
+    InconsistentInputsError,
+    NonConvergenceError,
+    SignExcludedError,
+)
+from lindbeam.spectrum import DegenerateRadicandError, ResonantDivisorError
+from lindbeam.trees import TreeBudgetError
 
 CFG = """
 [model]
@@ -83,13 +91,49 @@ def test_invalid_mu_exit_2(tmp_path):
     ["--eps-count", "-1", "residual"],
     ["--grid", "0", "dioph", "mass"],
     ["--grid", "999", "dioph", "mass"],
+    ["--outdir", "{tmp}/file/out", "kernel"],   # a file where a directory must be
 ])
-def test_malformed_input_exit_2(tmp_path, args):
+def test_malformed_input_exit_2(tmp_path, capsys, args):
+    (tmp_path / "file").write_text("")
+    args = [a.format(tmp=tmp_path) for a in args]
     assert main(["--outdir", str(tmp_path / "out")] + args) == 2
     assert not (tmp_path / "out").exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "error: " in err, err
 
 
-_INT_KEYS = ("orders", "grid", "eps_count", "samples", "jobs", "seed")
+@pytest.mark.parametrize("exc, code", [
+    (ConfigError("bad key"), 2),
+    (ValueError("bad value"), 2),
+    (SignExcludedError("wrong sign"), 2),
+    (DegenerateRadicandError("radicand <= 0"), 2),
+    (InconsistentInputsError("tables disagree"), 2),
+    (NotADirectoryError("not a directory"), 2),
+    (PermissionError("read-only"), 2),
+    (TreeBudgetError("too many trees"), 2),
+    (ResonantDivisorError("resonant"), 2),
+    (NonConvergenceError("no fixed point"), 3),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
+def test_exit_code_table(tmp_path, monkeypatch, capsys, exc, code):
+    def fail(params, run):
+        raise exc
+
+    monkeypatch.setattr(lindbeam.cli, "cmd_kernel", fail)
+    assert main(["--outdir", str(tmp_path / "out"), "kernel"]) == code
+    assert not (tmp_path / "out").exists()
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_exit_code_table_lets_faults_through(tmp_path, monkeypatch):
+    def fail(params, run):
+        raise KeyError("a fault, not an input error")
+
+    monkeypatch.setattr(lindbeam.cli, "cmd_kernel", fail)
+    with pytest.raises(KeyError):
+        main(["--outdir", str(tmp_path / "out"), "kernel"])
+
+
+_INT_KEYS = ("orders", "grid", "eps_count", "samples", "seed")
 _EPS_KEYS = ("eps", "eps_lo", "eps_hi")
 _values = st.one_of(st.integers(-2, 2).map(str), st.integers(-10 ** 6, 10 ** 6).map(str),
                     st.floats(allow_nan=True, allow_infinity=True).map(repr),
@@ -127,11 +171,10 @@ _MODEL_RANGES = {
     "eps0": lambda v: 0.0 < v < 1.0,
     "gamma": lambda v: 0.0 < v <= 2.0 ** -6,
     "tau0": lambda v: 4.0 <= v < math.inf,
-    "tau": _positive, "sigma": _positive, "nu_cap": _positive,
+    "tau": _positive, "nu_cap": _positive,
     "omega_branch": lambda v: v in (1, -1),
-    "Kmax": _cutoff, "Mmax": _cutoff, "Nmax": _cutoff,
+    "Mmax": _cutoff, "Nmax": _cutoff,
     "h_max": lambda v: isinstance(v, int) and 0 <= v <= 1000,
-    "extended_precision": lambda v: isinstance(v, bool),
 }
 
 
@@ -149,9 +192,17 @@ def test_load_config_model_keys_fuzz(key, value):
     assert _MODEL_RANGES[key](getattr(params, key)), (key, value, getattr(params, key))
 
 
-_FLAGS = ("--a", "--mu", "--eps0", "--gamma", "--tau", "--Mmax", "--Nmax", "--h-max",
-          "--omega-branch", "--extended-precision", "--eps", "--orders", "--seed",
-          "--window", "--jobs")
+_RUN_KEYS = {"eps", "eps_lo", "eps_hi", "eps_count", "orders", "grid", "samples", "seed",
+             "window", "outdir", "force"}
+_OPTIONS = [a for a in build_parser()._actions
+            if a.option_strings and a.dest not in ("help", "config")]
+# every option that takes a value, except the output directory (a random one
+# would be created in the working directory)
+_FLAGS = tuple(a.option_strings[0] for a in _OPTIONS if a.nargs != 0 and a.dest != "outdir")
+
+
+def test_flags_are_the_model_fields_and_run_keys():
+    assert sorted(a.dest for a in _OPTIONS) == sorted(set(_MODEL_RANGES) | _RUN_KEYS)
 
 
 @settings(max_examples=150, deadline=None)
@@ -244,6 +295,20 @@ def test_residual_marks_excluded(tmp_path):
     rows = list(csv.DictReader(open(tmp_path / "out" / "residual.csv")))
     assert rows[0]["status"] == ("excluded: square condition at (4, 2), "
                                  "margin 0.000e+00 against threshold 6.250e-02")
+
+
+def test_residual_force_names_the_failed_condition(tmp_path):
+    # --force computes the excluded eps anyway, and its status says why it
+    # would have been excluded
+    cfg = write_cfg(tmp_path)
+    eps_bad = (math.sqrt(1.1) * 4 - 4.0) / 4.0
+    rc = main(["--config", cfg, "--eps0", "0.35", "--eps-lo", repr(eps_bad),
+               "--eps-hi", repr(eps_bad), "--eps-count", "1", "--force", "residual"])
+    assert rc == 0
+    rows = list(csv.DictReader(open(tmp_path / "out" / "residual.csv")))
+    assert rows[0]["status"] == ("forced: square condition at (4, 2), "
+                                 "margin 0.000e+00 against threshold 6.250e-02")
+    assert float(rows[0]["residual_sup"]) > 0.0
 
 
 def test_dioph_mass(tmp_path):

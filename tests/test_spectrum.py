@@ -64,14 +64,6 @@ def test_x_divisor_examples():
     assert x_divisor(-2, 1, pp, 0.01) == x_divisor(2, 1, pp, 0.01)
 
 
-def test_x_divisor_extended_precision_agrees():
-    pp = ModelParams(mu=0.1, eps0=0.05, extended_precision=True)
-    pd = pp.with_(extended_precision=False)
-    for n, m in [(2, 1), (17, 4), (99, 10)]:
-        assert x_divisor(n, m, pp, 0.003) == pytest.approx(
-            x_divisor(n, m, pd, 0.003), abs=1e-12)
-
-
 def test_propagator():
     assert propagator(1, 1, P, 0.37) == 1.0
     assert propagator(-1, 1, P, 0.0012) == 1.0
