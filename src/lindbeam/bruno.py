@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .spectrum import ModelParams, NuTable, mode_set
 from .trees import Tree, _active, admissible_assignments, dump_tree
 
@@ -125,18 +123,21 @@ def sample_diophantine_points(params: ModelParams, count: int, seed: int = 0,
                               max_draws: int = 4000) -> list[tuple[float, NuTable]]:
     """Low-discrepancy (eps, nu) samples passing the shifted-frequency checks.
 
-    Sobol points in the box (0, eps0) x (-c eps0, c eps0)^modes, filtered
-    through the Melnikov margins at the model's gamma and tau.
+    Scrambled Sobol points (`sobol.Sobol`, equal to scipy's
+    `qmc.Sobol(d, scramble=True, seed=seed)`) in the box
+    (0, eps0) x (-c eps0, c eps0)^modes, one dimension for eps and one per
+    mode of the ModeSet, drawn in blocks of 32 and filtered through the
+    Melnikov margins at the model's gamma and tau.  Raises ValueError when
+    the ModeSet needs more than `sobol.MAXDIM` dimensions, or when fewer
+    than `count` points pass within `max_draws` draws.
     """
-    from scipy.stats import qmc
-
     from .diophantine import check_melnikov
+    from .sobol import Sobol
 
     Mmax = Mmax or params.Mmax
     Nmax = Nmax or params.Nmax
     ms = mode_set(params.mu, params.eps0, Mmax, Nmax)
-    dim = 1 + len(ms)
-    eng = qmc.Sobol(d=min(dim, 21201), scramble=True, seed=seed)
+    eng = Sobol(1 + len(ms), seed)
     out = []
     draws = 0
     cap = params.nu_cap * params.eps0 * 0.999
@@ -147,13 +148,11 @@ def sample_diophantine_points(params: ModelParams, count: int, seed: int = 0,
             eps = float(row[0]) * params.eps0
             if not 1e-8 < eps < params.eps0:
                 continue
-            vals = np.zeros(len(ms))     # modes beyond the Sobol dimension get 0
-            vals[:row.size - 1] = (2.0 * row[1:] - 1.0) * cap
-            nu = ms.nu_table(vals, params.nu_cap)
+            nu = ms.nu_table((2.0 * row[1:] - 1.0) * cap, params.nu_cap)
             if check_melnikov(eps, nu, params, Nmax=Nmax, Mmax=Mmax):
                 out.append((eps, nu))
                 if len(out) >= count:
                     break
     if len(out) < count:
-        raise RuntimeError(f"only {len(out)} Diophantine samples after {draws} draws")
+        raise ValueError(f"only {len(out)} of {count} Diophantine samples after {draws} draws")
     return out

@@ -332,10 +332,10 @@ def cmd_dioph_measure(params: ModelParams, run: dict) -> int:
 
 
 def cmd_bruno(params: ModelParams, run: dict) -> int:
-    out = _outdir(run)
     Mm = 9
     pts = bruno_mod.sample_diophantine_points(params.with_(Mmax=Mm, Nmax=60),
                                               run.get("samples", 20), seed=run["seed"])
+    out = _outdir(run)
     grid = checks.family_grid((1, 2, 3), (1, 3, 5))
     tallies = checks.counting_inequalities(params, pts, grid, Mm)
     rows = [(k, *tallies[k]) for k in (1, 2, 3)]
@@ -422,8 +422,32 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _unknown_option(ap: argparse.ArgumentParser, argv: list[str]) -> str | None:
+    """The first option before the subcommand that the parser does not know.
+
+    argparse sets such an option aside and reads its value as the subcommand,
+    so it would report the value, not the option.
+    """
+    takes_value = {s: a.nargs != 0 for a in ap._actions for s in a.option_strings}
+    i = 0
+    while i < len(argv) and argv[i][:1] == "-" and argv[i] != "--":
+        flag, eq, _ = argv[i].partition("=")
+        known = [s for s in takes_value if s == flag] or \
+            [s for s in takes_value if s.startswith(flag)]     # argparse's abbreviations
+        if not known:
+            return flag
+        i += 2 if takes_value[known[0]] and not eq else 1
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = vars(build_parser().parse_args(argv))
+    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    unknown = _unknown_option(ap, argv)
+    if unknown:
+        print(f"error: unrecognized option {unknown}", file=sys.stderr)
+        return EXIT_INVALID
+    args = vars(ap.parse_args(argv))
     config, command = args.pop("config"), args.pop("func")
     overrides = {key: args.pop(key) for key in (*_MODEL_KEYS, *_RUN_KEYS)}
     # what is left, less the subcommand names, are the command's own arguments

@@ -16,13 +16,14 @@ import lindbeam
 import lindbeam.checks
 
 import lindbeam.cli
+from lindbeam.bruno import sample_diophantine_points
 from lindbeam.cli import ConfigError, build_parser, load_config, main
 from lindbeam.series import (
     InconsistentInputsError,
     NonConvergenceError,
     SignExcludedError,
 )
-from lindbeam.spectrum import DegenerateRadicandError, ResonantDivisorError
+from lindbeam.spectrum import DegenerateRadicandError, ModelParams, ResonantDivisorError
 from lindbeam.trees import TreeBudgetError
 
 CFG = """
@@ -46,6 +47,10 @@ def write_cfg(tmp_path, extra=""):
     cfg = tmp_path / "run.ini"
     cfg.write_text(CFG.format(out=tmp_path / "out") + extra)
     return str(cfg)
+
+
+# a model at the cutoffs where `verify` and `bruno check` sample
+SAMPLE_P = ModelParams(a=1.0, b=0.5, mu=0.01, eps0=0.02, omega_branch=1, Mmax=9, Nmax=60)
 
 
 def test_coeffs_writes_files(tmp_path):
@@ -92,6 +97,8 @@ def test_invalid_mu_exit_2(tmp_path):
     ["--grid", "0", "dioph", "mass"],
     ["--grid", "999", "dioph", "mass"],
     ["--outdir", "{tmp}/file/out", "kernel"],   # a file where a directory must be
+    ["--sigma", "1", "kernel"],                 # an option that does not exist
+    ["--samples", "4001", "bruno", "check"],    # more points than the sampler's draws
 ])
 def test_malformed_input_exit_2(tmp_path, capsys, args):
     (tmp_path / "file").write_text("")
@@ -113,10 +120,18 @@ def test_malformed_input_exit_2(tmp_path, capsys, args):
     (TreeBudgetError("too many trees"), 2),
     (ResonantDivisorError("resonant"), 2),
     (NonConvergenceError("no fixed point"), 3),
+    # calls that raise on their own: the sampler out of draws, and asked for
+    # more Sobol dimensions than it holds direction numbers for
+    pytest.param(lambda: sample_diophantine_points(SAMPLE_P, 4001, max_draws=32), 2,
+                 id="sampler_exhausted-2"),
+    pytest.param(lambda: sample_diophantine_points(SAMPLE_P.with_(Mmax=64, Nmax=2000), 1), 2,
+                 id="sobol_dimension-2"),
 ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
 def test_exit_code_table(tmp_path, monkeypatch, capsys, exc, code):
     def fail(params, run):
-        raise exc
+        if isinstance(exc, Exception):
+            raise exc
+        exc()
 
     monkeypatch.setattr(lindbeam.cli, "cmd_kernel", fail)
     assert main(["--outdir", str(tmp_path / "out"), "kernel"]) == code

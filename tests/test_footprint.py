@@ -1,5 +1,6 @@
-"""Import footprint: the construction runs on numpy alone; scipy loads only
-on the paths that call it (the kernel quadrature oracle, point sampling)."""
+"""Import footprint: the construction, the Diophantine point sampling and the
+tree checks run on numpy alone; scipy loads only with the kernel quadrature
+oracle (`scipy.integrate`, which `verify` calls), and `scipy.stats` never."""
 import os
 import subprocess
 import sys
@@ -49,6 +50,23 @@ for trip in [(1, 1, 1), (3, 1, 1), (7, 5, 3), (2, 2, 1), (12, 7, 2)]:
 assert "scipy.integrate" in sys.modules
 """
 
+SAMPLING = """
+import sys
+import lindbeam.cli
+from lindbeam.bruno import sample_diophantine_points
+from lindbeam.spectrum import ModelParams
+cfg, out = sys.argv[1], sys.argv[2]
+TREE_P = ModelParams(a=1.0, b=0.5, mu=0.01, eps0=0.02, omega_branch=1, Mmax=9, Nmax=60)
+assert len(sample_diophantine_points(TREE_P, 16, seed=0)) == 16
+for argv in (["bruno", "check"], ["trees", "2", "9", "3"], ["counterterms"]):
+    assert lindbeam.cli.main(["--config", cfg, "--outdir", out, *argv]) == 0, argv
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, f"sampling and the tree checks loaded {loaded[:5]}"
+assert lindbeam.cli.main(["--config", cfg, "--outdir", out, "verify"]) == 0
+loaded = sorted(m for m in sys.modules if m.startswith("scipy.stats"))
+assert not loaded, f"verify loaded {loaded[:5]}"
+"""
+
 
 def test_construction_never_loads_scipy(tmp_path):
     cfg = tmp_path / "run.ini"
@@ -56,11 +74,13 @@ def test_construction_never_loads_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
     env.pop("LINDBEAM_OUTDIR", None)
-    # both cold interpreters run side by side
-    procs = [subprocess.Popen([sys.executable, "-c", code, str(cfg)], env=env, cwd=tmp_path,
-                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-             for code in (CONSTRUCT, ORACLE)]
+    # the cold interpreters run side by side
+    procs = [subprocess.Popen([sys.executable, "-c", code, str(cfg), str(tmp_path / "sampled")],
+                              env=env, cwd=tmp_path, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True)
+             for code in (CONSTRUCT, ORACLE, SAMPLING)]
     for proc in procs:
         _, err = proc.communicate(timeout=120)
         assert proc.returncode == 0, err
     assert (tmp_path / "out" / "residual.csv").exists()
+    assert (tmp_path / "sampled" / "bruno.csv").exists()
