@@ -9,8 +9,8 @@ it back through the shift coefficients) reproduces it again, which is the
 central correctness test of the package.
 
 Storage: each (k, n, m, Mmax) family, and each special-end family, is
-enumerated once into flat read-only integer rows (`_Family`), kept in a
-bounded cache.  A `Tree` is a view of one tree's rows; it builds `TNode`
+counted against TREE_BUDGET (`_count`) and then enumerated once into flat
+read-only integer rows (`_Family`), kept in a bounded cache.  A `Tree` is a view of one tree's rows; it builds `TNode`
 objects only when asked for them.  Evaluation reads the rows together with
 per-point mode tables (`_Point`): the scale labels each mode's divisor
 admits and its cutoff propagator, computed once per (params, eps, nu).
@@ -23,10 +23,12 @@ labels.  `_row_values` evaluates all rows together, level by level from the
 leaves up (a node's level is its height), doing at each node the
 multiplications of the per-tree recursion in the same order: node weight,
 then line factor times child value for each child in `TNode` children
-order, with the same zero short-circuits.  The row values and the
-sequential sum over rows are therefore bitwise equal to evaluating the
-trees one at a time.  Rows with an active resonance block are evaluated by
-the recursive `_region`.
+order, with the same zero short-circuits.  Renormalized rows carry their
+active resonance blocks through the same loop, as two more products along
+each block's path, priced at the entering line's natural and on-shell
+frequencies; a special-end tree's localized value is one such block from
+the root to the special end.  The row values and the sequential sum over
+rows are therefore bitwise equal to evaluating the trees one at a time.
 """
 from __future__ import annotations
 
@@ -63,11 +65,6 @@ __all__ = [
     "counterterm",
     "counterterm_table",
     "counterterm_order2_closed",
-    "detect_clusters",
-    "detect_resonances",
-    "localize_split",
-    "resonance_to_rtree",
-    "extended_value",
     "dump_tree",
     "TreeBudgetError",
     "MissingCountertermError",
@@ -113,36 +110,18 @@ def _key(nd: TNode):
 # ---------------------------------------------------------------------------
 # enumeration
 
-def _gen(k: int, n: int, m: int, Mmax: int, with_e: bool, e_mode: tuple | None,
-         memo: dict):
-    """Skeletons of order k whose root line carries (n, m).
+def _splits(key: tuple, Mmax: int, e_mode: tuple | None):
+    """The ways to build a root of family key = (k, n, m, with_e) from smaller
+    families: (kv, child keys), a binary node (kv 1) per ordered pair of child
+    keys that can be nonempty (`_child_m`), then a unary shift insertion of
+    order kv per child key.
 
-    Returns one canonical TNode per skeleton.  with_e marks the branch that
-    must contain the special end node (mode e_mode).  memo holds the
-    sub-skeletons of one family while it is compiled.
+    with_e marks the families that must contain the special end node (mode
+    e_mode); order-0 keys are the end nodes, which have no splits.
     """
-    key = (k, n, m, with_e)
-    if key in memo:
-        return memo[key]
-    out: dict = {}
-
-    def add(node: TNode):
-        out.setdefault(_key(node), node)
-
-    if k == 0:
-        if with_e:
-            if (n, m) == e_mode and (abs(n), m) != (1, 1):
-                add(TNode(0, "special", "", 0, 0, n, m))
-        elif (abs(n), m) == (1, 1):
-            add(TNode(0, "end", "", 0, 0, n, m))
-        res = memo[key] = list(out.values())
-        return res
-
-    if (abs(n), m) == (1, 1) or m % 2 == 0 or m > Mmax:
-        # only end lines may carry the primary mode
-        memo[key] = []
-        return []
-
+    k, n, m, with_e = key
+    if k == 0 or (abs(n), m) == (1, 1) or m % 2 == 0 or m > Mmax:
+        return      # only end lines may carry the primary mode
     # binary root: orders k1 + k2 = k - 1, momenta n1 + n2 = n
     for k1 in range(0, k):
         k2 = k - 1 - k1
@@ -161,33 +140,99 @@ def _gen(k: int, n: int, m: int, Mmax: int, with_e: bool, e_mode: tuple | None,
                         continue
                 elif abs(n2) > k2 + 1:
                     continue
-                for m1 in range(1, Mmax + 1, 2):
-                    for m2 in range(1, Mmax + 1, 2):
-                        if kernel_v(m, m1, m2) == 0.0:
-                            continue
-                        subs1 = _gen(k1, n1, m1, Mmax, le, e_mode, memo)
-                        if not subs1:
-                            continue
-                        subs2 = _gen(k2, n2, m2, Mmax, re, e_mode, memo)
-                        if not subs2:
-                            continue
-                        for c1 in subs1:
-                            for c2 in subs2:
-                                kids = ((c1, c2) if _key(c1) <= _key(c2)
-                                        else (c2, c1))
-                                for t in ("a", "b"):
-                                    add(TNode(0, "node", t, 2, 1, n, m, kids))
-
-    # unary root: shift insertion of order r, same mode below
+                for m1 in _child_m(k1, n1, le, e_mode, Mmax):
+                    for m2 in _child_m(k2, n2, re, e_mode, Mmax):
+                        if kernel_v(m, m1, m2) != 0.0:
+                            yield 1, ((k1, n1, m1, le), (k2, n2, m2, re))
+    # unary root: shift insertion of order r, same mode below; the child has
+    # order >= 1, so no unary node sits directly on an end (a resonance
+    # would have one node only)
     for r in range(2, k):
-        subs = _gen(k - r, n, m, Mmax, with_e, e_mode, memo)
-        for c in subs:
-            if with_e and c.kind == "special":
-                continue  # the corresponding resonance would have one node only
-            add(TNode(0, "node", "a", 1, r, n, m, (c,)))
+        yield r, ((k - r, n, m, with_e),)
 
+
+def _child_m(k: int, n: int, with_e: bool, e_mode: tuple | None, Mmax: int) -> range:
+    """The spatial labels m for which family (k, n, m, with_e) can be
+    nonempty: an end's at order 0, else the odd m <= Mmax off the primary
+    mode (the splits skip the rest, whose families are empty)."""
+    if k == 0:
+        m = e_mode[1] if with_e else 1
+        return range(m, m + 1) if _is_end((0, n, m, with_e), e_mode) else range(0)
+    return range(3 if abs(n) == 1 else 1, Mmax + 1, 2)
+
+
+def _is_end(key: tuple, e_mode: tuple | None) -> bool:
+    """Whether the order-0 key is an end node: the special end of mode e_mode
+    on the branch that carries it, a primary end elsewhere."""
+    k, n, m, with_e = key
+    return k == 0 and ((n, m) == e_mode if with_e else (abs(n), m) == (1, 1))
+
+
+def _gen(key: tuple, Mmax: int, e_mode: tuple | None, memo: dict) -> list:
+    """Skeletons of family key = (k, n, m, with_e), one canonical TNode each.
+
+    memo holds the sub-skeletons of one family while it is compiled.
+    """
+    if key in memo:
+        return memo[key]
+    n, m, with_e = key[1:]
+    out: dict = {}
+
+    def add(node: TNode):
+        out.setdefault(_key(node), node)
+
+    if _is_end(key, e_mode):
+        add(TNode(0, "special" if with_e else "end", "", 0, 0, n, m))
+    for kv, kids in _splits(key, Mmax, e_mode):
+        if kv == 1:
+            subs1 = _gen(kids[0], Mmax, e_mode, memo)
+            subs2 = _gen(kids[1], Mmax, e_mode, memo) if subs1 else []
+            for c1 in subs1:
+                for c2 in subs2:
+                    pair = (c1, c2) if _key(c1) <= _key(c2) else (c2, c1)
+                    for t in ("a", "b"):
+                        add(TNode(0, "node", t, 2, 1, n, m, pair))
+        else:
+            for c in _gen(kids[0], Mmax, e_mode, memo):
+                add(TNode(0, "node", "a", 1, kv, n, m, (c,)))
     res = memo[key] = list(out.values())
     return res
+
+
+def _count(key: tuple, Mmax: int, e_mode: tuple | None, memo: dict,
+           cap: int) -> tuple[int, int]:
+    """(trees, node rows) of the family `_gen` would build for key, each
+    saturated at cap, without building it.
+
+    A binary split over an unordered pair of child keys adds |S1| |S2|
+    skeletons when the keys differ and |S| (|S| + 1) / 2 when they are equal
+    (the children are unordered), twice for the node types a and b.
+    """
+    if key in memo:
+        return memo[key]
+    trees = rows = int(_is_end(key, e_mode))
+    pairs = set()
+    for kv, kids in _splits(key, Mmax, e_mode):
+        if rows >= cap:
+            break
+        if kv == 1:
+            if kids[1] < kids[0]:
+                kids = kids[::-1]
+            if kids in pairs:
+                continue
+            pairs.add(kids)
+            (t1, r1), (t2, r2) = (_count(c, Mmax, e_mode, memo, cap) for c in kids)
+            if kids[0] == kids[1]:
+                t, r = t1 * (t1 + 1) // 2, t1 * (t1 + 1) // 2 + (t1 + 1) * r1
+            else:
+                t, r = t1 * t2, t1 * t2 + r1 * t2 + r2 * t1
+            t, r = 2 * t, 2 * r
+        else:
+            t, r = _count(kids[0], Mmax, e_mode, memo, cap)
+            r += t
+        trees, rows = min(trees + t, cap), min(rows + r, cap)
+    memo[key] = (trees, rows)
+    return trees, rows
 
 
 def _ordered_multiplicity(nd: TNode) -> int:
@@ -367,12 +412,14 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=FAMILY_CACHE_SIZE)
 def _family(k: int, n: int, m: int, Mmax: int, is_rtree: bool) -> _Family:
-    """Enumerate and compile one family (the skeleton memo lives only here)."""
-    roots = _gen(k, n, m, Mmax, is_rtree, (n, m) if is_rtree else None, {})
-    fam = _Family(roots, [_ordered_multiplicity(r) for r in roots], k, n, m, is_rtree)
-    if not is_rtree and fam.start[fam.count] > TREE_BUDGET:
+    """Count, then enumerate and compile one family (the skeleton memo lives
+    only here); a family of more than TREE_BUDGET node rows is refused before
+    it is built."""
+    key, e_mode = (k, n, m, is_rtree), ((n, m) if is_rtree else None)
+    if _count(key, Mmax, e_mode, {}, TREE_BUDGET + 1)[1] > TREE_BUDGET:
         raise TreeBudgetError(f"enumeration of ({k},{n},{m}) exceeds budget")
-    return fam
+    roots = _gen(key, Mmax, e_mode, {})
+    return _Family(roots, [_ordered_multiplicity(r) for r in roots], k, n, m, is_rtree)
 
 
 class Tree:
@@ -568,10 +615,19 @@ class _Point:
         """Labels of a line on the path of a block localized at anchor."""
         hs = self._shifted.get((line, anchor))
         if hs is None:
-            f = self.Om * (line.n - anchor.n) + anchor.bar
             hs = self._shifted[(line, anchor)] = admissible_h_for(
-                abs(f) - line.root, self.params.gamma, self.params.h_max)
+                abs(self.path_freq(line, anchor, True)) - line.root,
+                self.params.gamma, self.params.h_max)
         return hs
+
+    def path_freq(self, line: _Mode, anchor: _Mode, on_shell: bool) -> float:
+        """Frequency of a line on the path of a block whose entering line
+        has mode anchor: Omega (n_line - n_anchor) + f_in, f_in the entering
+        frequency, on shell (omega_bar) or natural (Omega n_anchor)."""
+        if on_shell and anchor.bar is None:
+            raise ValueError("degenerate radicand in localization point")
+        f_in = anchor.bar if on_shell else self.Om * anchor.n
+        return self.Om * (line.n - anchor.n) + f_in
 
     def propagator(self, md: _Mode, h: int, freq: float | None = None) -> float:
         """Cutoff propagator chi_h(|freq| - omega~) / (omega~^2 - freq^2) of
@@ -600,33 +656,24 @@ def _point(params: ModelParams, eps: float, nu: NuTable | None) -> _Point:
 
 @dataclass
 class EvalCtx:
+    """What a tree's value reads besides its rows: the point, the primary
+    amplitude q and the shift table lt.  renormalize subtracts the active
+    resonance blocks on shell and makes unary nodes read lt by scale (else
+    its aggregate over scales)."""
     params: ModelParams
     eps: float
     nu: NuTable | None
     q: float
     lt: object = None            # CountertermTable or None
-    l_by_scale: bool = False
     renormalize: bool = False
 
     def __post_init__(self):
         self.point = _point(self.params, self.eps, self.nu)
 
-    def omega_big(self) -> float:
-        return self.point.Om
-
-    def omt2(self, n: int, m: int) -> float:
-        return self.point.mode(n, m).omt2
-
-    def omega_bar(self, n: int, m: int) -> float:
-        bar = self.point.mode(n, m).bar
-        if bar is None:
-            raise ValueError("degenerate radicand in localization point")
-        return bar
-
     def l_value(self, kv: int, n: int, m: int, h: int) -> float:
         if self.lt is None:
             return 0.0
-        if self.l_by_scale:
+        if self.renormalize:
             return self.lt.get(kv, n, m, h)
         return self.lt.aggregate(kv, n, m)
 
@@ -728,16 +775,19 @@ class _Table:
         padded with -1 past the tree's lines."""
         return self.labels[self.row_start[t]:self.row_start[t + 1]].tolist()
 
-    def rows(self) -> tuple:
-        """(row_tree, node_row, first, h): each row's tree; then per node of
-        the rows' trees, laid row after row, its family row and the scale of
-        its exiting line (-1 off the propagator lines); each row's first node."""
-        c = self.f.columns()
+    def rows(self, keep: np.ndarray | None = None) -> tuple:
+        """(row_tree, node_row, first, h) of the rows, or of those keep
+        selects: each row's tree; then per node of the rows' trees, laid row
+        after row, its family row and the scale of its exiting line (-1 off
+        the propagator lines); each row's first node."""
+        c, labels = self.f.columns(), self.labels
         row_tree = np.repeat(np.arange(self.f.count), np.diff(self.row_start))
+        if keep is not None:
+            row_tree, labels = row_tree[keep], labels[keep]
         node_row, first = _node_rows(self.f, row_tree)
         row, p, g = _line_slots(c, row_tree)
         h = np.full(len(node_row), -1, np.int16)
-        h[first[row] + c.line_row[g]] = self.labels[row, p]
+        h[first[row] + c.line_row[g]] = labels[row, p]
         return row_tree, node_row, first, h
 
 
@@ -797,47 +847,6 @@ def family_assignments(k: int, n: int, m: int, params: ModelParams, eps: float,
     return len(tab.labels), out
 
 
-def _line_weights(f: _Family, ctx: EvalCtx):
-    """line(r, h, freq, enters_b): the factor carried by the line exiting row
-    r at scale h and frequency freq (None: the natural Omega n), enters_b
-    when it enters a b-type node."""
-    kind, n, m, par, mode, rtree = f.kind, f.n, f.m, f.par, f.mode, f.is_rtree
-    modes, propagator = ctx.point.modes_of(f), ctx.point.propagator
-
-    def line(r: int, h: int, freq: float | None, enters_b: bool) -> float:
-        k, nc = kind[r], n[r]
-        if k == SPECIAL or (k == END and abs(nc) == 1 and m[r] == 1):
-            return float(nc) if enters_b else 1.0
-        if rtree and par[r] < 0:
-            return 1.0      # unit root line of a special-end tree
-        md = modes[mode[r]]
-        val = md.prop.get(h) if freq is None else None
-        if val is None:
-            val = propagator(md, h, freq)
-        return nc * val if enters_b else val
-
-    return line
-
-
-def _node_factor(f: _Family, s: int, i: int, h: list, ctx: EvalCtx) -> float:
-    r = s + i
-    kind = f.kind[r]
-    if kind == END:
-        return ctx.q
-    if kind == SPECIAL:
-        return 1.0 / f.m[r] ** 3
-    if f.sv[r] == 1:
-        # the unit root line of a special-end tree: use the entering scale
-        hh = h[i + 1] if f.is_rtree and i == 0 else h[i]
-        return f.n[r] * ctx.l_value(f.kv[r], f.n[r], f.m[r], hh)
-    # binary interaction node
-    c1, c2 = f.kids(s, i)
-    v = kernel_v(f.m[r], f.m[s + c1], f.m[s + c2])
-    if f.ttype[r] == A:
-        return ctx.params.a * v
-    return -ctx.params.b * ctx.omega_big() ** 2 * v
-
-
 def _node_rows(f: _Family, row_tree: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Family row of every node of the given trees laid one after another,
     and the position of each tree's first node."""
@@ -857,13 +866,22 @@ def _tabulated(keys: np.ndarray, fn) -> np.ndarray:
     return table[keys]
 
 
-def _row_values(f: _Family, rows: tuple, ctx: EvalCtx) -> np.ndarray:
-    """Value of each row (see _Table.rows) with no active block.
+def _row_values(f: _Family, rows: tuple, ctx: EvalCtx, special: bool = False) -> np.ndarray:
+    """Value of each row (see _Table.rows).
 
     Level by level from the ends up, each node gets its weight times, per
     child in children order, the child's line factor times its value; a
     zero factor or a vanishing product gives +0.0, and the root line factor
     comes last, as in evaluating one tree at a time.
+
+    A block (o, i) of `_blocks` gives its exit node o the value
+    ((X - S) * entering) * value(i), or 0.0 where X == S or entering, the
+    propagator of i's line, is zero.  X and S are the same loop's products
+    over the path from i's parent up to o, whose lines take the frequency
+    `_Point.path_freq`: from i's natural frequency for X (on shell for a
+    special-end block), on shell for S.  There the entering line
+    contributes only n_i into a b-type node, and the other children their
+    values.  S is 0.0 where the block is not subtracted.
     """
     row_tree, node, first, h = rows
     c, pt = f.columns(), ctx.point
@@ -885,15 +903,14 @@ def _row_values(f: _Family, rows: tuple, ctx: EvalCtx) -> np.ndarray:
     # binary nodes (v the kernel), n l(h) at unary nodes
     w = np.zeros(len(node))
     w[kind == END] = ctx.q or 0.0
-    special = kind == SPECIAL
-    w[special] = [1.0 / mm ** 3 for mm in m[special].tolist()]
+    spec = kind == SPECIAL
+    w[spec] = [1.0 / mm ** 3 for mm in m[spec].tolist()]
     two = sv == 2
     b = node[two]
     other, ms = c.second(b), int(m.max(initial=0)) + 1
     kern = _tabulated((m[two].astype(np.int64) * ms + c.m[other]) * ms + c.m[b + 1],
                       lambda k: kernel_v(k // ms // ms, k // ms % ms, k % ms))
-    w[two] = np.where(c.ttype[b] == A, ctx.params.a * kern,
-                      -ctx.params.b * ctx.omega_big() ** 2 * kern)
+    w[two] = np.where(c.ttype[b] == A, ctx.params.a * kern, -ctx.params.b * pt.Om ** 2 * kern)
     unary = np.flatnonzero(sv == 1)
     hu = h[unary]
     if f.is_rtree:      # the unit root line: use the entering scale
@@ -918,15 +935,131 @@ def _row_values(f: _Family, rows: tuple, ctx: EvalCtx) -> np.ndarray:
     kid2[two] = np.flatnonzero(two) + other - b
     leaves = level == 0
     val[:-1][leaves] = w[leaves]
+    blocks = _blocks(f, rows, ctx, special) if ctx.renormalize or special else None
+    if blocks is not None:
+        o, i, sub, x_shell = blocks
+        path, blk = _paths(c, node, o, i)
+        on_path = np.zeros(len(node), bool)
+        on_path[path] = True
+        exit_of = np.full(len(node), -1)
+        exit_of[o] = np.arange(len(o))
+        # the X and S contexts: as children of a path node, the path nodes
+        # below the exit node (mine) bring their X or S product and their
+        # line factor at the path frequency, the entering node only n_i into
+        # a b-type node and the value 1; the other children their own
+        below = path != o[blk]
+        j, bj = path[below], blk[below]
+        mine = np.zeros(len(node) + 1, bool)
+        mine[j] = mine[i] = True
+        lm, anchor, every = c.mode[node[j]], c.mode[node[i[bj]]], np.ones(len(j), bool)
+        contexts = []
+        for sel, on_shell in ((every, x_shell[bj]), (sub[bj], every)):
+            fa, fb = into_a.copy(), into_b.copy()
+            fa[i], fb[i] = 1.0, n[i]
+            at = j[sel]
+            fa[at] = _path_lines(pt, modes, lm[sel], h[at], anchor[sel], on_shell[sel])
+            fb[at] = n[at] * fa[at]
+            contexts.append((fa, fb, np.ones(len(node) + 1)))
     for lv in range(1, int(level.max(initial=0)) + 1):
         e = np.flatnonzero(level == lv)
         v, to_b = w[e], enters_b[e]
         for kid in (kid2[e], e + 1):      # TNode children order: second subtree first
-            lf = np.where(to_b, into_b[kid], into_a[kid])
-            v = np.where((v == 0.0) | (lf == 0.0), 0.0, v * (lf * val[kid]))
+            v = _times(v, np.where(to_b, into_b[kid], into_a[kid]), val[kid])
         val[e] = np.where(v == 0.0, 0.0, v)
+        if blocks is None:
+            continue
+        p = e[on_path[e]]
+        k = exit_of[p]
+        up, top, to_b = k < 0, k >= 0, enters_b[p]
+        xs = []
+        for fa, fb, fv in contexts:
+            v = w[p]
+            for kid in (kid2[p], p + 1):
+                v = _times(v, np.where(to_b, fb[kid], fa[kid]),
+                           np.where(mine[kid], fv[kid], val[kid]))
+            fv[p[up]] = v[up]
+            xs.append(v[top])
+        k = k[top]
+        x, s, entering = xs[0], np.where(sub[k], xs[1], 0.0), line[i[k]]
+        val[p[top]] = np.where((entering == 0.0) | (x == s), 0.0,
+                               ((x - s) * entering) * val[i[k]])
     rootf = line[first]
     return np.where(rootf == 0.0, 0.0, rootf * val[first])
+
+
+def _times(v: np.ndarray, lf: np.ndarray, child: np.ndarray) -> np.ndarray:
+    """v * (lf * child), +0.0 where v or the line factor lf is zero."""
+    return np.where((v == 0.0) | (lf == 0.0), 0.0, v * (lf * child))
+
+
+def _paths(c: _Columns, node: np.ndarray, o: np.ndarray, i: np.ndarray) -> tuple:
+    """(path, blk): the positions of the nodes from each block's exit node o
+    down to the parent of its entering node i, and the block of each."""
+    blk = np.repeat(np.arange(len(o)), i - o)
+    path = _ranges(o, i - o)        # node ids run depth first: the path lies in [o, i)
+    keep = path + c.size[node[path]] > i[blk]
+    return path[keep], blk[keep]
+
+
+def _path_lines(pt: _Point, modes: list, line: np.ndarray, h: np.ndarray,
+                anchor: np.ndarray, on_shell) -> np.ndarray:
+    """Cutoff propagator of each path line (mode index line, scale h) at the
+    path frequency of a block entered by mode index anchor."""
+    anchors, anchor = np.unique(anchor, return_inverse=True)
+    na, hs = len(anchors), int(h.max(initial=-1)) + 2
+    keys = ((line.astype(np.int64) * hs + h + 1) * na + anchor) * 2 + on_shell
+
+    def propagator(k):
+        ml, hl = modes[k // 2 // na // hs], k // 2 // na % hs - 1
+        return pt.propagator(ml, hl, pt.path_freq(ml, modes[anchors[k // 2 % na]], bool(k % 2)))
+
+    return _tabulated(keys, propagator)
+
+
+def _blocks(f: _Family, rows: tuple, ctx: EvalCtx, special: bool) -> tuple | None:
+    """The blocks whose values `_row_values` renormalizes, or None: (o, i,
+    sub, x_shell), per block the positions (in the rows' node layout) of
+    its exit node o and entering node i, whether its on-shell part S is
+    subtracted (`_l_conditions`) and whether X is priced on shell.
+
+    With special, each row's first block runs from the root to the special
+    end (X on shell, no S).  With ctx.renormalize, the active blocks follow
+    (`_active`): per exit node the first in `_active` order, replaced by
+    each later one whose entering node lies below the current one's; none
+    whose exit node lies on the path of a block above it.
+    """
+    row_tree, node, first, h = rows
+    c, size = f.columns(), f.size
+    groups = []
+    if special:
+        groups.append((first, first + c.special[row_tree], np.zeros(len(first), bool),
+                       np.ones(len(first), bool)))
+    if ctx.renormalize and len(c.cand_row):
+        # a block can be active only where its exit line sits at a scale >= 0
+        per = np.diff(c.cand_start)[row_tree] // 2
+        cand_r = np.repeat(np.arange(len(row_tree)), per)
+        exits = c.cand_row[2 * _ranges(c.cand_start[row_tree] // 2, per)]
+        found = []
+        for r in np.unique(cand_r[h[first[cand_r] + exits] >= 0]).tolist():
+            t, at = int(row_tree[r]), int(first[r])
+            s = f.start[t]
+            chosen: dict = {}
+            for (bo, bi) in _active(f, t, h[at:at + f.start[t + 1] - s].tolist()):
+                ci = chosen.get(bo)
+                if ci is None or ci <= bi < ci + size[s + ci]:
+                    chosen[bo] = bi
+            done = [(0, f.special[t])] if special else []
+            for bo in sorted(chosen):
+                bi = chosen[bo]
+                if not any(po < bo < pi < bo + size[s + bo] for po, pi in done):
+                    done.append((bo, bi))
+                    found.append((at + bo, at + bi, _l_conditions(f, s, bo, bi, ctx.point)))
+        if found:
+            fo, fi, fs = (np.array(col) for col in zip(*found))
+            groups.append((fo, fi, fs, np.zeros(len(fo), bool)))
+    if not groups:
+        return None
+    return tuple(np.concatenate(col) for col in zip(*groups))
 
 
 def _total(f: _Family, row_tree: np.ndarray, values: np.ndarray) -> float:
@@ -935,90 +1068,10 @@ def _total(f: _Family, row_tree: np.ndarray, values: np.ndarray) -> float:
     return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
 
-def _region(f: _Family, s: int, top: int, excl: int, f_in: float | None, h: list,
-            ctx: EvalCtx, active: list) -> float:
-    """Value of subtree(top) minus subtree(excl), excluding top's own line.
-
-    Lines on the path excl -> top are evaluated at frequency
-    Om*(n_l - n_in) + f_in; every other line at its natural frequency.  The
-    entering line's integer b-weight is kept with the block; its propagator
-    belongs to the subtree below and is attached by the caller.  Active
-    resonance blocks strictly inside get the on-shell subtraction.  Node ids
-    are those of the tree whose rows start at s; excl = -1 for no region.
-    """
-    Om = ctx.omega_big()
-    line = _line_weights(f, ctx)
-    n_in = f.n[s + excl] if excl >= 0 else 0
-    path_ids = set()
-    if excl >= 0:
-        cur = f.par[s + excl]
-        while cur >= 0 and cur != top:
-            path_ids.add(cur)
-            cur = f.par[s + cur]
-        path_ids.add(top)
-
-    def freq_of(i: int) -> float:
-        if excl >= 0 and (i in path_ids or i == excl):
-            return Om * (f.n[s + i] - n_in) + f_in
-        return Om * f.n[s + i]
-
-    def contains(a: int, b: int) -> bool:
-        return a <= b < a + f.size[s + a]
-
-    def eval_from(w: int) -> float:
-        """Value hanging at node w (without w's exiting-line propagator),
-        renormalizing the deepest active block that exits through w's line."""
-        cand = None
-        for (o, i) in active:
-            if o != w:
-                continue
-            if excl >= 0 and contains(o, excl):
-                continue  # block would straddle the current region boundary
-            if cand is None or contains(cand[1], i):
-                cand = (o, i)   # deepest entering line = biggest block
-        if cand is None:
-            return eval_plain(w)
-        o, i = cand
-        rest = [c for c in active if c != cand]
-        block_x = _region(f, s, o, i, freq_of(i), h, ctx, rest)
-        sub = 0.0
-        if _l_conditions(f, s, o, i, ctx):
-            sub = _region(f, s, o, i, ctx.omega_bar(f.n[s + i], f.m[s + i]), h, ctx, rest)
-        if f.kind[s + i] == SPECIAL:
-            entering = 1.0
-        else:
-            md = ctx.point.modes_of(f)[f.mode[s + i]]
-            entering = ctx.point.propagator(md, h[i], freq_of(i))
-        if entering == 0.0 or block_x == sub:
-            return 0.0
-        return (block_x - sub) * entering * eval_from(i)
-
-    def eval_plain(w: int) -> float:
-        val = _node_factor(f, s, w, h, ctx)
-        if val == 0.0:
-            return 0.0
-        enters_b = f.ttype[s + w] == B
-        for c in f.kids(s, w):
-            if c == excl:
-                # entering line of the region: only its integer weight stays
-                if enters_b:
-                    val *= f.n[s + c]
-                continue
-            lf = line(s + c, h[c], freq_of(c), enters_b)
-            if lf == 0.0:
-                return 0.0
-            val *= lf * eval_from(c)
-            if val == 0.0:
-                return 0.0
-        return val
-
-    return eval_from(top)
-
-
-def _l_conditions(f: _Family, s: int, o: int, i: int, ctx: EvalCtx) -> bool:
+def _l_conditions(f: _Family, s: int, o: int, i: int, pt: _Point) -> bool:
     """On-shell subtraction applies only in the near-resonant zone and when
     no block line repeats the external mode label."""
-    if not ctx.point.modes_of(f)[f.mode[s + i]].lam:
+    if not pt.modes_of(f)[f.mode[s + i]].lam:
         return False
     mi = f.mode[s + i]
     return all(f.mode[s + j] != mi for j in f.block(s, o, i) if j != o)
@@ -1038,18 +1091,9 @@ def _active(f: _Family, t: int, h: list) -> list[tuple[int, int]]:
     return out
 
 
-def _renormalized_value(f: _Family, t: int, h: list, ctx: EvalCtx, active: list) -> float:
-    """Value of tree t with its active blocks renormalized (active nonempty)."""
-    s = f.start[t]
-    rootf = _line_weights(f, ctx)(s, h[0], None, False)
-    if rootf == 0.0:
-        return 0.0
-    return rootf * _region(f, s, 0, -1, None, h, ctx, active)
-
-
 def tree_value(tree: Tree, asg: dict, params: ModelParams, eps: float,
                nu: NuTable | None, q: float, counterterms=None,
-               l_by_scale: bool = False, renormalize: bool = False) -> float:
+               renormalize: bool = False) -> float:
     """Value of one labeled tree at one scale assignment.
 
     Propagator product times node weights; with renormalize=True every
@@ -1059,30 +1103,10 @@ def tree_value(tree: Tree, asg: dict, params: ModelParams, eps: float,
     f, t = tree._compiled()
     if counterterms is None and f.unary(t):
         raise MissingCountertermError("tree contains shift nodes but no table given")
-    ctx = EvalCtx(params, eps, nu, q, counterterms, l_by_scale, renormalize)
-    h = tree._scales(asg)
-    active = _active(f, t, h) if renormalize else []
-    if active:
-        return _renormalized_value(f, t, h, ctx, active)
+    ctx = EvalCtx(params, eps, nu, q, counterterms, renormalize)
     row_tree = np.array([t])
-    rows = (row_tree, *_node_rows(f, row_tree), np.array(h, np.int16))
+    rows = (row_tree, *_node_rows(f, row_tree), np.array(tree._scales(asg), np.int16))
     return float(_row_values(f, rows, ctx)[0])
-
-
-def _lval_rtree(f: _Family, t: int, h: list, ctx: EvalCtx) -> float:
-    """Localized value of a special-end tree: path frequencies anchored on-shell.
-
-    The entering b-weight (the special line's integer factor) is attached by
-    the region evaluation; the unit root line contributes nothing.
-    """
-    s, e = f.start[t], f.special[t]
-    if not _l_conditions(f, s, 0, e, ctx):
-        return 0.0
-    xbar = ctx.omega_bar(f.n[s + e], f.m[s + e])
-    active = _active(f, t, h) if ctx.renormalize else []
-    active = [c for c in active if c[1] != e and c[0] != 0]
-    block = _region(f, s, 0, e, xbar, h, ctx, active)
-    return block * _node_factor(f, s, e, h, ctx)
 
 
 def sum_trees(k: int, n: int, m: int, params: ModelParams, eps: float,
@@ -1090,7 +1114,7 @@ def sum_trees(k: int, n: int, m: int, params: ModelParams, eps: float,
               Mmax: int | None = None) -> float:
     """Plain tree expansion of u^(k)_{n,m}: equals the recursion output."""
     f = _tree_family(k, n, m, params, Mmax)
-    ctx = EvalCtx(params, eps, nu, q, counterterms, l_by_scale=False)
+    ctx = EvalCtx(params, eps, nu, q, counterterms)
     rows = ctx.point.table(f, False).rows()
     return _total(f, rows[0], _row_values(f, rows, ctx))
 
@@ -1101,26 +1125,27 @@ def renormalized_sum(k: int, n: int, m: int, params: ModelParams, eps: float,
     """Renormalized tree expansion: resonances subtracted on shell, unary
     nodes reading the scale-resolved shift table built by `counterterm`."""
     f = _tree_family(k, n, m, params, Mmax)
-    ctx = EvalCtx(params, eps, nu, q, counterterms, l_by_scale=True, renormalize=True)
-    tab = ctx.point.table(f, True)
-    rows = tab.rows()
-    row_tree, node, first, h = rows
-    c = f.columns()
-    if counterterms is None and (c.sv[node] == 1).any():
+    ctx = EvalCtx(params, eps, nu, q, counterterms, renormalize=True)
+    rows = ctx.point.table(f, True).rows()
+    if counterterms is None and (f.columns().sv[rows[1]] == 1).any():
         raise MissingCountertermError("tree contains shift nodes but no table given")
-    values = _row_values(f, rows, ctx)
-    # a block can be active only where its exit line sits at a scale >= 0
-    cand_tree = np.repeat(np.arange(f.count), np.diff(c.cand_start) // 2)
-    per = np.diff(tab.row_start)[cand_tree]
-    cand_rows = _ranges(tab.row_start[cand_tree], per)
-    exit_h = h[first[cand_rows] + np.repeat(c.cand_row[0::2], per)]
-    for r in np.unique(cand_rows[exit_h >= 0]).tolist():
-        t = int(row_tree[r])
-        hr = h[first[r]:first[r] + f.start[t + 1] - f.start[t]].tolist()
-        active = _active(f, t, hr)
-        if active:
-            values[r] = _renormalized_value(f, t, hr, ctx, active)
-    return _total(f, row_tree, values)
+    return _total(f, rows[0], _row_values(f, rows, ctx))
+
+
+def _localized(f: _Family, ctx: EvalCtx, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row_tree, values) of the rows of a special-end family's table with
+    a line at scale >= h: each row's localized value, the value of its
+    special-end block priced on shell times the special end's weight, and
+    0.0 on the trees that fail `_l_conditions`."""
+    tab = ctx.point.table(f, True)
+    row_tree = np.repeat(np.arange(f.count), np.diff(tab.row_start))
+    ok = np.array([_l_conditions(f, f.start[t], 0, f.special[t], ctx.point)
+                   for t in range(f.count)], bool)
+    reach = tab.labels.max(axis=1, initial=-1) >= h
+    values = np.zeros(len(row_tree))
+    keep = reach & ok[row_tree]
+    values[keep] = _row_values(f, tab.rows(keep), ctx, special=True)
+    return row_tree[reach], values[reach]
 
 
 def counterterm(k: int, n: int, m: int, h: int, params: ModelParams, eps: float,
@@ -1139,16 +1164,8 @@ def counterterm(k: int, n: int, m: int, h: int, params: ModelParams, eps: float,
     if n < 0:
         return -counterterm(k, -n, m, h, params, eps, nu, q, lower, Mmax)
     f = _r_family(k, n, m, params, Mmax)
-    ctx = EvalCtx(params, eps, nu, q, lower, l_by_scale=True, renormalize=True)
-    tab = ctx.point.table(f, True)
-    total = 0.0
-    for t in range(f.count):
-        lines = f.lines(t)
-        for combo in tab.combos(t):
-            if max(combo, default=-1) < h:
-                continue
-            total += f.mult[t] * _lval_rtree(f, t, f.scales(t, lines, combo), ctx)
-    return -(m ** 3 / n) * total
+    ctx = EvalCtx(params, eps, nu, q, lower, renormalize=True)
+    return -(m ** 3 / n) * _total(f, *_localized(f, ctx, h))
 
 
 def counterterm_table(params: ModelParams, eps: float, nu: NuTable | None, q: float,
@@ -1200,183 +1217,6 @@ def counterterm_order2_closed(params: ModelParams, eps: float, shift: np.ndarray
         s = s + f0 * f1 * term.sum(axis=1)
 
     return -(4.0 * q * q / narr) * s
-
-
-# ---------------------------------------------------------------------------
-# clusters, resonances, localization (literal structure detectors)
-
-@dataclass
-class Cluster:
-    h: int
-    node_ids: frozenset
-    entering: list          # nodes whose exiting line enters the cluster
-    exiting: TNode | None   # node whose exiting line leaves the cluster
-    resonant: bool = False
-
-
-def _candidates(tree: Tree) -> list[tuple]:
-    """Structural resonance candidates (out_node, in_node) as TNodes.
-
-    in_node's exiting line enters the block; out_node's exiting line leaves
-    it with the same mode label.  The block must contain more than one node.
-    """
-    f, t = tree._compiled()
-    return [(tree.nodes[o], tree.nodes[i]) for (o, i) in f.cands(t)]
-
-
-def detect_clusters(tree: Tree, asg: dict) -> list[Cluster]:
-    """Maximal connected node sets linked by lines of scale <= h, per h."""
-    scales = sorted({asg.get(nd.nid, -1) for nd in tree.nodes
-                     if tree.parent[nd.nid] is not None})
-    clusters: list[Cluster] = []
-    seen = set()
-    for h in scales:
-        par = {nd.nid: nd.nid for nd in tree.nodes}
-
-        def find(x):
-            while par[x] != x:
-                par[x] = par[par[x]]
-                x = par[x]
-            return x
-
-        for nd in tree.nodes:
-            p = tree.parent[nd.nid]
-            if p is not None and asg.get(nd.nid, -1) <= h:
-                par[find(nd.nid)] = find(p.nid)
-        comps: dict[int, set] = {}
-        for nd in tree.nodes:
-            comps.setdefault(find(nd.nid), set()).add(nd.nid)
-        for ids in comps.values():
-            fs = frozenset(ids)
-            if fs in seen:
-                continue
-            # require an internal line at exactly this scale
-            internal_at_h = any(
-                asg.get(nd.nid, -1) == h
-                for nd in tree.nodes
-                if nd.nid in ids and tree.parent[nd.nid] is not None
-                and tree.parent[nd.nid].nid in ids)
-            if not internal_at_h and len(ids) > 1:
-                continue
-            if len(ids) == 1 and h != min(scales):
-                continue
-            seen.add(fs)
-            entering = [nd for nd in tree.nodes
-                        if nd.nid not in ids and tree.parent[nd.nid] is not None
-                        and tree.parent[nd.nid].nid in ids]
-            exiting = None
-            for nd in tree.nodes:
-                if nd.nid in ids:
-                    p = tree.parent[nd.nid]
-                    if p is None or p.nid not in ids:
-                        exiting = nd
-            clusters.append(Cluster(h=h, node_ids=fs, entering=entering,
-                                    exiting=exiting))
-    return clusters
-
-
-def detect_resonances(tree: Tree, asg: dict) -> list[Cluster]:
-    """Clusters with one entering line matching the exiting mode label."""
-    out = []
-    for cl in detect_clusters(tree, asg):
-        if len(cl.node_ids) <= 1 or len(cl.entering) != 1 or cl.exiting is None:
-            continue
-        i, o = cl.entering[0], cl.exiting
-        if (i.n, i.m) == (o.n, o.m):
-            cl.resonant = True
-            out.append(cl)
-    return out
-
-
-def localize_split(tree: Tree, out_nd: TNode, in_nd: TNode, asg: dict,
-                   params: ModelParams, eps: float, nu: NuTable | None,
-                   q: float, counterterms=None, x: float | None = None
-                   ) -> tuple[float, float]:
-    """(on-shell part, remainder) of a resonance block evaluated at x.
-
-    x defaults to the physical frequency Om * n of the entering line; the
-    on-shell part is zero when the localization conditions fail.
-    """
-    ctx = EvalCtx(params, eps, nu, q, counterterms, l_by_scale=True)
-    f, t = tree._compiled()
-    s, h, o, i = f.start[t], tree._scales(asg), out_nd.nid, in_nd.nid
-    if x is None:
-        x = ctx.omega_big() * in_nd.n
-    full = _region(f, s, o, i, x, h, ctx, [])
-    if not _l_conditions(f, s, o, i, ctx):
-        return 0.0, full
-    loc = _region(f, s, o, i, ctx.omega_bar(in_nd.n, in_nd.m), h, ctx, [])
-    return loc, full - loc
-
-
-def resonance_to_rtree(tree: Tree, out_nd: TNode, in_nd: TNode) -> Tree:
-    """Replace the subtree entering a resonance by the special end node."""
-
-    def rebuild(w: TNode) -> TNode:
-        if w is in_nd:
-            return TNode(0, "special", "", 0, 0, w.n, w.m)
-        return TNode(0, w.kind, w.ttype, w.sv, w.kv, w.n, w.m,
-                     tuple(rebuild(c) for c in w.children))
-
-    root = rebuild(out_nd)
-    f, t = tree._compiled()
-    s = f.start[t]
-    k = sum(f.kv[s + j] for j in f.block(s, out_nd.nid, in_nd.nid))
-    return Tree(root=root, k=k, n=in_nd.n, m=in_nd.m, is_rtree=True).finalize()
-
-
-def extended_value(tree: Tree, asg: dict, params: ModelParams, eps: float,
-                   nu: NuTable | None, q: float, counterterms=None,
-                   gamma: float | None = None, tau: float | None = None) -> float:
-    """Tree value multiplied by the smooth non-resonance cutoffs.
-
-    Single-line cutoffs act on |x_l| |n_l|^tau for lines off the special-end
-    path; pair cutoffs act on the four sign combinations of the two-frequency
-    divisors for line pairs on the same side of the path.  Equals the plain
-    (localized) value where every argument clears 2*gamma and vanishes where
-    one falls below gamma.
-    """
-    from .spectrum import chi as chi_plain
-
-    gamma = gamma if gamma is not None else params.gamma
-    tau = tau if tau is not None else params.tau
-    ctx = EvalCtx(params, eps, nu, q, counterterms, l_by_scale=tree.is_rtree)
-    Om = ctx.omega_big()
-    if tree.is_rtree:
-        f, t = tree._compiled()
-        base = _lval_rtree(f, t, tree._scales(asg), ctx)
-        path_ids = {nd.nid for nd in tree.path_to_root(tree.special)}
-        path_ids.add(tree.special.nid)
-    else:
-        base = tree_value(tree, asg, params, eps, nu, q, counterterms)
-        path_ids = set()
-    if base == 0.0:
-        return 0.0
-    lines = [nd for nd in tree.prop_line_nodes() if nd.n != 0]
-    mult = 1.0
-    for nd in lines:
-        if nd.nid in path_ids:
-            continue
-        xl = abs(Om * nd.n) - math.sqrt(ctx.omt2(nd.n, nd.m))
-        mult *= float(chi_plain(abs(xl) * abs(nd.n) ** tau, gamma))
-        if mult == 0.0:
-            return 0.0
-    for i, n1 in enumerate(lines):
-        for n2 in lines[i + 1:]:
-            if n1.n == n2.n:
-                continue
-            on1, on2 = n1.nid in path_ids, n2.nid in path_ids
-            if on1 != on2:
-                continue
-            w1 = math.sqrt(ctx.omt2(n1.n, n1.m))
-            w2 = math.sqrt(ctx.omt2(n2.n, n2.m))
-            for a1 in (1, -1):
-                for a2 in (1, -1):
-                    xp = abs(Om * (n1.n - n2.n) + a1 * w1 + a2 * w2)
-                    mult *= float(chi_plain(xp * abs(n1.n - n2.n) ** tau, gamma))
-                    if mult == 0.0:
-                        return 0.0
-    return mult * base
 
 
 def dump_tree(tree: Tree, asg: dict | None = None) -> str:

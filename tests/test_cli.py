@@ -99,6 +99,8 @@ def test_invalid_mu_exit_2(tmp_path):
     ["--outdir", "{tmp}/file/out", "kernel"],   # a file where a directory must be
     ["--sigma", "1", "kernel"],                 # an option that does not exist
     ["--samples", "4001", "bruno", "check"],    # more points than the sampler's draws
+    ["trees", "5", "2", "3"],                   # families over the tree budget, refused
+    ["trees", "30", "2", "3"],                  # from their count before enumeration
 ])
 def test_malformed_input_exit_2(tmp_path, capsys, args):
     (tmp_path / "file").write_text("")

@@ -17,21 +17,25 @@ from lindbeam.trees import (
     counterterm,
     counterterm_order2_closed,
     counterterm_table,
-    detect_clusters,
-    detect_resonances,
     dump_tree,
     enumerate_r_trees,
     enumerate_trees,
-    extended_value,
-    localize_split,
     renormalized_sum,
-    resonance_to_rtree,
     sum_trees,
     tree_value,
-    _candidates,
     _key,
     _ordered_multiplicity,
     _point,
+)
+
+import oracles
+from oracles import (
+    _candidates,
+    detect_clusters,
+    detect_resonances,
+    extended_value,
+    localize_split,
+    resonance_to_rtree,
 )
 
 P = ModelParams(a=1.0, b=0.5, mu=0.01, eps0=0.05, omega_branch=1, Mmax=9, Nmax=60)
@@ -315,8 +319,7 @@ def test_localize_split_identities():
     asg = {nd.nid: -1 for nd in t.nodes if nd.kind == "node"}
     ctxkw = dict(params=P, eps=EPS, nu=nu, q=q)
     # R vanishes at the localization point
-    from lindbeam.trees import EvalCtx
-    xbar = EvalCtx(P, EPS, nu, q).omega_bar(2, 1)
+    xbar = _point(P, EPS, nu).mode(2, 1).bar
     loc, rem = localize_split(t, out_nd, in_nd, asg, P, EPS, nu, q, x=xbar)
     assert rem == pytest.approx(0.0, abs=1e-18)
     # L is independent of the evaluation point
@@ -526,6 +529,23 @@ def test_compiled_families_match_object_enumeration():
         if want:
             assert dump_tree(got[0]) == _obj_dump(want[0])
             assert [nd.nid for nd in got[0].nodes] == list(range(len(got[0].nodes)))
+        # the count that guards the budget, exact below its cap
+        f = trees._family(k, n, m, MM, rtree)
+        assert trees._count((k, n, m, rtree), MM, (n, m) if rtree else None, {},
+                            trees.TREE_BUDGET + 1) == (f.count, f.start[f.count])
+
+
+def test_tree_budget_is_checked_before_enumeration():
+    # (5, 2, 3) at Mmax 15 has 4,363,844 trees in 47,984,978 node rows, the
+    # special-end (4, 9, 3) 270,784 trees in 2,436,480 rows: counted, not built
+    key = (5, 2, 3, False)
+    assert trees._count(key, 15, None, {}, 10 ** 9) == (4_363_844, 47_984_978)
+    assert trees._count((4, 9, 3, True), 15, (9, 3), {}, 10 ** 9) == (270_784, 2_436_480)
+    cap = trees.TREE_BUDGET + 1
+    assert trees._count(key, 15, None, {}, cap)[1] == cap
+    for k, n, m, special in ((5, 2, 3, False), (30, 2, 3, False), (4, 9, 3, True)):
+        with pytest.raises(trees.TreeBudgetError):
+            (enumerate_r_trees if special else enumerate_trees)(k, n, m, P, 15)
 
 
 def _obj_path(tree, nd):
@@ -685,8 +705,8 @@ def _loop_plain_values(f, ctx):
     """value(t, h): plain value of tree t, node by node from the last id."""
     start, kind, ttype, sv, kv, size, n, m = (f.start, f.kind, f.ttype, f.sv, f.kv,
                                               f.size, f.n, f.m)
-    line = trees._line_weights(f, ctx)
-    q, a, bw = ctx.q, ctx.params.a, -ctx.params.b * ctx.omega_big() ** 2
+    line = oracles._line_weights(f, ctx)
+    q, a, bw = ctx.q, ctx.params.a, -ctx.params.b * ctx.point.Om ** 2
 
     def value(t, h):
         s = start[t]
@@ -721,7 +741,7 @@ def _loop_plain_values(f, ctx):
 
 def _loop_value(f, t, h, ctx, plain):
     active = trees._active(f, t, h) if ctx.renormalize else []
-    return trees._renormalized_value(f, t, h, ctx, active) if active else plain(t, h)
+    return oracles._renormalized_value(f, t, h, ctx, active) if active else plain(t, h)
 
 
 def _loop_sum(f, ctx):
@@ -738,7 +758,8 @@ def _loop_counterterm(f, h, ctx):
     for t in range(f.count):
         for combo in _loop_assignments(f, t, ctx.point, True):
             if max(combo, default=-1) >= h:
-                total += f.mult[t] * trees._lval_rtree(f, t, f.scales(t, f.lines(t), combo), ctx)
+                h_t = f.scales(t, f.lines(t), combo)
+                total += f.mult[t] * oracles._lval_rtree(f, t, h_t, ctx, ctx.renormalize)
     return -(m ** 3 / n) * total
 
 
@@ -757,7 +778,7 @@ def test_array_sums_equal_tree_loops_bitwise():
     pts = sample_diophantine_points(TREE_P, 2, seed=7)
     for eps, nu, q, lt, _ in recursion_cases(TREE_P, pts, 3, MM, 60):
         plain = EvalCtx(TREE_P, eps, nu, q, lt)
-        renorm = EvalCtx(TREE_P, eps, nu, q, lt, l_by_scale=True, renormalize=True)
+        renorm = EvalCtx(TREE_P, eps, nu, q, lt, renormalize=True)
         for (k, n, m) in GRID6:
             f = trees._family(k, n, m, MM, False)
             assert repr(sum_trees(k, n, m, TREE_P, eps, nu, q, lt, MM)) == \
@@ -771,7 +792,7 @@ def test_array_sums_equal_tree_loops_bitwise():
             f = trees._family(2, n, m, MM, True)
             for tree in f.trees():
                 _same_assignments(tree, TREE_P, eps, nu, False)
-            for h in (-1, 0):
+            for h in (-1, 0, 1):
                 assert repr(counterterm(2, n, m, h, TREE_P, eps, nu, q, lt, MM)) == \
                     repr(_loop_counterterm(f, h, renorm))
         # an empty family sums to +0.0
@@ -780,20 +801,22 @@ def test_array_sums_equal_tree_loops_bitwise():
         assert repr(renormalized_sum(1, 3, 3, TREE_P, eps, nu, q, lt, MM)) == "0.0"
 
 
-def test_tree_value_equals_tree_loop_bitwise_near_resonance():
-    # the trees of test_admissible_assignments_match_object_route_near_resonance:
-    # lines with two labels expand into several rows per tree, and some trees
-    # are rejected below the scale floor
+def _near_resonance_against_oracle(params, epss, modes, lt, seed):
+    """Every row of 150 hand-built trees over the given modes, and of the
+    special-end trees of their resonances, at each eps, plain and
+    renormalized: the table rows at once, tree_value at the middle row and
+    at each row with more than one active block, and each special-end row's
+    localized value, all repr-equal to the oracle.  Returns (tables with
+    more than one row, trees with no row, counts), counts[is_rtree] the
+    renormalized rows with an active block, with two, with an active block
+    and a nonzero value (the localized value on special-end trees), and
+    with a nonzero value and a block subtracted on shell."""
     import random
 
-    rng = random.Random(5)
-    modes = [(4, 2), (4, 2), (2, 3), (3, 3), (2, 1), (-4, 2), (0, 3)]
+    rng = random.Random(seed)
     nu, q = make_nu(), 0.8
-    lt = CountertermTable()
-    lt.set(2, 4, 2, -1, 0.37)
-    lt.set(2, 4, 2, 0, -0.11)
-    lt.set(2, 2, 3, -1, 0.23)
     multi = rejected = 0
+    counts = {False: [0, 0, 0, 0], True: [0, 0, 0, 0]}
     for _ in range(150):
         root = _random_tree(rng, 4, modes)
         if root.kind == "end":
@@ -801,24 +824,100 @@ def test_tree_value_equals_tree_loop_bitwise_near_resonance():
         t = Tree(root=root, k=3, n=root.n, m=root.m).finalize()
         for tree in [t] + [resonance_to_rtree(t, o, i) for (o, i) in _candidates(t)]:
             f, i = tree._compiled()
-            for eps in (0.0, 2e-4):
+            for eps in epss:
                 for renorm in (False, True):
-                    ctx = EvalCtx(P, eps, nu, q, lt, renorm, renorm)
-                    asgs = _same_assignments(tree, P, eps, nu, renorm)
+                    ctx = EvalCtx(params, eps, nu, q, lt, renorm)
+                    asgs = _same_assignments(tree, params, eps, nu, renorm)
                     multi += len(asgs) > 1
                     rejected += not asgs
                     if not asgs:
                         continue
-                    # every row of the table at once, then one row by tree_value
                     plain = _loop_plain_values(f, ctx)
-                    rows = _point(P, eps, nu).table(f, renorm).rows()
+                    hs = [tree._scales(asg) for asg in asgs]
+                    want = [repr(_loop_value(f, i, h, ctx, plain)) for h in hs]
+                    rows = ctx.point.table(f, renorm).rows()
                     got = trees._row_values(f, rows, ctx)
-                    assert [repr(v) for v in got.tolist()] == \
-                        [repr(plain(i, tree._scales(asg))) for asg in asgs]
-                    asg = asgs[len(asgs) // 2]
-                    assert repr(tree_value(tree, asg, P, eps, nu, q, lt, renorm, renorm)) == \
-                        repr(_loop_value(f, i, tree._scales(asg), ctx, plain))
+                    assert [repr(v) for v in got.tolist()] == want
+                    active = [trees._active(f, i, h) if renorm else [] for h in hs]
+                    blocks = [len(a) for a in active]
+                    for r in {len(asgs) // 2} | {r for r, b in enumerate(blocks) if b > 1}:
+                        assert repr(tree_value(tree, asgs[r], params, eps, nu, q, lt, renorm)) \
+                            == want[r]
+                    if tree.is_rtree:
+                        # each row's localized value: the special-end block on shell
+                        got = trees._localized(f, ctx, -1)[1]
+                        assert [repr(v) for v in got.tolist()] == \
+                            [repr(oracles._lval_rtree(f, i, h, ctx, renorm)) for h in hs]
+                    n = counts[tree.is_rtree]
+                    n[0] += sum(b > 0 for b in blocks)
+                    n[1] += sum(b > 1 for b in blocks)
+                    nonzero = [v != 0.0 for v in got.tolist()]
+                    n[2] += sum(b > 0 and z for b, z in zip(blocks, nonzero))
+                    n[3] += sum(z and any(trees._l_conditions(f, f.start[i], o, e, ctx.point)
+                                          for o, e in a) for a, z in zip(active, nonzero))
+    return multi, rejected, counts
+
+
+def test_tree_value_equals_tree_loop_bitwise_near_resonance():
+    # the trees of test_admissible_assignments_match_object_route_near_resonance:
+    # lines with two labels expand into several rows per tree, some trees
+    # are rejected below the scale floor, and many rows have active blocks,
+    # nested and side by side, also inside special-end trees.  Those blocks
+    # all exit at (+-4, 2), the only mode here whose lines reach h >= 0; an
+    # even-m binary node has a zero kernel weight unless a child has even m
+    # too, so every value through one is 0.0
+    lt = CountertermTable()
+    lt.set(2, 4, 2, -1, 0.37)
+    lt.set(2, 4, 2, 0, -0.11)
+    lt.set(2, 2, 3, -1, 0.23)
+    modes = [(4, 2), (4, 2), (2, 3), (3, 3), (2, 1), (-4, 2), (0, 3)]
+    multi, rejected, counts = _near_resonance_against_oracle(P, (0.0, 2e-4), modes, lt, 5)
     assert multi > 100 and rejected > 0
+    assert counts == {False: [6038, 1956, 0, 0], True: [1776, 348, 0, 0]}
+
+
+def test_renormalized_values_equal_oracle_near_9_3():
+    # on branch -1 the (9,3) divisor admits h = -1 and 0 at eps = 0.002 and
+    # 0 and 1 at eps = 0.0061; over odd-m modes the blocks exiting at (+-9, 3)
+    # carry nonzero values, nested, subtracted on shell where no other line
+    # of the block repeats the entering mode, and inside special-end trees
+    lt = CountertermTable()
+    lt.set(2, 9, 3, -1, 0.37)
+    lt.set(2, 9, 3, 0, -0.11)
+    lt.set(2, 9, 3, 1, 0.05)
+    lt.set(2, 3, 1, -1, 0.23)
+    modes = [(9, 3), (9, 3), (-9, 3), (-9, 3), (3, 1), (2, 3), (0, 1), (6, 1)]
+    _, _, counts = _near_resonance_against_oracle(P.with_(omega_branch=-1), (0.002, 0.0061),
+                                                  modes, lt, 5)
+    assert counts == {False: [4851, 1678, 476, 308], True: [440, 86, 27, 21]}
+
+
+def test_block_choice_follows_active_order():
+    # on branch -1 at eps = 0.002 the (9,3) divisor admits h = -1 and 0, so
+    # with the root line at 0 both (9,3) blocks exiting at the root are
+    # active, entered in different branches.  The renormalized value takes
+    # the first in `_active` order, not the deeper one; neither block is
+    # subtracted on shell (each holds the other's entering line), so the
+    # two choices differ in the last bits only
+    params, eps = P.with_(omega_branch=-1), 0.002
+    end = lambda n: TNode(0, "end", "", 0, 0, n, 1)              # noqa: E731
+    node = lambda t, n, m, *kids: TNode(0, "node", t, 2, 1, n, m, kids)      # noqa: E731
+    deep = node("a", 3, 1, node("b", 9, 3, end(1), end(1)), end(-1))
+    root = node("a", 9, 3, node("b", 0, 1, deep, end(-1)),
+                node("b", 2, 3, node("a", 9, 3, end(1), end(1)), end(1)))
+    t = Tree(root=root, k=6, n=9, m=3).finalize()
+    f, _ = t._compiled()
+    ctx = EvalCtx(params, eps, make_nu(), 0.8, CountertermTable(), True)
+    hs = [t._scales(asg) for asg in admissible_assignments(t, params, eps, ctx.nu, True)]
+    plain = _loop_plain_values(f, ctx)
+    want = [repr(_loop_value(f, 0, h, ctx, plain)) for h in hs]
+    rows = ctx.point.table(f, True).rows()
+    assert [repr(v) for v in trees._row_values(f, rows, ctx).tolist()] == want
+    (h,) = [h for h in hs if len(trees._active(f, 0, h)) == 2]
+    first, deeper = trees._active(f, 0, h)
+    assert (first, deeper) == ((0, 3), (0, 10))
+    assert oracles._renormalized_value(f, 0, h, ctx, [deeper]) != \
+        oracles._renormalized_value(f, 0, h, ctx, [first, deeper])
 
 
 def test_equal_mode_lines_stay_within_one_scale():
@@ -857,8 +956,8 @@ def test_equal_mode_lines_stay_within_one_scale():
     assert len(pt.table(f, True).rows()[0]) == 0
     on_path = {nd.nid for nd in rt.path_to_root(rt.special)}
     p, s = sorted((nd.nid for nd in rt.prop_line_nodes()), key=lambda j: j not in on_path)
-    ctx = EvalCtx(P, eps, None, 0.8, CountertermTable(), l_by_scale=True, renormalize=True)
-    dropped = [trees._lval_rtree(f, 0, rt._scales({p: hp, s: -1}), ctx) for hp in (3, 4)]
+    ctx = EvalCtx(P, eps, None, 0.8, CountertermTable(), renormalize=True)
+    dropped = [oracles._lval_rtree(f, 0, rt._scales({p: hp, s: -1}), ctx, True) for hp in (3, 4)]
     assert all(v != 0.0 for v in dropped)
 
 
