@@ -299,10 +299,12 @@ def melnikov_margins(eps: float, nu: NuTable | None, params: ModelParams,
     m = np.arange(2, Mmax + 1)[:, None]
     n = np.rint(omega(m, params.mu) / Om).astype(int) + np.arange(-2, 3)
     omt = np.sqrt(m.astype(float) ** 4 + params.mu + shift[ms.index(n, m)])
+    counted = (n >= 1) & (n <= Nmax)
+    nc = n[counted]
     # Python's pow: numpy's can differ from a scalar evaluation in the last bit
-    n_tau = np.array([abs(float(x)) ** params.tau for x in n.flat]).reshape(n.shape)
-    marg = np.abs(Om * n - omt) * n_tau
-    marg[(n < 1) | (n > Nmax)] = math.inf
+    n_tau = [float(x) ** params.tau for x in nc.tolist()]
+    marg = np.full(n.shape, math.inf)
+    marg[counted] = np.abs(Om * nc - omt[counted]) * n_tau
     if marg.size and marg.min() < below:
         j = int(np.argmin(marg))
         out["first"] = float(marg.flat[j])

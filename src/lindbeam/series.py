@@ -13,7 +13,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -148,20 +148,26 @@ class CoeffTable:
         return out
 
     def check_invariants(self):
+        """Raise AssertionError at the first violation: per order, the first
+        row n (ascending) that is not even in n (reality), lies beyond
+        |n| = k+1 (support) or has n != k+1 (mod 2) (parity), in that order
+        within the row; then content on even m; last, primary-mode content
+        at orders >= 1."""
         for k in range(self.K + 1):
             arr = self.u[k]
-            for i in range(arr.shape[0]):
-                n = i - (k + 1)
-                # reality: even in n
-                if not np.array_equal(arr[i], arr[arr.shape[0] - 1 - i]):
-                    raise AssertionError(f"u^({k}) not even in n at n={n}")
-                if k >= 1 and abs(n) > k + 1 and np.any(arr[i] != 0.0):
-                    raise AssertionError(f"support violation at order {k}, n={n}")
-                # parity in n: modes need n = k+1 (mod 2)
-                if (n - (k + 1)) % 2 != 0 and np.any(arr[i] != 0.0):
-                    raise AssertionError(f"parity violation at order {k}, n={n}")
-            # even m columns vanish
-            if np.any(arr[:, 1::2] != 0.0):
+            n = np.arange(arr.shape[0]) - (k + 1)
+            nonzero = (arr != 0.0).any(axis=1)
+            bad = np.array([(arr != arr[::-1]).any(axis=1),
+                            (k >= 1) & (np.abs(n) > k + 1) & nonzero,
+                            ((n - (k + 1)) % 2 != 0) & nonzero])
+            rows = np.flatnonzero(bad.any(axis=0))
+            if rows.size:
+                i = int(rows[0])
+                raise AssertionError((f"u^({k}) not even in n at n={n[i]}",
+                                      f"support violation at order {k}, n={n[i]}",
+                                      f"parity violation at order {k}, n={n[i]}"
+                                      )[int(np.argmax(bad[:, i]))])
+            if (arr[:, 1::2] != 0.0).any():
                 raise AssertionError(f"even-m content at order {k}")
         # primary mode only at order 0
         for k in range(1, self.K + 1):
@@ -195,7 +201,13 @@ def _contract(terms, noff: int, a: float, b: float, Om: float, M: int) -> np.nda
     into G[n, k]: same-parity pairs fill even k (projected onto odd m), mixed
     pairs odd k (even m).  All-zero halves are skipped; when u1 is u2 each
     unordered pair is taken once, weighted 2 off the diagonal.
+
+    Real tables, with every operand exactly even in n, give an output even
+    in n: then only the pairs with n1 + n2 >= 0 are contracted, and the
+    n < 0 rows are copied from the n > 0 rows.
     """
+    even = all(np.array_equal(u, u[::-1]) for _, u1, _, u2, _ in terms
+               for u in ((u1,) if u1 is u2 else (u1, u2)))
     lag = np.zeros((2 * noff + 1, 2 * M - 1))   # column m1 - m2 + M - 1
     G = np.zeros((2 * noff + 1, 2 * M + 1))
     om2b = b * Om * Om
@@ -206,6 +218,8 @@ def _contract(terms, noff: int, a: float, b: float, Om: float, M: int) -> np.nda
         for j1, (n1, p1, x) in enumerate(rows1):
             for j2 in range(j1 if sym else 0, len(rows2)):
                 n2, p2, y = rows2[j2]
+                if even and n1 + n2 < 0:
+                    continue
                 coef = (2 * w if sym and j2 > j1 else w) * (a - om2b * n1 * n2)
                 if coef == 0.0:
                     continue
@@ -220,6 +234,8 @@ def _contract(terms, noff: int, a: float, b: float, Om: float, M: int) -> np.nda
     for par in (0, 1):      # even k -> odd m, odd k -> even m; zero rows skipped
         r = np.flatnonzero(G[:, par::2].any(axis=1))
         C[r, par::2] = G[r, par::2] @ cosine_projection(M, par)
+    if even:
+        C[:noff] = C[:noff:-1]
     return C
 
 
@@ -630,14 +646,35 @@ def decay_check(table: CoeffTable, params: ModelParams, m_floor: float = 3.0
 # ---------------------------------------------------------------------------
 # serialization
 
+@lru_cache(maxsize=16)
+def _cell_prefixes(k: int, shape: tuple[int, int]) -> np.ndarray:
+    """Read-only object array of "\r\nk,n,m," over the cells of an order-k
+    array of the given shape (row i holds n = i - (k+1), column j m = j+1)."""
+    out = np.array([f"\r\n{k},{i - (k + 1)},{j + 1}," for i in range(shape[0])
+                    for j in range(shape[1])], dtype=object).reshape(shape)
+    out.flags.writeable = False
+    return out
+
+
 def save_coeffs_csv(table: CoeffTable, path):
-    lines = ["k,n,m,value\r\n", f"0,1,1,{table.q!r}\r\n", f"0,-1,1,{table.q!r}\r\n"]
+    """One CRLF row k,n,m,repr(value) per nonzero cell, orders ascending, each
+    row-major (n, then m); load_coeffs_csv reads every value back bitwise."""
+    parts = [f"k,n,m,value\r\n0,1,1,{table.q!r}\r\n0,-1,1,{table.q!r}"]
+    # repr once per distinct value: a real table holds each value twice (n
+    # and -n).  Equal floats share a repr except 0.0 and -0.0, never written.
+    text: dict[float, str] = {}
     for k in range(1, table.K + 1):
-        i, j = np.nonzero(table.u[k])     # row-major: n, then m
-        lines.extend(f"{k},{n},{m},{v!r}\r\n" for n, m, v in
-                     zip((i - (k + 1)).tolist(), (j + 1).tolist(), table.u[k][i, j].tolist()))
+        i, j = np.nonzero(table.u[k])
+        for pre, v in zip(_cell_prefixes(k, table.u[k].shape)[i, j].tolist(),
+                          table.u[k][i, j].tolist()):
+            s = text.get(v)
+            if s is None:
+                s = text[v] = repr(v)
+            parts.append(pre)
+            parts.append(s)
+    parts.append("\r\n")
     with open(path, "w", newline="") as fh:
-        fh.write("".join(lines))
+        fh.write("".join(parts))
 
 
 def load_coeffs_csv(path, K: int, Mmax: int, eps: float = 0.0) -> CoeffTable:

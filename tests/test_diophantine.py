@@ -290,6 +290,42 @@ def test_melnikov_margins_match_scalar_oracle_wide_window():
             assert melnikov_margins(eps, nu, pw, below=below) == _cleared(want, below)
 
 
+def _first_family_every_pow(eps, nu, params, below):
+    """melnikov_margins' first family with |n|^tau raised on every candidate
+    n, the ones outside 1 <= n <= Nmax included, and those masked after."""
+    Om = omega_eff(params, eps)
+    ms = mode_set(params.mu, params.eps0, params.Mmax, params.Nmax)
+    shift = ms.shift(nu)
+    m = np.arange(2, params.Mmax + 1)[:, None]
+    n = np.rint(omega(m, params.mu) / Om).astype(int) + np.arange(-2, 3)
+    omt = np.sqrt(m.astype(float) ** 4 + params.mu + shift[ms.index(n, m)])
+    n_tau = np.array([abs(float(x)) ** params.tau for x in n.flat]).reshape(n.shape)
+    marg = np.abs(Om * n - omt) * n_tau
+    marg[(n < 1) | (n > params.Nmax)] = math.inf
+    j = int(np.argmin(marg))
+    if not marg.flat[j] < below:
+        return math.inf, None
+    return float(marg.flat[j]), (int(n.flat[j]), j // 5 + 2)
+
+
+CANTOR_P = P.with_(eps0=0.35, nu_cap=0.45, Nmax=500)
+# the construct and cantor_scan benchmark models, each over its eps range;
+# the last eps puts Omega * 4 within 4e-12 of omega_2: the first family fails
+FIRST_FAMILY_CASES = ([(P.with_(Mmax=192), 3, float(e)) for e in np.geomspace(4e-4, 4e-3, 6)]
+                      + [(CANTOR_P, 2, float(e)) for e in np.geomspace(0.05 / 16, 0.1, 10)]
+                      + [(CANTOR_P, 2, float(omega(1, P.mu) - omega(2, P.mu) / 4) + 1e-12)])
+
+
+@pytest.mark.parametrize("params, K, eps", FIRST_FAMILY_CASES)
+def test_first_family_pow_on_counted_n_only(params, K, eps):
+    nu, _ = solve_nu(params, eps, K)
+    for table in (None, nu):
+        for below in (math.inf, params.gamma, 2 * params.gamma):
+            got = melnikov_margins(eps, table, params, below=below)
+            want = _first_family_every_pow(eps, table, params, below)
+            assert (got["first"], got["first_at"]) == want
+
+
 def _shift_resonance():
     """(params, eps, nu) with a pair resonance that the shift on (24, 5) makes.
 

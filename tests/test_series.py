@@ -150,6 +150,94 @@ def test_forcing_matches_pairwise_quad_conv(Mmax):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+def _even_rows(rng, k, M):
+    """Random rows |n| <= k+1, exactly even in n, on both parities of m."""
+    u = rng.standard_normal((2 * (k + 1) + 1, M))
+    u[:k + 1] = u[:k + 1:-1]
+    return u
+
+
+@pytest.mark.parametrize("M", [2, 9, 64])
+@pytest.mark.parametrize("case", ["pair", "same_array", "odd_only"])
+def test_quad_conv_even_inputs_give_exactly_even_output(case, M):
+    # real tables: only the n1 + n2 >= 0 pairs are contracted, then mirrored
+    rng = np.random.default_rng(M + 7)
+    k1, k2, a, b, Om = 1, 2, 1.0, 0.5, 1.05
+    u1, u2 = _even_rows(rng, k1, M), _even_rows(rng, k2, M)
+    if case == "same_array":
+        u2, k2 = u1, k1
+    elif case == "odd_only":
+        u1[:, 1::2] = u2[:, 1::2] = 0.0
+    got = quad_conv(u1, u2, k1, k2, a, b, Om, M)
+    want = _dense_quad_conv(u1, u2, k1, k2, a, b, Om, M)
+    assert np.array_equal(got, got[::-1])
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # one ulp off evenness takes the route over every pair
+    u1[0, 0] = np.nextafter(u1[0, 0], np.inf)
+    got = quad_conv(u1, u2, k1, k2, a, b, Om, M)
+    want = _dense_quad_conv(u1, u2, k1, k2, a, b, Om, M)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _contract_every_pair(terms, noff, a, b, Om, M):
+    """series._contract's route for inputs not exactly even in n, taken for
+    every input: every pair of half-rows, n < 0 included, and every nonzero
+    row projected."""
+    from lindbeam.kernel import cosine_projection
+    from lindbeam.series import _half_rows
+
+    lag = np.zeros((2 * noff + 1, 2 * M - 1))
+    G = np.zeros((2 * noff + 1, 2 * M + 1))
+    om2b = b * Om * Om
+    for w, u1, k1, u2, k2 in terms:
+        sym = u1 is u2
+        rows1 = _half_rows(u1, k1)
+        rows2 = rows1 if sym else _half_rows(u2, k2)
+        for j1, (n1, p1, x) in enumerate(rows1):
+            for j2 in range(j1 if sym else 0, len(rows2)):
+                n2, p2, y = rows2[j2]
+                coef = (2 * w if sym and j2 > j1 else w) * (a - om2b * n1 * n2)
+                if coef == 0.0:
+                    continue
+                xc, n = coef * x, n1 + n2 + noff
+                lo, width = M + 1 - 2 * y.size + p1 - p2, 2 * (x.size + y.size) - 3
+                lag[n, lo:lo + width:2] += np.correlate(xc, y, "full")
+                G[n, p1 + p2:p1 + p2 + width:2] -= np.correlate(xc, y[::-1], "full")
+    G[:, :M] += lag[:, M - 1:]
+    G[:, 1:M] += lag[:, :M - 1][:, ::-1]
+    C = np.zeros((2 * noff + 1, 2 * M))
+    for par in (0, 1):
+        r = np.flatnonzero(G[:, par::2].any(axis=1))
+        C[r, par::2] = G[r, par::2] @ cosine_projection(M, par)
+    return C
+
+
+CONSTRUCT_P = P.with_(Mmax=192)
+# criterion 10's nine eps (K = 2, Mmax 64) and 20 eps of the construct
+# pipeline (K = 3, Mmax 192)
+CONTRACT_CASES = ([(P, 2, float(e)) for e in np.geomspace(4e-4, 4e-3, 9)]
+                  + [(CONSTRUCT_P, 3, float(e)) for e in np.geomspace(4.1e-4, 3.9e-3, 20)])
+
+
+def test_real_tables_contract_bitwise_as_every_pair(monkeypatch):
+    import lindbeam.series as series
+
+    for params, K, eps in CONTRACT_CASES:
+        nu, info = solve_nu(params, eps, K)
+        lt = info["counterterms"]
+        runs = []
+        for contract in (_contract_every_pair, series._contract):
+            monkeypatch.setattr(series, "_contract", contract)
+            t = compute_coeffs(params, eps, nu, lt, K, params.Mmax, q=info["q"])
+            runs.append((t, residual_norm(t, params, eps, nu),
+                         order_consistency(t, params, eps, nu, lt)))
+            monkeypatch.undo()
+        (old, r_old, oc_old), (new, r_new, oc_new) = runs
+        assert all(np.array_equal(a, b) for a, b in zip(old.u, new.u)), eps
+        assert old.provenance == new.provenance
+        assert r_new == r_old and oc_new == oc_old, eps
+
+
 def test_support_parity_reality():
     t = small_table(K=3, lt=None)
     t.check_invariants()
@@ -159,6 +247,92 @@ def test_support_parity_reality():
     assert t.value(2, 2, 3) == 0.0      # order 2 lives on odd n
     assert t.value(2, 1, 4) == 0.0      # even m
     assert t.value(3, -2, 5) == t.value(3, 2, 5)
+
+
+def _check_invariants_row_loop(table):
+    """CoeffTable.check_invariants as a loop over rows, the first violation's
+    message returned (None for a valid table)."""
+    for k in range(table.K + 1):
+        arr = table.u[k]
+        for i in range(arr.shape[0]):
+            n = i - (k + 1)
+            if not np.array_equal(arr[i], arr[arr.shape[0] - 1 - i]):
+                return f"u^({k}) not even in n at n={n}"
+            if k >= 1 and abs(n) > k + 1 and np.any(arr[i] != 0.0):
+                return f"support violation at order {k}, n={n}"
+            if (n - (k + 1)) % 2 != 0 and np.any(arr[i] != 0.0):
+                return f"parity violation at order {k}, n={n}"
+        if np.any(arr[:, 1::2] != 0.0):
+            return f"even-m content at order {k}"
+    for k in range(1, table.K + 1):
+        if table.value(k, 1, 1) != 0.0 or table.value(k, -1, 1) != 0.0:
+            return f"primary-mode content at order {k}"
+    return None
+
+
+def _invariant_message(table):
+    try:
+        table.check_invariants()
+    except AssertionError as err:
+        return str(err)
+    return None
+
+
+def _set(t, k, n, m, v):
+    t.u[k][n + k + 1, m - 1] = v
+
+
+INVARIANT_CASES = {
+    # one side of a mirrored pair: the n < 0 row is met first
+    "not even": ([(2, 3, 5, 1.0)], "u^(2) not even in n at n=-3"),
+    # evenness comes before parity on the same row
+    "not even, wrong parity": ([(1, -1, 3, 1.0), (1, 1, 3, 2.0)],
+                               "u^(1) not even in n at n=-1"),
+    "-0.0 is zero": ([(1, 1, 3, -0.0), (1, -1, 3, 0.0)], None),
+    "NaN": ([(3, 2, 7, math.nan), (3, -2, 7, math.nan)], "u^(3) not even in n at n=-2"),
+    "parity": ([(1, 1, 5, 1e-9), (1, -1, 5, 1e-9)], "parity violation at order 1, n=-1"),
+    "even m": ([(2, 3, 4, 1.0), (2, -3, 4, 1.0)], "even-m content at order 2"),
+    # orders come first: even-m content at order 1 before a parity fault at 2
+    "order 1 first": ([(2, 2, 3, 1.0), (2, -2, 3, 1.0), (1, 0, 2, 1.0)],
+                      "even-m content at order 1"),
+    "primary": ([(2, 1, 1, 1e-3), (2, -1, 1, 1e-3)], "primary-mode content at order 2"),
+    "order 0": ([(0, 0, 1, 1.0)], "parity violation at order 0, n=0"),
+}
+
+
+@pytest.mark.parametrize("case", list(INVARIANT_CASES))
+def test_check_invariants_messages(case):
+    t = small_table(K=3, Mmax=16)
+    assert _invariant_message(t) is None
+    cells, want = INVARIANT_CASES[case]
+    for k, n, m, v in cells:
+        _set(t, k, n, m, v)
+    assert _invariant_message(t) == _check_invariants_row_loop(t) == want
+
+
+def test_check_invariants_support_beyond_k_plus_1():
+    # rows beyond |n| = k+1 exist only in a table of the wrong shape; the
+    # mirror of n = 4 in seven rows is n = -2, so evenness holds
+    u1 = np.zeros((7, 3))
+    u1[[0, 6], 0] = 1.0
+    t = CoeffTable(K=1, Mmax=3, q=1.0, u=[np.array([[1.0, 0, 0], [0, 0, 0], [1.0, 0, 0]]), u1])
+    assert _invariant_message(t) == _check_invariants_row_loop(t) \
+        == "support violation at order 1, n=4"
+
+
+def test_check_invariants_first_violation_as_row_loop():
+    rng = np.random.default_rng(3)
+    base = small_table(K=3, Mmax=16)
+    for trial in range(300):
+        t = CoeffTable(K=3, Mmax=16, q=base.q, u=[u.copy() for u in base.u])
+        for _ in range(int(rng.integers(1, 4))):
+            k = int(rng.integers(0, 4))
+            n, m = int(rng.integers(-(k + 1), k + 2)), int(rng.integers(1, 10))
+            v = float(rng.choice([0.0, -0.0, 1.0, math.nan, float(rng.normal())]))
+            _set(t, k, n, m, v)
+            if rng.random() < 0.5:
+                _set(t, k, -n, m, v)
+        assert _invariant_message(t) == _check_invariants_row_loop(t), trial
 
 
 def test_scale_slices_sum_to_propagator():
@@ -413,14 +587,35 @@ def _save_coeffs_cell_loop(table, path):
                         w.writerow([k, i - (k + 1), j + 1, repr(float(arr[i, j]))])
 
 
+def _odd_values_table():
+    """A hand-made table: a value repeated in cells of different orders, NaN,
+    +-inf, a subnormal and -0.0 (not written, so it reads back as 0.0)."""
+    us = [np.zeros((2 * (k + 1) + 1, 5)) for k in range(3)]
+    us[0][[0, 2], 0] = 0.3
+    us[1][0, [0, 2, 4]] = [0.1, math.nan, -math.inf]
+    us[1][3, 1] = 5e-324
+    us[1][4, 2] = -0.0
+    us[2][[0, 6], 4] = 0.1
+    us[2][2, 0] = math.inf
+    us[2][5, 3] = -5e-324
+    us[2][1, 1] = 0.1 + 0.2
+    return CoeffTable(K=2, Mmax=5, q=0.3, u=us)
+
+
 def test_save_coeffs_csv_matches_cell_loop(tmp_path):
-    nu, info = solve_nu(P, EPS, 3)
-    t = compute_coeffs(P, EPS, nu, info["counterterms"], 3, 64, q=info["q"])
-    save_coeffs_csv(t, tmp_path / "new.csv")
-    _save_coeffs_cell_loop(t, tmp_path / "old.csv")
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-    back = load_coeffs_csv(tmp_path / "new.csv", 3, 64, eps=EPS)
-    assert back.q == t.q and all(np.array_equal(a, b) for a, b in zip(back.u, t.u))
+    tables = [_odd_values_table()]
+    for M in (64, 192):
+        nu, info = solve_nu(P.with_(Mmax=M), EPS, 3)
+        tables.append(compute_coeffs(P.with_(Mmax=M), EPS, nu, info["counterterms"], 3, M,
+                                     q=info["q"]))
+    for t in tables:
+        save_coeffs_csv(t, tmp_path / "new.csv")
+        _save_coeffs_cell_loop(t, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        back = load_coeffs_csv(tmp_path / "new.csv", t.K, t.Mmax, eps=EPS)
+        assert np.float64(back.q).tobytes() == np.float64(t.q).tobytes()
+        for a, b in zip(back.u, t.u):
+            assert a.tobytes() == np.where(b == 0.0, 0.0, b).tobytes()   # -0.0 reads as 0.0
 
 
 def test_solve_nu_matches_table_sweeps():
