@@ -22,7 +22,6 @@ from .series import (
 from .spectrum import (
     ModelParams,
     NuTable,
-    big_omega,
     chi,
     chi_h,
     in_lambda,

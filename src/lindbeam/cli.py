@@ -250,9 +250,10 @@ def cmd_residual(params: ModelParams, run: dict) -> int:
         R = residual_norm(table, params, eps, nu)
         oc = order_consistency(table, params, eps, nu, info["counterterms"])
         rows.append((eps, R, oc, status))
-        pts.append((math.log(eps), math.log(R)))
-    slope = float(np.polyfit([p[0] for p in pts], [p[1] for p in pts], 1)[0]) \
-        if len(pts) >= 2 else float("nan")
+        pts.append((eps, R))
+    # fitted over R > 0 only: a linear equation (a = b = 0) has R == 0.0
+    fit = [(math.log(e), math.log(R)) for e, R in pts if R > 0.0]
+    slope = float(np.polyfit(*zip(*fit), 1)[0]) if len(fit) >= 2 else float("nan")
     with open(out / "residual.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["eps", "residual_sup", "order_consistency", "status"])

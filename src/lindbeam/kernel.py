@@ -35,7 +35,6 @@ __all__ = [
     "kernel_v",
     "kernel_tensor",
     "cosine_projection",
-    "nonlinearity_coefficient",
     "kernel_sum_probe",
     "KernelDisagreementError",
 ]
@@ -135,11 +134,6 @@ def cosine_projection(M: int, parity: int) -> np.ndarray:
     out = C_NORM * m / (m * m - k * k)
     out.flags.writeable = False
     return out
-
-
-def nonlinearity_coefficient(a: float, b: float, Omega: float, n1: int, n2: int) -> float:
-    """Coefficient a - b Omega^2 n1 n2 carried by one quadratic pairing."""
-    return a - b * Omega ** 2 * n1 * n2
 
 
 def kernel_sum_probe(m: int, Mmax: int) -> float:

@@ -563,9 +563,12 @@ def order_consistency(table: CoeffTable, params: ModelParams, eps: float,
                       ) -> float:
     """Worst relative defect of the order-k identities, k <= K.
 
-    Rebuilds every F^(k) by fresh convolution and checks
+    Rebuilds every F^(k) and checks
     (-Om^2 n^2 + om_m^2 + n nu) u^(k) = n sum_r l^(r) u^(k-r) + F^(k).
-    Telescoping of the construction makes this round-off small.
+    F^(k) comes from the same `_forcing` call on the same tables as in
+    `compute_coeffs`, so it reproduces those bits: this checks the linear
+    solve and the shift sums, not the contraction (`quad_conv` and the
+    dense-kernel tests do).  Telescoping makes the defect round-off small.
     """
     _check_provenance(table, eps, nu)
     lt = counterterms or CountertermTable()

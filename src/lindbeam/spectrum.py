@@ -19,7 +19,6 @@ __all__ = [
     "ModeSet",
     "mode_set",
     "omega",
-    "big_omega",
     "omega_eff",
     "x_divisor",
     "propagator",
@@ -121,11 +120,6 @@ def omega(m, mu: float):
     """Linear frequency sqrt(m^4 + mu) of the m-th sine mode."""
     m = np.asarray(m, dtype=float)
     return np.sqrt(m ** 4 + mu)
-
-
-def big_omega(mu: float, eps: float) -> float:
-    """Forcing frequency omega_1 + eps of the continued branch."""
-    return float(omega(1, mu)) + eps
 
 
 def omega_eff(params: ModelParams, eps: float) -> float:

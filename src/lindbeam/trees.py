@@ -9,11 +9,14 @@ it back through the shift coefficients) reproduces it again, which is the
 central correctness test of the package.
 
 Storage: each (k, n, m, Mmax) family, and each special-end family, is
-counted against TREE_BUDGET (`_count`) and then enumerated once into flat
-read-only integer rows (`_Family`), kept in a bounded cache.  A `Tree` is a view of one tree's rows; it builds `TNode`
-objects only when asked for them.  Evaluation reads the rows together with
-per-point mode tables (`_Point`): the scale labels each mode's divisor
-admits and its cutoff propagator, computed once per (params, eps, nu).
+counted by one walk of the split rules (`_count`), checked against
+TREE_BUDGET, which also records what each split adds; `_unrank` reads that
+record to write tree i as a key tuple, and the trees, in index order, are
+flattened into read-only integer rows (`_Family`), kept in a bounded cache.
+A `Tree` is a view of one tree's rows; it builds `TNode` objects only when
+asked for them.  Evaluation reads the rows together with per-point mode
+tables (`_Point`): the scale labels each mode's divisor admits and its
+cutoff propagator, computed once per (params, eps, nu).
 
 Evaluation works on a whole family at once.  A point's assignment table
 (`_Table`, one per family and support rule, cached on the `_Point`) holds
@@ -34,8 +37,10 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -168,94 +173,82 @@ def _is_end(key: tuple, e_mode: tuple | None) -> bool:
     return k == 0 and ((n, m) == e_mode if with_e else (abs(n), m) == (1, 1))
 
 
-def _gen(key: tuple, Mmax: int, e_mode: tuple | None, memo: dict) -> list:
-    """Skeletons of family key = (k, n, m, with_e), one canonical TNode each.
-
-    memo holds the sub-skeletons of one family while it is compiled.
-    """
-    if key in memo:
-        return memo[key]
-    n, m, with_e = key[1:]
-    out: dict = {}
-
-    def add(node: TNode):
-        out.setdefault(_key(node), node)
-
-    if _is_end(key, e_mode):
-        add(TNode(0, "special" if with_e else "end", "", 0, 0, n, m))
-    for kv, kids in _splits(key, Mmax, e_mode):
-        if kv == 1:
-            subs1 = _gen(kids[0], Mmax, e_mode, memo)
-            subs2 = _gen(kids[1], Mmax, e_mode, memo) if subs1 else []
-            for c1 in subs1:
-                for c2 in subs2:
-                    pair = (c1, c2) if _key(c1) <= _key(c2) else (c2, c1)
-                    for t in ("a", "b"):
-                        add(TNode(0, "node", t, 2, 1, n, m, pair))
-        else:
-            for c in _gen(kids[0], Mmax, e_mode, memo):
-                add(TNode(0, "node", "a", 1, kv, n, m, (c,)))
-    res = memo[key] = list(out.values())
-    return res
-
-
 def _count(key: tuple, Mmax: int, e_mode: tuple | None, memo: dict,
-           cap: int) -> tuple[int, int]:
-    """(trees, node rows) of the family `_gen` would build for key, each
-    saturated at cap, without building it.
+           cap: float) -> tuple[int, int, list]:
+    """(trees, node rows, parts) of family key, both counts saturated at cap,
+    kept in memo[key]: each key's splits are walked once per memo.
 
-    A binary split over an unordered pair of child keys adds |S1| |S2|
-    skeletons when the keys differ and |S| (|S| + 1) / 2 when they are equal
-    (the children are unordered), twice for the node types a and b.
-    """
+    The trees come in this order: the end node, then split by split
+    (`_splits` order) one per child tree under a unary node and, under a
+    binary one over child keys (K1, K2), one per pair (i1 of K1, i2 of K2),
+    i1 outer, as type a then b; the children are unordered, so over K1 == K2
+    only i1 <= i2, and a split whose reverse came first adds none.  parts,
+    the record `_unrank` reads, holds (first tree, kv, kids) per split that
+    adds trees."""
     if key in memo:
         return memo[key]
     trees = rows = int(_is_end(key, e_mode))
-    pairs = set()
+    parts, pairs = [], set()
     for kv, kids in _splits(key, Mmax, e_mode):
         if rows >= cap:
             break
         if kv == 1:
-            if kids[1] < kids[0]:
-                kids = kids[::-1]
-            if kids in pairs:
+            if kids[::-1] in pairs:     # each ordered pair comes once
                 continue
             pairs.add(kids)
-            (t1, r1), (t2, r2) = (_count(c, Mmax, e_mode, memo, cap) for c in kids)
+            (t1, r1, _), (t2, r2, _) = (_count(c, Mmax, e_mode, memo, cap) for c in kids)
             if kids[0] == kids[1]:
                 t, r = t1 * (t1 + 1) // 2, t1 * (t1 + 1) // 2 + (t1 + 1) * r1
             else:
                 t, r = t1 * t2, t1 * t2 + r1 * t2 + r2 * t1
             t, r = 2 * t, 2 * r
         else:
-            t, r = _count(kids[0], Mmax, e_mode, memo, cap)
+            t, r, _ = _count(kids[0], Mmax, e_mode, memo, cap)
             r += t
+        if t:
+            parts.append((trees, kv, kids))
         trees, rows = min(trees + t, cap), min(rows + r, cap)
-    memo[key] = (trees, rows)
-    return trees, rows
+    memo[key] = trees, rows, parts
+    return memo[key]
 
 
-def _ordered_multiplicity(nd: TNode) -> int:
-    """Number of ordered child arrangements represented by a canonical tree."""
-    mult = 1
-    for c in nd.children:
-        mult *= _ordered_multiplicity(c)
-    if nd.sv == 2:
-        c1, c2 = nd.children
-        if _key(c1) != _key(c2):
-            mult *= 2
-    return mult
+def _unrank(memo: dict, key: tuple, i: int) -> tuple[tuple, int]:
+    """Tree i of family key in `_count` order, from the record `_count` left
+    in memo below its cap: its `_key` tuple (children in tuple order) and
+    multiplicity, the number of ordered child arrangements it stands for."""
+    k, n, m, with_e = key
+    trees, _, parts = memo[key]
+    if not 0 <= i < trees:
+        raise IndexError(f"tree {i} of a family of {trees}")
+    if k == 0:
+        return ("special" if with_e else "end", "", 0, 0, n, m, ()), 1
+    first, kv, kids = parts[bisect_right(parts, i, key=itemgetter(0)) - 1]
+    if kv > 1:
+        child, mult = _unrank(memo, kids[0], i - first)
+        return ("node", "a", 1, kv, n, m, (child,)), mult
+    j, t = divmod(i - first, 2)
+    T = memo[kids[1]][0]
+    if kids[0] == kids[1]:
+        # pairs i1 <= i2 counted from the last: row T-1-r holds r + 1 pairs
+        j = T * (T + 1) // 2 - 1 - j
+        r = (math.isqrt(8 * j + 1) - 1) // 2
+        i1, i2 = T - 1 - r, T - 1 - (j - r * (r + 1) // 2)
+    else:
+        i1, i2 = divmod(j, T)
+    (c1, m1), (c2, m2) = _unrank(memo, kids[0], i1), _unrank(memo, kids[1], i2)
+    return (("node", _TTYPES[t + 1], 2, 1, n, m, (c1, c2) if c1 <= c2 else (c2, c1)),
+            m1 * m2 * (1 if (kids[0], i1) == (kids[1], i2) else 2))
 
 
-def _preorder(root: TNode) -> tuple[list, list]:
-    """Nodes in node-id order (depth first, last child first) and the id of
-    each node's parent (-1 at the root)."""
+def _preorder(root, kids=itemgetter(6)) -> tuple[list, list]:
+    """Nodes in node-id order (depth first, last child first) and each one's
+    parent id (-1 at the root); kids(node) gives the children (of key tuples)."""
     nodes, par = [], []
     stack = [(root, -1)]
     while stack:
         nd, p = stack.pop()
         par.append(p)
-        stack.extend((ch, len(nodes)) for ch in nd.children)
+        stack.extend((ch, len(nodes)) for ch in kids(nd))
         nodes.append(nd)
     return nodes, par
 
@@ -266,7 +259,8 @@ def _frozen(code: str, values) -> memoryview:
 
 
 class _Family:
-    """The trees of one family as flat, read-only integer rows.
+    """The trees of one family as flat, read-only integer rows, compiled
+    from (`_key` tuple, multiplicity) per tree.
 
     Node rows run tree after tree, each tree in node-id order, so the node
     with id i of tree t is row start[t] + i and its subtree is the id range
@@ -278,27 +272,28 @@ class _Family:
     list) and the structural resonance candidates (out, in).
     """
 
-    def __init__(self, roots, mults, k, n, m, is_rtree):
-        self.label, self.is_rtree, self.count = (k, n, m), is_rtree, len(roots)
+    def __init__(self, trees, k, n, m, is_rtree):
+        self.label, self.is_rtree = (k, n, m), is_rtree
         cols = {c: [] for c in ("par", "size", "kind", "ttype", "sv", "kv", "n", "m", "mode")}
-        start, special = [0], []
+        start, special, mults = [0], [], []
         lists = {c: ([0], []) for c in ("line", "pair", "cand")}
         modes: dict = {}
-        for root in roots:
+        for root, mult in trees:
+            mults.append(mult)
             nodes, par = _preorder(root)
             size = [1] * len(nodes)
             for i in range(len(nodes) - 1, 0, -1):
                 size[par[i]] += size[i]
-            keys = [(nd.n, nd.m) for nd in nodes]
+            keys = [nd[4:6] for nd in nodes]
             lines = [i for i, nd in enumerate(nodes)
-                     if nd.kind == "node" and not (is_rtree and i == 0)]
+                     if nd[0] == "node" and not (is_rtree and i == 0)]
             pairs = [p for a, la in enumerate(lines) for b in range(a + 1, len(lines))
                      if keys[la] == keys[lines[b]] for p in (a, b)]
             cands = []
-            for i, nd in enumerate(nodes):
+            for i, (kind, _, _, _, nn, mm, _) in enumerate(nodes):
                 # zero-momentum lines are never small, so their exit scale is
                 # pinned at -1 and such blocks can never activate
-                if nd.kind == "end" or (abs(nd.n), nd.m) == (1, 1) or nd.n == 0:
+                if kind == "end" or (abs(nn), mm) == (1, 1) or nn == 0:
                     continue
                 anc = par[i]
                 while anc >= 0:
@@ -308,25 +303,23 @@ class _Family:
                             and size[anc] - size[i] > 1):
                         cands += (anc, i)
                     anc = par[anc]
-            special.append(max((i for i, nd in enumerate(nodes) if nd.kind == "special"),
+            special.append(max((i for i, nd in enumerate(nodes) if nd[0] == "special"),
                                default=-1))
             for c, vals in (("line", lines), ("pair", pairs), ("cand", cands)):
                 lists[c][1].extend(vals)
                 lists[c][0].append(len(lists[c][1]))
             cols["par"] += par
             cols["size"] += size
-            cols["kind"] += [_KINDS.index(nd.kind) for nd in nodes]
-            cols["ttype"] += [_TTYPES.index(nd.ttype) for nd in nodes]
-            cols["sv"] += [nd.sv for nd in nodes]
-            cols["kv"] += [nd.kv for nd in nodes]
-            cols["n"] += [nd.n for nd in nodes]
-            cols["m"] += [nd.m for nd in nodes]
+            cols["kind"] += [_KINDS.index(nd[0]) for nd in nodes]
+            cols["ttype"] += [_TTYPES.index(nd[1]) for nd in nodes]
+            for j, c in enumerate(("sv", "kv", "n", "m"), 2):
+                cols[c] += [nd[j] for nd in nodes]
             cols["mode"] += [modes.setdefault(key, len(modes)) for key in keys]
             start.append(len(cols["par"]))
         for c, vals in cols.items():
             setattr(self, c, _frozen("b" if c in ("kind", "ttype", "sv", "kv") else "h", vals))
-        self.start, self.mult, self.special = (_frozen("i", start), _frozen("q", mults),
-                                               _frozen("h", special))
+        self.start, self.mult, self.special, self.count = (
+            _frozen("i", start), _frozen("q", mults), _frozen("h", special), len(mults))
         for c, (offsets, vals) in lists.items():
             setattr(self, c + "_start", _frozen("i", offsets))
             setattr(self, c + "_row", _frozen("h", vals))
@@ -412,14 +405,19 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=FAMILY_CACHE_SIZE)
 def _family(k: int, n: int, m: int, Mmax: int, is_rtree: bool) -> _Family:
-    """Count, then enumerate and compile one family (the skeleton memo lives
-    only here); a family of more than TREE_BUDGET node rows is refused before
-    it is built."""
-    key, e_mode = (k, n, m, is_rtree), ((n, m) if is_rtree else None)
-    if _count(key, Mmax, e_mode, {}, TREE_BUDGET + 1)[1] > TREE_BUDGET:
+    """Count one family, then compile it tree by tree from the count's record;
+    refused before any tree is built above TREE_BUDGET node rows, or when too
+    deep to count on the stack (two frames per order)."""
+    if m < 1:
+        raise ValueError("spatial label must be >= 1")
+    key, memo = (k, n, m, is_rtree), {}
+    try:
+        trees, rows, _ = _count(key, Mmax, (n, m) if is_rtree else None, memo, TREE_BUDGET + 1)
+    except RecursionError:
+        raise TreeBudgetError(f"order {k} is too deep to count") from None
+    if rows > TREE_BUDGET:
         raise TreeBudgetError(f"enumeration of ({k},{n},{m}) exceeds budget")
-    roots = _gen(key, Mmax, e_mode, {})
-    return _Family(roots, [_ordered_multiplicity(r) for r in roots], k, n, m, is_rtree)
+    return _Family((_unrank(memo, key, i) for i in range(trees)), k, n, m, is_rtree)
 
 
 class Tree:
@@ -451,10 +449,11 @@ class Tree:
                 f"is_rtree={self.is_rtree})")
 
     def finalize(self) -> "Tree":
-        nodes, _par = _preorder(self._root)
+        nodes, _par = _preorder(self._root, lambda nd: nd.children)
         for i, nd in enumerate(nodes):
             nd.nid = i
-        self._fam = _Family([self._root], [self.mult], self.k, self.n, self.m, self.is_rtree)
+        self._fam = _Family([(_key(self._root), self.mult)], self.k, self.n, self.m,
+                            self.is_rtree)
         self._t, self._nodes, self._parent = 0, nodes, None
         return self
 

@@ -82,6 +82,17 @@ def test_linear_case_writes_primary_only(tmp_path):
     assert all(float(r["value"]) == 0.0 for r in rows)
 
 
+def test_linear_case_residual_has_no_slope(tmp_path):
+    # every residual of the linear equation is exactly 0.0: the rows stay,
+    # the slope (fitted over R > 0) is null
+    cfg = write_cfg(tmp_path)
+    assert main(["--config", cfg, "--a", "0", "--b", "0", "--eps-count", "3", "residual"]) == 0
+    rows = list(csv.DictReader(open(tmp_path / "out" / "residual.csv")))
+    assert [(r["residual_sup"], r["status"]) for r in rows] == [("0.0", "ok")] * 3
+    doc = json.loads((tmp_path / "out" / "residual.json").read_text())
+    assert doc["slope"] is None and doc["accepted"] == doc["total"] == 3
+
+
 def test_invalid_mu_exit_2(tmp_path):
     cfg = write_cfg(tmp_path)
     assert main(["--config", cfg, "--mu", "0.5", "coeffs"]) == 2
@@ -101,6 +112,9 @@ def test_invalid_mu_exit_2(tmp_path):
     ["--samples", "4001", "bruno", "check"],    # more points than the sampler's draws
     ["trees", "5", "2", "3"],                   # families over the tree budget, refused
     ["trees", "30", "2", "3"],                  # from their count before enumeration
+    ["trees", "1", "2", "-1"],                  # spatial labels start at 1
+    ["trees", "2", "3", "-5", "--special"],
+    ["trees", "1200", "2", "3"],                # too deep to count on the stack
 ])
 def test_malformed_input_exit_2(tmp_path, capsys, args):
     (tmp_path / "file").write_text("")

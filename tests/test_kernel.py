@@ -14,7 +14,6 @@ from lindbeam.kernel import (
     kernel_sum_probe_restricted,
     kernel_tensor,
     kernel_v,
-    nonlinearity_coefficient,
     triple_sine_closed,
     triple_sine_integral,
     triple_sine_quadrature,
@@ -77,13 +76,6 @@ def test_disagreement_error_raises(monkeypatch):
     with pytest.raises(KernelDisagreementError):
         K.triple_sine_integral(1, 1, 1)
     K.triple_sine_integral.cache_clear()
-
-
-def test_nonlinearity_coefficient():
-    assert nonlinearity_coefficient(2.0, 0.0, 1.3, 5, -7) == 2.0
-    Om = 1.05
-    assert nonlinearity_coefficient(1.0, 0.5, Om, 1, -1) == pytest.approx(1 + 0.5 * Om ** 2)
-    assert nonlinearity_coefficient(1.0, 0.5, Om, 1, 1) == pytest.approx(1 - 0.5 * Om ** 2)
 
 
 def test_kernel_sum_probe_bounded_smoke():

@@ -9,7 +9,6 @@ from lindbeam.spectrum import (
     ModelParams,
     NuTable,
     admissible_h_for,
-    big_omega,
     chi,
     chi_h,
     chi_support,
@@ -42,23 +41,18 @@ def test_omega_monotone_and_bounded():
     assert omega(2, 0.1) > omega(2, 0.05)
 
 
-def test_big_omega():
-    assert big_omega(0.0, 0.01) == pytest.approx(1.01, abs=1e-15)
-    assert big_omega(0.125, 0.001) == pytest.approx(math.sqrt(1.125) + 0.001, abs=1e-15)
-    assert big_omega(0.05, 0.0) == pytest.approx(math.sqrt(1.05), abs=1e-15)
-
-
 def test_omega_eff_branches():
     pp = ModelParams(mu=0.1, omega_branch=-1)
     assert omega_eff(pp, 0.01) == pytest.approx(math.sqrt(1.1) - 0.01, abs=1e-15)
-    assert omega_eff(pp.with_(omega_branch=1), 0.01) == big_omega(0.1, 0.01)
+    assert omega_eff(pp.with_(omega_branch=1), 0.01) == pytest.approx(math.sqrt(1.1) + 0.01,
+                                                                      abs=1e-15)
 
 
 def test_x_divisor_examples():
     assert x_divisor(4, 2, P, 0.0) == pytest.approx(0.0, abs=1e-15)
     assert x_divisor(1, 2, P, 0.0) == pytest.approx(-3.0, abs=1e-15)
     pp = ModelParams(mu=0.1, eps0=0.05)
-    Om = big_omega(0.1, 0.01)
+    Om = omega_eff(pp, 0.01)
     assert x_divisor(2, 1, pp, 0.01) == pytest.approx(2 * Om - math.sqrt(1.1), abs=1e-14)
     # even in n
     assert x_divisor(-2, 1, pp, 0.01) == x_divisor(2, 1, pp, 0.01)
@@ -69,14 +63,14 @@ def test_propagator():
     assert propagator(-1, 1, P, 0.0012) == 1.0
     assert propagator(0, 3, P, 0.0) == pytest.approx(1.0 / 81.0, abs=1e-16)
     pp = ModelParams(mu=0.1, eps0=0.05)
-    Om = big_omega(0.1, 0.01)
+    Om = omega_eff(pp, 0.01)
     assert propagator(2, 1, pp, 0.01) == pytest.approx(1.0 / (-4 * Om ** 2 + 1.1), abs=1e-14)
 
 
 def test_propagator_nu_shift():
     pp = ModelParams(mu=0.1, eps0=0.05)
     nu = NuTable({(2, 1): 1e-3}, eps0=0.05)
-    Om = big_omega(0.1, 0.01)
+    Om = omega_eff(pp, 0.01)
     want = 1.0 / (-4 * Om ** 2 + 1.1 + 2e-3)
     assert propagator(2, 1, pp, 0.01, nu) == pytest.approx(want, rel=1e-14)
     # n nu even in n: same denominator at -n

@@ -24,7 +24,6 @@ from lindbeam.trees import (
     sum_trees,
     tree_value,
     _key,
-    _ordered_multiplicity,
     _point,
 )
 
@@ -71,7 +70,7 @@ def test_enumeration_counts():
             assert all(nd.sv != 1 for nd in t.nodes)
     # multiplicity equals the number of ordered arrangements
     for t in enumerate_trees(3, 0, 3, P, MM)[:40]:
-        assert t.mult == _ordered_multiplicity(t.root)
+        assert t.mult == _obj_mult(t.root)
 
 
 def test_enumeration_rejects_primary_internal_lines():
@@ -532,20 +531,171 @@ def test_compiled_families_match_object_enumeration():
         # the count that guards the budget, exact below its cap
         f = trees._family(k, n, m, MM, rtree)
         assert trees._count((k, n, m, rtree), MM, (n, m) if rtree else None, {},
-                            trees.TREE_BUDGET + 1) == (f.count, f.start[f.count])
+                            trees.TREE_BUDGET + 1)[:2] == (f.count, f.start[f.count])
 
 
 def test_tree_budget_is_checked_before_enumeration():
     # (5, 2, 3) at Mmax 15 has 4,363,844 trees in 47,984,978 node rows, the
     # special-end (4, 9, 3) 270,784 trees in 2,436,480 rows: counted, not built
     key = (5, 2, 3, False)
-    assert trees._count(key, 15, None, {}, 10 ** 9) == (4_363_844, 47_984_978)
-    assert trees._count((4, 9, 3, True), 15, (9, 3), {}, 10 ** 9) == (270_784, 2_436_480)
+    assert trees._count(key, 15, None, {}, 10 ** 9)[:2] == (4_363_844, 47_984_978)
+    assert trees._count((4, 9, 3, True), 15, (9, 3), {}, 10 ** 9)[:2] == (270_784, 2_436_480)
     cap = trees.TREE_BUDGET + 1
     assert trees._count(key, 15, None, {}, cap)[1] == cap
     for k, n, m, special in ((5, 2, 3, False), (30, 2, 3, False), (4, 9, 3, True)):
         with pytest.raises(trees.TreeBudgetError):
             (enumerate_r_trees if special else enumerate_trees)(k, n, m, P, 15)
+
+
+# The skeleton route that compiled families before they were written from
+# their count: `_gen` built one canonical TNode per tree, `_Family` flattened
+# the TNodes, multiplicities from `_obj_mult`.  The count's rows must equal
+# its rows column by column, in order.
+
+def _old_gen(key, Mmax, e_mode, memo):
+    if key in memo:
+        return memo[key]
+    n, m, with_e = key[1:]
+    out = {}
+
+    def add(node):
+        out.setdefault(_key(node), node)
+
+    if trees._is_end(key, e_mode):
+        add(TNode(0, "special" if with_e else "end", "", 0, 0, n, m))
+    for kv, kids in trees._splits(key, Mmax, e_mode):
+        if kv == 1:
+            subs1 = _old_gen(kids[0], Mmax, e_mode, memo)
+            subs2 = _old_gen(kids[1], Mmax, e_mode, memo) if subs1 else []
+            for c1 in subs1:
+                for c2 in subs2:
+                    pair = (c1, c2) if _key(c1) <= _key(c2) else (c2, c1)
+                    for t in ("a", "b"):
+                        add(TNode(0, "node", t, 2, 1, n, m, pair))
+        else:
+            for c in _old_gen(kids[0], Mmax, e_mode, memo):
+                add(TNode(0, "node", "a", 1, kv, n, m, (c,)))
+    res = memo[key] = list(out.values())
+    return res
+
+
+def _old_rows(k, n, m, Mmax, is_rtree):
+    """The columns of `_Family` as the skeleton route filled them."""
+    roots = _old_gen((k, n, m, is_rtree), Mmax, (n, m) if is_rtree else None, {})
+    cols = {c: [] for c in ("par", "size", "kind", "ttype", "sv", "kv", "n", "m", "mode")}
+    start, special = [0], []
+    lists = {c: ([0], []) for c in ("line", "pair", "cand")}
+    modes = {}
+    for root in roots:
+        nodes, par = [], []
+        stack = [(root, -1)]
+        while stack:
+            nd, p = stack.pop()
+            par.append(p)
+            stack.extend((ch, len(nodes)) for ch in nd.children)
+            nodes.append(nd)
+        size = [1] * len(nodes)
+        for i in range(len(nodes) - 1, 0, -1):
+            size[par[i]] += size[i]
+        keys = [(nd.n, nd.m) for nd in nodes]
+        lines = [i for i, nd in enumerate(nodes)
+                 if nd.kind == "node" and not (is_rtree and i == 0)]
+        pairs = [p for a, la in enumerate(lines) for b in range(a + 1, len(lines))
+                 if keys[la] == keys[lines[b]] for p in (a, b)]
+        cands = []
+        for i, nd in enumerate(nodes):
+            if nd.kind == "end" or (abs(nd.n), nd.m) == (1, 1) or nd.n == 0:
+                continue
+            anc = par[i]
+            while anc >= 0:
+                if (keys[anc] == keys[i] and not (is_rtree and anc == 0)
+                        and size[anc] - size[i] > 1):
+                    cands += (anc, i)
+                anc = par[anc]
+        special.append(max((i for i, nd in enumerate(nodes) if nd.kind == "special"),
+                           default=-1))
+        for c, vals in (("line", lines), ("pair", pairs), ("cand", cands)):
+            lists[c][1].extend(vals)
+            lists[c][0].append(len(lists[c][1]))
+        cols["par"] += par
+        cols["size"] += size
+        cols["kind"] += [trees._KINDS.index(nd.kind) for nd in nodes]
+        cols["ttype"] += [trees._TTYPES.index(nd.ttype) for nd in nodes]
+        for c in ("sv", "kv", "n", "m"):
+            cols[c] += [getattr(nd, c) for nd in nodes]
+        cols["mode"] += [modes.setdefault(key, len(modes)) for key in keys]
+        start.append(len(cols["par"]))
+    cols.update(start=start, mult=[_obj_mult(r) for r in roots], special=special)
+    for c, (offsets, vals) in lists.items():
+        cols[c + "_start"], cols[c + "_row"] = offsets, vals
+    return cols, tuple(modes), len(roots)
+
+
+def test_family_rows_match_skeleton_route():
+    ct = ModelParams(omega_branch=-1)       # `--omega-branch -1 --orders 3 counterterms`
+    fams = ([(k, n, m, MM, False) for (k, n, m) in GRID6]
+            + [(k, n, m, MM, True) for k in (2, 3) for (n, m) in lambda_modes(TREE_P, MM, 60)]
+            + [(6, 7, 1, 3, False)]
+            + [(k, n, m, 33, True) for k in (2, 3) for (n, m) in lambda_modes(ct)])
+    assert len(fams) == 99 + 2 * 11 + 1 + 2 * 53
+    total = 0
+    for fam in fams:
+        cols, modes, count = _old_rows(*fam)
+        f = trees._family(*fam)
+        assert (f.modes, f.count) == (modes, count), fam
+        for c, want in cols.items():
+            assert getattr(f, c).tolist() == want, (fam, c)
+        total += count
+    assert total == 45_594
+
+
+def test_family_walks_each_key_once(monkeypatch):
+    from collections import Counter
+    walked = Counter()
+    splits = trees._splits
+
+    def counted(key, *args):
+        walked[key] += 1
+        return splits(key, *args)
+
+    monkeypatch.setattr(trees, "_splits", counted)
+    for fam in ((3, 0, 1, MM, False), (2, 9, 3, MM, True), (6, 7, 1, 3, False)):
+        walked.clear()
+        f = trees._family.__wrapped__(*fam)     # compiled afresh, past the cache
+        assert f.count > 0 and len(walked) > 10 and max(walked.values()) == 1, fam
+
+
+def _tnode(key):
+    return TNode(0, *key[:6], tuple(_tnode(c) for c in key[6]))
+
+
+def test_unrank_indexes_families_over_the_budget():
+    # (8, 9, 3) at Mmax 3: 1,174,688 trees in 19,969,696 node rows
+    key, memo = (8, 9, 3, False), {}
+    count, rows, _ = trees._count(key, 3, None, memo, math.inf)
+    assert (count, rows) == (1_174_688, 19_969_696) and rows > trees.TREE_BUDGET
+    rng = np.random.default_rng(7)
+    idx = sorted({0, count - 1, *rng.integers(0, count, 300).tolist()})
+    seen = set()
+    for i in idx:
+        tree, mult = trees._unrank(memo, key, i)
+        root = _tnode(tree)
+        assert tree[4:6] == (9, 3) and _sorted_kids(tree)
+        assert _obj_order(root) == 8 and mult == _obj_mult(root)
+        seen.add(tree)
+    assert len(seen) == len(idx)
+    for bad in (count, -1):
+        with pytest.raises(IndexError):
+            trees._unrank(memo, key, bad)
+
+
+def _obj_order(nd):
+    return nd.kv + sum(_obj_order(c) for c in nd.children)
+
+
+def _sorted_kids(key):
+    """Whether every node's children are in tuple order, as `_key` sorts them."""
+    return list(key[6]) == sorted(key[6]) and all(_sorted_kids(c) for c in key[6])
 
 
 def _obj_path(tree, nd):
