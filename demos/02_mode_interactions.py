@@ -37,5 +37,5 @@ for m in (1, 5, 11, 21, 41, 81, 101):
 
 print("\n== the baseline mechanism: small-index pairs alone decay like m^-3 ==")
 for m in (17, 33, 65):
-    r = kernel_sum_probe_restricted(m, Mmax)
+    r = kernel_sum_probe_restricted(m)
     print(f"  m = {m:3d}:  restricted sum * m^3 = {r * m ** 3:.4f}")

@@ -57,6 +57,6 @@ print(f"\nsolution sample at eps = {eps} (rows x in [0, pi], columns one period)
 for i, xi in enumerate(x):
     print("  " + " ".join(f"{val:+.5f}" for val in v[i]))
 
-rep = decay_check(table, params)
+rep = decay_check(table)
 print(f"\nmode decay: spatial power ~ m^-{rep.m_powers.get(1, float('nan')):.2f} "
       f"at order 1, temporal rate e^-{rep.sigma_fit:.2f}|n|")

@@ -46,13 +46,13 @@ class ScaleProfile:
 
 
 def admissible_scales(tree: Tree, params: ModelParams, eps: float,
-                      nu: NuTable | None, renormalize: bool = True) -> list[dict]:
+                      nu: NuTable | None) -> list[dict]:
     """Scale assignments compatible with the cutoff supports at (eps, nu).
 
     Wrapper with the renormalized (shifted-path) supports switched on; empty
     when a divisor falls below the 2^-h_max floor.
     """
-    return admissible_assignments(tree, params, eps, nu, renormalize=renormalize)
+    return admissible_assignments(tree, params, eps, nu, renormalize=True)
 
 
 def profile(tree: Tree, asg: dict) -> ScaleProfile:
@@ -119,24 +119,21 @@ def check_bruno_r(tree: Tree, asg: dict, params: ModelParams,
 
 
 def sample_diophantine_points(params: ModelParams, count: int, seed: int = 0,
-                              Mmax: int | None = None, Nmax: int | None = None,
                               max_draws: int = 4000) -> list[tuple[float, NuTable]]:
     """Low-discrepancy (eps, nu) samples passing the shifted-frequency checks.
 
     Scrambled Sobol points (`sobol.Sobol`, equal to scipy's
     `qmc.Sobol(d, scramble=True, seed=seed)`) in the box
     (0, eps0) x (-c eps0, c eps0)^modes, one dimension for eps and one per
-    mode of the ModeSet, drawn in blocks of 32 and filtered through the
-    Melnikov margins at the model's gamma and tau.  Raises ValueError when
-    the ModeSet needs more than `sobol.MAXDIM` dimensions, or when fewer
+    mode of the ModeSet of the params' cutoffs, drawn in blocks of 32 and
+    filtered through the Melnikov margins at the model's gamma and tau.
+    Raises ValueError when the ModeSet needs more than `sobol.MAXDIM` dimensions, or when fewer
     than `count` points pass within `max_draws` draws.
     """
     from .diophantine import check_melnikov
     from .sobol import Sobol
 
-    Mmax = Mmax or params.Mmax
-    Nmax = Nmax or params.Nmax
-    ms = mode_set(params.mu, params.eps0, Mmax, Nmax)
+    ms = mode_set(params.mu, params.eps0, params.Mmax, params.Nmax)
     eng = Sobol(1 + len(ms), seed)
     out = []
     draws = 0
@@ -149,7 +146,7 @@ def sample_diophantine_points(params: ModelParams, count: int, seed: int = 0,
             if not 1e-8 < eps < params.eps0:
                 continue
             nu = ms.nu_table((2.0 * row[1:] - 1.0) * cap, params.nu_cap)
-            if check_melnikov(eps, nu, params, Nmax=Nmax, Mmax=Mmax):
+            if check_melnikov(eps, nu, params):
                 out.append((eps, nu))
                 if len(out) >= count:
                     break

@@ -315,9 +315,9 @@ def cmd_dioph_cantor(params: ModelParams, run: dict) -> int:
 
 
 def cmd_dioph_measure(params: ModelParams, run: dict) -> int:
-    out = _outdir(run)
     window = run.get("window", params.eps0 / 2)
     rows = checks.cantor_scans(params, window, run["grid"], run["orders"])
+    out = _outdir(run)
     with open(out / "dioph_measure.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["window", "grid_fail_fraction", "excluded_measure",
@@ -378,7 +378,7 @@ def cmd_report(params: ModelParams, run: dict) -> int:
         rep["q"] = info["q"]
         rep["residual"] = residual_norm(table, params, eps, nu)
         rep["nu_sup_over_eps"] = nu.sup_norm() / eps
-        rep["decay_ok"] = decay_check(table, params).ok
+        rep["decay_ok"] = decay_check(table).ok
     except (NonConvergenceError, SignExcludedError) as exc:
         rep["construction_error"] = str(exc)
     (out / "report.json").write_text(json.dumps(rep, indent=2, sort_keys=True,

@@ -76,8 +76,7 @@ def mass_margins(mu, tau0: float, Nmax: int):
     return list(best.values())
 
 
-def check_mass(mu: float, gamma: float, tau0: float, Nmax: int,
-               Mmax: int | None = None) -> bool:
+def check_mass(mu: float, gamma: float, tau0: float, Nmax: int) -> bool:
     """Whether the linear frequencies at mass mu clear gamma |n|^-tau0.
 
     The spatial range is derived from Nmax internally: near-failures force
@@ -220,11 +219,10 @@ def measure_mass_complement(gamma: float, tau0: float, grid: int, Nmax: int
     )
 
 
-def find_diophantine_mu(gamma: float, tau0: float, Nmax: int,
-                        lo: float = 0.05, hi: float = MU_MAX,
-                        grid: int = 4000) -> float:
-    """A mass value clearing the conditions with maximal margin on a scan."""
-    mu = np.linspace(lo, hi, grid, endpoint=False)
+def find_diophantine_mu(gamma: float, tau0: float, Nmax: int) -> float:
+    """A mass value clearing the conditions with maximal margin on a
+    4000-point scan of [0.05, MU_MAX)."""
+    mu = np.linspace(0.05, MU_MAX, 4000, endpoint=False)
     worst = np.minimum.reduce(mass_margins(mu, tau0, Nmax))
     j = int(np.argmax(worst))
     if worst[j] < gamma:
@@ -259,7 +257,6 @@ def _pair_rows(mu: float, eps0: float, Nmax: int, Mmax: int):
 
 
 def melnikov_margins(eps: float, nu: NuTable | None, params: ModelParams,
-                     Nmax: int | None = None, Mmax: int | None = None,
                      below: float = math.inf) -> dict:
     """Worst normalized margins of the two shifted-frequency families.
 
@@ -267,9 +264,10 @@ def melnikov_margins(eps: float, nu: NuTable | None, params: ModelParams,
     second: the four sign combinations over pairs of near-resonant modes with
     m1 != m2.  Combinations away from the nearest resonant integer carry
     margin >= 0.4 >= gamma and are skipped.  nu enters only inside the
-    ModeSet windows of (Mmax, Nmax); the first minimum in scan order (m then
-    n; signs, offset, then row) is the one reported.  A window mode with
-    omega_m^2 + n nu_{n,m} <= 0 raises DegenerateRadicandError, whatever below.
+    ModeSet windows of the params' cutoffs (Mmax, Nmax); the first minimum in
+    scan order (m then n; signs, offset, then row) is the one reported.  A
+    window mode with omega_m^2 + n nu_{n,m} <= 0 raises
+    DegenerateRadicandError, whatever below.
 
     below: a family whose minimum is below it reports the full scan's (below
     = inf) value and location, one that clears it inf and None.  A pair row
@@ -280,8 +278,7 @@ def melnikov_margins(eps: float, nu: NuTable | None, params: ModelParams,
     >= Om/2 and |dn|^tau >= 1, so both passes are skipped when
     Om/2 - max D - delta clears below.
     """
-    Nmax = Nmax or params.Nmax
-    Mmax = Mmax or params.Mmax
+    Nmax, Mmax = params.Nmax, params.Mmax
     Om = omega_eff(params, eps)
     ms = mode_set(params.mu, params.eps0, Mmax, Nmax)
     shift = ms.shift(nu)
@@ -356,20 +353,15 @@ def melnikov_margins(eps: float, nu: NuTable | None, params: ModelParams,
     return out
 
 
-def check_melnikov(eps: float, nu: NuTable | None, params: ModelParams,
-                   gamma: float | None = None, Nmax: int | None = None,
-                   Mmax: int | None = None) -> bool:
-    gamma = gamma if gamma is not None else params.gamma
-    marg = melnikov_margins(eps, nu, params, Nmax, Mmax, below=gamma)
-    return marg["first"] >= gamma and marg["second"] >= gamma
+def check_melnikov(eps: float, nu: NuTable | None, params: ModelParams) -> bool:
+    marg = melnikov_margins(eps, nu, params, below=params.gamma)
+    return marg["first"] >= params.gamma and marg["second"] >= params.gamma
 
 
-def square_margins(eps: float, params: ModelParams, Nmax: int | None = None
-                   ) -> tuple[float, tuple | None]:
+def square_margins(eps: float, params: ModelParams) -> tuple[float, tuple | None]:
     """Worst |Omega n - m^2| |n|^tau0 margin over n <= Nmax, m >= 2."""
-    Nmax = Nmax or params.Nmax
     Om = omega_eff(params, eps)
-    ns = np.arange(1, Nmax + 1, dtype=float)
+    ns = np.arange(1, params.Nmax + 1, dtype=float)
     m = np.rint(np.sqrt(Om * ns))
     m = np.maximum(m, 2.0)
     best = np.inf
@@ -385,7 +377,6 @@ def square_margins(eps: float, params: ModelParams, Nmax: int | None = None
 
 
 def cantor_margins(eps: float, nu_of_eps: NuTable | None, params: ModelParams,
-                   Nmax: int | None = None, Mmax: int | None = None,
                    below: float = math.inf) -> dict:
     """Margins of the accepted-amplitude conditions at one eps.
 
@@ -393,9 +384,9 @@ def cantor_margins(eps: float, nu_of_eps: NuTable | None, params: ModelParams,
     m = 1 excluded); first/second: the shifted-frequency families evaluated
     at nu(eps) (threshold 2 gamma), pruned at below as in melnikov_margins.
     """
-    sq, sq_at = square_margins(eps, params, Nmax)
+    sq, sq_at = square_margins(eps, params)
     return {"square": sq, "square_at": sq_at,
-            **melnikov_margins(eps, nu_of_eps, params, Nmax, Mmax, below)}
+            **melnikov_margins(eps, nu_of_eps, params, below)}
 
 
 def cantor_failure(margins: dict, gamma: float) -> tuple | None:
@@ -409,19 +400,17 @@ def cantor_failure(margins: dict, gamma: float) -> tuple | None:
 
 
 def check_cantor(eps: float, nu_of_eps: NuTable | None, params: ModelParams,
-                 gamma: float | None = None, Nmax: int | None = None,
-                 Mmax: int | None = None, margins: dict | None = None) -> bool:
+                 margins: dict | None = None) -> bool:
     """Whether eps passes the accepted-amplitude conditions at nu(eps); a dict
     passed as margins receives the margins (pruned at 2 gamma) it decided on."""
-    gamma = gamma if gamma is not None else params.gamma
-    m = cantor_margins(eps, nu_of_eps, params, Nmax, Mmax, below=2 * gamma)
+    m = cantor_margins(eps, nu_of_eps, params, below=2 * params.gamma)
     if margins is not None:
         margins.update(m)
-    return cantor_failure(m, gamma) is None
+    return cantor_failure(m, params.gamma) is None
 
 
 @lru_cache(maxsize=8)
-def _cantor_rows(params: ModelParams, Nmax: int) -> tuple:
+def _cantor_rows(params: ModelParams) -> tuple:
     """The window-independent parts of the amplitude measure estimate.
 
     Every near-resonance (location, width, label) at a location > 0, in scan
@@ -434,7 +423,7 @@ def _cantor_rows(params: ModelParams, Nmax: int) -> tuple:
     br = params.omega_branch
     g = params.gamma
     out = []
-    for n in range(1, Nmax + 1):
+    for n in range(1, params.Nmax + 1):
         # square family: Omega n = m^2  =>  eps* = br*(m^2 - om1 n)/n
         m = max(2, int(round(math.sqrt(om1 * n))))
         for mm in (m - 1, m, m + 1):
@@ -451,20 +440,19 @@ def _cantor_rows(params: ModelParams, Nmax: int) -> tuple:
             if 0.0 < est:
                 width = 2 * 2 * g * n ** (-params.tau) / (n / 2)
                 out.append((est, width, f"first n={n} m={m}"))
-    ns = range(Nmax + 1, 10 * Nmax)
+    ns = range(params.Nmax + 1, 10 * params.Nmax)
     return (tuple(out), np.sqrt(om1 * np.array(ns, dtype=float)),
             np.array([n ** (params.tau0 + 1) for n in ns]))
 
 
-def _cantor_exclusion_widths(params: ModelParams, window: float,
-                             Nmax: int) -> list[tuple[float, float, str]]:
+def _cantor_exclusion_widths(params: ModelParams, window: float
+                             ) -> list[tuple[float, float, str]]:
     """Near-resonance locations and interval widths inside (0, window)."""
-    return [r for r in _cantor_rows(params, Nmax)[0] if r[0] < window]
+    return [r for r in _cantor_rows(params)[0] if r[0] < window]
 
 
 def measure_cantor(params: ModelParams, window: float, grid: int,
-                   K: int = 2, Nmax: int | None = None,
-                   Mmax: int | None = None) -> DiophReport:
+                   K: int = 2) -> DiophReport:
     """Excluded measure of the accepted-amplitude set in (0, window).
 
     Reports the grid-rejection fraction and, as the headline estimate, the
@@ -472,35 +460,39 @@ def measure_cantor(params: ModelParams, window: float, grid: int,
     the explicit n > Nmax tail (a 10^3 grid cannot resolve widths that reach
     down to gamma Nmax^-tau0-1).  worst["rejected"] lists each grid eps that
     check_cantor rejects as (eps, family, location, margin, threshold).
+    The grid is solved at eps0 = min(2 window, 0.9) when the params' eps0 is
+    below window; a window that this eps0 does not cover raises ValueError
+    before any eps is solved.
     """
     from .series import NonConvergenceError, solve_nu
 
-    Nmax = Nmax or params.Nmax
-    Mmax = Mmax or params.Mmax
-    pw = params if params.eps0 >= window else params.with_(eps0=min(2 * window, 0.9))
+    eps0 = params.eps0 if params.eps0 >= window else min(2 * window, 0.9)
+    if window > eps0:
+        raise ValueError(f"window={window} above eps0={eps0}, the largest solved at")
+    pw = params if eps0 == params.eps0 else params.with_(eps0=eps0)
     eps_grid = (np.arange(grid) + 0.5) / grid * window
     rejected = []
     nonconv = 0
     for e in eps_grid.tolist():
         try:
-            nu, _ = solve_nu(pw, e, K, Mmax, Nmax)
+            nu, _ = solve_nu(pw, e, K)
         except NonConvergenceError:
             nonconv += 1
             continue
         marg = {}
-        if not check_cantor(e, nu, pw, Nmax=Nmax, Mmax=Mmax, margins=marg):
+        if not check_cantor(e, nu, pw, margins=marg):
             rejected.append((e, *cantor_failure(marg, pw.gamma)))
-    widths = _cantor_exclusion_widths(pw, window, Nmax)
+    widths = _cantor_exclusion_widths(pw, window)
     excluded = sum(min(w, window) for (_, w, _) in widths)
     # tail: conditions with n > Nmax; counts ~ window sqrt(om1 n)/2 per n,
     # summed in n order (cumsum adds sequentially)
-    _, sq, pw_n = _cantor_rows(pw, Nmax)
+    _, sq, pw_n = _cantor_rows(pw)
     tail = float(np.cumsum((window * sq / 2 + 1) * 8 * pw.gamma / pw_n)[-1])
     om1 = float(omega(1, pw.mu))
     tail += (window * math.sqrt(om1) / 2 + 1) * 8 * pw.gamma \
-        * (10 * Nmax) ** (-pw.tau0 + 0.5) / (pw.tau0 - 0.5)
+        * (10 * pw.Nmax) ** (-pw.tau0 + 0.5) / (pw.tau0 - 0.5)
     return DiophReport(
-        condition="cantor", Nmax=Nmax, Mmax=Mmax, grid=grid,
+        condition="cantor", Nmax=pw.Nmax, Mmax=pw.Mmax, grid=grid,
         fail_fraction=(len(rejected) + nonconv) / grid,
         excluded_measure=excluded, tail_bound=tail,
         worst={"intervals": len(widths), "nonconverged": nonconv,

@@ -52,11 +52,15 @@ class KernelDisagreementError(ArithmeticError):
     """Quadrature and closed-form evaluations differ beyond tolerance."""
 
 
+def _closed_form(m, m1, m2):
+    """The integral where m + m1 + m2 is odd, on ints or broadcast float grids:
+    the scalar and grid routes share these bits."""
+    return -4.0 * m * m1 * m2 / ((m * m - (m1 - m2) ** 2) * (m * m - (m1 + m2) ** 2))
+
+
 def triple_sine_closed(m: int, m1: int, m2: int) -> float:
     """Exact value of the triple sine integral; 0 on even-parity triples."""
-    if (m + m1 + m2) % 2 == 0:
-        return 0.0
-    return -4.0 * m * m1 * m2 / ((m * m - (m1 - m2) ** 2) * (m * m - (m1 + m2) ** 2))
+    return 0.0 if (m + m1 + m2) % 2 == 0 else _closed_form(m, m1, m2)
 
 
 def triple_sine_quadrature(m: int, m1: int, m2: int) -> float:
@@ -103,12 +107,11 @@ def kernel_v(m: int, m1: int, m2: int) -> float:
 def _closed_form_grid(m, m1, m2) -> np.ndarray:
     """v_{m,m1,m2} from the closed form on broadcast float grids.
 
-    Even-parity entries are exactly zero, so the apparent poles of the
-    closed form never evaluate.
+    Even-parity entries are exactly zero: the poles m = m1 +- m2 of the
+    closed form lie on them only, and are masked.
     """
-    odd = (m + m1 + m2) % 2 == 1
-    denom = np.where(odd, (m * m - (m1 - m2) ** 2) * (m * m - (m1 + m2) ** 2), 1.0)
-    return np.where(odd, C_NORM * (-4.0) * m * m1 * m2 / denom, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where((m + m1 + m2) % 2 == 1, C_NORM * _closed_form(m, m1, m2), 0.0)
 
 
 def kernel_tensor(m_out: int, m_in: int) -> np.ndarray:
@@ -148,6 +151,6 @@ def kernel_sum_probe(m: int, Mmax: int) -> float:
                for x, y in zip(half, half if m % 2 else half[::-1]))
 
 
-def kernel_sum_probe_restricted(m: int, Mmax: int) -> float:
+def kernel_sum_probe_restricted(m: int) -> float:
     """S(m) with the larger index limited to m/4; decays like m^-4."""
     return kernel_sum_probe(m, max(1, m // 4))

@@ -18,8 +18,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .kernel import cosine_projection, kernel_v
-from .spectrum import (ModelParams, NuTable, check_nu_values, mode_set, omega, omega_eff,
-                       propagator_row)
+from .spectrum import (DegenerateRadicandError, ModelParams, NuTable, check_nu_values,
+                       mode_set, omega, omega_eff, propagator_row)
 
 __all__ = [
     "CoeffTable",
@@ -44,8 +44,11 @@ __all__ = [
 ]
 
 AMPLITUDE_TOL = 1e-12
+AMPLITUDE_MAX_ITER = 80     # damped Newton steps of solve_amplitude
 NU_TOL = 1e-10
+NU_MAX_SWEEPS = 40          # sweeps of the shift fixed point in solve_nu
 TAIL_TOL = 1e-3
+DECAY_M_FLOOR = 3.0         # least m-decay power decay_check accepts
 
 
 class SignExcludedError(ValueError):
@@ -371,8 +374,7 @@ def amplitude_series(params: ModelParams, eps: float, nu: NuTable | None,
 
 
 def solve_amplitude(params: ModelParams, eps: float, nu: NuTable | None,
-                    counterterms: CountertermTable | None, K: int, Mmax: int,
-                    max_iter: int = 80) -> float:
+                    counterterms: CountertermTable | None, K: int, Mmax: int) -> float:
     """Positive root of the truncated primary-mode equation.
 
     Solves beta q = sum_{j<=K} eta^{j-1} A_j q^{j+2} by damped Newton in
@@ -400,7 +402,7 @@ def solve_amplitude(params: ModelParams, eps: float, nu: NuTable | None,
         return tot, dtot
 
     s = beta / A[0]
-    for _ in range(max_iter):
+    for _ in range(AMPLITUDE_MAX_ITER):
         f, df = rhs_of_s(s)
         step = (f - beta) / df
         s_new = s - step
@@ -428,8 +430,6 @@ def lambda_modes(params: ModelParams, Mmax: int | None = None,
 
 
 def solve_nu(params: ModelParams, eps: float, K: int,
-             Mmax: int | None = None, Nmax: int | None = None,
-             tol: float = NU_TOL, max_sweeps: int = 40,
              use_trees: bool = False) -> tuple[NuTable, dict]:
     """Fixed point of the shift equation nu = sum_{k<=K} eta^k l^(k)(eps, nu).
 
@@ -439,23 +439,23 @@ def solve_nu(params: ModelParams, eps: float, K: int,
     for K = 2; at K = 3 the dropped quintic term shifts q, and hence nu, at
     relative order eps); their sweeps run on arrays over the ModeSet and the
     tables are built once, at exit.  use_trees or K > 3 switches to tree
-    enumeration with the fully truncated amplitude equation.
+    enumeration with the fully truncated amplitude equation.  The modes are
+    those of the params' cutoffs; a closed-form sweep at a negative on-shell
+    radicand m^4 + mu + n nu raises NonConvergenceError.
     """
     from .trees import counterterm_order2_closed, counterterm_table
 
-    Mmax = Mmax or params.Mmax
-    Nmax = Nmax or params.Nmax
     if not 0.0 < eps < params.eps0:
         raise ValueError(f"eps={eps} outside (0, eps0={params.eps0})")
-    ms = mode_set(params.mu, params.eps0, Mmax, Nmax)
+    ms = mode_set(params.mu, params.eps0, params.Mmax, params.Nmax)
     vals = np.zeros(len(ms))          # nu on the modes
     eta = math.sqrt(eps)
     info = {"sweeps": 0, "converged": False, "q": 0.0, "modes": len(ms)}
     lt = CountertermTable()
     fast = not use_trees and K <= 3
-    odd = np.arange(1, Mmax + 1, 2)
+    odd = np.arange(1, params.Mmax + 1, 2)
     rows, idx2 = _cubic_rows(params, eps, odd), ms.index(2, odd)
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, NU_MAX_SWEEPS + 1):
         if fast:
             # odd amplitude orders vanish, so the K <= 3 equation is the
             # plain cubic: beta q = A1 q^3 with A1 from the closed form
@@ -469,25 +469,28 @@ def solve_nu(params: ModelParams, eps: float, K: int,
                         f"cubic coefficient A = {A:.3e} <= 0 on branch "
                         f"{params.omega_branch:+d}")
                 q = math.sqrt(1.0 / A)
-            l2 = counterterm_order2_closed(params, eps, shift, q, ms)
+            try:
+                l2 = counterterm_order2_closed(params, eps, shift, q, ms)
+            except DegenerateRadicandError as exc:
+                raise NonConvergenceError(f"nu fixed point at sweep {sweep}: {exc}") from None
             new = eta ** 2 * l2 if K >= 2 else np.zeros(len(ms))
         else:
             nu = ms.nu_table(vals, params.nu_cap)
-            q = solve_amplitude(params, eps, nu, lt, K, Mmax)
+            q = solve_amplitude(params, eps, nu, lt, K, params.Mmax)
             modes = ms.modes()
-            lt = counterterm_table(params, eps, nu, q, range(2, K + 1), modes, Mmax)
+            lt = counterterm_table(params, eps, nu, q, range(2, K + 1), modes, params.Mmax)
             new = sum(eta ** k * np.array([lt.aggregate(k, n, m) for (n, m) in modes])
                       for k in range(2, K + 1))
         delta = float(np.max(np.abs(new - vals), initial=0.0))
         vals = new
         info["sweeps"] = sweep
         info["q"] = q
-        if delta < tol:
+        if delta < NU_TOL:
             info["converged"] = True
             break
     if not info["converged"]:
         raise NonConvergenceError(
-            f"nu fixed point did not converge in {max_sweeps} sweeps (last update {delta:.2e})")
+            f"nu fixed point did not converge in {NU_MAX_SWEEPS} sweeps (last update {delta:.2e})")
     if np.max(np.abs(vals), initial=0.0) >= params.nu_cap * params.eps0:
         raise NonConvergenceError("nu left the admissible box; eps too large")
     check_nu_values(ms.n, ms.m, vals, params.mu, params.eps0, params.nu_cap)
@@ -499,13 +502,12 @@ def solve_nu(params: ModelParams, eps: float, K: int,
 
 
 def assemble_solution(table: CoeffTable, eps: float, x, t,
-                      params: ModelParams | None = None) -> np.ndarray:
+                      params: ModelParams) -> np.ndarray:
     """Field values v(x, t) = sqrt(eps) sum eta^k u^(k)_{n,m} e^{i n Om t} sin(mx).
 
     Reality of the table makes the result a plain cosine sum; output shape is
     (len(x), len(t)).
     """
-    params = params or ModelParams()
     eta = math.sqrt(eps)
     U = table.summed(eta)
     K = table.K
@@ -534,7 +536,7 @@ def _check_provenance(table: CoeffTable, eps: float, nu: NuTable | None):
 
 
 def residual_norm(table: CoeffTable, params: ModelParams, eps: float,
-                  nu: NuTable | None = None, per_mode: bool = False):
+                  nu: NuTable | None = None) -> float:
     """Sup norm of the PDE residual of the assembled truncation.
 
     R_{n,m} = (-Om^2 n^2 + om_m^2) V_{n,m} - [a V^2 + b V_t^2]_{n,m} with
@@ -551,8 +553,6 @@ def residual_norm(table: CoeffTable, params: ModelParams, eps: float,
     ns = np.arange(-(K + 1), K + 2)[:, None]
     lin = (-(Om * ns) ** 2 + omega(np.arange(1, table.Mmax + 1), params.mu) ** 2) * U
     R[K + 1:noff + K + 2, :table.Mmax] += eta * lin
-    if per_mode:
-        return R, noff
     # sup over the resolved window m <= Mmax (the spatial cutoff defines the
     # Galerkin truncation; mass beyond it is reported by compute_coeffs)
     return float(np.max(np.abs(R[:, :table.Mmax])))
@@ -611,8 +611,7 @@ class DecayReport:
         return self.n_support_ok and not self.violations
 
 
-def decay_check(table: CoeffTable, params: ModelParams, m_floor: float = 3.0
-                ) -> DecayReport:
+def decay_check(table: CoeffTable) -> DecayReport:
     """Fit exponential n-decay and power-law m-decay of the computed table."""
     eta = math.sqrt(table.eps) if table.eps > 0 else 0.1
     violations: list[str] = []
@@ -630,8 +629,8 @@ def decay_check(table: CoeffTable, params: ModelParams, m_floor: float = 3.0
         if mask.sum() >= 3:
             slope, _ = np.polyfit(np.log(ms[mask]), np.log(prof[mask]), 1)
             m_powers[k] = -float(slope)
-            if m_powers[k] < m_floor:
-                violations.append(f"order {k}: m-decay power {m_powers[k]:.2f} < {m_floor}")
+            if m_powers[k] < DECAY_M_FLOOR:
+                violations.append(f"order {k}: m-decay power {m_powers[k]:.2f} < {DECAY_M_FLOOR}")
     U = np.abs(table.summed(eta))
     K = table.K
     n_norms = [(n, U[n + K + 1].max()) for n in range(0, K + 2) if U[n + K + 1].max() > 0]
@@ -719,8 +718,8 @@ def save_nu_csv(nu: NuTable, path):
 
 
 def summary_json(table: CoeffTable, params: ModelParams, eps: float,
-                 A: float | None = None, extra: dict | None = None) -> str:
-    rep = decay_check(table, params)
+                 A: float | None = None) -> str:
+    rep = decay_check(table)
     doc = {
         "schema_version": 1,
         "q": table.q,
@@ -730,6 +729,4 @@ def summary_json(table: CoeffTable, params: ModelParams, eps: float,
         "decay": {"C0": rep.C0, "sigma": rep.sigma_fit,
                   "m_powers": rep.m_powers, "ok": rep.ok},
     }
-    if extra:
-        doc.update(extra)
     return json.dumps(doc, indent=2, sort_keys=True, default=float)

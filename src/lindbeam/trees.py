@@ -47,6 +47,7 @@ import numpy as np
 from .kernel import kernel_v
 from .series import CountertermTable
 from .spectrum import (
+    DegenerateRadicandError,
     ModelParams,
     ModeSet,
     NuTable,
@@ -532,12 +533,12 @@ def _r_family(k: int, n: int, m: int, params: ModelParams, Mmax: int | None) -> 
 
 
 def enumerate_r_trees(k: int, n: int, m: int, params: ModelParams,
-                      Mmax: int | None = None, h: int | None = None) -> list[Tree]:
+                      Mmax: int | None = None) -> list[Tree]:
     """Special-end-node skeletons used to define the shift coefficients.
 
     One end node carries the external mode (n, m) with weight 1/m^3; the root
-    line has unit propagator.  The scale class h, when given, is recorded by
-    the caller's assignment filter (skeletons do not constrain scales).
+    line has unit propagator.  Skeletons do not constrain scales: a scale
+    class h is the caller's assignment filter.
     """
     return _r_family(k, n, m, params, Mmax).trees()
 
@@ -1190,12 +1191,19 @@ def counterterm_order2_closed(params: ModelParams, eps: float, shift: np.ndarray
     line evaluated on shell).  Vectorized over the modes and the inner
     spatial label m' <= modes.Mmax; shift is the flat n*nu of the ModeSet
     (ModeSet.shift of a NuTable, or ModeSet.scatter of values on the modes).
+    Raises DegenerateRadicandError at the first mode, in ModeSet order, whose
+    on-shell omega~^2 = m^4 + mu + n nu is negative.
     """
     a, b = params.a, params.b
     Om = omega_eff(params, eps)
     om_mp2, side, v_m1_sq, inner = modes.closed_rows
     narr = modes.n.astype(float)
-    ombar = np.sqrt(modes.m.astype(float) ** 4 + params.mu + shift[modes.pos])   # on-shell
+    rad = modes.m.astype(float) ** 4 + params.mu + shift[modes.pos]
+    bad = np.flatnonzero(rad < 0.0)
+    if bad.size:
+        j = bad[0]
+        raise DegenerateRadicandError(f"radicand {rad[j]} < 0 at mode {modes.modes()[j]}")
+    ombar = np.sqrt(rad)    # on-shell
 
     # side-chain shape: inner line (0, m'), b-type outer node vanishes
     s = a * (a + b * Om * Om) * side

@@ -175,7 +175,7 @@ def test_cantor_scan_rejections_lie_in_analytic_intervals(cantor_scans):
     # the family and mode that rejected it
     rejected = 0
     for w, rep in cantor_scans:
-        intervals = _cantor_exclusion_widths(CANTOR_P, w, CANTOR_P.Nmax)
+        intervals = _cantor_exclusion_widths(CANTOR_P, w)
         for eps, fam, at, margin, threshold in rep.worst["rejected"]:
             rejected += 1
             label = f"{fam} n={at[0]} m={at[1]}"

@@ -25,6 +25,16 @@ WORKER_CALLS = {
     "bruno.admissible_scales": ("tree", "params", "eps", "nu"),
     "bruno.check_bruno": ("tree", "asg", "params"),
     "bruno.check_bruno_r": ("tree", "asg", "params"),
+    "series.solve_nu": ("params", "eps", "K"),
+    "series.compute_coeffs": ("params", "eps", "nu", "counterterms", "K", "Mmax"),
+    "series.residual_norm": ("table", "params", "eps", "nu"),
+    "series.order_consistency": ("table", "params", "eps", "nu", "counterterms"),
+    "series.save_coeffs_csv": ("table", "path"),
+    "series.summary_json": ("table", "params", "eps"),
+    "series.lambda_modes": ("params",),
+    "diophantine.check_cantor": ("eps", "nu_of_eps", "params"),
+    "diophantine.measure_cantor": ("params", "window", "grid"),
+    "bruno.sample_diophantine_points": ("params", "count"),
 }
 
 

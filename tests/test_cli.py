@@ -107,6 +107,7 @@ def test_invalid_mu_exit_2(tmp_path):
     ["--eps-count", "-1", "residual"],
     ["--grid", "0", "dioph", "mass"],
     ["--grid", "999", "dioph", "mass"],
+    ["--window", "1.5", "dioph", "measure"],    # beyond every eps0 the grid is solved at
     ["--outdir", "{tmp}/file/out", "kernel"],   # a file where a directory must be
     ["--sigma", "1", "kernel"],                 # an option that does not exist
     ["--samples", "4001", "bruno", "check"],    # more points than the sampler's draws

@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from lindbeam import diophantine
+from lindbeam import diophantine, series
 from lindbeam.diophantine import (
     MU_MAX,
     cantor_failure,
@@ -163,6 +164,25 @@ def test_measure_cantor_trend_smoke():
     assert rep_lo.excluded_measure <= rep_hi.excluded_measure
 
 
+def test_measure_cantor_counts_negative_radicand_as_nonconverged():
+    # grid eps 0.1875 and 0.2625 leave the spectrum during the nu sweeps
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = measure_cantor(ModelParams(omega_branch=-1), 0.3, 4)
+    assert rep.worst["nonconverged"] == 2 and rep.fail_fraction >= 0.5
+
+
+def test_measure_cantor_rejects_window_beyond_eps0_before_solving(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("solve_nu called")
+
+    monkeypatch.setattr(series, "solve_nu", no_solve)
+    with pytest.raises(ValueError, match=r"^window=1\.5 above eps0=0\.9"):
+        measure_cantor(P, 1.5, 1000)
+    with pytest.raises(ValueError, match=r"^window=0\.95 above eps0=0\.9"):
+        measure_cantor(P.with_(eps0=0.92), 0.95, 10)
+
+
 def test_cantor_acceptance_implies_melnikov():
     # the accepted-amplitude set is contained in the gamma-admissible set
     for eps in (2e-3, 5e-3, 9e-3):
@@ -267,17 +287,18 @@ def _sampled_nu(params, seed, scale):
 def test_melnikov_margins_match_scalar_oracle(case):
     pp = P.with_(Mmax=24, Nmax=120)
     eps = 7.3e-3
-    nu, Nmax, Mmax = None, None, None
+    nu, pm = None, pp
     if case == "solved":
         nu, _ = solve_nu(pp, eps, 2)
     elif case == "sampled":
         nu = _sampled_nu(pp, 5, 0.2 * pp.eps0)
     elif case == "smaller cutoffs":
-        # the table reaches beyond (Nmax, Mmax): the windows cut it off
-        nu, Nmax, Mmax = _sampled_nu(pp, 6, 0.2 * pp.eps0), 50, 12
-    want = _melnikov_oracle(eps, nu, pp, Nmax or pp.Nmax, Mmax or pp.Mmax)
+        # the table reaches beyond the cutoffs (Nmax, Mmax) = (50, 12) of
+        # pm: the windows cut it off
+        nu, pm = _sampled_nu(pp, 6, 0.2 * pp.eps0), pp.with_(Nmax=50, Mmax=12)
+    want = _melnikov_oracle(eps, nu, pm, pm.Nmax, pm.Mmax)
     for below in BELOW:
-        got = melnikov_margins(eps, nu, pp, Nmax, Mmax, below=below)
+        got = melnikov_margins(eps, nu, pm, below=below)
         assert got == _cleared(want, below)
 
 

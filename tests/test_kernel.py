@@ -97,11 +97,28 @@ def test_kernel_sum_probe_matches_full_grid(m):
         assert kernel_sum_probe(m, Mmax) == pytest.approx(full, rel=1e-13, abs=0.0)
 
 
+def _kernel_v_before(m, m1, m2):
+    """kernel_v as written before the scalar and grid routes shared one expression."""
+    if (m + m1 + m2) % 2 == 0:
+        return 0.0
+    return C_NORM * (-4.0 * m * m1 * m2 / ((m * m - (m1 - m2) ** 2) * (m * m - (m1 + m2) ** 2)))
+
+
+def test_kernel_tensor_equals_kernel_v_bitwise():
+    M = 64
+    trips = [(m, m1, m2) for m in range(1, M + 1) for m1 in range(1, M + 1)
+             for m2 in range(1, M + 1)]
+    scalar = np.array([kernel_v(*t) for t in trips]).reshape(M, M, M)
+    assert kernel_tensor(M, M).tobytes() == scalar.tobytes()
+    before = np.array([_kernel_v_before(*t) for t in trips]).reshape(M, M, M)
+    assert scalar.tobytes() == before.tobytes()
+
+
 def test_kernel_sum_probe_restricted_decay():
     # with m1, m2 <= m/4 both kernel denominators are ~ m^2, so the sum
     # decays like m^-3 up to slowly varying factors
     ms = np.array([17, 33, 65])
-    r = np.array([kernel_sum_probe_restricted(int(m), 400) for m in ms])
+    r = np.array([kernel_sum_probe_restricted(int(m)) for m in ms])
     scaled = r * ms.astype(float) ** 3
     assert scaled.max() / scaled.min() < 1.5
 

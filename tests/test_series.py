@@ -138,7 +138,7 @@ def test_forcing_matches_pairwise_quad_conv(Mmax):
     # one projection of the symmetric sum == the sum of every ordered pair
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        nu, info = solve_nu(P, EPS, 3, Mmax=Mmax)
+        nu, info = solve_nu(P.with_(Mmax=Mmax), EPS, 3)
         us = compute_coeffs(P, EPS, nu, info["counterterms"], 3, Mmax, q=info["q"]).u
     Om = omega_eff(P, EPS)
     for j in range(4):
@@ -412,6 +412,18 @@ def test_solve_nu_rejects_bad_eps():
         solve_nu(P, 2 * P.eps0, 2)
 
 
+@pytest.mark.parametrize("eps, sweep", [(0.1875, 13), (0.2625, 2)])
+def test_solve_nu_stops_at_negative_radicand(eps, sweep):
+    # on branch -1 at eps0 = 0.6 the sweeps drive m^4 + mu + n nu below zero
+    # at (3, 1): the sweep that would take its root raises, without a warning
+    pw = ModelParams(omega_branch=-1).with_(eps0=0.6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergenceError,
+                           match=rf"at sweep {sweep}: radicand -\S+ < 0 at mode \(3, 1\)$"):
+            solve_nu(pw, eps, 2)
+
+
 def test_assemble_solution_forms():
     nu, info = solve_nu(P, EPS, 2)
     t = compute_coeffs(P, EPS, nu, info["counterterms"], 2, 64, q=info["q"])
@@ -481,13 +493,13 @@ def test_cutoff_overflow_warning():
 def test_decay_check():
     nu, info = solve_nu(P, EPS, 2)
     t = compute_coeffs(P, EPS, nu, info["counterterms"], 2, 64, q=info["q"])
-    rep = decay_check(t, P)
+    rep = decay_check(t)
     assert rep.n_support_ok and not rep.violations
     assert all(p >= 3.0 for p in rep.m_powers.values())
     assert rep.m_powers[1] == pytest.approx(7.0, abs=0.4)   # ~ m^-7 profile
     # degenerate linear table passes trivially
     t0 = compute_coeffs(P, EPS, None, None, 0, 64, q=0.5)
-    assert decay_check(t0, P).ok
+    assert decay_check(t0).ok
 
 
 def test_serialization_roundtrip(tmp_path):
@@ -638,7 +650,7 @@ def test_solve_nu_matches_table_sweeps():
         nu = new
         if delta < 1e-10:
             break
-    got, info = solve_nu(pp, eps, 2, 24, 120)
+    got, info = solve_nu(pp, eps, 2)
     assert info["sweeps"] == sweep and info["q"] == q
     assert got == nu and info["counterterms"] == lt
 

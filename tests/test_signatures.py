@@ -1,0 +1,49 @@
+"""Every parameter of a public lindbeam function is read by its body.
+
+Public means a top-level function, or a method of a public class, of a
+module in src/lindbeam whose name does not start with "_".  A parameter that
+the body never reads is an input the caller believes matters and the
+function ignores.
+"""
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "lindbeam"
+
+# the parameters left unread on purpose, per (module, function), with the reason
+ALLOWED = {
+    # cli.main calls every subcommand as command(params, run, ...)
+    ("cli", "cmd_*"): ("params", "run"),
+    # bench/worker.py passes summary_json its params by position
+    ("series", "summary_json"): ("params",),
+}
+
+
+def _public_functions(tree):
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def _unread(fn):
+    a = fn.args
+    params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p]
+    read = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [p for p in params if p not in read]
+
+
+def _allowed(mod, name, param):
+    key = (mod, "cmd_*" if mod == "cli" and name.startswith("cmd_") else name)
+    return param in ALLOWED.get(key, ())
+
+
+def test_no_public_function_has_an_unread_parameter():
+    unread = [f"{path.stem}.{name}({param})"
+              for path in sorted(SRC.glob("*.py"))
+              for name, fn in _public_functions(ast.parse(path.read_text()))
+              for param in _unread(fn) if not _allowed(path.stem, name, param)]
+    assert not unread, unread

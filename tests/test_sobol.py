@@ -50,7 +50,7 @@ def _scipy_sample(params, count, seed=0, max_draws=4000):
             if not 1e-8 < eps < params.eps0:
                 continue
             nu = ms.nu_table((2.0 * row[1:] - 1.0) * cap, params.nu_cap)
-            if check_melnikov(eps, nu, params, Nmax=params.Nmax, Mmax=params.Mmax):
+            if check_melnikov(eps, nu, params):
                 out.append((eps, nu))
                 if len(out) >= count:
                     break
