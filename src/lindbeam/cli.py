@@ -327,9 +327,10 @@ def cmd_dioph_measure(params: ModelParams, run: dict) -> int:
                         repr(rep.excluded_measure), repr(rep.tail_bound),
                         repr(rep.excluded_with_tail / w_)])
     rels = [rep.excluded_with_tail / w_ for w_, rep in rows]
+    ok = rels[0] > rels[1] > rels[2]
     print("relative excluded:", " > ".join(f"{r:.3e}" for r in rels),
-          "monotone" if rels[0] > rels[1] > rels[2] else "NOT monotone")
-    return EXIT_OK
+          "monotone" if ok else "NOT monotone")
+    return EXIT_OK if ok else EXIT_VERIFY
 
 
 def cmd_bruno(params: ModelParams, run: dict) -> int:

@@ -437,6 +437,11 @@ class ModeSet:
         return t
 
     @cached_property
+    def mode_rows(self) -> tuple:
+        """Float n and m^4 + mu over the modes."""
+        return self.n.astype(float), self.m.astype(float) ** 4 + self.mu
+
+    @cached_property
     def closed_rows(self) -> tuple:
         """The parts of the closed-form order-2 counterterm fixed by the ModeSet.
 
@@ -444,7 +449,8 @@ class ModeSet:
         side-chain sum_m' v_{m,m,m'} v_{m',1,1} / om_m'^2, v_{m,1,m'}^2 and,
         for each inner line (|n + 1|, m') and (|n - 1|, m'): the entries of
         the (mode, m') block inside the windows, their flat positions, and
-        the modes whose line n +- 1 is the primary +-1.
+        the modes whose line n +- 1 is the primary +-1.  Last, om_m'^2
+        repeated on every row of the (mode, m') block, contiguous.
         """
         mp = np.arange(1, self.Mmax + 1, 2)
         om_mp2 = mp.astype(float) ** 4 + self.mu
@@ -460,7 +466,7 @@ class ModeSet:
             idx = self.index(np.abs(self.n + sig)[:, None], mp[None, :])
             at = np.flatnonzero(idx < self.size)
             inner.append((at, idx.flat[at], np.flatnonzero(np.abs(self.n + sig) == 1)))
-        return om_mp2, side, v_m1 ** 2, inner
+        return om_mp2, side, v_m1 ** 2, inner, np.tile(om_mp2, (len(self), 1))
 
 
 mode_set = lru_cache(maxsize=8)(ModeSet)   # mode_set(mu, eps0, Mmax, Nmax), built once

@@ -1196,9 +1196,9 @@ def counterterm_order2_closed(params: ModelParams, eps: float, shift: np.ndarray
     """
     a, b = params.a, params.b
     Om = omega_eff(params, eps)
-    om_mp2, side, v_m1_sq, inner = modes.closed_rows
-    narr = modes.n.astype(float)
-    rad = modes.m.astype(float) ** 4 + params.mu + shift[modes.pos]
+    _, side, v_m1_sq, inner, om_mp2 = modes.closed_rows
+    narr, m4 = modes.mode_rows
+    rad = m4 + shift[modes.pos]
     bad = np.flatnonzero(rad < 0.0)
     if bad.size:
         j = bad[0]
@@ -1210,11 +1210,14 @@ def counterterm_order2_closed(params: ModelParams, eps: float, shift: np.ndarray
 
     # ladder shape: inner line (n + sigma, m') at on-shell frequency, built in
     # one buffer; the shift is zero outside the windows, so only the entries
-    # inside them add it
+    # inside them add it.  om_m'^2 - x^2 is the same double as -x^2 + om_m'^2;
+    # subtracting two contiguous blocks is faster than a broadcast
     term = np.empty(v_m1_sq.shape)
     for sig, (at, pos, primary) in zip((1.0, -1.0), inner):
         n1 = narr + sig
-        np.add(-(Om * sig + ombar[:, None]) ** 2, om_mp2[None, :], out=term)
+        x = Om * sig + ombar
+        term[...] = (x * x)[:, None]
+        np.subtract(om_mp2, term, out=term)
         term.reshape(-1)[at] += shift[pos]          # the denominator
         f0 = a + b * Om * Om * sig * n1             # outer node, both types
         f1 = a - b * Om * Om * sig * narr           # inner node, both types

@@ -367,6 +367,15 @@ def test_dioph_cantor_and_melnikov(tmp_path):
     assert len(doc["second_at"]) == 4
 
 
+def test_dioph_measure_exits_1_when_not_monotone(tmp_path, capsys):
+    # half of each of the windows 0.3 and 0.075 does not converge
+    assert main(["--outdir", str(tmp_path / "out"), "--omega-branch", "-1",
+                 "--window", "0.3", "--grid", "4", "dioph", "measure"]) == 1
+    assert "NOT monotone" in capsys.readouterr().out
+    rows = list(csv.DictReader(open(tmp_path / "out" / "dioph_measure.csv")))
+    assert [r["window"] for r in rows] == ["0.3", "0.075", "0.01875"]
+
+
 def test_bruno_subcommand(tmp_path):
     cfg = write_cfg(tmp_path)
     assert main(["--config", cfg, "--samples", "3", "bruno", "check"]) == 0

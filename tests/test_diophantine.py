@@ -378,6 +378,110 @@ def test_pruned_pair_scan_keeps_a_resonance_made_by_the_shift():
     assert cantor_failure(marg, pp.gamma)[:2] == ("second", (8, 3, 24, 5))
 
 
+def _shift_resonance_on_m1():
+    """(params, eps, nu) with a pair resonance that the shift on (8, 3) makes.
+
+    The eps of _shift_resonance, so that om_5 - om_3 = 16.75 Omega: the
+    block (m1, m2, a2) = (3, 5, -1) is bounded by 0.25 Omega without the
+    shift.  nu(8, 3) moves omega~_3 0.75 Omega above om_3, to om_5 - 16
+    Omega, so Omega 16 + omega~_3 - om_5 vanishes at (8, 3), (24, 5) and
+    only a block bound that subtracts D(3) keeps the block."""
+    pp = P.with_(eps0=0.35, nu_cap=0.45, Mmax=24, Nmax=120)
+    om3, om5 = (float(omega(m, pp.mu)) for m in (3, 5))
+    eps = math.sqrt(1 + pp.mu) - (om5 - om3) / 16.75
+    w1 = om5 - omega_eff(pp, eps) * 16
+    nu = NuTable(eps0=pp.eps0, nu_cap=pp.nu_cap)
+    nu.set(8, 3, (w1 ** 2 - (3.0 ** 4 + pp.mu)) / 8)
+    return pp, eps, nu
+
+
+def test_pruned_pair_scan_keeps_a_resonance_made_by_the_shift_on_m1():
+    pp, eps, nu = _shift_resonance_on_m1()
+    full = melnikov_margins(eps, nu, pp)
+    assert full == _melnikov_oracle(eps, nu, pp, 120, 24)
+    assert full["second"] < pp.gamma and full["second_at"] == (8, 3, 24, 5)
+    assert melnikov_margins(eps, None, pp)["second"] > 1.0
+    for below in BELOW:
+        assert melnikov_margins(eps, nu, pp, below=below) == _cleared(full, below)
+
+
+# the eps of the cantor_scan benchmark model across its windows, solved at K = 2
+CANTOR_EPS = [float(e) for e in np.geomspace(0.05 / 16, 0.1, 24)]
+
+
+@pytest.fixture(scope="module")
+def cantor_solved():
+    out = []
+    for eps in CANTOR_EPS:
+        try:
+            out.append((eps, solve_nu(CANTOR_P, eps, 2)[0]))
+        except series.NonConvergenceError:
+            pass
+    assert len(out) >= 20
+    return out
+
+
+def test_pruned_pair_scan_matches_full_scan_on_the_benchmark_model(cantor_solved):
+    for eps, nu in cantor_solved:
+        for table in (nu, None):
+            full = melnikov_margins(eps, table, CANTOR_P)
+            for below in BELOW:
+                got = melnikov_margins(eps, table, CANTOR_P, below=below)
+                assert got == _cleared(full, below), (eps, below)
+
+
+def _order2_closed_broadcast(params, eps, shift, q, ms):
+    """counterterm_order2_closed with its denominator built as the broadcast
+    -(Om sigma + omega_bar)^2 + om_m'^2 over the (mode, m') block."""
+    a, b = params.a, params.b
+    Om = omega_eff(params, eps)
+    om_mp2, side, v_m1_sq, inner, _ = ms.closed_rows
+    narr = ms.n.astype(float)
+    rad = ms.m.astype(float) ** 4 + params.mu + shift[ms.pos]
+    if (rad < 0.0).any():
+        raise DegenerateRadicandError("negative radicand")
+    ombar = np.sqrt(rad)
+    s = a * (a + b * Om * Om) * side
+    term = np.empty(v_m1_sq.shape)
+    for sig, (at, pos, primary) in zip((1.0, -1.0), inner):
+        n1 = narr + sig
+        np.add(-(Om * sig + ombar[:, None]) ** 2, om_mp2[None, :], out=term)
+        term.reshape(-1)[at] += shift[pos]
+        np.divide(v_m1_sq, term, out=term)
+        term[primary, 0] = 0.0
+        s = s + (a + b * Om * Om * sig * n1) * (a - b * Om * Om * sig * narr) * term.sum(axis=1)
+    return -(4.0 * q * q / narr) * s
+
+
+@pytest.mark.parametrize("params, eps", [(CANTOR_P, e) for e in CANTOR_EPS[::3]]
+                         + [(ModelParams(omega_branch=-1, eps0=0.6), e) for e in (0.1875, 0.2625)])
+def test_order2_closed_equals_the_broadcast_denominator_bitwise(monkeypatch, params, eps):
+    # every sweep of solve_nu, up to the negative radicand that stops the
+    # sweeps at 0.1875 and 0.2625 (test_solve_nu_stops_at_negative_radicand)
+    from lindbeam import trees
+
+    closed, calls = trees.counterterm_order2_closed, []
+
+    def both(*args):
+        try:
+            want = _order2_closed_broadcast(*args)
+        except DegenerateRadicandError:
+            with pytest.raises(DegenerateRadicandError):
+                closed(*args)
+            raise
+        got = closed(*args)
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+        calls.append(got)
+        return got
+
+    monkeypatch.setattr(trees, "counterterm_order2_closed", both)
+    try:
+        solve_nu(params, eps, 2)
+    except series.NonConvergenceError as exc:
+        assert eps in (0.1875, 0.2625) and "radicand" in str(exc)
+    assert calls
+
+
 @pytest.mark.parametrize("n", [6, 9])
 def test_melnikov_margins_raise_on_a_degenerate_radicand(n):
     # 3^4 + mu - 20 n < 0.  Only pair rows read (6, 3); the first family's
@@ -395,3 +499,4 @@ def test_melnikov_margins_raise_on_a_degenerate_radicand(n):
 def test_mode_and_pair_caches_are_bounded():
     assert mode_set.cache_info().maxsize == 8
     assert diophantine._pair_rows.cache_info().maxsize == 8
+    assert diophantine._margin_tables.cache_info().maxsize == 8

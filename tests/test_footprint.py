@@ -34,8 +34,11 @@ import lindbeam, lindbeam.cli
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, f"import lindbeam loaded {loaded[:5]}"
 cfg = sys.argv[1]
-for argv in (["residual"], ["coeffs"], ["kernel"], ["dioph", "cantor"], ["dioph", "measure"]):
-    assert lindbeam.cli.main(["--config", cfg, *argv]) == 0, argv
+# at these cutoffs the tail bound dominates the two smaller windows, so
+# `dioph measure` prints NOT monotone and exits 1
+for argv, rc in ((["residual"], 0), (["coeffs"], 0), (["kernel"], 0), (["dioph", "cantor"], 0),
+                 (["dioph", "measure"], 1)):
+    assert lindbeam.cli.main(["--config", cfg, *argv]) == rc, argv
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, f"the construction loaded {loaded[:5]}"
 """

@@ -199,7 +199,7 @@ def _closed_dense(params, eps, shift, q, ms):
     a, b = params.a, params.b
     Om = omega_eff(params, eps)
     mp = np.arange(1, ms.Mmax + 1, 2)
-    om_mp2, side, v_m1_sq, _ = ms.closed_rows
+    om_mp2, side, v_m1_sq, *_ = ms.closed_rows
     narr = ms.n.astype(float)
     ombar = np.sqrt(ms.m.astype(float) ** 4 + params.mu + shift[ms.pos])
     s = a * (a + b * Om * Om) * side
