@@ -28,7 +28,6 @@ from .spectrum import (
     omega,
     omega_eff,
     propagator,
-    scaled_propagator,
     x_divisor,
 )
 from .trees import (

@@ -14,8 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectrum import (MU_MAX, DegenerateRadicandError, ModelParams, NuTable, mode_set, omega,
-                       omega_eff)
+from .spectrum import MU_MAX, ModelParams, NuTable, mode_set, omega, omega_eff, omega_sq
 
 __all__ = [
     "MU_MAX",
@@ -257,8 +256,8 @@ def _pair_rows(mu: float, eps0: float, Nmax: int, Mmax: int):
     size = np.array([b[0].size for b in blocks], dtype=int)
     start = np.cumsum(size) - size
     b_m1, b_m2 = m1[start], m2[start]
-    b_om1, b_om2 = (np.sqrt(x.astype(float) ** 4 + mu) for x in (b_m1, b_m2))
-    return (n1, m1, m2, lo2, hi2, np.sqrt(m2.astype(float) ** 4 + mu),
+    b_om1, b_om2 = omega(b_m1, mu), omega(b_m2, mu)
+    return (n1, m1, m2, lo2, hi2, omega(m2, mu),
             ms.index(np.abs(n1), m1), ms.offset[m2] - lo2,
             start, size, b_m1, b_m2, np.stack([b_om1 + b_om2, b_om1 - b_om2]))
 
@@ -267,19 +266,18 @@ def _pair_rows(mu: float, eps0: float, Nmax: int, Mmax: int):
 def _margin_tables(mu: float, eps0: float, Nmax: int, Mmax: int, tau: float):
     """The parts of melnikov_margins fixed by the ModeSet and tau.
 
-    Over the flat layout: m^4 + mu, omega_m and its maximum; the m and the
-    first flat position of each nonempty window; for the first family's
-    m = 2..Mmax (a column): m^4 + mu and omega_m; n^tau for n = 0..Nmax by
+    Over the flat layout: omega_m and its maximum; the m and the first flat
+    position of each nonempty window; for the first family's m = 2..Mmax (a
+    column): omega_m^2 and omega_m; n^tau for n = 0..Nmax by
     Python's pow (numpy's can differ from a scalar evaluation in the last
     bit), and |dn|^tau for |dn| = 0..2 Nmax by numpy's.
     """
     ms = mode_set(mu, eps0, Mmax, Nmax)
-    base = ms.flat_m.astype(float) ** 4 + mu
-    om = np.sqrt(base)
+    om = np.sqrt(ms.base)
     win_m = np.flatnonzero(ms.hi >= ms.lo)
     m = np.arange(2, Mmax + 1)[:, None]
-    return (base, om, float(om.max(initial=0.0)), win_m, ms.offset[win_m],
-            m.astype(float) ** 4 + mu, omega(m, mu),
+    return (om, float(om.max(initial=0.0)), win_m, ms.offset[win_m],
+            omega_sq(m.astype(float), mu), omega(m, mu),
             np.array([float(n) ** tau for n in range(Nmax + 1)]),
             np.arange(2 * Nmax + 1, dtype=float) ** tau)
 
@@ -295,7 +293,7 @@ def melnikov_margins(eps: float, nu: NuTable | None, params: ModelParams,
     ModeSet windows of the params' cutoffs (Mmax, Nmax); the first minimum in
     scan order (m then n; signs, offset, then row) is the one reported.  A
     window mode with omega_m^2 + n nu_{n,m} <= 0 raises
-    DegenerateRadicandError, whatever below.
+    DegenerateRadicandError (ModeSet.radicand), whatever below.
 
     below: a family whose minimum is below it reports the full scan's (below
     = inf) value and location, one that clears it inf and None.  A pair row
@@ -322,22 +320,17 @@ def melnikov_margins(eps: float, nu: NuTable | None, params: ModelParams,
     Nmax, Mmax = params.Nmax, params.Mmax
     Om = omega_eff(params, eps)
     ms = mode_set(params.mu, params.eps0, Mmax, Nmax)
-    base, om, om_max, win_m, win_start, m4, om_m, n_tau, dn_tau = _margin_tables(
+    om, om_max, win_m, win_start, omsq_m, om_m, n_tau, dn_tau = _margin_tables(
         params.mu, params.eps0, Nmax, Mmax, params.tau)
     shift = ms.shift(nu)
-    rad = base + shift[:-1]          # omega~^2 over the flat layout
-    bad = np.flatnonzero(rad <= 0.0)
-    if bad.size:
-        j, m = int(bad[0]), int(ms.flat_m[bad[0]])
-        raise DegenerateRadicandError(
-            f"radicand {rad[j]} <= 0 at mode {(j - int(ms.offset[m]) + int(ms.lo[m]), m)}")
+    rad = ms.radicand(shift)         # omega~^2 over the flat layout
     out = {"first": math.inf, "second": math.inf,
            "first_at": None, "second_at": None}
 
     # first condition: only n ~ omt/Om competes
     m = np.arange(2, Mmax + 1)[:, None]
     n = np.rint(om_m / Om).astype(int) + np.arange(-2, 3)
-    omt = np.sqrt(m4 + shift[ms.index(n, m)])
+    omt = np.sqrt(omsq_m + shift[ms.index(n, m)])
     counted = (n >= 1) & (n <= Nmax)
     nc = n[counted]
     marg = np.full(n.shape, math.inf)

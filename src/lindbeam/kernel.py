@@ -8,7 +8,7 @@ unless m+m1+m2 is odd and otherwise equals
 
 The kernel used throughout is the Galerkin projection coefficient
 v_{m,m1,m2} = (2/pi) * I.  The closed form is exact; adaptive quadrature
-(`triple_sine_quadrature`, scipy's `quad`) and an independent
+(`triple_sine_quadrature`, scipy's `quad`) and, in the tests, an independent
 complex-exponential sign sum only cross-check it.  The quadrature is an
 oracle: scipy is imported on its first call, so importing the package and
 running the construction load numpy alone.
@@ -70,21 +70,6 @@ def triple_sine_quadrature(m: int, m1: int, m2: int) -> float:
     val, _ = quad(lambda x: math.sin(m * x) * math.sin(m1 * x) * math.sin(m2 * x),
                   0.0, math.pi, limit=60 + 12 * max(m, m1, m2))
     return val
-
-
-def _triple_sine_signsum(m: int, m1: int, m2: int) -> float:
-    """Complex-exponential expansion of the product; independent of both others."""
-    tot = 0j
-    for e0 in (1, -1):
-        for e1 in (1, -1):
-            for e2 in (1, -1):
-                s = e0 * m + e1 * m1 + e2 * m2
-                pref = e0 * e1 * e2
-                if s == 0:
-                    tot += pref * math.pi
-                else:
-                    tot += pref * (np.exp(1j * s * math.pi) - 1.0) / (1j * s)
-    return (tot / (-8j)).real
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .kernel import cosine_projection, kernel_v
 from .spectrum import (DegenerateRadicandError, ModelParams, NuTable, check_nu_values,
-                       mode_set, omega, omega_eff, propagator_row)
+                       mode_set, omega_eff, omega_sq, propagator_row)
 
 __all__ = [
     "CoeffTable",
@@ -37,7 +37,6 @@ __all__ = [
     "order_consistency",
     "decay_check",
     "save_coeffs_csv",
-    "load_coeffs_csv",
     "save_counterterms_csv",
     "save_nu_csv",
     "summary_json",
@@ -318,8 +317,7 @@ def _beta(params: ModelParams, eps: float) -> float:
 
 
 def amplitude_cubic_coefficient(params: ModelParams, eps: float, Mmax: int,
-                                nu: NuTable | None = None,
-                                with_tail: bool = False):
+                                nu: NuTable | None = None) -> float:
     """Cubic coefficient A of the reduced amplitude equation q = A q^3 + O(eta^2).
 
     Assembled from the order-1 coefficients feeding back into the primary
@@ -327,15 +325,7 @@ def amplitude_cubic_coefficient(params: ModelParams, eps: float, Mmax: int,
     """
     odd = np.arange(1, Mmax + 1, 2)
     shift2 = np.array([nu.n_nu(2, m) for m in odd.tolist()]) if nu else 0.0
-    A = _cubic_coefficient(params, eps, odd, shift2, _cubic_rows(params, eps, odd))
-    if not with_tail:
-        return A
-    Om = omega_eff(params, eps)
-    a, b = params.a, params.b
-    # |v_{1,1,m}| <= 8/(pi m^3) and |g| <= 2/m^4 for large m
-    cmax = abs(2 * a * (a + b * Om * Om)) + abs((a - b * Om * Om) * (a + 2 * b * Om * Om))
-    tail = 2.0 * (8.0 / math.pi) ** 2 * cmax * 2.0 / (9.0 * Mmax ** 9) / abs(_beta(params, eps))
-    return A, tail
+    return _cubic_coefficient(params, eps, odd, shift2, _cubic_rows(params, eps, odd))
 
 
 def _cubic_rows(params: ModelParams, eps: float, odd: np.ndarray) -> tuple:
@@ -551,7 +541,7 @@ def residual_norm(table: CoeffTable, params: ModelParams, eps: float,
     noff = 2 * (K + 1)
     R = np.array(conv) * (-eps)     # -[aV^2 + b V_t^2], with V = sqrt(eps) U
     ns = np.arange(-(K + 1), K + 2)[:, None]
-    lin = (-(Om * ns) ** 2 + omega(np.arange(1, table.Mmax + 1), params.mu) ** 2) * U
+    lin = (-(Om * ns) ** 2 + omega_sq(np.arange(1, table.Mmax + 1), params.mu)) * U
     R[K + 1:noff + K + 2, :table.Mmax] += eta * lin
     # sup over the resolved window m <= Mmax (the spatial cutoff defines the
     # Galerkin truncation; mass beyond it is reported by compute_coeffs)
@@ -564,36 +554,36 @@ def order_consistency(table: CoeffTable, params: ModelParams, eps: float,
     """Worst relative defect of the order-k identities, k <= K.
 
     Rebuilds every F^(k) and checks
-    (-Om^2 n^2 + om_m^2 + n nu) u^(k) = n sum_r l^(r) u^(k-r) + F^(k).
-    F^(k) comes from the same `_forcing` call on the same tables as in
-    `compute_coeffs`, so it reproduces those bits: this checks the linear
-    solve and the shift sums, not the contraction (`quad_conv` and the
-    dense-kernel tests do).  Telescoping makes the defect round-off small.
+    (-Om^2 n^2 + om_m^2 + n nu) u^(k) = n sum_r l^(r) u^(k-r) + F^(k)
+    on the rows n >= 0, relative to the largest |F^(k)| there: the table is
+    real, and the identity at -n mirrors the one at n.  F^(k) comes from the
+    same `_forcing` call on the same tables as in `compute_coeffs`, so it
+    reproduces those bits: this checks the linear solve and the shift sums,
+    not the contraction (`quad_conv` and the dense-kernel tests do).
+    Telescoping makes the defect round-off small.
     """
     _check_provenance(table, eps, nu)
     lt = counterterms or CountertermTable()
     Om = omega_eff(params, eps)
     M = table.Mmax
-    om_sq = omega(np.arange(1, M + 1), params.mu) ** 2
-    # n * nu and n * l^(r) are even in n and live on a few (|n|, m) entries
+    om_sq = omega_sq(np.arange(1, M + 1), params.mu)
+    # n * nu and n * l^(r) live on a few (n >= 1, m) entries
     n_nu = [(n, m, n * v) for (n, m), v in (nu.items() if nu else ()) if m <= M]
     n_l = [(r, n, m, n * v) for (r, n, m, h), v in lt.items() if h == -1 and m <= M]
     worst = 0.0
     for k in range(1, table.K + 1):
-        F = _forcing(table.u, k - 1, params, Om, M)
+        F = _forcing(table.u, k - 1, params, Om, M)[k + 1:]     # row n = 0..k+1
         scale = max(1.0, np.abs(F).max())
-        ns = np.arange(-(k + 1), k + 2)
-        lin = -(Om * ns[:, None]) ** 2 + om_sq[None, :]
+        lin = -(Om * np.arange(k + 2)[:, None]) ** 2 + om_sq[None, :]
         rhs = F[:, :M].copy()
         for n, m, w in n_nu:
             if n <= k + 1:
-                lin[[k + 1 - n, k + 1 + n], m - 1] += w
+                lin[n, m - 1] += w
         for r, n, m, w in n_l:
             if 2 <= r < k and n <= (k - r) + 1:
-                lower = table.u[k - r][[k - r + 1 - n, k - r + 1 + n], m - 1]
-                rhs[[k + 1 - n, k + 1 + n], m - 1] += w * lower
-        defect = np.abs(lin * table.u[k] - rhs) / scale
-        defect[[k, k + 2], 0] = 0.0   # the primary mode (+-1, 1) has no identity
+                rhs[n, m - 1] += w * table.u[k - r][k - r + 1 + n, m - 1]
+        defect = np.abs(lin * table.u[k][k + 1:] - rhs) / scale
+        defect[1, 0] = 0.0   # the primary mode (1, 1) has no identity
         worst = max(worst, float(defect.max()))
     return worst
 
@@ -660,7 +650,7 @@ def _cell_prefixes(k: int, shape: tuple[int, int]) -> np.ndarray:
 
 def save_coeffs_csv(table: CoeffTable, path):
     """One CRLF row k,n,m,repr(value) per nonzero cell, orders ascending, each
-    row-major (n, then m); load_coeffs_csv reads every value back bitwise."""
+    row-major (n, then m); repr reads back as the same double."""
     parts = [f"k,n,m,value\r\n0,1,1,{table.q!r}\r\n0,-1,1,{table.q!r}"]
     # repr once per distinct value: a real table holds each value twice (n
     # and -n).  Equal floats share a repr except 0.0 and -0.0, never written.
@@ -677,28 +667,6 @@ def save_coeffs_csv(table: CoeffTable, path):
     parts.append("\r\n")
     with open(path, "w", newline="") as fh:
         fh.write("".join(parts))
-
-
-def load_coeffs_csv(path, K: int, Mmax: int, eps: float = 0.0) -> CoeffTable:
-    """Read a table written by save_coeffs_csv; malformed rows raise ValueError."""
-    us = [np.zeros((2 * (k + 1) + 1, Mmax)) for k in range(K + 1)]
-    q = 0.0
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if rows[:1] != [["k", "n", "m", "value"]]:
-        raise ValueError(f"{path}: header is not k,n,m,value")
-    for line, row in enumerate(rows[1:], start=2):
-        try:
-            (k, n, m), v = map(int, row[:3]), float(row[3])
-        except (IndexError, ValueError):
-            k = -1   # rejected below
-        if len(row) != 4 or not (0 <= k <= K and abs(n) <= k + 1 and 1 <= m <= Mmax):
-            raise ValueError(f"{path}:{line}: malformed row {row!r} (need "
-                             f"0 <= k <= {K}, |n| <= k+1, 1 <= m <= {Mmax})")
-        if k == 0:
-            q = v
-        us[k][n + k + 1, m - 1] = v
-    return CoeffTable(K=K, Mmax=Mmax, q=q, u=us, eps=eps)
 
 
 def save_counterterms_csv(lt: CountertermTable, path):

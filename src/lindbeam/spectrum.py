@@ -1,7 +1,10 @@
 """Linear frequencies, small divisors, propagators and the dyadic cutoff partition.
 
 Everything here is a pure function of its arguments; the rest of the package
-is built on top of these primitives.
+is built on top of these primitives.  Every small divisor of the package
+reads the shifted frequency omega~^2 = omega_m^2 + n nu_{n,m} through
+omega_sq (omega_m^2 = m^4 + mu) and, over a ModeSet's flat layout, through
+ModeSet.radicand, which holds the one array check for omega~^2 <= 0.
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ __all__ = [
     "ModeSet",
     "mode_set",
     "omega",
+    "omega_sq",
     "omega_eff",
     "x_divisor",
     "propagator",
@@ -26,7 +30,6 @@ __all__ = [
     "chi",
     "chi_h",
     "chi_support",
-    "scaled_propagator",
     "admissible_h_for",
     "in_lambda",
     "DegenerateRadicandError",
@@ -116,10 +119,14 @@ class ModelParams:
     _hash = cached_property(lambda self: hash(tuple(getattr(self, f.name) for f in fields(self))))
 
 
+def omega_sq(m, mu: float):
+    """Squared linear frequency omega_m^2 = m^4 + mu, for scalars and arrays."""
+    return m ** 4 + mu
+
+
 def omega(m, mu: float):
     """Linear frequency sqrt(m^4 + mu) of the m-th sine mode."""
-    m = np.asarray(m, dtype=float)
-    return np.sqrt(m ** 4 + mu)
+    return np.sqrt(omega_sq(np.asarray(m, dtype=float), mu))
 
 
 def omega_eff(params: ModelParams, eps: float) -> float:
@@ -208,7 +215,7 @@ def check_nu_values(n: np.ndarray, m: np.ndarray, v: np.ndarray, mu: float,
 
 
 def _radicand(n: int, m: int, mu: float, nu: NuTable | None) -> float:
-    r = m ** 4 + mu
+    r = omega_sq(m, mu)
     if nu is not None:
         r += nu.n_nu(n, m)
     return r
@@ -241,7 +248,7 @@ def propagator_row(n: int, m: np.ndarray, params: ModelParams, eps: float,
 
     n_nu is n*nu at (n, m_j), an array or 0.
     """
-    denom = -(omega_eff(params, eps) * n) ** 2 + (m ** 4 + params.mu + n_nu)
+    denom = -(omega_eff(params, eps) * n) ** 2 + (omega_sq(m, params.mu) + n_nu)
     if (denom == 0.0).any():
         raise ResonantDivisorError(f"exact resonance at mode {(n, int(m[denom == 0.0][0]))}")
     return 1.0 / denom
@@ -327,23 +334,6 @@ def admissible_h_for(x: float, gamma: float, h_max: int = H_MAX_DEFAULT) -> list
             if 0 <= h <= h_max and chi_h(ax, h, gamma) != 0.0:
                 out.append(h)
     return out
-
-
-def scaled_propagator(n: int, m: int, h: int, params: ModelParams, eps: float,
-                      nu: NuTable | None = None, kind: str = "a") -> float:
-    """Scale-h slice of the propagator; b-lines carry an extra factor n.
-
-    At the primary mode (+-1, 1) there is no cutoff: the value is 1 for an
-    a-line and n (= +-1) for a b-line.
-    """
-    if kind not in ("a", "b"):
-        raise ValueError("kind must be 'a' or 'b'")
-    if (abs(n), m) == (1, 1):
-        return 1.0 if kind == "a" else float(n)
-    g = propagator(n, m, params, eps, nu)
-    cut = float(chi_h(x_divisor(n, m, params, eps, nu), h, params.gamma))
-    val = cut * g
-    return val if kind == "a" else n * val
 
 
 def _near_resonant(om1, eps0, n, m):
@@ -437,9 +427,23 @@ class ModeSet:
         return t
 
     @cached_property
-    def mode_rows(self) -> tuple:
-        """Float n and m^4 + mu over the modes."""
-        return self.n.astype(float), self.m.astype(float) ** 4 + self.mu
+    def base(self) -> np.ndarray:
+        """omega_m^2 over the flat layout (no entry for the trailing zero)."""
+        return omega_sq(self.flat_m.astype(float), self.mu)
+
+    def radicand(self, shift: np.ndarray) -> np.ndarray:
+        """omega~^2 = omega_m^2 + n nu over the flat layout, from its flat n*nu.
+
+        Raises DegenerateRadicandError at the first entry <= 0, in m-then-n
+        order, naming its mode (n, m).
+        """
+        rad = self.base + shift[:-1]
+        bad = np.flatnonzero(rad <= 0.0)
+        if bad.size:
+            j, m = int(bad[0]), int(self.flat_m[bad[0]])
+            n = j - int(self.offset[m]) + int(self.lo[m])
+            raise DegenerateRadicandError(f"radicand {rad[j]} <= 0 at mode {(n, m)}")
+        return rad
 
     @cached_property
     def closed_rows(self) -> tuple:
@@ -453,7 +457,7 @@ class ModeSet:
         repeated on every row of the (mode, m') block, contiguous.
         """
         mp = np.arange(1, self.Mmax + 1, 2)
-        om_mp2 = mp.astype(float) ** 4 + self.mu
+        om_mp2 = omega_sq(mp.astype(float), self.mu)
         v_mp11 = np.array([kernel_v(x, 1, 1) for x in mp.tolist()])
         rows = {m: ([kernel_v(m, m, x) for x in mp.tolist()],
                     [kernel_v(m, 1, x) for x in mp.tolist()]) for m in set(self.m.tolist())}

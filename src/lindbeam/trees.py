@@ -15,8 +15,9 @@ record to write tree i as a key tuple, and the trees, in index order, are
 flattened into read-only integer rows (`_Family`), kept in a bounded cache.
 A `Tree` is a view of one tree's rows; it builds `TNode` objects only when
 asked for them.  Evaluation reads the rows together with per-point mode
-tables (`_Point`): the scale labels each mode's divisor admits and its
-cutoff propagator, computed once per (params, eps, nu).
+tables (`_Point`): each mode's omega~^2 = omega_sq(m, mu) + |n| nu, the
+double the recursion's propagators divide by, the scale labels its divisor
+admits and its cutoff propagator, computed once per (params, eps, nu).
 
 Evaluation works on a whole family at once.  A point's assignment table
 (`_Table`, one per family and support rule, cached on the `_Point`) holds
@@ -47,14 +48,15 @@ import numpy as np
 from .kernel import kernel_v
 from .series import CountertermTable
 from .spectrum import (
-    DegenerateRadicandError,
     ModelParams,
     ModeSet,
     NuTable,
+    ResonantDivisorError,
     admissible_h_for,
     chi_h,
     in_lambda,
     omega_eff,
+    omega_sq,
 )
 
 __all__ = [
@@ -498,18 +500,6 @@ class Tree:
         e = f.special[t]
         return self.nodes[e] if e >= 0 else None
 
-    def prop_line_nodes(self) -> list:
-        """Nodes whose exiting line carries a genuine cutoff propagator."""
-        f, t = self._compiled()
-        return [self.nodes[i] for i in f.lines(t)]
-
-    def path_to_root(self, nd: TNode) -> list:
-        out = []
-        cur = self.parent[nd.nid]
-        while cur is not None:
-            out.append(cur)
-            cur = self.parent[cur.nid]
-        return out
 
 
 def _tree_family(k: int, n: int, m: int, params: ModelParams, Mmax: int | None) -> _Family:
@@ -556,7 +546,7 @@ class _Mode:
 class _Point:
     """Mode tables of one point (params, eps, nu), filled on first use.
 
-    Per mode: omega~^2 = omega_m^2 + n nu, its root, the scale labels
+    Per mode: omega~^2 = omega_sq(m, mu) + n nu, its root, the scale labels
     admitted by the plain divisor |Omega n| - omega~, membership of the
     near-resonant zone, the on-shell frequency omega_bar and the cutoff
     propagator at the natural frequency Omega n per scale label.  Per
@@ -579,7 +569,7 @@ class _Point:
             p = self.params
             md = self._modes[(n, m)] = _Mode()
             md.n, md.m, md.prop = n, m, {}
-            md.omt2 = math.sqrt(m ** 4 + p.mu) ** 2 + abs(n) * self._nu.get((abs(n), m), 0.0)
+            md.omt2 = omega_sq(m, p.mu) + abs(n) * self._nu.get((abs(n), m), 0.0)
             md.lam = in_lambda(n, m, p)
             if md.omt2 > 0:
                 md.root = math.sqrt(md.omt2)
@@ -631,7 +621,8 @@ class _Point:
 
     def propagator(self, md: _Mode, h: int, freq: float | None = None) -> float:
         """Cutoff propagator chi_h(|freq| - omega~) / (omega~^2 - freq^2) of
-        mode md; freq None is the natural frequency Omega n (tabulated)."""
+        mode md; freq None is the natural frequency Omega n (tabulated).  An
+        exact resonance raises ResonantDivisorError, as spectrum.propagator."""
         if freq is None:
             val = md.prop.get(h)
             if val is None:
@@ -639,7 +630,7 @@ class _Point:
             return val
         denom = -freq * freq + md.omt2
         if denom == 0.0:
-            raise ZeroDivisionError(f"resonant line at mode {(md.n, md.m)}")
+            raise ResonantDivisorError(f"resonant line at mode {(md.n, md.m)}")
         return float(chi_h(abs(freq) - math.sqrt(md.omt2), h, self.params.gamma)) / denom
 
 
@@ -1191,19 +1182,14 @@ def counterterm_order2_closed(params: ModelParams, eps: float, shift: np.ndarray
     line evaluated on shell).  Vectorized over the modes and the inner
     spatial label m' <= modes.Mmax; shift is the flat n*nu of the ModeSet
     (ModeSet.shift of a NuTable, or ModeSet.scatter of values on the modes).
-    Raises DegenerateRadicandError at the first mode, in ModeSet order, whose
-    on-shell omega~^2 = m^4 + mu + n nu is negative.
+    Raises DegenerateRadicandError (`ModeSet.radicand`) at the first entry,
+    in m-then-n order, whose on-shell omega~^2 = omega_m^2 + n nu is <= 0.
     """
     a, b = params.a, params.b
     Om = omega_eff(params, eps)
     _, side, v_m1_sq, inner, om_mp2 = modes.closed_rows
-    narr, m4 = modes.mode_rows
-    rad = m4 + shift[modes.pos]
-    bad = np.flatnonzero(rad < 0.0)
-    if bad.size:
-        j = bad[0]
-        raise DegenerateRadicandError(f"radicand {rad[j]} < 0 at mode {modes.modes()[j]}")
-    ombar = np.sqrt(rad)    # on-shell
+    narr = modes.n
+    ombar = np.sqrt(modes.radicand(shift)[modes.pos])    # on-shell
 
     # side-chain shape: inner line (0, m'), b-type outer node vanishes
     s = a * (a + b * Om * Om) * side

@@ -7,7 +7,8 @@ renormalizing the active resonance blocks it meets on the way down, one
 exit node at a time.  `_renormalized_value`, `_lval_rtree`,
 `localize_split` and `extended_value` are built on it.  The detectors find
 clusters and resonances from a tree's scale assignment alone, independently
-of the structural candidates the compiled families store.
+of the structural candidates the compiled families store.  Last, the tree
+walks and the scale-h propagator slice that only the tests read.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from lindbeam.kernel import kernel_v
-from lindbeam.spectrum import ModelParams, NuTable
+from lindbeam.spectrum import ModelParams, NuTable, chi_h, propagator, x_divisor
 from lindbeam.trees import (
     A,
     B,
@@ -330,14 +331,14 @@ def extended_value(tree: Tree, asg: dict, params: ModelParams, eps: float,
     if tree.is_rtree:
         f, t = tree._compiled()
         base = _lval_rtree(f, t, tree._scales(asg), ctx, False)
-        path_ids = {nd.nid for nd in tree.path_to_root(tree.special)}
+        path_ids = {nd.nid for nd in path_to_root(tree, tree.special)}
         path_ids.add(tree.special.nid)
     else:
         base = tree_value(tree, asg, params, eps, nu, q, counterterms)
         path_ids = set()
     if base == 0.0:
         return 0.0
-    lines = [nd for nd in tree.prop_line_nodes() if nd.n != 0]
+    lines = [nd for nd in prop_line_nodes(tree) if nd.n != 0]
     mult = 1.0
     for nd in lines:
         if nd.nid in path_ids:
@@ -362,3 +363,39 @@ def extended_value(tree: Tree, asg: dict, params: ModelParams, eps: float,
                     if mult == 0.0:
                         return 0.0
     return mult * base
+
+
+# ---------------------------------------------------------------------------
+# tree walks and the scale-h propagator slice
+
+def prop_line_nodes(tree: Tree) -> list:
+    """Nodes whose exiting line carries a genuine cutoff propagator."""
+    f, t = tree._compiled()
+    return [tree.nodes[i] for i in f.lines(t)]
+
+
+def path_to_root(tree: Tree, nd: TNode) -> list:
+    """The ancestors of nd, its parent first."""
+    out = []
+    cur = tree.parent[nd.nid]
+    while cur is not None:
+        out.append(cur)
+        cur = tree.parent[cur.nid]
+    return out
+
+
+def scaled_propagator(n: int, m: int, h: int, params: ModelParams, eps: float,
+                      nu: NuTable | None = None, kind: str = "a") -> float:
+    """Scale-h slice of the propagator; b-lines carry an extra factor n.
+
+    At the primary mode (+-1, 1) there is no cutoff: the value is 1 for an
+    a-line and n (= +-1) for a b-line.
+    """
+    if kind not in ("a", "b"):
+        raise ValueError("kind must be 'a' or 'b'")
+    if (abs(n), m) == (1, 1):
+        return 1.0 if kind == "a" else float(n)
+    g = propagator(n, m, params, eps, nu)
+    cut = float(chi_h(x_divisor(n, m, params, eps, nu), h, params.gamma))
+    val = cut * g
+    return val if kind == "a" else n * val

@@ -10,6 +10,7 @@ from lindbeam.bruno import (
 )
 from lindbeam.spectrum import ModelParams, NuTable
 from lindbeam.trees import TNode, Tree, enumerate_r_trees, enumerate_trees
+from oracles import prop_line_nodes
 
 P = ModelParams(a=1.0, b=0.5, mu=0.01, eps0=0.02, omega_branch=1, Mmax=9, Nmax=60)
 
@@ -31,7 +32,7 @@ def test_admissible_scales_structure(points):
     tree = enumerate_trees(2, 1, 3, P, 9)[0]
     asgs = admissible_scales(tree, P, eps, nu)
     assert asgs, "expected at least one admissible assignment"
-    lines = tree.prop_line_nodes()
+    lines = prop_line_nodes(tree)
     for asg in asgs:
         assert set(asg) == {nd.nid for nd in lines}
         # equal-mode lines stay within one scale of each other
@@ -69,9 +70,9 @@ def test_profile_counts(points):
     eps, nu = points[0]
     tree = enumerate_trees(3, 2, 1, P, 9)
     tree = [t for t in tree if any(nd.sv == 1 for nd in t.nodes)][0]
-    asg = {nd.nid: -1 for nd in tree.prop_line_nodes()}
+    asg = {nd.nid: -1 for nd in prop_line_nodes(tree)}
     p = profile(tree, asg)
-    assert p.n_lines == len(tree.prop_line_nodes())
+    assert p.n_lines == len(prop_line_nodes(tree))
     assert sum(p.M.values()) == sum(1 for nd in tree.nodes if nd.sv == 1)
     # partition: non-resonant + resonant = all propagator lines
     assert p.K + sum(p.M.values()) + sum(p.S.values()) == p.n_lines
@@ -142,7 +143,7 @@ def test_check_bruno_r(points):
 
 def test_bruno_r_crafted_violation():
     tree = enumerate_r_trees(2, 9, 3, P, 9)[0]
-    lines = tree.prop_line_nodes()
+    lines = prop_line_nodes(tree)
     if not lines:
         pytest.skip("shape without propagator lines")
     bad = {nd.nid: 35 for nd in lines}
@@ -153,7 +154,7 @@ def test_counting_sanity_two_ways(points):
     # N_h from the cumulative map equals a direct count of lines at scale >= h
     eps, nu = points[0]
     for tree in enumerate_trees(3, 2, 1, P, 9)[:10]:
-        lines = tree.prop_line_nodes()
+        lines = prop_line_nodes(tree)
         asg = {nd.nid: (3 if i == 0 else -1) for i, nd in enumerate(lines)}
         p = profile(tree, asg)
         for h in range(0, p.h_max + 1):

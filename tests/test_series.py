@@ -1,3 +1,4 @@
+import csv
 import math
 import warnings
 
@@ -18,7 +19,6 @@ from lindbeam.series import (
     compute_coeffs,
     decay_check,
     lambda_modes,
-    load_coeffs_csv,
     order_consistency,
     quad_conv,
     residual_norm,
@@ -35,9 +35,9 @@ from lindbeam.spectrum import (
     mode_set,
     omega_eff,
     propagator,
-    scaled_propagator,
 )
 from lindbeam.trees import counterterm_order2_closed
+from oracles import scaled_propagator
 
 P = ModelParams(a=1.0, b=0.5, mu=0.1, eps0=0.02, omega_branch=-1, Mmax=64, Nmax=300)
 EPS = 5e-3
@@ -357,8 +357,14 @@ def test_amplitude_cubic_matches_bruteforce():
 
 
 def test_amplitude_cubic_tail_reported():
-    A, tail = amplitude_cubic_coefficient(P, EPS, 64, with_tail=True)
+    # the m-sum of A beyond Mmax = 64: |v_{1,1,m}| <= 8/(pi m^3) and |g| <= 2/m^4
+    # for large m, so its terms decay like m^-10 and the tail like Mmax^-9
+    A = amplitude_cubic_coefficient(P, EPS, 64)
     A2 = amplitude_cubic_coefficient(P, EPS, 200)
+    Om, a, b = omega_eff(P, EPS), P.a, P.b
+    cmax = abs(2 * a * (a + b * Om * Om)) + abs((a - b * Om * Om) * (a + 2 * b * Om * Om))
+    beta = (1.0 + P.mu - Om * Om) / EPS
+    tail = 2.0 * (8.0 / math.pi) ** 2 * cmax * 2.0 / (9.0 * 64 ** 9) / abs(beta)
     assert abs(A2 - A) <= tail + 1e-15
 
 
@@ -420,7 +426,7 @@ def test_solve_nu_stops_at_negative_radicand(eps, sweep):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonConvergenceError,
-                           match=rf"at sweep {sweep}: radicand -\S+ < 0 at mode \(3, 1\)$"):
+                           match=rf"at sweep {sweep}: radicand -\S+ <= 0 at mode \(3, 1\)$"):
             solve_nu(pw, eps, 2)
 
 
@@ -508,7 +514,7 @@ def test_serialization_roundtrip(tmp_path):
     t = compute_coeffs(P, EPS, nu, lt, 2, 64, q=info["q"])
     f = tmp_path / "c.csv"
     save_coeffs_csv(t, f)
-    t2 = load_coeffs_csv(f, 2, 64, eps=EPS)
+    t2 = _load_coeffs_csv(f, 2, 64, eps=EPS)
     assert t2.q == t.q
     for k in range(3):
         assert np.array_equal(t.u[k], t2.u[k])
@@ -521,7 +527,7 @@ def test_serialization_roundtrip(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines[:3] + ["1,-5,3,0.25"] + lines[3:]) + "\n")
     with pytest.raises(ValueError, match="bad.csv:4"):
-        load_coeffs_csv(bad, 2, 64, eps=EPS)
+        _load_coeffs_csv(bad, 2, 64, eps=EPS)
 
 
 def test_lambda_modes_structure():
@@ -584,8 +590,29 @@ def test_compute_coeffs_matches_scalar_propagator_loop():
     assert all(np.array_equal(u, w) for u, w in zip(table.u, want))
 
 
+def _load_coeffs_csv(path, K: int, Mmax: int, eps: float) -> CoeffTable:
+    """Read a table written by save_coeffs_csv; malformed rows raise ValueError."""
+    us = [np.zeros((2 * (k + 1) + 1, Mmax)) for k in range(K + 1)]
+    q = 0.0
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if rows[:1] != [["k", "n", "m", "value"]]:
+        raise ValueError(f"{path}: header is not k,n,m,value")
+    for line, row in enumerate(rows[1:], start=2):
+        try:
+            (k, n, m), v = map(int, row[:3]), float(row[3])
+        except (IndexError, ValueError):
+            k = -1   # rejected below
+        if len(row) != 4 or not (0 <= k <= K and abs(n) <= k + 1 and 1 <= m <= Mmax):
+            raise ValueError(f"{path}:{line}: malformed row {row!r} (need "
+                             f"0 <= k <= {K}, |n| <= k+1, 1 <= m <= {Mmax})")
+        if k == 0:
+            q = v
+        us[k][n + k + 1, m - 1] = v
+    return CoeffTable(K=K, Mmax=Mmax, q=q, u=us, eps=eps)
+
+
 def _save_coeffs_cell_loop(table, path):
-    import csv
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["k", "n", "m", "value"])
@@ -624,7 +651,7 @@ def test_save_coeffs_csv_matches_cell_loop(tmp_path):
         save_coeffs_csv(t, tmp_path / "new.csv")
         _save_coeffs_cell_loop(t, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-        back = load_coeffs_csv(tmp_path / "new.csv", t.K, t.Mmax, eps=EPS)
+        back = _load_coeffs_csv(tmp_path / "new.csv", t.K, t.Mmax, eps=EPS)
         assert np.float64(back.q).tobytes() == np.float64(t.q).tobytes()
         for a, b in zip(back.u, t.u):
             assert a.tobytes() == np.where(b == 0.0, 0.0, b).tobytes()   # -0.0 reads as 0.0

@@ -47,3 +47,34 @@ def test_no_public_function_has_an_unread_parameter():
               for name, fn in _public_functions(ast.parse(path.read_text()))
               for param in _unread(fn) if not _allowed(path.stem, name, param)]
     assert not unread, unread
+
+
+def _sites(pred):
+    """(module, enclosing function) of every node of src/lindbeam pred holds for."""
+    out = []
+
+    def visit(node, mod, where):
+        if pred(node):
+            out.append((mod, where))
+        for child in ast.iter_child_nodes(node):
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, mod, f"{where}.{child.name}".lstrip(".") if named else where)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, "")
+    return out
+
+
+def _raised_name(node):
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
+
+
+def test_one_definition_of_the_shifted_divisor():
+    # omega_m^2 = m^4 + mu is written once, and only spectrum rejects omega~^2 <= 0
+    fourth = _sites(lambda n: isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)
+                    and isinstance(n.right, ast.Constant) and n.right.value == 4)
+    assert fourth == [("spectrum", "omega_sq")]
+    raised = _sites(lambda n: isinstance(n, ast.Raise) and n.exc is not None
+                    and _raised_name(n) == "DegenerateRadicandError")
+    assert raised and {mod for mod, _ in raised} == {"spectrum"}, raised

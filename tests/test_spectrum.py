@@ -17,9 +17,9 @@ from lindbeam.spectrum import (
     omega,
     omega_eff,
     propagator,
-    scaled_propagator,
     x_divisor,
 )
+from oracles import scaled_propagator
 
 P = ModelParams(mu=0.0, eps0=0.05)
 

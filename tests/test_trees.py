@@ -7,7 +7,7 @@ import pytest
 from lindbeam import trees
 from lindbeam.kernel import kernel_v
 from lindbeam.series import CountertermTable, compute_coeffs, lambda_modes
-from lindbeam.spectrum import ModelParams, NuTable, mode_set, omega_eff, scaled_propagator
+from lindbeam.spectrum import ModelParams, NuTable, ResonantDivisorError, mode_set, omega_eff
 from lindbeam.trees import (
     EvalCtx,
     MissingCountertermError,
@@ -34,7 +34,10 @@ from oracles import (
     detect_resonances,
     extended_value,
     localize_split,
+    path_to_root,
+    prop_line_nodes,
     resonance_to_rtree,
+    scaled_propagator,
 )
 
 P = ModelParams(a=1.0, b=0.5, mu=0.01, eps0=0.05, omega_branch=1, Mmax=9, Nmax=60)
@@ -105,6 +108,13 @@ def test_tree_value_zero_cases():
     assert tree_value(t, {t.root.nid: 7}, P, EPS, None, 0.8) == 0.0
     # q = 0 kills every tree
     assert tree_value(t, {t.root.nid: -1}, P, EPS, None, 0.0) == 0.0
+
+
+def test_resonant_line_raises_the_spectrum_error():
+    # at mu = 0, omega~^2 of (2, 3) is exactly 81: a line at frequency 9 is resonant
+    pt = _point(P.with_(mu=0.0), EPS, None)
+    with pytest.raises(ResonantDivisorError, match=r"resonant line at mode \(2, 3\)"):
+        pt.propagator(pt.mode(2, 3), -1, 9.0)
 
 
 def test_missing_counterterm_error():
@@ -1088,10 +1098,10 @@ def test_equal_mode_lines_stay_within_one_scale():
     p, s = (nd.nid for nd in t.nodes if (nd.n, nd.m) == (0, 1) and nd.kind == "node")
 
     # in the plain supports every line has one label
-    assert admissible_assignments(t, P, eps, None) == [{nd.nid: -1 for nd in t.prop_line_nodes()}]
+    assert admissible_assignments(t, P, eps, None) == [{nd.nid: -1 for nd in prop_line_nodes(t)}]
     # renormalized: the path line also admits 3 and 4, and only -1 survives
     asgs = admissible_assignments(t, P, eps, None, renormalize=True)
-    assert asgs == [{nd.nid: -1 for nd in t.prop_line_nodes()}]
+    assert asgs == [{nd.nid: -1 for nd in prop_line_nodes(t)}]
     f, _ = t._compiled()
     assert [len(hs) for hs in trees._shifted_supports(f, 0, pt, pt.modes_of(f)).values()] == [3]
     row_tree, _, first, h = pt.table(f, True).rows()
@@ -1104,8 +1114,8 @@ def test_equal_mode_lines_stay_within_one_scale():
     f, _ = rt._compiled()
     assert admissible_assignments(rt, P, eps, None) == []
     assert len(pt.table(f, True).rows()[0]) == 0
-    on_path = {nd.nid for nd in rt.path_to_root(rt.special)}
-    p, s = sorted((nd.nid for nd in rt.prop_line_nodes()), key=lambda j: j not in on_path)
+    on_path = {nd.nid for nd in path_to_root(rt, rt.special)}
+    p, s = sorted((nd.nid for nd in prop_line_nodes(rt)), key=lambda j: j not in on_path)
     ctx = EvalCtx(P, eps, None, 0.8, CountertermTable(), renormalize=True)
     dropped = [oracles._lval_rtree(f, 0, rt._scales({p: hp, s: -1}), ctx, True) for hp in (3, 4)]
     assert all(v != 0.0 for v in dropped)
