@@ -266,7 +266,7 @@ def cmd_residual(params: ModelParams, run: dict) -> int:
          "accepted": len(pts), "total": len(rows)}, indent=2, sort_keys=True))
     print(f"residual slope {slope:.3f} over {len(pts)} accepted eps (target "
           f">= {(K + 2) / 2 - 0.3:.2f}); wrote {out}/residual.csv")
-    return EXIT_OK
+    return EXIT_OK if pts else EXIT_VERIFY
 
 
 def cmd_dioph_mass(params: ModelParams, run: dict) -> int:

@@ -233,36 +233,6 @@ def find_diophantine_mu(gamma: float, tau0: float, Nmax: int) -> float:
 # shifted-frequency (Melnikov) conditions
 
 @lru_cache(maxsize=8)
-def _pair_rows(mu: float, eps0: float, Nmax: int, Mmax: int):
-    """Candidate rows (n1, m1, m2, lo2, hi2) of the pair condition, m1 < m2.
-
-    n1 runs over +-window(m1); lo2..hi2 is the window of |n2|.  Also kept:
-    omega_m2, the flat position of (|n1|, m1), and off2 with (|n2|, m2) at
-    off2 + |n2| inside the window.  The rows of one (m1, m2) form a block:
-    last come each block's first row, size, m1 and m2, and the sums
-    omega_m1 + a2 omega_m2 for a2 = +1 and -1.
-    """
-    ms = mode_set(mu, eps0, Mmax, Nmax)
-    wins = [m for m in range(1, Mmax + 1) if ms.lo[m] <= ms.hi[m]]
-    blocks = []
-    for i1, m1 in enumerate(wins):
-        n1s = np.arange(ms.lo[m1], ms.hi[m1] + 1)
-        n1s = np.concatenate([-n1s[::-1], n1s])
-        for m2 in wins[i1 + 1:]:
-            blocks.append((n1s, np.full(n1s.size, m1), np.full(n1s.size, m2)))
-    n1, m1, m2 = ((np.concatenate(x) for x in zip(*blocks)) if blocks
-                  else (np.zeros(0, dtype=int),) * 3)
-    lo2, hi2 = ms.lo[m2], ms.hi[m2]
-    size = np.array([b[0].size for b in blocks], dtype=int)
-    start = np.cumsum(size) - size
-    b_m1, b_m2 = m1[start], m2[start]
-    b_om1, b_om2 = omega(b_m1, mu), omega(b_m2, mu)
-    return (n1, m1, m2, lo2, hi2, omega(m2, mu),
-            ms.index(np.abs(n1), m1), ms.offset[m2] - lo2,
-            start, size, b_m1, b_m2, np.stack([b_om1 + b_om2, b_om1 - b_om2]))
-
-
-@lru_cache(maxsize=8)
 def _margin_tables(mu: float, eps0: float, Nmax: int, Mmax: int, tau: float):
     """The parts of melnikov_margins fixed by the ModeSet and tau.
 
@@ -270,16 +240,22 @@ def _margin_tables(mu: float, eps0: float, Nmax: int, Mmax: int, tau: float):
     position of each nonempty window; for the first family's m = 2..Mmax (a
     column): omega_m^2 and omega_m; n^tau for n = 0..Nmax by
     Python's pow (numpy's can differ from a scalar evaluation in the last
-    bit), and |dn|^tau for |dn| = 0..2 Nmax by numpy's.
+    bit), and |dn|^tau for |dn| = 0..2 Nmax by numpy's.  Last, per pair
+    block (m1, m2), m1 < m2 over the nonempty windows in scan order: m1, m2,
+    omega_m2 and the sums s0 = omega_m1 + a2 omega_m2 for a2 = +1 and -1.
     """
     ms = mode_set(mu, eps0, Mmax, Nmax)
     om = np.sqrt(ms.base)
     win_m = np.flatnonzero(ms.hi >= ms.lo)
     m = np.arange(2, Mmax + 1)[:, None]
+    i1, i2 = np.triu_indices(win_m.size, 1)
+    b_m1, b_m2 = win_m[i1], win_m[i2]
+    b_om1, b_om2 = omega(b_m1, mu), omega(b_m2, mu)
     return (om, float(om.max(initial=0.0)), win_m, ms.offset[win_m],
             omega_sq(m.astype(float), mu), omega(m, mu),
             np.array([float(n) ** tau for n in range(Nmax + 1)]),
-            np.arange(2 * Nmax + 1, dtype=float) ** tau)
+            np.arange(2 * Nmax + 1, dtype=float) ** tau,
+            b_m1, b_m2, b_om2, np.stack([b_om1 + b_om2, b_om1 - b_om2]))
 
 
 def melnikov_margins(eps: float, nu: NuTable | None, params: ModelParams,
@@ -292,36 +268,28 @@ def melnikov_margins(eps: float, nu: NuTable | None, params: ModelParams,
     margin >= 0.4 >= gamma and are skipped.  nu enters only inside the
     ModeSet windows of the params' cutoffs (Mmax, Nmax); the first minimum in
     scan order (m then n; signs, offset, then row) is the one reported.  A
-    window mode with omega_m^2 + n nu_{n,m} <= 0 raises
+    window mode with omega_m^2 + n nu_{n,m} not > 0 raises
     DegenerateRadicandError (ModeSet.radicand), whatever below.
 
-    below: a family whose minimum is below it reports the full scan's (below
-    = inf) value and location, one that clears it inf and None.  A pair row
-    is then evaluated only if its margin can fall below: the shift moves
-    omega~_m2 by at most D(m2) over m2's window, so the margin is at least
-    (|Om dn + w1 + a2 omega_m2| - D(m2) - delta) |dn|^tau, delta a rounding
-    slack.  Off the nearest integer (dd = +-1) the plain combination is
-    >= Om/2 and |dn|^tau >= 1, so both passes are skipped when
-    Om/2 - max D - delta clears below.
-
-    Before the rows, each (m1, m2, a2) block is bounded once.  w1 lies
-    within D(m1) of omega_m1, so a row of the block with difference dn has
-    |Om dn + w1 + a2 omega_m2| >= |Om dn + s0| - D(m1), s0 = omega_m1 + a2
-    omega_m2.  Its row bound is then at least (|Om dn + s0| - D(m1) - D(m2)
-    - 2 delta) |dn|^tau, with one delta more for the roundings of s0 and
-    D(m1); |dn| is read at most 2 Nmax, beyond which no row lies in the
-    windows.  The block bound B is the least of these over dn = nr - 1, nr,
-    nr + 1 (dn != 0), nr = rint(-s0 / Om); every other dn has |Om dn + s0|
-    >= 1.5 Om.  A block with B >= below and 1.5 Om - D(m1) - D(m2) - 2 delta
-    >= below holds no row that the row bound keeps and is skipped whole.
-    The rows of the other blocks go through the row bound in scan order, so
-    the evaluated rows, and the margins, are those of the row bound alone.
+    below: a family whose minimum is below it reports the value and location
+    at below = inf, one that clears it inf and None.  The pair rows come in
+    (m1, m2, a2) blocks: n1 over -window(m1) then +window(m1), a fixed m2.
+    The shift moves omega~_m within D(m) = max |omega~ - omega_m| over m's
+    window, so a row of the block with difference dn has margin at least
+    (|Om dn + s0| - D(m1) - D(m2) - 2 delta) |dn|^tau, s0 = omega_m1 + a2
+    omega_m2, delta a rounding slack; |dn| is read at most 2 Nmax, beyond
+    which no row lies in the windows.  The block bound B is the least of
+    these over dn = nr - 1, nr, nr + 1 (dn != 0), nr = rint(-s0 / Om); every
+    other dn has |Om dn + s0| >= 1.5 Om.  A block with B >= below and 1.5 Om
+    - D(m1) - D(m2) - 2 delta >= below holds no margin below it and is
+    skipped; the rows of the other blocks are evaluated in scan order.  At
+    below = inf every block is kept.
     """
     Nmax, Mmax = params.Nmax, params.Mmax
     Om = omega_eff(params, eps)
     ms = mode_set(params.mu, params.eps0, Mmax, Nmax)
-    om, om_max, win_m, win_start, omsq_m, om_m, n_tau, dn_tau = _margin_tables(
-        params.mu, params.eps0, Nmax, Mmax, params.tau)
+    (om, om_max, win_m, win_start, omsq_m, om_m, n_tau, dn_tau,
+     b_m1, b_m2, b_om2, b_s0) = _margin_tables(params.mu, params.eps0, Nmax, Mmax, params.tau)
     shift = ms.shift(nu)
     rad = ms.radicand(shift)         # omega~^2 over the flat layout
     out = {"first": math.inf, "second": math.inf,
@@ -340,58 +308,46 @@ def melnikov_margins(eps: float, nu: NuTable | None, params: ModelParams,
         out["first"] = float(marg.flat[j])
         out["first_at"] = (int(n.flat[j]), j // 5 + 2)
 
-    (n1, m1, m2, lo2, hi2, om2, idx1, off2,
-     b_start, b_size, b_m1, b_m2, b_s0) = _pair_rows(params.mu, params.eps0, Nmax, Mmax)
     w = np.sqrt(rad)                # omega~ over the flat layout
     D = np.zeros(Mmax + 1)          # D(m) = max |omega~ - omega| over m's window
     D[win_m] = np.maximum.reduceat(np.abs(w - om), win_start)
-    D_max = float(D.max())
-    prune = below < math.inf and math.isfinite(D_max)
-    # margin terms are <= 2 Nmax Om or <= max omega + D_max: the few roundings
+    # margin terms are <= 2 Nmax Om or <= max omega + max D: the few roundings
     # between bound and margin stay far below 2^-40 of their sum
-    delta = 2.0 ** -40 * (2 * Nmax * Om + 2 * (om_max + D_max))
-    skip_off = prune and Om / 2 - D_max - delta >= below      # the dd = +-1 passes
-    if prune:       # the block bound over (dn, a2, block); see the docstring
-        D_blk = D[b_m1] + D[b_m2] + 2 * delta
-        dn = np.rint(np.divide(b_s0, -Om)) + np.array([-1.0, 0.0, 1.0])[:, None, None]
-        t = dn_tau[np.minimum(np.abs(dn), 2 * Nmax).astype(int)]
-        B = np.where(dn != 0.0, (np.abs(dn * Om + b_s0) - D_blk) * t, math.inf).min(axis=0)
-        keep = (B < below) | (1.5 * Om - D_blk < below)
+    delta = 2.0 ** -40 * (2 * Nmax * Om + 2 * (om_max + D.max()))
+    D_blk = D[b_m1] + D[b_m2] + 2 * delta
+    dn = np.rint(np.divide(b_s0, -Om)) + np.array([-1.0, 0.0, 1.0])[:, None, None]
+    t = dn_tau[np.minimum(np.abs(dn), 2 * Nmax).astype(int)]
+    B = np.where(dn != 0.0, (np.abs(dn * Om + b_s0) - D_blk) * t, math.inf).min(axis=0)
+    keep = (B < below) | (1.5 * Om - D_blk < below)
     # Signs (-a1, -a2) at (-n1, -n2) repeat the margins of (a1, a2) at
     # (n1, n2) bit for bit, and come later in the scan: a1 = +1 suffices.
     for i2, a2 in enumerate((1.0, -1.0)):
-        cols = (n1, m1, m2, lo2, hi2, om2, idx1, off2)
-        if prune:       # the rows of the blocks kept, in scan order
-            kb = np.flatnonzero(keep[i2])
-            size = b_size[kb]
-            rows = np.repeat(b_start[kb] - (np.cumsum(size) - size), size) + np.arange(size.sum())
-            cols = [x[rows] for x in cols]
-        n1r, m1r, m2r, lo2r, hi2r, om2r, idx1r, off2r = cols
-        w1 = np.take(w, idx1r)
-        s = (np.add if a2 > 0 else np.subtract)(w1, om2r)       # s = w1 + a2 omega_m2
+        kb = np.flatnonzero(keep[i2])
+        if not kb.size:
+            continue
+        size = 2 * (ms.hi[b_m1[kb]] - ms.lo[b_m1[kb]] + 1)
+        blk = np.repeat(kb, size)               # the block of each row
+        p = np.arange(blk.size) - np.repeat(np.cumsum(size) - size, size)
+        m1, m2 = b_m1[blk], b_m2[blk]
+        lo1, hi1, lo2, hi2 = ms.lo[m1], ms.hi[m1], ms.lo[m2], ms.hi[m2]
+        n1 = np.where(p <= hi1 - lo1, p - hi1, p + 2 * lo1 - hi1 - 1)  # -hi..-lo, lo..hi
+        w1 = w[ms.offset[m1] + np.abs(n1) - lo1]
+        s = (np.add if a2 > 0 else np.subtract)(w1, b_om2[blk])      # s = w1 + a2 omega_m2
         near = np.rint(np.divide(s, -Om))
         for dd in (-1, 0, 1):
-            if dd and skip_off:
-                continue
-            r = slice(None)
-            if prune:       # c = |Om dn + w1 + a2 omega_m2|
-                c = np.abs((near + dd) * Om + s)
-                r = np.flatnonzero(c < below + D_max + delta)
-            dn = (near[r] + dd).astype(int)
-            n2 = np.abs(n1r[r] + dn)
-            ok = (n2 >= lo2r[r]) & (n2 <= hi2r[r]) & (dn != 0)
-            k, dn, n2 = r[ok] if prune else np.flatnonzero(ok), dn[ok], n2[ok]
-            if prune:
-                ok = (c[k] - D[m2r[k]] - delta) * dn_tau[np.abs(dn)] < below
-                k, dn, n2 = k[ok], dn[ok], n2[ok]
+            dn = (near + dd).astype(int)
+            n2 = np.abs(n1 + dn)
+            k = np.flatnonzero((n2 >= lo2) & (n2 <= hi2) & (dn != 0))
             if not k.size:
                 continue
-            marg = np.abs(Om * dn + w1[k] + a2 * w[off2r[k] + n2]) * dn_tau[np.abs(dn)]
+            dn, n2 = dn[k], n2[k]
+            marg = (np.abs(Om * dn + w1[k] + a2 * w[ms.offset[m2[k]] - lo2[k] + n2])
+                    * dn_tau[np.abs(dn)])
             j = int(np.argmin(marg))
             if marg[j] < out["second"]:
                 i = k[j]
                 out["second"] = float(marg[j])
-                out["second_at"] = (int(n1r[i]), int(m1r[i]), int(n1r[i] + dn[j]), int(m2r[i]))
+                out["second_at"] = (int(n1[i]), int(m1[i]), int(n1[i] + dn[j]), int(m2[i]))
     if out["second"] >= below:
         out["second"], out["second_at"] = math.inf, None
     return out

@@ -434,11 +434,11 @@ class ModeSet:
     def radicand(self, shift: np.ndarray) -> np.ndarray:
         """omega~^2 = omega_m^2 + n nu over the flat layout, from its flat n*nu.
 
-        Raises DegenerateRadicandError at the first entry <= 0, in m-then-n
-        order, naming its mode (n, m).
+        Raises DegenerateRadicandError at the first entry that is not > 0
+        (NaN included), in m-then-n order, naming its mode (n, m).
         """
         rad = self.base + shift[:-1]
-        bad = np.flatnonzero(rad <= 0.0)
+        bad = np.flatnonzero(~(rad > 0.0))
         if bad.size:
             j, m = int(bad[0]), int(self.flat_m[bad[0]])
             n = j - int(self.offset[m]) + int(self.lo[m])

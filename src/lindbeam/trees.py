@@ -426,25 +426,24 @@ def _family(k: int, n: int, m: int, Mmax: int, is_rtree: bool) -> _Family:
 class Tree:
     """One labeled tree: a view of a compiled family's rows.
 
-    TNodes are built only when root, nodes, parent or special is read.
+    TNodes are built only when root, nodes or special is read.
     Tree(root=...) wraps a hand-built TNode tree; finalize() numbers its
     nodes (node ids as in a compiled family) and compiles it into a
     one-tree family.
     """
 
-    __slots__ = ("k", "n", "m", "mult", "is_rtree", "_fam", "_t", "_nodes", "_root",
-                 "_parent")
+    __slots__ = ("k", "n", "m", "mult", "is_rtree", "_fam", "_t", "_nodes", "_root")
 
     def __init__(self, root: TNode, k: int, n: int, m: int, mult: int = 1,
                  is_rtree: bool = False):
         self.k, self.n, self.m, self.mult, self.is_rtree = k, n, m, mult, is_rtree
-        self._fam, self._t, self._nodes, self._root, self._parent = None, 0, None, root, None
+        self._fam, self._t, self._nodes, self._root = None, 0, None, root
 
     @classmethod
     def _view(cls, fam: _Family, t: int) -> "Tree":
         tree = cls.__new__(cls)
         (tree.k, tree.n, tree.m), tree.mult, tree.is_rtree = fam.label, fam.mult[t], fam.is_rtree
-        tree._fam, tree._t, tree._nodes, tree._root, tree._parent = fam, t, None, None, None
+        tree._fam, tree._t, tree._nodes, tree._root = fam, t, None, None
         return tree
 
     def __repr__(self):
@@ -457,7 +456,7 @@ class Tree:
             nd.nid = i
         self._fam = _Family([(_key(self._root), self.mult)], self.k, self.n, self.m,
                             self.is_rtree)
-        self._t, self._nodes, self._parent = 0, nodes, None
+        self._t, self._nodes = 0, nodes
         return self
 
     def _compiled(self) -> tuple[_Family, int]:
@@ -484,15 +483,6 @@ class Tree:
     @property
     def root(self) -> TNode:
         return self._root if self._root is not None else self.nodes[0]
-
-    @property
-    def parent(self) -> dict:
-        if self._parent is None:
-            f, t = self._compiled()
-            nodes = self.nodes
-            self._parent = {i: (nodes[p] if p >= 0 else None)
-                            for i, p in enumerate(f.par[f.start[t]:f.start[t + 1]])}
-        return self._parent
 
     @property
     def special(self) -> TNode | None:

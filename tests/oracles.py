@@ -208,10 +208,17 @@ def _candidates(tree: Tree) -> list[tuple]:
     return [(tree.nodes[o], tree.nodes[i]) for (o, i) in f.cands(t)]
 
 
+def parents(tree: Tree) -> dict:
+    """Each node id's parent TNode (None at the root), read off the children."""
+    up = {nd.nid: None for nd in tree.nodes}
+    up.update((c.nid, nd) for nd in tree.nodes for c in nd.children)
+    return up
+
+
 def detect_clusters(tree: Tree, asg: dict) -> list[Cluster]:
     """Maximal connected node sets linked by lines of scale <= h, per h."""
-    scales = sorted({asg.get(nd.nid, -1) for nd in tree.nodes
-                     if tree.parent[nd.nid] is not None})
+    up = parents(tree)
+    scales = sorted({asg.get(nd.nid, -1) for nd in tree.nodes if up[nd.nid] is not None})
     clusters: list[Cluster] = []
     seen = set()
     for h in scales:
@@ -224,7 +231,7 @@ def detect_clusters(tree: Tree, asg: dict) -> list[Cluster]:
             return x
 
         for nd in tree.nodes:
-            p = tree.parent[nd.nid]
+            p = up[nd.nid]
             if p is not None and asg.get(nd.nid, -1) <= h:
                 par[find(nd.nid)] = find(p.nid)
         comps: dict[int, set] = {}
@@ -238,20 +245,19 @@ def detect_clusters(tree: Tree, asg: dict) -> list[Cluster]:
             internal_at_h = any(
                 asg.get(nd.nid, -1) == h
                 for nd in tree.nodes
-                if nd.nid in ids and tree.parent[nd.nid] is not None
-                and tree.parent[nd.nid].nid in ids)
+                if nd.nid in ids and up[nd.nid] is not None and up[nd.nid].nid in ids)
             if not internal_at_h and len(ids) > 1:
                 continue
             if len(ids) == 1 and h != min(scales):
                 continue
             seen.add(fs)
             entering = [nd for nd in tree.nodes
-                        if nd.nid not in ids and tree.parent[nd.nid] is not None
-                        and tree.parent[nd.nid].nid in ids]
+                        if nd.nid not in ids and up[nd.nid] is not None
+                        and up[nd.nid].nid in ids]
             exiting = None
             for nd in tree.nodes:
                 if nd.nid in ids:
-                    p = tree.parent[nd.nid]
+                    p = up[nd.nid]
                     if p is None or p.nid not in ids:
                         exiting = nd
             clusters.append(Cluster(h=h, node_ids=fs, entering=entering,
@@ -376,11 +382,12 @@ def prop_line_nodes(tree: Tree) -> list:
 
 def path_to_root(tree: Tree, nd: TNode) -> list:
     """The ancestors of nd, its parent first."""
+    up = parents(tree)
     out = []
-    cur = tree.parent[nd.nid]
+    cur = up[nd.nid]
     while cur is not None:
         out.append(cur)
-        cur = tree.parent[cur.nid]
+        cur = up[cur.nid]
     return out
 
 

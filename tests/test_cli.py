@@ -310,23 +310,34 @@ def test_residual_single_eps_writes_strict_json(tmp_path):
 
 
 def test_residual_marks_excluded(tmp_path):
-    # an eps parked on the (4,2) square resonance is excluded, not fatal
+    # an eps parked on the (4,2) square resonance is excluded, not fatal; as
+    # the only eps, it leaves none accepted: exit 1
     cfg = write_cfg(tmp_path)
     import math
     eps_bad = (math.sqrt(1.1) * 4 - 4.0) / 4.0
     rc = main(["--config", cfg, "--eps0", "0.08", "--eps-lo", repr(eps_bad),
                "--eps-hi", repr(eps_bad), "--eps-count", "1", "residual"])
-    assert rc == 0
+    assert rc == 1
     rows = list(csv.DictReader(open(tmp_path / "out" / "residual.csv")))
     assert rows[0]["status"].startswith("excluded")
     # at eps0 = 0.08 the shift leaves its box first; at 0.35 the shift
     # converges and the status names the failed family, mode and margin
     rc = main(["--config", cfg, "--eps0", "0.35", "--eps-lo", repr(eps_bad),
                "--eps-hi", repr(eps_bad), "--eps-count", "1", "residual"])
-    assert rc == 0
+    assert rc == 1
     rows = list(csv.DictReader(open(tmp_path / "out" / "residual.csv")))
     assert rows[0]["status"] == ("excluded: square condition at (4, 2), "
                                  "margin 0.000e+00 against threshold 6.250e-02")
+
+
+def test_residual_without_an_accepted_eps_exits_1(tmp_path, monkeypatch, capsys):
+    # the default model is on branch +1, where the cubic coefficient is
+    # negative: every eps is excluded and no slope can be fitted
+    monkeypatch.delenv("LINDBEAM_OUTDIR", raising=False)
+    assert main(["--outdir", str(tmp_path / "out"), "residual"]) == 1
+    assert "slope nan over 0 accepted eps" in capsys.readouterr().out
+    doc = json.loads((tmp_path / "out" / "residual.json").read_text())
+    assert doc["accepted"] == 0 and doc["total"] == 8 and doc["slope"] is None
 
 
 def test_residual_force_names_the_failed_condition(tmp_path):

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from lindbeam import diophantine, series
+from lindbeam import diophantine, series, spectrum
 from lindbeam.diophantine import (
     MU_MAX,
     cantor_failure,
@@ -496,7 +497,36 @@ def test_melnikov_margins_raise_on_a_degenerate_radicand(n):
         check_cantor(eps, nu, pp)
 
 
+def test_melnikov_margins_raise_on_a_nan_radicand():
+    # a NaN shift on (6, 3), a pair row of the resonance at (8, 3, 24, 5),
+    # must not hide that resonance: the radicand check flags it like a
+    # negative one
+    pp, eps, nu = _shift_resonance()
+    nu.set(6, 3, math.nan)
+    for below in BELOW:
+        with pytest.raises(DegenerateRadicandError, match=r"at mode \(6, 3\)$"):
+            melnikov_margins(eps, nu, pp, below=below)
+    for check in (check_melnikov, check_cantor):
+        with pytest.raises(DegenerateRadicandError):
+            check(eps, nu, pp)
+
+
 def test_mode_and_pair_caches_are_bounded():
     assert mode_set.cache_info().maxsize == 8
-    assert diophantine._pair_rows.cache_info().maxsize == 8
     assert diophantine._margin_tables.cache_info().maxsize == 8
+
+
+def test_one_pair_scan_retains_little_cache_memory():
+    # the caches of spectrum and diophantine cold, one call on the
+    # cantor_scan model keeps its ModeSet and tables: well under 0.5 MB
+    for mod in (spectrum, diophantine):
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    tracemalloc.start()
+    try:
+        melnikov_margins(0.06, None, CANTOR_P, below=2 * CANTOR_P.gamma)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 0.5e6

@@ -18,7 +18,6 @@ from lindbeam.series import _forcing, compute_coeffs, order_consistency, solve_n
 from lindbeam.spectrum import (
     DegenerateRadicandError,
     ModelParams,
-    ModeSet,
     mode_set,
     omega,
     omega_eff,
@@ -77,7 +76,8 @@ def _old_pair_rows(mu, eps0, Nmax, Mmax):
         n1s = np.concatenate([-n1s[::-1], n1s])
         for m2 in wins[i1 + 1:]:
             blocks.append((n1s, np.full(n1s.size, m1), np.full(n1s.size, m2)))
-    n1, m1, m2 = (np.concatenate(x) for x in zip(*blocks))
+    n1, m1, m2 = ((np.concatenate(x) for x in zip(*blocks)) if blocks
+                  else (np.zeros(0, dtype=int),) * 3)
     lo2, hi2 = ms.lo[m2], ms.hi[m2]
     size = np.array([b[0].size for b in blocks], dtype=int)
     start = np.cumsum(size) - size
@@ -99,6 +99,84 @@ def _old_margin_tables(mu, eps0, Nmax, Mmax, tau):
             m.astype(float) ** 4 + mu, omega(m, mu),
             np.array([float(n) ** tau for n in range(Nmax + 1)]),
             np.arange(2 * Nmax + 1, dtype=float) ** tau)
+
+
+def _row_table_margins(eps, nu, params, below=math.inf):
+    """melnikov_margins as it was: the pair rows read from the cached row
+    table, pruned by the block bound, then by the row bound, with the
+    off-nearest passes skipped and a full-scan fallback for a non-finite D."""
+    Nmax, Mmax = params.Nmax, params.Mmax
+    Om = omega_eff(params, eps)
+    ms = mode_set(params.mu, params.eps0, Mmax, Nmax)
+    om, om_max, win_m, win_start, omsq_m, om_m, n_tau, dn_tau = _old_margin_tables(
+        params.mu, params.eps0, Nmax, Mmax, params.tau)
+    shift = ms.shift(nu)
+    rad = _old_radicand(ms, shift)
+    out = {"first": math.inf, "second": math.inf,
+           "first_at": None, "second_at": None}
+    m = np.arange(2, Mmax + 1)[:, None]
+    n = np.rint(om_m / Om).astype(int) + np.arange(-2, 3)
+    omt = np.sqrt(omsq_m + shift[ms.index(n, m)])
+    counted = (n >= 1) & (n <= Nmax)
+    nc = n[counted]
+    marg = np.full(n.shape, math.inf)
+    marg[counted] = np.abs(Om * nc - omt[counted]) * n_tau[nc]
+    if marg.size and marg.min() < below:
+        j = int(np.argmin(marg))
+        out["first"] = float(marg.flat[j])
+        out["first_at"] = (int(n.flat[j]), j // 5 + 2)
+
+    (n1, m1, m2, lo2, hi2, om2, idx1, off2,
+     b_start, b_size, b_m1, b_m2, b_s0) = _old_pair_rows(params.mu, params.eps0, Nmax, Mmax)
+    w = np.sqrt(rad)
+    D = np.zeros(Mmax + 1)
+    D[win_m] = np.maximum.reduceat(np.abs(w - om), win_start)
+    D_max = float(D.max())
+    prune = below < math.inf and math.isfinite(D_max)
+    delta = 2.0 ** -40 * (2 * Nmax * Om + 2 * (om_max + D_max))
+    skip_off = prune and Om / 2 - D_max - delta >= below
+    if prune:
+        D_blk = D[b_m1] + D[b_m2] + 2 * delta
+        dn = np.rint(np.divide(b_s0, -Om)) + np.array([-1.0, 0.0, 1.0])[:, None, None]
+        t = dn_tau[np.minimum(np.abs(dn), 2 * Nmax).astype(int)]
+        B = np.where(dn != 0.0, (np.abs(dn * Om + b_s0) - D_blk) * t, math.inf).min(axis=0)
+        keep = (B < below) | (1.5 * Om - D_blk < below)
+    for i2, a2 in enumerate((1.0, -1.0)):
+        cols = (n1, m1, m2, lo2, hi2, om2, idx1, off2)
+        if prune:
+            kb = np.flatnonzero(keep[i2])
+            size = b_size[kb]
+            rows = np.repeat(b_start[kb] - (np.cumsum(size) - size), size) + np.arange(size.sum())
+            cols = [x[rows] for x in cols]
+        n1r, m1r, m2r, lo2r, hi2r, om2r, idx1r, off2r = cols
+        w1 = np.take(w, idx1r)
+        s = (np.add if a2 > 0 else np.subtract)(w1, om2r)
+        near = np.rint(np.divide(s, -Om))
+        for dd in (-1, 0, 1):
+            if dd and skip_off:
+                continue
+            r = slice(None)
+            if prune:
+                c = np.abs((near + dd) * Om + s)
+                r = np.flatnonzero(c < below + D_max + delta)
+            dn = (near[r] + dd).astype(int)
+            n2 = np.abs(n1r[r] + dn)
+            ok = (n2 >= lo2r[r]) & (n2 <= hi2r[r]) & (dn != 0)
+            k, dn, n2 = r[ok] if prune else np.flatnonzero(ok), dn[ok], n2[ok]
+            if prune:
+                ok = (c[k] - D[m2r[k]] - delta) * dn_tau[np.abs(dn)] < below
+                k, dn, n2 = k[ok], dn[ok], n2[ok]
+            if not k.size:
+                continue
+            marg = np.abs(Om * dn + w1[k] + a2 * w[off2r[k] + n2]) * dn_tau[np.abs(dn)]
+            j = int(np.argmin(marg))
+            if marg[j] < out["second"]:
+                i = k[j]
+                out["second"] = float(marg[j])
+                out["second_at"] = (int(n1r[i]), int(m1r[i]), int(n1r[i] + dn[j]), int(m2r[i]))
+    if out["second"] >= below:
+        out["second"], out["second_at"] = math.inf, None
+    return out
 
 
 def _old_order2_closed(params, eps, shift, q, modes):
@@ -132,7 +210,7 @@ def _old_order2_closed(params, eps, shift, q, modes):
 
 
 @pytest.mark.parametrize("params", MODELS)
-def test_divisor_sites_equal_their_old_expressions_bitwise(monkeypatch, params):
+def test_divisor_sites_equal_their_old_expressions_bitwise(params):
     ms, points = _points(params)
     key = (params.mu, params.eps0, params.Nmax, params.Mmax)
 
@@ -140,11 +218,13 @@ def test_divisor_sites_equal_their_old_expressions_bitwise(monkeypatch, params):
     mp = np.arange(1, params.Mmax + 1, 2).astype(float)
     assert _bits(om_mp2) == _bits(mp ** 4 + params.mu)
     assert _bits(tiled) == _bits(np.tile(mp ** 4 + params.mu, (len(ms), 1)))
-    for new, old in zip(diophantine._pair_rows(*key), _old_pair_rows(*key)):
-        assert new.dtype == old.dtype and new.tobytes() == old.tobytes()
     new_tab = diophantine._margin_tables(*key, params.tau)
-    for new, old in zip(new_tab, _old_margin_tables(*key, params.tau)):
+    for new, old in zip(new_tab[:8], _old_margin_tables(*key, params.tau)):
         assert _bits(new) == _bits(old)
+    # the block columns m1, m2, omega_m2 and s0 against the row table's
+    rows = _old_pair_rows(*key)
+    for new, old in zip(new_tab[8:], (rows[10], rows[11], rows[5][rows[8]], rows[12])):
+        assert new.dtype == old.dtype and new.tobytes() == old.tobytes()
 
     for eps, nu, q in points:
         Om = omega_eff(params, eps)
@@ -157,13 +237,24 @@ def test_divisor_sites_equal_their_old_expressions_bitwise(monkeypatch, params):
         assert _bits(ms.radicand(shift)) == _bits(_old_radicand(ms, shift))
         assert _bits(counterterm_order2_closed(params, eps, shift, q, ms)) == _bits(
             _old_order2_closed(params, eps, shift, q, ms))
-        new = [melnikov_margins(eps, nu, params, below) for below in (math.inf, params.gamma)]
-        with monkeypatch.context() as patch:
-            patch.setattr(ModeSet, "radicand", _old_radicand)
-            patch.setattr(diophantine, "_pair_rows", _old_pair_rows)
-            patch.setattr(diophantine, "_margin_tables", _old_margin_tables)
-            old = [melnikov_margins(eps, nu, params, below) for below in (math.inf, params.gamma)]
-        assert repr(new) == repr(old)
+        for below in (math.inf, params.gamma, 2 * params.gamma):
+            assert repr(melnikov_margins(eps, nu, params, below)) == repr(
+                _row_table_margins(eps, nu, params, below))
+
+
+@pytest.mark.parametrize("params", [p.with_(Mmax=M) for p in MODELS for M in (1, 2)])
+def test_pair_scan_equals_the_row_table_scan_at_one_or_two_modes(params):
+    # Mmax = 1 has no pair block, Mmax = 2 one (m1, m2) = (1, 2)
+    ms = mode_set(params.mu, params.eps0, params.Mmax, params.Nmax)
+    sampled = ms.nu_table(np.random.default_rng(3).uniform(-0.2, 0.2, len(ms)) * params.eps0,
+                          params.nu_cap)
+    for eps in np.geomspace(params.eps0 / 40, params.eps0 / 2, 4).tolist():
+        for nu in (None, sampled):
+            for below in (math.inf, params.gamma, 2 * params.gamma, 5.0):
+                assert repr(melnikov_margins(eps, nu, params, below)) == repr(
+                    _row_table_margins(eps, nu, params, below))
+            at = melnikov_margins(eps, nu, params)["second_at"]
+            assert (at is None) if params.Mmax == 1 else (at[1], at[3]) == (1, 2)
 
 
 def test_radicand_raises_at_the_first_degenerate_mode_as_before():

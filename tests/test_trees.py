@@ -370,12 +370,7 @@ def test_resonance_rtree_roundtrip():
 
 
 def _under(tree, nd, anc):
-    cur = nd
-    while cur is not None:
-        if cur is anc:
-            return True
-        cur = tree.parent[cur.nid]
-    return False
+    return nd is anc or any(a is anc for a in path_to_root(tree, nd))
 
 
 def _skeleton_key(nd):
