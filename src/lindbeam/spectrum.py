@@ -225,7 +225,7 @@ def x_divisor(n: int, m: int, params: ModelParams, eps: float,
               nu: NuTable | None = None) -> float:
     """Small divisor |Omega n| - sqrt(omega_m^2 + n nu_{n,m}); even in n."""
     rad = _radicand(n, m, params.mu, nu)
-    if rad <= 0.0:
+    if not rad > 0.0:
         raise DegenerateRadicandError(f"radicand {rad} <= 0 at mode {(n, m)}")
     return abs(omega_eff(params, eps) * n) - math.sqrt(rad)
 

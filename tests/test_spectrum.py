@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lindbeam.spectrum import (
+    DegenerateRadicandError,
     ModelParams,
     NuTable,
     admissible_h_for,
@@ -56,6 +57,17 @@ def test_x_divisor_examples():
     assert x_divisor(2, 1, pp, 0.01) == pytest.approx(2 * Om - math.sqrt(1.1), abs=1e-14)
     # even in n
     assert x_divisor(-2, 1, pp, 0.01) == x_divisor(2, 1, pp, 0.01)
+
+
+@pytest.mark.parametrize("shift", [-20.0, math.nan])
+def test_x_divisor_raises_on_a_degenerate_radicand(shift):
+    # 3^4 + 6 shift is negative or NaN at (6, 3): the scalar check flags
+    # both, as ModeSet.radicand does, instead of returning a NaN divisor
+    nu = NuTable(eps0=0.05)
+    nu.set(6, 3, shift)
+    with pytest.raises(DegenerateRadicandError, match=r"radicand \S+ <= 0 at mode \(6, 3\)$"):
+        x_divisor(6, 3, P, 0.0, nu)
+    assert x_divisor(6, 2, P, 0.0, nu) == 6.0 - 4.0
 
 
 def test_propagator():
