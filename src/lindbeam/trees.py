@@ -13,6 +13,8 @@ counted by one walk of the split rules (`_count`), checked against
 TREE_BUDGET, which also records what each split adds; `_unrank` reads that
 record to write tree i as a key tuple, and the trees, in index order, are
 flattened into read-only integer rows (`_Family`), kept in a bounded cache.
+On first evaluation a family compiles what evaluating it reads of the family
+alone, once for every point (`_Columns`).
 A `Tree` is a view of one tree's rows; it builds `TNode` objects only when
 asked for them.  Evaluation reads the rows together with per-point mode
 tables (`_Point`): each mode's omega~^2 = omega_sq(m, mu) + |n| nu, the
@@ -162,11 +164,24 @@ def _splits(key: tuple, Mmax: int, e_mode: tuple | None):
 def _child_m(k: int, n: int, with_e: bool, e_mode: tuple | None, Mmax: int) -> range:
     """The spatial labels m for which family (k, n, m, with_e) can be
     nonempty: an end's at order 0, else the odd m <= Mmax off the primary
-    mode (the splits skip the rest, whose families are empty)."""
+    mode, when the family's ends can carry momentum n (`_reaches`); the
+    splits skip the rest, whose families are empty."""
     if k == 0:
         m = e_mode[1] if with_e else 1
         return range(m, m + 1) if _is_end((0, n, m, with_e), e_mode) else range(0)
+    if not _reaches(k, n - e_mode[0] if with_e else n, with_e):
+        return range(0)
     return range(3 if abs(n) == 1 else 1, Mmax + 1, 2)
+
+
+def _reaches(k: int, d: int, with_e: bool) -> bool:
+    """Whether the ends of a tree of order k >= 1, less the special end if
+    with_e, can add up to momentum d.  A tree with b binary nodes has b + 1
+    ends, each at momentum +-1 but the special end, and unary nodes of order
+    >= 2 carry the other k - b of its order, so b is k or at most k - 2; the
+    largest such b of each parity bounds |d|."""
+    return any(abs(d) <= b + 1 - with_e and (b + 1 - with_e - d) % 2 == 0
+               for b in (k, k - 3) if b >= 1)
 
 
 def _is_end(key: tuple, e_mode: tuple | None) -> bool:
@@ -261,6 +276,12 @@ def _frozen(code: str, values) -> memoryview:
     return memoryview(array(code, values).tobytes()).cast(code)
 
 
+def _narrow(top: int) -> str:
+    """The smallest signed typecode (of array and numpy) that holds the ints
+    from -1 to top."""
+    return next(t for t in "bhiq" if top < 1 << 8 * array(t).itemsize - 1)
+
+
 class _Family:
     """The trees of one family as flat, read-only integer rows, compiled
     from (`_key` tuple, multiplicity) per tree.
@@ -321,10 +342,12 @@ class _Family:
             start.append(len(cols["par"]))
         for c, vals in cols.items():
             setattr(self, c, _frozen("b" if c in ("kind", "ttype", "sv", "kv") else "h", vals))
+        # offsets and multiplicities in the smallest types that hold them
         self.start, self.mult, self.special, self.count = (
-            _frozen("i", start), _frozen("q", mults), _frozen("h", special), len(mults))
+            _frozen(_narrow(start[-1]), start), _frozen(_narrow(max(mults, default=1)), mults),
+            _frozen("h", special), len(mults))
         for c, (offsets, vals) in lists.items():
-            setattr(self, c + "_start", _frozen("i", offsets))
+            setattr(self, c + "_start", _frozen(_narrow(offsets[-1]), offsets))
             setattr(self, c + "_row", _frozen("h", vals))
         self.modes = tuple(modes)
         self._cols = None
@@ -374,17 +397,36 @@ class _Family:
 
 class _Columns:
     """A family's rows as numpy arrays, zero-copy views of its typed rows,
-    and each node row's height `level` (ends 0)."""
+    and what evaluation reads of the family alone, compiled once for every
+    point; all read-only.
+
+    - level: each node row's height (ends 0).
+    - line_tree, line_pos, line_mode, max_lines: per line of the family's
+      line list its tree, its position in the tree's lines and its mode; the
+      most lines of a tree.
+    - const, consts, props: each node row's index into the family's few
+      point-independent row constants: consts, its weight as far as no
+      point sets it, the kernel value v at a binary node (weighted a v or
+      -b Om^2 v), 1/m^3 at a special end, else 0.0; props, whether its
+      exiting line carries a cutoff propagator, which the lines of the
+      primary mode and of special ends and the unit root line of a
+      special-end tree do not.
+    - walk_line, walk_anchor: the lines on the path of each structural
+      resonance candidate, below its exit node, with the entering node's
+      mode, and of a special-end tree those from the special end up, with
+      anchor -1 (`_block_walks`).
+    - clean: per tree, whether it has a special end whose block no other
+      line repeats the mode of (the family half of `_l_conditions`).
+    """
 
     def __init__(self, f: _Family):
         for c, dt in (("kind", np.int8), ("ttype", np.int8), ("sv", np.int8),
                       ("kv", np.int8), ("n", np.int16), ("m", np.int16), ("mode", np.int16),
-                      ("size", np.int16), ("start", np.int32), ("mult", np.int64),
-                      ("line_start", np.int32), ("line_row", np.int16),
-                      ("pair_start", np.int32), ("pair_row", np.int16),
-                      ("cand_start", np.int32), ("cand_row", np.int16),
-                      ("special", np.int16)):
+                      ("size", np.int16), ("line_row", np.int16), ("pair_row", np.int16),
+                      ("cand_row", np.int16), ("special", np.int16)):
             setattr(self, c, np.frombuffer(getattr(f, c).obj, dtype=dt))
+        for c in ("start", "mult", "line_start", "pair_start", "cand_start"):
+            setattr(self, c, np.frombuffer(getattr(f, c).obj, dtype=getattr(f, c).format))
         inner = np.flatnonzero(self.sv > 0)
         kid = np.where(self.sv[inner] == 2, self.second(inner), inner + 1)
         self.level = np.zeros(len(self.sv), np.int8)
@@ -394,10 +436,74 @@ class _Columns:
                 break
             self.level[inner] = up
 
+        nl, roots = np.diff(self.line_start), self.start[:-1]
+        self.max_lines = int(nl.max(initial=0))
+        self.line_tree = np.repeat(np.arange(f.count), nl).astype(_narrow(f.count))
+        self.line_pos = (np.arange(len(self.line_row)) - np.repeat(self.line_start[:-1], nl)
+                         ).astype(_narrow(self.max_lines))
+        self.line_mode = self.mode[np.repeat(roots, nl) + self.line_row].astype(
+            _narrow(len(f.modes)))
+
+        kind, n, m = self.kind, self.n, self.m
+        prop = (kind == NODE) | ((kind == END) & ((np.abs(n) != 1) | (m != 1)))
+        if f.is_rtree:
+            prop[roots] = False
+        # weight keys: 0 for none, -m at a special end, and at a binary node
+        # 1 + the kernel's (m, m of the second subtree, m of the first); a
+        # row's constants are keyed by (weight key, prop)
+        ms, two = int(m.max(initial=0)) + 1, np.flatnonzero(self.sv == 2)
+        keys = np.zeros(len(kind), np.int64)
+        keys[two] = (m[two].astype(np.int64) * ms + m[self.second(two)]) * ms + m[two + 1] + 1
+        keys[kind == SPECIAL] = -m[kind == SPECIAL]
+        distinct, const = np.unique(2 * keys + prop, return_inverse=True)
+
+        def weight(k: int) -> float:
+            if k < 0:
+                return 1.0 / (-k) ** 3
+            k -= 1
+            return kernel_v(k // ms // ms, k // ms % ms, k % ms) if k >= 0 else 0.0
+
+        self.const = const.astype(_narrow(len(distinct)))
+        self.consts = np.array([weight(k >> 1) for k in distinct.tolist()])
+        self.props = (distinct & 1).astype(bool)
+
+        lines, anchors = _block_walks(f)
+        self.walk_line = np.array(lines, _narrow(len(self.line_row)))
+        self.walk_anchor = np.array(anchors, _narrow(len(f.modes)))
+        self.clean = np.array([e >= 0 and not _repeats(f, s, 0, e)
+                               for s, e in zip(f.start, f.special)], bool)
+        for a in vars(self).values():
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False      # shared by every point
+
     def second(self, rows: np.ndarray) -> np.ndarray:
         """Row of the second subtree of each of the given binary node rows,
         the child that comes first in TNode children order."""
         return rows + 1 + self.size[rows + 1]
+
+
+def _block_walks(f: _Family) -> tuple[list, list]:
+    """(line, anchor) per line on a walk up a block path, tree after tree:
+    from the parent of each structural candidate's entering node i up to
+    below its exit node, anchored at i's mode; in a special-end tree also
+    from the special end's parent up to the root, anchored at -1, and the
+    special end's block from the root as a candidate.  Lines are indices
+    in the family's line list; the unit root line of a special-end tree is
+    no line and is left out."""
+    out_line, out_anchor = [], []
+    for t in range(f.count):
+        s, line_of = f.start[t], {l: f.line_start[t] + p for p, l in enumerate(f.lines(t))}
+        walks = [(o, i, f.mode[s + i]) for o, i in f.cands(t)]
+        if f.is_rtree and f.special[t] >= 0:
+            walks += [(-1, f.special[t], -1), (0, f.special[t], f.mode[s + f.special[t]])]
+        for o, i, anchor in walks:
+            cur = f.par[s + i]
+            while cur >= 0 and cur != o:
+                if cur in line_of:
+                    out_line.append(line_of[cur])
+                    out_anchor.append(anchor)
+                cur = f.par[s + cur]
+    return out_line, out_anchor
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -541,7 +647,10 @@ class _Point:
     near-resonant zone, the on-shell frequency omega_bar and the cutoff
     propagator at the natural frequency Omega n per scale label.  Per
     (line mode, anchor mode): the labels admitted by the shifted divisor.
-    Per family: its assignment tables (`_Table`), which go with the point.
+    Per family: its assignment tables (`_Table`), which go with the point;
+    and the rows and `_setup` of the table evaluated last, until they are
+    read again: a family's plain and renormalized sums over one shared
+    table compute them once.
     """
 
     def __init__(self, params: ModelParams, eps: float, nu_items):
@@ -552,6 +661,7 @@ class _Point:
         self._shifted: dict = {}
         self._families: dict = {}
         self._tables: dict = {}
+        self._last: tuple | None = None
 
     def mode(self, n: int, m: int) -> _Mode:
         md = self._modes.get((n, m))
@@ -590,6 +700,17 @@ class _Point:
                 tab = self.table(fam, False)    # no support differs: share the rows
             self._tables[key] = tab
         return tab
+
+    def evaluation(self, tab: "_Table") -> tuple:
+        """(rows, setup) of all of a table's rows, `_Table.rows` and
+        `_setup`: kept from one evaluation of the table to the next, if that
+        comes before any other table's."""
+        last, self._last = self._last, None
+        if last is not None and last[0] is tab:
+            return last[1:]
+        rows = tab.rows()
+        self._last = (tab, rows, _setup(tab.f, rows, self))
+        return self._last[1:]
 
     def shifted(self, line: _Mode, anchor: _Mode) -> list[int]:
         """Labels of a line on the path of a block localized at anchor."""
@@ -659,45 +780,6 @@ class EvalCtx:
         return self.lt.aggregate(kv, n, m)
 
 
-def _shifted_supports(f: _Family, t: int, pt: _Point, modes: list) -> dict:
-    """Labels of the lines of tree t whose support is not the plain one.
-
-    Under localization a block's path lines are also evaluated at the
-    on-shell frequency of its entering line, so the supports of those
-    frequencies are unioned in.  A special-end tree is only ever evaluated
-    on shell, so its path lines never see the plain divisor at all.
-    """
-    s, mode, par = f.start[t], f.mode, f.par
-    cands = f.cands(t)
-    e_path = set()
-    e = f.special[t]
-    if f.is_rtree and e >= 0:
-        cands.append((0, e))
-        cur = par[s + e]
-        while cur >= 0:
-            e_path.add(cur)
-            cur = par[s + cur]
-    anchors: dict = {}
-    for (o, i) in cands:
-        mi = modes[mode[s + i]]
-        if not mi.lam or mi.bar is None:
-            continue
-        cur = par[s + i]
-        while cur >= 0 and cur != o:
-            anchors.setdefault(cur, []).append(mi)
-            cur = par[s + cur]
-    out = {}
-    for l in e_path | anchors.keys():
-        ml = modes[mode[s + l]]
-        if ml.root is None:
-            continue    # the line rejects the point anyway
-        hs = set() if l in e_path else set(ml.hs)
-        for a in anchors.get(l, ()):
-            hs.update(pt.shifted(ml, a))
-        out[l] = sorted(hs)
-    return out
-
-
 class _Table:
     """Admissible scale assignments of every tree of a family at one point.
 
@@ -708,46 +790,51 @@ class _Table:
     rows run through the product of its lines' labels in itertools.product
     order, without the rows that put two lines of equal mode more than one
     scale apart.  A tree with a line below the scale floor has no rows.
+    one: whether every tree has exactly one row.
     """
 
-    __slots__ = ("f", "row_start", "labels", "__weakref__")
+    __slots__ = ("f", "row_start", "labels", "one", "__weakref__")
 
     def __init__(self, f: _Family, pt: _Point, supports: dict):
         """supports: the labels of the lines (by index in the family's line
         list) that differ from their mode's plain ones."""
         c, modes, T = f.columns(), pt.modes_of(f), f.count
-        nl = np.diff(c.line_start)
-        line_tree = np.repeat(np.arange(T), nl)
         width = max([2] + [len(hs) for hs in supports.values()])
-        lm = c.mode[np.repeat(c.start[:-1], nl) + c.line_row]     # mode of each line
         opts = np.array([md.hs + [0] * (width - len(md.hs)) for md in modes],
-                        np.int16).reshape(-1, width)[lm]
-        cnt = np.array([len(md.hs) for md in modes], np.int64)[lm]
+                        np.int16).reshape(-1, width)[c.line_mode]
+        cnt = np.array([len(md.hs) for md in modes], np.int64)[c.line_mode]
         for g, hs in supports.items():
             opts[g, :len(hs)], cnt[g] = hs, len(hs)
         # mixed radix over each tree's lines, the last line fastest
-        pos = np.arange(len(lm)) - c.line_start[line_tree]
-        radix = np.ones((T, int(nl.max(initial=0)) + 1), np.int64)
-        radix[line_tree, pos] = cnt
+        radix = np.ones((T, c.max_lines + 1), np.int64)
+        radix[c.line_tree, c.line_pos] = cnt
         tail = np.cumprod(radix[:, ::-1], axis=1)[:, ::-1]   # combinations of lines p.. of t
-        combos, stride = tail[:, 0], tail[line_tree, pos + 1]
+        combos, stride = tail[:, 0], tail[c.line_tree, c.line_pos + 1]
         row_tree = np.repeat(np.arange(T), combos)
-        index = np.arange(len(row_tree)) - np.repeat(np.cumsum(combos) - combos, combos)
-        row, p, g = _line_slots(c, row_tree)
         # the smallest types that hold the labels and the row count: a
         # point's tables stay in memory as long as the point does
-        labels = np.full((len(row_tree), radix.shape[1] - 1), -1,
+        labels = np.full((len(row_tree), c.max_lines), -1,
                          np.int8 if opts.max(initial=0) < 128 else np.int16)
-        labels[row, p] = opts[g, index[row] // stride[g] % cnt[g]]
+        one = bool((combos == 1).all())     # one row per tree
+        if one:
+            labels[c.line_tree, c.line_pos] = opts[:, 0]
+        else:
+            index = np.arange(len(row_tree)) - np.repeat(np.cumsum(combos) - combos, combos)
+            row, p, g = _line_slots(c, row_tree)
+            labels[row, p] = opts[g, index[row] // stride[g] % cnt[g]]
         if len(c.pair_row):
             # equal-mode line pairs stay within one scale of each other
             pair_tree = np.repeat(np.arange(T), np.diff(c.pair_start) // 2)
-            per = combos[pair_tree]
-            rows = _ranges((np.cumsum(combos) - combos)[pair_tree], per)
-            a, b = (np.repeat(c.pair_row[i::2], per) for i in (0, 1))
+            if one:
+                rows, a, b = pair_tree, c.pair_row[0::2], c.pair_row[1::2]
+            else:
+                per = combos[pair_tree]
+                rows = _ranges((np.cumsum(combos) - combos)[pair_tree], per)
+                a, b = (np.repeat(c.pair_row[i::2], per) for i in (0, 1))
             drop = rows[np.abs(labels[rows, a] - labels[rows, b]) > 1]
-            labels, row_tree = np.delete(labels, drop, axis=0), np.delete(row_tree, drop)
-        self.f, self.labels = f, labels
+            if len(drop):
+                labels, row_tree = np.delete(labels, drop, axis=0), np.delete(row_tree, drop)
+        self.f, self.labels, self.one = f, labels, one and len(row_tree) == T
         self.row_start = np.searchsorted(row_tree, np.arange(T + 1)).astype(
             np.int16 if len(row_tree) < 2 ** 15 else np.int32)
 
@@ -761,8 +848,13 @@ class _Table:
         selects: each row's tree; then per node of the rows' trees, laid row
         after row, its family row and the scale of its exiting line (-1 off
         the propagator lines); each row's first node."""
-        c, labels = self.f.columns(), self.labels
-        row_tree = np.repeat(np.arange(self.f.count), np.diff(self.row_start))
+        c, labels, T = self.f.columns(), self.labels, self.f.count
+        if keep is None and self.one:
+            # one row per tree: the rows' nodes are the family's own rows
+            h = np.full(len(c.sv), -1, np.int16)
+            h[c.start[c.line_tree] + c.line_row] = labels[c.line_tree, c.line_pos]
+            return np.arange(T), np.arange(len(c.sv)), c.start[:-1], h
+        row_tree = np.repeat(np.arange(T), np.diff(self.row_start))
         if keep is not None:
             row_tree, labels = row_tree[keep], labels[keep]
         node_row, first = _node_rows(self.f, row_tree)
@@ -776,21 +868,40 @@ def _line_slots(c: _Columns, row_tree: np.ndarray) -> tuple:
     """(row, p, g) per line of each row's tree, row after row: the row, the
     line's position in its tree's line order and its index in the family's."""
     nl = c.line_start[row_tree + 1] - c.line_start[row_tree]
-    row = np.repeat(np.arange(len(row_tree)), nl)
     g = _ranges(c.line_start[row_tree], nl)
-    return row, g - c.line_start[row_tree[row]], g
+    return np.repeat(np.arange(len(row_tree)), nl), c.line_pos[g], g
 
 
 def _shifted_lines(f: _Family, pt: _Point) -> dict:
     """Labels of the family's lines (by index in its line list) whose
-    renormalized support differs from their mode's plain labels."""
-    c, modes, out = f.columns(), pt.modes_of(f), {}
-    own = (np.diff(c.cand_start) > 0) | (f.is_rtree & (c.special >= 0))
-    for t in np.flatnonzero(own).tolist():
-        sup, s = _shifted_supports(f, t, pt, modes), f.start[t]
-        for p, l in enumerate(f.lines(t).tolist()):
-            if l in sup and sup[l] != modes[f.mode[s + l]].hs:
-                out[f.line_start[t] + p] = sup[l]
+    renormalized support differs from their mode's plain labels.
+
+    Under localization a block's path lines are also evaluated at the
+    on-shell frequency of its entering line, so the supports of those
+    frequencies are unioned in, for blocks entered in the near-resonant
+    zone.  A special-end tree is only ever evaluated on shell, so the lines
+    on its special end's path never see the plain divisor at all.  A line
+    whose divisor is degenerate rejects the point anyway and keeps its
+    plain (empty) labels.
+    """
+    c, modes = f.columns(), pt.modes_of(f)
+    shifted, e_path = {}, set()
+    for g, lm, a in zip(c.walk_line.tolist(), c.line_mode[c.walk_line].tolist(),
+                        c.walk_anchor.tolist()):
+        ml = modes[lm]
+        if ml.root is None:
+            continue
+        if a < 0:
+            e_path.add(g)
+            shifted.setdefault(g, set())
+        elif modes[a].lam and modes[a].bar is not None:
+            shifted.setdefault(g, set()).update(pt.shifted(ml, modes[a]))
+    out = {}
+    for g, hs in shifted.items():
+        plain = modes[c.line_mode[g]].hs
+        hs = sorted(hs if g in e_path else hs.union(plain))
+        if hs != plain:
+            out[g] = hs
     return out
 
 
@@ -847,8 +958,45 @@ def _tabulated(keys: np.ndarray, fn) -> np.ndarray:
     return table[keys]
 
 
-def _row_values(f: _Family, rows: tuple, ctx: EvalCtx, special: bool = False) -> np.ndarray:
-    """Value of each row (see _Table.rows).
+def _setup(f: _Family, rows: tuple, pt: _Point) -> tuple:
+    """What evaluating the rows at a point reads besides the context: per
+    node its momentum n; the cutoff propagator of its exiting line at its
+    natural frequency, 1 on the lines of the primary mode and of special
+    ends and on the unit root line of a special-end tree; its weight as far
+    as no context sets it (q at ends and n l(h) at unary nodes come later):
+    1/m^3 at special ends, a v or -b Om^2 v at binary nodes (v the kernel);
+    whether it is an end; the unary nodes; the position of its second child
+    (that of the extra last entry, 1 * 1, where it has none); whether its
+    parent is b-type; its line factor into its parent, times its momentum
+    under a b-type parent; and the nodes of each level, ends first."""
+    row_tree, node, first, h = rows
+    c, modes = f.columns(), pt.modes_of(f)
+    kind, sv, n, level = c.kind[node], c.sv[node], c.n[node], c.level[node]
+    enters_b = c.ttype[node] == B
+    line, const = np.ones(len(node)), c.const[node]
+    prop = c.props[const]
+    hs = int(h.max(initial=-1)) + 2        # h + 1 in range(hs)
+    line[prop] = _tabulated(c.mode[node[prop]].astype(np.int64) * hs + h[prop] + 1,
+                            lambda k: pt.propagator(modes[k // hs], k % hs - 1))
+    w = c.consts[const]
+    two = sv == 2
+    b, kern = node[two], w[two]
+    w[two] = np.where(enters_b[two], -pt.params.b * pt.Om ** 2 * kern, pt.params.a * kern)
+    w.flags.writeable = False
+    kid2 = np.full(len(node), len(node))
+    kid2[two] = np.flatnonzero(two) + c.size[b + 1] + 1
+    tb = np.flatnonzero(enters_b)
+    under_b = np.zeros(len(node) + 1, bool)
+    under_b[kid2[tb]] = under_b[tb + 1] = True
+    fac = np.where(under_b, np.append(n * line, 1.0), np.append(line, 1.0))
+    levels = [np.flatnonzero(level == lv) for lv in range(int(level.max(initial=0)) + 1)]
+    return n, line, w, kind == END, np.flatnonzero(sv == 1), kid2, under_b, fac, levels
+
+
+def _row_values(f: _Family, rows: tuple, ctx: EvalCtx, special: bool = False,
+                setup: tuple | None = None) -> np.ndarray:
+    """Value of each row (see _Table.rows); setup is `_setup` of the rows at
+    ctx's point, computed here if not given.
 
     Level by level from the ends up, each node gets its weight times, per
     child in children order, the child's line factor times its value; a
@@ -865,57 +1013,29 @@ def _row_values(f: _Family, rows: tuple, ctx: EvalCtx, special: bool = False) ->
     values.  S is 0.0 where the block is not subtracted.
     """
     row_tree, node, first, h = rows
-    c, pt = f.columns(), ctx.point
-    kind, sv, n, m, level = c.kind[node], c.sv[node], c.n[node], c.m[node], c.level[node]
-    enters_b = c.ttype[node] == B
+    c, pt, modes = f.columns(), ctx.point, ctx.point.modes_of(f)
+    n, line, w, ends, unary, kid2, under_b, fac, levels = setup or _setup(f, rows, pt)
+    w = w.copy()
+    w[ends] = ctx.q or 0.0
+    if len(unary):
+        hs, hu = int(h.max(initial=-1)) + 2, h[unary]
+        if f.is_rtree:      # the unit root line: use the entering scale
+            root = np.zeros(len(node), bool)
+            root[first] = True
+            root = root[unary]
+            hu[root] = h[unary[root] + 1]
+        u, ks = node[unary], int(c.kv.max(initial=0)) + 1
 
-    # cutoff propagator of each exiting line at its natural frequency: 1 on
-    # the lines of the primary mode and of special ends, and on the unit
-    # root line of a special-end tree
-    line = np.ones(len(node))
-    prop = (kind == NODE) | ((kind == END) & ((np.abs(n) != 1) | (m != 1)))
-    if f.is_rtree:
-        prop[first] = False
-    hs, modes = int(h.max(initial=-1)) + 2, pt.modes_of(f)     # h + 1 in range(hs)
-    line[prop] = _tabulated(c.mode[node[prop]].astype(np.int64) * hs + h[prop] + 1,
-                            lambda k: pt.propagator(modes[k // hs], k % hs - 1))
+        def shift_weight(k):
+            md = modes[k // hs // ks]
+            return md.n * ctx.l_value(k // hs % ks, md.n, md.m, k % hs - 1)
 
-    # node weights: q at ends, 1/m^3 at special ends, a v or -b Om^2 v at
-    # binary nodes (v the kernel), n l(h) at unary nodes
-    w = np.zeros(len(node))
-    w[kind == END] = ctx.q or 0.0
-    spec = kind == SPECIAL
-    w[spec] = [1.0 / mm ** 3 for mm in m[spec].tolist()]
-    two = sv == 2
-    b = node[two]
-    other, ms = c.second(b), int(m.max(initial=0)) + 1
-    kern = _tabulated((m[two].astype(np.int64) * ms + c.m[other]) * ms + c.m[b + 1],
-                      lambda k: kernel_v(k // ms // ms, k // ms % ms, k % ms))
-    w[two] = np.where(c.ttype[b] == A, ctx.params.a * kern, -ctx.params.b * pt.Om ** 2 * kern)
-    unary = np.flatnonzero(sv == 1)
-    hu = h[unary]
-    if f.is_rtree:      # the unit root line: use the entering scale
-        root = np.isin(unary, first)
-        hu[root] = h[unary[root] + 1]
-    u, ks = node[unary], int(c.kv.max(initial=0)) + 1
+        w[unary] = _tabulated((c.mode[u].astype(np.int64) * ks + c.kv[u]) * hs + hu + 1,
+                              shift_weight)
 
-    def shift_weight(k):
-        md = modes[k // hs // ks]
-        return md.n * ctx.l_value(k // hs % ks, md.n, md.m, k % hs - 1)
-
-    w[unary] = _tabulated((c.mode[u].astype(np.int64) * ks + c.kv[u]) * hs + hu + 1,
-                          shift_weight)
-
-    # per child: its line factor into an a-type and into a b-type parent (b
-    # carries the child's momentum) and its value; the extra last entry,
-    # 1 * 1, stands in for the second child a unary node does not have
-    into_a, into_b = np.append(line, 1.0), np.append(n * line, 1.0)
     val = np.zeros(len(node) + 1)
     val[-1] = 1.0
-    kid2 = np.full(len(node), len(node))
-    kid2[two] = np.flatnonzero(two) + other - b
-    leaves = level == 0
-    val[:-1][leaves] = w[leaves]
+    val[levels[0]] = w[levels[0]]
     blocks = _blocks(f, rows, ctx, special) if ctx.renormalize or special else None
     if blocks is not None:
         o, i, sub, x_shell = blocks
@@ -935,29 +1055,27 @@ def _row_values(f: _Family, rows: tuple, ctx: EvalCtx, special: bool = False) ->
         lm, anchor, every = c.mode[node[j]], c.mode[node[i[bj]]], np.ones(len(j), bool)
         contexts = []
         for sel, on_shell in ((every, x_shell[bj]), (sub[bj], every)):
-            fa, fb = into_a.copy(), into_b.copy()
-            fa[i], fb[i] = 1.0, n[i]
+            ff = fac.copy()
+            ff[i] = np.where(under_b[i], n[i], 1.0)
             at = j[sel]
-            fa[at] = _path_lines(pt, modes, lm[sel], h[at], anchor[sel], on_shell[sel])
-            fb[at] = n[at] * fa[at]
-            contexts.append((fa, fb, np.ones(len(node) + 1)))
-    for lv in range(1, int(level.max(initial=0)) + 1):
-        e = np.flatnonzero(level == lv)
-        v, to_b = w[e], enters_b[e]
+            lf = _path_lines(pt, modes, lm[sel], h[at], anchor[sel], on_shell[sel])
+            ff[at] = np.where(under_b[at], n[at] * lf, lf)
+            contexts.append((ff, np.ones(len(node) + 1)))
+    for e in levels[1:]:
+        v = w[e]
         for kid in (kid2[e], e + 1):      # TNode children order: second subtree first
-            v = _times(v, np.where(to_b, into_b[kid], into_a[kid]), val[kid])
+            v = _times(v, fac[kid], val[kid])
         val[e] = np.where(v == 0.0, 0.0, v)
         if blocks is None:
             continue
         p = e[on_path[e]]
         k = exit_of[p]
-        up, top, to_b = k < 0, k >= 0, enters_b[p]
+        up, top = k < 0, k >= 0
         xs = []
-        for fa, fb, fv in contexts:
+        for ff, fv in contexts:
             v = w[p]
             for kid in (kid2[p], p + 1):
-                v = _times(v, np.where(to_b, fb[kid], fa[kid]),
-                           np.where(mine[kid], fv[kid], val[kid]))
+                v = _times(v, ff[kid], np.where(mine[kid], fv[kid], val[kid]))
             fv[p[up]] = v[up]
             xs.append(v[top])
         k = k[top]
@@ -1052,10 +1170,14 @@ def _total(f: _Family, row_tree: np.ndarray, values: np.ndarray) -> float:
 def _l_conditions(f: _Family, s: int, o: int, i: int, pt: _Point) -> bool:
     """On-shell subtraction applies only in the near-resonant zone and when
     no block line repeats the external mode label."""
-    if not pt.modes_of(f)[f.mode[s + i]].lam:
-        return False
+    return pt.modes_of(f)[f.mode[s + i]].lam and not _repeats(f, s, o, i)
+
+
+def _repeats(f: _Family, s: int, o: int, i: int) -> bool:
+    """Whether a line of block (o, i) of the tree at rows s.., other than
+    the exit line, has the entering mode."""
     mi = f.mode[s + i]
-    return all(f.mode[s + j] != mi for j in f.block(s, o, i) if j != o)
+    return any(f.mode[s + j] == mi for j in f.block(s, o, i) if j != o)
 
 
 def _active(f: _Family, t: int, h: list) -> list[tuple[int, int]]:
@@ -1096,8 +1218,8 @@ def sum_trees(k: int, n: int, m: int, params: ModelParams, eps: float,
     """Plain tree expansion of u^(k)_{n,m}: equals the recursion output."""
     f = _tree_family(k, n, m, params, Mmax)
     ctx = EvalCtx(params, eps, nu, q, counterterms)
-    rows = ctx.point.table(f, False).rows()
-    return _total(f, rows[0], _row_values(f, rows, ctx))
+    rows, setup = ctx.point.evaluation(ctx.point.table(f, False))
+    return _total(f, rows[0], _row_values(f, rows, ctx, setup=setup))
 
 
 def renormalized_sum(k: int, n: int, m: int, params: ModelParams, eps: float,
@@ -1107,10 +1229,10 @@ def renormalized_sum(k: int, n: int, m: int, params: ModelParams, eps: float,
     nodes reading the scale-resolved shift table built by `counterterm`."""
     f = _tree_family(k, n, m, params, Mmax)
     ctx = EvalCtx(params, eps, nu, q, counterterms, renormalize=True)
-    rows = ctx.point.table(f, True).rows()
+    rows, setup = ctx.point.evaluation(ctx.point.table(f, True))
     if counterterms is None and (f.columns().sv[rows[1]] == 1).any():
         raise MissingCountertermError("tree contains shift nodes but no table given")
-    return _total(f, rows[0], _row_values(f, rows, ctx))
+    return _total(f, rows[0], _row_values(f, rows, ctx, setup=setup))
 
 
 def _localized(f: _Family, ctx: EvalCtx, h: int) -> tuple[np.ndarray, np.ndarray]:
@@ -1118,14 +1240,15 @@ def _localized(f: _Family, ctx: EvalCtx, h: int) -> tuple[np.ndarray, np.ndarray
     a line at scale >= h: each row's localized value, the value of its
     special-end block priced on shell times the special end's weight, and
     0.0 on the trees that fail `_l_conditions`."""
-    tab = ctx.point.table(f, True)
+    tab, c = ctx.point.table(f, True), f.columns()
     row_tree = np.repeat(np.arange(f.count), np.diff(tab.row_start))
-    ok = np.array([_l_conditions(f, f.start[t], 0, f.special[t], ctx.point)
-                   for t in range(f.count)], bool)
+    lam = np.array([md.lam for md in ctx.point.modes_of(f)], bool)
+    ok = c.clean & lam[c.mode[c.start[:-1] + c.special]]
     reach = tab.labels.max(axis=1, initial=-1) >= h
     values = np.zeros(len(row_tree))
     keep = reach & ok[row_tree]
-    values[keep] = _row_values(f, tab.rows(keep), ctx, special=True)
+    rows, setup = ctx.point.evaluation(tab) if keep.all() else (tab.rows(keep), None)
+    values[keep] = _row_values(f, rows, ctx, special=True, setup=setup)
     return row_tree[reach], values[reach]
 
 

@@ -8,7 +8,8 @@ exit node at a time.  `_renormalized_value`, `_lval_rtree`,
 `localize_split` and `extended_value` are built on it.  The detectors find
 clusters and resonances from a tree's scale assignment alone, independently
 of the structural candidates the compiled families store.  Last, the tree
-walks and the scale-h propagator slice that only the tests read.
+walks and the scale-h propagator slice that only the tests read, with the
+per-tree walk of the renormalized supports.
 """
 from __future__ import annotations
 
@@ -373,6 +374,46 @@ def extended_value(tree: Tree, asg: dict, params: ModelParams, eps: float,
 
 # ---------------------------------------------------------------------------
 # tree walks and the scale-h propagator slice
+
+def _shifted_supports(f: _Family, t: int, pt, modes: list) -> dict:
+    """Labels of the lines of tree t whose support is not the plain one.
+
+    Under localization a block's path lines are also evaluated at the
+    on-shell frequency of its entering line, so the supports of those
+    frequencies are unioned in.  A special-end tree is only ever evaluated
+    on shell, so its path lines never see the plain divisor at all.  The
+    tree-by-tree walk that `trees._shifted_lines` reads compiled.
+    """
+    s, mode, par = f.start[t], f.mode, f.par
+    cands = f.cands(t)
+    e_path = set()
+    e = f.special[t]
+    if f.is_rtree and e >= 0:
+        cands.append((0, e))
+        cur = par[s + e]
+        while cur >= 0:
+            e_path.add(cur)
+            cur = par[s + cur]
+    anchors: dict = {}
+    for (o, i) in cands:
+        mi = modes[mode[s + i]]
+        if not mi.lam or mi.bar is None:
+            continue
+        cur = par[s + i]
+        while cur >= 0 and cur != o:
+            anchors.setdefault(cur, []).append(mi)
+            cur = par[s + cur]
+    out = {}
+    for l in e_path | anchors.keys():
+        ml = modes[mode[s + l]]
+        if ml.root is None:
+            continue    # the line rejects the point anyway
+        hs = set() if l in e_path else set(ml.hs)
+        for a in anchors.get(l, ()):
+            hs.update(pt.shifted(ml, a))
+        out[l] = sorted(hs)
+    return out
+
 
 def prop_line_nodes(tree: Tree) -> list:
     """Nodes whose exiting line carries a genuine cutoff propagator."""

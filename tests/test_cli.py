@@ -113,6 +113,7 @@ def test_invalid_mu_exit_2(tmp_path):
     ["--samples", "4001", "bruno", "check"],    # more points than the sampler's draws
     ["trees", "5", "2", "3"],                   # families over the tree budget, refused
     ["trees", "30", "2", "3"],                  # from their count before enumeration
+    ["trees", "400", "2", "3"],                 # from a walk of a few keys per order
     ["trees", "1", "2", "-1"],                  # spatial labels start at 1
     ["trees", "2", "3", "-5", "--special"],
     ["trees", "1200", "2", "3"],                # too deep to count on the stack

@@ -552,6 +552,40 @@ def test_tree_budget_is_checked_before_enumeration():
             (enumerate_r_trees if special else enumerate_trees)(k, n, m, P, 15)
 
 
+def test_budget_refusal_walks_few_keys(monkeypatch):
+    # `lindbeam trees 400 2 3`: the splits skip the child families whose ends
+    # cannot carry their momentum, so the count saturates after a walk of a
+    # few keys per order, not of O(k^2 Mmax) keys
+    calls = []
+    splits = trees._splits
+
+    def counted(key, *args):
+        calls.append(key)
+        return splits(key, *args)
+
+    monkeypatch.setattr(trees, "_splits", counted)
+    with pytest.raises(trees.TreeBudgetError, match=r"enumeration of \(400,2,3\) exceeds budget"):
+        trees._family.__wrapped__(400, 2, 3, 15, False)
+    assert len(calls) < 1000
+
+
+def test_unreachable_momenta_have_empty_families(monkeypatch):
+    # `_reaches` skips a family only when it has no tree: counted again with
+    # every momentum let through, each family at Mmax 5 has the same trees
+    # and rows, and none where its ends cannot carry its momentum
+    reaches, keys = trees._reaches, []
+    for with_e in (False, True):
+        keys += [((k, n, m, with_e), (2, 3) if with_e else None)
+                 for k in range(1, 7) for n in range(-k - 4, k + 5) for m in (1, 3)]
+    skipped = [trees._count(key, 5, e, {}, math.inf)[:2] for key, e in keys]
+    monkeypatch.setattr(trees, "_reaches", lambda k, d, with_e: True)
+    for (key, e), want in zip(keys, skipped):
+        k, n, _, with_e = key
+        assert trees._count(key, 5, e, {}, math.inf)[:2] == want, key
+        assert want[0] == 0 or reaches(k, n - 2 if with_e else n, with_e), key
+    assert sum(t > 0 for t, _ in skipped) > 50
+
+
 # The skeleton route that compiled families before they were written from
 # their count: `_gen` built one canonical TNode per tree, `_Family` flattened
 # the TNodes, multiplicities from `_obj_mult`.  The count's rows must equal
@@ -841,7 +875,7 @@ def test_admissible_assignments_match_object_route_near_resonance():
 def _loop_assignments(f, t, pt, renormalize):
     """Label tuples of tree t's lines, tree by tree (the per-tree loop)."""
     s, mode, modes = f.start[t], f.mode, pt.modes_of(f)
-    shifted = trees._shifted_supports(f, t, pt, modes) if renormalize or f.is_rtree else {}
+    shifted = oracles._shifted_supports(f, t, pt, modes) if renormalize or f.is_rtree else {}
     options = []
     for l in f.lines(t):
         ml = modes[mode[s + l]]
@@ -1098,7 +1132,8 @@ def test_equal_mode_lines_stay_within_one_scale():
     asgs = admissible_assignments(t, P, eps, None, renormalize=True)
     assert asgs == [{nd.nid: -1 for nd in prop_line_nodes(t)}]
     f, _ = t._compiled()
-    assert [len(hs) for hs in trees._shifted_supports(f, 0, pt, pt.modes_of(f)).values()] == [3]
+    assert [len(hs) for hs in oracles._shifted_supports(f, 0, pt, pt.modes_of(f)).values()] == [3]
+    assert [len(hs) for hs in trees._shifted_lines(f, pt).values()] == [3]
     row_tree, _, first, h = pt.table(f, True).rows()
     assert len(row_tree) == 1 and h[first[0] + p] == h[first[0] + s] == -1
 
@@ -1145,3 +1180,102 @@ def test_tree_family_cache_is_bounded():
         sum_trees(2, 0, 3, P, eps, None, 0.8, None, 7)
     gc.collect()
     assert table() is None
+
+
+def test_point_independent_work_is_done_at_the_first_point(monkeypatch):
+    # a compiled family holds the kernel values and the block paths; a
+    # second point evaluates the criterion-6 families, plain, renormalized
+    # and special-end, without tabulating either again
+    from lindbeam.bruno import sample_diophantine_points
+
+    calls = {"kernel_v": 0, "_block_walks": 0}
+    for name in calls:
+        fn = getattr(trees, name)
+
+        def counted(*args, fn=fn, name=name):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(trees, name, counted)
+    lt, q = CountertermTable(), 0.8
+    for eps, nu in sample_diophantine_points(TREE_P, 2, seed=7):
+        for key in calls:
+            calls[key] = 0
+        for (k, n, m) in GRID6:
+            sum_trees(k, n, m, TREE_P, eps, nu, q, lt, MM)
+            renormalized_sum(k, n, m, TREE_P, eps, nu, q, lt, MM)
+        for (n, m) in lambda_modes(TREE_P, MM, 60):
+            counterterm(2, n, m, -1, TREE_P, eps, nu, q, lt, MM)
+    assert calls == {"kernel_v": 0, "_block_walks": 0}
+
+
+def test_compiled_family_arrays_are_read_only():
+    f = trees._family(3, 2, 3, MM, False)
+    c = f.columns()
+    arrays = {name: a for name, a in vars(c).items() if isinstance(a, np.ndarray)}
+    assert {"line_tree", "line_pos", "line_mode", "const", "consts", "props",
+            "walk_line", "walk_anchor", "clean", "level"} <= arrays.keys()
+    assert not any(a.flags.writeable for a in arrays.values())
+    with pytest.raises(ValueError):
+        c.consts[0] = 1.0
+    with pytest.raises(ValueError):
+        c.props[:] = False
+
+
+def test_compiled_indices_are_sized_by_what_they_index():
+    # family (3, 2, 3) at Mmax 3 has 98 trees, so its tree indices fit
+    # int8, but its block walks reach line 142 of its line list
+    f = trees._family(3, 2, 3, 3, False)
+    c = f.columns()
+    lines, anchors = trees._block_walks(f)
+    assert f.count < 128 <= max(lines)
+    assert c.walk_line.tolist() == lines and c.walk_anchor.tolist() == anchors
+    assert c.line_tree.tolist() == [t for t in range(f.count) for _ in f.lines(t)]
+    assert c.line_pos.tolist() == [p for t in range(f.count) for p in range(len(f.lines(t)))]
+    from lindbeam.bruno import sample_diophantine_points
+    from lindbeam.checks import recursion_cases
+
+    pts = sample_diophantine_points(TREE_P, 1, seed=7)
+    for eps, nu, q, lt, _ in recursion_cases(TREE_P, pts, 3, 3, 60):
+        assert repr(sum_trees(3, 2, 3, TREE_P, eps, nu, q, lt, 3)) == \
+            repr(_loop_sum(f, EvalCtx(TREE_P, eps, nu, q, lt)))
+        assert repr(renormalized_sum(3, 2, 3, TREE_P, eps, nu, q, lt, 3)) == \
+            repr(_loop_sum(f, EvalCtx(TREE_P, eps, nu, q, lt, renormalize=True)))
+
+
+def test_one_row_per_tree_rows_match_the_general_layout():
+    # where every tree has one row, `_Table.rows` takes the family's own
+    # node layout; selecting every row goes the general way
+    for fam in ((3, 2, 3, MM, False), (2, 9, 3, MM, True)):
+        f = trees._family(*fam)
+        tab = _point(TREE_P, 0.0113, None).table(f, True)
+        assert tab.one and np.array_equal(tab.row_start, np.arange(f.count + 1))
+        fast, general = tab.rows(), tab.rows(np.ones(f.count, bool))
+        for a, b in zip(fast, general):
+            assert a.tolist() == b.tolist()
+
+
+def test_plain_and_renormalized_sums_share_one_setup(monkeypatch):
+    # a family's plain and renormalized sums over one shared table compute
+    # its rows and `_setup` once; a table of its own gets its own, and
+    # nothing stays kept once the second sum has read it
+    from lindbeam.bruno import sample_diophantine_points
+
+    calls = []
+    setup = trees._setup
+
+    def counted(f, rows, pt):
+        calls.append(f)
+        return setup(f, rows, pt)
+
+    monkeypatch.setattr(trees, "_setup", counted)
+    (eps, nu), = sample_diophantine_points(TREE_P, 1, seed=3)
+    lt, q, want = CountertermTable(), 0.8, 0
+    pt = _point(TREE_P, eps, nu)
+    for (k, n, m) in GRID6:
+        f = trees._family(k, n, m, MM, False)
+        sum_trees(k, n, m, TREE_P, eps, nu, q, lt, MM)
+        renormalized_sum(k, n, m, TREE_P, eps, nu, q, lt, MM)
+        want += 1 if pt.table(f, False) is pt.table(f, True) else 2
+    assert len(calls) == want < 2 * len(GRID6)
+    assert pt._last is None
