@@ -21,7 +21,7 @@ from lindbeam.trees import (
 params = ModelParams(a=1.0, b=0.5, mu=0.01, eps0=0.05, omega_branch=1,
                      Mmax=9, Nmax=60)
 eps, q = 0.013, 0.8
-nu = NuTable(eps0=params.eps0)
+nu = NuTable()
 nu.set(2, 1, 3e-4)
 
 print("== skeletons of order 1 at mode (2,3) ==")
@@ -37,7 +37,7 @@ for t in rts[:2]:
     print(dump_tree(t))
 
 print("\n== shift coefficients from the special-end family ==")
-lt = counterterm_table(params, eps, nu, q, (2,), lambda_modes(params, 9, 60), 9)
+lt = counterterm_table(params, eps, nu, q, (2,), lambda_modes(params))
 for (_k, n, m, _h), v in lt.items():
     print(f"  l2({n},{m}) = {v:+.8f}")
 

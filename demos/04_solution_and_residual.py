@@ -25,7 +25,7 @@ from lindbeam.series import (
 params = ModelParams(a=1.0, b=0.5, mu=0.1, eps0=0.02, omega_branch=-1,
                      Mmax=64, Nmax=300)
 
-A = amplitude_cubic_coefficient(params, 1e-3, 64)
+A = amplitude_cubic_coefficient(params, 1e-3)
 print(f"cubic coefficient A = {A:.6f}  ->  amplitude q -> {1/math.sqrt(A):.6f}")
 print("(on the Omega = omega_1 + eps branch A is negative: solutions bifurcate"
       "\n downward in frequency, so this run uses the minus branch)\n")

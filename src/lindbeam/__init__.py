@@ -7,7 +7,7 @@ renormalized power-series (Lindstedt) construction, together with desk-scale
 verification of the combinatorial and arithmetic machinery behind it.
 """
 
-from .kernel import kernel_sum_probe, kernel_v, triple_sine_integral
+from .kernel import kernel_sum_probe, kernel_v
 from .series import (
     CoeffTable,
     CountertermTable,

@@ -145,7 +145,7 @@ def sample_diophantine_points(params: ModelParams, count: int, seed: int = 0,
             eps = float(row[0]) * params.eps0
             if not 1e-8 < eps < params.eps0:
                 continue
-            nu = ms.nu_table((2.0 * row[1:] - 1.0) * cap, params.nu_cap)
+            nu = ms.nu_table((2.0 * row[1:] - 1.0) * cap)
             if check_melnikov(eps, nu, params):
                 out.append((eps, nu))
                 if len(out) >= count:

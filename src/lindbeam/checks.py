@@ -2,7 +2,8 @@
 sample points returning the numbers compared with a threshold.  `lindbeam
 verify`, `lindbeam bruno check`, `lindbeam dioph mass`/`measure` and the
 acceptance suite call the same functions, each with its own grid and
-threshold."""
+threshold.  The cutoffs are those of the params; a caller that wants
+coarser ones passes `params.with_(Mmax=..., Nmax=...)`."""
 from __future__ import annotations
 
 import warnings
@@ -56,36 +57,35 @@ def partition_of_unity(gamma: float, xs: np.ndarray, H: int) -> float:
     return float(np.max(np.abs(total[xs > 2.0 ** -H * gamma] - 1.0)))
 
 
-def recursion_cases(params: ModelParams, points, K: int, Mmax: int, Nmax: int) -> list:
+def recursion_cases(params: ModelParams, points, K: int) -> list:
     """(eps, nu, q, lt, table) per sample point: the order-2 shift table over
-    the near-resonant modes within (Mmax, Nmax) and the recursion up to order
-    K at q = 0.8.  The tree identity holds at any amplitude and truncation,
-    so the recursion's tail warning at the coarse cutoff is muted."""
+    the near-resonant modes within the params' cutoffs and the recursion up
+    to order K at q = 0.8.  The tree identity holds at any amplitude and
+    truncation, so the recursion's tail warning at a coarse cutoff is muted."""
     q = 0.8
-    modes = lambda_modes(params, Mmax, Nmax)
+    modes = lambda_modes(params)
     out = []
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message="convolution mass beyond")
         for eps, nu in points:
-            lt = counterterm_table(params, eps, nu, q, (2,), modes, Mmax)
-            out.append((eps, nu, q, lt, compute_coeffs(params, eps, nu, lt, K, Mmax, q=q)))
+            lt = counterterm_table(params, eps, nu, q, (2,), modes)
+            out.append((eps, nu, q, lt, compute_coeffs(params, eps, nu, lt, K, params.Mmax, q=q)))
     return out
 
 
-def tree_identity(expansion, params: ModelParams, cases, grid, Mmax: int) -> float:
+def tree_identity(expansion, params: ModelParams, cases, grid) -> float:
     """Worst |recursion - expansion| / max(1, |recursion|) over grid and the
     `recursion_cases`; expansion is `trees.sum_trees` or `renormalized_sum`."""
     worst = 0.0
     for eps, nu, q, lt, table in cases:
         for (k, n, m) in grid:
             want = table.value(k, n, m)
-            got = expansion(k, n, m, params, eps, nu, q, lt, Mmax)
+            got = expansion(k, n, m, params, eps, nu, q, lt)
             worst = max(worst, abs(want - got) / max(1.0, abs(want)))
     return worst
 
 
-def counting_inequalities(params: ModelParams, points, grid, Mmax: int,
-                          special_modes=()) -> dict:
+def counting_inequalities(params: ModelParams, points, grid, special_modes=()) -> dict:
     """[assignments, violations, assignments with a line at h >= 0] of the
     counting inequalities over the sample points: per order k over the
     families of grid, and under "special" over the order-2 special-end
@@ -96,7 +96,7 @@ def counting_inequalities(params: ModelParams, points, grid, Mmax: int,
     tallies = {key: [0, 0, 0] for key, _, _ in families}
     for eps, nu in points:
         for key, (k, n, m, special), check in families:
-            count, deep = family_assignments(k, n, m, params, eps, nu, Mmax, special)
+            count, deep = family_assignments(k, n, m, params, eps, nu, special)
             tallies[key][0] += count
             tallies[key][1] += sum(not check(tree, asg, params, raise_on_fail=False)
                                    for tree, asg in deep)

@@ -70,8 +70,10 @@ def _yes(val) -> bool:
     return str(val).lower() in ("1", "true", "yes")
 
 
-# model keys: the ModelParams field and its type; checked by ModelParams
-_MODEL_KEYS = typing.get_type_hints(ModelParams)
+# model keys: the ModelParams field and its type (float for tau, whose None
+# derives it from tau0); checked by ModelParams
+_MODEL_KEYS = {key: next((t for t in typing.get_args(hint) if t is not type(None)), hint)
+               for key, hint in typing.get_type_hints(ModelParams).items()}
 # run keys: name -> (type, default, least value); None: no default or no bound
 _RUN_KEYS = {
     "eps": (float, None, None),
@@ -143,13 +145,13 @@ def cmd_coeffs(params: ModelParams, run: dict) -> int:
     eps = run.get("eps", params.eps0 / 2)
     K = run["orders"]
     if params.a == 0.0 and params.b == 0.0:
-        nu = NuTable(eps0=params.eps0, nu_cap=params.nu_cap)
+        nu = NuTable()
         lt, q = CountertermTable(), 0.0
         A = 0.0
     else:
         nu, info = solve_nu(params, eps, K)
         lt, q = info["counterterms"], info["q"]
-        A = amplitude_cubic_coefficient(params, eps, params.Mmax, nu)
+        A = amplitude_cubic_coefficient(params, eps, nu)
     table = compute_coeffs(params, eps, nu, lt, K, params.Mmax, q=q)
     save_coeffs_csv(table, out / "coeffs.csv")
     save_counterterms_csv(lt, out / "counterterms.csv")
@@ -164,8 +166,8 @@ def cmd_counterterms(params: ModelParams, run: dict) -> int:
     eps = run.get("eps", params.eps0 / 2)
     K = run["orders"]
     nu, info = solve_nu(params, eps, K)
-    lt = counterterm_table(params, eps, nu, info["q"], range(2, K + 1),
-                           lambda_modes(params), min(params.Mmax, 33), scales=(-1, 0, 1))
+    lt = counterterm_table(params.with_(Mmax=min(params.Mmax, 33)), eps, nu, info["q"],
+                           range(2, K + 1), lambda_modes(params), scales=(-1, 0, 1))
     save_counterterms_csv(lt, out / "counterterms.csv")
     print(f"wrote scale-resolved counterterms to {out}")
     return EXIT_OK
@@ -174,7 +176,7 @@ def cmd_counterterms(params: ModelParams, run: dict) -> int:
 def cmd_trees(params: ModelParams, run: dict, order: int, n: int, m: int,
               special: bool) -> int:
     enumerate_ = enumerate_r_trees if special else enumerate_trees
-    ts = enumerate_(order, n, m, params, min(params.Mmax, 15))
+    ts = enumerate_(order, n, m, params.with_(Mmax=min(params.Mmax, 15)))
     print(f"# {len(ts)} skeletons of order {order} at mode ({n},{m})")
     for t in ts:
         print(f"# multiplicity {t.mult}")
@@ -200,16 +202,16 @@ def cmd_verify(params: ModelParams, run: dict) -> int:
     record("partition_of_unity", dev < 1e-12, f"max deviation {dev:.2e}")
 
     # a small grid at a coarse cutoff: the identity is exact at any truncation
-    Mm = 9
-    pts = bruno_mod.sample_diophantine_points(params.with_(Mmax=Mm, Nmax=60), 3, seed=run["seed"])
+    coarse = params.with_(Mmax=9, Nmax=60)
+    pts = bruno_mod.sample_diophantine_points(coarse, 3, seed=run["seed"])
     K = min(run["orders"], 3)
-    cases = checks.recursion_cases(params, pts, K, Mm, 60)
+    cases = checks.recursion_cases(coarse, pts, K)
     worst_rel = checks.tree_identity(
-        sum_trees, params, cases, checks.family_grid(range(1, K + 1), (1, 3, 5, 7, 9)), Mm)
+        sum_trees, coarse, cases, checks.family_grid(range(1, K + 1), (1, 3, 5, 7, 9)))
     record("tree_recursion_equivalence", worst_rel < 1e-10,
            f"worst relative deviation {worst_rel:.2e}")
 
-    tallies = checks.counting_inequalities(params, pts, checks.family_grid((1, 2), (1, 3, 5)), Mm)
+    tallies = checks.counting_inequalities(coarse, pts, checks.family_grid((1, 2), (1, 3, 5)))
     total, bad, deep = map(sum, zip(*tallies.values()))
     record("counting_inequality", bad == 0,
            f"{total} assignments, {bad} violations, {deep} with a line at h >= 0")
@@ -334,12 +336,11 @@ def cmd_dioph_measure(params: ModelParams, run: dict) -> int:
 
 
 def cmd_bruno(params: ModelParams, run: dict) -> int:
-    Mm = 9
-    pts = bruno_mod.sample_diophantine_points(params.with_(Mmax=Mm, Nmax=60),
-                                              run.get("samples", 20), seed=run["seed"])
+    coarse = params.with_(Mmax=9, Nmax=60)
+    pts = bruno_mod.sample_diophantine_points(coarse, run.get("samples", 20), seed=run["seed"])
     out = _outdir(run)
     grid = checks.family_grid((1, 2, 3), (1, 3, 5))
-    tallies = checks.counting_inequalities(params, pts, grid, Mm)
+    tallies = checks.counting_inequalities(coarse, pts, grid)
     rows = [(k, *tallies[k]) for k in (1, 2, 3)]
     with open(out / "bruno.csv", "w", newline="") as fh:
         w = csv.writer(fh)

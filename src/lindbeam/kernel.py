@@ -8,10 +8,10 @@ unless m+m1+m2 is odd and otherwise equals
 
 The kernel used throughout is the Galerkin projection coefficient
 v_{m,m1,m2} = (2/pi) * I.  The closed form is exact; adaptive quadrature
-(`triple_sine_quadrature`, scipy's `quad`) and, in the tests, an independent
-complex-exponential sign sum only cross-check it.  The quadrature is an
-oracle: scipy is imported on its first call, so importing the package and
-running the construction load numpy alone.
+(`triple_sine_quadrature`, scipy's `quad`, compared by `checks.kernel_oracle`)
+and, in the tests, an independent complex-exponential sign sum only
+cross-check it.  The quadrature is an oracle: scipy is imported on its first
+call, so importing the package and running the construction load numpy alone.
 
 Since sin(m1 x) sin(m2 x) = (cos((m1-m2)x) - cos((m1+m2)x)) / 2, the kernel
 factorizes exactly as v_{m,m1,m2} = (1/2)(2/pi) (J[m,|m1-m2|] - J[m,m1+m2]),
@@ -29,27 +29,19 @@ import numpy as np
 
 __all__ = [
     "C_NORM",
-    "triple_sine_integral",
     "triple_sine_closed",
     "triple_sine_quadrature",
     "kernel_v",
     "kernel_tensor",
     "cosine_projection",
     "kernel_sum_probe",
-    "KernelDisagreementError",
 ]
 
 C_NORM = 2.0 / math.pi
 
-ORACLE_TOL = 1e-10
-
-# Entries kept by the kernel_v and triple_sine_integral caches; the working
-# sets of the construction and the checks are a few thousand triples at most.
+# Entries kept by the kernel_v cache; the working sets of the construction
+# and the checks are a few thousand triples at most.
 CACHE_SIZE = 2 ** 14
-
-
-class KernelDisagreementError(ArithmeticError):
-    """Quadrature and closed-form evaluations differ beyond tolerance."""
 
 
 def _closed_form(m, m1, m2):
@@ -70,17 +62,6 @@ def triple_sine_quadrature(m: int, m1: int, m2: int) -> float:
     val, _ = quad(lambda x: math.sin(m * x) * math.sin(m1 * x) * math.sin(m2 * x),
                   0.0, math.pi, limit=60 + 12 * max(m, m1, m2))
     return val
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def triple_sine_integral(m: int, m1: int, m2: int) -> float:
-    """Dual-route evaluation of the integral; raises if the routes disagree."""
-    q = triple_sine_quadrature(m, m1, m2)
-    c = triple_sine_closed(m, m1, m2)
-    if abs(q - c) > ORACLE_TOL * max(1.0, abs(c)):
-        raise KernelDisagreementError(
-            f"triple sine integral mismatch at {(m, m1, m2)}: quad={q!r} closed={c!r}")
-    return c
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -134,8 +115,3 @@ def kernel_sum_probe(m: int, Mmax: int) -> float:
     half = [np.arange(p, Mmax + 1, 2, dtype=float)[:, None] for p in (1, 2)]
     return sum(float(np.sum(np.abs(_closed_form_grid(m, x, y.T)) / (x ** 3 * y.T ** 3)))
                for x, y in zip(half, half if m % 2 else half[::-1]))
-
-
-def kernel_sum_probe_restricted(m: int) -> float:
-    """S(m) with the larger index limited to m/4; decays like m^-4."""
-    return kernel_sum_probe(m, max(1, m // 4))

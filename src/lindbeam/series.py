@@ -316,14 +316,14 @@ def _beta(params: ModelParams, eps: float) -> float:
     return (om1sq - Om * Om) / eps
 
 
-def amplitude_cubic_coefficient(params: ModelParams, eps: float, Mmax: int,
+def amplitude_cubic_coefficient(params: ModelParams, eps: float,
                                 nu: NuTable | None = None) -> float:
     """Cubic coefficient A of the reduced amplitude equation q = A q^3 + O(eta^2).
 
     Assembled from the order-1 coefficients feeding back into the primary
-    mode; the m-sum is truncated at Mmax (terms decay like m^-10).
+    mode; the m-sum is truncated at params.Mmax (terms decay like m^-10).
     """
-    odd = np.arange(1, Mmax + 1, 2)
+    odd = np.arange(1, params.Mmax + 1, 2)
     shift2 = np.array([nu.n_nu(2, m) for m in odd.tolist()]) if nu else 0.0
     return _cubic_coefficient(params, eps, odd, shift2, _cubic_rows(params, eps, odd))
 
@@ -348,23 +348,23 @@ def _cubic_coefficient(params: ModelParams, eps: float, odd: np.ndarray,
 
 
 def amplitude_series(params: ModelParams, eps: float, nu: NuTable | None,
-                     counterterms: CountertermTable | None, K: int, Mmax: int
-                     ) -> np.ndarray:
+                     counterterms: CountertermTable | None, K: int) -> np.ndarray:
     """Coefficients A_j(1), j = 1..K, of the primary-mode equation at q = 1.
 
     The equation for q reads beta q = sum_j eta^{j-1} A_j(1) q^{j+2}
     (each order is homogeneous of degree j+2 in q).  Even j vanish by parity.
     """
-    table = compute_coeffs(params, eps, nu, counterterms, K, Mmax, q=1.0)
+    M = params.Mmax
+    table = compute_coeffs(params, eps, nu, counterterms, K, M, q=1.0)
     out = np.zeros(K + 1)
     Om = omega_eff(params, eps)
     for j in range(1, K + 1):
-        out[j] = _forcing(table.u, j, params, Om, Mmax)[1 + (j + 2), 0]   # (n, m) = (1, 1)
+        out[j] = _forcing(table.u, j, params, Om, M)[1 + (j + 2), 0]   # (n, m) = (1, 1)
     return out[1:]
 
 
 def solve_amplitude(params: ModelParams, eps: float, nu: NuTable | None,
-                    counterterms: CountertermTable | None, K: int, Mmax: int) -> float:
+                    counterterms: CountertermTable | None, K: int) -> float:
     """Positive root of the truncated primary-mode equation.
 
     Solves beta q = sum_{j<=K} eta^{j-1} A_j q^{j+2} by damped Newton in
@@ -375,7 +375,7 @@ def solve_amplitude(params: ModelParams, eps: float, nu: NuTable | None,
         return 0.0   # linear equation: only the trivial periodic solution
     eta = math.sqrt(eps)
     beta = _beta(params, eps)
-    A = amplitude_series(params, eps, nu, counterterms, K, Mmax)
+    A = amplitude_series(params, eps, nu, counterterms, K)
     if A[0] / beta <= 0.0:
         raise SignExcludedError(
             f"cubic coefficient A = {A[0] / beta:.3e} <= 0 on branch "
@@ -412,11 +412,10 @@ def solve_amplitude(params: ModelParams, eps: float, nu: NuTable | None,
     return q
 
 
-def lambda_modes(params: ModelParams, Mmax: int | None = None,
-                 Nmax: int | None = None) -> list[tuple[int, int]]:
-    """Near-resonant modes (n >= 1, m odd) within the cutoffs, primary excluded."""
-    return mode_set(params.mu, params.eps0, Mmax or params.Mmax,
-                    Nmax or params.Nmax).modes()
+def lambda_modes(params: ModelParams) -> list[tuple[int, int]]:
+    """Near-resonant modes (n >= 1, m odd) within the params' cutoffs,
+    primary excluded."""
+    return mode_set(params.mu, params.eps0, params.Mmax, params.Nmax).modes()
 
 
 def solve_nu(params: ModelParams, eps: float, K: int,
@@ -465,10 +464,10 @@ def solve_nu(params: ModelParams, eps: float, K: int,
                 raise NonConvergenceError(f"nu fixed point at sweep {sweep}: {exc}") from None
             new = eta ** 2 * l2 if K >= 2 else np.zeros(len(ms))
         else:
-            nu = ms.nu_table(vals, params.nu_cap)
-            q = solve_amplitude(params, eps, nu, lt, K, params.Mmax)
+            nu = ms.nu_table(vals)
+            q = solve_amplitude(params, eps, nu, lt, K)
             modes = ms.modes()
-            lt = counterterm_table(params, eps, nu, q, range(2, K + 1), modes, params.Mmax)
+            lt = counterterm_table(params, eps, nu, q, range(2, K + 1), modes)
             new = sum(eta ** k * np.array([lt.aggregate(k, n, m) for (n, m) in modes])
                       for k in range(2, K + 1))
         delta = float(np.max(np.abs(new - vals), initial=0.0))
@@ -484,7 +483,7 @@ def solve_nu(params: ModelParams, eps: float, K: int,
     if np.max(np.abs(vals), initial=0.0) >= params.nu_cap * params.eps0:
         raise NonConvergenceError("nu left the admissible box; eps too large")
     check_nu_values(ms.n, ms.m, vals, params.mu, params.eps0, params.nu_cap)
-    nu = ms.nu_table(vals, params.nu_cap)
+    nu = ms.nu_table(vals)
     if fast:
         lt = CountertermTable._order2(ms.modes(), l2)
     info["counterterms"] = lt

@@ -9,7 +9,7 @@ ModeSet.radicand, which holds the one array check for omega~^2 <= 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -59,7 +59,8 @@ class ModelParams:
     eps0           amplitude window bound, 0 < eps0 < 1
     gamma          Diophantine constant, 0 < gamma <= 2^-6
     tau0           exponent of the mass conditions, >= 4
-    tau            exponent of the shifted-frequency conditions, > tau0 + 5 by default
+    tau            exponent of the shifted-frequency conditions, tau0 + 5 when
+                   not given (None)
     nu_cap         c in the counterterm box |nu| < c*eps0
     omega_branch   +1 for Omega = omega_1 + eps, -1 for Omega = omega_1 - eps
     Mmax/Nmax      spatial cutoff, temporal scan cutoff
@@ -75,7 +76,7 @@ class ModelParams:
     eps0: float = 0.01
     gamma: float = 2.0 ** -6
     tau0: float = 4.0
-    tau: float = field(default=-1.0)
+    tau: float | None = None
     nu_cap: float = 0.25
     omega_branch: int = 1
     Mmax: int = 64
@@ -83,7 +84,7 @@ class ModelParams:
     h_max: int = H_MAX_DEFAULT
 
     def __post_init__(self):
-        if self.tau < 0:
+        if self.tau is None:
             object.__setattr__(self, "tau", self.tau0 + 5.0)
         self.validate()
 
@@ -142,9 +143,7 @@ class NuTable:
     the solution).  nu is zero off the near-resonant set and at (+-1, 1).
     """
 
-    def __init__(self, entries=None, eps0: float = 0.01, nu_cap: float = 0.25):
-        self.eps0 = eps0
-        self.nu_cap = nu_cap
+    def __init__(self, entries=None):
         self._flat = None   # (ModeSet, its flat n*nu) of a ModeSet.nu_table table
         self._key = None    # the trees point-table key, built on first use
         self._src = None    # (ModeSet, values on its modes) that _d is built from
@@ -186,11 +185,6 @@ class NuTable:
 
     def sup_norm(self) -> float:
         return max(map(abs, self._d.values()), default=0.0)
-
-    def check_invariants(self, mu: float):
-        nm = np.array(list(self._d), dtype=int).reshape(-1, 2)
-        check_nu_values(nm[:, 0], nm[:, 1], np.fromiter(self._d.values(), float, len(self)),
-                        mu, self.eps0, self.nu_cap)
 
     def __eq__(self, other):
         return isinstance(other, NuTable) and self._d == other._d
@@ -364,7 +358,7 @@ class ModeSet:
     """
 
     def __init__(self, mu: float, eps0: float, Mmax: int, Nmax: int):
-        self.mu, self.eps0, self.Mmax, self.Nmax = mu, eps0, Mmax, Nmax
+        self.mu, self.Mmax, self.Nmax = mu, Mmax, Nmax
         om1 = math.sqrt(1.0 + mu)
         ms = np.arange(Mmax + 1)
         lo = np.maximum(1, np.floor((ms * ms - 1.0) / (om1 + eps0)))
@@ -416,10 +410,10 @@ class ModeSet:
         out[self.pos] = self.n * vals
         return out
 
-    def nu_table(self, vals: np.ndarray, nu_cap: float) -> NuTable:
+    def nu_table(self, vals: np.ndarray) -> NuTable:
         """The NuTable holding the nonzero values of nu on the modes; it keeps
         its flat n*nu for `shift` and builds its entries on first read."""
-        t = NuTable(eps0=self.eps0, nu_cap=nu_cap)
+        t = NuTable()
         vals = np.where(vals != 0.0, vals, 0.0)     # a copy, with -0.0 read as 0.0
         t._src = (self, vals)
         t._flat = (self, self.scatter(vals))

@@ -843,20 +843,18 @@ class _Table:
         padded with -1 past the tree's lines."""
         return self.labels[self.row_start[t]:self.row_start[t + 1]].tolist()
 
-    def rows(self, keep: np.ndarray | None = None) -> tuple:
-        """(row_tree, node_row, first, h) of the rows, or of those keep
-        selects: each row's tree; then per node of the rows' trees, laid row
-        after row, its family row and the scale of its exiting line (-1 off
-        the propagator lines); each row's first node."""
+    def rows(self) -> tuple:
+        """(row_tree, node_row, first, h) of the rows: each row's tree; then
+        per node of the rows' trees, laid row after row, its family row and
+        the scale of its exiting line (-1 off the propagator lines); each
+        row's first node."""
         c, labels, T = self.f.columns(), self.labels, self.f.count
-        if keep is None and self.one:
+        if self.one:
             # one row per tree: the rows' nodes are the family's own rows
             h = np.full(len(c.sv), -1, np.int16)
             h[c.start[c.line_tree] + c.line_row] = labels[c.line_tree, c.line_pos]
             return np.arange(T), np.arange(len(c.sv)), c.start[:-1], h
         row_tree = np.repeat(np.arange(T), np.diff(self.row_start))
-        if keep is not None:
-            row_tree, labels = row_tree[keep], labels[keep]
         node_row, first = _node_rows(self.f, row_tree)
         row, p, g = _line_slots(c, row_tree)
         h = np.full(len(node_row), -1, np.int16)
@@ -924,13 +922,13 @@ def admissible_assignments(tree: Tree, params: ModelParams, eps: float,
 
 
 def family_assignments(k: int, n: int, m: int, params: ModelParams, eps: float,
-                       nu: NuTable | None, Mmax: int | None = None, special: bool = False
+                       nu: NuTable | None, special: bool = False
                        ) -> tuple[int, list[tuple[Tree, dict]]]:
     """The admissible assignments of a whole family under the renormalized
     supports, as `admissible_assignments` gives them tree by tree: their
     number, and the (tree, assignment) pairs that put a line at a scale
     h >= 0.  special selects the special-end family of mode (n, m)."""
-    f = (_r_family if special else _tree_family)(k, n, m, params, Mmax)
+    f = (_r_family if special else _tree_family)(k, n, m, params, None)
     tab = _point(params, eps, nu).table(f, True)
     deep = np.flatnonzero(tab.labels.max(axis=1, initial=-1) >= 0)
     out = []
@@ -1239,16 +1237,15 @@ def _localized(f: _Family, ctx: EvalCtx, h: int) -> tuple[np.ndarray, np.ndarray
     """(row_tree, values) of the rows of a special-end family's table with
     a line at scale >= h: each row's localized value, the value of its
     special-end block priced on shell times the special end's weight, and
-    0.0 on the trees that fail `_l_conditions`."""
+    0.0 on the trees that fail `_l_conditions`.  Every row of the table is
+    evaluated, with the point's shared rows and setup."""
     tab, c = ctx.point.table(f, True), f.columns()
-    row_tree = np.repeat(np.arange(f.count), np.diff(tab.row_start))
+    rows, setup = ctx.point.evaluation(tab)
+    row_tree = rows[0]
     lam = np.array([md.lam for md in ctx.point.modes_of(f)], bool)
     ok = c.clean & lam[c.mode[c.start[:-1] + c.special]]
     reach = tab.labels.max(axis=1, initial=-1) >= h
-    values = np.zeros(len(row_tree))
-    keep = reach & ok[row_tree]
-    rows, setup = ctx.point.evaluation(tab) if keep.all() else (tab.rows(keep), None)
-    values[keep] = _row_values(f, rows, ctx, special=True, setup=setup)
+    values = np.where(ok[row_tree], _row_values(f, rows, ctx, special=True, setup=setup), 0.0)
     return row_tree[reach], values[reach]
 
 
@@ -1273,14 +1270,14 @@ def counterterm(k: int, n: int, m: int, h: int, params: ModelParams, eps: float,
 
 
 def counterterm_table(params: ModelParams, eps: float, nu: NuTable | None, q: float,
-                      orders, modes, Mmax: int, scales=(-1,)) -> CountertermTable:
+                      orders, modes, scales=(-1,)) -> CountertermTable:
     """`counterterm` on the given orders, modes (n >= 1) and scales (-1: the
     aggregate), filled order by order: each order reads the lower ones."""
     lt = CountertermTable()
     for k in orders:
         for (n, m) in modes:
             for h in scales:
-                val = counterterm(k, n, m, h, params, eps, nu, q, lt, Mmax)
+                val = counterterm(k, n, m, h, params, eps, nu, q, lt)
                 if val != 0.0:
                     lt.set(k, n, m, h, val)
     return lt

@@ -39,7 +39,6 @@ TREE_P = ModelParams(a=1.0, b=0.5, mu=0.01, eps0=0.02, omega_branch=1,
                      Mmax=9, Nmax=60)
 RES_P = ModelParams(a=1.0, b=0.5, mu=0.1, eps0=0.02, omega_branch=-1,
                     Mmax=64, Nmax=300)
-MM = 9
 GRID = family_grid((1, 2, 3), (1, 3, 5, 7, 9))    # |n| <= k + 1 <= 4
 
 warnings.filterwarnings("ignore", message="convolution mass beyond")
@@ -58,17 +57,17 @@ def tree_points():
 @pytest.fixture(scope="module")
 def tables(tree_points):
     """Per-point shift tables and recursion tables shared by criteria 1-3."""
-    return recursion_cases(TREE_P, tree_points, 3, MM, 60)
+    return recursion_cases(TREE_P, tree_points, 3)
 
 
 def test_criterion_01_tree_recursion_equivalence(tables):
-    worst = tree_identity(sum_trees, TREE_P, tables, GRID, MM)
+    worst = tree_identity(sum_trees, TREE_P, tables, GRID)
     _report("1 tree/recursion equivalence", worst <= 1e-10,
             f"worst relative deviation {worst:.2e} over 20 points")
 
 
 def test_criterion_02_renormalized_equivalence(tables):
-    worst = tree_identity(renormalized_sum, TREE_P, tables, GRID, MM)
+    worst = tree_identity(renormalized_sum, TREE_P, tables, GRID)
     _report("2 renormalized equivalence", worst <= 1e-10,
             f"worst relative deviation {worst:.2e} over 20 points")
 
@@ -114,8 +113,7 @@ def test_criterion_05_kernel_sum_bound():
 
 def test_criterion_06_counting_inequalities():
     pts = sample_diophantine_points(TREE_P, 100, seed=7)
-    tallies = counting_inequalities(TREE_P, pts, GRID, MM,
-                                    special_modes=lambda_modes(TREE_P, MM, 60))
+    tallies = counting_inequalities(TREE_P, pts, GRID, special_modes=lambda_modes(TREE_P))
     total, violations, deep = map(sum, zip(*tallies.values()))
     _report("6 counting inequalities", violations == 0,
             f"{total} (tree, assignment, sample) checks, {violations} violations, "

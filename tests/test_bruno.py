@@ -8,7 +8,7 @@ from lindbeam.bruno import (
     profile,
     sample_diophantine_points,
 )
-from lindbeam.spectrum import ModelParams, NuTable
+from lindbeam.spectrum import ModelParams, NuTable, in_lambda
 from lindbeam.trees import TNode, Tree, enumerate_r_trees, enumerate_trees
 from oracles import prop_line_nodes
 
@@ -24,7 +24,8 @@ def test_sampling_filters_and_counts(points):
     assert len(points) == 6
     for eps, nu in points:
         assert 0 < eps < P.eps0
-        nu.check_invariants(P.mu)
+        for (n, m), v in nu.items():     # near-resonant and inside the box
+            assert in_lambda(n, m, P) and abs(v) < P.nu_cap * P.eps0
 
 
 def test_admissible_scales_structure(points):

@@ -117,6 +117,7 @@ def test_invalid_mu_exit_2(tmp_path):
     ["trees", "1", "2", "-1"],                  # spatial labels start at 1
     ["trees", "2", "3", "-5", "--special"],
     ["trees", "1200", "2", "3"],                # too deep to count on the stack
+    ["--omega-branch", "-1", "--tau", "-3", "dioph", "cantor"],   # validated, never replaced
 ])
 def test_malformed_input_exit_2(tmp_path, capsys, args):
     (tmp_path / "file").write_text("")
@@ -244,6 +245,12 @@ def test_main_kernel_flag_fuzz(flag, value):
     """One random value for one flag: the run succeeds or exits 2, never raises."""
     with tempfile.TemporaryDirectory() as d:
         assert main(["--outdir", d, f"{flag}={value}", "kernel"]) in (0, 2)
+
+
+def test_tau_key_is_cast_and_derived_when_absent():
+    # tau is `float | None`: a given value is read as a float, None derives it from tau0
+    assert load_config(None, {"tau": "3"})[0].tau == 3.0
+    assert load_config(None, {"tau0": "6"})[0].tau == 11.0
 
 
 def test_unknown_config_key_rejected(tmp_path):

@@ -113,7 +113,7 @@ def test_melnikov_margin_shift_with_nu():
     pp = P.with_(eps0=0.08)
     a = melnikov_margins(eps_star, None, pp)
     assert a["first_at"] == (9, 3) and a["first"] < 1e-8
-    nu = NuTable(eps0=0.08, nu_cap=0.5)
+    nu = NuTable()
     nu.set(9, 3, 0.012)
     b = melnikov_margins(eps_star, nu, pp)
     assert b["first"] > 1e3 * max(a["first"], 1e-12)
@@ -146,7 +146,7 @@ def test_square_margin_and_cantor():
 def test_cantor_accepts_nu_zero_reduction():
     # with nu == 0 the shifted families reduce to plain frequency conditions
     a = cantor_margins(4e-3, None, P)
-    nu0 = NuTable(eps0=P.eps0)
+    nu0 = NuTable()
     b = cantor_margins(4e-3, nu0, P)
     assert a == b
 
@@ -281,7 +281,7 @@ def _sampled_nu(params, seed, scale):
     rng = np.random.default_rng(seed)
     ms = mode_set(params.mu, params.eps0, params.Mmax, params.Nmax)
     vals = rng.uniform(-scale, scale, len(ms)) * (rng.random(len(ms)) < 0.5)
-    return ms.nu_table(vals, params.nu_cap)
+    return ms.nu_table(vals)
 
 
 @pytest.mark.parametrize("case", ["none", "solved", "sampled", "smaller cutoffs"])
@@ -360,7 +360,7 @@ def _shift_resonance():
     om3, om5 = (float(omega(m, pp.mu)) for m in (3, 5))
     eps = math.sqrt(1 + pp.mu) - (om5 - om3) / 16.75
     w2 = omega_eff(pp, eps) * 16 + om3
-    nu = NuTable(eps0=pp.eps0, nu_cap=pp.nu_cap)
+    nu = NuTable()
     nu.set(24, 5, (w2 ** 2 - (5.0 ** 4 + pp.mu)) / 24)
     return pp, eps, nu
 
@@ -391,7 +391,7 @@ def _shift_resonance_on_m1():
     om3, om5 = (float(omega(m, pp.mu)) for m in (3, 5))
     eps = math.sqrt(1 + pp.mu) - (om5 - om3) / 16.75
     w1 = om5 - omega_eff(pp, eps) * 16
-    nu = NuTable(eps0=pp.eps0, nu_cap=pp.nu_cap)
+    nu = NuTable()
     nu.set(8, 3, (w1 ** 2 - (3.0 ** 4 + pp.mu)) / 8)
     return pp, eps, nu
 

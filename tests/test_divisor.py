@@ -49,7 +49,7 @@ def _points(params):
     else:
         out = [(eps, nu, 0.8) for eps, nu in sample_diophantine_points(params, 2, seed=7)]
     rng = np.random.default_rng(4)
-    sampled = ms.nu_table(rng.uniform(-0.2, 0.2, len(ms)) * params.eps0, params.nu_cap)
+    sampled = ms.nu_table(rng.uniform(-0.2, 0.2, len(ms)) * params.eps0)
     return ms, out + [(out[0][0], sampled, out[0][2])]
 
 
@@ -246,8 +246,7 @@ def test_divisor_sites_equal_their_old_expressions_bitwise(params):
 def test_pair_scan_equals_the_row_table_scan_at_one_or_two_modes(params):
     # Mmax = 1 has no pair block, Mmax = 2 one (m1, m2) = (1, 2)
     ms = mode_set(params.mu, params.eps0, params.Mmax, params.Nmax)
-    sampled = ms.nu_table(np.random.default_rng(3).uniform(-0.2, 0.2, len(ms)) * params.eps0,
-                          params.nu_cap)
+    sampled = ms.nu_table(np.random.default_rng(3).uniform(-0.2, 0.2, len(ms)) * params.eps0)
     for eps in np.geomspace(params.eps0 / 40, params.eps0 / 2, 4).tolist():
         for nu in (None, sampled):
             for below in (math.inf, params.gamma, 2 * params.gamma, 5.0):

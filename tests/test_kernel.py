@@ -7,14 +7,11 @@ from hypothesis import strategies as st
 
 from lindbeam.kernel import (
     C_NORM,
-    KernelDisagreementError,
     _closed_form_grid,
     kernel_sum_probe,
-    kernel_sum_probe_restricted,
     kernel_tensor,
     kernel_v,
     triple_sine_closed,
-    triple_sine_integral,
     triple_sine_quadrature,
 )
 
@@ -37,10 +34,12 @@ def _triple_sine_signsum(m: int, m1: int, m2: int) -> float:
 
 def test_triple_sine_values():
     # int_0^pi sin^3 = 4/3
-    assert triple_sine_integral(1, 1, 1) == pytest.approx(4.0 / 3.0, abs=1e-14)
-    assert triple_sine_integral(2, 1, 1) == 0.0
-    # expand sin(3x) sin^2(x): -4/15
-    assert triple_sine_integral(3, 1, 1) == pytest.approx(-4.0 / 15.0, abs=1e-14)
+    for route in (triple_sine_closed, triple_sine_quadrature):
+        assert route(1, 1, 1) == pytest.approx(4.0 / 3.0, abs=1e-14)
+        assert route(2, 1, 1) == pytest.approx(0.0, abs=1e-14)
+        # expand sin(3x) sin^2(x): -4/15
+        assert route(3, 1, 1) == pytest.approx(-4.0 / 15.0, abs=1e-14)
+    assert triple_sine_closed(2, 1, 1) == 0.0
 
 
 def test_triple_sine_three_routes_agree():
@@ -84,15 +83,6 @@ def test_kernel_tensor_matches_pointwise():
     assert np.all(np.isfinite(V))
 
 
-def test_disagreement_error_raises(monkeypatch):
-    import lindbeam.kernel as K
-    monkeypatch.setattr(K, "triple_sine_quadrature", lambda *a: 123.0)
-    K.triple_sine_integral.cache_clear()
-    with pytest.raises(KernelDisagreementError):
-        K.triple_sine_integral(1, 1, 1)
-    K.triple_sine_integral.cache_clear()
-
-
 def test_kernel_sum_probe_bounded_smoke():
     # smoke version of the full bound probe (acceptance runs m<=101, Mmax=2000)
     base = kernel_sum_probe(1, 400)
@@ -133,12 +123,11 @@ def test_kernel_sum_probe_restricted_decay():
     # with m1, m2 <= m/4 both kernel denominators are ~ m^2, so the sum
     # decays like m^-3 up to slowly varying factors
     ms = np.array([17, 33, 65])
-    r = np.array([kernel_sum_probe_restricted(int(m)) for m in ms])
+    r = np.array([kernel_sum_probe(int(m), int(m) // 4) for m in ms])
     scaled = r * ms.astype(float) ** 3
     assert scaled.max() / scaled.min() < 1.5
 
 
 def test_kernel_caches_are_bounded():
     from lindbeam import kernel
-    for cached in (kernel.kernel_v, kernel.triple_sine_integral):
-        assert cached.cache_info().maxsize == kernel.CACHE_SIZE == 2 ** 14
+    assert kernel.kernel_v.cache_info().maxsize == kernel.CACHE_SIZE == 2 ** 14

@@ -343,8 +343,8 @@ def test_scale_slices_sum_to_propagator():
 
 
 def test_amplitude_cubic_matches_bruteforce():
-    A = amplitude_cubic_coefficient(P, EPS, 64)
-    Aser = amplitude_series(P, EPS, None, None, 2, 64)
+    A = amplitude_cubic_coefficient(P, EPS)
+    Aser = amplitude_series(P, EPS, None, None, 2)
     om1sq = 1 + P.mu
     beta = (om1sq - omega_eff(P, EPS) ** 2) / EPS
     assert A == pytest.approx(Aser[0] / beta, rel=1e-13)
@@ -352,15 +352,15 @@ def test_amplitude_cubic_matches_bruteforce():
     # frozen regression constant at the documented parameter point, cross-
     # checked by hand-summing the dominant m = 1, 3 terms of the closed form
     p_plus = ModelParams(a=1.0, b=0.0, mu=0.1, eps0=0.02, omega_branch=1, Mmax=200)
-    A_ref = amplitude_cubic_coefficient(p_plus, 0.01, 200)
+    A_ref = amplitude_cubic_coefficient(p_plus, 0.01)
     assert A_ref == pytest.approx(-1.0421289509484226, rel=1e-12)
 
 
 def test_amplitude_cubic_tail_reported():
     # the m-sum of A beyond Mmax = 64: |v_{1,1,m}| <= 8/(pi m^3) and |g| <= 2/m^4
     # for large m, so its terms decay like m^-10 and the tail like Mmax^-9
-    A = amplitude_cubic_coefficient(P, EPS, 64)
-    A2 = amplitude_cubic_coefficient(P, EPS, 200)
+    A = amplitude_cubic_coefficient(P, EPS)
+    A2 = amplitude_cubic_coefficient(P.with_(Mmax=200), EPS)
     Om, a, b = omega_eff(P, EPS), P.a, P.b
     cmax = abs(2 * a * (a + b * Om * Om)) + abs((a - b * Om * Om) * (a + 2 * b * Om * Om))
     beta = (1.0 + P.mu - Om * Om) / EPS
@@ -370,16 +370,16 @@ def test_amplitude_cubic_tail_reported():
 
 def test_amplitude_sign_excluded_on_plus_branch():
     with pytest.raises(SignExcludedError):
-        solve_amplitude(P.with_(omega_branch=1), EPS, None, None, 2, 64)
+        solve_amplitude(P.with_(omega_branch=1), EPS, None, None, 2)
 
 
 def test_solve_amplitude_root_and_residual():
-    q = solve_amplitude(P, EPS, None, None, 2, 64)
-    A = amplitude_cubic_coefficient(P, EPS, 64)
+    q = solve_amplitude(P, EPS, None, None, 2)
+    A = amplitude_cubic_coefficient(P, EPS)
     assert q == pytest.approx(1 / math.sqrt(A), rel=1e-12)
     # cubic symmetry: -q solves as well
     eta = math.sqrt(EPS)
-    Aser = amplitude_series(P, EPS, None, None, 2, 64)
+    Aser = amplitude_series(P, EPS, None, None, 2)
     om1sq = 1 + P.mu
     beta = (om1sq - omega_eff(P, EPS) ** 2) / EPS
     for s in (+1, -1):
@@ -390,7 +390,7 @@ def test_solve_amplitude_root_and_residual():
 
 def test_amplitude_zero_nonlinearity():
     p0 = P.with_(a=0.0, b=0.0)
-    assert solve_amplitude(p0, EPS, None, None, 2, 64) == 0.0
+    assert solve_amplitude(p0, EPS, None, None, 2) == 0.0
 
 
 def test_solve_nu_fixed_point():
@@ -485,7 +485,7 @@ def test_residual_zero_for_zero_nonlinearity():
 def test_residual_provenance_guard():
     nu, info = solve_nu(P, EPS, 2)
     t = compute_coeffs(P, EPS, nu, info["counterterms"], 2, 64, q=info["q"])
-    other = NuTable(eps0=P.eps0)
+    other = NuTable()
     other.set(9, 3, 1e-4)
     with pytest.raises(InconsistentInputsError):
         residual_norm(t, P, EPS, other)
@@ -531,7 +531,7 @@ def test_serialization_roundtrip(tmp_path):
 
 
 def test_lambda_modes_structure():
-    modes = lambda_modes(P, 64, 300)
+    modes = lambda_modes(P)
     assert (1, 1) not in modes
     assert all(m % 2 == 1 for _, m in modes)
     assert all(n >= 1 for n, _ in modes)
@@ -662,11 +662,11 @@ def test_solve_nu_matches_table_sweeps():
     pp, eps = P.with_(Mmax=24, Nmax=120), 7e-3
     ms = mode_set(pp.mu, pp.eps0, 24, 120)
     eta = math.sqrt(eps)
-    nu = NuTable(eps0=pp.eps0, nu_cap=pp.nu_cap)
+    nu = NuTable()
     for sweep in range(1, 41):
-        q = math.sqrt(1.0 / amplitude_cubic_coefficient(pp, eps, 24, nu))
+        q = math.sqrt(1.0 / amplitude_cubic_coefficient(pp, eps, nu))
         l2 = counterterm_order2_closed(pp, eps, ms.shift(nu), q, ms)
-        lt, new, delta = CountertermTable(), NuTable(eps0=pp.eps0, nu_cap=pp.nu_cap), 0.0
+        lt, new, delta = CountertermTable(), NuTable(), 0.0
         for (n, m), val in zip(ms.modes(), l2.tolist()):
             if val != 0.0:
                 lt.set(2, n, m, -1, val)
@@ -703,7 +703,7 @@ def test_solve_nu_tables_are_lazy_and_bitwise_eager(params, eps):
     assert "_d" not in vars(nu) and "_d" not in vars(lt)
     ms, vals = nu._src
     modes, l2 = lt._src
-    eager_nu = NuTable(eps0=params.eps0, nu_cap=params.nu_cap)
+    eager_nu = NuTable()
     for n, m, v in zip(ms.n.tolist(), ms.m.tolist(), vals.tolist()):
         if v != 0.0:
             eager_nu.set(n, m, v)
@@ -732,7 +732,7 @@ def test_lazy_nu_table_keeps_its_values():
     vals[::3] = 0.0
     vals[1] = -0.0
     want = {nm: v for nm, v in zip(ms.modes(), vals.tolist()) if v != 0.0}
-    nu = ms.nu_table(vals, P.nu_cap)
+    nu = ms.nu_table(vals)
     vals[:] = 1.0                   # the caller's array is not the table's
     assert dict(nu.items()) == want and list(nu.items()) == list(want.items())
 

@@ -8,6 +8,8 @@ function ignores.
 import ast
 from pathlib import Path
 
+from test_bench_contract import WORKER_CALLS
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "lindbeam"
 
 # the parameters left unread on purpose, per (module, function), with the reason
@@ -78,3 +80,35 @@ def test_one_definition_of_the_shifted_divisor():
     raised = _sites(lambda n: isinstance(n, ast.Raise) and n.exc is not None
                     and _raised_name(n) == "DegenerateRadicandError")
     assert raised and {mod for mod, _ in raised} == {"spectrum"}, raised
+
+
+# ModelParams is where a caller sets the cutoffs and the nu box.  Mmax/Nmax
+# stay a parameter only where bench/worker.py passes them by position, where
+# bench/layers.py reads quad_conv's, and in the mass scan, which sweeps mu
+# itself and takes no params.
+CUTOFFS = {"Mmax", "Nmax"}
+CUTOFFS_ALLOWED = {name for name, passed in WORKER_CALLS.items() if CUTOFFS & set(passed)} | {
+    "series.quad_conv", "checks.mass_measure"}
+NU_BOX = {"eps0", "nu_cap"}
+
+
+def _names(fn):
+    a = fn.args
+    return {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs)}
+
+
+def _methods(tree, cls):
+    node = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls)
+    return {sub.name: sub for sub in node.body if isinstance(sub, ast.FunctionDef)}
+
+
+def test_cutoffs_and_the_nu_box_come_from_model_params():
+    taken = [f"{mod}.{name}({', '.join(sorted(_names(fn) & CUTOFFS))})"
+             for mod in ("series", "trees", "checks")
+             for name, fn in _public_functions(ast.parse((SRC / f"{mod}.py").read_text()))
+             if _names(fn) & CUTOFFS and f"{mod}.{name}" not in CUTOFFS_ALLOWED]
+    spectrum = ast.parse((SRC / "spectrum.py").read_text())
+    taken += [f"spectrum.{cls}.{name}({', '.join(sorted(_names(fn) & NU_BOX))})"
+              for cls, name in (("NuTable", "__init__"), ("ModeSet", "nu_table"))
+              for fn in [_methods(spectrum, cls)[name]] if _names(fn) & NU_BOX]
+    assert not taken, taken

@@ -49,7 +49,7 @@ def _scipy_sample(params, count, seed=0, max_draws=4000):
             eps = float(row[0]) * params.eps0
             if not 1e-8 < eps < params.eps0:
                 continue
-            nu = ms.nu_table((2.0 * row[1:] - 1.0) * cap, params.nu_cap)
+            nu = ms.nu_table((2.0 * row[1:] - 1.0) * cap)
             if check_melnikov(eps, nu, params):
                 out.append((eps, nu))
                 if len(out) >= count:

@@ -10,6 +10,7 @@ from lindbeam.spectrum import (
     ModelParams,
     NuTable,
     admissible_h_for,
+    check_nu_values,
     chi,
     chi_h,
     chi_support,
@@ -63,7 +64,7 @@ def test_x_divisor_examples():
 def test_x_divisor_raises_on_a_degenerate_radicand(shift):
     # 3^4 + 6 shift is negative or NaN at (6, 3): the scalar check flags
     # both, as ModeSet.radicand does, instead of returning a NaN divisor
-    nu = NuTable(eps0=0.05)
+    nu = NuTable()
     nu.set(6, 3, shift)
     with pytest.raises(DegenerateRadicandError, match=r"radicand \S+ <= 0 at mode \(6, 3\)$"):
         x_divisor(6, 3, P, 0.0, nu)
@@ -81,7 +82,7 @@ def test_propagator():
 
 def test_propagator_nu_shift():
     pp = ModelParams(mu=0.1, eps0=0.05)
-    nu = NuTable({(2, 1): 1e-3}, eps0=0.05)
+    nu = NuTable({(2, 1): 1e-3})
     Om = omega_eff(pp, 0.01)
     want = 1.0 / (-4 * Om ** 2 + 1.1 + 2e-3)
     assert propagator(2, 1, pp, 0.01, nu) == pytest.approx(want, rel=1e-14)
@@ -251,10 +252,18 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ModelParams(eps0=1.5)
     assert ModelParams().tau == 9.0  # tau defaults to tau0 + 5
+    assert ModelParams(tau0=6.0).tau == 11.0
+
+
+@pytest.mark.parametrize("tau", [-3.0, -1.0])
+def test_explicit_tau_is_validated_never_replaced(tau):
+    with pytest.raises(ValueError, match="tau="):
+        ModelParams(tau=tau)
+    assert ModelParams(tau=3.0).tau == 3.0
 
 
 def test_nu_table():
-    nu = NuTable(eps0=0.05)
+    nu = NuTable()
     nu.set(2, 1, 1e-3)
     assert nu.get(2, 1) == 1e-3
     assert nu.get(-2, 1) == -1e-3
@@ -264,9 +273,9 @@ def test_nu_table():
         nu.set(1, 1, 0.1)
     with pytest.raises(ValueError):
         nu.set(0, 3, 0.1)
-    big = NuTable({(2, 1): 0.1}, eps0=0.05)
-    with pytest.raises(ValueError):
-        big.check_invariants(0.1)
+    # the box |nu| < nu_cap * eps0, checked on the values solve_nu returns
+    with pytest.raises(ValueError, match=r"exceeds 0.25\*eps0"):
+        check_nu_values(np.array([2]), np.array([1]), np.array([0.1]), 0.1, 0.05, 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +332,7 @@ def test_in_lambda_agrees_with_mode_set(params):
 
 def test_mode_set_shift_windows_a_table():
     ms = mode_set(TREE_P.mu, TREE_P.eps0, TREE_P.Mmax, TREE_P.Nmax)
-    nu = NuTable(eps0=TREE_P.eps0)
+    nu = NuTable()
     nu.set(9, 3, 2e-4)       # inside the window of m = 3
     nu.set(40, 3, 5e-4)      # beyond it: dropped
     nu.set(80, 9, 1e-4)      # beyond Nmax

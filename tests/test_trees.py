@@ -46,13 +46,13 @@ MM = 9
 
 
 def make_nu():
-    nu = NuTable(eps0=P.eps0)
+    nu = NuTable()
     nu.set(2, 1, 3e-4)
     return nu
 
 
 def build_l2(nu, q):
-    return counterterm_table(P, EPS, nu, q, (2,), lambda_modes(P, MM, 6), MM)
+    return counterterm_table(P, EPS, nu, q, (2,), lambda_modes(P.with_(Nmax=6)))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +227,7 @@ def test_counterterm_enum_matches_closed_form():
     ms = mode_set(P.mu, P.eps0, MM, 60)
     # a shift on every mode also reaches the inner lines (|n +- 1|, m')
     rng = np.random.default_rng(4)
-    sampled = ms.nu_table(rng.uniform(-0.2, 0.2, len(ms)) * P.eps0, P.nu_cap)
+    sampled = ms.nu_table(rng.uniform(-0.2, 0.2, len(ms)) * P.eps0)
     for nu in (make_nu(), sampled):
         closed = counterterm_order2_closed(P, EPS, ms.shift(nu), q, ms)
         assert np.array_equal(closed, _closed_dense(P, EPS, ms.shift(nu), q, ms))
@@ -517,7 +517,7 @@ def _obj_family(k, n, m, Mmax, rtree, memo):
 
 def _families():
     fams = [(k, n, m, False) for (k, n, m) in GRID6]
-    return fams + [(2, n, m, True) for (n, m) in lambda_modes(TREE_P, MM, 60)]
+    return fams + [(2, n, m, True) for (n, m) in lambda_modes(TREE_P)]
 
 
 def test_compiled_families_match_object_enumeration():
@@ -673,7 +673,7 @@ def _old_rows(k, n, m, Mmax, is_rtree):
 def test_family_rows_match_skeleton_route():
     ct = ModelParams(omega_branch=-1)       # `--omega-branch -1 --orders 3 counterterms`
     fams = ([(k, n, m, MM, False) for (k, n, m) in GRID6]
-            + [(k, n, m, MM, True) for k in (2, 3) for (n, m) in lambda_modes(TREE_P, MM, 60)]
+            + [(k, n, m, MM, True) for k in (2, 3) for (n, m) in lambda_modes(TREE_P)]
             + [(6, 7, 1, 3, False)]
             + [(k, n, m, 33, True) for k in (2, 3) for (n, m) in lambda_modes(ct)])
     assert len(fams) == 99 + 2 * 11 + 1 + 2 * 53
@@ -965,7 +965,7 @@ def test_array_sums_equal_tree_loops_bitwise():
     from lindbeam.checks import recursion_cases
 
     pts = sample_diophantine_points(TREE_P, 2, seed=7)
-    for eps, nu, q, lt, _ in recursion_cases(TREE_P, pts, 3, MM, 60):
+    for eps, nu, q, lt, _ in recursion_cases(TREE_P, pts, 3):
         plain = EvalCtx(TREE_P, eps, nu, q, lt)
         renorm = EvalCtx(TREE_P, eps, nu, q, lt, renormalize=True)
         for (k, n, m) in GRID6:
@@ -977,7 +977,7 @@ def test_array_sums_equal_tree_loops_bitwise():
             for tree in f.trees():
                 for r in (False, True):
                     _same_assignments(tree, TREE_P, eps, nu, r)
-        for (n, m) in lambda_modes(TREE_P, MM, 60):
+        for (n, m) in lambda_modes(TREE_P):
             f = trees._family(2, n, m, MM, True)
             for tree in f.trees():
                 _same_assignments(tree, TREE_P, eps, nu, False)
@@ -1154,7 +1154,7 @@ def test_equal_mode_lines_stay_within_one_scale():
 def test_tree_family_cache_is_bounded():
     info = trees._family.cache_info()
     assert info.maxsize is not None
-    assert info.maxsize >= len(GRID6) + len(lambda_modes(TREE_P, MM, 60))
+    assert info.maxsize >= len(GRID6) + len(lambda_modes(TREE_P))
     assert trees._point_tables.cache_info().maxsize is not None
 
     def module_dicts():
@@ -1204,7 +1204,7 @@ def test_point_independent_work_is_done_at_the_first_point(monkeypatch):
         for (k, n, m) in GRID6:
             sum_trees(k, n, m, TREE_P, eps, nu, q, lt, MM)
             renormalized_sum(k, n, m, TREE_P, eps, nu, q, lt, MM)
-        for (n, m) in lambda_modes(TREE_P, MM, 60):
+        for (n, m) in lambda_modes(TREE_P):
             counterterm(2, n, m, -1, TREE_P, eps, nu, q, lt, MM)
     assert calls == {"kernel_v": 0, "_block_walks": 0}
 
@@ -1236,21 +1236,24 @@ def test_compiled_indices_are_sized_by_what_they_index():
     from lindbeam.checks import recursion_cases
 
     pts = sample_diophantine_points(TREE_P, 1, seed=7)
-    for eps, nu, q, lt, _ in recursion_cases(TREE_P, pts, 3, 3, 60):
+    for eps, nu, q, lt, _ in recursion_cases(TREE_P.with_(Mmax=3), pts, 3):
         assert repr(sum_trees(3, 2, 3, TREE_P, eps, nu, q, lt, 3)) == \
             repr(_loop_sum(f, EvalCtx(TREE_P, eps, nu, q, lt)))
         assert repr(renormalized_sum(3, 2, 3, TREE_P, eps, nu, q, lt, 3)) == \
             repr(_loop_sum(f, EvalCtx(TREE_P, eps, nu, q, lt, renormalize=True)))
 
 
-def test_one_row_per_tree_rows_match_the_general_layout():
+def test_one_row_per_tree_rows_match_the_general_layout(monkeypatch):
     # where every tree has one row, `_Table.rows` takes the family's own
-    # node layout; selecting every row goes the general way
+    # node layout; the same table read as a general one lays out the same rows
     for fam in ((3, 2, 3, MM, False), (2, 9, 3, MM, True)):
         f = trees._family(*fam)
         tab = _point(TREE_P, 0.0113, None).table(f, True)
         assert tab.one and np.array_equal(tab.row_start, np.arange(f.count + 1))
-        fast, general = tab.rows(), tab.rows(np.ones(f.count, bool))
+        fast = tab.rows()
+        with monkeypatch.context() as mp:
+            mp.setattr(tab, "one", False)
+            general = tab.rows()
         for a, b in zip(fast, general):
             assert a.tolist() == b.tolist()
 
