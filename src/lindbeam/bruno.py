@@ -13,15 +13,16 @@ counterexample aborts with a full tree dump.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+
+import numpy as np
 
 from .spectrum import ModelParams, NuTable, mode_set
-from .trees import Tree, _active, admissible_assignments, dump_tree
+from .trees import Tree, _active, _Family, admissible_assignments, dump_tree
 
 __all__ = [
-    "ScaleProfile",
     "admissible_scales",
-    "profile",
+    "violations",
     "check_bruno",
     "check_bruno_r",
     "BrunoViolation",
@@ -31,18 +32,6 @@ __all__ = [
 
 class BrunoViolation(AssertionError):
     """A counting inequality failed; carries the offending tree dump."""
-
-
-@dataclass
-class ScaleProfile:
-    N: dict = field(default_factory=dict)    # h -> lines with scale >= h
-    S: dict = field(default_factory=dict)    # h -> resonances exiting at h
-    M: dict = field(default_factory=dict)    # h -> unary nodes exiting at h
-    K: int = 0                               # non-resonant propagator lines
-    n_lines: int = 0
-    h_max: int = -1
-    # lines at exactly scale h (N is its upper cumulative)
-    shell: dict = field(default_factory=dict)
 
 
 def admissible_scales(tree: Tree, params: ModelParams, eps: float,
@@ -55,55 +44,51 @@ def admissible_scales(tree: Tree, params: ModelParams, eps: float,
     return admissible_assignments(tree, params, eps, nu, renormalize=True)
 
 
-def profile(tree: Tree, asg: dict) -> ScaleProfile:
-    """Exact scale counts of one assignment.
+def violations(f: _Family, row_tree: np.ndarray, labels: np.ndarray,
+               params: ModelParams) -> list[tuple[int, int, int, float, int]]:
+    """(row, h, N_h, rhs, K) of each row of a family's assignment table that
+    fails its counting inequality, at its first failing scale h >= 0:
+    N_h > rhs = bound(K, 2^((2-h)/tau)) + S_h + M_h, with the special-end
+    bound on a special-end family.  row_tree and labels give each row's tree
+    and line scales (`trees.family_table`); a row with every line at -1 has
+    nothing to count.  S_h counts the active resonances (`trees._active`)
+    whose exit line sits at scale h, M_h the unary nodes whose exit line
+    does, and K the lines that exit neither."""
+    out = []
+    deep = np.flatnonzero(labels.max(axis=1, initial=-1) >= 0)
+    for r, t in zip(deep.tolist(), row_tree[deep].tolist()):
+        lines = f.lines(t).tolist()
+        hs = labels[r, :len(lines)].tolist()
+        h = f.scales(t, lines, hs)
+        exits, unary = [o for o, _ in _active(f, t, h)], f.unary(t)
+        S, M = Counter(h[o] for o in exits), Counter(h[i] for i in unary)
+        K = len(set(lines).difference(exits, unary))
+        for hh in range(0, max(hs) + 1):
+            s = 2 ** ((2 - hh) / params.tau)
+            bound = 2 * max(K - 1, 0) * s if f.is_rtree else max(0.0, 2 * K * s - 1)
+            lhs, rhs = sum(x >= hh for x in hs), bound + S[hh] + M[hh]
+            if lhs > rhs + 1e-12:
+                out.append((r, hh, lhs, rhs, K))
+                break
+    return out
 
-    Resonant lines are the exit lines of active resonance blocks and of unary
-    nodes; K counts the remaining propagator lines.  Reads the tree's rows.
-    """
+
+def _check(tree: Tree, asg: dict, params: ModelParams, raise_on_fail: bool) -> bool:
+    """The verdict of `violations` on the assignment's table row."""
     f, t = tree._compiled()
-    h = tree._scales(asg)
-    prop = f.lines(t)
-    shell: dict[int, int] = {}
-    for i in prop:
-        shell[h[i]] = shell.get(h[i], 0) + 1
-    resonant_ids = set()
-    S: dict[int, int] = {}
-    for (o, _i) in _active(f, t, h):
-        resonant_ids.add(o)
-        S[h[o]] = S.get(h[o], 0) + 1
-    M: dict[int, int] = {}
-    for i in f.unary(t):
-        resonant_ids.add(i)
-        M[h[i]] = M.get(h[i], 0) + 1
-    K = sum(1 for i in prop if i not in resonant_ids)
-    p = ScaleProfile(S=S, M=M, K=K, n_lines=len(prop),
-                     h_max=max(shell, default=-1), shell=shell)
-    p.N = {h: sum(c for hh, c in shell.items() if hh >= h)
-           for h in range(0, max(shell, default=-1) + 1)}
-    return p
-
-
-def _count(tree: Tree, asg: dict, params: ModelParams, raise_on_fail: bool, bound) -> bool:
-    """Check N_h <= bound(K, 2^((2-h)/tau)) + S_h + M_h at every scale h."""
-    if max(asg.values(), default=-1) < 0:
-        return True     # no line at a scale h >= 0: nothing to count
-    p = profile(tree, asg)
-    for h in range(0, p.h_max + 1):
-        lhs = p.N.get(h, 0)
-        rhs = bound(p.K, 2 ** ((2 - h) / params.tau)) + p.S.get(h, 0) + p.M.get(h, 0)
-        if lhs > rhs + 1e-12:
-            if raise_on_fail:
-                raise BrunoViolation(
-                    f"N_{h} = {lhs} > {rhs:.3f} (K={p.K})\n" + dump_tree(tree, asg))
-            return False
+    row = np.array([[asg.get(i, -1) for i in f.lines(t).tolist()]])
+    for _, h, lhs, rhs, K in violations(f, np.array([t]), row, params):
+        if raise_on_fail:
+            raise BrunoViolation(f"N_{h} = {lhs} > {rhs:.3f} (K={K})\n" + dump_tree(tree, asg))
+        return False
     return True
 
 
 def check_bruno(tree: Tree, asg: dict, params: ModelParams,
                 raise_on_fail: bool = True) -> bool:
-    """Counting inequality for ordinary trees at one assignment."""
-    return _count(tree, asg, params, raise_on_fail, lambda K, s: max(0.0, 2 * K * s - 1))
+    """Counting inequality for ordinary trees at one assignment; one with no
+    line at a scale h >= 0 has nothing to count."""
+    return max(asg.values(), default=-1) < 0 or _check(tree, asg, params, raise_on_fail)
 
 
 def check_bruno_r(tree: Tree, asg: dict, params: ModelParams,
@@ -115,7 +100,7 @@ def check_bruno_r(tree: Tree, asg: dict, params: ModelParams,
     """
     if not tree.is_rtree:
         raise ValueError("check_bruno_r expects a special-end tree")
-    return _count(tree, asg, params, raise_on_fail, lambda K, s: 2 * max(K - 1, 0) * s)
+    return max(asg.values(), default=-1) < 0 or _check(tree, asg, params, raise_on_fail)
 
 
 def sample_diophantine_points(params: ModelParams, count: int, seed: int = 0,

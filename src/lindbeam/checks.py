@@ -10,12 +10,12 @@ import warnings
 
 import numpy as np
 
-from .bruno import check_bruno, check_bruno_r
+from .bruno import violations
 from .diophantine import DiophReport, measure_cantor, measure_mass_complement
 from .kernel import kernel_v, triple_sine_closed, triple_sine_quadrature
 from .series import compute_coeffs, lambda_modes
 from .spectrum import ModelParams, chi_h
-from .trees import counterterm_table, family_assignments
+from .trees import counterterm_table, family_table
 
 __all__ = [
     "family_grid",
@@ -89,18 +89,17 @@ def counting_inequalities(params: ModelParams, points, grid, special_modes=()) -
     """[assignments, violations, assignments with a line at h >= 0] of the
     counting inequalities over the sample points: per order k over the
     families of grid, and under "special" over the order-2 special-end
-    families at special_modes.  An assignment with every line at h = -1 has
-    no line to count, so it holds at once; the others are checked."""
-    families = [(k, (k, n, m, False), check_bruno) for (k, n, m) in grid]
-    families += [("special", (2, n, m, True), check_bruno_r) for (n, m) in special_modes]
-    tallies = {key: [0, 0, 0] for key, _, _ in families}
+    families at special_modes, read off each family's assignment table
+    (`bruno.violations`)."""
+    families = [(k, (k, n, m, False)) for (k, n, m) in grid]
+    families += [("special", (2, n, m, True)) for (n, m) in special_modes]
+    tallies = {key: [0, 0, 0] for key, _ in families}
     for eps, nu in points:
-        for key, (k, n, m, special), check in families:
-            count, deep = family_assignments(k, n, m, params, eps, nu, special)
-            tallies[key][0] += count
-            tallies[key][1] += sum(not check(tree, asg, params, raise_on_fail=False)
-                                   for tree, asg in deep)
-            tallies[key][2] += len(deep)
+        for key, (k, n, m, special) in families:
+            f, row_tree, labels = family_table(k, n, m, params, eps, nu, special)
+            tallies[key][0] += len(labels)
+            tallies[key][1] += len(violations(f, row_tree, labels, params))
+            tallies[key][2] += int((labels.max(axis=1, initial=-1) >= 0).sum())
     return tallies
 
 

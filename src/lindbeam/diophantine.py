@@ -103,7 +103,9 @@ def _mass_tail_bound(gamma: float, tau0: float, Nmax: int) -> float:
 
 
 def _mass_combos(Nmax: int):
-    """(family, combo(mu) callable, kind-tag) for all condition families."""
+    """(family, index tuple, combo(mu) callable) for all condition families:
+    "single" (m,) omega_m, "diff" (m1, m2) omega_m1 - omega_m2 and "sum"
+    (m1, m2) omega_m1 + omega_m2."""
     combos = []
     mstar = _mstar_single(Nmax)
     bound = (1 + MU_MAX) * Nmax + 3

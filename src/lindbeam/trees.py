@@ -68,7 +68,7 @@ __all__ = [
     "enumerate_trees",
     "enumerate_r_trees",
     "admissible_assignments",
-    "family_assignments",
+    "family_table",
     "tree_value",
     "sum_trees",
     "renormalized_sum",
@@ -921,20 +921,16 @@ def admissible_assignments(tree: Tree, params: ModelParams, eps: float,
             for combo in _point(params, eps, nu).table(f, renormalize).combos(t)]
 
 
-def family_assignments(k: int, n: int, m: int, params: ModelParams, eps: float,
-                       nu: NuTable | None, special: bool = False
-                       ) -> tuple[int, list[tuple[Tree, dict]]]:
-    """The admissible assignments of a whole family under the renormalized
-    supports, as `admissible_assignments` gives them tree by tree: their
-    number, and the (tree, assignment) pairs that put a line at a scale
-    h >= 0.  special selects the special-end family of mode (n, m)."""
+def family_table(k: int, n: int, m: int, params: ModelParams, eps: float,
+                 nu: NuTable | None, special: bool = False
+                 ) -> tuple[_Family, np.ndarray, np.ndarray]:
+    """A family's assignment table at a point under the renormalized
+    supports, as `admissible_assignments` slices it: the family, each row's
+    tree and the rows' labels (`_Table.labels`).  special selects the
+    special-end family of mode (n, m)."""
     f = (_r_family if special else _tree_family)(k, n, m, params, None)
     tab = _point(params, eps, nu).table(f, True)
-    deep = np.flatnonzero(tab.labels.max(axis=1, initial=-1) >= 0)
-    out = []
-    for r, t in zip(deep.tolist(), (np.searchsorted(tab.row_start, deep, "right") - 1).tolist()):
-        out.append((Tree._view(f, t), dict(zip(f.lines(t).tolist(), tab.labels[r].tolist()))))
-    return len(tab.labels), out
+    return f, np.repeat(np.arange(f.count), np.diff(tab.row_start)), tab.labels
 
 
 def _node_rows(f: _Family, row_tree: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1119,8 +1115,9 @@ def _blocks(f: _Family, rows: tuple, ctx: EvalCtx, special: bool) -> tuple | Non
     its exit node o and entering node i, whether its on-shell part S is
     subtracted (`_l_conditions`) and whether X is priced on shell.
 
-    With special, each row's first block runs from the root to the special
-    end (X on shell, no S).  With ctx.renormalize, the active blocks follow
+    With special, the first block of each row whose tree is `_localizable`
+    runs from the root to the special end (X on shell, no S); `_localized`
+    zeroes the other rows.  With ctx.renormalize, the active blocks follow
     (`_active`): per exit node the first in `_active` order, replaced by
     each later one whose entering node lies below the current one's; none
     whose exit node lies on the path of a block above it.
@@ -1129,8 +1126,10 @@ def _blocks(f: _Family, rows: tuple, ctx: EvalCtx, special: bool) -> tuple | Non
     c, size = f.columns(), f.size
     groups = []
     if special:
-        groups.append((first, first + c.special[row_tree], np.zeros(len(first), bool),
-                       np.ones(len(first), bool)))
+        keep = _localizable(f, ctx.point)[row_tree]
+        at = first[keep]
+        groups.append((at, at + c.special[row_tree[keep]], np.zeros(len(at), bool),
+                       np.ones(len(at), bool)))
     if ctx.renormalize and len(c.cand_row):
         # a block can be active only where its exit line sits at a scale >= 0
         per = np.diff(c.cand_start)[row_tree] // 2
@@ -1233,20 +1232,25 @@ def renormalized_sum(k: int, n: int, m: int, params: ModelParams, eps: float,
     return _total(f, rows[0], _row_values(f, rows, ctx, setup=setup))
 
 
-def _localized(f: _Family, ctx: EvalCtx, h: int) -> tuple[np.ndarray, np.ndarray]:
-    """(row_tree, values) of the rows of a special-end family's table with
-    a line at scale >= h: each row's localized value, the value of its
-    special-end block priced on shell times the special end's weight, and
-    0.0 on the trees that fail `_l_conditions`.  Every row of the table is
+def _localizable(f: _Family, pt: _Point) -> np.ndarray:
+    """Per tree of a special-end family, whether its special-end block
+    passes `_l_conditions`."""
+    c, lam = f.columns(), np.array([md.lam for md in pt.modes_of(f)], bool)
+    return c.clean & lam[c.mode[c.start[:-1] + c.special]]
+
+
+def _localized(f: _Family, ctx: EvalCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row_tree, values, top) of the rows of a special-end family's table:
+    each row's localized value, the value of its special-end block priced
+    on shell times the special end's weight, 0.0 on the trees that fail
+    `_localizable`; and its highest line scale.  Every row of the table is
     evaluated, with the point's shared rows and setup."""
-    tab, c = ctx.point.table(f, True), f.columns()
+    tab = ctx.point.table(f, True)
     rows, setup = ctx.point.evaluation(tab)
     row_tree = rows[0]
-    lam = np.array([md.lam for md in ctx.point.modes_of(f)], bool)
-    ok = c.clean & lam[c.mode[c.start[:-1] + c.special]]
-    reach = tab.labels.max(axis=1, initial=-1) >= h
-    values = np.where(ok[row_tree], _row_values(f, rows, ctx, special=True, setup=setup), 0.0)
-    return row_tree[reach], values[reach]
+    values = np.where(_localizable(f, ctx.point)[row_tree],
+                      _row_values(f, rows, ctx, special=True, setup=setup), 0.0)
+    return row_tree, values, tab.labels.max(axis=1, initial=-1)
 
 
 def counterterm(k: int, n: int, m: int, h: int, params: ModelParams, eps: float,
@@ -1258,26 +1262,30 @@ def counterterm(k: int, n: int, m: int, h: int, params: ModelParams, eps: float,
     internal scale is >= h of the localized value.  Zero off the
     near-resonant zone; lower orders are read from `lower`.
     """
-    if n == 0 or (abs(n), m) == (1, 1):
-        return 0.0
-    if not in_lambda(n, m, params):
-        return 0.0
+    return _counterterms(k, n, m, (h,), params, eps, nu, q, lower, Mmax)[0]
+
+
+def _counterterms(k: int, n: int, m: int, scales, params: ModelParams, eps: float,
+                  nu: NuTable | None, q: float, lower, Mmax: int | None = None) -> list[float]:
+    """`counterterm` at each of the scales, from one evaluation of the rows."""
+    if n == 0 or (abs(n), m) == (1, 1) or not in_lambda(n, m, params):
+        return [0.0] * len(scales)
     if n < 0:
-        return -counterterm(k, -n, m, h, params, eps, nu, q, lower, Mmax)
+        return [-v for v in _counterterms(k, -n, m, scales, params, eps, nu, q, lower, Mmax)]
     f = _r_family(k, n, m, params, Mmax)
-    ctx = EvalCtx(params, eps, nu, q, lower, renormalize=True)
-    return -(m ** 3 / n) * _total(f, *_localized(f, ctx, h))
+    row_tree, values, top = _localized(f, EvalCtx(params, eps, nu, q, lower, renormalize=True))
+    return [-(m ** 3 / n) * _total(f, row_tree[top >= h], values[top >= h]) for h in scales]
 
 
 def counterterm_table(params: ModelParams, eps: float, nu: NuTable | None, q: float,
                       orders, modes, scales=(-1,)) -> CountertermTable:
     """`counterterm` on the given orders, modes (n >= 1) and scales (-1: the
-    aggregate), filled order by order: each order reads the lower ones."""
+    aggregate), filled order by order: each order reads the lower ones, and
+    each family is evaluated once for all the scales."""
     lt = CountertermTable()
     for k in orders:
         for (n, m) in modes:
-            for h in scales:
-                val = counterterm(k, n, m, h, params, eps, nu, q, lt)
+            for h, val in zip(scales, _counterterms(k, n, m, scales, params, eps, nu, q, lt)):
                 if val != 0.0:
                     lt.set(k, n, m, h, val)
     return lt

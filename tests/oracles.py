@@ -9,13 +9,15 @@ exit node at a time.  `_renormalized_value`, `_lval_rtree`,
 clusters and resonances from a tree's scale assignment alone, independently
 of the structural candidates the compiled families store.  Last, the tree
 walks and the scale-h propagator slice that only the tests read, with the
-per-tree walk of the renormalized supports.
+per-tree walk of the renormalized supports, and the per-assignment counting
+route (`profile`, `_count`) that `bruno.violations` is tested on.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from lindbeam.bruno import BrunoViolation
 from lindbeam.kernel import kernel_v
 from lindbeam.spectrum import ModelParams, NuTable, chi_h, propagator, x_divisor
 from lindbeam.trees import (
@@ -29,6 +31,7 @@ from lindbeam.trees import (
     _active,
     _Family,
     _l_conditions,
+    dump_tree,
     tree_value,
 )
 
@@ -447,3 +450,71 @@ def scaled_propagator(n: int, m: int, h: int, params: ModelParams, eps: float,
     cut = float(chi_h(x_divisor(n, m, params, eps, nu), h, params.gamma))
     val = cut * g
     return val if kind == "a" else n * val
+
+
+# ---------------------------------------------------------------------------
+# the per-assignment counting route
+
+@dataclass
+class ScaleProfile:
+    N: dict = field(default_factory=dict)    # h -> lines with scale >= h
+    S: dict = field(default_factory=dict)    # h -> resonances exiting at h
+    M: dict = field(default_factory=dict)    # h -> unary nodes exiting at h
+    K: int = 0                               # non-resonant propagator lines
+    n_lines: int = 0
+    h_max: int = -1
+    # lines at exactly scale h (N is its upper cumulative)
+    shell: dict = field(default_factory=dict)
+
+
+def profile(tree: Tree, asg: dict) -> ScaleProfile:
+    """Exact scale counts of one assignment.
+
+    Resonant lines are the exit lines of active resonance blocks and of unary
+    nodes; K counts the remaining propagator lines.  Reads the tree's rows.
+    """
+    f, t = tree._compiled()
+    h = tree._scales(asg)
+    prop = f.lines(t)
+    shell: dict[int, int] = {}
+    for i in prop:
+        shell[h[i]] = shell.get(h[i], 0) + 1
+    resonant_ids = set()
+    S: dict[int, int] = {}
+    for (o, _i) in _active(f, t, h):
+        resonant_ids.add(o)
+        S[h[o]] = S.get(h[o], 0) + 1
+    M: dict[int, int] = {}
+    for i in f.unary(t):
+        resonant_ids.add(i)
+        M[h[i]] = M.get(h[i], 0) + 1
+    K = sum(1 for i in prop if i not in resonant_ids)
+    p = ScaleProfile(S=S, M=M, K=K, n_lines=len(prop),
+                     h_max=max(shell, default=-1), shell=shell)
+    p.N = {h: sum(c for hh, c in shell.items() if hh >= h)
+           for h in range(0, max(shell, default=-1) + 1)}
+    return p
+
+
+def _count(tree: Tree, asg: dict, params: ModelParams, raise_on_fail: bool, bound) -> bool:
+    """Check N_h <= bound(K, 2^((2-h)/tau)) + S_h + M_h at every scale h."""
+    if max(asg.values(), default=-1) < 0:
+        return True     # no line at a scale h >= 0: nothing to count
+    p = profile(tree, asg)
+    for h in range(0, p.h_max + 1):
+        lhs = p.N.get(h, 0)
+        rhs = bound(p.K, 2 ** ((2 - h) / params.tau)) + p.S.get(h, 0) + p.M.get(h, 0)
+        if lhs > rhs + 1e-12:
+            if raise_on_fail:
+                raise BrunoViolation(
+                    f"N_{h} = {lhs} > {rhs:.3f} (K={p.K})\n" + dump_tree(tree, asg))
+            return False
+    return True
+
+
+def count_bound(tree: Tree):
+    """The bound of `_count` for a tree: the special-end one for a
+    special-end tree."""
+    if tree.is_rtree:
+        return lambda K, s: 2 * max(K - 1, 0) * s
+    return lambda K, s: max(0.0, 2 * K * s - 1)

@@ -1,16 +1,23 @@
+import random
+
+import numpy as np
 import pytest
 
+import oracles
+from lindbeam import trees
 from lindbeam.bruno import (
     BrunoViolation,
     admissible_scales,
     check_bruno,
     check_bruno_r,
-    profile,
     sample_diophantine_points,
+    violations,
 )
+from lindbeam.checks import family_grid
+from lindbeam.series import lambda_modes, solve_nu
 from lindbeam.spectrum import ModelParams, NuTable, in_lambda
-from lindbeam.trees import TNode, Tree, enumerate_r_trees, enumerate_trees
-from oracles import prop_line_nodes
+from lindbeam.trees import TNode, Tree, enumerate_r_trees, enumerate_trees, family_table
+from oracles import profile, prop_line_nodes
 
 P = ModelParams(a=1.0, b=0.5, mu=0.01, eps0=0.02, omega_branch=1, Mmax=9, Nmax=60)
 
@@ -161,3 +168,145 @@ def test_counting_sanity_two_ways(points):
         for h in range(0, p.h_max + 1):
             direct = sum(1 for nd in lines if asg[nd.nid] >= h)
             assert p.N.get(h, 0) == direct
+
+
+# At tau = 1 the scale factor s = 2^((2-h)/tau) is a power of two, so each
+# assignment below puts N_h exactly on its bound at one scale, and one line
+# more or one scale higher puts it over.
+P1 = P.with_(tau=1.0)
+
+
+def _verdicts(tree, asg, params):
+    """(check, oracle, tally): the adapter's verdict, the per-assignment
+    oracle's, and the tally's failing tuples for the assignment's row."""
+    f, t = tree._compiled()
+    check = check_bruno_r if tree.is_rtree else check_bruno
+    row = np.array([[asg.get(i, -1) for i in f.lines(t)]])
+    return (check(tree, asg, params, raise_on_fail=False),
+            oracles._count(tree, asg, params, False, oracles.count_bound(tree)),
+            violations(f, np.array([t]), row, params))
+
+
+def test_tree_bound_is_tight():
+    # one non-resonant line at h = 2: N_2 = 1 = 2 K s - 1 with K = 1, s = 1
+    # (the mutant K s - 1 reads 0); at h = 3 the bound is 2 * 0.5 - 1 = 0
+    t = enumerate_trees(1, 2, 3, P, 9)[0]
+    assert _verdicts(t, {t.root.nid: 2}, P1) == (True, True, [])
+    assert _verdicts(t, {t.root.nid: 3}, P1) == (False, False, [(0, 3, 1, 0.0, 1)])
+
+
+def test_special_end_bound_is_tight():
+    # three non-resonant lines, two of them at h = 3: N_3 = 2 = 2 (K - 1) s
+    # with K = 3, s = 1/2 (the mutant (K - 1) s reads 1); the third line at
+    # h = 3 puts N_3 = 3 over it
+    t = next(t for t in enumerate_r_trees(4, 2, 1, P, 3)
+             if len(prop_line_nodes(t)) == 3 and not any(nd.sv == 1 for nd in t.nodes)
+             and not oracles._candidates(t))
+    a, b, c = (nd.nid for nd in prop_line_nodes(t))
+    assert _verdicts(t, {a: 3, b: 3, c: -1}, P1) == (True, True, [])
+    assert _verdicts(t, {a: 3, b: 3, c: 2}, P1) == (True, True, [])
+    assert _verdicts(t, {a: 3, b: 3, c: 3}, P1) == (False, False, [(0, 3, 3, 2.0, 3)])
+    assert _verdicts(t, {a: 2, b: 2, c: 2}, P1) == (True, True, [])
+
+
+def test_resonances_count_at_their_exit_scale():
+    # an active resonance (root exit, entering (2, 3), inner line (3, 5) at
+    # -1) with its exit line at h = 4: K = 2 gives 2 K s - 1 = 0 there, so
+    # N_4 = 1 holds only through S_4 = 1; at h = 3 it sits on 2 * 2 / 2 - 1
+    e_in = TNode(0, "node", "a", 2, 1, 2, 3,
+                 (TNode(0, "end", "", 0, 0, 1, 1), TNode(0, "end", "", 0, 0, 1, 1)))
+    v1 = TNode(0, "node", "a", 2, 1, 3, 5, (TNode(0, "end", "", 0, 0, 1, 1), e_in))
+    v0 = TNode(0, "node", "a", 2, 1, 2, 3, (TNode(0, "end", "", 0, 0, -1, 1), v1))
+    t = Tree(root=v0, k=3, n=2, m=3).finalize()
+    asg = {v0.nid: 4, v1.nid: -1, e_in.nid: -1}
+    p = profile(t, asg)
+    assert (p.K, p.S, p.N[4]) == (2, {4: 1}, 1)
+    assert _verdicts(t, asg, P1) == (True, True, [])
+    # the inner line at the exit scale makes the block inactive
+    assert _verdicts(t, {**asg, v1.nid: 4}, P1) == (False, False, [(0, 4, 2, 0.5, 3)])
+
+
+def test_unary_nodes_count_at_their_exit_scale():
+    # a unary node's line at h = 3 over one non-resonant line: K = 1 gives
+    # 2 K s - 1 = 0 at h = 3, so N_3 = 1 holds only through M_3 = 1
+    x = TNode(0, "node", "a", 2, 1, 2, 3,
+              (TNode(0, "end", "", 0, 0, 1, 1), TNode(0, "end", "", 0, 0, 1, 1)))
+    u = TNode(0, "node", "a", 1, 2, 2, 3, (x,))
+    t = Tree(root=u, k=3, n=2, m=3).finalize()
+    asg = {u.nid: 3, x.nid: -1}
+    p = profile(t, asg)
+    assert (p.K, p.M, p.N[3]) == (1, {3: 1}, 1)
+    assert _verdicts(t, asg, P1) == (True, True, [])
+    # with x at h = 3 too, N_2 = 2 is over 2 K s - 1 + M_2 = 1
+    assert _verdicts(t, {u.nid: 3, x.nid: 3}, P1) == (False, False, [(0, 2, 2, 1.0, 1)])
+
+
+def _oracle_rows(f, row_tree, labels, params):
+    """(row, first line of the BrunoViolation) of each row of a table that
+    the per-assignment oracle fails."""
+    out = []
+    for r, t in enumerate(row_tree.tolist()):
+        tree, lines = Tree._view(f, t), f.lines(t).tolist()
+        asg = dict(zip(lines, labels[r, :len(lines)].tolist()))
+        try:
+            oracles._count(tree, asg, params, True, oracles.count_bound(tree))
+        except BrunoViolation as exc:
+            out.append((r, str(exc).split("\n")[0]))
+    return out
+
+
+def _tally_rows(f, row_tree, labels, params):
+    """The same from `violations`, in the adapters' words."""
+    return [(r, f"N_{h} = {lhs} > {rhs:.3f} (K={K})")
+            for r, h, lhs, rhs, K in violations(f, row_tree, labels, params)]
+
+
+def test_violations_match_the_oracle_on_the_criterion_6_grid():
+    # criterion 6's families and its order-2 special-end ones, at three of
+    # its points: every row of every table, as the per-assignment route
+    grid = family_grid((1, 2, 3), (1, 3, 5, 7, 9))
+    rows = 0
+    for eps, nu in sample_diophantine_points(P, 3, seed=7):
+        for k, n, m, special in ([(*key, False) for key in grid]
+                                 + [(2, n, m, True) for n, m in lambda_modes(P)]):
+            f, row_tree, labels = family_table(k, n, m, P, eps, nu, special)
+            assert _tally_rows(f, row_tree, labels, P) == _oracle_rows(f, row_tree, labels, P)
+            rows += len(labels)
+    assert rows > 40_000
+
+
+@pytest.fixture(scope="module")
+def deep_sample():
+    """A table with several rows per tree and lines at h >= 0: 2000 trees
+    drawn from the 4.99e8 of (10, 9, 3) at Mmax 3, at eps 0.002 on the
+    model of criterion 6 (P) on branch -1, with nu solved at K = 2."""
+    params, eps = P.with_(omega_branch=-1), 0.002
+    nu, _ = solve_nu(params, eps, 2)
+    key, memo = (10, 9, 3, False), {}
+    count = trees._count(key, 3, None, memo, float("inf"))[0]
+    idx = sorted(random.Random(7).sample(range(count), 2000))
+    f = trees._Family([trees._unrank(memo, key, i) for i in idx], *key)
+    tab = trees._point(params, eps, nu).table(f, True)
+    return params, f, np.repeat(np.arange(f.count), np.diff(tab.row_start)), tab.labels
+
+
+def test_violations_match_the_oracle_on_a_deep_sample(deep_sample):
+    params, f, row_tree, labels = deep_sample
+    deep = np.flatnonzero(labels.max(axis=1) >= 0).tolist()
+    assert len(labels) > len(deep) > 2000
+    profiles = [profile(Tree._view(f, int(row_tree[r])),
+                        dict(zip(f.lines(int(row_tree[r])).tolist(), labels[r].tolist())))
+                for r in deep]
+    assert sum(any(v for h, v in p.S.items() if h >= 0) for p in profiles) > 200
+    assert sum(bool(p.M) for p in profiles) > 40
+    # the sample's scales are -1 and 0, where no row can fail; raised by 3
+    # or 8 they fail at the smaller tau, with the same actives and unaries
+    failing = 0
+    for lift in (0, 3, 8):
+        raised = np.where(labels >= 0, labels + lift, labels)
+        for tau in (9.0, 2.0, 0.7, 0.3):
+            pt = params.with_(tau=tau)
+            got = _tally_rows(f, row_tree, raised, pt)
+            assert got == _oracle_rows(f, row_tree, raised, pt)
+            failing += len(got)
+    assert failing > 2000

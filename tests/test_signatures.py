@@ -112,3 +112,13 @@ def test_cutoffs_and_the_nu_box_come_from_model_params():
               for cls, name in (("NuTable", "__init__"), ("ModeSet", "nu_table"))
               for fn in [_methods(spectrum, cls)[name]] if _names(fn) & NU_BOX]
     assert not taken, taken
+
+
+def test_one_counting_route():
+    # the counting inequality reads assignment tables (`bruno.violations`);
+    # the per-assignment route lives on only as the oracle in tests/oracles.py
+    retired = {"profile", "ScaleProfile", "family_assignments"}
+    defined = _sites(lambda n: getattr(n, "name", None) in retired
+                     or (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+                         and n.id in retired))
+    assert not defined, defined

@@ -6,7 +6,7 @@ import pytest
 
 from lindbeam import trees
 from lindbeam.kernel import kernel_v
-from lindbeam.series import CountertermTable, compute_coeffs, lambda_modes
+from lindbeam.series import CountertermTable, compute_coeffs, lambda_modes, solve_nu
 from lindbeam.spectrum import ModelParams, NuTable, ResonantDivisorError, mode_set, omega_eff
 from lindbeam.trees import (
     EvalCtx,
@@ -252,6 +252,57 @@ def test_counterterm_profile():
     # homogeneity of degree 2 in the primary amplitude
     v2 = counterterm(2, 9, 3, -1, P, EPS, nu, 2 * q, CountertermTable(), MM)
     assert v2 == pytest.approx(4 * v, rel=1e-13)
+
+
+def test_counterterm_table_evaluates_each_family_once(monkeypatch):
+    # every scale of a special-end family is summed from one evaluation of
+    # its rows, and equals `counterterm` at that scale; at this point the
+    # order-4 family of (2, 1) has lines at h >= 0
+    calls = []
+    setup = trees._setup
+
+    def counted(f, rows, pt):
+        calls.append(f)
+        return setup(f, rows, pt)
+
+    monkeypatch.setattr(trees, "_setup", counted)
+    params, eps, q = P.with_(mu=0.01, eps0=0.02, omega_branch=-1), 0.0032, 0.8
+    nu, _ = solve_nu(params, eps, 2)
+    params = params.with_(Mmax=3)
+    modes = lambda_modes(params)
+    lt = counterterm_table(params, eps, nu, q, (2, 4), modes, scales=(-1, 0, 1))
+    assert len(calls) == len(set(calls)) == 2 * len(modes)
+    monkeypatch.setattr(trees, "_setup", setup)
+    for k in (2, 4):
+        for (n, m) in modes:
+            for h in (-1, 0, 1):
+                want = counterterm(k, n, m, h, params, eps, nu, q, lt)
+                assert repr(lt.get(k, n, m, h)) == repr(want or 0.0)    # zeros are not set
+    assert lt.get(4, 2, 1, 0) != 0.0
+
+
+RES_P = ModelParams(a=1.0, b=0.5, mu=0.1, eps0=0.02, omega_branch=-1, Mmax=64, Nmax=300)
+
+
+@pytest.mark.filterwarnings("ignore:convolution mass beyond")
+def test_order_4_shift_fixed_point():
+    # K = 4 reads counterterm(4, ...), whose special-end families hold trees
+    # that fail the localization conditions ((4, 8, 3) at Mmax 5: 1,332 of
+    # 13,284); priced on shell, a path line with the entering mode divides
+    # by omega~^2 - omega_bar^2, 0.0 at (8, 3), so those trees are zeroed
+    # without being localized.  The values are those of the route that
+    # evaluated only the kept trees
+    nu, info = solve_nu(RES_P.with_(Mmax=5, Nmax=60), 1e-3, 4)
+    lt = info["counterterms"]
+    assert info["sweeps"] == 3 and repr(info["q"]) == "0.7577324766023481"
+    assert repr(sorted(nu.items())) == (
+        "[((8, 3), -0.00024564326007167213), ((9, 3), -0.00021915972300654474), "
+        "((23, 5), -8.487247284545537e-05), ((24, 5), -8.155017352771622e-05), "
+        "((25, 5), -7.848382414470636e-05)]")
+    assert [repr(lt.get(4, n, m, -1)) for n, m in ((8, 3), (9, 3), (23, 5), (24, 5), (25, 5))] \
+        == ["-0.23044600842758753", "-0.20134847641967135", "-0.0783108468965465",
+            "-0.07947253444211784", "-0.07123302398964801"]
+    assert repr(lt.aggregate(4, 8, 3)) == "-0.23044600842758753"
 
 
 # ---------------------------------------------------------------------------
@@ -1034,7 +1085,7 @@ def _near_resonance_against_oracle(params, epss, modes, lt, seed):
                             == want[r]
                     if tree.is_rtree:
                         # each row's localized value: the special-end block on shell
-                        got = trees._localized(f, ctx, -1)[1]
+                        got = trees._localized(f, ctx)[1]
                         assert [repr(v) for v in got.tolist()] == \
                             [repr(oracles._lval_rtree(f, i, h, ctx, renorm)) for h in hs]
                     n = counts[tree.is_rtree]
