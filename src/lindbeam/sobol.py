@@ -14,11 +14,16 @@ after call, for d <= MAXDIM:
   of each direction number, then a random digital shift;
 - points: Gray-code order, starting at the shift.
 
-The random bits come from `numpy.random.default_rng(seed)` in scipy's order:
-the (d, 30) shift bits first, then the (d, 30, 30) matrix bits.
+The random bits are those of `numpy.random.default_rng(seed).integers(2,
+dtype=np.uint32)`, drawn in scipy's order: the (d, 30) shift bits first, then
+the (d, 30, 30) matrix bits.  A few lines of Python below reproduce that
+stream (numpy's SeedSequence and PCG64), so sampling never imports
+`numpy.random`, whose import also loads `secrets`, `hashlib` and OpenSSL;
+tests/test_sobol.py checks the stream against numpy's.
 """
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -151,10 +156,10 @@ class Sobol:
         if not 1 <= d <= MAXDIM:
             raise ValueError(f"Sobol dimension d={d} outside [1, D={MAXDIM}]: direction "
                              f"numbers are held for the first D={MAXDIM} dimensions only")
-        rng = np.random.default_rng(seed)
+        bits = _random_bits(seed, d * BITS * (1 + BITS))
         pow2 = 2 ** np.arange(BITS, dtype=np.uint32)
-        self._quasi = rng.integers(2, size=(d, BITS), dtype=np.uint32) @ pow2
-        lms = np.tril(rng.integers(2, size=(d, BITS, BITS), dtype=np.uint32))
+        self._quasi = bits[:d * BITS].reshape(d, BITS) @ pow2
+        lms = np.tril(bits[d * BITS:].reshape(d, BITS, BITS))
         lms[:, np.arange(BITS), np.arange(BITS)] = 1
         # the matrix times the MSB-first digits of each direction number, mod 2
         digits = (_direction_numbers(d)[:, :, None] >> _MSB_FIRST) & 1
@@ -178,3 +183,71 @@ class Sobol:
 def _lowest_zero_bit(i: np.ndarray) -> np.ndarray:
     """Position of the lowest zero bit of each i >= 0."""
     return np.frexp(~i & (i + 1))[1] - 1
+
+
+# numpy's SeedSequence (4-word pool) and PCG64 (XSL-RR 128/64), as far as
+# `default_rng(seed).integers(2, dtype=np.uint32)` needs them
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix: each call xors in, then multiplies by, the next
+    of its constants."""
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _mix(x: int, y: int) -> int:
+    """SeedSequence's mix of a pool word x with a hashed word y."""
+    r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _pcg64_seed(seed: int) -> tuple[int, int]:
+    """PCG64's initial state and increment for an int seed >= 0, as
+    `PCG64(SeedSequence(seed))` sets them."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"expected a non-negative integer seed, got {seed}")
+    words = [seed >> k & _MASK32 for k in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)         # INIT_A, MULT_A
+    pool = [hashmix(w) for w in (words + [0] * 4)[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(w))
+    # generate_state(4, uint64): 8 words, paired low word first
+    out = _hasher(0x8B51F9DD, 0x58F38DED)             # INIT_B, MULT_B
+    w = [out(pool[i % 4]) for i in range(8)]
+    w = [w[k] | w[k + 1] << 32 for k in range(0, 8, 2)]
+    # set_seed takes the state seed w0:w1 and the stream seed w2:w3, high word
+    # first; it steps from state 0 (giving inc), adds the state seed, steps again
+    inc = ((w[2] << 64 | w[3]) << 1 | 1) & _MASK128
+    return ((inc + (w[0] << 64 | w[1])) * _PCG_MULT + inc) & _MASK128, inc
+
+
+def _random_bits(seed: int, n: int) -> np.ndarray:
+    """The first n values, each 0 or 1, of `numpy.random.default_rng(seed)
+    .integers(2, size=n, dtype=np.uint32)`."""
+    state, inc = _pcg64_seed(seed)
+    raw = bytearray()
+    for _ in range((n + 1) // 2):
+        state = (state * _PCG_MULT + inc) & _MASK128
+        raw += state.to_bytes(16, "little")
+    lo, hi = np.frombuffer(raw, dtype="<u8").reshape(-1, 2).T
+    # an output is lo ^ hi rotated right by hi's top 6 bits; it gives two
+    # 32-bit draws, low half first, and integers(2) keeps a draw's top bit
+    # (Lemire's method never rejects at range 2): output bits 31 and 63
+    x, rot = lo ^ hi, hi >> 58
+    bits = np.stack([x >> ((rot + 31) & 63), x >> ((rot + 63) & 63)], axis=1) & 1
+    return bits.reshape(-1)[:n].astype(np.uint32)

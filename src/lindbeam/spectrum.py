@@ -209,24 +209,26 @@ def check_nu_values(n: np.ndarray, m: np.ndarray, v: np.ndarray, mu: float,
 
 
 def _radicand(n: int, m: int, mu: float, nu: NuTable | None) -> float:
+    """omega~^2 = omega_m^2 + n nu_{n,m}; raises DegenerateRadicandError unless
+    it is > 0 (NaN included), as `ModeSet.radicand` does over the flat layout."""
     r = omega_sq(m, mu)
     if nu is not None:
         r += nu.n_nu(n, m)
+    if not r > 0.0:
+        raise DegenerateRadicandError(f"radicand {r} <= 0 at mode {(n, m)}")
     return r
 
 
 def x_divisor(n: int, m: int, params: ModelParams, eps: float,
               nu: NuTable | None = None) -> float:
     """Small divisor |Omega n| - sqrt(omega_m^2 + n nu_{n,m}); even in n."""
-    rad = _radicand(n, m, params.mu, nu)
-    if not rad > 0.0:
-        raise DegenerateRadicandError(f"radicand {rad} <= 0 at mode {(n, m)}")
-    return abs(omega_eff(params, eps) * n) - math.sqrt(rad)
+    return abs(omega_eff(params, eps) * n) - math.sqrt(_radicand(n, m, params.mu, nu))
 
 
 def propagator(n: int, m: int, params: ModelParams, eps: float,
                nu: NuTable | None = None) -> float:
-    """Inverse linearized operator on mode (n, m); exactly 1 at (+-1, 1)."""
+    """Inverse linearized operator on mode (n, m); exactly 1 at (+-1, 1).
+    Elsewhere a radicand omega~^2 <= 0 raises, as in `x_divisor`."""
     if (abs(n), m) == (1, 1):
         return 1.0
     Om = omega_eff(params, eps)

@@ -1,6 +1,8 @@
 """Import footprint: the construction, the Diophantine point sampling and the
-tree checks run on numpy alone; scipy loads only with the kernel quadrature
-oracle (`scipy.integrate`, which `verify` calls), and `scipy.stats` never."""
+tree checks run on numpy alone, and the sampling and the tree checks load
+neither `numpy.random` nor OpenSSL's `_hashlib`; scipy loads only with the
+kernel quadrature oracle (`scipy.integrate`, which `verify` calls), and
+`scipy.stats` never."""
 import os
 import subprocess
 import sys
@@ -65,6 +67,9 @@ for argv in (["bruno", "check"], ["trees", "2", "9", "3"], ["counterterms"]):
     assert lindbeam.cli.main(["--config", cfg, "--outdir", out, *argv]) == 0, argv
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, f"sampling and the tree checks loaded {loaded[:5]}"
+loaded = [m for m in ("numpy.random", "_hashlib") if m in sys.modules]
+assert not loaded, f"sampling and the tree checks loaded {loaded}"
+# scipy.integrate, which verify loads, imports numpy.random and _hashlib
 assert lindbeam.cli.main(["--config", cfg, "--outdir", out, "verify"]) == 0
 loaded = sorted(m for m in sys.modules if m.startswith("scipy.stats"))
 assert not loaded, f"verify loaded {loaded[:5]}"

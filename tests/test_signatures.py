@@ -122,3 +122,23 @@ def test_one_counting_route():
                      or (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
                          and n.id in retired))
     assert not defined, defined
+
+
+def _reads_numpy_random(node):
+    if isinstance(node, ast.Attribute):
+        return (node.attr == "random" and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy"))
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        return module.startswith("numpy.random") or (
+            module == "numpy" and any(a.name == "random" for a in node.names))
+    if isinstance(node, ast.Import):
+        return any(a.name.startswith("numpy.random") for a in node.names)
+    return False
+
+
+def test_no_module_reads_numpy_random():
+    # the Sobol scrambling bits come from `sobol._random_bits`; numpy.random,
+    # whose import also loads hashlib and OpenSSL, is a test oracle only
+    found = _sites(_reads_numpy_random)
+    assert not found, found

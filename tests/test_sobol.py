@@ -12,7 +12,7 @@ from scipy.stats import qmc
 
 from lindbeam.bruno import sample_diophantine_points
 from lindbeam.diophantine import check_melnikov
-from lindbeam.sobol import MAXDIM, Sobol, direction_table
+from lindbeam.sobol import BITS, MAXDIM, Sobol, _random_bits, direction_table
 from lindbeam.spectrum import MU_MAX, ModelParams, mode_set
 
 TREE_P = ModelParams(a=1.0, b=0.5, mu=0.01, eps0=0.02, omega_branch=1, Mmax=9, Nmax=60)
@@ -34,6 +34,29 @@ def test_blocks_equal_scipys(d, seed):
     for _ in range(10):
         a, b = ours.random(32), theirs.random(32)
         assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2024, 2 ** 32 + 5, 2 ** 130 + 3])
+@pytest.mark.parametrize("d", [1, 12])
+def test_bits_equal_numpys(seed, d):
+    # the Sobol order from one generator: the (d, 30) shift bits, then the
+    # (d, 30, 30) matrix bits; 2**32 + 5 has two entropy words, and 2**130 + 3
+    # more than SeedSequence's 4-word pool holds
+    rng = np.random.default_rng(seed)
+    want = np.concatenate([rng.integers(2, size=(d, BITS), dtype=np.uint32).ravel(),
+                           rng.integers(2, size=(d, BITS, BITS), dtype=np.uint32).ravel()])
+    got = _random_bits(seed, d * BITS * (1 + BITS))
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    # an odd count ends on the low half of an output
+    assert np.array_equal(_random_bits(seed, 7), want[:7])
+
+
+@pytest.mark.parametrize("seed", [-1, -2 ** 40])
+def test_negative_seed_raises(seed):
+    with pytest.raises(ValueError):
+        np.random.default_rng(seed)
+    with pytest.raises(ValueError, match="non-negative"):
+        Sobol(3, seed)
 
 
 def _scipy_sample(params, count, seed=0, max_draws=4000):

@@ -63,12 +63,15 @@ def test_x_divisor_examples():
 @pytest.mark.parametrize("shift", [-20.0, math.nan])
 def test_x_divisor_raises_on_a_degenerate_radicand(shift):
     # 3^4 + 6 shift is negative or NaN at (6, 3): the scalar check flags
-    # both, as ModeSet.radicand does, instead of returning a NaN divisor
+    # both, as ModeSet.radicand does, instead of returning a NaN divisor or
+    # the finite propagator 1 / (-36 + 81 - 120)
     nu = NuTable()
     nu.set(6, 3, shift)
-    with pytest.raises(DegenerateRadicandError, match=r"radicand \S+ <= 0 at mode \(6, 3\)$"):
-        x_divisor(6, 3, P, 0.0, nu)
+    for route in (x_divisor, propagator):
+        with pytest.raises(DegenerateRadicandError, match=r"radicand \S+ <= 0 at mode \(6, 3\)$"):
+            route(6, 3, P, 0.0, nu)
     assert x_divisor(6, 2, P, 0.0, nu) == 6.0 - 4.0
+    assert propagator(6, 2, P, 0.0, nu) == 1.0 / (16.0 - 36.0)
 
 
 def test_propagator():
