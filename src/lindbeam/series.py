@@ -19,7 +19,7 @@ import numpy as np
 
 from .kernel import cosine_projection, kernel_v
 from .spectrum import (DegenerateRadicandError, ModelParams, NuTable, check_nu_values,
-                       mode_set, omega_eff, omega_sq, propagator_row)
+                       _row_propagator, mode_set, omega_eff, omega_sq, propagator_row)
 
 __all__ = [
     "CoeffTable",
@@ -329,22 +329,27 @@ def amplitude_cubic_coefficient(params: ModelParams, eps: float,
 
 
 def _cubic_rows(params: ModelParams, eps: float, odd: np.ndarray) -> tuple:
-    """v_{1,1,m} and g_{0,m} over the odd modes m: the parts of A no shift moves."""
-    return np.array([kernel_v(1, 1, m) for m in odd.tolist()]), propagator_row(0, odd, params, eps)
+    """The parts of A over the odd modes m that no shift moves: 2 v_{1,1,m}^2,
+    2a(a + b Om^2) g_{0,m}, (a - b Om^2)(a + 2b Om^2), beta, and the parts
+    -(2 Om)^2 and omega_m^2 of g_{2,m}'s divisor."""
+    Om = omega_eff(params, eps)
+    a, b = params.a, params.b
+    v = np.array([kernel_v(1, 1, m) for m in odd.tolist()])
+    g0 = propagator_row(0, odd, params, eps)
+    return (2.0 * v * v, 2 * a * (a + b * Om * Om) * g0,
+            (a - b * Om * Om) * (a + 2 * b * Om * Om), _beta(params, eps),
+            -(Om * 2) ** 2, omega_sq(odd, params.mu))
 
 
 def _cubic_coefficient(params: ModelParams, eps: float, odd: np.ndarray,
                        shift2, rows: tuple) -> float:
     """A over the odd modes m, with shift2 = 2 nu_{2,m} (array or 0) and
     rows = _cubic_rows(params, eps, odd)."""
-    Om = omega_eff(params, eps)
-    a, b = params.a, params.b
-    v, g0 = rows
-    g2 = propagator_row(2, odd, params, eps, shift2)
-    terms = 2.0 * v * v * (2 * a * (a + b * Om * Om) * g0
-                           + (a - b * Om * Om) * (a + 2 * b * Om * Om) * g2)
+    vv, g0_part, g2_factor, beta, lin2, om_sq = rows
+    g2 = _row_propagator(2, odd, lin2, om_sq, shift2)
+    terms = vv * (g0_part + g2_factor * g2)
     # cumsum adds in m order (np.sum would pair terms): A is the plain scalar sum
-    return float(np.cumsum(terms)[-1]) / _beta(params, eps)
+    return float(np.cumsum(terms)[-1]) / beta
 
 
 def amplitude_series(params: ModelParams, eps: float, nu: NuTable | None,
@@ -444,11 +449,12 @@ def solve_nu(params: ModelParams, eps: float, K: int,
     fast = not use_trees and K <= 3
     odd = np.arange(1, params.Mmax + 1, 2)
     rows, idx2 = _cubic_rows(params, eps, odd), ms.index(2, odd)
+    flat = np.zeros(ms.size + 1)      # each sweep's n*nu; nothing returned holds it
     for sweep in range(1, NU_MAX_SWEEPS + 1):
         if fast:
             # odd amplitude orders vanish, so the K <= 3 equation is the
             # plain cubic: beta q = A1 q^3 with A1 from the closed form
-            shift = ms.scatter(vals)
+            shift = ms.scatter(vals, flat)
             if params.a == 0.0 and params.b == 0.0:
                 q = 0.0
             else:

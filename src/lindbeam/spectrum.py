@@ -244,7 +244,13 @@ def propagator_row(n: int, m: np.ndarray, params: ModelParams, eps: float,
 
     n_nu is n*nu at (n, m_j), an array or 0.
     """
-    denom = -(omega_eff(params, eps) * n) ** 2 + (omega_sq(m, params.mu) + n_nu)
+    return _row_propagator(n, m, -(omega_eff(params, eps) * n) ** 2, omega_sq(m, params.mu), n_nu)
+
+
+def _row_propagator(n: int, m: np.ndarray, lin: float, om_sq: np.ndarray, n_nu=0.0) -> np.ndarray:
+    """`propagator_row` from its parts that no shift moves: lin = -(Omega n)^2
+    and om_sq = omega_sq(m, mu)."""
+    denom = lin + (om_sq + n_nu)
     if (denom == 0.0).any():
         raise ResonantDivisorError(f"exact resonance at mode {(n, int(m[denom == 0.0][0]))}")
     return 1.0 / denom
@@ -287,13 +293,21 @@ def chi(x, gamma: float):
     return _smoothstep((np.abs(x) - gamma) / gamma)
 
 
-def chi_h(x, h: int, gamma: float):
+def chi_h(x, h, gamma: float):
     """Member h >= -1 of the dyadic partition of unity.
 
     chi_{-1} covers |x| >= gamma (large divisors); chi_h for h >= 0 covers the
     dyadic shell 2^{-h-1} gamma <= |x| <= 2^{-h+1} gamma.  For every x != 0,
-    sum_{h=-1}^{H} chi_h(x) = 1 exactly once 2^{-H} gamma < |x|.
+    sum_{h=-1}^{H} chi_h(x) = 1 exactly once 2^{-H} gamma < |x|.  An int
+    array h broadcasts against x; each entry gets the value of its scalar h.
     """
+    if np.ndim(h):
+        h = np.asarray(h)
+        if (h < -1).any():
+            raise ValueError("scale index must be >= -1")
+        x = np.broadcast_to(np.asarray(x, dtype=float), np.broadcast_shapes(np.shape(x), h.shape))
+        c = chi(np.stack([x, np.ldexp(x, h + 1), np.ldexp(x, h)]), gamma)
+        return np.where(h == -1, c[0], c[1] - c[2])
     if h < -1:
         raise ValueError("scale index must be >= -1")
     if h == -1:
@@ -315,21 +329,45 @@ def chi_support(h: int, gamma: float) -> tuple[float, float]:
     return (2.0 ** (-h - 1) * gamma, 2.0 ** (-h + 1) * gamma)
 
 
-def admissible_h_for(x: float, gamma: float, h_max: int = H_MAX_DEFAULT) -> list[int]:
-    """Scale labels h with chi_h(x) != 0; at most two, empty below the floor."""
-    ax = abs(x)
-    if ax < 2.0 ** (-h_max - 1) * gamma:
-        return []
-    out = []
-    if chi(ax, gamma) != 0.0:
-        out.append(-1)
-    if ax < 2.0 * gamma:
-        # candidate shells: 2^{-h-1} gamma < ax < 2^{-h+1} gamma
-        hc = int(math.floor(-math.log2(ax / gamma)))
-        for h in (hc - 1, hc, hc + 1):
-            if 0 <= h <= h_max and chi_h(ax, h, gamma) != 0.0:
-                out.append(h)
-    return out
+def admissible_h_for(x, gamma: float, h_max: int = H_MAX_DEFAULT):
+    """Scale labels h with chi_h(x) != 0, ascending: at most two, none below
+    the floor 2^-(h_max+1) gamma.  A scalar x gets them as a list; an array
+    x gets an int16 array of shape x.shape + (2,), padded with -2."""
+    ax = np.asarray(x, dtype=float)
+    labels = _admissible(ax.reshape(-1), gamma, h_max)[0]
+    if not ax.ndim:
+        return labels[0][labels[0] >= -1].tolist()
+    return labels.reshape(ax.shape + (2,))
+
+
+def _admissible(x: np.ndarray, gamma: float, h_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, cutoffs) of `admissible_h_for` over a flat array x: per entry
+    its labels in two slots, padded with -2, and chi_h(x) of each (0.0 in
+    the padding).
+
+    The candidates are -1 and, below 2 gamma, the shells h = hc - 1, hc,
+    hc + 1 within [0, h_max] around hc = floor(-log2(|x| / gamma)); chi is
+    taken once at |x| and at |x| 2^(hc - 1) .. |x| 2^(hc + 2), whose
+    differences are chi_h of the shells.
+    """
+    ax = np.abs(x)[:, None]
+    live = ~(ax < 2.0 ** (-h_max - 1) * gamma)
+    small = live & (ax < 2.0 * gamma)
+    hc = np.zeros(ax.shape, np.int64)
+    if small.any():
+        hc[small] = np.floor(-np.log2(ax[small] / gamma))
+    shells = hc + np.arange(-1, 2)
+    ok = small & (shells >= 0) & (shells <= h_max)
+    with np.errstate(over="ignore"):
+        c = chi(np.concatenate([ax, np.ldexp(ax, hc + np.arange(-1, 3))], axis=1), gamma)
+    cut = np.concatenate([c[:, :1], c[:, 2:] - c[:, 1:-1]], axis=1)
+    keep = np.concatenate([live, ok], axis=1) & (cut != 0.0)
+    row, col = np.nonzero(keep)
+    slot = np.arange(len(row)) - np.searchsorted(row, row)
+    labels, cutoffs = np.full((len(ax), 2), -2, np.int16), np.zeros((len(ax), 2))
+    labels[row, slot] = np.where(col > 0, hc[row, 0] + col - 2, -1)
+    cutoffs[row, slot] = cut[row, col]
+    return labels, cutoffs
 
 
 def _near_resonant(om1, eps0, n, m):
@@ -406,9 +444,11 @@ class ModeSet:
             out[-1] = 0.0
         return out
 
-    def scatter(self, vals: np.ndarray) -> np.ndarray:
-        """Flat n*nu from the values of nu on the modes n, m."""
-        out = np.zeros(self.size + 1)
+    def scatter(self, vals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Flat n*nu from the values of nu on the modes n, m; written into
+        out, which must be zero off the modes, when given."""
+        if out is None:
+            out = np.zeros(self.size + 1)
         out[self.pos] = self.n * vals
         return out
 

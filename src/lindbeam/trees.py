@@ -17,9 +17,10 @@ On first evaluation a family compiles what evaluating it reads of the family
 alone, once for every point (`_Columns`).
 A `Tree` is a view of one tree's rows; it builds `TNode` objects only when
 asked for them.  Evaluation reads the rows together with per-point mode
-tables (`_Point`): each mode's omega~^2 = omega_sq(m, mu) + |n| nu, the
-double the recursion's propagators divide by, the scale labels its divisor
-admits and its cutoff propagator, computed once per (params, eps, nu).
+arrays (`_Point`, `_Modes`): each mode's omega~^2 = omega_sq(m, mu) + |n| nu,
+the double the recursion's propagators divide by, the scale labels its
+divisor admits and its cutoff propagators, computed once per (params, eps,
+nu) and mode, over arrays of modes and lines.
 
 Evaluation works on a whole family at once.  A point's assignment table
 (`_Table`, one per family and support rule, cached on the `_Point`) holds
@@ -29,11 +30,11 @@ labels.  `_row_values` evaluates all rows together, level by level from the
 leaves up (a node's level is its height), doing at each node the
 multiplications of the per-tree recursion in the same order: node weight,
 then line factor times child value for each child in `TNode` children
-order, with the same zero short-circuits.  Renormalized rows carry their
-active resonance blocks through the same loop, as two more products along
-each block's path, priced at the entering line's natural and on-shell
-frequencies; a special-end tree's localized value is one such block from
-the root to the special end.  The row values and the sequential sum over
+order, giving the same +0.0 where a factor vanishes.  Renormalized rows
+carry their active resonance blocks through the same loop, as two more
+products along each block's path, priced at the entering line's natural
+and on-shell frequencies; a special-end tree's localized value is one such
+block from the root to the special end.  The row values and the sequential sum over
 rows are therefore bitwise equal to evaluating the trees one at a time.
 """
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .spectrum import (
     ModeSet,
     NuTable,
     ResonantDivisorError,
+    _admissible,
     admissible_h_for,
     chi_h,
     in_lambda,
@@ -404,19 +406,42 @@ class _Columns:
     - line_tree, line_pos, line_mode, max_lines: per line of the family's
       line list its tree, its position in the tree's lines and its mode; the
       most lines of a tree.
-    - const, consts, props: each node row's index into the family's few
-      point-independent row constants: consts, its weight as far as no
-      point sets it, the kernel value v at a binary node (weighted a v or
-      -b Om^2 v), 1/m^3 at a special end, else 0.0; props, whether its
-      exiting line carries a cutoff propagator, which the lines of the
+    - mode_n, mode_m: the family's distinct modes (`_Family.modes`).
+    - const, consts, const_role, props: each node row's index into the
+      family's few row constants, and one more entry, the 1.0 that a
+      missing second child reads; consts, a row's weight as far as no point
+      sets it: the kernel value v at a binary node, 1/m^3 at a special end,
+      1.0 at an end, else 0.0 (the shift weight at unary nodes comes later);
+      const_role, what a context multiplies it by: 1 (role 0), a (1, a-type
+      binary node), -b Om^2 (2, b-type) or q (3, end); props, whether the
+      row's exiting line carries a cutoff propagator, which the lines of the
       primary mode and of special ends and the unit root line of a
       special-end tree do not.
-    - walk_line, walk_anchor: the lines on the path of each structural
-      resonance candidate, below its exit node, with the entering node's
-      mode, and of a special-end tree those from the special end up, with
-      anchor -1 (`_block_walks`).
-    - clean: per tree, whether it has a special end whose block no other
-      line repeats the mode of (the family half of `_l_conditions`).
+    - walk_line, walk_anchor, walk_mode: the lines on the path of each
+      structural resonance candidate, below its exit node, with the entering
+      node's mode, and of a special-end tree those from the special end up,
+      with anchor -1 (`_block_walks`); each one's mode.
+    - clean, special_mode: per tree, whether it has a special end whose
+      block no other line repeats the mode of (the family half of
+      `_l_conditions`), and the special end's mode (special-end families).
+    - spath, spath_anchor: the node rows of the lines on the path from each
+      special end up to below the root, in the family's own layout, and the
+      special end's mode of each.
+
+    And, for a table with one row per tree, whose rows are the family's own
+    (`_Table.one`):
+    - roots: the first node row of each tree (a view of start).
+    - line_node: the node row of each line; xprop: the other rows whose
+      line carries a propagator (ends off the primary mode).
+    - nb: per node row n where its parent is b-type, else 1, and a last 1.
+    - unary: the unary node rows.
+    - lv_kids, lv_off: the node rows above the ends, level by level (those
+      of level l + 1 are columns lv_off[l]:lv_off[l + 1]), as their two
+      children in TNode children order: the second subtree (the last row, the
+      missing child, at a unary node) over the first, whose row less one is
+      the node's.
+    - cand_tree, cand_exit: each structural resonance candidate's tree and
+      exit node row.
     """
 
     def __init__(self, f: _Family):
@@ -427,59 +452,104 @@ class _Columns:
             setattr(self, c, np.frombuffer(getattr(f, c).obj, dtype=dt))
         for c in ("start", "mult", "line_start", "pair_start", "cand_start"):
             setattr(self, c, np.frombuffer(getattr(f, c).obj, dtype=getattr(f, c).format))
+        R, kind, n, m = len(self.sv), self.kind, self.n, self.m
+        two = np.flatnonzero(self.sv == 2)
+        kid2 = np.full(R, R)
+        kid2[two] = two + 1 + self.size[two + 1]     # the second subtree's root
         inner = np.flatnonzero(self.sv > 0)
-        kid = np.where(self.sv[inner] == 2, self.second(inner), inner + 1)
-        self.level = np.zeros(len(self.sv), np.int8)
+        kid = np.where(self.sv[inner] == 2, kid2[inner], inner + 1)
+        self.level = np.zeros(R, np.int8)
         while True:     # one pass per level: a node sits one above its higher child
             up = np.maximum(self.level[inner + 1], self.level[kid]) + 1
             if np.array_equal(up, self.level[inner]):
                 break
             self.level[inner] = up
 
-        nl, roots = np.diff(self.line_start), self.start[:-1]
+        nl = np.diff(self.line_start)
+        self.roots = roots = self.start[:-1]
         self.max_lines = int(nl.max(initial=0))
         self.line_tree = np.repeat(np.arange(f.count), nl).astype(_narrow(f.count))
         self.line_pos = (np.arange(len(self.line_row)) - np.repeat(self.line_start[:-1], nl)
                          ).astype(_narrow(self.max_lines))
-        self.line_mode = self.mode[np.repeat(roots, nl) + self.line_row].astype(
-            _narrow(len(f.modes)))
+        self.line_node = (roots[self.line_tree] + self.line_row).astype(_narrow(R))
+        self.line_mode = self.mode[self.line_node].astype(_narrow(len(f.modes)))
+        modes = np.array(f.modes, np.int16).reshape(-1, 2)
+        self.mode_n, self.mode_m = modes[:, 0].copy(), modes[:, 1].copy()
 
-        kind, n, m = self.kind, self.n, self.m
         prop = (kind == NODE) | ((kind == END) & ((np.abs(n) != 1) | (m != 1)))
         if f.is_rtree:
             prop[roots] = False
-        # weight keys: 0 for none, -m at a special end, and at a binary node
-        # 1 + the kernel's (m, m of the second subtree, m of the first); a
-        # row's constants are keyed by (weight key, prop)
-        ms, two = int(m.max(initial=0)) + 1, np.flatnonzero(self.sv == 2)
-        keys = np.zeros(len(kind), np.int64)
-        keys[two] = (m[two].astype(np.int64) * ms + m[self.second(two)]) * ms + m[two + 1] + 1
-        keys[kind == SPECIAL] = -m[kind == SPECIAL]
-        distinct, const = np.unique(2 * keys + prop, return_inverse=True)
+        self.xprop = np.flatnonzero(prop & (kind == END)).astype(_narrow(R))
+        # constants keyed by (weight key, role, prop); weight keys: 0 for
+        # none, -m at a special end, and at a binary node 1 + the kernel's
+        # (m, m of the second subtree, m of the first); roles: 1 a-type and
+        # 2 b-type binary node, 3 end, 4 the missing child's 1.0, else 0
+        ms = int(m.max(initial=0)) + 1
+        keys = np.zeros(R + 1, np.int64)
+        keys[two] = (m[two].astype(np.int64) * ms + m[kid2[two]]) * ms + m[two + 1] + 1
+        keys[:R][kind == SPECIAL] = -m[kind == SPECIAL]
+        role = np.zeros(R + 1, np.int64)
+        role[two] = np.where(self.ttype[two] == B, 2, 1)
+        role[:R][kind == END] = 3
+        role[R] = 4
+        distinct, const = np.unique(keys * 16 + role * 2 + np.append(prop, False),
+                                    return_inverse=True)
 
-        def weight(k: int) -> float:
+        def weight(k: int, r: int) -> float:
+            if r >= 3:
+                return 1.0
             if k < 0:
                 return 1.0 / (-k) ** 3
             k -= 1
             return kernel_v(k // ms // ms, k // ms % ms, k % ms) if k >= 0 else 0.0
 
+        roles = distinct % 16 // 2
         self.const = const.astype(_narrow(len(distinct)))
-        self.consts = np.array([weight(k >> 1) for k in distinct.tolist()])
+        self.consts = np.array([weight(k, r) for k, r in zip((distinct // 16).tolist(),
+                                                             roles.tolist())])
         self.props = (distinct & 1).astype(bool)
+        self.const_role = np.where(roles == 4, 0, roles).astype(np.int8)
 
         lines, anchors = _block_walks(f)
         self.walk_line = np.array(lines, _narrow(len(self.line_row)))
         self.walk_anchor = np.array(anchors, _narrow(len(f.modes)))
+        self.walk_mode = self.line_mode[self.walk_line]
         self.clean = np.array([e >= 0 and not _repeats(f, s, 0, e)
                                for s, e in zip(f.start, f.special)], bool)
+        self.special_mode = (self.mode[roots + self.special] if f.is_rtree
+                             else np.zeros(0, np.int16))
+        e_path = self.walk_line[self.walk_anchor < 0]
+        self.spath = self.line_node[e_path]
+        self.spath_anchor = self.special_mode[self.line_tree[e_path]]
+
+        nb, unary, kids, self.lv_off = _layout(self, np.arange(R))
+        self.nb = nb.astype(_narrow(int(np.abs(n).max(initial=1))))
+        self.unary, self.lv_kids = unary.astype(_narrow(R)), kids.astype(_narrow(R))
+        per = np.diff(self.cand_start) // 2
+        self.cand_tree = np.repeat(np.arange(f.count), per).astype(_narrow(f.count))
+        self.cand_exit = (roots[self.cand_tree] + self.cand_row[0::2]).astype(_narrow(R))
         for a in vars(self).values():
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False      # shared by every point
 
-    def second(self, rows: np.ndarray) -> np.ndarray:
-        """Row of the second subtree of each of the given binary node rows,
-        the child that comes first in TNode children order."""
-        return rows + 1 + self.size[rows + 1]
+
+def _layout(c: _Columns, node: np.ndarray) -> tuple:
+    """(nb, unary, kids, off) of `_setup` for the given node rows, laid out
+    one after another: the second subtree of a binary node at position p
+    starts at p + 1 + the size of its first child's subtree (TNode children
+    order takes it first)."""
+    R, sv, level = len(node), c.sv[node], c.level[node]
+    two = np.flatnonzero(sv == 2)
+    kid2 = np.full(R, R)
+    kid2[two] = two + 1 + c.size[node[two] + 1]
+    tb = np.flatnonzero(c.ttype[node] == B)
+    under_b = np.zeros(R + 1, bool)
+    under_b[kid2[tb]] = under_b[tb + 1] = True
+    nb = np.where(under_b, np.append(c.n[node], 1), 1)
+    levels = [np.flatnonzero(level == lv) for lv in range(1, int(level.max(initial=0)) + 1)]
+    e = np.concatenate(levels) if levels else np.zeros(0, np.int64)
+    return (nb, np.flatnonzero(sv == 1), np.stack([kid2[e], e + 1]),
+            tuple(np.cumsum([0] + [len(e) for e in levels]).tolist()))
 
 
 def _block_walks(f: _Family) -> tuple[list, list]:
@@ -632,60 +702,142 @@ def enumerate_r_trees(k: int, n: int, m: int, params: ModelParams,
 # ---------------------------------------------------------------------------
 # evaluation
 
-class _Mode:
-    """Divisor data of one mode (n, m) at one point; root and bar are None
-    when omega_m^2 + n nu <= 0."""
+class _Modes:
+    """Divisor data of a family's modes at one point, as arrays indexed like
+    its mode rows, read off the point's `mode_data` on first use: omt2,
+    omega~^2 = omega_sq(m, mu) + |n| nu; live, whether it is > 0; root;
+    bar, the on-shell frequency omega_bar = sign(n) root; freq, the natural
+    frequency Omega n; lam, membership of the near-resonant zone; hs, the
+    scale labels admitted by the plain divisor |Omega n| - omega~ (two
+    slots, padded with -2), and cnt, how many; nat, the cutoff propagator
+    at the natural frequency per label slot."""
 
-    __slots__ = ("n", "m", "omt2", "root", "hs", "lam", "bar", "prop")
+    FIELDS = ("omt2", "live", "root", "bar", "freq", "lam", "hs", "cnt", "nat")
+
+    def __init__(self, pt: "_Point", f: _Family):
+        self.f, self.n, self.params, self.Om = f, f.columns().mode_n, pt.params, pt.Om
+        self._at = pt.mode_rows(f.modes)
+        self._data, self._weights = pt.mode_data, {}
+
+    def weights(self, q: float) -> np.ndarray:
+        """The family's row constants (`_Columns.consts`) times what the
+        point and the primary amplitude q set: a, -b Om^2 or q by role."""
+        w = self._weights.get(q)
+        if w is None:
+            c, p = self.f.columns(), self.params
+            w = self._weights[q] = c.consts * np.array([1.0, p.a, -p.b * self.Om ** 2, q])[
+                c.const_role]
+        return w
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        if name not in _Modes.FIELDS:
+            raise AttributeError(name)
+        col = self.__dict__[name] = self._data[_Modes.FIELDS.index(name)][self._at]
+        return col
+
+    def price(self, lm: np.ndarray, h: np.ndarray, freq: np.ndarray) -> np.ndarray:
+        """Cutoff propagator chi_h(|freq| - omega~) / (omega~^2 - freq^2) of
+        lines of mode index lm at scale h and frequency freq; an exact
+        resonance raises ResonantDivisorError, as spectrum.propagator."""
+        omt2 = self.omt2[lm]
+        denom = -freq * freq + omt2
+        zero = denom == 0.0
+        if zero.any():
+            raise ResonantDivisorError(f"resonant line at mode {self.f.modes[lm[zero.argmax()]]}")
+        return chi_h(np.abs(freq) - np.sqrt(omt2), h, self.params.gamma) / denom
+
+    def natural(self, lm: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """The propagators of lines of mode index lm at scale h and their
+        natural frequency, read off the label slots where h is one."""
+        hs = self.hs[lm]
+        first = hs[:, 0] == h
+        if first.all():
+            return self.nat[lm, 0]
+        second = hs[:, 1] == h
+        out = np.where(first, self.nat[lm, 0], self.nat[lm, 1])
+        other = ~(first | second)
+        if other.any():
+            out[other] = self.price(lm[other], h[other], self.freq[lm[other]])
+        return out
+
+    def path(self, lm: np.ndarray, h: np.ndarray, anchor: np.ndarray,
+             on_shell: np.ndarray) -> np.ndarray:
+        """Cutoff propagators of path lines of mode index lm at scale h, in a
+        block entered by mode index anchor: at the frequency Omega (n_line -
+        n_anchor) + f_in, f_in the entering frequency on shell (omega_bar)
+        or natural (Omega n_anchor)."""
+        if (on_shell & ~self.live[anchor]).any():
+            raise ValueError("degenerate radicand in localization point")
+        f_in = np.where(on_shell, self.bar[anchor], self.freq[anchor])
+        return self.price(lm, h, self.Om * (self.n[lm] - self.n[anchor]) + f_in)
+
+    def shifted(self, lm: np.ndarray, anchor: np.ndarray) -> np.ndarray:
+        """Labels (two slots, padded with -2) of path lines of mode index lm
+        in blocks entered by mode index anchor, localized on shell."""
+        freq = self.Om * (self.n[lm] - self.n[anchor]) + self.bar[anchor]
+        return admissible_h_for(np.abs(freq) - self.root[lm], self.params.gamma,
+                                self.params.h_max)
 
 
 class _Point:
     """Mode tables of one point (params, eps, nu), filled on first use.
 
-    Per mode: omega~^2 = omega_sq(m, mu) + n nu, its root, the scale labels
-    admitted by the plain divisor |Omega n| - omega~, membership of the
-    near-resonant zone, the on-shell frequency omega_bar and the cutoff
-    propagator at the natural frequency Omega n per scale label.  Per
-    (line mode, anchor mode): the labels admitted by the shifted divisor.
+    Per mode asked for: its divisor data (`mode_data`, `_Modes.FIELDS`).
     Per family: its assignment tables (`_Table`), which go with the point;
+    the divisor data of the modes of the family asked for last (`_Modes`);
     and the rows and `_setup` of the table evaluated last, until they are
     read again: a family's plain and renormalized sums over one shared
     table compute them once.
     """
 
+    hint: tuple = ()     # the modes asked for at the last point to ask for new ones
+
     def __init__(self, params: ModelParams, eps: float, nu_items):
         self.params = params
         self.Om = omega_eff(params, eps)
         self._nu = dict(nu_items or ())
-        self._modes: dict = {}
-        self._shifted: dict = {}
-        self._families: dict = {}
+        self._arrays: _Modes | None = None
+        self._rows: dict = {}
+        self.mode_data: tuple = ()
         self._tables: dict = {}
         self._last: tuple | None = None
 
-    def mode(self, n: int, m: int) -> _Mode:
-        md = self._modes.get((n, m))
-        if md is None:
-            p = self.params
-            md = self._modes[(n, m)] = _Mode()
-            md.n, md.m, md.prop = n, m, {}
-            md.omt2 = omega_sq(m, p.mu) + abs(n) * self._nu.get((abs(n), m), 0.0)
-            md.lam = in_lambda(n, m, p)
-            if md.omt2 > 0:
-                md.root = math.sqrt(md.omt2)
-                md.hs = admissible_h_for(abs(self.Om * n) - md.root, p.gamma, p.h_max)
-                md.bar = math.copysign(md.root, n)
-            else:
-                md.root = md.bar = None
-                md.hs = []
-        return md
+    def arrays(self, fam: _Family) -> _Modes:
+        """The divisor data of a family's modes, kept for the family asked
+        for last: one family's tables and sums are taken one after another."""
+        if self._arrays is None or self._arrays.f is not fam:
+            self._arrays = _Modes(self, fam)
+        return self._arrays
 
-    def modes_of(self, fam: _Family) -> list[_Mode]:
-        """The tables of a family's modes, indexed like its mode rows."""
-        out = self._families.get(fam)
-        if out is None:
-            out = self._families[fam] = [self.mode(n, m) for (n, m) in fam.modes]
-        return out
+    def mode_rows(self, modes: tuple) -> np.ndarray:
+        """The rows of the given distinct modes in `mode_data`, the divisor
+        data (`_Modes.FIELDS`) of every mode asked for at the point, each
+        computed once, for a family's new modes together."""
+        rows = self._rows
+        new = [md for md in modes if md not in rows]
+        if new or not rows:
+            if not rows:    # a point asks for about the modes of the one before
+                asked = set(new)
+                new += [md for md in _Point.hint if md not in asked]
+            p, Om = self.params, self.Om
+            n, m = np.array(new, np.int64).reshape(-1, 2).T
+            an = np.abs(n)
+            nu = np.array([self._nu.get(k, 0.0) for k in zip(an.tolist(), m.tolist())])
+            omt2 = omega_sq(m, p.mu) + an * nu
+            live = omt2 > 0.0
+            root = np.sqrt(np.where(live, omt2, 1.0))
+            freq = Om * n
+            hs, cut = _admissible(np.where(live, np.abs(freq) - root, 0.0), p.gamma, p.h_max)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                nat = cut / (-freq * freq + omt2)[:, None]
+            data = (omt2, live, root, np.copysign(root, n), freq, in_lambda(an, m, p), hs,
+                    (hs >= -1).sum(axis=1), nat)
+            self.mode_data = data if not rows else tuple(
+                np.concatenate([old, col]) for old, col in zip(self.mode_data, data))
+            for md in new:
+                rows[md] = len(rows)
+            _Point.hint = tuple(rows)
+        return np.array([rows[md] for md in modes], np.intp)
 
     def table(self, fam: _Family, renormalize: bool) -> "_Table":
         """The family's assignment table; special-end trees always use the
@@ -693,9 +845,9 @@ class _Point:
         key = (fam, renormalize or fam.is_rtree)
         tab = self._tables.get(key)
         if tab is None:
-            supports = _shifted_lines(fam, self) if key[1] else {}
-            if supports or fam.is_rtree or not key[1]:
-                tab = _Table(fam, self, supports)
+            supports = _shifted_lines(fam, self) if key[1] else None
+            if supports is not None or fam.is_rtree or not key[1]:
+                tab = _Table(fam, *_line_labels(fam, self, supports))
             else:
                 tab = self.table(fam, False)    # no support differs: share the rows
             self._tables[key] = tab
@@ -711,38 +863,6 @@ class _Point:
         rows = tab.rows()
         self._last = (tab, rows, _setup(tab.f, rows, self))
         return self._last[1:]
-
-    def shifted(self, line: _Mode, anchor: _Mode) -> list[int]:
-        """Labels of a line on the path of a block localized at anchor."""
-        hs = self._shifted.get((line, anchor))
-        if hs is None:
-            hs = self._shifted[(line, anchor)] = admissible_h_for(
-                abs(self.path_freq(line, anchor, True)) - line.root,
-                self.params.gamma, self.params.h_max)
-        return hs
-
-    def path_freq(self, line: _Mode, anchor: _Mode, on_shell: bool) -> float:
-        """Frequency of a line on the path of a block whose entering line
-        has mode anchor: Omega (n_line - n_anchor) + f_in, f_in the entering
-        frequency, on shell (omega_bar) or natural (Omega n_anchor)."""
-        if on_shell and anchor.bar is None:
-            raise ValueError("degenerate radicand in localization point")
-        f_in = anchor.bar if on_shell else self.Om * anchor.n
-        return self.Om * (line.n - anchor.n) + f_in
-
-    def propagator(self, md: _Mode, h: int, freq: float | None = None) -> float:
-        """Cutoff propagator chi_h(|freq| - omega~) / (omega~^2 - freq^2) of
-        mode md; freq None is the natural frequency Omega n (tabulated).  An
-        exact resonance raises ResonantDivisorError, as spectrum.propagator."""
-        if freq is None:
-            val = md.prop.get(h)
-            if val is None:
-                val = md.prop[h] = self.propagator(md, h, self.Om * md.n)
-            return val
-        denom = -freq * freq + md.omt2
-        if denom == 0.0:
-            raise ResonantDivisorError(f"resonant line at mode {(md.n, md.m)}")
-        return float(chi_h(abs(freq) - math.sqrt(md.omt2), h, self.params.gamma)) / denom
 
 
 _point_tables = lru_cache(maxsize=4)(_Point)
@@ -785,8 +905,8 @@ class _Table:
 
     One row per assignment, tree after tree (tree t has the rows from
     row_start[t] to row_start[t + 1]); labels[r, p] is the label of line p
-    of the row's tree, in the tree's line order.  A line's labels are those
-    of its mode's plain divisor unless `supports` gives others; a tree's
+    of the row's tree, in the tree's line order.  Line g of the family's
+    line list admits the labels opts[g, :cnt[g]] (`_line_labels`); a tree's
     rows run through the product of its lines' labels in itertools.product
     order, without the rows that put two lines of equal mode more than one
     scale apart.  A tree with a line below the scale floor has no rows.
@@ -795,48 +915,13 @@ class _Table:
 
     __slots__ = ("f", "row_start", "labels", "one", "__weakref__")
 
-    def __init__(self, f: _Family, pt: _Point, supports: dict):
-        """supports: the labels of the lines (by index in the family's line
-        list) that differ from their mode's plain ones."""
-        c, modes, T = f.columns(), pt.modes_of(f), f.count
-        width = max([2] + [len(hs) for hs in supports.values()])
-        opts = np.array([md.hs + [0] * (width - len(md.hs)) for md in modes],
-                        np.int16).reshape(-1, width)[c.line_mode]
-        cnt = np.array([len(md.hs) for md in modes], np.int64)[c.line_mode]
-        for g, hs in supports.items():
-            opts[g, :len(hs)], cnt[g] = hs, len(hs)
-        # mixed radix over each tree's lines, the last line fastest
-        radix = np.ones((T, c.max_lines + 1), np.int64)
-        radix[c.line_tree, c.line_pos] = cnt
-        tail = np.cumprod(radix[:, ::-1], axis=1)[:, ::-1]   # combinations of lines p.. of t
-        combos, stride = tail[:, 0], tail[c.line_tree, c.line_pos + 1]
-        row_tree = np.repeat(np.arange(T), combos)
-        # the smallest types that hold the labels and the row count: a
-        # point's tables stay in memory as long as the point does
-        labels = np.full((len(row_tree), c.max_lines), -1,
-                         np.int8 if opts.max(initial=0) < 128 else np.int16)
-        one = bool((combos == 1).all())     # one row per tree
-        if one:
-            labels[c.line_tree, c.line_pos] = opts[:, 0]
-        else:
-            index = np.arange(len(row_tree)) - np.repeat(np.cumsum(combos) - combos, combos)
-            row, p, g = _line_slots(c, row_tree)
-            labels[row, p] = opts[g, index[row] // stride[g] % cnt[g]]
-        if len(c.pair_row):
-            # equal-mode line pairs stay within one scale of each other
-            pair_tree = np.repeat(np.arange(T), np.diff(c.pair_start) // 2)
-            if one:
-                rows, a, b = pair_tree, c.pair_row[0::2], c.pair_row[1::2]
-            else:
-                per = combos[pair_tree]
-                rows = _ranges((np.cumsum(combos) - combos)[pair_tree], per)
-                a, b = (np.repeat(c.pair_row[i::2], per) for i in (0, 1))
-            drop = rows[np.abs(labels[rows, a] - labels[rows, b]) > 1]
-            if len(drop):
-                labels, row_tree = np.delete(labels, drop, axis=0), np.delete(row_tree, drop)
-        self.f, self.labels, self.one = f, labels, one and len(row_tree) == T
-        self.row_start = np.searchsorted(row_tree, np.arange(T + 1)).astype(
-            np.int16 if len(row_tree) < 2 ** 15 else np.int32)
+    def __init__(self, f: _Family, opts: np.ndarray, cnt: np.ndarray, shifted: bool):
+        """shifted: whether any line's labels differ from its mode's plain ones."""
+        c, one = f.columns(), bool((cnt == 1).all())
+        self.f = f
+        self.labels, self.row_start = (_one_row(c, f.count, opts, shifted) if one
+                                       else _expanded(c, f.count, opts, cnt))
+        self.one = one and len(self.labels) == f.count
 
     def combos(self, t: int) -> list[list[int]]:
         """Labels of tree t's lines, one list per admissible assignment,
@@ -852,14 +937,67 @@ class _Table:
         if self.one:
             # one row per tree: the rows' nodes are the family's own rows
             h = np.full(len(c.sv), -1, np.int16)
-            h[c.start[c.line_tree] + c.line_row] = labels[c.line_tree, c.line_pos]
-            return np.arange(T), np.arange(len(c.sv)), c.start[:-1], h
+            h[c.line_node] = labels[c.line_tree, c.line_pos]
+            return np.arange(T), np.arange(len(c.sv)), c.roots, h
         row_tree = np.repeat(np.arange(T), np.diff(self.row_start))
         node_row, first = _node_rows(self.f, row_tree)
         row, p, g = _line_slots(c, row_tree)
         h = np.full(len(node_row), -1, np.int16)
         h[first[row] + c.line_row[g]] = labels[row, p]
         return row_tree, node_row, first, h
+
+
+def _label_type(opts: np.ndarray) -> type:
+    """The smallest type that holds the labels: a point's tables stay in
+    memory as long as the point does."""
+    return np.int8 if opts.max(initial=0) < 128 else np.int16
+
+
+def _row_start(row_tree: np.ndarray, T: int) -> np.ndarray:
+    return np.searchsorted(row_tree, np.arange(T + 1)).astype(
+        np.int16 if len(row_tree) < 2 ** 15 else np.int32)
+
+
+def _one_row(c: _Columns, T: int, opts: np.ndarray, shifted: bool) -> tuple:
+    """(labels, row_start) of a table whose lines admit one label each: one
+    row per tree, less those with two equal-mode lines more than one scale
+    apart, which only lines whose labels are shifted can be."""
+    labels = np.full((T, c.max_lines), -1, _label_type(opts))
+    labels[c.line_tree, c.line_pos] = opts[:, 0]
+    if shifted and len(c.pair_row):
+        rows = np.repeat(np.arange(T), np.diff(c.pair_start) // 2)
+        drop = rows[np.abs(labels[rows, c.pair_row[0::2]] - labels[rows, c.pair_row[1::2]]) > 1]
+        if len(drop):
+            labels = np.delete(labels, drop, axis=0)
+            return labels, _row_start(np.delete(np.arange(T), drop), T)
+    return labels, np.arange(T + 1, dtype=np.int16 if T < 2 ** 15 else np.int32)
+
+
+def _expanded(c: _Columns, T: int, opts: np.ndarray, cnt: np.ndarray) -> tuple:
+    """(labels, row_start) of any table: each tree's rows through the mixed
+    radix of its lines' label counts, less those with two equal-mode lines
+    more than one scale apart."""
+    cnt = cnt.astype(np.int64)
+    # mixed radix over each tree's lines, the last line fastest
+    radix = np.ones((T, c.max_lines + 1), np.int64)
+    radix[c.line_tree, c.line_pos] = cnt
+    tail = np.cumprod(radix[:, ::-1], axis=1)[:, ::-1]   # combinations of lines p.. of t
+    combos, stride = tail[:, 0], tail[c.line_tree, c.line_pos + 1]
+    row_tree = np.repeat(np.arange(T), combos)
+    labels = np.full((len(row_tree), c.max_lines), -1, _label_type(opts))
+    index = np.arange(len(row_tree)) - np.repeat(np.cumsum(combos) - combos, combos)
+    row, p, g = _line_slots(c, row_tree)
+    labels[row, p] = opts[g, index[row] // stride[g] % cnt[g]]
+    if len(c.pair_row):
+        # equal-mode line pairs stay within one scale of each other
+        pair_tree = np.repeat(np.arange(T), np.diff(c.pair_start) // 2)
+        per = combos[pair_tree]
+        rows = _ranges((np.cumsum(combos) - combos)[pair_tree], per)
+        a, b = (np.repeat(c.pair_row[i::2], per) for i in (0, 1))
+        drop = rows[np.abs(labels[rows, a] - labels[rows, b]) > 1]
+        if len(drop):
+            labels, row_tree = np.delete(labels, drop, axis=0), np.delete(row_tree, drop)
+    return labels, _row_start(row_tree, T)
 
 
 def _line_slots(c: _Columns, row_tree: np.ndarray) -> tuple:
@@ -870,9 +1008,28 @@ def _line_slots(c: _Columns, row_tree: np.ndarray) -> tuple:
     return np.repeat(np.arange(len(row_tree)), nl), c.line_pos[g], g
 
 
-def _shifted_lines(f: _Family, pt: _Point) -> dict:
-    """Labels of the family's lines (by index in its line list) whose
-    renormalized support differs from their mode's plain labels.
+def _line_labels(f: _Family, pt: _Point, supports: tuple | None) -> tuple:
+    """(opts, cnt, shifted): line g of the family's line list admits the
+    labels opts[g, :cnt[g]], ascending, padded with -2: its mode's plain
+    ones unless supports (`_shifted_lines`) gives others; shifted: whether
+    it does."""
+    a, lm = pt.arrays(f), f.columns().line_mode
+    opts = a.hs[lm]
+    if supports is None:
+        return opts, a.cnt[lm], False
+    lines, labels = supports
+    if labels.shape[1] > 2:
+        opts = np.concatenate([opts, np.full((len(opts), labels.shape[1] - 2), -2, opts.dtype)],
+                              axis=1)
+    opts[lines] = -2
+    opts[lines, :labels.shape[1]] = labels
+    return opts, (opts >= -1).sum(axis=1), True
+
+
+def _shifted_lines(f: _Family, pt: _Point) -> tuple | None:
+    """(lines, labels) of the family's lines (by index in its line list)
+    whose renormalized support differs from their mode's plain labels, or
+    None: per such line its labels, ascending, padded with -2.
 
     Under localization a block's path lines are also evaluated at the
     on-shell frequency of its entering line, so the supports of those
@@ -882,25 +1039,41 @@ def _shifted_lines(f: _Family, pt: _Point) -> dict:
     whose divisor is degenerate rejects the point anyway and keeps its
     plain (empty) labels.
     """
-    c, modes = f.columns(), pt.modes_of(f)
-    shifted, e_path = {}, set()
-    for g, lm, a in zip(c.walk_line.tolist(), c.line_mode[c.walk_line].tolist(),
-                        c.walk_anchor.tolist()):
-        ml = modes[lm]
-        if ml.root is None:
-            continue
-        if a < 0:
-            e_path.add(g)
-            shifted.setdefault(g, set())
-        elif modes[a].lam and modes[a].bar is not None:
-            shifted.setdefault(g, set()).update(pt.shifted(ml, modes[a]))
-    out = {}
-    for g, hs in shifted.items():
-        plain = modes[c.line_mode[g]].hs
-        hs = sorted(hs if g in e_path else hs.union(plain))
-        if hs != plain:
-            out[g] = hs
-    return out
+    c, a = f.columns(), pt.arrays(f)
+    if not len(c.walk_line):
+        return None
+    lm, anchor = c.walk_mode, np.maximum(c.walk_anchor, 0)
+    live = a.live[lm]
+    e = live & (c.walk_anchor < 0)
+    use = live & (c.walk_anchor >= 0) & a.lam[anchor] & a.live[anchor]
+    if not (e | use).any():
+        return None
+    g, lu = c.walk_line[use], lm[use]
+    shifted, plain = a.shifted(lu, anchor[use]), a.hs[lu]
+    # no line gains a label where every walk's labels are among its line's
+    # plain ones, and a line on a special end's path has all of these where
+    # one of its walks has them
+    if ((shifted[:, :, None] == plain[:, None, :]) | (shifted[:, :, None] == -2)).any(2).all():
+        full = np.zeros(len(c.line_mode), bool)
+        full[g[(shifted == plain).all(axis=1)]] = True
+        if full[c.walk_line[e]].all():
+            return None
+    on_e, touched = np.zeros(len(c.line_mode), bool), np.zeros(len(c.line_mode), bool)
+    on_e[c.walk_line[e]] = touched[g] = True
+    keep = np.flatnonzero(touched & ~on_e)      # their plain labels are unioned in
+    touched = np.flatnonzero(touched | on_e)
+    hh = np.concatenate([shifted.reshape(-1), a.hs[c.line_mode[keep]].reshape(-1)])
+    gg = np.repeat(np.concatenate([g, keep]), 2)
+    span = pt.params.h_max + 2
+    key = np.unique((gg.astype(np.int64) * span + hh + 1)[hh >= -1])
+    at, hs = np.searchsorted(touched, key // span), key % span - 1
+    cnt = np.bincount(at, minlength=len(touched))
+    labels = np.full((len(touched), max(2, int(cnt.max(initial=0)))), -2, np.int16)
+    labels[at, np.arange(len(key)) - np.searchsorted(at, at)] = hs
+    differs = (labels[:, :2] != a.hs[c.line_mode[touched]]).any(axis=1) | (cnt > 2)
+    if not differs.any():
+        return None
+    return touched[differs], labels[differs]
 
 
 def admissible_assignments(tree: Tree, params: ModelParams, eps: float,
@@ -953,38 +1126,39 @@ def _tabulated(keys: np.ndarray, fn) -> np.ndarray:
 
 
 def _setup(f: _Family, rows: tuple, pt: _Point) -> tuple:
-    """What evaluating the rows at a point reads besides the context: per
-    node its momentum n; the cutoff propagator of its exiting line at its
-    natural frequency, 1 on the lines of the primary mode and of special
-    ends and on the unit root line of a special-end tree; its weight as far
-    as no context sets it (q at ends and n l(h) at unary nodes come later):
-    1/m^3 at special ends, a v or -b Om^2 v at binary nodes (v the kernel);
-    whether it is an end; the unary nodes; the position of its second child
-    (that of the extra last entry, 1 * 1, where it has none); whether its
-    parent is b-type; its line factor into its parent, times its momentum
-    under a b-type parent; and the nodes of each level, ends first."""
+    """What evaluating the rows at a point reads besides the context:
+    (one, line, nb, fac, const, unary, kids, inner, fk, off, plain).
+
+    one: whether the rows are the family's own, one row per tree, whose
+    structure the family compiled (`_Columns`); else it is derived here.
+    Per node: line, the cutoff propagator of its exiting line at its natural
+    frequency, 1 on the lines of the primary mode and of special ends and on
+    the unit root line of a special-end tree; nb, its momentum n where its
+    parent is b-type, else 1; fac, its line factor into its parent, line *
+    nb; const, its index into the family's row constants.  nb, fac and const
+    have one more entry, for the missing second child of a unary node: 1,
+    1.0 and the constant 1.0.  unary: the unary nodes.  kids, off: the nodes
+    above the ends, level by level, as their two children in TNode children
+    order (`_Columns.lv_kids`), and as themselves (inner); fk, the children's
+    fac.  plain: per q, the row values where no unary node reads a shift
+    table and no block is renormalized, which are then the same in every
+    context at the point (`_row_values` fills it)."""
     row_tree, node, first, h = rows
-    c, modes = f.columns(), pt.modes_of(f)
-    kind, sv, n, level = c.kind[node], c.sv[node], c.n[node], c.level[node]
-    enters_b = c.ttype[node] == B
-    line, const = np.ones(len(node)), c.const[node]
-    prop = c.props[const]
-    hs = int(h.max(initial=-1)) + 2        # h + 1 in range(hs)
-    line[prop] = _tabulated(c.mode[node[prop]].astype(np.int64) * hs + h[prop] + 1,
-                            lambda k: pt.propagator(modes[k // hs], k % hs - 1))
-    w = c.consts[const]
-    two = sv == 2
-    b, kern = node[two], w[two]
-    w[two] = np.where(enters_b[two], -pt.params.b * pt.Om ** 2 * kern, pt.params.a * kern)
-    w.flags.writeable = False
-    kid2 = np.full(len(node), len(node))
-    kid2[two] = np.flatnonzero(two) + c.size[b + 1] + 1
-    tb = np.flatnonzero(enters_b)
-    under_b = np.zeros(len(node) + 1, bool)
-    under_b[kid2[tb]] = under_b[tb + 1] = True
-    fac = np.where(under_b, np.append(n * line, 1.0), np.append(line, 1.0))
-    levels = [np.flatnonzero(level == lv) for lv in range(int(level.max(initial=0)) + 1)]
-    return n, line, w, kind == END, np.flatnonzero(sv == 1), kid2, under_b, fac, levels
+    c, a = f.columns(), pt.arrays(f)
+    one = first is c.roots      # the rows of a one-row table (`_Table.rows`)
+    line = np.ones(len(node))
+    if one:
+        line[c.line_node] = a.natural(c.line_mode, h[c.line_node])
+        if len(c.xprop):
+            line[c.xprop] = a.natural(c.mode[c.xprop], h[c.xprop])
+        nb, const, unary, kids, off = c.nb, c.const, c.unary, c.lv_kids, c.lv_off
+    else:
+        const = np.append(c.const[node], c.const[-1])
+        prop = c.props[const[:-1]]
+        line[prop] = a.natural(c.mode[node[prop]], h[prop])
+        nb, unary, kids, off = _layout(c, node)
+    fac = np.append(line, 1.0) * nb
+    return one, line, nb, fac, const, unary, kids, kids[1] - 1, fac[kids], off, {}
 
 
 def _row_values(f: _Family, rows: tuple, ctx: EvalCtx, special: bool = False,
@@ -993,24 +1167,34 @@ def _row_values(f: _Family, rows: tuple, ctx: EvalCtx, special: bool = False,
     ctx's point, computed here if not given.
 
     Level by level from the ends up, each node gets its weight times, per
-    child in children order, the child's line factor times its value; a
-    zero factor or a vanishing product gives +0.0, and the root line factor
-    comes last, as in evaluating one tree at a time.
+    child in children order, the child's line factor times its value, and
+    +0.0 where that vanishes; the root line factor comes last, as in
+    evaluating one tree at a time, which also gives +0.0 where a factor is
+    zero.  The two agree wherever every node value is finite; where one is
+    not, the values are taken again with those zero guards (`_times`).
 
     A block (o, i) of `_blocks` gives its exit node o the value
     ((X - S) * entering) * value(i), or 0.0 where X == S or entering, the
     propagator of i's line, is zero.  X and S are the same loop's products
     over the path from i's parent up to o, whose lines take the frequency
-    `_Point.path_freq`: from i's natural frequency for X (on shell for a
+    `_Modes.path`: from i's natural frequency for X (on shell for a
     special-end block), on shell for S.  There the entering line
     contributes only n_i into a b-type node, and the other children their
-    values.  S is 0.0 where the block is not subtracted.
+    values.  S is 0.0 where the block is not subtracted.  Where every tree
+    of the family's own rows has one block, its special-end block, X is
+    the loop's own product with the path lines priced on shell and the
+    special end's value 1.
     """
     row_tree, node, first, h = rows
-    c, pt, modes = f.columns(), ctx.point, ctx.point.modes_of(f)
-    n, line, w, ends, unary, kid2, under_b, fac, levels = setup or _setup(f, rows, pt)
-    w = w.copy()
-    w[ends] = ctx.q or 0.0
+    c = f.columns()
+    one, line, nb, fac, const, unary, kids, inner, fk, off, plain = (
+        setup or _setup(f, rows, ctx.point))
+    blocks = _blocks(f, rows, ctx, special, one) if ctx.renormalize or special else None
+    q = ctx.q or 0.0
+    if blocks is None and not len(unary) and q in plain:
+        return plain[q]
+    a = ctx.point.arrays(f)
+    val = a.weights(q)[const]
     if len(unary):
         hs, hu = int(h.max(initial=-1)) + 2, h[unary]
         if f.is_rtree:      # the unit root line: use the entering scale
@@ -1021,16 +1205,21 @@ def _row_values(f: _Family, rows: tuple, ctx: EvalCtx, special: bool = False,
         u, ks = node[unary], int(c.kv.max(initial=0)) + 1
 
         def shift_weight(k):
-            md = modes[k // hs // ks]
-            return md.n * ctx.l_value(k // hs % ks, md.n, md.m, k % hs - 1)
+            n, m = f.modes[k // hs // ks]
+            return n * ctx.l_value(k // hs % ks, n, m, k % hs - 1)
 
-        w[unary] = _tabulated((c.mode[u].astype(np.int64) * ks + c.kv[u]) * hs + hu + 1,
-                              shift_weight)
-
-    val = np.zeros(len(node) + 1)
-    val[-1] = 1.0
-    val[levels[0]] = w[levels[0]]
-    blocks = _blocks(f, rows, ctx, special) if ctx.renormalize or special else None
+        val[unary] = _tabulated((c.mode[u].astype(np.int64) * ks + c.kv[u]) * hs + hu + 1,
+                                shift_weight)
+    w = val[inner]              # the weights of the nodes above the ends, level by level
+    end = None
+    if blocks is not None and one and len(blocks[0]) == f.count and blocks[3].all():
+        # one special-end block per tree and no other: its X is the tree's
+        # own product with the special end's path priced on shell and the
+        # special end's value 1
+        i, blocks = blocks[1], None
+        fac = fac.copy()
+        fac[c.spath] = nb[c.spath] * a.path(c.mode[c.spath], h[c.spath], c.spath_anchor, True)
+        fk, end, val[i] = fac[kids], val[i], 1.0
     if blocks is not None:
         o, i, sub, x_shell = blocks
         path, blk = _paths(c, node, o, i)
@@ -1047,37 +1236,74 @@ def _row_values(f: _Family, rows: tuple, ctx: EvalCtx, special: bool = False,
         mine = np.zeros(len(node) + 1, bool)
         mine[j] = mine[i] = True
         lm, anchor, every = c.mode[node[j]], c.mode[node[i[bj]]], np.ones(len(j), bool)
-        contexts = []
-        for sel, on_shell in ((every, x_shell[bj]), (sub[bj], every)):
+        contexts = []       # X, and S where a block is subtracted
+        for sel, on_shell in ((every, x_shell[bj]), (sub[bj], every))[:1 + bool(sub.any())]:
             ff = fac.copy()
-            ff[i] = np.where(under_b[i], n[i], 1.0)
+            ff[i] = nb[i]
             at = j[sel]
-            lf = _path_lines(pt, modes, lm[sel], h[at], anchor[sel], on_shell[sel])
-            ff[at] = np.where(under_b[at], n[at] * lf, lf)
-            contexts.append((ff, np.ones(len(node) + 1)))
-    for e in levels[1:]:
-        v = w[e]
-        for kid in (kid2[e], e + 1):      # TNode children order: second subtree first
-            v = _times(v, fac[kid], val[kid])
-        val[e] = np.where(v == 0.0, 0.0, v)
+            ff[at] = nb[at] * a.path(lm[sel], h[at], anchor[sel], on_shell[sel])
+            contexts.append(ff)
+        blocks = (i, sub, on_path, exit_of, mine, contexts)
+    for guarded in (False, True):
+        _levels(val, w, inner, line, fac, kids, fk, off, blocks, guarded)
+        if math.isfinite(val.sum()):
+            break
+    if end is not None:
+        x, entering = val[first], line[i]
+        val[first] = np.where((entering == 0.0) | (x == 0.0), 0.0, (x * entering) * end)
+    rootf = line[first]
+    out = np.where(rootf == 0.0, 0.0, rootf * val[first])
+    if blocks is None and end is None and not len(unary):
+        out.flags.writeable = False
+        plain[q] = out
+    return out
+
+
+def _levels(val: np.ndarray, w: np.ndarray, inner: np.ndarray, line: np.ndarray,
+            fac: np.ndarray, kids: np.ndarray, fk: np.ndarray, off: tuple,
+            blocks: tuple | None, guarded: bool):
+    """The node values of `_row_values`, level by level into val, which
+    holds the ends' values (and the 1.0 of the missing child) on entry; the
+    nodes above the ends are inner, of weights w, in level order.
+
+    guarded: with the zero guards of `_times` on every child of a node's
+    own product, else without.  Without them a product differs only in the
+    sign of a zero, which the node values do not keep, or where a factor is
+    not finite, which leaves a node value that is not finite either.  The X
+    and S products keep their guards."""
+    if blocks is not None:
+        i, sub, on_path, exit_of, mine, contexts = blocks
+        contexts = [(ff, np.ones(len(ff))) for ff in contexts]
+    for lo, hi in zip(off[:-1], off[1:]):
+        kk, wl, e = kids[:, lo:hi], w[lo:hi], inner[lo:hi]
+        if guarded:
+            v = wl
+            for kid in kk:      # TNode children order: second subtree first
+                v = _times(v, fac[kid], val[kid])
+        else:
+            v = fk[:, lo:hi] * val[kk]
+            v = wl * v[0] * v[1]
+        val[e] = v + 0.0        # +0.0 where v is zero
         if blocks is None:
             continue
-        p = e[on_path[e]]
+        at = on_path[e]
+        if not at.any():
+            continue
+        p, pk, wp = e[at], kk[:, at], wl[at]
         k = exit_of[p]
         up, top = k < 0, k >= 0
         xs = []
         for ff, fv in contexts:
-            v = w[p]
-            for kid in (kid2[p], p + 1):
+            v = wp
+            for kid in pk:
                 v = _times(v, ff[kid], np.where(mine[kid], fv[kid], val[kid]))
             fv[p[up]] = v[up]
             xs.append(v[top])
         k = k[top]
-        x, s, entering = xs[0], np.where(sub[k], xs[1], 0.0), line[i[k]]
+        x, entering = xs[0], line[i[k]]
+        s = np.where(sub[k], xs[1], 0.0) if len(xs) > 1 else 0.0
         val[p[top]] = np.where((entering == 0.0) | (x == s), 0.0,
                                ((x - s) * entering) * val[i[k]])
-    rootf = line[first]
-    return np.where(rootf == 0.0, 0.0, rootf * val[first])
 
 
 def _times(v: np.ndarray, lf: np.ndarray, child: np.ndarray) -> np.ndarray:
@@ -1094,26 +1320,12 @@ def _paths(c: _Columns, node: np.ndarray, o: np.ndarray, i: np.ndarray) -> tuple
     return path[keep], blk[keep]
 
 
-def _path_lines(pt: _Point, modes: list, line: np.ndarray, h: np.ndarray,
-                anchor: np.ndarray, on_shell) -> np.ndarray:
-    """Cutoff propagator of each path line (mode index line, scale h) at the
-    path frequency of a block entered by mode index anchor."""
-    anchors, anchor = np.unique(anchor, return_inverse=True)
-    na, hs = len(anchors), int(h.max(initial=-1)) + 2
-    keys = ((line.astype(np.int64) * hs + h + 1) * na + anchor) * 2 + on_shell
-
-    def propagator(k):
-        ml, hl = modes[k // 2 // na // hs], k // 2 // na % hs - 1
-        return pt.propagator(ml, hl, pt.path_freq(ml, modes[anchors[k // 2 % na]], bool(k % 2)))
-
-    return _tabulated(keys, propagator)
-
-
-def _blocks(f: _Family, rows: tuple, ctx: EvalCtx, special: bool) -> tuple | None:
+def _blocks(f: _Family, rows: tuple, ctx: EvalCtx, special: bool, one: bool) -> tuple | None:
     """The blocks whose values `_row_values` renormalizes, or None: (o, i,
     sub, x_shell), per block the positions (in the rows' node layout) of
     its exit node o and entering node i, whether its on-shell part S is
-    subtracted (`_l_conditions`) and whether X is priced on shell.
+    subtracted (`_l_conditions`) and whether X is priced on shell.  one:
+    whether the rows are the family's own (`_setup`).
 
     With special, the first block of each row whose tree is `_localizable`
     runs from the root to the special end (X on shell, no S); `_localized`
@@ -1132,11 +1344,15 @@ def _blocks(f: _Family, rows: tuple, ctx: EvalCtx, special: bool) -> tuple | Non
                        np.ones(len(at), bool)))
     if ctx.renormalize and len(c.cand_row):
         # a block can be active only where its exit line sits at a scale >= 0
-        per = np.diff(c.cand_start)[row_tree] // 2
-        cand_r = np.repeat(np.arange(len(row_tree)), per)
-        exits = c.cand_row[2 * _ranges(c.cand_start[row_tree] // 2, per)]
+        if one:
+            hit = np.unique(c.cand_tree[h[c.cand_exit] >= 0])
+        else:
+            per = np.diff(c.cand_start)[row_tree] // 2
+            cand_r = np.repeat(np.arange(len(row_tree)), per)
+            exits = c.cand_row[2 * _ranges(c.cand_start[row_tree] // 2, per)]
+            hit = np.unique(cand_r[h[first[cand_r] + exits] >= 0])
         found = []
-        for r in np.unique(cand_r[h[first[cand_r] + exits] >= 0]).tolist():
+        for r in hit.tolist():
             t, at = int(row_tree[r]), int(first[r])
             s = f.start[t]
             chosen: dict = {}
@@ -1153,8 +1369,8 @@ def _blocks(f: _Family, rows: tuple, ctx: EvalCtx, special: bool) -> tuple | Non
         if found:
             fo, fi, fs = (np.array(col) for col in zip(*found))
             groups.append((fo, fi, fs, np.zeros(len(fo), bool)))
-    if not groups:
-        return None
+    if len(groups) < 2:
+        return groups[0] if groups else None
     return tuple(np.concatenate(col) for col in zip(*groups))
 
 
@@ -1167,7 +1383,7 @@ def _total(f: _Family, row_tree: np.ndarray, values: np.ndarray) -> float:
 def _l_conditions(f: _Family, s: int, o: int, i: int, pt: _Point) -> bool:
     """On-shell subtraction applies only in the near-resonant zone and when
     no block line repeats the external mode label."""
-    return pt.modes_of(f)[f.mode[s + i]].lam and not _repeats(f, s, o, i)
+    return bool(pt.arrays(f).lam[f.mode[s + i]]) and not _repeats(f, s, o, i)
 
 
 def _repeats(f: _Family, s: int, o: int, i: int) -> bool:
@@ -1227,7 +1443,7 @@ def renormalized_sum(k: int, n: int, m: int, params: ModelParams, eps: float,
     f = _tree_family(k, n, m, params, Mmax)
     ctx = EvalCtx(params, eps, nu, q, counterterms, renormalize=True)
     rows, setup = ctx.point.evaluation(ctx.point.table(f, True))
-    if counterterms is None and (f.columns().sv[rows[1]] == 1).any():
+    if counterterms is None and len(setup[5]):      # unary nodes
         raise MissingCountertermError("tree contains shift nodes but no table given")
     return _total(f, rows[0], _row_values(f, rows, ctx, setup=setup))
 
@@ -1235,8 +1451,8 @@ def renormalized_sum(k: int, n: int, m: int, params: ModelParams, eps: float,
 def _localizable(f: _Family, pt: _Point) -> np.ndarray:
     """Per tree of a special-end family, whether its special-end block
     passes `_l_conditions`."""
-    c, lam = f.columns(), np.array([md.lam for md in pt.modes_of(f)], bool)
-    return c.clean & lam[c.mode[c.start[:-1] + c.special]]
+    c = f.columns()
+    return c.clean & pt.arrays(f).lam[c.special_mode]
 
 
 def _localized(f: _Family, ctx: EvalCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,6 +1,10 @@
 """Recursive tree evaluation and literal structure detectors: the oracles of
 the array evaluation in `lindbeam.trees`.
 
+First, a point's divisor data one mode at a time (`mode`, `shifted`,
+`propagator`), the scalar route that the arrays of `trees._Modes` are
+checked against bit for bit.
+
 `_region` evaluates a tree node by node from a given top, pricing the lines
 on the path of a localized block at the block's entering frequency and
 renormalizing the active resonance blocks it meets on the way down, one
@@ -9,17 +13,34 @@ exit node at a time.  `_renormalized_value`, `_lval_rtree`,
 clusters and resonances from a tree's scale assignment alone, independently
 of the structural candidates the compiled families store.  Last, the tree
 walks and the scale-h propagator slice that only the tests read, with the
-per-tree walk of the renormalized supports, and the per-assignment counting
-route (`profile`, `_count`) that `bruno.violations` is tested on.
+per-tree walk of the renormalized supports, the per-assignment counting
+route (`profile`, `_count`) that `bruno.violations` is tested on, and the
+per-m scan of the Melnikov margins (`_melnikov_oracle`).
 """
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
+from functools import partial
+
+import numpy as np
 
 from lindbeam.bruno import BrunoViolation
 from lindbeam.kernel import kernel_v
-from lindbeam.spectrum import ModelParams, NuTable, chi_h, propagator, x_divisor
+from lindbeam.spectrum import (
+    ModelParams,
+    NuTable,
+    ResonantDivisorError,
+    admissible_h_for,
+    chi_h,
+    in_lambda,
+    omega,
+    omega_eff,
+    omega_sq,
+    x_divisor,
+)
+from lindbeam.spectrum import propagator as plain_propagator
 from lindbeam.trees import (
     A,
     B,
@@ -36,8 +57,79 @@ from lindbeam.trees import (
 )
 
 
+# ---------------------------------------------------------------------------
+# a point's divisor data one mode at a time: the scalar route that the
+# arrays of `trees._Modes` are checked against bit for bit
+
+class Mode:
+    """Divisor data of one mode (n, m) at one point; root and bar are None
+    when omega_m^2 + n nu <= 0; prop holds the cutoff propagator at the
+    natural frequency per scale label once asked for."""
+
+    def __init__(self, pt, n: int, m: int):
+        p = pt.params
+        self.n, self.m, self.prop = n, m, {}
+        self.omt2 = omega_sq(m, p.mu) + abs(n) * pt._nu.get((abs(n), m), 0.0)
+        self.lam = in_lambda(n, m, p)
+        if self.omt2 > 0:
+            self.root = math.sqrt(self.omt2)
+            self.hs = admissible_h_for(abs(pt.Om * n) - self.root, p.gamma, p.h_max)
+            self.bar = math.copysign(self.root, n)
+        else:
+            self.root = self.bar = None
+            self.hs = []
+
+
+_SCALAR: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()     # per point
+
+
+def mode(pt, n: int, m: int) -> Mode:
+    """The divisor data of mode (n, m) at point pt (`trees._Point`)."""
+    modes = _SCALAR.setdefault(pt, {})
+    md = modes.get((n, m))
+    if md is None:
+        md = modes[(n, m)] = Mode(pt, n, m)
+    return md
+
+
+def modes_of(pt, f: _Family) -> list:
+    """The divisor data of a family's modes, indexed like its mode rows."""
+    return [mode(pt, n, m) for (n, m) in f.modes]
+
+
+def shifted(pt, line: Mode, anchor: Mode) -> list:
+    """Labels of a line on the path of a block localized at anchor."""
+    return admissible_h_for(abs(path_freq(pt, line, anchor, True)) - line.root,
+                            pt.params.gamma, pt.params.h_max)
+
+
+def path_freq(pt, line: Mode, anchor: Mode, on_shell: bool) -> float:
+    """Frequency of a line on the path of a block whose entering line has
+    mode anchor: Omega (n_line - n_anchor) + f_in, f_in the entering
+    frequency, on shell (omega_bar) or natural (Omega n_anchor)."""
+    if on_shell and anchor.bar is None:
+        raise ValueError("degenerate radicand in localization point")
+    f_in = anchor.bar if on_shell else pt.Om * anchor.n
+    return pt.Om * (line.n - anchor.n) + f_in
+
+
+def propagator(pt, md: Mode, h: int, freq: float | None = None) -> float:
+    """Cutoff propagator chi_h(|freq| - omega~) / (omega~^2 - freq^2) of mode
+    md; freq None is the natural frequency Omega n.  An exact resonance
+    raises ResonantDivisorError, as spectrum.propagator."""
+    if freq is None:
+        val = md.prop.get(h)
+        if val is None:
+            val = md.prop[h] = propagator(pt, md, h, pt.Om * md.n)
+        return val
+    denom = -freq * freq + md.omt2
+    if denom == 0.0:
+        raise ResonantDivisorError(f"resonant line at mode {(md.n, md.m)}")
+    return float(chi_h(abs(freq) - math.sqrt(md.omt2), h, pt.params.gamma)) / denom
+
+
 def _omega_bar(ctx: EvalCtx, n: int, m: int) -> float:
-    bar = ctx.point.mode(n, m).bar
+    bar = mode(ctx.point, n, m).bar
     if bar is None:
         raise ValueError("degenerate radicand in localization point")
     return bar
@@ -48,7 +140,7 @@ def _line_weights(f: _Family, ctx: EvalCtx):
     r at scale h and frequency freq (None: the natural Omega n), enters_b
     when it enters a b-type node."""
     kind, n, m, par, mode, rtree = f.kind, f.n, f.m, f.par, f.mode, f.is_rtree
-    modes, propagator = ctx.point.modes_of(f), ctx.point.propagator
+    modes, price = modes_of(ctx.point, f), partial(propagator, ctx.point)
 
     def line(r: int, h: int, freq: float | None, enters_b: bool) -> float:
         k, nc = kind[r], n[r]
@@ -56,10 +148,7 @@ def _line_weights(f: _Family, ctx: EvalCtx):
             return float(nc) if enters_b else 1.0
         if rtree and par[r] < 0:
             return 1.0      # unit root line of a special-end tree
-        md = modes[mode[r]]
-        val = md.prop.get(h) if freq is None else None
-        if val is None:
-            val = propagator(md, h, freq)
+        val = price(modes[mode[r]], h, freq)
         return nc * val if enters_b else val
 
     return line
@@ -136,8 +225,8 @@ def _region(f: _Family, s: int, top: int, excl: int, f_in: float | None, h: list
         if f.kind[s + i] == SPECIAL:
             entering = 1.0
         else:
-            md = ctx.point.modes_of(f)[f.mode[s + i]]
-            entering = ctx.point.propagator(md, h[i], freq_of(i))
+            md = mode(ctx.point, f.n[s + i], f.m[s + i])
+            entering = propagator(ctx.point, md, h[i], freq_of(i))
         if entering == 0.0 or block_x == sub:
             return 0.0
         return (block_x - sub) * entering * eval_from(i)
@@ -353,7 +442,7 @@ def extended_value(tree: Tree, asg: dict, params: ModelParams, eps: float,
     for nd in lines:
         if nd.nid in path_ids:
             continue
-        xl = abs(Om * nd.n) - math.sqrt(ctx.point.mode(nd.n, nd.m).omt2)
+        xl = abs(Om * nd.n) - math.sqrt(mode(ctx.point, nd.n, nd.m).omt2)
         mult *= float(chi_plain(abs(xl) * abs(nd.n) ** tau, gamma))
         if mult == 0.0:
             return 0.0
@@ -364,8 +453,8 @@ def extended_value(tree: Tree, asg: dict, params: ModelParams, eps: float,
             on1, on2 = n1.nid in path_ids, n2.nid in path_ids
             if on1 != on2:
                 continue
-            w1 = math.sqrt(ctx.point.mode(n1.n, n1.m).omt2)
-            w2 = math.sqrt(ctx.point.mode(n2.n, n2.m).omt2)
+            w1 = math.sqrt(mode(ctx.point, n1.n, n1.m).omt2)
+            w2 = math.sqrt(mode(ctx.point, n2.n, n2.m).omt2)
             for a1 in (1, -1):
                 for a2 in (1, -1):
                     xp = abs(Om * (n1.n - n2.n) + a1 * w1 + a2 * w2)
@@ -413,7 +502,7 @@ def _shifted_supports(f: _Family, t: int, pt, modes: list) -> dict:
             continue    # the line rejects the point anyway
         hs = set() if l in e_path else set(ml.hs)
         for a in anchors.get(l, ()):
-            hs.update(pt.shifted(ml, a))
+            hs.update(shifted(pt, ml, a))
         out[l] = sorted(hs)
     return out
 
@@ -446,7 +535,7 @@ def scaled_propagator(n: int, m: int, h: int, params: ModelParams, eps: float,
         raise ValueError("kind must be 'a' or 'b'")
     if (abs(n), m) == (1, 1):
         return 1.0 if kind == "a" else float(n)
-    g = propagator(n, m, params, eps, nu)
+    g = plain_propagator(n, m, params, eps, nu)
     cut = float(chi_h(x_divisor(n, m, params, eps, nu), h, params.gamma))
     val = cut * g
     return val if kind == "a" else n * val
@@ -518,3 +607,83 @@ def count_bound(tree: Tree):
     if tree.is_rtree:
         return lambda K, s: 2 * max(K - 1, 0) * s
     return lambda K, s: max(0.0, 2 * K * s - 1)
+
+
+# ---------------------------------------------------------------------------
+# the Melnikov margins, one m at a time
+
+def _windows(params, Mmax, Nmax):
+    om1 = float(omega(1, params.mu))
+    out = {}
+    for m in range(1, Mmax + 1):
+        lo = max(1, math.floor((m * m - 1.0) / (om1 + params.eps0)))
+        hi = min(Nmax, math.ceil((m * m + 1.0) / max(om1 - params.eps0, 1e-9)))
+        if lo <= hi:
+            out[m] = (lo, hi)
+    return out
+
+
+def _melnikov_oracle(eps, nu, params, Nmax, Mmax):
+    """Per-m scan with a per-window dense n*nu, as melnikov_margins had it."""
+    Om = omega_eff(params, eps)
+    wins = _windows(params, Mmax, Nmax)
+    dense = {m: (lo, np.array([nu.n_nu(n, m) if nu else 0.0 for n in range(lo, hi + 1)]))
+             for m, (lo, hi) in wins.items()}
+
+    def omt(n_abs, m_arr):
+        base = m_arr.astype(float) ** 4 + params.mu
+        shift = np.zeros(n_abs.shape)
+        for m in np.unique(m_arr):
+            if int(m) not in dense:
+                continue
+            lo, arr = dense[int(m)]
+            sel = m_arr == m
+            idx = n_abs[sel] - lo
+            ok = (idx >= 0) & (idx < arr.size)
+            shift[sel] = np.where(ok, arr[np.clip(idx, 0, arr.size - 1)], 0.0)
+        return np.sqrt(base + shift)
+
+    out = {"first": math.inf, "second": math.inf, "first_at": None, "second_at": None}
+    for m in range(2, Mmax + 1):
+        base = int(round(float(omega(m, params.mu)) / Om))
+        for n in range(max(1, base - 2), min(Nmax, base + 2) + 1):
+            w = float(omt(np.array([n]), np.array([m]))[0])
+            margin = abs(Om * n - w) * n ** params.tau
+            if margin < out["first"]:
+                out["first"], out["first_at"] = margin, (n, m)
+    ms = sorted(wins)
+    for i1, m1 in enumerate(ms):
+        n1s = np.arange(wins[m1][0], wins[m1][1] + 1)
+        n1s = np.concatenate([-n1s[::-1], n1s])
+        for m2 in ms[i1 + 1:]:
+            lo2, hi2 = wins[m2]
+            w1 = omt(np.abs(n1s), np.full(n1s.size, m1))
+            om2 = float(omega(m2, params.mu))
+            for a1 in (1.0, -1.0):
+                for a2 in (1.0, -1.0):
+                    d0 = -(a1 * w1 + a2 * om2) / Om
+                    for dd in (-1.0, 0.0, 1.0):
+                        delta = (np.rint(d0) + dd).astype(int)
+                        n2 = n1s + delta
+                        sel = (np.abs(n2) >= lo2) & (np.abs(n2) <= hi2) & (delta != 0)
+                        if not sel.any():
+                            continue
+                        w2 = omt(np.abs(n2[sel]), np.full(sel.sum(), m2))
+                        dn = delta[sel]
+                        marg = np.abs(Om * dn + a1 * w1[sel] + a2 * w2) \
+                            * np.abs(dn).astype(float) ** params.tau
+                        j = int(np.argmin(marg))
+                        if marg[j] < out["second"]:
+                            out["second"] = float(marg[j])
+                            out["second_at"] = (int(n1s[sel][j]), m1, int(n2[sel][j]), m2)
+    return out
+
+
+def _cleared(margins, below):
+    """The margins that melnikov_margins reports at below: a family that
+    clears below reads inf at None."""
+    out = dict(margins)
+    for fam in ("first", "second"):
+        if out[fam] >= below:
+            out[fam], out[f"{fam}_at"] = math.inf, None
+    return out

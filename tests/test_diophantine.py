@@ -30,6 +30,7 @@ from lindbeam.spectrum import (
     omega,
     omega_eff,
 )
+from oracles import _cleared, _melnikov_oracle
 
 G = 2.0 ** -6
 P = ModelParams(a=1.0, b=0.5, mu=0.1, eps0=0.02, omega_branch=-1, Mmax=64, Nmax=300)
@@ -196,84 +197,7 @@ def test_cantor_acceptance_implies_melnikov():
 # the array route of the shifted-frequency margins against the scalar scan
 
 
-def _windows(params, Mmax, Nmax):
-    om1 = float(omega(1, params.mu))
-    out = {}
-    for m in range(1, Mmax + 1):
-        lo = max(1, math.floor((m * m - 1.0) / (om1 + params.eps0)))
-        hi = min(Nmax, math.ceil((m * m + 1.0) / max(om1 - params.eps0, 1e-9)))
-        if lo <= hi:
-            out[m] = (lo, hi)
-    return out
-
-
-def _melnikov_oracle(eps, nu, params, Nmax, Mmax):
-    """Per-m scan with a per-window dense n*nu, as melnikov_margins had it."""
-    Om = omega_eff(params, eps)
-    wins = _windows(params, Mmax, Nmax)
-    dense = {m: (lo, np.array([nu.n_nu(n, m) if nu else 0.0 for n in range(lo, hi + 1)]))
-             for m, (lo, hi) in wins.items()}
-
-    def omt(n_abs, m_arr):
-        base = m_arr.astype(float) ** 4 + params.mu
-        shift = np.zeros(n_abs.shape)
-        for m in np.unique(m_arr):
-            if int(m) not in dense:
-                continue
-            lo, arr = dense[int(m)]
-            sel = m_arr == m
-            idx = n_abs[sel] - lo
-            ok = (idx >= 0) & (idx < arr.size)
-            shift[sel] = np.where(ok, arr[np.clip(idx, 0, arr.size - 1)], 0.0)
-        return np.sqrt(base + shift)
-
-    out = {"first": math.inf, "second": math.inf, "first_at": None, "second_at": None}
-    for m in range(2, Mmax + 1):
-        base = int(round(float(omega(m, params.mu)) / Om))
-        for n in range(max(1, base - 2), min(Nmax, base + 2) + 1):
-            w = float(omt(np.array([n]), np.array([m]))[0])
-            margin = abs(Om * n - w) * n ** params.tau
-            if margin < out["first"]:
-                out["first"], out["first_at"] = margin, (n, m)
-    ms = sorted(wins)
-    for i1, m1 in enumerate(ms):
-        n1s = np.arange(wins[m1][0], wins[m1][1] + 1)
-        n1s = np.concatenate([-n1s[::-1], n1s])
-        for m2 in ms[i1 + 1:]:
-            lo2, hi2 = wins[m2]
-            w1 = omt(np.abs(n1s), np.full(n1s.size, m1))
-            om2 = float(omega(m2, params.mu))
-            for a1 in (1.0, -1.0):
-                for a2 in (1.0, -1.0):
-                    d0 = -(a1 * w1 + a2 * om2) / Om
-                    for dd in (-1.0, 0.0, 1.0):
-                        delta = (np.rint(d0) + dd).astype(int)
-                        n2 = n1s + delta
-                        sel = (np.abs(n2) >= lo2) & (np.abs(n2) <= hi2) & (delta != 0)
-                        if not sel.any():
-                            continue
-                        w2 = omt(np.abs(n2[sel]), np.full(sel.sum(), m2))
-                        dn = delta[sel]
-                        marg = np.abs(Om * dn + a1 * w1[sel] + a2 * w2) \
-                            * np.abs(dn).astype(float) ** params.tau
-                        j = int(np.argmin(marg))
-                        if marg[j] < out["second"]:
-                            out["second"] = float(marg[j])
-                            out["second_at"] = (int(n1s[sel][j]), m1, int(n2[sel][j]), m2)
-    return out
-
-
 BELOW = (math.inf, G, 2 * G, 0.3, 5.0)
-
-
-def _cleared(margins, below):
-    """The margins that melnikov_margins reports at below: a family that
-    clears below reads inf at None."""
-    out = dict(margins)
-    for fam in ("first", "second"):
-        if out[fam] >= below:
-            out[fam], out[f"{fam}_at"] = math.inf, None
-    return out
 
 
 def _sampled_nu(params, seed, scale):
@@ -331,6 +255,7 @@ def _first_family_every_pow(eps, nu, params, below):
 
 
 CANTOR_P = P.with_(eps0=0.35, nu_cap=0.45, Nmax=500)
+TREE_P = ModelParams(a=1.0, b=0.5, mu=0.01, eps0=0.02, omega_branch=1, Mmax=9, Nmax=60)
 # the construct and cantor_scan benchmark models, each over its eps range;
 # the last eps puts Omega * 4 within 4e-12 of omega_2: the first family fails
 FIRST_FAMILY_CASES = ([(P.with_(Mmax=192), 3, float(e)) for e in np.geomspace(4e-4, 4e-3, 6)]

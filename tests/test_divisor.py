@@ -4,7 +4,9 @@ ModeSet's flat layout, one radicand (ModeSet.radicand).
 Each site is compared with the expression it had before, kept here as a
 test-local copy: bit for bit where the arithmetic is the same, within a named
 tolerance where it is not (the tree route's omega~^2 squared a square root).
-The models are the cantor_scan benchmark's and criterion 6's TREE_P.
+The Melnikov margins are compared with the per-m scan of
+`oracles._melnikov_oracle`.  The models are the cantor_scan benchmark's and
+criterion 6's TREE_P.
 """
 import math
 
@@ -24,6 +26,7 @@ from lindbeam.spectrum import (
     propagator_row,
 )
 from lindbeam.trees import _point, counterterm_order2_closed
+from oracles import _cleared, _melnikov_oracle
 
 CANTOR_P = ModelParams(a=1.0, b=0.5, mu=0.1, eps0=0.35, nu_cap=0.45, omega_branch=-1,
                        Nmax=500, Mmax=64)
@@ -101,84 +104,6 @@ def _old_margin_tables(mu, eps0, Nmax, Mmax, tau):
             np.arange(2 * Nmax + 1, dtype=float) ** tau)
 
 
-def _row_table_margins(eps, nu, params, below=math.inf):
-    """melnikov_margins as it was: the pair rows read from the cached row
-    table, pruned by the block bound, then by the row bound, with the
-    off-nearest passes skipped and a full-scan fallback for a non-finite D."""
-    Nmax, Mmax = params.Nmax, params.Mmax
-    Om = omega_eff(params, eps)
-    ms = mode_set(params.mu, params.eps0, Mmax, Nmax)
-    om, om_max, win_m, win_start, omsq_m, om_m, n_tau, dn_tau = _old_margin_tables(
-        params.mu, params.eps0, Nmax, Mmax, params.tau)
-    shift = ms.shift(nu)
-    rad = _old_radicand(ms, shift)
-    out = {"first": math.inf, "second": math.inf,
-           "first_at": None, "second_at": None}
-    m = np.arange(2, Mmax + 1)[:, None]
-    n = np.rint(om_m / Om).astype(int) + np.arange(-2, 3)
-    omt = np.sqrt(omsq_m + shift[ms.index(n, m)])
-    counted = (n >= 1) & (n <= Nmax)
-    nc = n[counted]
-    marg = np.full(n.shape, math.inf)
-    marg[counted] = np.abs(Om * nc - omt[counted]) * n_tau[nc]
-    if marg.size and marg.min() < below:
-        j = int(np.argmin(marg))
-        out["first"] = float(marg.flat[j])
-        out["first_at"] = (int(n.flat[j]), j // 5 + 2)
-
-    (n1, m1, m2, lo2, hi2, om2, idx1, off2,
-     b_start, b_size, b_m1, b_m2, b_s0) = _old_pair_rows(params.mu, params.eps0, Nmax, Mmax)
-    w = np.sqrt(rad)
-    D = np.zeros(Mmax + 1)
-    D[win_m] = np.maximum.reduceat(np.abs(w - om), win_start)
-    D_max = float(D.max())
-    prune = below < math.inf and math.isfinite(D_max)
-    delta = 2.0 ** -40 * (2 * Nmax * Om + 2 * (om_max + D_max))
-    skip_off = prune and Om / 2 - D_max - delta >= below
-    if prune:
-        D_blk = D[b_m1] + D[b_m2] + 2 * delta
-        dn = np.rint(np.divide(b_s0, -Om)) + np.array([-1.0, 0.0, 1.0])[:, None, None]
-        t = dn_tau[np.minimum(np.abs(dn), 2 * Nmax).astype(int)]
-        B = np.where(dn != 0.0, (np.abs(dn * Om + b_s0) - D_blk) * t, math.inf).min(axis=0)
-        keep = (B < below) | (1.5 * Om - D_blk < below)
-    for i2, a2 in enumerate((1.0, -1.0)):
-        cols = (n1, m1, m2, lo2, hi2, om2, idx1, off2)
-        if prune:
-            kb = np.flatnonzero(keep[i2])
-            size = b_size[kb]
-            rows = np.repeat(b_start[kb] - (np.cumsum(size) - size), size) + np.arange(size.sum())
-            cols = [x[rows] for x in cols]
-        n1r, m1r, m2r, lo2r, hi2r, om2r, idx1r, off2r = cols
-        w1 = np.take(w, idx1r)
-        s = (np.add if a2 > 0 else np.subtract)(w1, om2r)
-        near = np.rint(np.divide(s, -Om))
-        for dd in (-1, 0, 1):
-            if dd and skip_off:
-                continue
-            r = slice(None)
-            if prune:
-                c = np.abs((near + dd) * Om + s)
-                r = np.flatnonzero(c < below + D_max + delta)
-            dn = (near[r] + dd).astype(int)
-            n2 = np.abs(n1r[r] + dn)
-            ok = (n2 >= lo2r[r]) & (n2 <= hi2r[r]) & (dn != 0)
-            k, dn, n2 = r[ok] if prune else np.flatnonzero(ok), dn[ok], n2[ok]
-            if prune:
-                ok = (c[k] - D[m2r[k]] - delta) * dn_tau[np.abs(dn)] < below
-                k, dn, n2 = k[ok], dn[ok], n2[ok]
-            if not k.size:
-                continue
-            marg = np.abs(Om * dn + w1[k] + a2 * w[off2r[k] + n2]) * dn_tau[np.abs(dn)]
-            j = int(np.argmin(marg))
-            if marg[j] < out["second"]:
-                i = k[j]
-                out["second"] = float(marg[j])
-                out["second_at"] = (int(n1r[i]), int(m1r[i]), int(n1r[i] + dn[j]), int(m2r[i]))
-    if out["second"] >= below:
-        out["second"], out["second_at"] = math.inf, None
-    return out
-
-
 def _old_order2_closed(params, eps, shift, q, modes):
     a, b = params.a, params.b
     Om = omega_eff(params, eps)
@@ -237,21 +162,22 @@ def test_divisor_sites_equal_their_old_expressions_bitwise(params):
         assert _bits(ms.radicand(shift)) == _bits(_old_radicand(ms, shift))
         assert _bits(counterterm_order2_closed(params, eps, shift, q, ms)) == _bits(
             _old_order2_closed(params, eps, shift, q, ms))
+        want = _melnikov_oracle(eps, nu, params, params.Nmax, params.Mmax)
         for below in (math.inf, params.gamma, 2 * params.gamma):
-            assert repr(melnikov_margins(eps, nu, params, below)) == repr(
-                _row_table_margins(eps, nu, params, below))
+            assert melnikov_margins(eps, nu, params, below) == _cleared(want, below)
 
 
 @pytest.mark.parametrize("params", [p.with_(Mmax=M) for p in MODELS for M in (1, 2)])
 def test_pair_scan_equals_the_row_table_scan_at_one_or_two_modes(params):
-    # Mmax = 1 has no pair block, Mmax = 2 one (m1, m2) = (1, 2)
+    # Mmax = 1 has no pair block, Mmax = 2 one (m1, m2) = (1, 2); the scan is
+    # held to the per-m oracle, with no table and a random one on every mode
     ms = mode_set(params.mu, params.eps0, params.Mmax, params.Nmax)
     sampled = ms.nu_table(np.random.default_rng(3).uniform(-0.2, 0.2, len(ms)) * params.eps0)
     for eps in np.geomspace(params.eps0 / 40, params.eps0 / 2, 4).tolist():
         for nu in (None, sampled):
+            want = _melnikov_oracle(eps, nu, params, params.Nmax, params.Mmax)
             for below in (math.inf, params.gamma, 2 * params.gamma, 5.0):
-                assert repr(melnikov_margins(eps, nu, params, below)) == repr(
-                    _row_table_margins(eps, nu, params, below))
+                assert melnikov_margins(eps, nu, params, below) == _cleared(want, below)
             at = melnikov_margins(eps, nu, params)["second_at"]
             assert (at is None) if params.Mmax == 1 else (at[1], at[3]) == (1, 2)
 
@@ -282,7 +208,8 @@ def test_tree_omega_sq_moves_within_one_ulp(params):
             for m in range(1, params.Mmax + 1):
                 omsq = m ** 4 + params.mu
                 old = math.sqrt(omsq) ** 2 + abs(n) * pt._nu.get((abs(n), m), 0.0)
-                got = pt.mode(n, m).omt2
+                row = pt.mode_rows(((n, m),))[0]
+                got = float(pt.mode_data[0][row])     # the array route's omega~^2
                 assert abs(got - old) <= OMT2_ULPS * math.ulp(omsq), (n, m)
                 moved += got != old
         assert moved    # the exact value is not the old one everywhere

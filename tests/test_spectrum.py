@@ -146,10 +146,12 @@ def test_chi_h_overlap_at_most_two_consecutive():
 
 def test_admissible_h_matches_chi():
     g = P.gamma
-    for x in np.geomspace(g * 2 ** -12, 5 * g, 400):
+    xs = np.geomspace(g * 2 ** -12, 5 * g, 400)
+    rows = admissible_h_for(xs, g)      # the same rule over an array, padded with -2
+    for x, row in zip(xs, rows.tolist()):
         got = admissible_h_for(x, g)
         brute = [h for h in range(-1, 41) if float(chi_h(x, h, g)) != 0.0]
-        assert got == brute
+        assert got == brute == [h for h in row if h != -2]
     assert admissible_h_for(g * 2 ** -45, g) == []
 
 

@@ -114,7 +114,11 @@ def test_resonant_line_raises_the_spectrum_error():
     # at mu = 0, omega~^2 of (2, 3) is exactly 81: a line at frequency 9 is resonant
     pt = _point(P.with_(mu=0.0), EPS, None)
     with pytest.raises(ResonantDivisorError, match=r"resonant line at mode \(2, 3\)"):
-        pt.propagator(pt.mode(2, 3), -1, 9.0)
+        oracles.propagator(pt, oracles.mode(pt, 2, 3), -1, 9.0)
+    f = trees._family(1, 2, 3, MM, False)
+    at = np.array([f.modes.index((2, 3))])
+    with pytest.raises(ResonantDivisorError, match=r"resonant line at mode \(2, 3\)"):
+        pt.arrays(f).price(at, np.array([-1]), np.array([9.0]))
 
 
 def test_missing_counterterm_error():
@@ -379,7 +383,7 @@ def test_localize_split_identities():
     asg = {nd.nid: -1 for nd in t.nodes if nd.kind == "node"}
     ctxkw = dict(params=P, eps=EPS, nu=nu, q=q)
     # R vanishes at the localization point
-    xbar = _point(P, EPS, nu).mode(2, 1).bar
+    xbar = oracles.mode(_point(P, EPS, nu), 2, 1).bar
     loc, rem = localize_split(t, out_nd, in_nd, asg, P, EPS, nu, q, x=xbar)
     assert rem == pytest.approx(0.0, abs=1e-18)
     # L is independent of the evaluation point
@@ -925,7 +929,7 @@ def test_admissible_assignments_match_object_route_near_resonance():
 
 def _loop_assignments(f, t, pt, renormalize):
     """Label tuples of tree t's lines, tree by tree (the per-tree loop)."""
-    s, mode, modes = f.start[t], f.mode, pt.modes_of(f)
+    s, mode, modes = f.start[t], f.mode, oracles.modes_of(pt, f)
     shifted = oracles._shifted_supports(f, t, pt, modes) if renormalize or f.is_rtree else {}
     options = []
     for l in f.lines(t):
@@ -1173,8 +1177,8 @@ def test_equal_mode_lines_stay_within_one_scale():
     t = Tree(root=TNode(0, "node", "a", 2, 1, 2, 1, (path, side)), k=4, n=2, m=1).finalize()
     (o, i), = _candidates(t)
     pt = _point(P, eps, None)
-    zero_one, two_one = pt.mode(0, 1), pt.mode(2, 1)
-    assert zero_one.hs == [-1] and pt.shifted(zero_one, two_one) == [3, 4]
+    zero_one, two_one = oracles.mode(pt, 0, 1), oracles.mode(pt, 2, 1)
+    assert zero_one.hs == [-1] and oracles.shifted(pt, zero_one, two_one) == [3, 4]
     p, s = (nd.nid for nd in t.nodes if (nd.n, nd.m) == (0, 1) and nd.kind == "node")
 
     # in the plain supports every line has one label
@@ -1183,8 +1187,10 @@ def test_equal_mode_lines_stay_within_one_scale():
     asgs = admissible_assignments(t, P, eps, None, renormalize=True)
     assert asgs == [{nd.nid: -1 for nd in prop_line_nodes(t)}]
     f, _ = t._compiled()
-    assert [len(hs) for hs in oracles._shifted_supports(f, 0, pt, pt.modes_of(f)).values()] == [3]
-    assert [len(hs) for hs in trees._shifted_lines(f, pt).values()] == [3]
+    supports = oracles._shifted_supports(f, 0, pt, oracles.modes_of(pt, f))
+    assert [len(hs) for hs in supports.values()] == [3]
+    _, labels = trees._shifted_lines(f, pt)
+    assert (labels >= -1).sum(axis=1).tolist() == [3]
     row_tree, _, first, h = pt.table(f, True).rows()
     assert len(row_tree) == 1 and h[first[0] + p] == h[first[0] + s] == -1
 
@@ -1333,3 +1339,149 @@ def test_plain_and_renormalized_sums_share_one_setup(monkeypatch):
         want += 1 if pt.table(f, False) is pt.table(f, True) else 2
     assert len(calls) == want < 2 * len(GRID6)
     assert pt._last is None
+
+
+# ---------------------------------------------------------------------------
+# the one-row fork of `_Table` and the array pricing against their references
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _pricing_points():
+    """(params, eps, nu, families): criterion 6's first two sampled points;
+    the multi-label points of the near-resonance trees (P at eps 0 and 2e-4,
+    with the trees' own one-tree families); and (9, 3) on branch -1 at eps
+    0.002, nu solved at K = 2.  Each with the criterion-6 families and the
+    special-end families of its near-resonant modes."""
+    import random
+
+    from lindbeam.bruno import sample_diophantine_points
+
+    def families(params):
+        out = [trees._family(k, n, m, params.Mmax, False) for (k, n, m) in GRID6]
+        return out + [trees._family(2, n, m, params.Mmax, True) for (n, m) in lambda_modes(params)]
+
+    rng, hand = random.Random(5), []
+    modes = [(4, 2), (4, 2), (2, 3), (3, 3), (2, 1), (-4, 2), (0, 3)]
+    while len(hand) < 60:
+        root = _random_tree(rng, 4, modes)
+        if root.kind != "end":
+            t = Tree(root=root, k=3, n=root.n, m=root.m).finalize()
+            hand += [tree._compiled()[0] for tree in
+                     [t] + [resonance_to_rtree(t, o, i) for (o, i) in _candidates(t)]]
+    pts = [(TREE_P, eps, nu, families(TREE_P))
+           for eps, nu in sample_diophantine_points(TREE_P, 100, seed=7)[:2]]
+    pts += [(P, eps, make_nu(), families(P) + hand) for eps in (0.0, 2e-4)]
+    branch = TREE_P.with_(omega_branch=-1)
+    pts.append((branch, 0.002, solve_nu(branch, 0.002, 2)[0], families(branch)))
+    return pts
+
+
+def _tables_and_prices(pt, f, seen):
+    """The checks of test_one_row_tables_and_array_prices_match_their_references
+    on one family at one point; seen counts what was checked."""
+    c, a, scalar = f.columns(), pt.arrays(f), oracles.modes_of(pt, f)
+    # each mode's plain labels and their natural propagators
+    for k, md in enumerate(scalar):
+        assert a.lam[k] == md.lam and _bits(a.omt2[k]) == _bits(md.omt2)
+        labels = a.hs[k][a.hs[k] >= -1].tolist()
+        assert labels == md.hs and a.cnt[k] == len(labels)
+        for slot, h in enumerate(labels):
+            assert _bits(a.nat[k, slot]) == _bits(oracles.propagator(pt, md, h))
+        seen["plain"] += len(labels)
+    for renorm in (False, True):
+        supports = trees._shifted_lines(f, pt) if renorm or f.is_rtree else None
+        opts, cnt, shifted = trees._line_labels(f, pt, supports)
+        if shifted or len(c.walk_line):
+            # the renormalized labels of every line, tree by tree
+            for t in range(f.count):
+                want = oracles._shifted_supports(f, t, pt, scalar) if renorm or f.is_rtree else {}
+                s = f.start[t]
+                for p, l in enumerate(f.lines(t)):
+                    g = f.line_start[t] + p
+                    assert opts[g, :cnt[g]].tolist() == want.get(l, scalar[f.mode[s + l]].hs)
+                    seen["shifted"] += l in want
+        # the one-row fork against the general expansion
+        labels, start = trees._expanded(c, f.count, opts, cnt)
+        if (cnt == 1).all():
+            one, one_start = trees._one_row(c, f.count, opts, shifted)
+            assert one.dtype == labels.dtype and one_start.dtype == start.dtype
+            assert np.array_equal(one, labels) and np.array_equal(one_start, start)
+            seen["one"] += 1
+        else:
+            seen["general"] += 1
+        # each propagator line of the table's rows at its natural frequency
+        row_tree, node, first, h = pt.table(f, renorm).rows()
+        prop = np.flatnonzero(c.props[c.const[node]])
+        keys, at = np.unique(c.mode[node[prop]] * 1000 + h[prop] + 1, return_inverse=True)
+        want = np.array([oracles.propagator(pt, scalar[k // 1000], k % 1000 - 1)
+                         for k in keys.tolist()]).reshape(-1)
+        assert _bits(trees._setup(f, (row_tree, node, first, h), pt)[1][prop]) == _bits(want[at])
+        seen["natural"] += len(prop)
+    # on every block walk, the shifted labels and the path-line propagators
+    # at each label of the line, natural and on shell
+    for w, (g, k, j) in enumerate(zip(c.walk_line.tolist(), c.walk_mode.tolist(),
+                                      c.walk_anchor.tolist())):
+        ml, ma = scalar[k], scalar[j] if j >= 0 else None
+        if ml.root is None or ma is None:
+            continue
+        if ma.lam and ma.bar is not None:
+            got = a.shifted(np.array([k]), np.array([j]))[0]
+            assert got[got >= -1].tolist() == oracles.shifted(pt, ml, ma)
+            seen["walks"] += 1
+        hs = sorted(set(ml.hs) | set(oracles.shifted(pt, ml, ma) if ma.bar is not None else ()))
+        for h in hs:
+            for shell in (False, True) if ma.bar is not None else (False,):
+                args = np.array([k]), np.array([h]), np.array([j]), np.array([shell])
+                try:
+                    want = oracles.propagator(pt, ml, h, oracles.path_freq(pt, ml, ma, shell))
+                except ResonantDivisorError:
+                    with pytest.raises(ResonantDivisorError):
+                        a.path(*args)
+                    continue
+                assert _bits(a.path(*args)) == _bits(want)
+                seen["path"] += 1
+
+
+def test_one_row_tables_and_array_prices_match_their_references():
+    # the one-row path of `_Table` and the general expansion give the same
+    # labels and row starts; every plain label, shifted label, natural and
+    # path-line propagator equals, bit for bit, the scalar route's
+    # (oracles.mode, oracles.shifted, oracles.propagator) for its key
+    seen = dict.fromkeys(("plain", "shifted", "one", "general", "natural", "walks", "path"), 0)
+    for params, eps, nu, families in _pricing_points():
+        pt = _point(params, eps, nu)
+        for f in families:
+            _tables_and_prices(pt, f, seen)
+    assert all(seen.values()), seen
+
+
+def test_one_row_fork_drops_the_rows_the_expansion_drops():
+    # single labels two scales apart on equal-mode line pairs (as only
+    # shifted supports can put them): the one-row path drops those trees'
+    # rows where the general expansion does, and keeps the rest
+    f = trees._family(3, 2, 3, MM, False)
+    c = f.columns()
+    pair_tree = np.repeat(np.arange(f.count), np.diff(c.pair_start) // 2)
+    apart = (c.line_start[pair_tree] + c.pair_row[0::2])[::3]
+    opts = np.full((len(c.line_row), 2), -2, np.int16)
+    opts[:, 0] = -1
+    opts[apart, 0] = 1
+    labels, start = trees._expanded(c, f.count, opts, np.ones(len(opts), np.int64))
+    one, one_start = trees._one_row(c, f.count, opts, True)
+    assert np.array_equal(one, labels) and np.array_equal(one_start, start)
+    assert 0 < len(labels) < f.count
+
+
+def test_compiled_bytes_per_node_row_are_bounded():
+    # what `_Columns` owns (its views of the family's rows left out), summed
+    # over criterion 6's 99 families at Mmax 9: at most 8 bytes per node row
+    rows = owned = 0
+    for (k, n, m) in GRID6:
+        c = trees._family(k, n, m, MM, False).columns()
+        rows += len(c.sv)
+        owned += sum(a.nbytes for a in vars(c).values()
+                     if isinstance(a, np.ndarray) and a.flags.owndata)
+    assert len(GRID6) == 99 and rows == 108_160
+    assert owned / rows <= 8.0
