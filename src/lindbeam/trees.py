@@ -428,8 +428,8 @@ class _Columns:
       special end up to below the root, in the family's own layout, and the
       special end's mode of each.
 
-    And, for a table with one row per tree, whose rows are the family's own
-    (`_Table.one`):
+    And the family's evaluation layout, the rows of a table whose rows are
+    its trees, one each; `_laid` lays it over any table's rows:
     - roots: the first node row of each tree (a view of start).
     - line_node: the node row of each line; xprop: the other rows whose
       line carries a propagator (ends off the primary mode).
@@ -522,34 +522,23 @@ class _Columns:
         self.spath = self.line_node[e_path]
         self.spath_anchor = self.special_mode[self.line_tree[e_path]]
 
-        nb, unary, kids, self.lv_off = _layout(self, np.arange(R))
-        self.nb = nb.astype(_narrow(int(np.abs(n).max(initial=1))))
-        self.unary, self.lv_kids = unary.astype(_narrow(R)), kids.astype(_narrow(R))
+        # n under a b-type node: at both its children, kid2 and the row after it
+        tb = np.flatnonzero(self.ttype == B)
+        under_b = np.zeros(R + 1, bool)
+        under_b[kid2[tb]] = under_b[tb + 1] = True
+        self.nb = np.where(under_b, np.append(n, 1), 1).astype(
+            _narrow(int(np.abs(n).max(initial=1))))
+        self.unary = np.flatnonzero(self.sv == 1).astype(_narrow(R))
+        e = inner[np.argsort(self.level[inner], kind="stable")]     # level by level
+        self.lv_kids = np.stack([kid2[e], e + 1]).astype(_narrow(R))
+        levels = np.arange(1, int(self.level.max(initial=0)) + 2)
+        self.lv_off = tuple(np.searchsorted(self.level[e], levels).tolist())
         per = np.diff(self.cand_start) // 2
         self.cand_tree = np.repeat(np.arange(f.count), per).astype(_narrow(f.count))
         self.cand_exit = (roots[self.cand_tree] + self.cand_row[0::2]).astype(_narrow(R))
         for a in vars(self).values():
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False      # shared by every point
-
-
-def _layout(c: _Columns, node: np.ndarray) -> tuple:
-    """(nb, unary, kids, off) of `_setup` for the given node rows, laid out
-    one after another: the second subtree of a binary node at position p
-    starts at p + 1 + the size of its first child's subtree (TNode children
-    order takes it first)."""
-    R, sv, level = len(node), c.sv[node], c.level[node]
-    two = np.flatnonzero(sv == 2)
-    kid2 = np.full(R, R)
-    kid2[two] = two + 1 + c.size[node[two] + 1]
-    tb = np.flatnonzero(c.ttype[node] == B)
-    under_b = np.zeros(R + 1, bool)
-    under_b[kid2[tb]] = under_b[tb + 1] = True
-    nb = np.where(under_b, np.append(c.n[node], 1), 1)
-    levels = [np.flatnonzero(level == lv) for lv in range(1, int(level.max(initial=0)) + 1)]
-    e = np.concatenate(levels) if levels else np.zeros(0, np.int64)
-    return (nb, np.flatnonzero(sv == 1), np.stack([kid2[e], e + 1]),
-            tuple(np.cumsum([0] + [len(e) for e in levels]).tolist()))
 
 
 def _block_walks(f: _Family) -> tuple[list, list]:
@@ -580,6 +569,13 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The ranges [start, start + length), one after another."""
     ends = np.cumsum(lengths, dtype=np.int64)
     return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def _spread(tree: np.ndarray, row_start: np.ndarray) -> tuple:
+    """(e, r): each entry e, of tree tree[e], once per row r of its tree
+    (tree t's rows are row_start[t] to row_start[t + 1]), entry after entry."""
+    per = (row_start[1:] - row_start[:-1])[tree]
+    return np.repeat(np.arange(len(tree)), per), _ranges(row_start[tree], per)
 
 
 @lru_cache(maxsize=FAMILY_CACHE_SIZE)
@@ -910,18 +906,44 @@ class _Table:
     rows run through the product of its lines' labels in itertools.product
     order, without the rows that put two lines of equal mode more than one
     scale apart.  A tree with a line below the scale floor has no rows.
-    one: whether every tree has exactly one row.
     """
 
-    __slots__ = ("f", "row_start", "labels", "one", "__weakref__")
+    __slots__ = ("f", "row_start", "labels", "__weakref__")
 
     def __init__(self, f: _Family, opts: np.ndarray, cnt: np.ndarray, shifted: bool):
-        """shifted: whether any line's labels differ from its mode's plain ones."""
-        c, one = f.columns(), bool((cnt == 1).all())
+        """shifted: whether any line's labels differ from its mode's plain
+        ones.  The rows count through the mixed radix of each tree's lines'
+        label counts, the last line fastest; a line with one label adds no
+        digit."""
+        c, T = f.columns(), f.count
         self.f = f
-        self.labels, self.row_start = (_one_row(c, f.count, opts, shifted) if one
-                                       else _expanded(c, f.count, opts, cnt))
-        self.one = one and len(self.labels) == f.count
+        # the smallest type that holds the labels: a point's tables stay in
+        # memory as long as the point does
+        labels = np.full((T, c.max_lines), -1, np.int8 if opts.max(initial=0) < 128 else np.int16)
+        labels[c.line_tree, c.line_pos] = opts[:, 0]
+        row_start, expand = np.arange(T + 1), bool((cnt != 1).any())
+        if expand:
+            digit = np.flatnonzero(cnt != 1)
+            tree, p, radix = c.line_tree[digit], c.line_pos[digit], cnt[digit].astype(np.int64)
+            tail = np.ones((T, c.max_lines + 1), np.int64)
+            tail[tree, p] = radix
+            tail = np.cumprod(tail[:, ::-1], axis=1)[:, ::-1]   # combinations of lines p.. of t
+            row_start = np.append(0, np.cumsum(tail[:, 0]))
+            labels = np.repeat(labels, tail[:, 0], axis=0)
+            d, r = _spread(tree, row_start)
+            digits = (r - row_start[tree[d]]) // tail[tree[d], p[d] + 1] % radix[d]
+            labels[r, p[d]] = opts[digit[d], digits]
+        if len(c.pair_row) and (shifted or expand):
+            # equal-mode line pairs stay within one scale of each other; only
+            # a shifted support or a line with several labels sets them apart
+            pair_tree = np.repeat(np.arange(T), np.diff(c.pair_start) // 2)
+            e, r = _spread(pair_tree, row_start)
+            drop = r[np.abs(labels[r, c.pair_row[0::2][e]] - labels[r, c.pair_row[1::2][e]]) > 1]
+            if len(drop):
+                labels = np.delete(labels, drop, axis=0)
+                row_start = row_start - np.searchsorted(np.unique(drop), row_start)
+        self.labels = labels
+        self.row_start = row_start.astype(np.int16 if len(labels) < 2 ** 15 else np.int32)
 
     def combos(self, t: int) -> list[list[int]]:
         """Labels of tree t's lines, one list per admissible assignment,
@@ -929,83 +951,51 @@ class _Table:
         return self.labels[self.row_start[t]:self.row_start[t + 1]].tolist()
 
     def rows(self) -> tuple:
-        """(row_tree, node_row, first, h) of the rows: each row's tree; then
-        per node of the rows' trees, laid row after row, its family row and
-        the scale of its exiting line (-1 off the propagator lines); each
-        row's first node."""
-        c, labels, T = self.f.columns(), self.labels, self.f.count
-        if self.one:
-            # one row per tree: the rows' nodes are the family's own rows
-            h = np.full(len(c.sv), -1, np.int16)
-            h[c.line_node] = labels[c.line_tree, c.line_pos]
-            return np.arange(T), np.arange(len(c.sv)), c.roots, h
-        row_tree = np.repeat(np.arange(T), np.diff(self.row_start))
-        node_row, first = _node_rows(self.f, row_tree)
-        row, p, g = _line_slots(c, row_tree)
-        h = np.full(len(node_row), -1, np.int16)
-        h[first[row] + c.line_row[g]] = labels[row, p]
-        return row_tree, node_row, first, h
+        """(row_tree, node, first, h) of the rows (`_rows`), h the scale of
+        each node's exiting line, -1 off the propagator lines."""
+        c, rows = self.f.columns(), _rows(self.f, self.row_start)
+        at, j, r = _laid(c, rows, c.line_node, c.line_tree)
+        h = np.full(len(rows[1]), -1, np.int16)
+        h[at] = self.labels[r, c.line_pos[j]]
+        return (*rows, h)
 
 
-def _label_type(opts: np.ndarray) -> type:
-    """The smallest type that holds the labels: a point's tables stay in
-    memory as long as the point does."""
-    return np.int8 if opts.max(initial=0) < 128 else np.int16
+def _rows(f: _Family, row_start: np.ndarray) -> tuple:
+    """(row_tree, node, first) of rows in tree order, tree t's from
+    row_start[t] to row_start[t + 1]: each row's tree, the family row of
+    each node of the rows' trees laid row after row, and each row's first
+    node; the family's own, first being `_Columns.roots`, if one per tree."""
+    c, T = f.columns(), f.count
+    if row_start[-1] == T and not np.count_nonzero(row_start[1:] == row_start[:-1]):
+        return np.arange(T), np.arange(len(c.sv)), c.roots
+    row_tree = np.repeat(np.arange(T), np.diff(row_start))
+    size = c.start[row_tree + 1] - c.start[row_tree]
+    return row_tree, _ranges(c.start[row_tree], size), np.cumsum(size) - size
 
 
-def _row_start(row_tree: np.ndarray, T: int) -> np.ndarray:
-    return np.searchsorted(row_tree, np.arange(T + 1)).astype(
-        np.int16 if len(row_tree) < 2 ** 15 else np.int32)
-
-
-def _one_row(c: _Columns, T: int, opts: np.ndarray, shifted: bool) -> tuple:
-    """(labels, row_start) of a table whose lines admit one label each: one
-    row per tree, less those with two equal-mode lines more than one scale
-    apart, which only lines whose labels are shifted can be."""
-    labels = np.full((T, c.max_lines), -1, _label_type(opts))
-    labels[c.line_tree, c.line_pos] = opts[:, 0]
-    if shifted and len(c.pair_row):
-        rows = np.repeat(np.arange(T), np.diff(c.pair_start) // 2)
-        drop = rows[np.abs(labels[rows, c.pair_row[0::2]] - labels[rows, c.pair_row[1::2]]) > 1]
-        if len(drop):
-            labels = np.delete(labels, drop, axis=0)
-            return labels, _row_start(np.delete(np.arange(T), drop), T)
-    return labels, np.arange(T + 1, dtype=np.int16 if T < 2 ** 15 else np.int32)
-
-
-def _expanded(c: _Columns, T: int, opts: np.ndarray, cnt: np.ndarray) -> tuple:
-    """(labels, row_start) of any table: each tree's rows through the mixed
-    radix of its lines' label counts, less those with two equal-mode lines
-    more than one scale apart."""
-    cnt = cnt.astype(np.int64)
-    # mixed radix over each tree's lines, the last line fastest
-    radix = np.ones((T, c.max_lines + 1), np.int64)
-    radix[c.line_tree, c.line_pos] = cnt
-    tail = np.cumprod(radix[:, ::-1], axis=1)[:, ::-1]   # combinations of lines p.. of t
-    combos, stride = tail[:, 0], tail[c.line_tree, c.line_pos + 1]
-    row_tree = np.repeat(np.arange(T), combos)
-    labels = np.full((len(row_tree), c.max_lines), -1, _label_type(opts))
-    index = np.arange(len(row_tree)) - np.repeat(np.cumsum(combos) - combos, combos)
-    row, p, g = _line_slots(c, row_tree)
-    labels[row, p] = opts[g, index[row] // stride[g] % cnt[g]]
-    if len(c.pair_row):
-        # equal-mode line pairs stay within one scale of each other
-        pair_tree = np.repeat(np.arange(T), np.diff(c.pair_start) // 2)
-        per = combos[pair_tree]
-        rows = _ranges((np.cumsum(combos) - combos)[pair_tree], per)
-        a, b = (np.repeat(c.pair_row[i::2], per) for i in (0, 1))
-        drop = rows[np.abs(labels[rows, a] - labels[rows, b]) > 1]
-        if len(drop):
-            labels, row_tree = np.delete(labels, drop, axis=0), np.delete(row_tree, drop)
-    return labels, _row_start(row_tree, T)
-
-
-def _line_slots(c: _Columns, row_tree: np.ndarray) -> tuple:
-    """(row, p, g) per line of each row's tree, row after row: the row, the
-    line's position in its tree's line order and its index in the family's."""
-    nl = c.line_start[row_tree + 1] - c.line_start[row_tree]
-    g = _ranges(c.line_start[row_tree], nl)
-    return np.repeat(np.arange(len(row_tree)), nl), c.line_pos[g], g
+def _laid(c: _Columns, rows: tuple, at: np.ndarray | None = None,
+          tree: np.ndarray | None = None) -> tuple:
+    """(at, j, r): a compiled array of the family's node rows laid over the
+    rows (`_rows`), each entry once per row r of its tree, entry after
+    entry, moved to that row's node positions; j indexes the entries in
+    arrays alike, whose trees tree holds if given.  A two-dimensional at
+    (`lv_kids`) has each entry's tree in its last row, and its missing child
+    (row R) goes one past the rows' nodes.  Without at, j is each node's
+    family row, then R, to gather per-node arrays (`nb`, `const`).  Where
+    the rows are the family's own, (at, all of them, tree)."""
+    if rows[2] is c.roots:
+        return at, slice(None), tree
+    row_tree, node, first = rows[:3]
+    R = len(c.sv)
+    if at is None:
+        return None, np.append(node, R), None
+    if tree is None:
+        tree = np.searchsorted(c.start, np.atleast_2d(at)[-1], side="right") - 1
+    j, r = _spread(tree, np.searchsorted(row_tree, np.arange(len(c.start))))
+    rows_at = at[..., j]
+    moved = rows_at + (first - c.start[row_tree])[r]
+    moved[rows_at == R] = len(node)
+    return moved, j, r
 
 
 def _line_labels(f: _Family, pt: _Point, supports: tuple | None) -> tuple:
@@ -1106,14 +1096,6 @@ def family_table(k: int, n: int, m: int, params: ModelParams, eps: float,
     return f, np.repeat(np.arange(f.count), np.diff(tab.row_start)), tab.labels
 
 
-def _node_rows(f: _Family, row_tree: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Family row of every node of the given trees laid one after another,
-    and the position of each tree's first node."""
-    c = f.columns()
-    size = c.start[row_tree + 1] - c.start[row_tree]
-    return _ranges(c.start[row_tree], size), np.cumsum(size) - size
-
-
 def _tabulated(keys: np.ndarray, fn) -> np.ndarray:
     """fn(key) for each of the nonnegative integer keys, called once per
     distinct key."""
@@ -1127,17 +1109,16 @@ def _tabulated(keys: np.ndarray, fn) -> np.ndarray:
 
 def _setup(f: _Family, rows: tuple, pt: _Point) -> tuple:
     """What evaluating the rows at a point reads besides the context:
-    (one, line, nb, fac, const, unary, kids, inner, fk, off, plain).
+    (line, nb, fac, const, unary, kids, inner, fk, off, plain), the layout
+    from the family's (`_laid`).
 
-    one: whether the rows are the family's own, one row per tree, whose
-    structure the family compiled (`_Columns`); else it is derived here.
     Per node: line, the cutoff propagator of its exiting line at its natural
     frequency, 1 on the lines of the primary mode and of special ends and on
     the unit root line of a special-end tree; nb, its momentum n where its
     parent is b-type, else 1; fac, its line factor into its parent, line *
-    nb; const, its index into the family's row constants.  nb, fac and const
-    have one more entry, for the missing second child of a unary node: 1,
-    1.0 and the constant 1.0.  unary: the unary nodes.  kids, off: the nodes
+    nb; const, its index into the family's row constants.  line, nb, fac
+    and const have one more entry, for the missing second child of a unary
+    node: 1.0, 1, 1.0 and the constant 1.0.  unary: the unary nodes.  kids, off: the nodes
     above the ends, level by level, as their two children in TNode children
     order (`_Columns.lv_kids`), and as themselves (inner); fk, the children's
     fac.  plain: per q, the row values where no unary node reads a shift
@@ -1145,20 +1126,18 @@ def _setup(f: _Family, rows: tuple, pt: _Point) -> tuple:
     context at the point (`_row_values` fills it)."""
     row_tree, node, first, h = rows
     c, a = f.columns(), pt.arrays(f)
-    one = first is c.roots      # the rows of a one-row table (`_Table.rows`)
-    line = np.ones(len(node))
-    if one:
-        line[c.line_node] = a.natural(c.line_mode, h[c.line_node])
-        if len(c.xprop):
-            line[c.xprop] = a.natural(c.mode[c.xprop], h[c.xprop])
-        nb, const, unary, kids, off = c.nb, c.const, c.unary, c.lv_kids, c.lv_off
-    else:
-        const = np.append(c.const[node], c.const[-1])
-        prop = c.props[const[:-1]]
-        line[prop] = a.natural(c.mode[node[prop]], h[prop])
-        nb, unary, kids, off = _layout(c, node)
-    fac = np.append(line, 1.0) * nb
-    return one, line, nb, fac, const, unary, kids, kids[1] - 1, fac[kids], off, {}
+    line = np.ones(len(node) + 1)
+    at, j, _ = _laid(c, rows, c.line_node, c.line_tree)
+    line[at] = a.natural(c.line_mode[j], h[at])
+    at = _laid(c, rows, c.xprop)[0]
+    if len(at):
+        line[at] = a.natural(c.mode[node[at]], h[at])
+    _, j, _ = _laid(c, rows)
+    nb, const, unary = c.nb[j], c.const[j], _laid(c, rows, c.unary)[0]
+    kids, j, _ = _laid(c, rows, c.lv_kids)
+    off = c.lv_off if kids is c.lv_kids else tuple(np.searchsorted(j, c.lv_off).tolist())
+    fac = line * nb
+    return line, nb, fac, const, unary, kids, kids[1] - 1, fac[kids], off, {}
 
 
 def _row_values(f: _Family, rows: tuple, ctx: EvalCtx, special: bool = False,
@@ -1180,16 +1159,17 @@ def _row_values(f: _Family, rows: tuple, ctx: EvalCtx, special: bool = False,
     `_Modes.path`: from i's natural frequency for X (on shell for a
     special-end block), on shell for S.  There the entering line
     contributes only n_i into a b-type node, and the other children their
-    values.  S is 0.0 where the block is not subtracted.  Where every tree
-    of the family's own rows has one block, its special-end block, X is
-    the loop's own product with the path lines priced on shell and the
-    special end's value 1.
+    values.  S is 0.0 where the block is not subtracted.  Where every row
+    has one block, its special-end block (every row's tree is
+    `_localizable` and no other block is active), X is the loop's own
+    product with the path lines priced on shell and the special end's
+    value 1.
     """
     row_tree, node, first, h = rows
     c = f.columns()
-    one, line, nb, fac, const, unary, kids, inner, fk, off, plain = (
+    line, nb, fac, const, unary, kids, inner, fk, off, plain = (
         setup or _setup(f, rows, ctx.point))
-    blocks = _blocks(f, rows, ctx, special, one) if ctx.renormalize or special else None
+    blocks = _blocks(f, rows, ctx, special) if ctx.renormalize or special else None
     q = ctx.q or 0.0
     if blocks is None and not len(unary) and q in plain:
         return plain[q]
@@ -1198,9 +1178,7 @@ def _row_values(f: _Family, rows: tuple, ctx: EvalCtx, special: bool = False,
     if len(unary):
         hs, hu = int(h.max(initial=-1)) + 2, h[unary]
         if f.is_rtree:      # the unit root line: use the entering scale
-            root = np.zeros(len(node), bool)
-            root[first] = True
-            root = root[unary]
+            root = np.isin(unary, first)
             hu[root] = h[unary[root] + 1]
         u, ks = node[unary], int(c.kv.max(initial=0)) + 1
 
@@ -1212,13 +1190,14 @@ def _row_values(f: _Family, rows: tuple, ctx: EvalCtx, special: bool = False,
                                 shift_weight)
     w = val[inner]              # the weights of the nodes above the ends, level by level
     end = None
-    if blocks is not None and one and len(blocks[0]) == f.count and blocks[3].all():
-        # one special-end block per tree and no other: its X is the tree's
+    if blocks is not None and len(blocks[0]) == len(row_tree) and blocks[3].all():
+        # one special-end block per row and no other: its X is the row's
         # own product with the special end's path priced on shell and the
         # special end's value 1
         i, blocks = blocks[1], None
+        at, j, _ = _laid(c, rows, c.spath)
         fac = fac.copy()
-        fac[c.spath] = nb[c.spath] * a.path(c.mode[c.spath], h[c.spath], c.spath_anchor, True)
+        fac[at] = nb[at] * a.path(c.mode[node[at]], h[at], c.spath_anchor[j], True)
         fk, end, val[i] = fac[kids], val[i], 1.0
     if blocks is not None:
         o, i, sub, x_shell = blocks
@@ -1320,12 +1299,11 @@ def _paths(c: _Columns, node: np.ndarray, o: np.ndarray, i: np.ndarray) -> tuple
     return path[keep], blk[keep]
 
 
-def _blocks(f: _Family, rows: tuple, ctx: EvalCtx, special: bool, one: bool) -> tuple | None:
+def _blocks(f: _Family, rows: tuple, ctx: EvalCtx, special: bool) -> tuple | None:
     """The blocks whose values `_row_values` renormalizes, or None: (o, i,
     sub, x_shell), per block the positions (in the rows' node layout) of
     its exit node o and entering node i, whether its on-shell part S is
-    subtracted (`_l_conditions`) and whether X is priced on shell.  one:
-    whether the rows are the family's own (`_setup`).
+    subtracted (`_l_conditions`) and whether X is priced on shell.
 
     With special, the first block of each row whose tree is `_localizable`
     runs from the root to the special end (X on shell, no S); `_localized`
@@ -1344,13 +1322,8 @@ def _blocks(f: _Family, rows: tuple, ctx: EvalCtx, special: bool, one: bool) -> 
                        np.ones(len(at), bool)))
     if ctx.renormalize and len(c.cand_row):
         # a block can be active only where its exit line sits at a scale >= 0
-        if one:
-            hit = np.unique(c.cand_tree[h[c.cand_exit] >= 0])
-        else:
-            per = np.diff(c.cand_start)[row_tree] // 2
-            cand_r = np.repeat(np.arange(len(row_tree)), per)
-            exits = c.cand_row[2 * _ranges(c.cand_start[row_tree] // 2, per)]
-            hit = np.unique(cand_r[h[first[cand_r] + exits] >= 0])
+        exits, _, r = _laid(c, rows, c.cand_exit, c.cand_tree)
+        hit = np.unique(r[h[exits] >= 0])
         found = []
         for r in hit.tolist():
             t, at = int(row_tree[r]), int(first[r])
@@ -1420,8 +1393,8 @@ def tree_value(tree: Tree, asg: dict, params: ModelParams, eps: float,
     if counterterms is None and f.unary(t):
         raise MissingCountertermError("tree contains shift nodes but no table given")
     ctx = EvalCtx(params, eps, nu, q, counterterms, renormalize)
-    row_tree = np.array([t])
-    rows = (row_tree, *_node_rows(f, row_tree), np.array(tree._scales(asg), np.int16))
+    row_start = (np.arange(f.count + 1) > t).astype(np.intp)     # one row, of tree t
+    rows = (*_rows(f, row_start), np.array(tree._scales(asg), np.int16))
     return float(_row_values(f, rows, ctx)[0])
 
 
@@ -1443,7 +1416,7 @@ def renormalized_sum(k: int, n: int, m: int, params: ModelParams, eps: float,
     f = _tree_family(k, n, m, params, Mmax)
     ctx = EvalCtx(params, eps, nu, q, counterterms, renormalize=True)
     rows, setup = ctx.point.evaluation(ctx.point.table(f, True))
-    if counterterms is None and len(setup[5]):      # unary nodes
+    if counterterms is None and len(setup[4]):      # unary nodes
         raise MissingCountertermError("tree contains shift nodes but no table given")
     return _total(f, rows[0], _row_values(f, rows, ctx, setup=setup))
 

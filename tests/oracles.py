@@ -15,7 +15,9 @@ of the structural candidates the compiled families store.  Last, the tree
 walks and the scale-h propagator slice that only the tests read, with the
 per-tree walk of the renormalized supports, the per-assignment counting
 route (`profile`, `_count`) that `bruno.violations` is tested on, and the
-per-m scan of the Melnikov margins (`_melnikov_oracle`).
+per-m scan of the Melnikov margins (`_melnikov_oracle`), and the per-node
+derivation of a table's row layout (`_node_rows`, `_line_slots`,
+`_layout`) that `trees._laid` is checked against.
 """
 from __future__ import annotations
 
@@ -50,8 +52,10 @@ from lindbeam.trees import (
     TNode,
     Tree,
     _active,
+    _Columns,
     _Family,
     _l_conditions,
+    _ranges,
     dump_tree,
     tree_value,
 )
@@ -687,3 +691,41 @@ def _cleared(margins, below):
         if out[fam] >= below:
             out[fam], out[f"{fam}_at"] = math.inf, None
     return out
+
+
+# ---------------------------------------------------------------------------
+# a table's row layout, derived node by node from the rows' family rows
+
+def _node_rows(f: _Family, row_tree: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Family row of every node of the given trees laid one after another,
+    and the position of each tree's first node."""
+    c = f.columns()
+    size = c.start[row_tree + 1] - c.start[row_tree]
+    return _ranges(c.start[row_tree], size), np.cumsum(size) - size
+
+
+def _line_slots(c: _Columns, row_tree: np.ndarray) -> tuple:
+    """(row, p, g) per line of each row's tree, row after row: the row, the
+    line's position in its tree's line order and its index in the family's."""
+    nl = c.line_start[row_tree + 1] - c.line_start[row_tree]
+    g = _ranges(c.line_start[row_tree], nl)
+    return np.repeat(np.arange(len(row_tree)), nl), c.line_pos[g], g
+
+
+def _layout(c: _Columns, node: np.ndarray) -> tuple:
+    """(nb, unary, kids, off) of `_setup` for the given node rows, laid out
+    one after another: the second subtree of a binary node at position p
+    starts at p + 1 + the size of its first child's subtree (TNode children
+    order takes it first)."""
+    R, sv, level = len(node), c.sv[node], c.level[node]
+    two = np.flatnonzero(sv == 2)
+    kid2 = np.full(R, R)
+    kid2[two] = two + 1 + c.size[node[two] + 1]
+    tb = np.flatnonzero(c.ttype[node] == B)
+    under_b = np.zeros(R + 1, bool)
+    under_b[kid2[tb]] = under_b[tb + 1] = True
+    nb = np.where(under_b, np.append(c.n[node], 1), 1)
+    levels = [np.flatnonzero(level == lv) for lv in range(1, int(level.max(initial=0)) + 1)]
+    e = np.concatenate(levels) if levels else np.zeros(0, np.int64)
+    return (nb, np.flatnonzero(sv == 1), np.stack([kid2[e], e + 1]),
+            tuple(np.cumsum([0] + [len(e) for e in levels]).tolist()))

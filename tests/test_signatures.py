@@ -142,3 +142,19 @@ def test_no_module_reads_numpy_random():
     # whose import also loads hashlib and OpenSSL, is a test oracle only
     found = _sites(_reads_numpy_random)
     assert not found, found
+
+
+def test_one_row_layout_for_every_tree_table():
+    # a table's rows, one per tree or several, read the family's compiled
+    # layout through `trees._laid`: no fork builds one-row tables apart,
+    # and no per-node derivation of the layout is left in `trees`
+    tree = ast.parse((SRC / "trees.py").read_text())
+    retired = {"_one_row", "_expanded", "_node_rows", "_line_slots"}
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert not defined & retired, defined & retired
+    table = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Table")
+    slots = next(s.value for s in table.body if isinstance(s, ast.Assign)
+                 and any(getattr(t, "id", None) == "__slots__" for t in s.targets))
+    assert "one" not in ast.literal_eval(slots)
+    blocks = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_blocks")
+    assert "one" not in _names(blocks)

@@ -1300,21 +1300,6 @@ def test_compiled_indices_are_sized_by_what_they_index():
             repr(_loop_sum(f, EvalCtx(TREE_P, eps, nu, q, lt, renormalize=True)))
 
 
-def test_one_row_per_tree_rows_match_the_general_layout(monkeypatch):
-    # where every tree has one row, `_Table.rows` takes the family's own
-    # node layout; the same table read as a general one lays out the same rows
-    for fam in ((3, 2, 3, MM, False), (2, 9, 3, MM, True)):
-        f = trees._family(*fam)
-        tab = _point(TREE_P, 0.0113, None).table(f, True)
-        assert tab.one and np.array_equal(tab.row_start, np.arange(f.count + 1))
-        fast = tab.rows()
-        with monkeypatch.context() as mp:
-            mp.setattr(tab, "one", False)
-            general = tab.rows()
-        for a, b in zip(fast, general):
-            assert a.tolist() == b.tolist()
-
-
 def test_plain_and_renormalized_sums_share_one_setup(monkeypatch):
     # a family's plain and renormalized sums over one shared table compute
     # its rows and `_setup` once; a table of its own gets its own, and
@@ -1342,7 +1327,8 @@ def test_plain_and_renormalized_sums_share_one_setup(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the one-row fork of `_Table` and the array pricing against their references
+# the assignment tables, their row layouts and the array pricing against
+# their references
 
 def _bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
@@ -1402,22 +1388,18 @@ def _tables_and_prices(pt, f, seen):
                     g = f.line_start[t] + p
                     assert opts[g, :cnt[g]].tolist() == want.get(l, scalar[f.mode[s + l]].hs)
                     seen["shifted"] += l in want
-        # the one-row fork against the general expansion
-        labels, start = trees._expanded(c, f.count, opts, cnt)
-        if (cnt == 1).all():
-            one, one_start = trees._one_row(c, f.count, opts, shifted)
-            assert one.dtype == labels.dtype and one_start.dtype == start.dtype
-            assert np.array_equal(one, labels) and np.array_equal(one_start, start)
-            seen["one"] += 1
-        else:
-            seen["general"] += 1
+        # the table's rows against the product of the lines' labels
+        tab = pt.table(f, renorm)
+        assert _table_lists(tab) == _product_table(f, opts, cnt)
+        assert tab.labels.dtype == np.int8 and tab.row_start.dtype == np.int16
+        seen["one" if (np.diff(tab.row_start) == 1).all() else "general"] += 1
         # each propagator line of the table's rows at its natural frequency
-        row_tree, node, first, h = pt.table(f, renorm).rows()
+        row_tree, node, first, h = tab.rows()
         prop = np.flatnonzero(c.props[c.const[node]])
         keys, at = np.unique(c.mode[node[prop]] * 1000 + h[prop] + 1, return_inverse=True)
         want = np.array([oracles.propagator(pt, scalar[k // 1000], k % 1000 - 1)
                          for k in keys.tolist()]).reshape(-1)
-        assert _bits(trees._setup(f, (row_tree, node, first, h), pt)[1][prop]) == _bits(want[at])
+        assert _bits(trees._setup(f, (row_tree, node, first, h), pt)[0][prop]) == _bits(want[at])
         seen["natural"] += len(prop)
     # on every block walk, the shifted labels and the path-line propagators
     # at each label of the line, natural and on shell
@@ -1445,10 +1427,11 @@ def _tables_and_prices(pt, f, seen):
 
 
 def test_one_row_tables_and_array_prices_match_their_references():
-    # the one-row path of `_Table` and the general expansion give the same
-    # labels and row starts; every plain label, shifted label, natural and
-    # path-line propagator equals, bit for bit, the scalar route's
-    # (oracles.mode, oracles.shifted, oracles.propagator) for its key
+    # every table's labels and row starts are the product of its lines'
+    # labels, with one row per tree and with several; every plain label,
+    # shifted label, natural and path-line propagator equals, bit for bit,
+    # the scalar route's (oracles.mode, oracles.shifted, oracles.propagator)
+    # for its key
     seen = dict.fromkeys(("plain", "shifted", "one", "general", "natural", "walks", "path"), 0)
     for params, eps, nu, families in _pricing_points():
         pt = _point(params, eps, nu)
@@ -1457,10 +1440,51 @@ def test_one_row_tables_and_array_prices_match_their_references():
     assert all(seen.values()), seen
 
 
-def test_one_row_fork_drops_the_rows_the_expansion_drops():
-    # single labels two scales apart on equal-mode line pairs (as only
-    # shifted supports can put them): the one-row path drops those trees'
-    # rows where the general expansion does, and keeps the rest
+def _product_table(f, opts, cnt) -> tuple[list, list]:
+    """(labels, row_start) of a table as lists, tree by tree through
+    itertools.product of its lines' labels opts[g, :cnt[g]], without the
+    rows that put an equal-mode line pair more than one scale apart."""
+    c, labels, start = f.columns(), [], [0]
+    for t in range(f.count):
+        lines = range(c.line_start[t], c.line_start[t + 1])
+        p = c.pair_row[c.pair_start[t]:c.pair_start[t + 1]].tolist()
+        for combo in product(*(opts[g, :cnt[g]].tolist() for g in lines)):
+            if all(abs(combo[a] - combo[b]) <= 1 for a, b in zip(p[0::2], p[1::2])):
+                labels.append(list(combo) + [-1] * (c.max_lines - len(combo)))
+        start.append(len(labels))
+    return labels, start
+
+
+def _table_lists(tab) -> tuple[list, list]:
+    return tab.labels.tolist(), tab.row_start.tolist()
+
+
+def test_table_rows_match_the_product_of_line_labels():
+    # synthetic label counts 0 to 3 per line on criterion 6's families: the
+    # rows count through the digits of the lines with other than one label,
+    # and a line with none leaves its tree no row.  Then single labels two
+    # scales apart on equal-mode pairs (as only shifted supports can put
+    # them): those trees' rows go, the others stay
+    rng = np.random.default_rng(11)
+    shapes = dict.fromkeys(("empty", "several", "dropped"), 0)
+    for (k, n, m) in GRID6:
+        f = trees._family(k, n, m, MM, False)
+        G = len(f.columns().line_row)
+        cnt = rng.choice(4, size=G, p=(0.1, 0.55, 0.25, 0.1))
+        opts = np.full((G, 3), -2, np.int16)
+        for g in range(G):
+            opts[g, :cnt[g]] = np.sort(rng.choice(np.arange(-1, 5), cnt[g], replace=False))
+        tab = trees._Table(f, opts, cnt, True)
+        want = _product_table(f, opts, cnt)
+        assert _table_lists(tab) == want, (k, n, m)
+        per = np.diff(tab.row_start)
+        shapes["empty"] += int((per == 0).sum())
+        shapes["several"] += int((per > 1).sum())
+        c = f.columns()
+        shapes["dropped"] += sum(int(np.prod(cnt[c.line_start[t]:c.line_start[t + 1]]))
+                                 for t in range(f.count)) - len(want[0])
+    assert all(shapes.values()), shapes
+
     f = trees._family(3, 2, 3, MM, False)
     c = f.columns()
     pair_tree = np.repeat(np.arange(f.count), np.diff(c.pair_start) // 2)
@@ -1468,10 +1492,146 @@ def test_one_row_fork_drops_the_rows_the_expansion_drops():
     opts = np.full((len(c.line_row), 2), -2, np.int16)
     opts[:, 0] = -1
     opts[apart, 0] = 1
-    labels, start = trees._expanded(c, f.count, opts, np.ones(len(opts), np.int64))
-    one, one_start = trees._one_row(c, f.count, opts, True)
-    assert np.array_equal(one, labels) and np.array_equal(one_start, start)
-    assert 0 < len(labels) < f.count
+    cnt = np.ones(len(opts), np.int64)
+    tab = trees._Table(f, opts, cnt, True)
+    assert _table_lists(tab) == _product_table(f, opts, cnt)
+    assert 0 < len(tab.labels) < f.count
+
+
+def _made_table(f, row_start, labels):
+    """A table of f with the given rows, as `_Table` keeps them."""
+    tab = trees._Table.__new__(trees._Table)
+    tab.f, tab.row_start, tab.labels = f, row_start, labels
+    return tab
+
+
+def _layout_matches(f, rows, pt) -> int:
+    """Check the rows' layout, and `_setup`'s, against the per-node
+    derivation of oracles (`_node_rows`, `_line_slots`, `_layout`) for
+    labels already on the rows' lines; returns the number of rows."""
+    c = f.columns()
+    row_tree, node, first, h = rows
+    want_node, want_first = oracles._node_rows(f, row_tree)
+    assert node.tolist() == want_node.tolist() and first.tolist() == want_first.tolist()
+    line, nb, fac, const, unary, kids, inner, fk, off, _ = trees._setup(f, rows, pt)
+    nb_, unary_, kids_, off_ = oracles._layout(c, want_node)
+    assert nb.tolist() == nb_.tolist()
+    assert const.tolist() == c.const[np.append(want_node, len(c.sv))].tolist()
+    assert sorted(unary.tolist()) == unary_.tolist()
+    # level by level, the family's deepest levels left empty where the
+    # rows' trees are lower
+    off_ += (off_[-1],) * (len(off) - len(off_))
+    assert len(off) == len(off_)
+    for lo, hi, lo_, hi_ in zip(off[:-1], off[1:], off_[:-1], off_[1:]):
+        assert sorted(zip(inner[lo:hi].tolist(), *kids[:, lo:hi].tolist())) == \
+            sorted(zip((kids_[1, lo_:hi_] - 1).tolist(), *kids_[:, lo_:hi_].tolist()))
+    return len(row_tree)
+
+
+def test_row_layouts_match_the_per_node_derivation(monkeypatch):
+    # every table's row layout (`_laid` over the family's compiled one)
+    # equals the per-node derivation: h, first, nb, unary and per level the
+    # nodes with their children.  The tables of the pricing points, with
+    # several rows per tree at P near resonance; random repeats of each
+    # tree's rows with trees of no row; tree_value's one row, also in
+    # special-end and one-tree families
+    seen = dict.fromkeys(("several", "random", "tree_value"), 0)
+    for params, eps, nu, families in _pricing_points():
+        pt = _point(params, eps, nu)
+        for f in families:
+            for renorm in (False, True):
+                tab = pt.table(f, renorm)
+                rows = tab.rows()
+                row, p, g = oracles._line_slots(f.columns(), rows[0])
+                h = np.full(len(rows[1]), -1, np.int16)
+                h[rows[2][row] + f.columns().line_row[g]] = tab.labels[row, p]
+                assert rows[3].tolist() == h.tolist()
+                n = _layout_matches(f, rows, pt)
+                seen["several"] += n > len(np.unique(rows[0]))
+
+    rng = np.random.default_rng(5)
+    pt = _point(TREE_P, 0.0113, None)
+    for fam in [(k, n, m, MM, False) for (k, n, m) in GRID6[::7]] + [(2, 9, 3, MM, True)]:
+        f = trees._family(*fam)
+        c = f.columns()
+        per = rng.choice(4, size=f.count, p=(0.3, 0.3, 0.2, 0.2))
+        row_start = np.append(0, np.cumsum(per))
+        labels = np.full((row_start[-1], c.max_lines), -1, np.int8)
+        row_tree = np.repeat(np.arange(f.count), per)
+        for r, t in enumerate(row_tree.tolist()):
+            nl = c.line_start[t + 1] - c.line_start[t]
+            labels[r, :nl] = rng.integers(-1, 2, nl)
+        rows = _made_table(f, row_start, labels).rows()
+        row, p, g = oracles._line_slots(c, row_tree)
+        assert rows[0].tolist() == row_tree.tolist()
+        h = np.full(len(rows[1]), -1, np.int16)
+        h[rows[2][row] + c.line_row[g]] = labels[row, p]
+        assert rows[3].tolist() == h.tolist()
+        seen["random"] += _layout_matches(f, rows, pt)
+
+    taken = []
+    setup = trees._setup
+
+    def kept(f, rows, pt):
+        taken.append((f, rows, pt))
+        return setup(f, rows, pt)
+
+    monkeypatch.setattr(trees, "_setup", kept)
+    lt = CountertermTable()
+    trees_ = [t for fam in ((3, 2, 3, MM, False), (2, 9, 3, MM, True))
+              for t in trees._family(*fam).trees()[::9]]
+    trees_.append(chain_tree((0, -1))[0])
+    for tree in trees_:
+        f, t = tree._compiled()
+        asg = {l: -1 for l in f.lines(t).tolist()}
+        taken.clear()
+        tree_value(tree, asg, TREE_P, 0.0113, None, 0.8, lt, True)
+        (g, rows, at), = taken
+        assert g is f and rows[0].tolist() == [t]
+        seen["tree_value"] += _layout_matches(f, rows, at)
+    assert all(seen.values()), seen
+
+
+@pytest.mark.filterwarnings("ignore:convolution mass beyond")
+def test_special_end_rows_take_the_block_route_values(monkeypatch):
+    # the order-4 special-end families of the counterterm-table point have
+    # trees of two rows, of none and trees that fail `_localizable`.  Their
+    # localizable trees' rows alone take the special-end pass (no `_paths`),
+    # the whole table the general block route; the rows' values are
+    # repr-equal, plain and renormalized
+    params, eps, q = P.with_(mu=0.01, eps0=0.02, omega_branch=-1), 0.0032, 0.8
+    nu, _ = solve_nu(params, eps, 2)
+    params = params.with_(Mmax=3)
+    modes = lambda_modes(params)
+    lt = counterterm_table(params, eps, nu, q, (2,), modes)
+    paths, calls = trees._paths, []
+
+    def counted(*args):
+        calls.append(1)
+        return paths(*args)
+
+    monkeypatch.setattr(trees, "_paths", counted)
+    # per renorm, the tables whose kept rows took the special-end pass, the
+    # ones with a tree of two rows twice
+    pt, taken = _point(params, eps, nu), {False: 0, True: 0}
+    for (n, m) in modes:
+        f = trees._family(4, n, m, params.Mmax, True)
+        tab = pt.table(f, True)
+        keep = trees._localizable(f, pt)[np.repeat(np.arange(f.count), np.diff(tab.row_start))]
+        assert 0 < keep.sum() < len(keep)
+        per = np.where(trees._localizable(f, pt), np.diff(tab.row_start), 0)
+        sub = _made_table(f, np.append(0, np.cumsum(per)), tab.labels[keep]).rows()
+        for renorm in (False, True):
+            ctx = EvalCtx(params, eps, nu, q, lt, renorm)
+            calls.clear()
+            whole = trees._row_values(f, tab.rows(), ctx, special=True)
+            assert calls
+            calls.clear()
+            alone = trees._row_values(f, sub, ctx, special=True)
+            assert [repr(v) for v in alone.tolist()] == [repr(v) for v in whole[keep].tolist()]
+            if not calls:
+                taken[renorm] += 1 + (np.diff(tab.row_start).max() > 1)
+    assert taken == {False: len(modes) + 1, True: len(modes) + 1}, taken
 
 
 def test_compiled_bytes_per_node_row_are_bounded():
