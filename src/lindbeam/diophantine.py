@@ -453,6 +453,20 @@ def _cantor_exclusion_widths(params: ModelParams, window: float
     return [r for r in _cantor_rows(params)[0] if r[0] < window]
 
 
+def _continuation(solved: list, eps: float) -> np.ndarray | None:
+    """The start of the shift sweeps at eps from the solutions solved, a list
+    of up to two (eps, nu on the modes) in grid order: none from no solution,
+    the last one scaled by eps / eps_prev from one, and their linear
+    extrapolation in eps from two."""
+    if not solved:
+        return None
+    if len(solved) == 1:
+        (e1, v1), = solved
+        return v1 * (eps / e1)
+    (e1, v1), (e2, v2) = solved
+    return v2 + (v2 - v1) * ((eps - e2) / (e2 - e1))
+
+
 def measure_cantor(params: ModelParams, window: float, grid: int,
                    K: int = 2) -> DiophReport:
     """Excluded measure of the accepted-amplitude set in (0, window).
@@ -463,24 +477,42 @@ def measure_cantor(params: ModelParams, window: float, grid: int,
     down to gamma Nmax^-tau0-1).  worst["rejected"] lists each grid eps that
     check_cantor rejects as (eps, family, location, margin, threshold).
     The grid is solved at eps0 = min(2 window, 0.9) when the params' eps0 is
-    below window; a window that this eps0 does not cover raises ValueError
-    before any eps is solved.
+    below window; a window that this eps0 does not cover, or a grid below 1,
+    raises ValueError before any eps is solved.
+
+    nu(eps) is smooth between exclusions, so the shift fixed point is
+    continued along the grid: each eps starts its sweeps from the linear
+    extrapolation in eps of the last two solutions (the last one scaled by
+    eps / eps_prev after the first, nu = 0 before it).  A start whose sweeps
+    fail is dropped and that eps solved again from nu = 0, so no eps fails
+    that the zero start solves.  A solution ends within about NU_TOL of the
+    zero start's (1e-11 = NU_TOL / 10 on the tested windows), not on its bits.
     """
-    from .series import NonConvergenceError, solve_nu
+    from .series import NonConvergenceError, SignExcludedError, solve_nu
 
     eps0 = params.eps0 if params.eps0 >= window else min(2 * window, 0.9)
     if window > eps0:
         raise ValueError(f"window={window} above eps0={eps0}, the largest solved at")
+    if grid < 1:
+        raise ValueError(f"grid={grid} below 1")
     pw = params if eps0 == params.eps0 else params.with_(eps0=eps0)
     eps_grid = (np.arange(grid) + 0.5) / grid * window
     rejected = []
     nonconv = 0
+    solved = []                 # the last two (eps, nu on the modes) solved
     for e in eps_grid.tolist():
+        start = _continuation(solved, e)
         try:
-            nu, _ = solve_nu(pw, e, K)
+            try:
+                nu, info = solve_nu(pw, e, K, start=start)
+            except (NonConvergenceError, SignExcludedError):
+                if start is None:
+                    raise
+                nu, info = solve_nu(pw, e, K)
         except NonConvergenceError:
             nonconv += 1
             continue
+        solved = [*solved[-1:], (e, info["values"])]
         marg = {}
         if not check_cantor(e, nu, pw, margins=marg):
             rejected.append((e, *cantor_failure(marg, pw.gamma)))

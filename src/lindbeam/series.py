@@ -424,7 +424,8 @@ def lambda_modes(params: ModelParams) -> list[tuple[int, int]]:
 
 
 def solve_nu(params: ModelParams, eps: float, K: int,
-             use_trees: bool = False) -> tuple[NuTable, dict]:
+             use_trees: bool = False, *, start: np.ndarray | None = None
+             ) -> tuple[NuTable, dict]:
     """Fixed point of the shift equation nu = sum_{k<=K} eta^k l^(k)(eps, nu).
 
     Each sweep re-solves the amplitude and rebuilds the counterterms at the
@@ -436,13 +437,24 @@ def solve_nu(params: ModelParams, eps: float, K: int,
     enumeration with the fully truncated amplitude equation.  The modes are
     those of the params' cutoffs; a closed-form sweep at a negative on-shell
     radicand m^4 + mu + n nu raises NonConvergenceError.
+
+    The sweeps start from nu = 0, or from start, the values of nu on the
+    modes (the order of info["values"], which holds the solution's).  The
+    sweeps stop once an update moves nu by less than NU_TOL, so a start
+    near the fixed point takes fewer of them and ends within about NU_TOL
+    of the zero start's solution, not on its bits.
     """
     from .trees import counterterm_order2_closed, counterterm_table
 
     if not 0.0 < eps < params.eps0:
         raise ValueError(f"eps={eps} outside (0, eps0={params.eps0})")
     ms = mode_set(params.mu, params.eps0, params.Mmax, params.Nmax)
-    vals = np.zeros(len(ms))          # nu on the modes
+    if start is None:
+        vals = np.zeros(len(ms))      # nu on the modes
+    else:
+        vals = np.asarray(start, dtype=float)
+        if vals.shape != (len(ms),):
+            raise ValueError(f"start has shape {vals.shape}, not ({len(ms)},) modes")
     eta = math.sqrt(eps)
     info = {"sweeps": 0, "converged": False, "q": 0.0, "modes": len(ms)}
     lt = CountertermTable()
@@ -493,6 +505,7 @@ def solve_nu(params: ModelParams, eps: float, K: int,
     if fast:
         lt = CountertermTable._order2(ms.modes(), l2)
     info["counterterms"] = lt
+    info["values"] = vals
     return nu, info
 
 

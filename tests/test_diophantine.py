@@ -185,6 +185,16 @@ def test_measure_cantor_rejects_window_beyond_eps0_before_solving(monkeypatch):
         measure_cantor(P.with_(eps0=0.92), 0.95, 10)
 
 
+def test_measure_cantor_rejects_a_grid_below_one_before_solving(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_nu called")
+
+    monkeypatch.setattr(series, "solve_nu", no_solve)
+    for grid in (0, -3):
+        with pytest.raises(ValueError, match=rf"^grid={grid} below 1"):
+            measure_cantor(P, 0.01, grid)
+
+
 def test_cantor_acceptance_implies_melnikov():
     # the accepted-amplitude set is contained in the gamma-admissible set
     for eps in (2e-3, 5e-3, 9e-3):
@@ -354,6 +364,61 @@ def test_pruned_pair_scan_matches_full_scan_on_the_benchmark_model(cantor_solved
             for below in BELOW:
                 got = melnikov_margins(eps, table, CANTOR_P, below=below)
                 assert got == _cleared(full, below), (eps, below)
+
+
+# how far measure_cantor's continued nu may lie from the zero start's
+NU_CONTINUATION_TOL = series.NU_TOL / 10
+
+
+def _scan(monkeypatch, params, window, grid, cold):
+    """measure_cantor's report, nu on the modes per grid eps and the sweeps
+    taken; cold drops every start, so each eps is solved from nu = 0."""
+    solve, nus, sweeps = series.solve_nu, {}, []
+
+    def traced(params, eps, K, start=None):
+        nu, info = solve(params, eps, K) if cold else solve(params, eps, K, start=start)
+        nus[eps] = info["values"]
+        sweeps.append(info["sweeps"])
+        return nu, info
+
+    monkeypatch.setattr(series, "solve_nu", traced)
+    rep = measure_cantor(params, window, grid)
+    monkeypatch.setattr(series, "solve_nu", solve)
+    return rep, nus, sum(sweeps)
+
+
+@pytest.mark.parametrize("window", [0.08, 0.02, 0.005])
+def test_continued_scan_equals_the_zero_start_scan(monkeypatch, window):
+    rep, nus, sweeps = _scan(monkeypatch, CANTOR_P, window, 60, cold=False)
+    want, cold_nus, cold_sweeps = _scan(monkeypatch, CANTOR_P, window, 60, cold=True)
+    assert rep.fail_fraction == want.fail_fraction
+    assert rep.worst["nonconverged"] == want.worst["nonconverged"]
+    got, exp = rep.worst["rejected"], want.worst["rejected"]
+    assert [r[:3] for r in got] == [r[:3] for r in exp]
+    for r, w in zip(got, exp):
+        assert r[3] == pytest.approx(w[3], rel=1e-9, abs=0.0) and r[4] == w[4]
+    assert nus.keys() == cold_nus.keys() and len(nus) == 60 - want.worst["nonconverged"]
+    for eps, vals in nus.items():
+        assert np.max(np.abs(vals - cold_nus[eps])) <= NU_CONTINUATION_TOL, eps
+    assert sweeps < cold_sweeps
+
+
+@pytest.mark.parametrize("params, window, grid", [(CANTOR_P, 0.08, 60),
+                                                  (ModelParams(omega_branch=-1), 0.3, 4)])
+def test_measure_cantor_falls_back_to_the_zero_start(monkeypatch, params, window, grid):
+    # a start whose sweeps fail costs one more solve from nu = 0, never a verdict
+    want, _, _ = _scan(monkeypatch, params, window, grid, cold=True)
+    solve, started = series.solve_nu, []
+
+    def failing_start(params, eps, K, start=None):
+        if start is not None:
+            started.append(eps)
+            raise series.NonConvergenceError("started sweeps fail")
+        return solve(params, eps, K)
+
+    monkeypatch.setattr(series, "solve_nu", failing_start)
+    assert measure_cantor(params, window, grid) == want
+    assert len(started) == grid - 1        # every eps after the first, solved
 
 
 def _order2_closed_broadcast(params, eps, shift, q, ms):

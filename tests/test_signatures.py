@@ -158,3 +158,21 @@ def test_one_row_layout_for_every_tree_table():
     assert "one" not in ast.literal_eval(slots)
     blocks = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_blocks")
     assert "one" not in _names(blocks)
+
+
+def test_only_measure_cantor_starts_the_shift_sweeps_away_from_zero():
+    # solve_nu's start is keyword-only, and measure_cantor is the one caller
+    # that passes it: residual, verify, counterterms and dioph cantor solve
+    # every eps from nu = 0, on the bits they always had
+    tree = ast.parse((SRC / "series.py").read_text())
+    fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "solve_nu")
+    assert "start" in {a.arg for a in fn.args.kwonlyargs}
+    assert "start" not in {a.arg for a in (*fn.args.posonlyargs, *fn.args.args)}
+
+    def passes_start(node):
+        if not isinstance(node, ast.Call):
+            return False
+        name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+        return name == "solve_nu" and any(k.arg in ("start", None) for k in node.keywords)
+
+    assert _sites(passes_start) == [("diophantine", "measure_cantor")]
