@@ -61,9 +61,9 @@ def mass_margins(mu, tau0: float, Nmax: int):
     """
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     om1 = np.sqrt(1.0 + mu)
-    best = {fam: np.full(mu.shape, np.inf) for fam in ("single", "diff", "sum")}
-    for fam, _, combo in _mass_combos(Nmax):
-        target = combo(mu)
+    best = [np.full(mu.shape, np.inf) for _ in _FAMILIES]
+    for fam, m1, m2, sign in zip(*(c.tolist() for c in _mass_combos(Nmax))):
+        target = _combo(m1, m2, sign, mu)
         # only the nearest integers to target / om1 can compete
         base = np.rint(target / om1)
         for dn in (-1.0, 0.0, 1.0):
@@ -72,7 +72,7 @@ def mass_margins(mu, tau0: float, Nmax: int):
             if valid.any():
                 margin = np.where(valid, np.abs(om1 * n - target) * n ** tau0, np.inf)
                 best[fam] = np.minimum(best[fam], margin)
-    return list(best.values())
+    return best
 
 
 def check_mass(mu: float, gamma: float, tau0: float, Nmax: int) -> bool:
@@ -102,30 +102,29 @@ def _mass_tail_bound(gamma: float, tau0: float, Nmax: int) -> float:
     return total
 
 
+_FAMILIES = ("single", "diff", "sum")
+
+
 def _mass_combos(Nmax: int):
-    """(family, index tuple, combo(mu) callable) for all condition families:
-    "single" (m,) omega_m, "diff" (m1, m2) omega_m1 - omega_m2 and "sum"
-    (m1, m2) omega_m1 + omega_m2."""
-    combos = []
+    """The condition table: arrays (family, m1, m2, sign), one row per
+    condition omega_m1 + sign omega_m2, family indexing _FAMILIES.  The
+    singles omega_m (m2 = sign = 0) come first, then the differences
+    omega_m1 - omega_m2 (m1 > m2) and the sums omega_m1 + omega_m2
+    (m1 >= m2), each pair family in (m2, m1) order."""
     mstar = _mstar_single(Nmax)
     bound = (1 + MU_MAX) * Nmax + 3
-    for m in range(2, mstar + 1):
-        combos.append(("single", (m,), lambda mu, m=m: omega(m, mu)))
-    m2 = 2
-    while 2 * m2 + 1 <= bound:
-        m1 = m2 + 1
-        while m1 * m1 - m2 * m2 <= bound:
-            combos.append(("diff", (m1, m2),
-                           lambda mu, m1=m1, m2=m2: omega(m1, mu) - omega(m2, mu)))
-            m1 += 1
-        m2 += 1
-    for m2 in range(2, mstar + 1):
-        for m1 in range(m2, mstar + 1):
-            if m1 * m1 + m2 * m2 > bound:
-                break
-            combos.append(("sum", (m1, m2),
-                           lambda mu, m1=m1, m2=m2: omega(m1, mu) + omega(m2, mu)))
-    return combos
+    m2, m1 = np.ogrid[:int(bound) // 2 + 2, :int(bound) // 2 + 2]
+    single = np.arange(2, mstar + 1)
+    d2, d1 = np.nonzero((m2 >= 2) & (m1 > m2) & (m1 * m1 - m2 * m2 <= bound))
+    s2, s1 = np.nonzero((m2 >= 2) & (m1 >= m2) & (m1 <= mstar) & (m1 * m1 + m2 * m2 <= bound))
+    sizes = (single.size, d1.size, s1.size)
+    return (np.repeat([0, 1, 2], sizes), np.concatenate([single, d1, s1]),
+            np.concatenate([np.zeros_like(single), d2, s2]), np.repeat([0, -1, 1], sizes))
+
+
+def _combo(m1, m2, sign, mu):
+    """omega_m1 + sign omega_m2 at mu, broadcast; a single adds 0 omega_0."""
+    return omega(m1, mu) + sign * omega(m2, mu)
 
 
 def mass_exclusion_intervals(gamma: float, tau0: float, Nmax: int
@@ -135,44 +134,37 @@ def mass_exclusion_intervals(gamma: float, tau0: float, Nmax: int
     For each condition the resonant mass solves omega_1(mu) n = combo(mu);
     the condition fails on an interval of width 2 gamma n^-tau0 / |f'| around
     it.  Every combination is monotone in mu for the relevant n >= 2, so a
-    sign change on [0, 1/8] brackets exactly one root.
+    sign change on [0, 1/8] brackets exactly one root.  All (condition, n)
+    brackets are bisected together and listed in table order, then n's.
     """
-    out = []
-    for fam, idx, combo in _mass_combos(Nmax):
-        t0, t1 = float(combo(0.0)), float(combo(MU_MAX))
-        n_lo = max(2, int(math.floor(min(t0, t1) / math.sqrt(1 + MU_MAX))) - 1)
-        n_hi = min(Nmax, int(math.ceil(max(t0, t1))) + 1)
-        if n_hi < n_lo:
-            continue
-        ns = np.arange(n_lo, n_hi + 1, dtype=float)
+    fam, m1, m2, sign = _mass_combos(Nmax)
+    t0, t1 = _combo(m1, m2, sign, 0.0)[:, None], _combo(m1, m2, sign, MU_MAX)[:, None]
+    n_lo = np.maximum(2, np.floor(np.minimum(t0, t1) / math.sqrt(1 + MU_MAX)) - 1)
+    n_hi = np.minimum(Nmax, np.ceil(np.maximum(t0, t1)) + 1)
+    n = n_lo + np.arange(int((n_hi - n_lo).max()) + 1)    # n_lo..n_hi per row
+    row, j = np.nonzero((n <= n_hi) & ((n - t0) * (math.sqrt(1 + MU_MAX) * n - t1) <= 0.0))
+    n, m1, m2, sign = n[row, j], m1[row], m2[row], sign[row]
 
-        def f(mu):
-            return np.sqrt(1 + mu) * ns - combo(mu)
+    def f(mu):
+        return np.sqrt(1 + mu) * n - _combo(m1, m2, sign, mu)
 
-        fa, fb = f(0.0), f(MU_MAX)
-        bracket = fa * fb <= 0.0
-        if not bracket.any():
-            continue
-        lo = np.zeros_like(ns)
-        hi = np.full_like(ns, MU_MAX)
-        for _ in range(52):
-            mid = 0.5 * (lo + hi)
-            fm = f(mid)
-            left = (f(lo) * fm) <= 0.0
-            hi = np.where(left, mid, hi)
-            lo = np.where(left, lo, mid)
-        mu_star = 0.5 * (lo + hi)
-        for j in np.nonzero(bracket)[0]:
-            n = float(ns[j])
-            ms = float(mu_star[j])
-            # |f'| >= n/(2 om1) - sum 1/(2 om_m) >= 0.4 n for the scanned combos
-            h = 1e-6
-            slope = abs((math.sqrt(1 + ms + h) * n - float(combo(ms + h)))
-                        - (math.sqrt(1 + ms) * n - float(combo(ms)))) / h
-            slope = max(slope, 0.3 * n)
-            width = 2 * gamma * n ** (-tau0) / slope
-            out.append((float(ms), width, (fam, int(n)) + idx))
-    return out
+    lo, hi = np.zeros(n.size), np.full(n.size, MU_MAX)
+    f_lo = f(lo)
+    for _ in range(52):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        left = (f_lo * fm) <= 0.0
+        hi = np.where(left, mid, hi)
+        lo, f_lo = np.where(left, lo, mid), np.where(left, f_lo, fm)
+    ms = 0.5 * (lo + hi)
+    # |f'| >= n/(2 om1) - sum 1/(2 om_m) >= 0.4 n for the scanned combos
+    h = 1e-6
+    slope = np.abs((np.sqrt(1 + ms + h) * n - _combo(m1, m2, sign, ms + h)) - f(ms)) / h
+    n_tau = np.array([k ** (-tau0) for k in n.tolist()])     # Python's pow
+    width = 2 * gamma * n_tau / np.maximum(slope, 0.3 * n)
+    return [(c, w, (_FAMILIES[fa], k, a) + ((b,) if fa else ()))
+            for c, w, fa, k, a, b in zip(ms.tolist(), width.tolist(), fam[row].tolist(),
+                                         n.astype(int).tolist(), m1.tolist(), m2.tolist())]
 
 
 def _merge_length(intervals: list[tuple[float, float]], lo: float, hi: float
@@ -475,7 +467,9 @@ def measure_cantor(params: ModelParams, window: float, grid: int,
     summed widths of the analytically located near-resonance intervals plus
     the explicit n > Nmax tail (a 10^3 grid cannot resolve widths that reach
     down to gamma Nmax^-tau0-1).  worst["rejected"] lists each grid eps that
-    check_cantor rejects as (eps, family, location, margin, threshold).
+    check_cantor rejects as (eps, family, location, margin, threshold), and
+    each eps whose cubic coefficient A is not > 0 even from the zero start
+    (SignExcludedError) as (eps, "sign", None, A, 0.0).
     The grid is solved at eps0 = min(2 window, 0.9) when the params' eps0 is
     below window; a window that this eps0 does not cover, or a grid below 1,
     raises ValueError before any eps is solved.
@@ -511,6 +505,9 @@ def measure_cantor(params: ModelParams, window: float, grid: int,
                 nu, info = solve_nu(pw, e, K)
         except NonConvergenceError:
             nonconv += 1
+            continue
+        except SignExcludedError as exc:
+            rejected.append((e, "sign", None, exc.A, 0.0))
             continue
         solved = [*solved[-1:], (e, info["values"])]
         marg = {}

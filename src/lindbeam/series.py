@@ -53,6 +53,10 @@ DECAY_M_FLOOR = 3.0         # least m-decay power decay_check accepts
 class SignExcludedError(ValueError):
     """Cubic coefficient A <= 0 on this branch; the mirrored branch has A > 0."""
 
+    def __init__(self, message: str, A: float = math.nan):
+        super().__init__(message)
+        self.A = A          # the coefficient, nan when the raiser gave none
+
 
 class NonConvergenceError(RuntimeError):
     pass
@@ -384,7 +388,8 @@ def solve_amplitude(params: ModelParams, eps: float, nu: NuTable | None,
     if A[0] / beta <= 0.0:
         raise SignExcludedError(
             f"cubic coefficient A = {A[0] / beta:.3e} <= 0 on branch "
-            f"{params.omega_branch:+d}; use omega_branch = {-params.omega_branch:+d}")
+            f"{params.omega_branch:+d}; use omega_branch = {-params.omega_branch:+d}",
+            A[0] / beta)
 
     def rhs_of_s(s):
         # beta = sum_j eta^{j-1} A_j s^{(j+1)/2} ... only odd j contribute
@@ -423,9 +428,8 @@ def lambda_modes(params: ModelParams) -> list[tuple[int, int]]:
     return mode_set(params.mu, params.eps0, params.Mmax, params.Nmax).modes()
 
 
-def solve_nu(params: ModelParams, eps: float, K: int,
-             use_trees: bool = False, *, start: np.ndarray | None = None
-             ) -> tuple[NuTable, dict]:
+def solve_nu(params: ModelParams, eps: float, K: int, *,
+             start: np.ndarray | None = None) -> tuple[NuTable, dict]:
     """Fixed point of the shift equation nu = sum_{k<=K} eta^k l^(k)(eps, nu).
 
     Each sweep re-solves the amplitude and rebuilds the counterterms at the
@@ -433,10 +437,10 @@ def solve_nu(params: ModelParams, eps: float, K: int,
     order-2 counterterm with the amplitude solved at its cubic order (exact
     for K = 2; at K = 3 the dropped quintic term shifts q, and hence nu, at
     relative order eps); their sweeps run on arrays over the ModeSet and the
-    tables are built once, at exit.  use_trees or K > 3 switches to tree
-    enumeration with the fully truncated amplitude equation.  The modes are
-    those of the params' cutoffs; a closed-form sweep at a negative on-shell
-    radicand m^4 + mu + n nu raises NonConvergenceError.
+    tables are built once, at exit.  K > 3 switches to tree enumeration
+    with the fully truncated amplitude equation.  The modes are those of the
+    params' cutoffs; a closed-form sweep at a negative on-shell radicand
+    m^4 + mu + n nu raises NonConvergenceError.
 
     The sweeps start from nu = 0, or from start, the values of nu on the
     modes (the order of info["values"], which holds the solution's).  The
@@ -458,7 +462,7 @@ def solve_nu(params: ModelParams, eps: float, K: int,
     eta = math.sqrt(eps)
     info = {"sweeps": 0, "converged": False, "q": 0.0, "modes": len(ms)}
     lt = CountertermTable()
-    fast = not use_trees and K <= 3
+    fast = K <= 3
     odd = np.arange(1, params.Mmax + 1, 2)
     rows, idx2 = _cubic_rows(params, eps, odd), ms.index(2, odd)
     flat = np.zeros(ms.size + 1)      # each sweep's n*nu; nothing returned holds it
@@ -474,7 +478,7 @@ def solve_nu(params: ModelParams, eps: float, K: int,
                 if A <= 0.0:
                     raise SignExcludedError(
                         f"cubic coefficient A = {A:.3e} <= 0 on branch "
-                        f"{params.omega_branch:+d}")
+                        f"{params.omega_branch:+d}", A)
                 q = math.sqrt(1.0 / A)
             try:
                 l2 = counterterm_order2_closed(params, eps, shift, q, ms)

@@ -445,12 +445,9 @@ class _Columns:
     """
 
     def __init__(self, f: _Family):
-        for c, dt in (("kind", np.int8), ("ttype", np.int8), ("sv", np.int8),
-                      ("kv", np.int8), ("n", np.int16), ("m", np.int16), ("mode", np.int16),
-                      ("size", np.int16), ("line_row", np.int16), ("pair_row", np.int16),
-                      ("cand_row", np.int16), ("special", np.int16)):
-            setattr(self, c, np.frombuffer(getattr(f, c).obj, dtype=dt))
-        for c in ("start", "mult", "line_start", "pair_start", "cand_start"):
+        for c in ("kind", "ttype", "sv", "kv", "n", "m", "mode", "size", "line_row",
+                  "pair_row", "cand_row", "special", "start", "mult", "line_start",
+                  "pair_start", "cand_start"):
             setattr(self, c, np.frombuffer(getattr(f, c).obj, dtype=getattr(f, c).format))
         R, kind, n, m = len(self.sv), self.kind, self.n, self.m
         two = np.flatnonzero(self.sv == 2)

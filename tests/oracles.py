@@ -15,7 +15,9 @@ of the structural candidates the compiled families store.  Last, the tree
 walks and the scale-h propagator slice that only the tests read, with the
 per-tree walk of the renormalized supports, the per-assignment counting
 route (`profile`, `_count`) that `bruno.violations` is tested on, and the
-per-m scan of the Melnikov margins (`_melnikov_oracle`), and the per-node
+per-m scan of the Melnikov margins (`_melnikov_oracle`), the mass
+conditions as one closure each with a bisection per closure
+(`mass_margins_oracle`, `mass_exclusion_intervals_oracle`), and the per-node
 derivation of a table's row layout (`_node_rows`, `_line_slots`,
 `_layout`) that `trees._laid` is checked against.
 """
@@ -29,6 +31,7 @@ from functools import partial
 import numpy as np
 
 from lindbeam.bruno import BrunoViolation
+from lindbeam.diophantine import MU_MAX, _mstar_single
 from lindbeam.kernel import kernel_v
 from lindbeam.spectrum import (
     ModelParams,
@@ -690,6 +693,90 @@ def _cleared(margins, below):
     for fam in ("first", "second"):
         if out[fam] >= below:
             out[fam], out[f"{fam}_at"] = math.inf, None
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the mass conditions one combination at a time, as closures
+
+def _mass_combos(Nmax):
+    """(family, index tuple, combo(mu) callable) for all condition families:
+    "single" (m,) omega_m, "diff" (m1, m2) omega_m1 - omega_m2 and "sum"
+    (m1, m2) omega_m1 + omega_m2."""
+    combos = []
+    mstar = _mstar_single(Nmax)
+    bound = (1 + MU_MAX) * Nmax + 3
+    for m in range(2, mstar + 1):
+        combos.append(("single", (m,), lambda mu, m=m: omega(m, mu)))
+    m2 = 2
+    while 2 * m2 + 1 <= bound:
+        m1 = m2 + 1
+        while m1 * m1 - m2 * m2 <= bound:
+            combos.append(("diff", (m1, m2),
+                           lambda mu, m1=m1, m2=m2: omega(m1, mu) - omega(m2, mu)))
+            m1 += 1
+        m2 += 1
+    for m2 in range(2, mstar + 1):
+        for m1 in range(m2, mstar + 1):
+            if m1 * m1 + m2 * m2 > bound:
+                break
+            combos.append(("sum", (m1, m2),
+                           lambda mu, m1=m1, m2=m2: omega(m1, mu) + omega(m2, mu)))
+    return combos
+
+
+def mass_margins_oracle(mu, tau0, Nmax):
+    """`diophantine.mass_margins`, one closure at a time."""
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    om1 = np.sqrt(1.0 + mu)
+    best = {fam: np.full(mu.shape, np.inf) for fam in ("single", "diff", "sum")}
+    for fam, _, combo in _mass_combos(Nmax):
+        target = combo(mu)
+        base = np.rint(target / om1)
+        for dn in (-1.0, 0.0, 1.0):
+            n = base + dn
+            valid = (n >= 1) & (n <= Nmax)
+            if valid.any():
+                margin = np.where(valid, np.abs(om1 * n - target) * n ** tau0, np.inf)
+                best[fam] = np.minimum(best[fam], margin)
+    return list(best.values())
+
+
+def mass_exclusion_intervals_oracle(gamma, tau0, Nmax):
+    """`diophantine.mass_exclusion_intervals`, one bisection per closure."""
+    out = []
+    for fam, idx, combo in _mass_combos(Nmax):
+        t0, t1 = float(combo(0.0)), float(combo(MU_MAX))
+        n_lo = max(2, int(math.floor(min(t0, t1) / math.sqrt(1 + MU_MAX))) - 1)
+        n_hi = min(Nmax, int(math.ceil(max(t0, t1))) + 1)
+        if n_hi < n_lo:
+            continue
+        ns = np.arange(n_lo, n_hi + 1, dtype=float)
+
+        def f(mu):
+            return np.sqrt(1 + mu) * ns - combo(mu)
+
+        bracket = f(0.0) * f(MU_MAX) <= 0.0
+        if not bracket.any():
+            continue
+        lo = np.zeros_like(ns)
+        hi = np.full_like(ns, MU_MAX)
+        for _ in range(52):
+            mid = 0.5 * (lo + hi)
+            fm = f(mid)
+            left = (f(lo) * fm) <= 0.0
+            hi = np.where(left, mid, hi)
+            lo = np.where(left, lo, mid)
+        mu_star = 0.5 * (lo + hi)
+        for j in np.nonzero(bracket)[0]:
+            n = float(ns[j])
+            ms = float(mu_star[j])
+            h = 1e-6
+            slope = abs((math.sqrt(1 + ms + h) * n - float(combo(ms + h)))
+                        - (math.sqrt(1 + ms) * n - float(combo(ms)))) / h
+            slope = max(slope, 0.3 * n)
+            width = 2 * gamma * n ** (-tau0) / slope
+            out.append((float(ms), width, (fam, int(n)) + idx))
     return out
 
 

@@ -395,6 +395,18 @@ def test_dioph_measure_exits_1_when_not_monotone(tmp_path, capsys):
     assert [r["window"] for r in rows] == ["0.3", "0.075", "0.01875"]
 
 
+def test_dioph_measure_counts_sign_exclusions(tmp_path, capsys):
+    # on branch -1 at eps0 = 0.9 the cubic coefficient turns negative near
+    # eps = 0.41: the scan lists that eps as excluded instead of aborting
+    assert main(["--outdir", str(tmp_path / "out"), "--omega-branch", "-1", "--eps0", "0.9",
+                 "--nu-cap", "0.45", "--window", "0.45", "--grid", "12",
+                 "dioph", "measure"]) == 1
+    assert "NOT monotone" in capsys.readouterr().out
+    rows = list(csv.DictReader(open(tmp_path / "out" / "dioph_measure.csv")))
+    assert [r["window"] for r in rows] == ["0.45", "0.1125", "0.028125"]
+    assert rows[0]["grid_fail_fraction"] == "1.0"
+
+
 def test_bruno_subcommand(tmp_path):
     cfg = write_cfg(tmp_path)
     assert main(["--config", cfg, "--samples", "3", "bruno", "check"]) == 0

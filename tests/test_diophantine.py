@@ -30,7 +30,12 @@ from lindbeam.spectrum import (
     omega,
     omega_eff,
 )
-from oracles import _cleared, _melnikov_oracle
+from oracles import (
+    _cleared,
+    _melnikov_oracle,
+    mass_exclusion_intervals_oracle,
+    mass_margins_oracle,
+)
 
 G = 2.0 ** -6
 P = ModelParams(a=1.0, b=0.5, mu=0.1, eps0=0.02, omega_branch=-1, Mmax=64, Nmax=300)
@@ -88,6 +93,24 @@ def test_mass_exclusion_localization():
         else:
             _, n, m1, m2 = tag
             assert m1 ** 2 + m2 ** 2 <= 1.2 * n + 3
+
+
+def test_mass_margins_equal_the_closure_route():
+    mu = (np.arange(2000) + 0.5) / 2000 * MU_MAX
+    for got, want in zip(mass_margins(mu, 4.0, 500), mass_margins_oracle(mu, 4.0, 500),
+                         strict=True):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("Nmax", [120, 300, 500])
+def test_mass_intervals_equal_the_closure_route(Nmax):
+    for gamma in (2.0 ** -6, 2.0 ** -8):
+        got = mass_exclusion_intervals(gamma, 4.0, Nmax)
+        want = mass_exclusion_intervals_oracle(gamma, 4.0, Nmax)
+        assert [r[2] for r in got] == [r[2] for r in want]
+        for col in (0, 1):
+            assert np.array([r[col] for r in got]).tobytes() == \
+                np.array([r[col] for r in want]).tobytes()
 
 
 def test_melnikov_pass_and_constructed_failure():
@@ -419,6 +442,18 @@ def test_measure_cantor_falls_back_to_the_zero_start(monkeypatch, params, window
     monkeypatch.setattr(series, "solve_nu", failing_start)
     assert measure_cantor(params, window, grid) == want
     assert len(started) == grid - 1        # every eps after the first, solved
+
+
+def test_measure_cantor_lists_sign_exclusions():
+    # at eps = 0.43125 the cubic coefficient is negative even from nu = 0:
+    # the eps is rejected with the coefficient and counted, not raised
+    pw = ModelParams(omega_branch=-1, eps0=0.9, nu_cap=0.45)
+    with pytest.raises(series.SignExcludedError) as err:
+        solve_nu(pw, 0.43125, 2)
+    rep = measure_cantor(pw, 0.45, 12)
+    assert rep.worst["rejected"] == [(0.43125, "sign", None, err.value.A, 0.0)]
+    assert err.value.A < 0.0
+    assert rep.fail_fraction == (1 + rep.worst["nonconverged"]) / 12 == 1.0
 
 
 def _order2_closed_broadcast(params, eps, shift, q, ms):

@@ -36,7 +36,7 @@ from lindbeam.spectrum import (
     omega_eff,
     propagator,
 )
-from lindbeam.trees import counterterm_order2_closed
+from lindbeam.trees import counterterm_order2_closed, counterterm_table
 from oracles import scaled_propagator
 
 P = ModelParams(a=1.0, b=0.5, mu=0.1, eps0=0.02, omega_branch=-1, Mmax=64, Nmax=300)
@@ -405,12 +405,16 @@ def test_solve_nu_fixed_point():
     nu2, _ = solve_nu(P, EPS / 2, 2)
     ratio = nu.sup_norm() / nu2.sup_norm()
     assert 1.6 < ratio < 2.4
-    # fast closed-form path agrees with the generic tree-built path
+    # the closed-form solution is a fixed point of the tree-built sweep:
+    # its amplitude and eta^2 l^(2) from the enumerated trees reproduce it
     small = P.with_(Mmax=9, Nmax=60)
-    nu_f, _ = solve_nu(small, EPS, 2)
-    nu_t, _ = solve_nu(small, EPS, 2, use_trees=True)
+    nu_f, info = solve_nu(small, EPS, 2)
+    q = solve_amplitude(small, EPS, nu_f, CountertermTable(), 2)
+    assert q == pytest.approx(info["q"], rel=1e-12)
+    lt = counterterm_table(small, EPS, nu_f, q, (2,), lambda_modes(small))
     for (n, m), v in nu_f.items():
-        assert nu_t.get(n, m) == pytest.approx(v, rel=1e-10, abs=1e-15)
+        assert math.sqrt(EPS) ** 2 * lt.aggregate(2, n, m) == pytest.approx(v, rel=1e-10,
+                                                                              abs=1e-15)
 
 
 def test_solve_nu_rejects_bad_eps():

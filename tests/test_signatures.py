@@ -176,3 +176,14 @@ def test_only_measure_cantor_starts_the_shift_sweeps_away_from_zero():
         return name == "solve_nu" and any(k.arg in ("start", None) for k in node.keywords)
 
     assert _sites(passes_start) == [("diophantine", "measure_cantor")]
+
+
+def test_mass_conditions_are_data_and_solve_nu_picks_its_route_by_K():
+    # the mass conditions are rows of a table, not closures, and the shift
+    # fixed point has no switch of route beside its order K
+    dioph = ast.parse((SRC / "diophantine.py").read_text())
+    assert not [n.lineno for n in ast.walk(dioph) if isinstance(n, ast.Lambda)]
+    series = ast.parse((SRC / "series.py").read_text())
+    fn = next(n for n in series.body if isinstance(n, ast.FunctionDef) and n.name == "solve_nu")
+    assert [p.arg for p in (*fn.args.posonlyargs, *fn.args.args)] == ["params", "eps", "K"]
+    assert [p.arg for p in fn.args.kwonlyargs] == ["start"]
