@@ -185,6 +185,17 @@ def _merge_length(intervals: list[tuple[float, float]], lo: float, hi: float
     return total
 
 
+@lru_cache(maxsize=4)
+def _mass_grid(tau0: float, grid: int, Nmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """measure_mass_complement's mu grid and the least margin of the three
+    families on it, read-only: it does not depend on gamma, so the scans of
+    one grid at several gammas share it."""
+    mu = (np.arange(grid) + 0.5) / grid * MU_MAX
+    worst = np.minimum.reduce(mass_margins(mu, tau0, Nmax))
+    mu.flags.writeable = worst.flags.writeable = False
+    return mu, worst
+
+
 def measure_mass_complement(gamma: float, tau0: float, grid: int, Nmax: int
                             ) -> DiophReport:
     """Estimate of the excluded mass measure in [0, 1/8].
@@ -196,8 +207,7 @@ def measure_mass_complement(gamma: float, tau0: float, grid: int, Nmax: int
     """
     if grid < 1000:
         raise ValueError("grid must be >= 1e3")
-    mu = (np.arange(grid) + 0.5) / grid * MU_MAX
-    worst = np.minimum.reduce(mass_margins(mu, tau0, Nmax))
+    mu, worst = _mass_grid(tau0, grid, Nmax)
     frac = float((worst < gamma).mean())
     ivs = mass_exclusion_intervals(gamma, tau0, Nmax)
     est = _merge_length([(c, w) for (c, w, _) in ivs], 0.0, MU_MAX)
@@ -447,16 +457,15 @@ def _cantor_exclusion_widths(params: ModelParams, window: float
 
 def _continuation(solved: list, eps: float) -> np.ndarray | None:
     """The start of the shift sweeps at eps from the solutions solved, a list
-    of up to two (eps, nu on the modes) in grid order: none from no solution,
-    the last one scaled by eps / eps_prev from one, and their linear
-    extrapolation in eps from two."""
+    of (eps, nu on the modes) in grid order: none from no solution, else the
+    Lagrange extrapolation in eps through (0, 0) and the last four solutions
+    (nu = eps l^(2) vanishes at eps = 0).  From one solution this is the last
+    one scaled by eps / eps_prev."""
     if not solved:
         return None
-    if len(solved) == 1:
-        (e1, v1), = solved
-        return v1 * (eps / e1)
-    (e1, v1), (e2, v2) = solved
-    return v2 + (v2 - v1) * ((eps - e2) / (e2 - e1))
+    last = solved[-4:]
+    nodes = [0.0, *(e for e, _ in last)]
+    return sum(math.prod((eps - x) / (e - x) for x in nodes if x != e) * v for e, v in last)
 
 
 def measure_cantor(params: ModelParams, window: float, grid: int,
@@ -475,11 +484,11 @@ def measure_cantor(params: ModelParams, window: float, grid: int,
     raises ValueError before any eps is solved.
 
     nu(eps) is smooth between exclusions, so the shift fixed point is
-    continued along the grid: each eps starts its sweeps from the linear
-    extrapolation in eps of the last two solutions (the last one scaled by
-    eps / eps_prev after the first, nu = 0 before it).  A start whose sweeps
-    fail is dropped and that eps solved again from nu = 0, so no eps fails
-    that the zero start solves.  A solution ends within about NU_TOL of the
+    continued along the grid: each eps starts its sweeps from the Lagrange
+    extrapolation in eps through nu(0) = 0 and the last four solutions (nu = 0
+    at the first eps, fewer nodes until four eps are solved).  A start whose
+    sweeps fail is dropped and that eps solved again from nu = 0, so no eps
+    fails that the zero start solves.  A solution ends within about NU_TOL of the
     zero start's (1e-11 = NU_TOL / 10 on the tested windows), not on its bits.
     """
     from .series import NonConvergenceError, SignExcludedError, solve_nu
@@ -493,7 +502,7 @@ def measure_cantor(params: ModelParams, window: float, grid: int,
     eps_grid = (np.arange(grid) + 0.5) / grid * window
     rejected = []
     nonconv = 0
-    solved = []                 # the last two (eps, nu on the modes) solved
+    solved = []                 # the last four (eps, nu on the modes) solved
     for e in eps_grid.tolist():
         start = _continuation(solved, e)
         try:
@@ -509,7 +518,7 @@ def measure_cantor(params: ModelParams, window: float, grid: int,
         except SignExcludedError as exc:
             rejected.append((e, "sign", None, exc.A, 0.0))
             continue
-        solved = [*solved[-1:], (e, info["values"])]
+        solved = [*solved[-3:], (e, info["values"])]
         marg = {}
         if not check_cantor(e, nu, pw, margins=marg):
             rejected.append((e, *cantor_failure(marg, pw.gamma)))

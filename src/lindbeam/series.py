@@ -53,9 +53,10 @@ DECAY_M_FLOOR = 3.0         # least m-decay power decay_check accepts
 class SignExcludedError(ValueError):
     """Cubic coefficient A <= 0 on this branch; the mirrored branch has A > 0."""
 
-    def __init__(self, message: str, A: float = math.nan):
-        super().__init__(message)
-        self.A = A          # the coefficient, nan when the raiser gave none
+    def __init__(self, A: float, branch: int):
+        super().__init__(f"cubic coefficient A = {A:.3e} <= 0 on branch {branch:+d}; "
+                         f"use omega_branch = {-branch:+d}")
+        self.A, self.branch = A, branch
 
 
 class NonConvergenceError(RuntimeError):
@@ -386,10 +387,7 @@ def solve_amplitude(params: ModelParams, eps: float, nu: NuTable | None,
     beta = _beta(params, eps)
     A = amplitude_series(params, eps, nu, counterterms, K)
     if A[0] / beta <= 0.0:
-        raise SignExcludedError(
-            f"cubic coefficient A = {A[0] / beta:.3e} <= 0 on branch "
-            f"{params.omega_branch:+d}; use omega_branch = {-params.omega_branch:+d}",
-            A[0] / beta)
+        raise SignExcludedError(A[0] / beta, params.omega_branch)
 
     def rhs_of_s(s):
         # beta = sum_j eta^{j-1} A_j s^{(j+1)/2} ... only odd j contribute
@@ -476,9 +474,7 @@ def solve_nu(params: ModelParams, eps: float, K: int, *,
             else:
                 A = _cubic_coefficient(params, eps, odd, shift[idx2], rows)
                 if A <= 0.0:
-                    raise SignExcludedError(
-                        f"cubic coefficient A = {A:.3e} <= 0 on branch "
-                        f"{params.omega_branch:+d}", A)
+                    raise SignExcludedError(A, params.omega_branch)
                 q = math.sqrt(1.0 / A)
             try:
                 l2 = counterterm_order2_closed(params, eps, shift, q, ms)

@@ -131,7 +131,7 @@ def test_malformed_input_exit_2(tmp_path, capsys, args):
 @pytest.mark.parametrize("exc, code", [
     (ConfigError("bad key"), 2),
     (ValueError("bad value"), 2),
-    (SignExcludedError("wrong sign"), 2),
+    (SignExcludedError(-1.0, 1), 2),
     (DegenerateRadicandError("radicand <= 0"), 2),
     (InconsistentInputsError("tables disagree"), 2),
     (NotADirectoryError("not a directory"), 2),

@@ -79,6 +79,20 @@ def test_measure_mass_bound_and_linearity():
     assert reps[2.0 ** -6] >= reps[2.0 ** -7] >= reps[2.0 ** -8]
 
 
+def test_mass_scans_share_one_read_only_margin_grid():
+    # the worst margins do not depend on gamma: three scans compute them once
+    diophantine._mass_grid.cache_clear()
+    reps = [measure_mass_complement(g, 4.0, 1000, 120) for g in (G, G / 2, G / 4)]
+    assert diophantine._mass_grid.cache_info().misses == 1
+    mu, worst = diophantine._mass_grid(4.0, 1000, 120)
+    assert not mu.flags.writeable and not worst.flags.writeable
+    want = np.minimum.reduce(mass_margins((np.arange(1000) + 0.5) / 1000 * MU_MAX, 4.0, 120))
+    assert worst.tobytes() == want.tobytes()
+    for g, rep in zip((G, G / 2, G / 4), reps):
+        assert rep.fail_fraction == float((want < g).mean())
+        assert rep.worst["min_margin"] == float(want.min())
+
+
 def test_mass_exclusion_localization():
     ivs = mass_exclusion_intervals(G, 4.0, 300)
     assert ivs
@@ -391,6 +405,8 @@ def test_pruned_pair_scan_matches_full_scan_on_the_benchmark_model(cantor_solved
 
 # how far measure_cantor's continued nu may lie from the zero start's
 NU_CONTINUATION_TOL = series.NU_TOL / 10
+# the most shift sweeps a continued scan of 60 eps may take, 1.5 per eps
+CONTINUED_SCAN_SWEEPS = 90
 
 
 def _scan(monkeypatch, params, window, grid, cold):
@@ -424,6 +440,38 @@ def test_continued_scan_equals_the_zero_start_scan(monkeypatch, window):
     for eps, vals in nus.items():
         assert np.max(np.abs(vals - cold_nus[eps])) <= NU_CONTINUATION_TOL, eps
     assert sweeps < cold_sweeps
+    assert sweeps <= CONTINUED_SCAN_SWEEPS
+
+
+def test_continuation_starts_from_zero_then_scales_the_one_solution():
+    assert diophantine._continuation([], 0.3) is None
+    v1 = np.array([1.5e-3, -2.0e-4, 7.0e-6])
+    got = diophantine._continuation([(0.01, v1)], 0.015)
+    np.testing.assert_allclose(got, v1 * (0.015 / 0.01), rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_continuation_is_exact_on_polynomials_through_zero(degree):
+    # four unevenly spaced nodes (a skipped eps leaves a gap) reproduce a
+    # polynomial of degree <= 4 with p(0) = 0, one per mode
+    coef = np.array([[2.0, -1.0, 3.0], [-40.0, 15.0, 8.0], [300.0, -90.0, 20.0],
+                     [-900.0, 400.0, -70.0]])[:degree]
+
+    def p(e):
+        return sum(c * e ** (k + 1) for k, c in enumerate(coef))
+
+    nodes = [0.0125, 0.0175, 0.0225, 0.0325]
+    got = diophantine._continuation([(e, p(e)) for e in nodes], 0.0375)
+    want = p(0.0375)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
+
+def test_continuation_reads_only_the_last_four_solutions():
+    rng = np.random.default_rng(3)
+    solved = [(e, rng.standard_normal(5)) for e in (0.01, 0.02, 0.03, 0.04, 0.05, 0.06)]
+    want = diophantine._continuation(solved[-4:], 0.07)
+    garbled = [(e, np.full(5, np.nan)) for e, _ in solved[:2]] + solved[2:]
+    assert diophantine._continuation(garbled, 0.07).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("params, window, grid", [(CANTOR_P, 0.08, 60),

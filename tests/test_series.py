@@ -373,6 +373,20 @@ def test_amplitude_sign_excluded_on_plus_branch():
         solve_amplitude(P.with_(omega_branch=1), EPS, None, None, 2)
 
 
+@pytest.mark.filterwarnings("ignore:convolution mass beyond")
+@pytest.mark.parametrize("K", [2, 4])
+def test_sign_exclusion_reads_the_same_from_both_routes(K):
+    # the K <= 3 sweep of solve_nu and solve_amplitude (K > 3) name the
+    # coefficient, the branch and the branch to use, in one wording
+    pp = P.with_(omega_branch=1, Mmax=5, Nmax=60)
+    with pytest.raises(SignExcludedError) as err:
+        solve_nu(pp, EPS, K)
+    A = err.value.A
+    assert A < 0.0 and err.value.branch == 1
+    assert str(err.value) == (f"cubic coefficient A = {A:.3e} <= 0 on branch +1; "
+                              "use omega_branch = -1")
+
+
 def test_solve_amplitude_root_and_residual():
     q = solve_amplitude(P, EPS, None, None, 2)
     A = amplitude_cubic_coefficient(P, EPS)
