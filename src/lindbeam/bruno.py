@@ -75,7 +75,7 @@ def violations(f: _Family, row_tree: np.ndarray, labels: np.ndarray,
 
 def _check(tree: Tree, asg: dict, params: ModelParams, raise_on_fail: bool) -> bool:
     """The verdict of `violations` on the assignment's table row."""
-    f, t = tree._compiled()
+    f, t = tree._fam, tree._t
     row = np.array([[asg.get(i, -1) for i in f.lines(t).tolist()]])
     for _, h, lhs, rhs, K in violations(f, np.array([t]), row, params):
         if raise_on_fail:

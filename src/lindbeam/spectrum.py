@@ -145,7 +145,7 @@ class NuTable:
 
     def __init__(self, entries=None):
         self._flat = None   # (ModeSet, its flat n*nu) of a ModeSet.nu_table table
-        self._key = None    # the trees point-table key, built on first use
+        self._point_args = None     # the trees point-table key, built on first use
         self._src = None    # (ModeSet, values on its modes) that _d is built from
         if entries:
             for (n, m), v in dict(entries).items():
@@ -168,7 +168,7 @@ class NuTable:
             raise ValueError("no frequency shift at the primary mode (+-1, 1)")
         key = (abs(n), m)
         self._d[key] = float(value) * (1 if n > 0 else -1)
-        self._flat = self._key = None
+        self._flat = self._point_args = None
 
     def get(self, n: int, m: int) -> float:
         if n == 0:
@@ -257,39 +257,21 @@ def _row_propagator(n: int, m: np.ndarray, lin: float, om_sq: np.ndarray, n_nu=0
 
 
 def _smoothstep(t):
-    """C-infinity step: 0 for t<=0, 1 for t>=1, built from exp(-1/t).
-
-    Python and numpy float scalars skip the array machinery.  Their
-    exponentials still come from numpy: math.exp differs from numpy's exp in
-    the last bit for some arguments, and a scalar must get the value its
-    array entry gets.
-    """
-    if isinstance(t, (float, int)):
-        if t <= 0.0:
-            return 0.0
-        if t >= 1.0:
-            return 1.0
-        f = float(np.exp(-1.0 / t))
-        g = float(np.exp(-1.0 / (1.0 - t)))
-        return f / (f + g)
+    """C-infinity step: 0 for t<=0, 1 for t>=1, built from exp(-1/t); NaN
+    stays NaN.  A float for a scalar t."""
     t = np.asarray(t, dtype=float)
-    lo = t <= 0.0
-    hi = t >= 1.0
-    mid = ~(lo | hi)
-    out = np.where(hi, 1.0, 0.0)
-    if np.any(mid):
+    mid = ~((t <= 0.0) | (t >= 1.0))
+    out = np.where(t >= 1.0, 1.0, 0.0)
+    if mid.any():
         tm = t[mid]
         f = np.exp(-1.0 / tm)
         g = np.exp(-1.0 / (1.0 - tm))
-        out = out.astype(float)
         out[mid] = f / (f + g)
     return out if out.shape else float(out)
 
 
 def chi(x, gamma: float):
     """Smooth even cutoff: 0 for |x| <= gamma, 1 for |x| >= 2 gamma."""
-    if isinstance(x, (float, int)):
-        return _smoothstep((abs(x) - gamma) / gamma)
     return _smoothstep((np.abs(x) - gamma) / gamma)
 
 
@@ -300,26 +282,18 @@ def chi_h(x, h, gamma: float):
     dyadic shell 2^{-h-1} gamma <= |x| <= 2^{-h+1} gamma.  For every x != 0,
     sum_{h=-1}^{H} chi_h(x) = 1 exactly once 2^{-H} gamma < |x|.  An int
     array h broadcasts against x; each entry gets the value of its scalar h.
+    A float for a scalar x and h.
     """
-    if np.ndim(h):
-        h = np.asarray(h)
-        if (h < -1).any():
-            raise ValueError("scale index must be >= -1")
-        x = np.broadcast_to(np.asarray(x, dtype=float), np.broadcast_shapes(np.shape(x), h.shape))
-        c = chi(np.stack([x, np.ldexp(x, h + 1), np.ldexp(x, h)]), gamma)
-        return np.where(h == -1, c[0], c[1] - c[2])
-    if h < -1:
+    h = np.asarray(h)
+    if (h < -1).any():
         raise ValueError("scale index must be >= -1")
-    if h == -1:
-        return chi(x, gamma)
-    if isinstance(x, (float, int)):
-        try:
-            return chi(math.ldexp(x, h + 1), gamma) - chi(math.ldexp(x, h), gamma)
-        except OverflowError:
-            pass    # math.ldexp raises where numpy's saturates to inf
     x = np.asarray(x, dtype=float)
-    # chibar = 1 - chi is the small-divisor cutoff; telescoping differences
-    return chi(np.ldexp(x, h + 1), gamma) - chi(np.ldexp(x, h), gamma)
+    # chibar = 1 - chi is the small-divisor cutoff; telescoping differences,
+    # of which chi_{-1} = chi(x 2^0) keeps the first
+    with np.errstate(over="ignore"):
+        c = chi(np.stack([np.ldexp(x, h + 1), np.ldexp(x, h)]), gamma)
+    out = np.where(h == -1, c[0], c[0] - c[1])
+    return out if out.shape else float(out)
 
 
 def chi_support(h: int, gamma: float) -> tuple[float, float]:

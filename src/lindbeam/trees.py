@@ -114,11 +114,6 @@ class TNode:
     children: tuple = ()
 
 
-def _key(nd: TNode):
-    return (nd.kind, nd.ttype, nd.sv, nd.kv, nd.n, nd.m,
-            tuple(_key(c) for c in nd.children))
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -234,8 +229,9 @@ def _count(key: tuple, Mmax: int, e_mode: tuple | None, memo: dict,
 
 def _unrank(memo: dict, key: tuple, i: int) -> tuple[tuple, int]:
     """Tree i of family key in `_count` order, from the record `_count` left
-    in memo below its cap: its `_key` tuple (children in tuple order) and
-    multiplicity, the number of ordered child arrangements it stands for."""
+    in memo below its cap: its key tuple (kind, ttype, sv, kv, n, m,
+    children), children in tuple order, and multiplicity, the number of
+    ordered child arrangements it stands for."""
     k, n, m, with_e = key
     trees, _, parts = memo[key]
     if not 0 <= i < trees:
@@ -260,15 +256,15 @@ def _unrank(memo: dict, key: tuple, i: int) -> tuple[tuple, int]:
             m1 * m2 * (1 if (kids[0], i1) == (kids[1], i2) else 2))
 
 
-def _preorder(root, kids=itemgetter(6)) -> tuple[list, list]:
-    """Nodes in node-id order (depth first, last child first) and each one's
-    parent id (-1 at the root); kids(node) gives the children (of key tuples)."""
+def _preorder(root: tuple) -> tuple[list, list]:
+    """The nodes of a key tuple in node-id order (depth first, last child
+    first) and each one's parent id (-1 at the root)."""
     nodes, par = [], []
     stack = [(root, -1)]
     while stack:
         nd, p = stack.pop()
         par.append(p)
-        stack.extend((ch, len(nodes)) for ch in kids(nd))
+        stack.extend((ch, len(nodes)) for ch in nd[6])
         nodes.append(nd)
     return nodes, par
 
@@ -286,7 +282,7 @@ def _narrow(top: int) -> str:
 
 class _Family:
     """The trees of one family as flat, read-only integer rows, compiled
-    from (`_key` tuple, multiplicity) per tree.
+    from (key tuple, multiplicity) per tree (`_unrank`).
 
     Node rows run tree after tree, each tree in node-id order, so the node
     with id i of tree t is row start[t] + i and its subtree is the id range
@@ -394,7 +390,7 @@ class _Family:
         return h
 
     def trees(self) -> list["Tree"]:
-        return [Tree._view(self, t) for t in range(self.count)]
+        return [Tree(self, t) for t in range(self.count)]
 
 
 class _Columns:
@@ -406,7 +402,7 @@ class _Columns:
     - line_tree, line_pos, line_mode, max_lines: per line of the family's
       line list its tree, its position in the tree's lines and its mode; the
       most lines of a tree.
-    - mode_n, mode_m: the family's distinct modes (`_Family.modes`).
+    - mode_n: the n of the family's distinct modes (`_Family.modes`).
     - const, consts, const_role, props: each node row's index into the
       family's few row constants, and one more entry, the 1.0 that a
       missing second child reads; consts, a row's weight as far as no point
@@ -424,9 +420,6 @@ class _Columns:
     - clean, special_mode: per tree, whether it has a special end whose
       block no other line repeats the mode of (the family half of
       `_l_conditions`), and the special end's mode (special-end families).
-    - spath, spath_anchor: the node rows of the lines on the path from each
-      special end up to below the root, in the family's own layout, and the
-      special end's mode of each.
 
     And the family's evaluation layout, the rows of a table whose rows are
     its trees, one each; `_laid` lays it over any table's rows:
@@ -470,8 +463,7 @@ class _Columns:
                          ).astype(_narrow(self.max_lines))
         self.line_node = (roots[self.line_tree] + self.line_row).astype(_narrow(R))
         self.line_mode = self.mode[self.line_node].astype(_narrow(len(f.modes)))
-        modes = np.array(f.modes, np.int16).reshape(-1, 2)
-        self.mode_n, self.mode_m = modes[:, 0].copy(), modes[:, 1].copy()
+        self.mode_n = np.array([n for n, _ in f.modes], np.int16)
 
         prop = (kind == NODE) | ((kind == END) & ((np.abs(n) != 1) | (m != 1)))
         if f.is_rtree:
@@ -515,9 +507,6 @@ class _Columns:
                                for s, e in zip(f.start, f.special)], bool)
         self.special_mode = (self.mode[roots + self.special] if f.is_rtree
                              else np.zeros(0, np.int16))
-        e_path = self.walk_line[self.walk_anchor < 0]
-        self.spath = self.line_node[e_path]
-        self.spath_anchor = self.special_mode[self.line_tree[e_path]]
 
         # n under a b-type node: at both its children, kid2 and the row after it
         tb = np.flatnonzero(self.ttype == B)
@@ -593,54 +582,34 @@ def _family(k: int, n: int, m: int, Mmax: int, is_rtree: bool) -> _Family:
 
 
 class Tree:
-    """One labeled tree: a view of a compiled family's rows.
+    """Tree t of a compiled family: a view of its rows.
 
-    TNodes are built only when root, nodes or special is read.
-    Tree(root=...) wraps a hand-built TNode tree; finalize() numbers its
-    nodes (node ids as in a compiled family) and compiles it into a
-    one-tree family.
+    k, n, m, mult and is_rtree are read from the family; TNodes are built
+    only when root, nodes or special is read.
     """
 
-    __slots__ = ("k", "n", "m", "mult", "is_rtree", "_fam", "_t", "_nodes", "_root")
+    __slots__ = ("_fam", "_t", "_nodes")
 
-    def __init__(self, root: TNode, k: int, n: int, m: int, mult: int = 1,
-                 is_rtree: bool = False):
-        self.k, self.n, self.m, self.mult, self.is_rtree = k, n, m, mult, is_rtree
-        self._fam, self._t, self._nodes, self._root = None, 0, None, root
+    def __init__(self, fam: _Family, t: int):
+        self._fam, self._t, self._nodes = fam, t, None
 
-    @classmethod
-    def _view(cls, fam: _Family, t: int) -> "Tree":
-        tree = cls.__new__(cls)
-        (tree.k, tree.n, tree.m), tree.mult, tree.is_rtree = fam.label, fam.mult[t], fam.is_rtree
-        tree._fam, tree._t, tree._nodes, tree._root = fam, t, None, None
-        return tree
+    k = property(lambda self: self._fam.label[0])
+    n = property(lambda self: self._fam.label[1])
+    m = property(lambda self: self._fam.label[2])
+    mult = property(lambda self: self._fam.mult[self._t])
+    is_rtree = property(lambda self: self._fam.is_rtree)
 
     def __repr__(self):
         return (f"Tree(k={self.k}, n={self.n}, m={self.m}, mult={self.mult}, "
                 f"is_rtree={self.is_rtree})")
 
-    def finalize(self) -> "Tree":
-        nodes, _par = _preorder(self._root, lambda nd: nd.children)
-        for i, nd in enumerate(nodes):
-            nd.nid = i
-        self._fam = _Family([(_key(self._root), self.mult)], self.k, self.n, self.m,
-                            self.is_rtree)
-        self._t, self._nodes = 0, nodes
-        return self
-
-    def _compiled(self) -> tuple[_Family, int]:
-        if self._fam is None:
-            self.finalize()
-        return self._fam, self._t
-
     def _scales(self, asg: dict) -> list[int]:
-        f, t = self._compiled()
-        return f.scales(t, asg.keys(), asg.values())
+        return self._fam.scales(self._t, asg.keys(), asg.values())
 
     @property
     def nodes(self) -> list[TNode]:
         if self._nodes is None:
-            f, t = self._compiled()
+            f, t = self._fam, self._t
             s, e = f.start[t], f.start[t + 1]
             nodes = [TNode(i, _KINDS[f.kind[r]], _TTYPES[f.ttype[r]], f.sv[r], f.kv[r],
                            f.n[r], f.m[r]) for i, r in enumerate(range(s, e))]
@@ -651,14 +620,12 @@ class Tree:
 
     @property
     def root(self) -> TNode:
-        return self._root if self._root is not None else self.nodes[0]
+        return self.nodes[0]
 
     @property
     def special(self) -> TNode | None:
-        f, t = self._compiled()
-        e = f.special[t]
+        e = self._fam.special[self._t]
         return self.nodes[e] if e >= 0 else None
-
 
 
 def _tree_family(k: int, n: int, m: int, params: ModelParams, Mmax: int | None) -> _Family:
@@ -710,17 +677,13 @@ class _Modes:
     def __init__(self, pt: "_Point", f: _Family):
         self.f, self.n, self.params, self.Om = f, f.columns().mode_n, pt.params, pt.Om
         self._at = pt.mode_rows(f.modes)
-        self._data, self._weights = pt.mode_data, {}
+        self._data = pt.mode_data
 
     def weights(self, q: float) -> np.ndarray:
         """The family's row constants (`_Columns.consts`) times what the
         point and the primary amplitude q set: a, -b Om^2 or q by role."""
-        w = self._weights.get(q)
-        if w is None:
-            c, p = self.f.columns(), self.params
-            w = self._weights[q] = c.consts * np.array([1.0, p.a, -p.b * self.Om ** 2, q])[
-                c.const_role]
-        return w
+        c, p = self.f.columns(), self.params
+        return c.consts * np.array([1.0, p.a, -p.b * self.Om ** 2, q])[c.const_role]
 
     def __getattr__(self, name: str) -> np.ndarray:
         if name not in _Modes.FIELDS:
@@ -864,9 +827,10 @@ _point_tables = lru_cache(maxsize=4)(_Point)
 def _point(params: ModelParams, eps: float, nu: NuTable | None) -> _Point:
     if nu is None:
         return _point_tables(params, eps, None)
-    if nu._key is None or nu._key[0] is not params or nu._key[1] != eps:
-        nu._key = (params, eps, frozenset(nu.items()))     # NuTable.set drops it
-    return _point_tables(*nu._key)
+    key = nu._point_args
+    if key is None or key[0] is not params or key[1] != eps:
+        key = nu._point_args = (params, eps, frozenset(nu.items()))    # NuTable.set drops it
+    return _point_tables(*key)
 
 
 @dataclass
@@ -1075,7 +1039,7 @@ def admissible_assignments(tree: Tree, params: ModelParams, eps: float,
     2^-h_max floor (effectively resonant point).  Read off the point's
     assignment table of the tree's family.
     """
-    f, t = tree._compiled()
+    f, t = tree._fam, tree._t
     lines = f.lines(t).tolist()
     return [dict(zip(lines, combo))
             for combo in _point(params, eps, nu).table(f, renormalize).combos(t)]
@@ -1156,13 +1120,9 @@ def _row_values(f: _Family, rows: tuple, ctx: EvalCtx, special: bool = False,
     `_Modes.path`: from i's natural frequency for X (on shell for a
     special-end block), on shell for S.  There the entering line
     contributes only n_i into a b-type node, and the other children their
-    values.  S is 0.0 where the block is not subtracted.  Where every row
-    has one block, its special-end block (every row's tree is
-    `_localizable` and no other block is active), X is the loop's own
-    product with the path lines priced on shell and the special end's
-    value 1.
+    values.  S is 0.0 where the block is not subtracted.
     """
-    row_tree, node, first, h = rows
+    _, node, first, h = rows
     c = f.columns()
     line, nb, fac, const, unary, kids, inner, fk, off, plain = (
         setup or _setup(f, rows, ctx.point))
@@ -1186,16 +1146,6 @@ def _row_values(f: _Family, rows: tuple, ctx: EvalCtx, special: bool = False,
         val[unary] = _tabulated((c.mode[u].astype(np.int64) * ks + c.kv[u]) * hs + hu + 1,
                                 shift_weight)
     w = val[inner]              # the weights of the nodes above the ends, level by level
-    end = None
-    if blocks is not None and len(blocks[0]) == len(row_tree) and blocks[3].all():
-        # one special-end block per row and no other: its X is the row's
-        # own product with the special end's path priced on shell and the
-        # special end's value 1
-        i, blocks = blocks[1], None
-        at, j, _ = _laid(c, rows, c.spath)
-        fac = fac.copy()
-        fac[at] = nb[at] * a.path(c.mode[node[at]], h[at], c.spath_anchor[j], True)
-        fk, end, val[i] = fac[kids], val[i], 1.0
     if blocks is not None:
         o, i, sub, x_shell = blocks
         path, blk = _paths(c, node, o, i)
@@ -1224,12 +1174,9 @@ def _row_values(f: _Family, rows: tuple, ctx: EvalCtx, special: bool = False,
         _levels(val, w, inner, line, fac, kids, fk, off, blocks, guarded)
         if math.isfinite(val.sum()):
             break
-    if end is not None:
-        x, entering = val[first], line[i]
-        val[first] = np.where((entering == 0.0) | (x == 0.0), 0.0, (x * entering) * end)
     rootf = line[first]
     out = np.where(rootf == 0.0, 0.0, rootf * val[first])
-    if blocks is None and end is None and not len(unary):
+    if blocks is None and not len(unary):
         out.flags.writeable = False
         plain[q] = out
     return out
@@ -1386,7 +1333,7 @@ def tree_value(tree: Tree, asg: dict, params: ModelParams, eps: float,
     recognized resonance is replaced by its on-shell-subtracted value and
     unary nodes read scale-resolved shift coefficients.
     """
-    f, t = tree._compiled()
+    f, t = tree._fam, tree._t
     if counterterms is None and f.unary(t):
         raise MissingCountertermError("tree contains shift nodes but no table given")
     ctx = EvalCtx(params, eps, nu, q, counterterms, renormalize)

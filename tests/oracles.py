@@ -1,7 +1,10 @@
 """Recursive tree evaluation and literal structure detectors: the oracles of
 the array evaluation in `lindbeam.trees`.
 
-First, a point's divisor data one mode at a time (`mode`, `shifted`,
+`hand_tree` compiles a tree the tests build by hand from TNodes into a
+one-tree family.
+
+Then a point's divisor data one mode at a time (`mode`, `shifted`,
 `propagator`), the scalar route that the arrays of `trees._Modes` are
 checked against bit for bit.
 
@@ -62,6 +65,28 @@ from lindbeam.trees import (
     dump_tree,
     tree_value,
 )
+
+
+# ---------------------------------------------------------------------------
+# hand-built trees
+
+def _key(nd: TNode) -> tuple:
+    """The key tuple of a TNode tree (`trees._unrank`), children in the
+    TNode's order."""
+    return (nd.kind, nd.ttype, nd.sv, nd.kv, nd.n, nd.m, tuple(_key(c) for c in nd.children))
+
+
+def hand_tree(root: TNode, k: int, n: int, m: int, mult: int = 1,
+              is_rtree: bool = False) -> Tree:
+    """A hand-built tree as the view of a one-tree family, its TNodes
+    numbered in node-id order (depth first, last child first) as the
+    family numbers its rows."""
+    stack, nid = [root], 0
+    while stack:
+        nd = stack.pop()
+        nd.nid, nid = nid, nid + 1
+        stack.extend(nd.children)
+    return Tree(_Family([(_key(root), mult)], k, n, m, is_rtree), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +329,7 @@ def _candidates(tree: Tree) -> list[tuple]:
     in_node's exiting line enters the block; out_node's exiting line leaves
     it with the same mode label.  The block must contain more than one node.
     """
-    f, t = tree._compiled()
+    f, t = tree._fam, tree._t
     return [(tree.nodes[o], tree.nodes[i]) for (o, i) in f.cands(t)]
 
 
@@ -388,7 +413,7 @@ def localize_split(tree: Tree, out_nd: TNode, in_nd: TNode, asg: dict,
     on-shell part is zero when the localization conditions fail.
     """
     ctx = EvalCtx(params, eps, nu, q, counterterms, renormalize=True)
-    f, t = tree._compiled()
+    f, t = tree._fam, tree._t
     s, h, o, i = f.start[t], tree._scales(asg), out_nd.nid, in_nd.nid
     if x is None:
         x = ctx.point.Om * in_nd.n
@@ -408,11 +433,10 @@ def resonance_to_rtree(tree: Tree, out_nd: TNode, in_nd: TNode) -> Tree:
         return TNode(0, w.kind, w.ttype, w.sv, w.kv, w.n, w.m,
                      tuple(rebuild(c) for c in w.children))
 
-    root = rebuild(out_nd)
-    f, t = tree._compiled()
+    f, t = tree._fam, tree._t
     s = f.start[t]
     k = sum(f.kv[s + j] for j in f.block(s, out_nd.nid, in_nd.nid))
-    return Tree(root=root, k=k, n=in_nd.n, m=in_nd.m, is_rtree=True).finalize()
+    return hand_tree(rebuild(out_nd), k, in_nd.n, in_nd.m, is_rtree=True)
 
 
 def extended_value(tree: Tree, asg: dict, params: ModelParams, eps: float,
@@ -435,7 +459,7 @@ def extended_value(tree: Tree, asg: dict, params: ModelParams, eps: float,
     ctx = EvalCtx(params, eps, nu, q, counterterms, renormalize=tree.is_rtree)
     Om = ctx.point.Om
     if tree.is_rtree:
-        f, t = tree._compiled()
+        f, t = tree._fam, tree._t
         base = _lval_rtree(f, t, tree._scales(asg), ctx, False)
         path_ids = {nd.nid for nd in path_to_root(tree, tree.special)}
         path_ids.add(tree.special.nid)
@@ -516,7 +540,7 @@ def _shifted_supports(f: _Family, t: int, pt, modes: list) -> dict:
 
 def prop_line_nodes(tree: Tree) -> list:
     """Nodes whose exiting line carries a genuine cutoff propagator."""
-    f, t = tree._compiled()
+    f, t = tree._fam, tree._t
     return [tree.nodes[i] for i in f.lines(t)]
 
 
@@ -569,7 +593,7 @@ def profile(tree: Tree, asg: dict) -> ScaleProfile:
     Resonant lines are the exit lines of active resonance blocks and of unary
     nodes; K counts the remaining propagator lines.  Reads the tree's rows.
     """
-    f, t = tree._compiled()
+    f, t = tree._fam, tree._t
     h = tree._scales(asg)
     prop = f.lines(t)
     shell: dict[int, int] = {}

@@ -17,7 +17,7 @@ from lindbeam.checks import family_grid
 from lindbeam.series import lambda_modes, solve_nu
 from lindbeam.spectrum import ModelParams, NuTable, in_lambda
 from lindbeam.trees import TNode, Tree, enumerate_r_trees, enumerate_trees, family_table
-from oracles import profile, prop_line_nodes
+from oracles import hand_tree, profile, prop_line_nodes
 
 P = ModelParams(a=1.0, b=0.5, mu=0.01, eps0=0.02, omega_branch=1, Mmax=9, Nmax=60)
 
@@ -64,7 +64,7 @@ def test_dyadic_shoulder_gives_two_assignments():
     inner = TNode(0, "node", "a", 2, 1, 2, 3, ends)
     v1 = TNode(0, "node", "a", 2, 1, 3, 3, (TNode(0, "end", "", 0, 0, 1, 1), inner))
     root = TNode(0, "node", "a", 2, 1, 4, 2, (TNode(0, "end", "", 0, 0, 1, 1), v1))
-    t = Tree(root=root, k=3, n=4, m=2).finalize()
+    t = hand_tree(root, 3, 4, 2)
     asgs = admissible_scales(t, P, 0.0, None)
     hs = sorted({asg[t.root.nid] for asg in asgs})
     assert hs == [-1, 0]
@@ -95,7 +95,7 @@ def test_hand_tallied_profile():
     v1 = TNode(0, "node", "a", 2, 1, 2, 3, (e1, e2))
     e0 = TNode(0, "end", "", 0, 0, 1, 1)
     v0 = TNode(0, "node", "b", 2, 1, 3, 5, (e0, v1))
-    t = Tree(root=v0, k=2, n=3, m=5).finalize()
+    t = hand_tree(v0, 2, 3, 5)
     asg = {v0.nid: 2, v1.nid: 5}
     p = profile(t, asg)
     assert p.shell == {2: 1, 5: 1}
@@ -179,7 +179,7 @@ P1 = P.with_(tau=1.0)
 def _verdicts(tree, asg, params):
     """(check, oracle, tally): the adapter's verdict, the per-assignment
     oracle's, and the tally's failing tuples for the assignment's row."""
-    f, t = tree._compiled()
+    f, t = tree._fam, tree._t
     check = check_bruno_r if tree.is_rtree else check_bruno
     row = np.array([[asg.get(i, -1) for i in f.lines(t)]])
     return (check(tree, asg, params, raise_on_fail=False),
@@ -217,7 +217,7 @@ def test_resonances_count_at_their_exit_scale():
                  (TNode(0, "end", "", 0, 0, 1, 1), TNode(0, "end", "", 0, 0, 1, 1)))
     v1 = TNode(0, "node", "a", 2, 1, 3, 5, (TNode(0, "end", "", 0, 0, 1, 1), e_in))
     v0 = TNode(0, "node", "a", 2, 1, 2, 3, (TNode(0, "end", "", 0, 0, -1, 1), v1))
-    t = Tree(root=v0, k=3, n=2, m=3).finalize()
+    t = hand_tree(v0, 3, 2, 3)
     asg = {v0.nid: 4, v1.nid: -1, e_in.nid: -1}
     p = profile(t, asg)
     assert (p.K, p.S, p.N[4]) == (2, {4: 1}, 1)
@@ -232,7 +232,7 @@ def test_unary_nodes_count_at_their_exit_scale():
     x = TNode(0, "node", "a", 2, 1, 2, 3,
               (TNode(0, "end", "", 0, 0, 1, 1), TNode(0, "end", "", 0, 0, 1, 1)))
     u = TNode(0, "node", "a", 1, 2, 2, 3, (x,))
-    t = Tree(root=u, k=3, n=2, m=3).finalize()
+    t = hand_tree(u, 3, 2, 3)
     asg = {u.nid: 3, x.nid: -1}
     p = profile(t, asg)
     assert (p.K, p.M, p.N[3]) == (1, {3: 1}, 1)
@@ -246,7 +246,7 @@ def _oracle_rows(f, row_tree, labels, params):
     the per-assignment oracle fails."""
     out = []
     for r, t in enumerate(row_tree.tolist()):
-        tree, lines = Tree._view(f, t), f.lines(t).tolist()
+        tree, lines = Tree(f, t), f.lines(t).tolist()
         asg = dict(zip(lines, labels[r, :len(lines)].tolist()))
         try:
             oracles._count(tree, asg, params, True, oracles.count_bound(tree))
@@ -294,7 +294,7 @@ def test_violations_match_the_oracle_on_a_deep_sample(deep_sample):
     params, f, row_tree, labels = deep_sample
     deep = np.flatnonzero(labels.max(axis=1) >= 0).tolist()
     assert len(labels) > len(deep) > 2000
-    profiles = [profile(Tree._view(f, int(row_tree[r])),
+    profiles = [profile(Tree(f, int(row_tree[r])),
                         dict(zip(f.lines(int(row_tree[r])).tolist(), labels[r].tolist())))
                 for r in deep]
     assert sum(any(v for h, v in p.S.items() if h >= 0) for p in profiles) > 200

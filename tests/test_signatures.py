@@ -144,6 +144,16 @@ def test_no_module_reads_numpy_random():
     assert not found, found
 
 
+def _class(tree, name):
+    return next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == name)
+
+
+def _slots(cls):
+    return ast.literal_eval(next(s.value for s in cls.body if isinstance(s, ast.Assign)
+                                 and any(getattr(t, "id", None) == "__slots__"
+                                         for t in s.targets)))
+
+
 def test_one_row_layout_for_every_tree_table():
     # a table's rows, one per tree or several, read the family's compiled
     # layout through `trees._laid`: no fork builds one-row tables apart,
@@ -152,10 +162,7 @@ def test_one_row_layout_for_every_tree_table():
     retired = {"_one_row", "_expanded", "_node_rows", "_line_slots"}
     defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
     assert not defined & retired, defined & retired
-    table = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Table")
-    slots = next(s.value for s in table.body if isinstance(s, ast.Assign)
-                 and any(getattr(t, "id", None) == "__slots__" for t in s.targets))
-    assert "one" not in ast.literal_eval(slots)
+    assert "one" not in _slots(_class(tree, "_Table"))
     blocks = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_blocks")
     assert "one" not in _names(blocks)
 
@@ -187,3 +194,32 @@ def test_mass_conditions_are_data_and_solve_nu_picks_its_route_by_K():
     fn = next(n for n in series.body if isinstance(n, ast.FunctionDef) and n.name == "solve_nu")
     assert [p.arg for p in (*fn.args.posonlyargs, *fn.args.args)] == ["params", "eps", "K"]
     assert [p.arg for p in fn.args.kwonlyargs] == ["start"]
+
+
+def test_a_tree_is_a_view_of_its_compiled_family():
+    # a Tree holds its family, its index and its nodes; trees.py compiles
+    # no hand-built tree (the fixture oracles.hand_tree does), and
+    # special-end rows take the general block route, with no path columns
+    # of their own
+    tree = ast.parse((SRC / "trees.py").read_text())
+    assert _slots(_class(tree, "Tree")) == ("_fam", "_t", "_nodes")
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert not defined & {"finalize", "_view", "_compiled", "_key"}
+    stored = {n.attr for n in ast.walk(_class(tree, "_Columns"))
+              if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)}
+    assert not [a for a in stored if "spath" in a], stored
+
+
+def _scalar_branch(node):
+    if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+            and len(node.args) == 2 and isinstance(node.args[1], ast.Tuple)):
+        return False
+    return {getattr(e, "id", None) for e in node.args[1].elts} >= {"float", "int"}
+
+
+def test_the_cutoffs_take_one_array_route():
+    # chi, chi_h and _smoothstep send scalars through their array code and
+    # return a float for them: no copy of that code for Python scalars
+    found = [n.lineno for n in ast.walk(ast.parse((SRC / "spectrum.py").read_text()))
+             if _scalar_branch(n)]
+    assert not found, found

@@ -12,7 +12,6 @@ from lindbeam.trees import (
     EvalCtx,
     MissingCountertermError,
     TNode,
-    Tree,
     admissible_assignments,
     counterterm,
     counterterm_order2_closed,
@@ -23,16 +22,17 @@ from lindbeam.trees import (
     renormalized_sum,
     sum_trees,
     tree_value,
-    _key,
     _point,
 )
 
 import oracles
 from oracles import (
     _candidates,
+    _key,
     detect_clusters,
     detect_resonances,
     extended_value,
+    hand_tree,
     localize_split,
     path_to_root,
     prop_line_nodes,
@@ -319,7 +319,7 @@ def chain_tree(scales):
     v1 = TNode(0, "node", "a", 2, 1, 2, 3, (e1, e2))
     e0 = TNode(0, "end", "", 0, 0, -1, 1)
     v0 = TNode(0, "node", "a", 2, 1, 1, 5, (e0, v1))
-    t = Tree(root=v0, k=2, n=1, m=5).finalize()
+    t = hand_tree(v0, 2, 1, 5)
     nodes = {nd.m: nd for nd in t.nodes if nd.kind == "node"}
     asg = {nodes[5].nid: scales[0], nodes[3].nid: scales[1]}
     return t, asg, nodes
@@ -352,7 +352,7 @@ def test_detect_resonances_rules():
     em = TNode(0, "end", "", 0, 0, -1, 1)
     v1 = TNode(0, "node", "a", 2, 1, 3, 5, (ep, e_in))
     v0 = TNode(0, "node", "a", 2, 1, 2, 3, (em, v1))
-    t2 = Tree(root=v0, k=3, n=2, m=3).finalize()
+    t2 = hand_tree(v0, 3, 2, 3)
     root = t2.root
     asg2 = {nd.nid: -1 for nd in t2.nodes if nd.kind == "node"}
     # both external lines of the block sit above the block's internal scales
@@ -378,7 +378,7 @@ def test_localize_split_identities():
     em = TNode(0, "end", "", 0, 0, -1, 1)
     v1 = TNode(0, "node", "a", 2, 1, 3, 3, (ep, e_in))
     v0 = TNode(0, "node", "a", 2, 1, 2, 1, (em, v1))
-    t = Tree(root=v0, k=3, n=2, m=1).finalize()
+    t = hand_tree(v0, 3, 2, 1)
     (out_nd, in_nd), = _candidates(t)
     asg = {nd.nid: -1 for nd in t.nodes if nd.kind == "node"}
     ctxkw = dict(params=P, eps=EPS, nu=nu, q=q)
@@ -394,7 +394,7 @@ def test_localize_split_identities():
                   (TNode(0, "end", "", 0, 0, 1, 1), TNode(0, "end", "", 0, 0, 1, 1)))
     v15 = TNode(0, "node", "a", 2, 1, 3, 3, (ep, e_in5))
     v05 = TNode(0, "node", "a", 2, 1, 2, 5, (em, v15))
-    t5 = Tree(root=v05, k=3, n=2, m=5).finalize()
+    t5 = hand_tree(v05, 3, 2, 5)
     (o5, i5), = _candidates(t5)
     loc5, rem5 = localize_split(t5, o5, i5, asg={nd.nid: -1 for nd in t5.nodes},
                                 params=P, eps=EPS, nu=nu, q=q)
@@ -594,6 +594,44 @@ def test_compiled_families_match_object_enumeration():
                             trees.TREE_BUDGET + 1)[:2] == (f.count, f.start[f.count])
 
 
+def test_hand_tree_is_its_compiled_tree():
+    # every tree of (2, 9, 3) (none at Mmax 9), of its special-end family
+    # (60) and of (3, 2, 3) (722) at Mmax 9, built again by hand from its
+    # TNodes: the one-tree family holds the tree's rows byte for byte, and
+    # tree_value reads the same values on each of its assignments, plain and
+    # renormalized, with shift coefficients for the unary nodes
+    params, eps, nu, q = P.with_(omega_branch=-1), 0.002, make_nu(), 0.8
+    lt = CountertermTable()
+    lt.set(2, 2, 3, -1, 0.23)
+    lt.set(2, 2, 3, 0, -0.11)
+    seen = 0
+    for fam in ((2, 9, 3, MM, False), (2, 9, 3, MM, True), (3, 2, 3, MM, False)):
+        f = trees._family(*fam)
+        for t, tree in enumerate(f.trees()):
+            label = (tree.k, tree.n, tree.m, tree.mult, tree.is_rtree)
+            assert label == (*f.label, f.mult[t], f.is_rtree)
+            hand = hand_tree(tree.root, *label)
+            g, s, e = hand._fam, f.start[t], f.start[t + 1]
+            assert (hand.k, hand.n, hand.m, hand.mult, hand.is_rtree) == label
+            for c in ("par", "size", "kind", "ttype", "sv", "kv", "n", "m"):
+                assert getattr(g, c).tobytes() == getattr(f, c)[s:e].tobytes(), c
+            assert [g.modes[i] for i in g.mode] == [f.modes[i] for i in f.mode[s:e]]
+            assert g.start.tolist() == [0, e - s] and g.mult.tolist() == [f.mult[t]]
+            assert g.special.tobytes() == f.special[t:t + 1].tobytes()
+            for c in ("line", "pair", "cand"):
+                lo, hi = getattr(f, c + "_start")[t], getattr(f, c + "_start")[t + 1]
+                assert getattr(g, c + "_start").tolist() == [0, hi - lo]
+                assert getattr(g, c + "_row").tobytes() == getattr(f, c + "_row")[lo:hi].tobytes()
+            for renorm in (False, True):
+                asgs = admissible_assignments(tree, params, eps, nu, renorm)
+                assert admissible_assignments(hand, params, eps, nu, renorm) == asgs
+                for asg in asgs:
+                    want = tree_value(tree, asg, params, eps, nu, q, lt, renorm)
+                    assert repr(tree_value(hand, asg, params, eps, nu, q, lt, renorm)) == repr(want)
+                    seen += 1
+    assert seen == 2 * (60 + 722)      # one assignment per tree at this point
+
+
 def test_tree_budget_is_checked_before_enumeration():
     # (5, 2, 3) at Mmax 15 has 4,363,844 trees in 47,984,978 node rows, the
     # special-end (4, 9, 3) 270,784 trees in 2,436,480 rows: counted, not built
@@ -788,7 +826,7 @@ def _obj_order(nd):
 
 
 def _sorted_kids(key):
-    """Whether every node's children are in tuple order, as `_key` sorts them."""
+    """Whether every node's children are in tuple order, as `_unrank` writes them."""
     return list(key[6]) == sorted(key[6]) and all(_sorted_kids(c) for c in key[6])
 
 
@@ -912,7 +950,7 @@ def test_admissible_assignments_match_object_route_near_resonance():
         root = _random_tree(rng, 4, modes)
         if root.kind == "end":
             continue
-        t = Tree(root=root, k=3, n=root.n, m=root.m).finalize()
+        t = hand_tree(root, 3, root.n, root.m)
         rts = [resonance_to_rtree(t, o, i) for (o, i) in _candidates(t)]
         assert _candidates(t) == _obj_candidates(t)
         for tree in [t] + rts:
@@ -1008,7 +1046,7 @@ def _loop_counterterm(f, h, ctx):
 
 
 def _same_assignments(tree, params, eps, nu, renorm):
-    f, t = tree._compiled()
+    f, t = tree._fam, tree._t
     want = [dict(zip(f.lines(t).tolist(), c))
             for c in _loop_assignments(f, t, _point(params, eps, nu), renorm)]
     assert admissible_assignments(tree, params, eps, nu, renorm) == want
@@ -1065,9 +1103,9 @@ def _near_resonance_against_oracle(params, epss, modes, lt, seed):
         root = _random_tree(rng, 4, modes)
         if root.kind == "end":
             continue
-        t = Tree(root=root, k=3, n=root.n, m=root.m).finalize()
+        t = hand_tree(root, 3, root.n, root.m)
         for tree in [t] + [resonance_to_rtree(t, o, i) for (o, i) in _candidates(t)]:
-            f, i = tree._compiled()
+            f, i = tree._fam, tree._t
             for eps in epss:
                 for renorm in (False, True):
                     ctx = EvalCtx(params, eps, nu, q, lt, renorm)
@@ -1149,8 +1187,8 @@ def test_block_choice_follows_active_order():
     deep = node("a", 3, 1, node("b", 9, 3, end(1), end(1)), end(-1))
     root = node("a", 9, 3, node("b", 0, 1, deep, end(-1)),
                 node("b", 2, 3, node("a", 9, 3, end(1), end(1)), end(1)))
-    t = Tree(root=root, k=6, n=9, m=3).finalize()
-    f, _ = t._compiled()
+    t = hand_tree(root, 6, 9, 3)
+    f = t._fam
     ctx = EvalCtx(params, eps, make_nu(), 0.8, CountertermTable(), True)
     hs = [t._scales(asg) for asg in admissible_assignments(t, params, eps, ctx.nu, True)]
     plain = _loop_plain_values(f, ctx)
@@ -1174,7 +1212,7 @@ def test_equal_mode_lines_stay_within_one_scale():
     inner = TNode(0, "node", "a", 2, 1, 2, 1, (end(1), end(1)))
     path = TNode(0, "node", "a", 2, 1, 0, 1, (inner, end(-1)))
     side = TNode(0, "node", "b", 2, 1, 0, 1, (end(1), end(-1)))
-    t = Tree(root=TNode(0, "node", "a", 2, 1, 2, 1, (path, side)), k=4, n=2, m=1).finalize()
+    t = hand_tree(TNode(0, "node", "a", 2, 1, 2, 1, (path, side)), 4, 2, 1)
     (o, i), = _candidates(t)
     pt = _point(P, eps, None)
     zero_one, two_one = oracles.mode(pt, 0, 1), oracles.mode(pt, 2, 1)
@@ -1186,7 +1224,7 @@ def test_equal_mode_lines_stay_within_one_scale():
     # renormalized: the path line also admits 3 and 4, and only -1 survives
     asgs = admissible_assignments(t, P, eps, None, renormalize=True)
     assert asgs == [{nd.nid: -1 for nd in prop_line_nodes(t)}]
-    f, _ = t._compiled()
+    f = t._fam
     supports = oracles._shifted_supports(f, 0, pt, oracles.modes_of(pt, f))
     assert [len(hs) for hs in supports.values()] == [3]
     _, labels = trees._shifted_lines(f, pt)
@@ -1198,7 +1236,7 @@ def test_equal_mode_lines_stay_within_one_scale():
     # its path, so every combination is two scales or more apart from the
     # side line: no assignment, and the localized sum over it is zero
     rt = resonance_to_rtree(t, o, i)
-    f, _ = rt._compiled()
+    f = rt._fam
     assert admissible_assignments(rt, P, eps, None) == []
     assert len(pt.table(f, True).rows()[0]) == 0
     on_path = {nd.nid for nd in path_to_root(rt, rt.special)}
@@ -1353,8 +1391,8 @@ def _pricing_points():
     while len(hand) < 60:
         root = _random_tree(rng, 4, modes)
         if root.kind != "end":
-            t = Tree(root=root, k=3, n=root.n, m=root.m).finalize()
-            hand += [tree._compiled()[0] for tree in
+            t = hand_tree(root, 3, root.n, root.m)
+            hand += [tree._fam for tree in
                      [t] + [resonance_to_rtree(t, o, i) for (o, i) in _candidates(t)]]
     pts = [(TREE_P, eps, nu, families(TREE_P))
            for eps, nu in sample_diophantine_points(TREE_P, 100, seed=7)[:2]]
@@ -1582,7 +1620,7 @@ def test_row_layouts_match_the_per_node_derivation(monkeypatch):
               for t in trees._family(*fam).trees()[::9]]
     trees_.append(chain_tree((0, -1))[0])
     for tree in trees_:
-        f, t = tree._compiled()
+        f, t = tree._fam, tree._t
         asg = {l: -1 for l in f.lines(t).tolist()}
         taken.clear()
         tree_value(tree, asg, TREE_P, 0.0113, None, 0.8, lt, True)
@@ -1593,27 +1631,17 @@ def test_row_layouts_match_the_per_node_derivation(monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:convolution mass beyond")
-def test_special_end_rows_take_the_block_route_values(monkeypatch):
+def test_special_end_rows_take_the_block_route_values():
     # the order-4 special-end families of the counterterm-table point have
-    # trees of two rows, of none and trees that fail `_localizable`.  Their
-    # localizable trees' rows alone take the special-end pass (no `_paths`),
-    # the whole table the general block route; the rows' values are
-    # repr-equal, plain and renormalized
+    # trees of two rows, of none and trees that fail `_localizable`.  The
+    # localizable trees' rows evaluated alone are repr-equal to the same
+    # rows inside the whole table, plain and renormalized
     params, eps, q = P.with_(mu=0.01, eps0=0.02, omega_branch=-1), 0.0032, 0.8
     nu, _ = solve_nu(params, eps, 2)
     params = params.with_(Mmax=3)
     modes = lambda_modes(params)
     lt = counterterm_table(params, eps, nu, q, (2,), modes)
-    paths, calls = trees._paths, []
-
-    def counted(*args):
-        calls.append(1)
-        return paths(*args)
-
-    monkeypatch.setattr(trees, "_paths", counted)
-    # per renorm, the tables whose kept rows took the special-end pass, the
-    # ones with a tree of two rows twice
-    pt, taken = _point(params, eps, nu), {False: 0, True: 0}
+    pt = _point(params, eps, nu)
     for (n, m) in modes:
         f = trees._family(4, n, m, params.Mmax, True)
         tab = pt.table(f, True)
@@ -1623,15 +1651,9 @@ def test_special_end_rows_take_the_block_route_values(monkeypatch):
         sub = _made_table(f, np.append(0, np.cumsum(per)), tab.labels[keep]).rows()
         for renorm in (False, True):
             ctx = EvalCtx(params, eps, nu, q, lt, renorm)
-            calls.clear()
             whole = trees._row_values(f, tab.rows(), ctx, special=True)
-            assert calls
-            calls.clear()
             alone = trees._row_values(f, sub, ctx, special=True)
             assert [repr(v) for v in alone.tolist()] == [repr(v) for v in whole[keep].tolist()]
-            if not calls:
-                taken[renorm] += 1 + (np.diff(tab.row_start).max() > 1)
-    assert taken == {False: len(modes) + 1, True: len(modes) + 1}, taken
 
 
 def test_compiled_bytes_per_node_row_are_bounded():
