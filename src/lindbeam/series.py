@@ -18,8 +18,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .kernel import cosine_projection, kernel_v
-from .spectrum import (DegenerateRadicandError, ModelParams, NuTable, check_nu_values,
-                       _row_propagator, mode_set, omega_eff, omega_sq, propagator_row)
+from .spectrum import (DegenerateRadicandError, ModelParams, ModeSet, NuTable, _row_propagator,
+                       mode_set, omega_eff, omega_sq, propagator_row)
 
 __all__ = [
     "CoeffTable",
@@ -32,6 +32,7 @@ __all__ = [
     "solve_amplitude",
     "amplitude_series",
     "solve_nu",
+    "counterterm_order2_closed",
     "assemble_solution",
     "residual_norm",
     "order_consistency",
@@ -330,20 +331,22 @@ def amplitude_cubic_coefficient(params: ModelParams, eps: float,
     """
     odd = np.arange(1, params.Mmax + 1, 2)
     shift2 = np.array([nu.n_nu(2, m) for m in odd.tolist()]) if nu else 0.0
-    return _cubic_coefficient(params, eps, odd, shift2, _cubic_rows(params, eps, odd))
+    ms = mode_set(params.mu, params.eps0, params.Mmax, params.Nmax)
+    return _cubic_coefficient(params, eps, odd, shift2, _cubic_rows(params, eps, ms))
 
 
-def _cubic_rows(params: ModelParams, eps: float, odd: np.ndarray) -> tuple:
-    """The parts of A over the odd modes m that no shift moves: 2 v_{1,1,m}^2,
-    2a(a + b Om^2) g_{0,m}, (a - b Om^2)(a + 2b Om^2), beta, and the parts
-    -(2 Om)^2 and omega_m^2 of g_{2,m}'s divisor."""
+def _cubic_rows(params: ModelParams, eps: float, ms: ModeSet) -> tuple:
+    """The parts of A over the odd modes m <= Mmax that no shift moves:
+    2 v_{1,1,m}^2, 2a(a + b Om^2) g_{0,m}, (a - b Om^2)(a + 2b Om^2), beta,
+    and the parts -(2 Om)^2 and omega_m^2 of g_{2,m}'s divisor.  v_{1,1,m} =
+    v_{m,1,1} and omega_m^2 are the ModeSet's `_closed_rows`, g_{0,m} =
+    1/omega_m^2."""
     Om = omega_eff(params, eps)
     a, b = params.a, params.b
-    v = np.array([kernel_v(1, 1, m) for m in odd.tolist()])
-    g0 = propagator_row(0, odd, params, eps)
-    return (2.0 * v * v, 2 * a * (a + b * Om * Om) * g0,
+    om_sq, v = _closed_rows(ms)[:2]
+    return (2.0 * v * v, 2 * a * (a + b * Om * Om) * (1.0 / om_sq),
             (a - b * Om * Om) * (a + 2 * b * Om * Om), _beta(params, eps),
-            -(Om * 2) ** 2, omega_sq(odd, params.mu))
+            -(Om * 2) ** 2, om_sq)
 
 
 def _cubic_coefficient(params: ModelParams, eps: float, odd: np.ndarray,
@@ -446,7 +449,7 @@ def solve_nu(params: ModelParams, eps: float, K: int, *,
     near the fixed point takes fewer of them and ends within about NU_TOL
     of the zero start's solution, not on its bits.
     """
-    from .trees import counterterm_order2_closed, counterterm_table
+    from .trees import counterterm_table
 
     if not 0.0 < eps < params.eps0:
         raise ValueError(f"eps={eps} outside (0, eps0={params.eps0})")
@@ -462,7 +465,7 @@ def solve_nu(params: ModelParams, eps: float, K: int, *,
     lt = CountertermTable()
     fast = K <= 3
     odd = np.arange(1, params.Mmax + 1, 2)
-    rows, idx2 = _cubic_rows(params, eps, odd), ms.index(2, odd)
+    rows, idx2 = _cubic_rows(params, eps, ms), ms.index(2, odd)
     flat = np.zeros(ms.size + 1)      # each sweep's n*nu; nothing returned holds it
     for sweep in range(1, NU_MAX_SWEEPS + 1):
         if fast:
@@ -500,13 +503,85 @@ def solve_nu(params: ModelParams, eps: float, K: int, *,
             f"nu fixed point did not converge in {NU_MAX_SWEEPS} sweeps (last update {delta:.2e})")
     if np.max(np.abs(vals), initial=0.0) >= params.nu_cap * params.eps0:
         raise NonConvergenceError("nu left the admissible box; eps too large")
-    check_nu_values(ms.n, ms.m, vals, params.mu, params.eps0, params.nu_cap)
     nu = ms.nu_table(vals)
     if fast:
         lt = CountertermTable._order2(ms.modes(), l2)
     info["counterterms"] = lt
     info["values"] = vals
     return nu, info
+
+
+@lru_cache(maxsize=8)       # as many as mode_set keeps
+def _closed_rows(ms: ModeSet) -> tuple:
+    """The parts of the order-2 shift construction fixed by a ModeSet, read-only.
+
+    Over the odd inner labels m' <= Mmax: om_m'^2 and v_{m',1,1}; per mode,
+    the side-chain sum_m' v_{m,m,m'} v_{m',1,1} / om_m'^2 and v_{m,1,m'}^2;
+    for each inner line (|n + 1|, m') and (|n - 1|, m'): the entries of the
+    (mode, m') block inside the windows, their flat positions, and the modes
+    whose line n +- 1 is the primary +-1.  Last, om_m'^2 repeated on every
+    row of the (mode, m') block, contiguous.
+    """
+    mp = np.arange(1, ms.Mmax + 1, 2)
+    om_mp2 = omega_sq(mp.astype(float), ms.mu)
+    v_mp11 = np.array([kernel_v(x, 1, 1) for x in mp.tolist()])
+    rows = {m: ([kernel_v(m, m, x) for x in mp.tolist()],
+                [kernel_v(m, 1, x) for x in mp.tolist()]) for m in set(ms.m.tolist())}
+    mode_m = ms.m.tolist()
+    v_mm = np.array([rows[m][0] for m in mode_m]).reshape(len(ms), mp.size)
+    v_m1 = np.array([rows[m][1] for m in mode_m]).reshape(len(ms), mp.size)
+    side = (v_mm * (v_mp11 / om_mp2)[None, :]).sum(axis=1)
+    inner = []
+    for sig in (1, -1):
+        idx = ms.index(np.abs(ms.n + sig)[:, None], mp[None, :])
+        at = np.flatnonzero(idx < ms.size)
+        inner.append((at, idx.flat[at], np.flatnonzero(np.abs(ms.n + sig) == 1)))
+    out = (om_mp2, v_mp11, side, v_m1 ** 2, inner, np.tile(om_mp2, (len(ms), 1)))
+    for a in (*out[:4], out[5], *(a for row in inner for a in row)):
+        a.flags.writeable = False
+    return out
+
+
+def counterterm_order2_closed(params: ModelParams, eps: float, shift: np.ndarray,
+                              q: float, modes: ModeSet) -> np.ndarray:
+    """Hand-expanded order-2 shift coefficients on the modes of a ModeSet.
+
+    Two skeleton shapes contribute: the side-chain shape (zero-momentum inner
+    line, only type-a outer node survives) and the ladder shape (shifted inner
+    line evaluated on shell).  Vectorized over the modes and the inner
+    spatial label m' <= modes.Mmax; shift is the flat n*nu of the ModeSet
+    (ModeSet.shift of a NuTable, or ModeSet.scatter of values on the modes).
+    Raises DegenerateRadicandError (`ModeSet.radicand`) at the first entry,
+    in m-then-n order, whose on-shell omega~^2 = omega_m^2 + n nu is <= 0.
+    """
+    a, b = params.a, params.b
+    Om = omega_eff(params, eps)
+    _, _, side, v_m1_sq, inner, om_mp2 = _closed_rows(modes)
+    narr = modes.n
+    ombar = np.sqrt(modes.radicand(shift)[modes.pos])    # on-shell
+
+    # side-chain shape: inner line (0, m'), b-type outer node vanishes
+    s = a * (a + b * Om * Om) * side
+
+    # ladder shape: inner line (n + sigma, m') at on-shell frequency, built in
+    # one buffer; the shift is zero outside the windows, so only the entries
+    # inside them add it.  om_m'^2 - x^2 is the same double as -x^2 + om_m'^2;
+    # subtracting two contiguous blocks is faster than a broadcast
+    term = np.empty(v_m1_sq.shape)
+    for sig, (at, pos, primary) in zip((1.0, -1.0), inner):
+        n1 = narr + sig
+        x = Om * sig + ombar
+        term[...] = (x * x)[:, None]
+        np.subtract(om_mp2, term, out=term)
+        term.reshape(-1)[at] += shift[pos]          # the denominator
+        f0 = a + b * Om * Om * sig * n1             # outer node, both types
+        f1 = a - b * Om * Om * sig * narr           # inner node, both types
+        np.divide(v_m1_sq, term, out=term)
+        # a line exiting an internal node may not carry the primary mode
+        term[primary, 0] = 0.0
+        s = s + f0 * f1 * term.sum(axis=1)
+
+    return -(4.0 * q * q / narr) * s
 
 
 def assemble_solution(table: CoeffTable, eps: float, x, t,

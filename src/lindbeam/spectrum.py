@@ -14,8 +14,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .kernel import kernel_v
-
 __all__ = [
     "ModelParams",
     "NuTable",
@@ -191,21 +189,6 @@ class NuTable:
 
     def __len__(self):
         return len(self._d)
-
-
-def check_nu_values(n: np.ndarray, m: np.ndarray, v: np.ndarray, mu: float,
-                    eps0: float, nu_cap: float):
-    """Raise ValueError at the first mode (n, m) where the value v of nu lies
-    outside the near-resonant set or outside the box |nu| < nu_cap * eps0."""
-    v = np.abs(v)
-    outside = (v != 0.0) & ~_near_resonant(math.sqrt(1.0 + mu), eps0, n, m)
-    big = v >= nu_cap * eps0
-    if (outside | big).any():
-        i = int(np.argmax(outside | big))
-        n, m = int(n[i]), int(m[i])
-        if outside[i]:
-            raise ValueError(f"nu supported outside the near-resonant set at {(n, m)}")
-        raise ValueError(f"|nu_{(n,m)}| = {v[i]} exceeds {nu_cap}*eps0")
 
 
 def _radicand(n: int, m: int, mu: float, nu: NuTable | None) -> float:
@@ -454,33 +437,6 @@ class ModeSet:
             n = j - int(self.offset[m]) + int(self.lo[m])
             raise DegenerateRadicandError(f"radicand {rad[j]} <= 0 at mode {(n, m)}")
         return rad
-
-    @cached_property
-    def closed_rows(self) -> tuple:
-        """The parts of the closed-form order-2 counterterm fixed by the ModeSet.
-
-        Over the odd inner labels m' <= Mmax: om_m'^2 and, per mode, the
-        side-chain sum_m' v_{m,m,m'} v_{m',1,1} / om_m'^2, v_{m,1,m'}^2 and,
-        for each inner line (|n + 1|, m') and (|n - 1|, m'): the entries of
-        the (mode, m') block inside the windows, their flat positions, and
-        the modes whose line n +- 1 is the primary +-1.  Last, om_m'^2
-        repeated on every row of the (mode, m') block, contiguous.
-        """
-        mp = np.arange(1, self.Mmax + 1, 2)
-        om_mp2 = omega_sq(mp.astype(float), self.mu)
-        v_mp11 = np.array([kernel_v(x, 1, 1) for x in mp.tolist()])
-        rows = {m: ([kernel_v(m, m, x) for x in mp.tolist()],
-                    [kernel_v(m, 1, x) for x in mp.tolist()]) for m in set(self.m.tolist())}
-        mode_m = self.m.tolist()
-        v_mm = np.array([rows[m][0] for m in mode_m]).reshape(len(self), mp.size)
-        v_m1 = np.array([rows[m][1] for m in mode_m]).reshape(len(self), mp.size)
-        side = (v_mm * (v_mp11 / om_mp2)[None, :]).sum(axis=1)
-        inner = []
-        for sig in (1, -1):
-            idx = self.index(np.abs(self.n + sig)[:, None], mp[None, :])
-            at = np.flatnonzero(idx < self.size)
-            inner.append((at, idx.flat[at], np.flatnonzero(np.abs(self.n + sig) == 1)))
-        return om_mp2, side, v_m1 ** 2, inner, np.tile(om_mp2, (len(self), 1))
 
 
 mode_set = lru_cache(maxsize=8)(ModeSet)   # mode_set(mu, eps0, Mmax, Nmax), built once

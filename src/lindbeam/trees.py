@@ -50,9 +50,9 @@ import numpy as np
 
 from .kernel import kernel_v
 from .series import CountertermTable
+from .series import counterterm_order2_closed  # noqa: F401  (bench/layers.py wraps it here)
 from .spectrum import (
     ModelParams,
-    ModeSet,
     NuTable,
     ResonantDivisorError,
     _admissible,
@@ -76,7 +76,6 @@ __all__ = [
     "renormalized_sum",
     "counterterm",
     "counterterm_table",
-    "counterterm_order2_closed",
     "dump_tree",
     "TreeBudgetError",
     "MissingCountertermError",
@@ -289,16 +288,26 @@ class _Family:
     [i, i + size[row]).  Per row: par (parent id, -1 at the root), size,
     kind, ttype, sv, kv, n, m (the TNode labels) and mode, an index into the
     family's distinct (n, m) labels `modes`.  Per tree: mult, special (id of
-    the special end node, or -1) and, as id lists sliced by *_start: the
-    propagator lines, the line pairs with equal modes (positions in the line
-    list) and the structural resonance candidates (out, in).
+    the special end node, or -1), clean (whether it has a special end whose
+    block no other node repeats the mode of, the family half of
+    `_l_conditions`) and, as id lists sliced by *_start: the propagator
+    lines, the line pairs with equal modes (positions in the line list) and
+    the structural resonance candidates (out, in).
+
+    The walk up from each node that finds the candidates also lays out the
+    block walks, tree after tree: walk_line, the lines (in the line list) on
+    each candidate's path from the parent of its entering node i up to below
+    its exit node, anchored (walk_anchor) at i's mode; in a special-end tree
+    then those from the special end up to the root, anchored at -1, and
+    again as the special end's block from the root, at its mode.
     """
 
     def __init__(self, trees, k, n, m, is_rtree):
         self.label, self.is_rtree = (k, n, m), is_rtree
         cols = {c: [] for c in ("par", "size", "kind", "ttype", "sv", "kv", "n", "m", "mode")}
-        start, special, mults = [0], [], []
+        start, special, mults, clean = [0], [], [], []
         lists = {c: ([0], []) for c in ("line", "pair", "cand")}
+        walk_line, walk_anchor = [], []
         modes: dict = {}
         for root, mult in trees:
             mults.append(mult)
@@ -307,26 +316,43 @@ class _Family:
             for i in range(len(nodes) - 1, 0, -1):
                 size[par[i]] += size[i]
             keys = [nd[4:6] for nd in nodes]
+            mode = [modes.setdefault(key, len(modes)) for key in keys]
             lines = [i for i, nd in enumerate(nodes)
                      if nd[0] == "node" and not (is_rtree and i == 0)]
+            line_of = [-1] * len(nodes)     # each line's index in the family's line list
+            for p, i in enumerate(lines, len(lists["line"][1])):
+                line_of[i] = p
             pairs = [p for a, la in enumerate(lines) for b in range(a + 1, len(lines))
                      if keys[la] == keys[lines[b]] for p in (a, b)]
-            cands = []
+            cands, e = [], max((i for i, nd in enumerate(nodes) if nd[0] == "special"),
+                               default=-1)
             for i, (kind, _, _, _, nn, mm, _) in enumerate(nodes):
+                if kind == "end":
+                    continue
                 # zero-momentum lines are never small, so their exit scale is
                 # pinned at -1 and such blocks can never activate
-                if kind == "end" or (abs(nn), mm) == (1, 1) or nn == 0:
-                    continue
-                anc = par[i]
+                resonant = (abs(nn), mm) != (1, 1) and nn != 0
+                anc, path = par[i], []
                 while anc >= 0:
                     # closing at the unit root line of a special-end tree is
                     # the tree itself; a block holds more than one node
-                    if (keys[anc] == keys[i] and not (is_rtree and anc == 0)
+                    if (resonant and keys[anc] == keys[i] and not (is_rtree and anc == 0)
                             and size[anc] - size[i] > 1):
                         cands += (anc, i)
+                        walk_line += path
+                        walk_anchor += [mode[i]] * len(path)
+                    if line_of[anc] >= 0:
+                        path.append(line_of[anc])
                     anc = par[anc]
-            special.append(max((i for i, nd in enumerate(nodes) if nd[0] == "special"),
-                               default=-1))
+                if i == e:
+                    e_path = path
+            if is_rtree and e >= 0:
+                # the special end's walks: anchored at -1, and its block from
+                # the root (the unit root line is no line)
+                walk_line += e_path + e_path
+                walk_anchor += [-1] * len(e_path) + [mode[e]] * len(e_path)
+            special.append(e)
+            clean.append(e >= 0 and keys[1:].count(keys[e]) == 1)
             for c, vals in (("line", lines), ("pair", pairs), ("cand", cands)):
                 lists[c][1].extend(vals)
                 lists[c][0].append(len(lists[c][1]))
@@ -336,17 +362,20 @@ class _Family:
             cols["ttype"] += [_TTYPES.index(nd[1]) for nd in nodes]
             for j, c in enumerate(("sv", "kv", "n", "m"), 2):
                 cols[c] += [nd[j] for nd in nodes]
-            cols["mode"] += [modes.setdefault(key, len(modes)) for key in keys]
+            cols["mode"] += mode
             start.append(len(cols["par"]))
         for c, vals in cols.items():
             setattr(self, c, _frozen("b" if c in ("kind", "ttype", "sv", "kv") else "h", vals))
-        # offsets and multiplicities in the smallest types that hold them
+        # offsets, multiplicities and walks in the smallest types that hold them
         self.start, self.mult, self.special, self.count = (
             _frozen(_narrow(start[-1]), start), _frozen(_narrow(max(mults, default=1)), mults),
             _frozen("h", special), len(mults))
         for c, (offsets, vals) in lists.items():
             setattr(self, c + "_start", _frozen(_narrow(offsets[-1]), offsets))
             setattr(self, c + "_row", _frozen("h", vals))
+        self.walk_line = _frozen(_narrow(len(lists["line"][1])), walk_line)
+        self.walk_anchor = _frozen(_narrow(len(modes)), walk_anchor)
+        self.clean = memoryview(bytes(clean)).cast("?")
         self.modes = tuple(modes)
         self._cols = None
 
@@ -403,23 +432,16 @@ class _Columns:
       line list its tree, its position in the tree's lines and its mode; the
       most lines of a tree.
     - mode_n: the n of the family's distinct modes (`_Family.modes`).
-    - const, consts, const_role, props: each node row's index into the
-      family's few row constants, and one more entry, the 1.0 that a
-      missing second child reads; consts, a row's weight as far as no point
-      sets it: the kernel value v at a binary node, 1/m^3 at a special end,
-      1.0 at an end, else 0.0 (the shift weight at unary nodes comes later);
+    - const, consts, const_role: each node row's index into the family's
+      few row constants, and one more entry, the 1.0 that a missing second
+      child reads; consts, a row's weight as far as no point sets it: the
+      kernel value v at a binary node, 1/m^3 at a special end, 1.0 at an
+      end, else 0.0 (the shift weight at unary nodes comes later);
       const_role, what a context multiplies it by: 1 (role 0), a (1, a-type
-      binary node), -b Om^2 (2, b-type) or q (3, end); props, whether the
-      row's exiting line carries a cutoff propagator, which the lines of the
-      primary mode and of special ends and the unit root line of a
-      special-end tree do not.
-    - walk_line, walk_anchor, walk_mode: the lines on the path of each
-      structural resonance candidate, below its exit node, with the entering
-      node's mode, and of a special-end tree those from the special end up,
-      with anchor -1 (`_block_walks`); each one's mode.
-    - clean, special_mode: per tree, whether it has a special end whose
-      block no other line repeats the mode of (the family half of
-      `_l_conditions`), and the special end's mode (special-end families).
+      binary node), -b Om^2 (2, b-type) or q (3, end).
+    - walk_mode: the mode of each line of the family's block walks
+      (`_Family`).
+    - special_mode: the special end's mode (special-end families).
 
     And the family's evaluation layout, the rows of a table whose rows are
     its trees, one each; `_laid` lays it over any table's rows:
@@ -440,7 +462,7 @@ class _Columns:
     def __init__(self, f: _Family):
         for c in ("kind", "ttype", "sv", "kv", "n", "m", "mode", "size", "line_row",
                   "pair_row", "cand_row", "special", "start", "mult", "line_start",
-                  "pair_start", "cand_start"):
+                  "pair_start", "cand_start", "walk_line", "walk_anchor", "clean"):
             setattr(self, c, np.frombuffer(getattr(f, c).obj, dtype=getattr(f, c).format))
         R, kind, n, m = len(self.sv), self.kind, self.n, self.m
         two = np.flatnonzero(self.sv == 2)
@@ -469,10 +491,10 @@ class _Columns:
         if f.is_rtree:
             prop[roots] = False
         self.xprop = np.flatnonzero(prop & (kind == END)).astype(_narrow(R))
-        # constants keyed by (weight key, role, prop); weight keys: 0 for
-        # none, -m at a special end, and at a binary node 1 + the kernel's
-        # (m, m of the second subtree, m of the first); roles: 1 a-type and
-        # 2 b-type binary node, 3 end, 4 the missing child's 1.0, else 0
+        # constants keyed by (weight key, role); weight keys: 0 for none, -m
+        # at a special end, and at a binary node 1 + the kernel's (m, m of
+        # the second subtree, m of the first); roles: 1 a-type and 2 b-type
+        # binary node, 3 end, 4 the missing child's 1.0, else 0
         ms = int(m.max(initial=0)) + 1
         keys = np.zeros(R + 1, np.int64)
         keys[two] = (m[two].astype(np.int64) * ms + m[kid2[two]]) * ms + m[two + 1] + 1
@@ -481,8 +503,7 @@ class _Columns:
         role[two] = np.where(self.ttype[two] == B, 2, 1)
         role[:R][kind == END] = 3
         role[R] = 4
-        distinct, const = np.unique(keys * 16 + role * 2 + np.append(prop, False),
-                                    return_inverse=True)
+        distinct, const = np.unique(keys * 8 + role, return_inverse=True)
 
         def weight(k: int, r: int) -> float:
             if r >= 3:
@@ -492,19 +513,13 @@ class _Columns:
             k -= 1
             return kernel_v(k // ms // ms, k // ms % ms, k % ms) if k >= 0 else 0.0
 
-        roles = distinct % 16 // 2
+        roles = distinct % 8
         self.const = const.astype(_narrow(len(distinct)))
-        self.consts = np.array([weight(k, r) for k, r in zip((distinct // 16).tolist(),
+        self.consts = np.array([weight(k, r) for k, r in zip((distinct // 8).tolist(),
                                                              roles.tolist())])
-        self.props = (distinct & 1).astype(bool)
         self.const_role = np.where(roles == 4, 0, roles).astype(np.int8)
 
-        lines, anchors = _block_walks(f)
-        self.walk_line = np.array(lines, _narrow(len(self.line_row)))
-        self.walk_anchor = np.array(anchors, _narrow(len(f.modes)))
         self.walk_mode = self.line_mode[self.walk_line]
-        self.clean = np.array([e >= 0 and not _repeats(f, s, 0, e)
-                               for s, e in zip(f.start, f.special)], bool)
         self.special_mode = (self.mode[roots + self.special] if f.is_rtree
                              else np.zeros(0, np.int16))
 
@@ -525,30 +540,6 @@ class _Columns:
         for a in vars(self).values():
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False      # shared by every point
-
-
-def _block_walks(f: _Family) -> tuple[list, list]:
-    """(line, anchor) per line on a walk up a block path, tree after tree:
-    from the parent of each structural candidate's entering node i up to
-    below its exit node, anchored at i's mode; in a special-end tree also
-    from the special end's parent up to the root, anchored at -1, and the
-    special end's block from the root as a candidate.  Lines are indices
-    in the family's line list; the unit root line of a special-end tree is
-    no line and is left out."""
-    out_line, out_anchor = [], []
-    for t in range(f.count):
-        s, line_of = f.start[t], {l: f.line_start[t] + p for p, l in enumerate(f.lines(t))}
-        walks = [(o, i, f.mode[s + i]) for o, i in f.cands(t)]
-        if f.is_rtree and f.special[t] >= 0:
-            walks += [(-1, f.special[t], -1), (0, f.special[t], f.mode[s + f.special[t]])]
-        for o, i, anchor in walks:
-            cur = f.par[s + i]
-            while cur >= 0 and cur != o:
-                if cur in line_of:
-                    out_line.append(line_of[cur])
-                    out_anchor.append(anchor)
-                cur = f.par[s + cur]
-    return out_line, out_anchor
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -1422,48 +1413,6 @@ def counterterm_table(params: ModelParams, eps: float, nu: NuTable | None, q: fl
                 if val != 0.0:
                     lt.set(k, n, m, h, val)
     return lt
-
-
-def counterterm_order2_closed(params: ModelParams, eps: float, shift: np.ndarray,
-                              q: float, modes: ModeSet) -> np.ndarray:
-    """Hand-expanded order-2 shift coefficients on the modes of a ModeSet.
-
-    Two skeleton shapes contribute: the side-chain shape (zero-momentum inner
-    line, only type-a outer node survives) and the ladder shape (shifted inner
-    line evaluated on shell).  Vectorized over the modes and the inner
-    spatial label m' <= modes.Mmax; shift is the flat n*nu of the ModeSet
-    (ModeSet.shift of a NuTable, or ModeSet.scatter of values on the modes).
-    Raises DegenerateRadicandError (`ModeSet.radicand`) at the first entry,
-    in m-then-n order, whose on-shell omega~^2 = omega_m^2 + n nu is <= 0.
-    """
-    a, b = params.a, params.b
-    Om = omega_eff(params, eps)
-    _, side, v_m1_sq, inner, om_mp2 = modes.closed_rows
-    narr = modes.n
-    ombar = np.sqrt(modes.radicand(shift)[modes.pos])    # on-shell
-
-    # side-chain shape: inner line (0, m'), b-type outer node vanishes
-    s = a * (a + b * Om * Om) * side
-
-    # ladder shape: inner line (n + sigma, m') at on-shell frequency, built in
-    # one buffer; the shift is zero outside the windows, so only the entries
-    # inside them add it.  om_m'^2 - x^2 is the same double as -x^2 + om_m'^2;
-    # subtracting two contiguous blocks is faster than a broadcast
-    term = np.empty(v_m1_sq.shape)
-    for sig, (at, pos, primary) in zip((1.0, -1.0), inner):
-        n1 = narr + sig
-        x = Om * sig + ombar
-        term[...] = (x * x)[:, None]
-        np.subtract(om_mp2, term, out=term)
-        term.reshape(-1)[at] += shift[pos]          # the denominator
-        f0 = a + b * Om * Om * sig * n1             # outer node, both types
-        f1 = a - b * Om * Om * sig * narr           # inner node, both types
-        np.divide(v_m1_sq, term, out=term)
-        # a line exiting an internal node may not carry the primary mode
-        term[primary, 0] = 0.0
-        s = s + f0 * f1 * term.sum(axis=1)
-
-    return -(4.0 * q * q / narr) * s
 
 
 def dump_tree(tree: Tree, asg: dict | None = None) -> str:

@@ -16,13 +16,17 @@ exit node at a time.  `_renormalized_value`, `_lval_rtree`,
 clusters and resonances from a tree's scale assignment alone, independently
 of the structural candidates the compiled families store.  Last, the tree
 walks and the scale-h propagator slice that only the tests read, with the
-per-tree walk of the renormalized supports, the per-assignment counting
+per-tree walk of the renormalized supports, the block walks and clean
+flags that `_Family` compiles in its candidate walk (`_block_walks`,
+`clean`), the per-assignment counting
 route (`profile`, `_count`) that `bruno.violations` is tested on, and the
 per-m scan of the Melnikov margins (`_melnikov_oracle`), the mass
 conditions as one closure each with a bisection per closure
 (`mass_margins_oracle`, `mass_exclusion_intervals_oracle`), and the per-node
 derivation of a table's row layout (`_node_rows`, `_line_slots`,
-`_layout`) that `trees._laid` is checked against.
+`_layout`) that `trees._laid` is checked against.  Last, the cubic
+coefficient's rows rebuilt per call (`cubic_rows`), which the rows that
+`series._closed_rows` keeps per ModeSet are checked against.
 """
 from __future__ import annotations
 
@@ -35,6 +39,7 @@ import numpy as np
 
 from lindbeam.bruno import BrunoViolation
 from lindbeam.diophantine import MU_MAX, _mstar_single
+from lindbeam.series import _beta
 from lindbeam.kernel import kernel_v
 from lindbeam.spectrum import (
     ModelParams,
@@ -46,6 +51,7 @@ from lindbeam.spectrum import (
     omega,
     omega_eff,
     omega_sq,
+    propagator_row,
     x_divisor,
 )
 from lindbeam.spectrum import propagator as plain_propagator
@@ -62,6 +68,7 @@ from lindbeam.trees import (
     _Family,
     _l_conditions,
     _ranges,
+    _repeats,
     dump_tree,
     tree_value,
 )
@@ -538,6 +545,37 @@ def _shifted_supports(f: _Family, t: int, pt, modes: list) -> dict:
     return out
 
 
+def _block_walks(f: _Family) -> tuple[list, list]:
+    """(line, anchor) per line on a walk up a block path, tree after tree:
+    from the parent of each structural candidate's entering node i up to
+    below its exit node, anchored at i's mode; in a special-end tree also
+    from the special end's parent up to the root, anchored at -1, and the
+    special end's block from the root as a candidate.  Lines are indices
+    in the family's line list; the unit root line of a special-end tree is
+    no line and is left out.  A second walk per tree, with a line lookup of
+    its own: the one that `_Family` compiles in its candidate walk."""
+    out_line, out_anchor = [], []
+    for t in range(f.count):
+        s, line_of = f.start[t], {l: f.line_start[t] + p for p, l in enumerate(f.lines(t))}
+        walks = [(o, i, f.mode[s + i]) for o, i in f.cands(t)]
+        if f.is_rtree and f.special[t] >= 0:
+            walks += [(-1, f.special[t], -1), (0, f.special[t], f.mode[s + f.special[t]])]
+        for o, i, anchor in walks:
+            cur = f.par[s + i]
+            while cur >= 0 and cur != o:
+                if cur in line_of:
+                    out_line.append(line_of[cur])
+                    out_anchor.append(anchor)
+                cur = f.par[s + cur]
+    return out_line, out_anchor
+
+
+def clean(f: _Family) -> list:
+    """Per tree, whether it has a special end whose block no other node
+    repeats the mode of, by `trees._repeats` over the block."""
+    return [e >= 0 and not _repeats(f, s, 0, e) for s, e in zip(f.start, f.special)]
+
+
 def prop_line_nodes(tree: Tree) -> list:
     """Nodes whose exiting line carries a genuine cutoff propagator."""
     f, t = tree._fam, tree._t
@@ -840,3 +878,20 @@ def _layout(c: _Columns, node: np.ndarray) -> tuple:
     e = np.concatenate(levels) if levels else np.zeros(0, np.int64)
     return (nb, np.flatnonzero(sv == 1), np.stack([kid2[e], e + 1]),
             tuple(np.cumsum([0] + [len(e) for e in levels]).tolist()))
+
+
+# ---------------------------------------------------------------------------
+# the cubic coefficient's rows, rebuilt per call
+
+def cubic_rows(params: ModelParams, eps: float) -> tuple:
+    """`series._cubic_rows` over the odd m <= Mmax as each call once built
+    them: v_{1,1,m} from the kernel, g_{0,m} from propagator_row and
+    omega_m^2 from the int labels."""
+    odd = np.arange(1, params.Mmax + 1, 2)
+    Om = omega_eff(params, eps)
+    a, b = params.a, params.b
+    v = np.array([kernel_v(1, 1, m) for m in odd.tolist()])
+    g0 = propagator_row(0, odd, params, eps)
+    return (2.0 * v * v, 2 * a * (a + b * Om * Om) * g0,
+            (a - b * Om * Om) * (a + 2 * b * Om * Om), _beta(params, eps),
+            -(Om * 2) ** 2, omega_sq(odd, params.mu))

@@ -509,7 +509,7 @@ def _order2_closed_broadcast(params, eps, shift, q, ms):
     -(Om sigma + omega_bar)^2 + om_m'^2 over the (mode, m') block."""
     a, b = params.a, params.b
     Om = omega_eff(params, eps)
-    om_mp2, side, v_m1_sq, inner, _ = ms.closed_rows
+    om_mp2, _, side, v_m1_sq, inner, _ = series._closed_rows(ms)
     narr = ms.n.astype(float)
     rad = ms.m.astype(float) ** 4 + params.mu + shift[ms.pos]
     if (rad < 0.0).any():
@@ -532,9 +532,7 @@ def _order2_closed_broadcast(params, eps, shift, q, ms):
 def test_order2_closed_equals_the_broadcast_denominator_bitwise(monkeypatch, params, eps):
     # every sweep of solve_nu, up to the negative radicand that stops the
     # sweeps at 0.1875 and 0.2625 (test_solve_nu_stops_at_negative_radicand)
-    from lindbeam import trees
-
-    closed, calls = trees.counterterm_order2_closed, []
+    closed, calls = series.counterterm_order2_closed, []
 
     def both(*args):
         try:
@@ -548,7 +546,7 @@ def test_order2_closed_equals_the_broadcast_denominator_bitwise(monkeypatch, par
         calls.append(got)
         return got
 
-    monkeypatch.setattr(trees, "counterterm_order2_closed", both)
+    monkeypatch.setattr(series, "counterterm_order2_closed", both)
     try:
         solve_nu(params, eps, 2)
     except series.NonConvergenceError as exc:

@@ -16,7 +16,8 @@ import pytest
 from lindbeam import diophantine
 from lindbeam.bruno import sample_diophantine_points
 from lindbeam.diophantine import melnikov_margins
-from lindbeam.series import _forcing, compute_coeffs, order_consistency, solve_nu
+from lindbeam.series import (_closed_rows, _forcing, compute_coeffs, counterterm_order2_closed,
+                             order_consistency, solve_nu)
 from lindbeam.spectrum import (
     DegenerateRadicandError,
     ModelParams,
@@ -25,7 +26,7 @@ from lindbeam.spectrum import (
     omega_eff,
     propagator_row,
 )
-from lindbeam.trees import _point, counterterm_order2_closed
+from lindbeam.trees import _point
 from oracles import _cleared, _melnikov_oracle
 
 CANTOR_P = ModelParams(a=1.0, b=0.5, mu=0.1, eps0=0.35, nu_cap=0.45, omega_branch=-1,
@@ -107,7 +108,7 @@ def _old_margin_tables(mu, eps0, Nmax, Mmax, tau):
 def _old_order2_closed(params, eps, shift, q, modes):
     a, b = params.a, params.b
     Om = omega_eff(params, eps)
-    _, side, v_m1_sq, inner, om_mp2 = modes.closed_rows
+    _, _, side, v_m1_sq, inner, om_mp2 = _closed_rows(modes)
     narr, m4 = modes.n.astype(float), modes.m.astype(float) ** 4 + modes.mu
     rad = m4 + shift[modes.pos]
     bad = np.flatnonzero(rad < 0.0)
@@ -139,7 +140,7 @@ def test_divisor_sites_equal_their_old_expressions_bitwise(params):
     ms, points = _points(params)
     key = (params.mu, params.eps0, params.Nmax, params.Mmax)
 
-    om_mp2, *_, tiled = ms.closed_rows
+    om_mp2, *_, tiled = _closed_rows(ms)
     mp = np.arange(1, params.Mmax + 1, 2).astype(float)
     assert _bits(om_mp2) == _bits(mp ** 4 + params.mu)
     assert _bits(tiled) == _bits(np.tile(mp ** 4 + params.mu, (len(ms), 1)))

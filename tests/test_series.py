@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from lindbeam import series
 from lindbeam.kernel import C_NORM, kernel_tensor, kernel_v
 from lindbeam.series import (
     _forcing,
@@ -29,6 +30,7 @@ from lindbeam.series import (
     solve_nu,
     summary_json,
 )
+from lindbeam.series import counterterm_order2_closed
 from lindbeam.spectrum import (
     ModelParams,
     NuTable,
@@ -36,7 +38,8 @@ from lindbeam.spectrum import (
     omega_eff,
     propagator,
 )
-from lindbeam.trees import counterterm_order2_closed, counterterm_table
+from lindbeam.trees import counterterm_table
+import oracles
 from oracles import scaled_propagator
 
 P = ModelParams(a=1.0, b=0.5, mu=0.1, eps0=0.02, omega_branch=-1, Mmax=64, Nmax=300)
@@ -698,6 +701,22 @@ def test_solve_nu_matches_table_sweeps():
     got, info = solve_nu(pp, eps, 2)
     assert info["sweeps"] == sweep and info["q"] == q
     assert got == nu and info["counterterms"] == lt
+
+
+@pytest.mark.parametrize("params", [
+    ModelParams(a=1.0, b=0.5, mu=0.01, eps0=0.02, omega_branch=1, Mmax=9, Nmax=60),
+    P, P.with_(eps0=0.35, nu_cap=0.45, Nmax=500), CONSTRUCT_P])
+def test_shared_cubic_rows_equal_the_per_call_rebuild_bitwise(params):
+    # v_{1,1,m} = v_{m,1,1}, omega_m^2 of the float labels and g_{0,m} =
+    # 1/omega_m^2 from the ModeSet's order-2 rows, against each call's own
+    ms = mode_set(params.mu, params.eps0, params.Mmax, params.Nmax)
+    rows = series._closed_rows(ms)
+    assert series._closed_rows(ms) is rows
+    assert not any(a.flags.writeable for a in (*rows[:4], rows[5], *rows[4][0], *rows[4][1]))
+    for eps in np.geomspace(params.eps0 / 40, params.eps0 / 2, 5).tolist():
+        got, want = series._cubic_rows(params, eps, ms), oracles.cubic_rows(params, eps)
+        assert [np.asarray(g).dtype for g in got] == [np.asarray(w).dtype for w in want]
+        assert [np.asarray(g).tobytes() for g in got] == [np.asarray(w).tobytes() for w in want]
 
 
 CANTOR_P = P.with_(eps0=0.35, nu_cap=0.45, Nmax=500)

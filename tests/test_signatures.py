@@ -223,3 +223,31 @@ def test_the_cutoffs_take_one_array_route():
     found = [n.lineno for n in ast.walk(ast.parse((SRC / "spectrum.py").read_text()))
              if _scalar_branch(n)]
     assert not found, found
+
+
+def _imports_from(tree, module):
+    """(enclosing top-level function or None, names) of each `from .module import`."""
+    out = []
+    for top in tree.body:
+        where = top.name if isinstance(top, ast.FunctionDef) else None
+        out += [(where, [a.name for a in n.names]) for n in ast.walk(top)
+                if isinstance(n, ast.ImportFrom) and n.level == 1 and n.module == module]
+    return out
+
+
+def test_the_order2_shift_construction_lives_in_series():
+    # the closed form and its rows sit beside solve_nu: spectrum holds the
+    # near-resonant layout and no kernel, trees only tree code, and series
+    # reaches into trees for the K >= 4 route alone
+    spectrum = ast.parse((SRC / "spectrum.py").read_text())
+    assert not _imports_from(spectrum, "kernel")
+    defined = {n.name for n in ast.walk(spectrum) if isinstance(n, ast.FunctionDef)}
+    assert not defined & {"closed_rows", "check_nu_values"}
+    tree = ast.parse((SRC / "trees.py").read_text())
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert not defined & {"counterterm_order2_closed", "_block_walks"}
+    stored = {n.attr for n in ast.walk(_class(tree, "_Columns"))
+              if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)}
+    assert "props" not in stored, stored
+    series = ast.parse((SRC / "series.py").read_text())
+    assert _imports_from(series, "trees") == [("solve_nu", ["counterterm_table"])]

@@ -10,7 +10,6 @@ from lindbeam.spectrum import (
     ModelParams,
     NuTable,
     admissible_h_for,
-    check_nu_values,
     chi,
     chi_h,
     chi_support,
@@ -278,9 +277,6 @@ def test_nu_table():
         nu.set(1, 1, 0.1)
     with pytest.raises(ValueError):
         nu.set(0, 3, 0.1)
-    # the box |nu| < nu_cap * eps0, checked on the values solve_nu returns
-    with pytest.raises(ValueError, match=r"exceeds 0.25\*eps0"):
-        check_nu_values(np.array([2]), np.array([1]), np.array([0.1]), 0.1, 0.05, 0.25)
 
 
 # ---------------------------------------------------------------------------

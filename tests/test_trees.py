@@ -6,7 +6,8 @@ import pytest
 
 from lindbeam import trees
 from lindbeam.kernel import kernel_v
-from lindbeam.series import CountertermTable, compute_coeffs, lambda_modes, solve_nu
+from lindbeam.series import (CountertermTable, _closed_rows, compute_coeffs,
+                             counterterm_order2_closed, lambda_modes, solve_nu)
 from lindbeam.spectrum import ModelParams, NuTable, ResonantDivisorError, mode_set, omega_eff
 from lindbeam.trees import (
     EvalCtx,
@@ -14,7 +15,6 @@ from lindbeam.trees import (
     TNode,
     admissible_assignments,
     counterterm,
-    counterterm_order2_closed,
     counterterm_table,
     dump_tree,
     enumerate_r_trees,
@@ -213,7 +213,7 @@ def _closed_dense(params, eps, shift, q, ms):
     a, b = params.a, params.b
     Om = omega_eff(params, eps)
     mp = np.arange(1, ms.Mmax + 1, 2)
-    om_mp2, side, v_m1_sq, *_ = ms.closed_rows
+    om_mp2, _, side, v_m1_sq, *_ = _closed_rows(ms)
     narr = ms.n.astype(float)
     ombar = np.sqrt(ms.m.astype(float) ** 4 + params.mu + shift[ms.pos])
     s = a * (a + b * Om * Om) * side
@@ -1278,12 +1278,13 @@ def test_tree_family_cache_is_bounded():
 
 
 def test_point_independent_work_is_done_at_the_first_point(monkeypatch):
-    # a compiled family holds the kernel values and the block paths; a
+    # a compiled family holds the kernel values and the block walks; a
     # second point evaluates the criterion-6 families, plain, renormalized
-    # and special-end, without tabulating either again
+    # and special-end, without tabulating the one or compiling a family's
+    # columns again
     from lindbeam.bruno import sample_diophantine_points
 
-    calls = {"kernel_v": 0, "_block_walks": 0}
+    calls = {"kernel_v": 0, "_Columns": 0}
     for name in calls:
         fn = getattr(trees, name)
 
@@ -1301,20 +1302,43 @@ def test_point_independent_work_is_done_at_the_first_point(monkeypatch):
             renormalized_sum(k, n, m, TREE_P, eps, nu, q, lt, MM)
         for (n, m) in lambda_modes(TREE_P):
             counterterm(2, n, m, -1, TREE_P, eps, nu, q, lt, MM)
-    assert calls == {"kernel_v": 0, "_block_walks": 0}
+    assert calls == {"kernel_v": 0, "_Columns": 0}
 
 
 def test_compiled_family_arrays_are_read_only():
     f = trees._family(3, 2, 3, MM, False)
     c = f.columns()
     arrays = {name: a for name, a in vars(c).items() if isinstance(a, np.ndarray)}
-    assert {"line_tree", "line_pos", "line_mode", "const", "consts", "props",
+    assert {"line_tree", "line_pos", "line_mode", "const", "consts",
             "walk_line", "walk_anchor", "clean", "level"} <= arrays.keys()
     assert not any(a.flags.writeable for a in arrays.values())
     with pytest.raises(ValueError):
         c.consts[0] = 1.0
     with pytest.raises(ValueError):
-        c.props[:] = False
+        c.clean[:] = False
+
+
+def test_the_candidate_walk_lays_out_the_block_walks_and_clean_flags():
+    # the walk up from each node that finds the candidates also compiles
+    # the block walks and the clean flags, equal to a second walk per tree
+    fams = [trees._family(k, n, m, MM, False) for (k, n, m) in GRID6]
+    fams += [trees._family(k, n, m, MM, True) for k in (2, 3) for (n, m) in lambda_modes(TREE_P)]
+    # order 4 brings special-end trees that are not clean
+    fams += [trees._family(4, n, m, 3, True) for (n, m) in lambda_modes(TREE_P.with_(Mmax=3))]
+    fams.append(trees._family(5, 2, 3, 3, False))
+    seen = {"walks": 0, "clean": 0, "unclean": 0}
+    for f in fams:
+        c = f.columns()
+        lines, anchors = oracles._block_walks(f)
+        assert c.walk_line.tolist() == lines and c.walk_anchor.tolist() == anchors
+        assert c.walk_line.dtype == np.dtype(trees._narrow(len(c.line_row)))
+        assert c.walk_anchor.dtype == np.dtype(trees._narrow(len(f.modes)))
+        assert c.clean.dtype == bool and c.clean.tolist() == oracles.clean(f)
+        seen["walks"] += len(lines)
+        if f.is_rtree:
+            seen["clean"] += int(c.clean.sum())
+            seen["unclean"] += int((~c.clean).sum())
+    assert min(seen.values()) > 0, seen
 
 
 def test_compiled_indices_are_sized_by_what_they_index():
@@ -1322,7 +1346,7 @@ def test_compiled_indices_are_sized_by_what_they_index():
     # int8, but its block walks reach line 142 of its line list
     f = trees._family(3, 2, 3, 3, False)
     c = f.columns()
-    lines, anchors = trees._block_walks(f)
+    lines, anchors = oracles._block_walks(f)
     assert f.count < 128 <= max(lines)
     assert c.walk_line.tolist() == lines and c.walk_anchor.tolist() == anchors
     assert c.line_tree.tolist() == [t for t in range(f.count) for _ in f.lines(t)]
@@ -1433,7 +1457,9 @@ def _tables_and_prices(pt, f, seen):
         seen["one" if (np.diff(tab.row_start) == 1).all() else "general"] += 1
         # each propagator line of the table's rows at its natural frequency
         row_tree, node, first, h = tab.rows()
-        prop = np.flatnonzero(c.props[c.const[node]])
+        carries = np.zeros(len(c.sv), bool)
+        carries[c.line_node] = carries[c.xprop] = True
+        prop = np.flatnonzero(carries[node])
         keys, at = np.unique(c.mode[node[prop]] * 1000 + h[prop] + 1, return_inverse=True)
         want = np.array([oracles.propagator(pt, scalar[k // 1000], k % 1000 - 1)
                          for k in keys.tolist()]).reshape(-1)
