@@ -15,12 +15,11 @@ record to write tree i as a key tuple, and the trees, in index order, are
 flattened into read-only integer rows (`_Family`), kept in a bounded cache.
 On first evaluation a family compiles what evaluating it reads of the family
 alone, once for every point (`_Columns`).
-A `Tree` is a view of one tree's rows; it builds `TNode` objects only when
-asked for them.  Evaluation reads the rows together with per-point mode
-arrays (`_Point`, `_Modes`): each mode's omega~^2 = omega_sq(m, mu) + |n| nu,
-the double the recursion's propagators divide by, the scale labels its
-divisor admits and its cutoff propagators, computed once per (params, eps,
-nu) and mode, over arrays of modes and lines.
+A `Tree` is a view of one tree's rows.  Evaluation reads the rows together
+with per-point mode arrays (`_Point`, `_Modes`): each mode's omega~^2 =
+omega_sq(m, mu) + |n| nu, the double the recursion's propagators divide by,
+the scale labels its divisor admits and its cutoff propagators, computed
+once per (params, eps, nu) and mode, over arrays of modes and lines.
 
 Evaluation works on a whole family at once.  A point's assignment table
 (`_Table`, one per family and support rule, cached on the `_Point`) holds
@@ -29,8 +28,8 @@ order and, within a tree, in `itertools.product` order of its lines'
 labels.  `_row_values` evaluates all rows together, level by level from the
 leaves up (a node's level is its height), doing at each node the
 multiplications of the per-tree recursion in the same order: node weight,
-then line factor times child value for each child in `TNode` children
-order, giving the same +0.0 where a factor vanishes.  Renormalized rows
+then line factor times child value for each child in `_Family.kids` order,
+giving the same +0.0 where a factor vanishes.  Renormalized rows
 carry their active resonance blocks through the same loop, as two more
 products along each block's path, priced at the entering line's natural
 and on-shell frequencies; a special-end tree's localized value is one such
@@ -65,7 +64,6 @@ from .spectrum import (
 
 __all__ = [
     "Tree",
-    "TNode",
     "EvalCtx",
     "enumerate_trees",
     "enumerate_r_trees",
@@ -99,18 +97,6 @@ class TreeBudgetError(RuntimeError):
 
 class MissingCountertermError(KeyError):
     pass
-
-
-@dataclass
-class TNode:
-    nid: int
-    kind: str                 # 'end' | 'special' | 'node'
-    ttype: str                # 'a' | 'b' | ''
-    sv: int                   # 0 ends, 1 unary, 2 binary
-    kv: int                   # order carried by the node
-    n: int                    # temporal momentum of the exiting line
-    m: int                    # spatial label of the exiting line
-    children: tuple = ()
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +272,12 @@ class _Family:
     Node rows run tree after tree, each tree in node-id order, so the node
     with id i of tree t is row start[t] + i and its subtree is the id range
     [i, i + size[row]).  Per row: par (parent id, -1 at the root), size,
-    kind, ttype, sv, kv, n, m (the TNode labels) and mode, an index into the
-    family's distinct (n, m) labels `modes`.  Per tree: mult, special (id of
-    the special end node, or -1), clean (whether it has a special end whose
-    block no other node repeats the mode of, the family half of
-    `_l_conditions`) and, as id lists sliced by *_start: the propagator
+    kind (END, SPECIAL, NODE), ttype (0, A, B), sv (0 ends, 1 unary, 2
+    binary), kv (the order the node carries), n, m (the mode of its exiting
+    line) and mode, an index into the family's distinct (n, m) labels
+    `modes`.  Per tree: mult, special (id of the special end node, or -1),
+    clean (whether it has a special end whose block is `_clean`, the family
+    half of `_l_conditions`) and, as id lists sliced by *_start: the propagator
     lines, the line pairs with equal modes (positions in the line list) and
     the structural resonance candidates (out, in).
 
@@ -352,7 +339,7 @@ class _Family:
                 walk_line += e_path + e_path
                 walk_anchor += [-1] * len(e_path) + [mode[e]] * len(e_path)
             special.append(e)
-            clean.append(e >= 0 and keys[1:].count(keys[e]) == 1)
+            clean.append(e >= 0 and _clean(mode, size, 0, e))
             for c, vals in (("line", lines), ("pair", pairs), ("cand", cands)):
                 lists[c][1].extend(vals)
                 lists[c][0].append(len(lists[c][1]))
@@ -397,18 +384,14 @@ class _Family:
         return [i for i, v in enumerate(self.sv[s:self.start[t + 1]]) if v == 1]
 
     def kids(self, s: int, i: int) -> list[int]:
-        """Child ids of node i (tree rows from s) in the TNode children order."""
+        """Child ids of node i (tree rows from s), in the order of the key
+        tuple's children (`_unrank`): the last id first."""
         out, c, stop = [], i + 1, i + self.size[s + i]
         while c < stop:
             out.append(c)
             c += self.size[s + c]
         out.reverse()
         return out
-
-    def block(self, s: int, o: int, i: int) -> list[int]:
-        """Ids of the resonance block: subtree(o) without subtree(i)."""
-        stop = i + self.size[s + i]
-        return [j for j in range(o, o + self.size[s + o]) if not i <= j < stop]
 
     def scales(self, t: int, lines, hs) -> list[int]:
         """Scale of each node's exiting line: hs on the given ids, else -1."""
@@ -452,7 +435,7 @@ class _Columns:
     - unary: the unary node rows.
     - lv_kids, lv_off: the node rows above the ends, level by level (those
       of level l + 1 are columns lv_off[l]:lv_off[l + 1]), as their two
-      children in TNode children order: the second subtree (the last row, the
+      children in `_Family.kids` order: the second subtree (the last row, the
       missing child, at a unary node) over the first, whose row less one is
       the node's.
     - cand_tree, cand_exit: each structural resonance candidate's tree and
@@ -575,14 +558,14 @@ def _family(k: int, n: int, m: int, Mmax: int, is_rtree: bool) -> _Family:
 class Tree:
     """Tree t of a compiled family: a view of its rows.
 
-    k, n, m, mult and is_rtree are read from the family; TNodes are built
-    only when root, nodes or special is read.
+    k, n, m, mult and is_rtree are read from the family; its nodes are the
+    family's rows from start[t] (`dump_tree` renders them).
     """
 
-    __slots__ = ("_fam", "_t", "_nodes")
+    __slots__ = ("_fam", "_t")
 
     def __init__(self, fam: _Family, t: int):
-        self._fam, self._t, self._nodes = fam, t, None
+        self._fam, self._t = fam, t
 
     k = property(lambda self: self._fam.label[0])
     n = property(lambda self: self._fam.label[1])
@@ -596,27 +579,6 @@ class Tree:
 
     def _scales(self, asg: dict) -> list[int]:
         return self._fam.scales(self._t, asg.keys(), asg.values())
-
-    @property
-    def nodes(self) -> list[TNode]:
-        if self._nodes is None:
-            f, t = self._fam, self._t
-            s, e = f.start[t], f.start[t + 1]
-            nodes = [TNode(i, _KINDS[f.kind[r]], _TTYPES[f.ttype[r]], f.sv[r], f.kv[r],
-                           f.n[r], f.m[r]) for i, r in enumerate(range(s, e))]
-            for i, nd in enumerate(nodes):
-                nd.children = tuple(nodes[c] for c in f.kids(s, i))
-            self._nodes = nodes
-        return self._nodes
-
-    @property
-    def root(self) -> TNode:
-        return self.nodes[0]
-
-    @property
-    def special(self) -> TNode | None:
-        e = self._fam.special[self._t]
-        return self.nodes[e] if e >= 0 else None
 
 
 def _tree_family(k: int, n: int, m: int, params: ModelParams, Mmax: int | None) -> _Family:
@@ -991,15 +953,7 @@ def _shifted_lines(f: _Family, pt: _Point) -> tuple | None:
     if not (e | use).any():
         return None
     g, lu = c.walk_line[use], lm[use]
-    shifted, plain = a.shifted(lu, anchor[use]), a.hs[lu]
-    # no line gains a label where every walk's labels are among its line's
-    # plain ones, and a line on a special end's path has all of these where
-    # one of its walks has them
-    if ((shifted[:, :, None] == plain[:, None, :]) | (shifted[:, :, None] == -2)).any(2).all():
-        full = np.zeros(len(c.line_mode), bool)
-        full[g[(shifted == plain).all(axis=1)]] = True
-        if full[c.walk_line[e]].all():
-            return None
+    shifted = a.shifted(lu, anchor[use])
     on_e, touched = np.zeros(len(c.line_mode), bool), np.zeros(len(c.line_mode), bool)
     on_e[c.walk_line[e]] = touched[g] = True
     keep = np.flatnonzero(touched & ~on_e)      # their plain labels are unioned in
@@ -1071,7 +1025,7 @@ def _setup(f: _Family, rows: tuple, pt: _Point) -> tuple:
     nb; const, its index into the family's row constants.  line, nb, fac
     and const have one more entry, for the missing second child of a unary
     node: 1.0, 1, 1.0 and the constant 1.0.  unary: the unary nodes.  kids, off: the nodes
-    above the ends, level by level, as their two children in TNode children
+    above the ends, level by level, as their two children in `_Family.kids`
     order (`_Columns.lv_kids`), and as themselves (inner); fk, the children's
     fac.  plain: per q, the row values where no unary node reads a shift
     table and no block is renormalized, which are then the same in every
@@ -1192,7 +1146,7 @@ def _levels(val: np.ndarray, w: np.ndarray, inner: np.ndarray, line: np.ndarray,
         kk, wl, e = kids[:, lo:hi], w[lo:hi], inner[lo:hi]
         if guarded:
             v = wl
-            for kid in kk:      # TNode children order: second subtree first
+            for kid in kk:      # `_Family.kids` order: second subtree first
                 v = _times(v, fac[kid], val[kid])
         else:
             v = fk[:, lo:hi] * val[kk]
@@ -1290,29 +1244,25 @@ def _total(f: _Family, row_tree: np.ndarray, values: np.ndarray) -> float:
 
 def _l_conditions(f: _Family, s: int, o: int, i: int, pt: _Point) -> bool:
     """On-shell subtraction applies only in the near-resonant zone and when
-    no block line repeats the external mode label."""
-    return bool(pt.arrays(f).lam[f.mode[s + i]]) and not _repeats(f, s, o, i)
+    the block is `_clean`."""
+    return bool(pt.arrays(f).lam[f.mode[s + i]]) and _clean(f.mode, f.size, s + o, s + i)
 
 
-def _repeats(f: _Family, s: int, o: int, i: int) -> bool:
-    """Whether a line of block (o, i) of the tree at rows s.., other than
-    the exit line, has the entering mode."""
-    mi = f.mode[s + i]
-    return any(f.mode[s + j] == mi for j in f.block(s, o, i) if j != o)
+def _clean(mode, size, o: int, i: int) -> bool:
+    """Whether no node of block (o, i) but its exit node o has the entering
+    mode: mode[i] is on no row of [o + 1, i) or [i + size[i], o + size[o]),
+    the block less o, whose rows run from o without subtree(i)."""
+    mi = mode[i]
+    return mi not in mode[o + 1:i] and mi not in mode[i + size[i]:o + size[o]]
 
 
 def _active(f: _Family, t: int, h: list) -> list[tuple[int, int]]:
-    """Candidates whose internal scales all sit below the exit-line scale."""
-    s = f.start[t]
-    out = []
-    for (o, i) in f.cands(t):
-        if h[o] < 0:
-            continue   # no internal scale sits below -1
-        h_int = max((h[j] for j in f.block(s, o, i) if j != o and f.kind[s + j] == NODE),
-                    default=-1)
-        if h_int < h[o]:
-            out.append((o, i))
-    return out
+    """Candidates whose internal scales all sit below the exit-line scale:
+    the scales of h (a list by node id, >= 0 on propagator lines alone) on
+    the block less its exit node."""
+    s, size = f.start[t], f.size
+    return [(o, i) for o, i in f.cands(t)
+            if h[o] > max(h[o + 1:i] + h[i + size[s + i]:o + size[s + o]], default=-1)]
 
 
 def tree_value(tree: Tree, asg: dict, params: ModelParams, eps: float,
@@ -1416,16 +1366,17 @@ def counterterm_table(params: ModelParams, eps: float, nu: NuTable | None, q: fl
 
 
 def dump_tree(tree: Tree, asg: dict | None = None) -> str:
-    """Indented one-node-per-line rendering used by the CLI and golden tests."""
-    lines = []
-
-    def walk(nd: TNode, depth: int):
-        h = "" if asg is None else f" h={asg.get(nd.nid, -1)}"
-        t = nd.ttype or "-"
-        lines.append(f"{'  ' * depth}[{nd.nid}] {nd.kind} t={t} k={nd.kv} "
-                     f"mode=({nd.n},{nd.m}){h}")
-        for c in nd.children:
-            walk(c, depth + 1)
-
-    walk(tree.root, 0)
+    """Indented one-node-per-line rendering used by the CLI and golden tests:
+    from the root down, each node's id, kind, ttype, kv and mode, with asg
+    the scale asg gives its id (-1 if none), and below it its children in
+    `_Family.kids` order, one indent deeper."""
+    f, t = tree._fam, tree._t
+    s, lines, stack = f.start[t], [], [(0, 0)]
+    while stack:
+        i, depth = stack.pop()
+        r = s + i
+        h = "" if asg is None else f" h={asg.get(i, -1)}"
+        lines.append(f"{'  ' * depth}[{i}] {_KINDS[f.kind[r]]} t={_TTYPES[f.ttype[r]] or '-'} "
+                     f"k={f.kv[r]} mode=({f.n[r]},{f.m[r]}){h}")
+        stack += [(c, depth + 1) for c in reversed(f.kids(s, i))]
     return "\n".join(lines)

@@ -1,8 +1,13 @@
 """Recursive tree evaluation and literal structure detectors: the oracles of
 the array evaluation in `lindbeam.trees`.
 
-`hand_tree` compiles a tree the tests build by hand from TNodes into a
-one-tree family.
+A tree's nodes as objects (`TNode`): `nodes` builds them from a compiled
+tree's rows, children in `_Family.kids` order, and `hand_tree` compiles a
+tree the tests build by hand from TNodes into a one-tree family.  The
+localization rule node by node: `_repeats`, whether a node of a block
+(`_block`) other than its exit node has the entering mode, which
+`trees._clean` reads off two row slices; `l_conditions` is the oracle's
+own l-condition on it.
 
 Then a point's divisor data one mode at a time (`mode`, `shifted`,
 `propagator`), the scalar route that the arrays of `trees._Modes` are
@@ -26,7 +31,9 @@ conditions as one closure each with a bisection per closure
 derivation of a table's row layout (`_node_rows`, `_line_slots`,
 `_layout`) that `trees._laid` is checked against.  Last, the cubic
 coefficient's rows rebuilt per call (`cubic_rows`), which the rows that
-`series._closed_rows` keeps per ModeSet are checked against.
+`series._closed_rows` keeps per ModeSet are checked against, and the
+dyadic cutoffs one float at a time (`scalar_chi_h`), which
+`spectrum.chi_h` is checked against.
 """
 from __future__ import annotations
 
@@ -56,26 +63,62 @@ from lindbeam.spectrum import (
 )
 from lindbeam.spectrum import propagator as plain_propagator
 from lindbeam.trees import (
+    _KINDS,
+    _TTYPES,
     A,
     B,
     END,
     SPECIAL,
     EvalCtx,
-    TNode,
     Tree,
     _active,
     _Columns,
     _Family,
-    _l_conditions,
     _ranges,
-    _repeats,
     dump_tree,
     tree_value,
 )
 
 
 # ---------------------------------------------------------------------------
-# hand-built trees
+# a tree's nodes as objects, and hand-built trees
+
+@dataclass
+class TNode:
+    nid: int
+    kind: str                 # 'end' | 'special' | 'node'
+    ttype: str                # 'a' | 'b' | ''
+    sv: int                   # 0 ends, 1 unary, 2 binary
+    kv: int                   # order carried by the node
+    n: int                    # temporal momentum of the exiting line
+    m: int                    # spatial label of the exiting line
+    children: tuple = ()
+
+
+_NODES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()     # per family, per tree
+
+
+def nodes(tree: Tree) -> list[TNode]:
+    """The tree's nodes in node-id order, built from its family's rows with
+    children in `_Family.kids` order; built once per (family, index), so a
+    node is the same object on every call."""
+    f, t = tree._fam, tree._t
+    built = _NODES.setdefault(f, {})
+    if t not in built:
+        s = f.start[t]
+        out = [TNode(i, _KINDS[f.kind[r]], _TTYPES[f.ttype[r]], f.sv[r], f.kv[r], f.n[r], f.m[r])
+               for i, r in enumerate(range(s, f.start[t + 1]))]
+        for i, nd in enumerate(out):
+            nd.children = tuple(out[c] for c in f.kids(s, i))
+        built[t] = out
+    return built[t]
+
+
+def special(tree: Tree) -> TNode | None:
+    """The tree's special end node, or None."""
+    e = tree._fam.special[tree._t]
+    return nodes(tree)[e] if e >= 0 else None
+
 
 def _key(nd: TNode) -> tuple:
     """The key tuple of a TNode tree (`trees._unrank`), children in the
@@ -94,6 +137,27 @@ def hand_tree(root: TNode, k: int, n: int, m: int, mult: int = 1,
         nd.nid, nid = nid, nid + 1
         stack.extend(nd.children)
     return Tree(_Family([(_key(root), mult)], k, n, m, is_rtree), 0)
+
+
+def _block(f: _Family, s: int, o: int, i: int) -> list[int]:
+    """Ids of the resonance block (o, i) of the tree at rows s..:
+    subtree(o) without subtree(i)."""
+    stop = i + f.size[s + i]
+    return [j for j in range(o, o + f.size[s + o]) if not i <= j < stop]
+
+
+def _repeats(f: _Family, s: int, o: int, i: int) -> bool:
+    """Whether a node of block (o, i) of the tree at rows s.., other than
+    the exit node, has the entering mode."""
+    mi = f.mode[s + i]
+    return any(f.mode[s + j] == mi for j in _block(f, s, o, i) if j != o)
+
+
+def l_conditions(f: _Family, s: int, o: int, i: int, pt) -> bool:
+    """On-shell subtraction of block (o, i) applies only when its entering
+    mode is in the near-resonant zone and no other node of the block
+    repeats it (`_repeats`)."""
+    return bool(in_lambda(f.n[s + i], f.m[s + i], pt.params)) and not _repeats(f, s, o, i)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +323,7 @@ def _region(f: _Family, s: int, top: int, excl: int, f_in: float | None, h: list
         rest = [c for c in active if c != cand]
         block_x = _region(f, s, o, i, freq_of(i), h, ctx, rest)
         sub = 0.0
-        if _l_conditions(f, s, o, i, ctx.point):
+        if l_conditions(f, s, o, i, ctx.point):
             sub = _region(f, s, o, i, _omega_bar(ctx, f.n[s + i], f.m[s + i]), h, ctx, rest)
         if f.kind[s + i] == SPECIAL:
             entering = 1.0
@@ -309,7 +373,7 @@ def _lval_rtree(f: _Family, t: int, h: list, ctx: EvalCtx, renormalize: bool) ->
     the region evaluation; the unit root line contributes nothing.
     """
     s, e = f.start[t], f.special[t]
-    if not _l_conditions(f, s, 0, e, ctx.point):
+    if not l_conditions(f, s, 0, e, ctx.point):
         return 0.0
     xbar = _omega_bar(ctx, f.n[s + e], f.m[s + e])
     active = _active(f, t, h) if renormalize else []
@@ -337,24 +401,24 @@ def _candidates(tree: Tree) -> list[tuple]:
     it with the same mode label.  The block must contain more than one node.
     """
     f, t = tree._fam, tree._t
-    return [(tree.nodes[o], tree.nodes[i]) for (o, i) in f.cands(t)]
+    return [(nodes(tree)[o], nodes(tree)[i]) for (o, i) in f.cands(t)]
 
 
 def parents(tree: Tree) -> dict:
     """Each node id's parent TNode (None at the root), read off the children."""
-    up = {nd.nid: None for nd in tree.nodes}
-    up.update((c.nid, nd) for nd in tree.nodes for c in nd.children)
+    up = {nd.nid: None for nd in nodes(tree)}
+    up.update((c.nid, nd) for nd in nodes(tree) for c in nd.children)
     return up
 
 
 def detect_clusters(tree: Tree, asg: dict) -> list[Cluster]:
     """Maximal connected node sets linked by lines of scale <= h, per h."""
     up = parents(tree)
-    scales = sorted({asg.get(nd.nid, -1) for nd in tree.nodes if up[nd.nid] is not None})
+    scales = sorted({asg.get(nd.nid, -1) for nd in nodes(tree) if up[nd.nid] is not None})
     clusters: list[Cluster] = []
     seen = set()
     for h in scales:
-        par = {nd.nid: nd.nid for nd in tree.nodes}
+        par = {nd.nid: nd.nid for nd in nodes(tree)}
 
         def find(x):
             while par[x] != x:
@@ -362,12 +426,12 @@ def detect_clusters(tree: Tree, asg: dict) -> list[Cluster]:
                 x = par[x]
             return x
 
-        for nd in tree.nodes:
+        for nd in nodes(tree):
             p = up[nd.nid]
             if p is not None and asg.get(nd.nid, -1) <= h:
                 par[find(nd.nid)] = find(p.nid)
         comps: dict[int, set] = {}
-        for nd in tree.nodes:
+        for nd in nodes(tree):
             comps.setdefault(find(nd.nid), set()).add(nd.nid)
         for ids in comps.values():
             fs = frozenset(ids)
@@ -376,18 +440,18 @@ def detect_clusters(tree: Tree, asg: dict) -> list[Cluster]:
             # require an internal line at exactly this scale
             internal_at_h = any(
                 asg.get(nd.nid, -1) == h
-                for nd in tree.nodes
+                for nd in nodes(tree)
                 if nd.nid in ids and up[nd.nid] is not None and up[nd.nid].nid in ids)
             if not internal_at_h and len(ids) > 1:
                 continue
             if len(ids) == 1 and h != min(scales):
                 continue
             seen.add(fs)
-            entering = [nd for nd in tree.nodes
+            entering = [nd for nd in nodes(tree)
                         if nd.nid not in ids and up[nd.nid] is not None
                         and up[nd.nid].nid in ids]
             exiting = None
-            for nd in tree.nodes:
+            for nd in nodes(tree):
                 if nd.nid in ids:
                     p = up[nd.nid]
                     if p is None or p.nid not in ids:
@@ -425,7 +489,7 @@ def localize_split(tree: Tree, out_nd: TNode, in_nd: TNode, asg: dict,
     if x is None:
         x = ctx.point.Om * in_nd.n
     full = _region(f, s, o, i, x, h, ctx, [])
-    if not _l_conditions(f, s, o, i, ctx.point):
+    if not l_conditions(f, s, o, i, ctx.point):
         return 0.0, full
     loc = _region(f, s, o, i, _omega_bar(ctx, in_nd.n, in_nd.m), h, ctx, [])
     return loc, full - loc
@@ -442,7 +506,7 @@ def resonance_to_rtree(tree: Tree, out_nd: TNode, in_nd: TNode) -> Tree:
 
     f, t = tree._fam, tree._t
     s = f.start[t]
-    k = sum(f.kv[s + j] for j in f.block(s, out_nd.nid, in_nd.nid))
+    k = sum(f.kv[s + j] for j in _block(f, s, out_nd.nid, in_nd.nid))
     return hand_tree(rebuild(out_nd), k, in_nd.n, in_nd.m, is_rtree=True)
 
 
@@ -468,8 +532,8 @@ def extended_value(tree: Tree, asg: dict, params: ModelParams, eps: float,
     if tree.is_rtree:
         f, t = tree._fam, tree._t
         base = _lval_rtree(f, t, tree._scales(asg), ctx, False)
-        path_ids = {nd.nid for nd in path_to_root(tree, tree.special)}
-        path_ids.add(tree.special.nid)
+        path_ids = {nd.nid for nd in path_to_root(tree, special(tree))}
+        path_ids.add(special(tree).nid)
     else:
         base = tree_value(tree, asg, params, eps, nu, q, counterterms)
         path_ids = set()
@@ -572,14 +636,14 @@ def _block_walks(f: _Family) -> tuple[list, list]:
 
 def clean(f: _Family) -> list:
     """Per tree, whether it has a special end whose block no other node
-    repeats the mode of, by `trees._repeats` over the block."""
+    repeats the mode of, by `_repeats` over the block."""
     return [e >= 0 and not _repeats(f, s, 0, e) for s, e in zip(f.start, f.special)]
 
 
 def prop_line_nodes(tree: Tree) -> list:
     """Nodes whose exiting line carries a genuine cutoff propagator."""
     f, t = tree._fam, tree._t
-    return [tree.nodes[i] for i in f.lines(t)]
+    return [nodes(tree)[i] for i in f.lines(t)]
 
 
 def path_to_root(tree: Tree, nd: TNode) -> list:
@@ -864,7 +928,7 @@ def _line_slots(c: _Columns, row_tree: np.ndarray) -> tuple:
 def _layout(c: _Columns, node: np.ndarray) -> tuple:
     """(nb, unary, kids, off) of `_setup` for the given node rows, laid out
     one after another: the second subtree of a binary node at position p
-    starts at p + 1 + the size of its first child's subtree (TNode children
+    starts at p + 1 + the size of its first child's subtree (`_Family.kids`
     order takes it first)."""
     R, sv, level = len(node), c.sv[node], c.level[node]
     two = np.flatnonzero(sv == 2)
@@ -895,3 +959,31 @@ def cubic_rows(params: ModelParams, eps: float) -> tuple:
     return (2.0 * v * v, 2 * a * (a + b * Om * Om) * g0,
             (a - b * Om * Om) * (a + 2 * b * Om * Om), _beta(params, eps),
             -(Om * 2) ** 2, omega_sq(odd, params.mu))
+
+
+# ---------------------------------------------------------------------------
+# the dyadic cutoffs one float at a time
+
+def _step(t: float) -> float:
+    """C-infinity step from exp(-1/t): 0 for t <= 0, 1 for t >= 1.  The
+    exponentials are numpy's, as the array route's: math.exp differs from
+    it in the last bit for some arguments, which chi_h's differences of
+    steps near 1 raise to ~1e-14 relative."""
+    if t <= 0.0:
+        return 0.0
+    if t >= 1.0:
+        return 1.0
+    f, g = float(np.exp(-1.0 / t)), float(np.exp(-1.0 / (1.0 - t)))
+    return f / (f + g)
+
+
+def scalar_chi_h(x: float, h: int, gamma: float) -> float:
+    """`spectrum.chi_h` at one float x and scale h >= -1, in Python floats
+    (the scalar route the cutoffs had beside their array route): chi(x) =
+    step(|x|/gamma - 1) at h = -1, else chi(x 2^(h+1)) - chi(x 2^h)."""
+    def chi(y: float) -> float:
+        return _step((abs(y) - gamma) / gamma)
+
+    if h == -1:
+        return chi(x)
+    return chi(math.ldexp(x, h + 1)) - chi(math.ldexp(x, h))

@@ -16,8 +16,8 @@ from lindbeam.bruno import (
 from lindbeam.checks import family_grid
 from lindbeam.series import lambda_modes, solve_nu
 from lindbeam.spectrum import ModelParams, NuTable, in_lambda
-from lindbeam.trees import TNode, Tree, enumerate_r_trees, enumerate_trees, family_table
-from oracles import hand_tree, profile, prop_line_nodes
+from lindbeam.trees import Tree, enumerate_r_trees, enumerate_trees, family_table
+from oracles import TNode, hand_tree, nodes, profile, prop_line_nodes
 
 P = ModelParams(a=1.0, b=0.5, mu=0.01, eps0=0.02, omega_branch=1, Mmax=9, Nmax=60)
 
@@ -66,10 +66,10 @@ def test_dyadic_shoulder_gives_two_assignments():
     root = TNode(0, "node", "a", 2, 1, 4, 2, (TNode(0, "end", "", 0, 0, 1, 1), v1))
     t = hand_tree(root, 3, 4, 2)
     asgs = admissible_scales(t, P, 0.0, None)
-    hs = sorted({asg[t.root.nid] for asg in asgs})
+    hs = sorted({asg[nodes(t)[0].nid] for asg in asgs})
     assert hs == [-1, 0]
     # the two assignments differ in exactly that one line
-    others = [tuple(sorted((k, v) for k, v in a.items() if k != t.root.nid))
+    others = [tuple(sorted((k, v) for k, v in a.items() if k != nodes(t)[0].nid))
               for a in asgs]
     assert len(set(others)) == 1
 
@@ -77,11 +77,11 @@ def test_dyadic_shoulder_gives_two_assignments():
 def test_profile_counts(points):
     eps, nu = points[0]
     tree = enumerate_trees(3, 2, 1, P, 9)
-    tree = [t for t in tree if any(nd.sv == 1 for nd in t.nodes)][0]
+    tree = [t for t in tree if any(nd.sv == 1 for nd in nodes(t))][0]
     asg = {nd.nid: -1 for nd in prop_line_nodes(tree)}
     p = profile(tree, asg)
     assert p.n_lines == len(prop_line_nodes(tree))
-    assert sum(p.M.values()) == sum(1 for nd in tree.nodes if nd.sv == 1)
+    assert sum(p.M.values()) == sum(1 for nd in nodes(tree) if nd.sv == 1)
     # partition: non-resonant + resonant = all propagator lines
     assert p.K + sum(p.M.values()) + sum(p.S.values()) == p.n_lines
     # all at -1: no line contributes to any N_h with h >= 0
@@ -105,20 +105,20 @@ def test_hand_tallied_profile():
 
 def test_check_bruno_all_minus_one_trivial():
     t = enumerate_trees(1, 2, 3, P, 9)[0]
-    assert check_bruno(t, {t.root.nid: -1}, P)
+    assert check_bruno(t, {nodes(t)[0].nid: -1}, P)
 
 
 def test_check_bruno_crafted_counterexample(points):
     # isolated very-high-scale non-resonant line at tiny order
     t = enumerate_trees(1, 2, 3, P, 9)[0]
-    bad = {t.root.nid: 30}
+    bad = {nodes(t)[0].nid: 30}
     assert not check_bruno(t, bad, P, raise_on_fail=False)
     with pytest.raises(BrunoViolation):
         check_bruno(t, bad, P)
     # and the admissible machinery never emits it
     for eps, nu in points:
         for asg in admissible_scales(t, P, eps, nu):
-            assert asg[t.root.nid] == -1
+            assert asg[nodes(t)[0].nid] == -1
 
 
 def test_exhaustive_small_orders(points):
@@ -191,8 +191,8 @@ def test_tree_bound_is_tight():
     # one non-resonant line at h = 2: N_2 = 1 = 2 K s - 1 with K = 1, s = 1
     # (the mutant K s - 1 reads 0); at h = 3 the bound is 2 * 0.5 - 1 = 0
     t = enumerate_trees(1, 2, 3, P, 9)[0]
-    assert _verdicts(t, {t.root.nid: 2}, P1) == (True, True, [])
-    assert _verdicts(t, {t.root.nid: 3}, P1) == (False, False, [(0, 3, 1, 0.0, 1)])
+    assert _verdicts(t, {nodes(t)[0].nid: 2}, P1) == (True, True, [])
+    assert _verdicts(t, {nodes(t)[0].nid: 3}, P1) == (False, False, [(0, 3, 1, 0.0, 1)])
 
 
 def test_special_end_bound_is_tight():
@@ -200,7 +200,7 @@ def test_special_end_bound_is_tight():
     # with K = 3, s = 1/2 (the mutant (K - 1) s reads 1); the third line at
     # h = 3 puts N_3 = 3 over it
     t = next(t for t in enumerate_r_trees(4, 2, 1, P, 3)
-             if len(prop_line_nodes(t)) == 3 and not any(nd.sv == 1 for nd in t.nodes)
+             if len(prop_line_nodes(t)) == 3 and not any(nd.sv == 1 for nd in nodes(t))
              and not oracles._candidates(t))
     a, b, c = (nd.nid for nd in prop_line_nodes(t))
     assert _verdicts(t, {a: 3, b: 3, c: -1}, P1) == (True, True, [])

@@ -197,12 +197,11 @@ def test_mass_conditions_are_data_and_solve_nu_picks_its_route_by_K():
 
 
 def test_a_tree_is_a_view_of_its_compiled_family():
-    # a Tree holds its family, its index and its nodes; trees.py compiles
-    # no hand-built tree (the fixture oracles.hand_tree does), and
-    # special-end rows take the general block route, with no path columns
-    # of their own
+    # a Tree holds its family and its index; trees.py compiles no hand-built
+    # tree (the fixture oracles.hand_tree does), and special-end rows take
+    # the general block route, with no path columns of their own
     tree = ast.parse((SRC / "trees.py").read_text())
-    assert _slots(_class(tree, "Tree")) == ("_fam", "_t", "_nodes")
+    assert _slots(_class(tree, "Tree")) == ("_fam", "_t")
     defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
     assert not defined & {"finalize", "_view", "_compiled", "_key"}
     stored = {n.attr for n in ast.walk(_class(tree, "_Columns"))
@@ -251,3 +250,24 @@ def test_the_order2_shift_construction_lives_in_series():
     assert "props" not in stored, stored
     series = ast.parse((SRC / "series.py").read_text())
     assert _imports_from(series, "trees") == [("solve_nu", ["counterterm_table"])]
+
+
+def test_rows_are_the_only_tree_in_src():
+    # trees.py keeps no node objects (the oracle builds them, `oracles.nodes`)
+    # and one definition of the localization rule, `trees._clean` over the
+    # rows; the per-node literal, `_repeats` over a block's `block` walk, is
+    # the oracle's, which imports neither it nor the l-condition from trees
+    tree = ast.parse((SRC / "trees.py").read_text())
+    named = {getattr(n, "name", getattr(n, "id", None)) for n in ast.walk(tree)
+             if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+             or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    assert not named & {"TNode", "_repeats", "block"}, named & {"TNode", "_repeats", "block"}
+    # no module of src/ defines or exports a TNode
+    assert not _sites(lambda n: getattr(n, "name", None) == "TNode"
+                      or isinstance(n, ast.Constant) and n.value == "TNode")
+    assert not set(_methods(tree, "Tree")) & {"nodes", "root", "special"}
+    assert _slots(_class(tree, "Tree")) == ("_fam", "_t")
+    oracles = ast.parse((SRC.parents[1] / "tests" / "oracles.py").read_text())
+    taken = {a.name for n in ast.walk(oracles) if isinstance(n, ast.ImportFrom)
+             and n.module == "lindbeam.trees" for a in n.names}
+    assert not taken & {"_repeats", "_l_conditions"}, taken

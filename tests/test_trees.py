@@ -12,7 +12,6 @@ from lindbeam.spectrum import ModelParams, NuTable, ResonantDivisorError, mode_s
 from lindbeam.trees import (
     EvalCtx,
     MissingCountertermError,
-    TNode,
     admissible_assignments,
     counterterm,
     counterterm_table,
@@ -27,6 +26,7 @@ from lindbeam.trees import (
 
 import oracles
 from oracles import (
+    TNode,
     _candidates,
     _key,
     detect_clusters,
@@ -34,10 +34,12 @@ from oracles import (
     extended_value,
     hand_tree,
     localize_split,
+    nodes,
     path_to_root,
     prop_line_nodes,
     resonance_to_rtree,
     scaled_propagator,
+    special,
 )
 
 P = ModelParams(a=1.0, b=0.5, mu=0.01, eps0=0.05, omega_branch=1, Mmax=9, Nmax=60)
@@ -70,10 +72,10 @@ def test_enumeration_counts():
     # no unary nodes at order 2 (their subtree would need order 0 off-primary)
     for n in (-3, -1, 1, 3):
         for t in enumerate_trees(2, n, 3, P, MM):
-            assert all(nd.sv != 1 for nd in t.nodes)
+            assert all(nd.sv != 1 for nd in nodes(t))
     # multiplicity equals the number of ordered arrangements
     for t in enumerate_trees(3, 0, 3, P, MM)[:40]:
-        assert t.mult == _obj_mult(t.root)
+        assert t.mult == _obj_mult(nodes(t)[0])
 
 
 def test_enumeration_rejects_primary_internal_lines():
@@ -81,7 +83,7 @@ def test_enumeration_rejects_primary_internal_lines():
         for n in (-2, 0, 2, 1, -1):
             for m in (1, 3):
                 for t in enumerate_trees(k, n, m, P, MM) if (abs(n), m) != (1, 1) else []:
-                    for nd in t.nodes:
+                    for nd in nodes(t):
                         if nd.kind == "node":
                             assert (abs(nd.n), nd.m) != (1, 1)
 
@@ -92,10 +94,10 @@ def test_order1_value_formula():
     q = 0.8
     Om = omega_eff(P, EPS)
     for t in enumerate_trees(1, 2, 3, P, MM):
-        asg = {t.root.nid: -1}
+        asg = {nodes(t)[0].nid: -1}
         val = tree_value(t, asg, P, EPS, None, q)
         g = scaled_propagator(2, 3, -1, P, EPS)
-        if t.root.ttype == "b":
+        if nodes(t)[0].ttype == "b":
             want = g * (-P.b * Om ** 2) * kernel_v(3, 1, 1) * q * q
         else:
             want = g * P.a * kernel_v(3, 1, 1) * q * q
@@ -105,9 +107,9 @@ def test_order1_value_formula():
 def test_tree_value_zero_cases():
     t = enumerate_trees(1, 2, 3, P, MM)[0]
     # a vanishing cutoff slice kills the value
-    assert tree_value(t, {t.root.nid: 7}, P, EPS, None, 0.8) == 0.0
+    assert tree_value(t, {nodes(t)[0].nid: 7}, P, EPS, None, 0.8) == 0.0
     # q = 0 kills every tree
-    assert tree_value(t, {t.root.nid: -1}, P, EPS, None, 0.0) == 0.0
+    assert tree_value(t, {nodes(t)[0].nid: -1}, P, EPS, None, 0.0) == 0.0
 
 
 def test_resonant_line_raises_the_spectrum_error():
@@ -123,10 +125,10 @@ def test_resonant_line_raises_the_spectrum_error():
 
 def test_missing_counterterm_error():
     t3 = [t for t in enumerate_trees(3, 2, 1, P, MM)
-          if any(nd.sv == 1 for nd in t.nodes)]
+          if any(nd.sv == 1 for nd in nodes(t))]
     assert t3, "expected unary skeletons at order 3 on the near-resonant mode"
     with pytest.raises(MissingCountertermError):
-        tree_value(t3[0], {nd.nid: -1 for nd in t3[0].nodes}, P, EPS, None, 0.8,
+        tree_value(t3[0], {nd.nid: -1 for nd in nodes(t3[0])}, P, EPS, None, 0.8,
                    counterterms=None)
 
 
@@ -193,12 +195,12 @@ def test_r_tree_enumeration():
     ts = enumerate_r_trees(2, 9, 3, P, MM)
     assert ts, "order-2 special-end family must be nonempty"
     for t in ts:
-        assert t.special is not None and (t.special.n, t.special.m) == (9, 3)
+        assert special(t) is not None and (special(t).n, special(t).m) == (9, 3)
         # regular ends carry +-1 and sum to zero
-        regs = [nd for nd in t.nodes if nd.kind == "end"]
+        regs = [nd for nd in nodes(t) if nd.kind == "end"]
         assert sum(nd.n for nd in regs) == 0
         # no unary node fed directly by the special end (one-node blocks)
-        for nd in t.nodes:
+        for nd in nodes(t):
             if nd.sv == 1:
                 assert nd.children[0].kind != "special"
     with pytest.raises(ValueError):
@@ -320,15 +322,15 @@ def chain_tree(scales):
     e0 = TNode(0, "end", "", 0, 0, -1, 1)
     v0 = TNode(0, "node", "a", 2, 1, 1, 5, (e0, v1))
     t = hand_tree(v0, 2, 1, 5)
-    nodes = {nd.m: nd for nd in t.nodes if nd.kind == "node"}
-    asg = {nodes[5].nid: scales[0], nodes[3].nid: scales[1]}
-    return t, asg, nodes
+    by_m = {nd.m: nd for nd in nodes(t) if nd.kind == "node"}
+    asg = {by_m[5].nid: scales[0], by_m[3].nid: scales[1]}
+    return t, asg, by_m
 
 
 def test_detect_clusters_basic():
     t, asg, _ = chain_tree((-1, -1))
     cls = detect_clusters(t, asg)
-    assert len(cls) == 1 and len(cls[0].node_ids) == len(t.nodes)
+    assert len(cls) == 1 and len(cls[0].node_ids) == len(nodes(t))
     t, asg, _ = chain_tree((-1, 5))
     cls = detect_clusters(t, asg)
     sizes = sorted(len(c.node_ids) for c in cls)
@@ -353,11 +355,11 @@ def test_detect_resonances_rules():
     v1 = TNode(0, "node", "a", 2, 1, 3, 5, (ep, e_in))
     v0 = TNode(0, "node", "a", 2, 1, 2, 3, (em, v1))
     t2 = hand_tree(v0, 3, 2, 3)
-    root = t2.root
-    asg2 = {nd.nid: -1 for nd in t2.nodes if nd.kind == "node"}
+    root = nodes(t2)[0]
+    asg2 = {nd.nid: -1 for nd in nodes(t2) if nd.kind == "node"}
     # both external lines of the block sit above the block's internal scales
     asg2[root.nid] = 3
-    e_in_live = next(nd for nd in t2.nodes if nd.kind == "node"
+    e_in_live = next(nd for nd in nodes(t2) if nd.kind == "node"
                      and (nd.n, nd.m) == (2, 3) and nd is not root)
     asg2[e_in_live.nid] = 3
     res = detect_resonances(t2, asg2)
@@ -380,7 +382,7 @@ def test_localize_split_identities():
     v0 = TNode(0, "node", "a", 2, 1, 2, 1, (em, v1))
     t = hand_tree(v0, 3, 2, 1)
     (out_nd, in_nd), = _candidates(t)
-    asg = {nd.nid: -1 for nd in t.nodes if nd.kind == "node"}
+    asg = {nd.nid: -1 for nd in nodes(t) if nd.kind == "node"}
     ctxkw = dict(params=P, eps=EPS, nu=nu, q=q)
     # R vanishes at the localization point
     xbar = oracles.mode(_point(P, EPS, nu), 2, 1).bar
@@ -396,7 +398,7 @@ def test_localize_split_identities():
     v05 = TNode(0, "node", "a", 2, 1, 2, 5, (em, v15))
     t5 = hand_tree(v05, 3, 2, 5)
     (o5, i5), = _candidates(t5)
-    loc5, rem5 = localize_split(t5, o5, i5, asg={nd.nid: -1 for nd in t5.nodes},
+    loc5, rem5 = localize_split(t5, o5, i5, asg={nd.nid: -1 for nd in nodes(t5)},
                                 params=P, eps=EPS, nu=nu, q=q)
     assert loc5 == 0.0 and rem5 != 0.0
 
@@ -414,10 +416,10 @@ def test_resonance_rtree_roundtrip():
                 for (o, i) in _candidates(t):
                     rt = resonance_to_rtree(t, o, i)
                     assert rt.is_rtree and (rt.n, rt.m) == (i.n, i.m)
-                    assert rt.k == sum(nd.kv for nd in t.nodes) - \
-                        sum(nd.kv for nd in t.nodes if _under(t, nd, i))
-                    key = _skeleton_key(rt.root)
-                    pool = {_skeleton_key(s.root)
+                    assert rt.k == sum(nd.kv for nd in nodes(t)) - \
+                        sum(nd.kv for nd in nodes(t) if _under(t, nd, i))
+                    key = _skeleton_key(nodes(rt)[0])
+                    pool = {_skeleton_key(nodes(s)[0])
                             for s in enumerate_r_trees(rt.k, rt.n, rt.m, P, MM)}
                     assert key in pool
                     seen += 1
@@ -447,7 +449,7 @@ def test_extended_value_relations():
             assert ext == pytest.approx(plain, rel=1e-12, abs=1e-18)
     # a tiny gamma-scaled divisor kills the extension: fake via huge tau
     t = enumerate_trees(1, 2, 3, P, MM)[0]
-    asg = {t.root.nid: -1}
+    asg = {nodes(t)[0].nid: -1}
     dead = extended_value(t, asg, P, EPS, nu, q, tau=-100.0)
     assert dead == 0.0
 
@@ -455,7 +457,7 @@ def test_extended_value_relations():
 def test_extended_value_continuity():
     nu, q = make_nu(), 0.8
     t = enumerate_trees(1, 2, 3, P, MM)[0]
-    asg = {t.root.nid: -1}
+    asg = {nodes(t)[0].nid: -1}
     vals = [extended_value(t, asg, P, e, nu, q) for e in
             [EPS * (1 + 1e-6 * i) for i in range(5)]]
     diffs = [abs(vals[i + 1] - vals[i]) for i in range(4)]
@@ -464,7 +466,7 @@ def test_extended_value_continuity():
 
 def test_dump_format():
     t = enumerate_trees(1, 2, 3, P, MM)[0]
-    text = dump_tree(t, {t.root.nid: -1})
+    text = dump_tree(t, {nodes(t)[0].nid: -1})
     lines = text.splitlines()
     assert len(lines) == 3
     assert "mode=(2,3)" in lines[0] and "h=-1" in lines[0]
@@ -549,12 +551,13 @@ def _obj_mult(nd):
     return mult
 
 
-def _obj_dump(root):
+def _obj_dump(root, asg=None):
     lines = []
 
     def walk(nd, depth):
+        h = "" if asg is None else f" h={asg.get(nd.nid, -1)}"
         lines.append(f"{'  ' * depth}[{nd.nid}] {nd.kind} t={nd.ttype or '-'} k={nd.kv} "
-                     f"mode=({nd.n},{nd.m})")
+                     f"mode=({nd.n},{nd.m}){h}")
         for c in nd.children:
             walk(c, depth + 1)
 
@@ -576,22 +579,32 @@ def _families():
 
 
 def test_compiled_families_match_object_enumeration():
-    from collections import Counter
-    memos = {}
-    for (k, n, m, rtree) in _families():
-        memo = memos.setdefault((rtree, (n, m) if rtree else None), {})
-        want = _obj_family(k, n, m, MM, rtree, memo)
-        got = (enumerate_r_trees if rtree else enumerate_trees)(k, n, m, TREE_P, MM)
+    # criterion 6's families and the order-2 special-end ones at Mmax 9, and
+    # the order-4 special-end families at Mmax 3: the same trees in the same
+    # order, with the same multiplicities, each dumped from the rows as the
+    # object route dumps its TNodes, bare and with a scale on each line
+    memos, dumped = {}, 0
+    fams = [(*fam, MM) for fam in _families()]
+    fams += [(4, n, m, True, 3) for (n, m) in lambda_modes(TREE_P.with_(Mmax=3))]
+    for (k, n, m, rtree, mm) in fams:
+        memo = memos.setdefault((rtree, (n, m) if rtree else None, mm), {})
+        want = _obj_family(k, n, m, mm, rtree, memo)
+        got = (enumerate_r_trees if rtree else enumerate_trees)(k, n, m, TREE_P, mm)
         assert len(got) == len(want), (k, n, m, rtree)
-        assert Counter((_key(t.root), t.mult) for t in got) == \
-            Counter((_key(r), _obj_mult(r)) for r in want)
-        if want:
-            assert dump_tree(got[0]) == _obj_dump(want[0])
-            assert [nd.nid for nd in got[0].nodes] == list(range(len(got[0].nodes)))
+        assert [t.mult for t in got] == [_obj_mult(r) for r in want]
+        for t, r in zip(got, want):
+            lines = t._fam.lines(t._t).tolist()
+            asg = {l: (l + t._t) % 4 - 1 for l in lines}
+            assert dump_tree(t) == _obj_dump(r)
+            assert dump_tree(t, asg) == _obj_dump(r, asg)
+            dumped += 1
+        if got:
+            assert [nd.nid for nd in nodes(got[0])] == list(range(len(nodes(got[0]))))
         # the count that guards the budget, exact below its cap
-        f = trees._family(k, n, m, MM, rtree)
-        assert trees._count((k, n, m, rtree), MM, (n, m) if rtree else None, {},
+        f = trees._family(k, n, m, mm, rtree)
+        assert trees._count((k, n, m, rtree), mm, (n, m) if rtree else None, {},
                             trees.TREE_BUDGET + 1)[:2] == (f.count, f.start[f.count])
+    assert dumped == 30_198
 
 
 def test_hand_tree_is_its_compiled_tree():
@@ -610,7 +623,7 @@ def test_hand_tree_is_its_compiled_tree():
         for t, tree in enumerate(f.trees()):
             label = (tree.k, tree.n, tree.m, tree.mult, tree.is_rtree)
             assert label == (*f.label, f.mult[t], f.is_rtree)
-            hand = hand_tree(tree.root, *label)
+            hand = hand_tree(nodes(tree)[0], *label)
             g, s, e = hand._fam, f.start[t], f.start[t + 1]
             assert (hand.k, hand.n, hand.m, hand.mult, hand.is_rtree) == label
             for c in ("par", "size", "kind", "ttype", "sv", "kv", "n", "m"):
@@ -640,9 +653,9 @@ def test_tree_budget_is_checked_before_enumeration():
     assert trees._count((4, 9, 3, True), 15, (9, 3), {}, 10 ** 9)[:2] == (270_784, 2_436_480)
     cap = trees.TREE_BUDGET + 1
     assert trees._count(key, 15, None, {}, cap)[1] == cap
-    for k, n, m, special in ((5, 2, 3, False), (30, 2, 3, False), (4, 9, 3, True)):
+    for k, n, m, rtree in ((5, 2, 3, False), (30, 2, 3, False), (4, 9, 3, True)):
         with pytest.raises(trees.TreeBudgetError):
-            (enumerate_r_trees if special else enumerate_trees)(k, n, m, P, 15)
+            (enumerate_r_trees if rtree else enumerate_trees)(k, n, m, P, 15)
 
 
 def test_budget_refusal_walks_few_keys(monkeypatch):
@@ -831,7 +844,7 @@ def _sorted_kids(key):
 
 
 def _obj_path(tree, nd):
-    parent = {c.nid: w for w in tree.nodes for c in w.children}
+    parent = {c.nid: w for w in nodes(tree) for c in w.children}
     out, cur = [], parent.get(nd.nid)
     while cur is not None:
         out.append(cur)
@@ -845,8 +858,8 @@ def _obj_candidates(tree):
     def count(nd):
         return 1 + sum(count(c) for c in nd.children)
 
-    root, cands = tree.nodes[0], []
-    for nd in tree.nodes:
+    root, cands = nodes(tree)[0], []
+    for nd in nodes(tree):
         if nd.kind == "end" or (abs(nd.n), nd.m) == (1, 1) or nd.n == 0:
             continue
         for anc in _obj_path(tree, nd):
@@ -861,23 +874,23 @@ def _obj_assignments(tree, params, eps, nu, renormalize):
     from lindbeam.spectrum import admissible_h_for, in_lambda, omega
     from itertools import product
 
-    nodes = tree.nodes
-    parent = {c.nid: nd for nd in nodes for c in nd.children}
-    root = nodes[0]
+    tnodes = nodes(tree)
+    parent = {c.nid: nd for nd in tnodes for c in nd.children}
+    root = tnodes[0]
 
     def omt2(n, m):
         return float(omega(m, params.mu)) ** 2 + (nu.n_nu(n, m) if nu is not None else 0.0)
 
     Om = omega_eff(params, eps)
-    lines = [nd for nd in nodes if nd.kind == "node" and not (tree.is_rtree and nd is root)]
+    lines = [nd for nd in tnodes if nd.kind == "node" and not (tree.is_rtree and nd is root)]
     anchors = {nd.nid: [] for nd in lines}
     e_path = set()
     if renormalize or tree.is_rtree:
         cands = _obj_candidates(tree)
-        special = [nd for nd in nodes if nd.kind == "special"]
-        if tree.is_rtree and special:
-            cands.append((root, special[-1]))
-            e_path = {a.nid for a in _obj_path(tree, special[-1])}
+        ends = [nd for nd in tnodes if nd.kind == "special"]
+        if tree.is_rtree and ends:
+            cands.append((root, ends[-1]))
+            e_path = {a.nid for a in _obj_path(tree, ends[-1])}
         for (o, i) in cands:
             rad = omt2(i.n, i.m)
             if not in_lambda(i.n, i.m, params) or rad <= 0:
@@ -1217,7 +1230,7 @@ def test_equal_mode_lines_stay_within_one_scale():
     pt = _point(P, eps, None)
     zero_one, two_one = oracles.mode(pt, 0, 1), oracles.mode(pt, 2, 1)
     assert zero_one.hs == [-1] and oracles.shifted(pt, zero_one, two_one) == [3, 4]
-    p, s = (nd.nid for nd in t.nodes if (nd.n, nd.m) == (0, 1) and nd.kind == "node")
+    p, s = (nd.nid for nd in nodes(t) if (nd.n, nd.m) == (0, 1) and nd.kind == "node")
 
     # in the plain supports every line has one label
     assert admissible_assignments(t, P, eps, None) == [{nd.nid: -1 for nd in prop_line_nodes(t)}]
@@ -1239,7 +1252,7 @@ def test_equal_mode_lines_stay_within_one_scale():
     f = rt._fam
     assert admissible_assignments(rt, P, eps, None) == []
     assert len(pt.table(f, True).rows()[0]) == 0
-    on_path = {nd.nid for nd in path_to_root(rt, rt.special)}
+    on_path = {nd.nid for nd in path_to_root(rt, special(rt))}
     p, s = sorted((nd.nid for nd in prop_line_nodes(rt)), key=lambda j: j not in on_path)
     ctx = EvalCtx(P, eps, None, 0.8, CountertermTable(), renormalize=True)
     dropped = [oracles._lval_rtree(f, 0, rt._scales({p: hp, s: -1}), ctx, True) for hp in (3, 4)]
@@ -1320,13 +1333,16 @@ def test_compiled_family_arrays_are_read_only():
 
 def test_the_candidate_walk_lays_out_the_block_walks_and_clean_flags():
     # the walk up from each node that finds the candidates also compiles
-    # the block walks and the clean flags, equal to a second walk per tree
+    # the block walks and the clean flags, equal to a second walk per tree;
+    # on every candidate block and special-end block, `trees._clean` over
+    # two row slices is the literal rule, no other node of the block repeats
+    # the entering mode (`oracles._repeats`)
     fams = [trees._family(k, n, m, MM, False) for (k, n, m) in GRID6]
     fams += [trees._family(k, n, m, MM, True) for k in (2, 3) for (n, m) in lambda_modes(TREE_P)]
     # order 4 brings special-end trees that are not clean
     fams += [trees._family(4, n, m, 3, True) for (n, m) in lambda_modes(TREE_P.with_(Mmax=3))]
     fams.append(trees._family(5, 2, 3, 3, False))
-    seen = {"walks": 0, "clean": 0, "unclean": 0}
+    seen = {"walks": 0, "clean": 0, "unclean": 0, "blocks": 0, "repeated": 0}
     for f in fams:
         c = f.columns()
         lines, anchors = oracles._block_walks(f)
@@ -1338,6 +1354,13 @@ def test_the_candidate_walk_lays_out_the_block_walks_and_clean_flags():
         if f.is_rtree:
             seen["clean"] += int(c.clean.sum())
             seen["unclean"] += int((~c.clean).sum())
+        for t in range(f.count):
+            s, e = f.start[t], f.special[t]
+            for o, i in f.cands(t) + ([(0, e)] if e >= 0 else []):
+                repeats = oracles._repeats(f, s, o, i)
+                assert trees._clean(f.mode, f.size, s + o, s + i) is not repeats, (f.label, t)
+                seen["blocks"] += 1
+                seen["repeated"] += repeats
     assert min(seen.values()) > 0, seen
 
 
